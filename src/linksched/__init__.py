@@ -5,40 +5,4 @@ exact independent-set solvers, simulates the queue dynamics, and trains a
 small graph-convolutional network to emit delay-aware per-link utilities.
 """
 
-from .gcn import (AdamState, Checkpoint, ForwardCache, GcnParams, Gradients,
-                  adam_step, backward, forward, identity_params, init_params,
-                  load_checkpoint, save_checkpoint)
-from .graph import (ConflictGraph, as_rng, centralization, generate_ba,
-                    generate_er, generate_power_law_tree, generate_star,
-                    is_independent_set, load_graph, normalized_laplacian,
-                    save_graph)
-from .policies import ExactPolicy, GcnLgsPolicy, GreedyPolicy, LgsPolicy
-from .presets import GraphConfig, parse_graph_config
-from .sim import (EpisodeResult, MetricsBundle, NetworkState, TrafficTrace,
-                  backlog_stats, compute_metrics, load_trace,
-                  lookahead_compare, run_episode, sample_traffic, save_trace,
-                  steady_state_mean, step, write_trajectory_csv)
-from .solvers import (Schedule, baseline_utility, exact_mwis,
-                      greedy_centralized, lgs)
-from .train import (ExperienceTuple, ReplayBuffer, TrainConfig, TrainResult,
-                    collect_episode, compute_reward, loss_gradient, rms_loss,
-                    train)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState", "Checkpoint", "ConflictGraph", "EpisodeResult",
-    "ExactPolicy", "ExperienceTuple", "ForwardCache", "GcnLgsPolicy",
-    "GcnParams", "Gradients", "GraphConfig", "GreedyPolicy", "LgsPolicy",
-    "MetricsBundle", "NetworkState", "ReplayBuffer", "Schedule",
-    "TrafficTrace", "TrainConfig", "TrainResult", "adam_step", "as_rng",
-    "backlog_stats", "backward", "baseline_utility", "centralization",
-    "collect_episode", "compute_metrics", "compute_reward", "exact_mwis",
-    "forward", "generate_ba", "generate_er", "generate_power_law_tree",
-    "generate_star", "greedy_centralized", "identity_params", "init_params",
-    "is_independent_set", "lgs", "load_checkpoint", "load_graph",
-    "load_trace", "lookahead_compare", "loss_gradient",
-    "normalized_laplacian", "parse_graph_config", "rms_loss", "run_episode",
-    "sample_traffic", "save_checkpoint", "save_graph", "save_trace",
-    "steady_state_mean", "step", "train", "write_trajectory_csv",
-]

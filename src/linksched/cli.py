@@ -19,11 +19,12 @@ import numpy as np
 
 from .gcn import load_checkpoint
 from .graph import ConflictGraph, centralization, load_graph, save_graph
-from .policies import ExactPolicy, GcnLgsPolicy, GreedyPolicy, LgsPolicy
+from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
-from .sim import (EpisodeResult, MetricsBundle, TrafficTrace, compute_metrics,
+from .sim import (RATE_MEAN, MetricsBundle, TrafficTrace, compute_metrics,
                   load_trace, run_episode, sample_traffic, save_trace,
                   steady_state_mean)
+from .solvers import exact_mwis, greedy_centralized, lgs
 from .train import TrainConfig, train, write_training_log
 
 EXACT_NODE_CAP = 40
@@ -195,7 +196,7 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> list[Path]:
             inst_dir = out_dir / f"instance_{k:04d}"
             inst_dir.mkdir(exist_ok=True)
             graph = preset.build(int(graph_seeds[k]))
-            lam = mu * 50.0
+            lam = mu * RATE_MEAN
             trace = sample_traffic(graph, config.horizon, lam,
                                    int(traffic_seeds[k]))
             save_graph(graph, inst_dir / "graph.txt")
@@ -212,16 +213,15 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 def _make_policy(name: str, config: ExperimentConfig):
-    if name == "baseline":
-        return LgsPolicy(config.utility_kind)
-    if name == "greedy":
-        return GreedyPolicy(config.utility_kind)
-    if name == "exact":
-        return ExactPolicy(config.utility_kind, max_nodes=EXACT_NODE_CAP)
+    """The policy behind a validated CLI policy name."""
     if name == "gcn":
         ckpt = load_checkpoint(config.checkpoint)
         return GcnLgsPolicy(ckpt.params, ckpt.slope, config.utility_kind)
-    raise ConfigError(f"unknown policy {name!r}")
+    # Looked up at call time, so rebinding a solver in this module takes
+    # effect on the next evaluation.
+    solvers = {"baseline": lgs, "greedy": greedy_centralized,
+               "exact": exact_mwis}
+    return SolverPolicy(solvers[name], config.utility_kind)
 
 
 def _ratio(value: float, reference: float) -> float:
@@ -270,16 +270,18 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
              out_dir: Path | None = None) -> EvaluationReport:
     """Evaluate the selected policies on every stored instance.
 
-    Each policy replays the instance's exact traffic trace (checksums are
-    asserted equal across policies). Approximation ratios are each policy's
-    backlog metrics divided by the baseline's.
+    Each policy is built once, and each instance's trace is loaded once and
+    replayed by every policy. The trace arrays are made read-only first, so
+    a policy that writes into its rates fails with ValueError instead of
+    changing what later policies replay. Approximation ratios are each
+    policy's backlog metrics divided by the baseline's.
     """
     config.validate()
     instance_dirs = sorted(p for p in Path(instances_dir).glob("instance_*")
                            if p.is_dir())
     if not instance_dirs:
         raise ConfigError(f"no instances found under {instances_dir}")
-    policies = config.policies
+    policies = [(name, _make_policy(name, config)) for name in config.policies]
     report = EvaluationReport(config.graph_config)
     centralizations = []
     for inst_dir in instance_dirs:
@@ -289,15 +291,12 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
             raise ConfigError(f"{name}: exact policy refused, "
                               f"{graph.node_count} nodes > {EXACT_NODE_CAP}")
         centralizations.append(centralization(graph))
+        trace = load_trace(inst_dir / "trace.csv")
+        trace.arrivals.setflags(write=False)
+        trace.rates.setflags(write=False)
+        checksum = trace.checksum()
         per_policy: dict[str, MetricsBundle] = {}
-        checksum = None
-        for policy_name in policies:
-            trace = load_trace(inst_dir / "trace.csv")
-            if checksum is None:
-                checksum = trace.checksum()
-            elif trace.checksum() != checksum:
-                raise RuntimeError(f"{name}: policies saw different traces")
-            policy = _make_policy(policy_name, config)
+        for policy_name, policy in policies:
             metrics = compute_metrics(run_episode(graph, policy, trace))
             per_policy[policy_name] = metrics
             report.metrics.append({
@@ -364,8 +363,8 @@ def cmd_toy(horizon: int = 128, burn_in: int = 20) -> ToyReport:
     trace = TrafficTrace(np.ones((horizon, n), dtype=np.int64),
                          np.full((horizon, n), 2, dtype=np.int64))
     results = {}
-    for name, policy in (("exact", ExactPolicy(utility_kind="queue")),
-                         ("greedy", GreedyPolicy(utility_kind="queue"))):
+    for name, policy in (("exact", SolverPolicy(exact_mwis, "queue")),
+                         ("greedy", SolverPolicy(greedy_centralized, "queue"))):
         result = run_episode(graph, policy, trace)
         results[name] = (steady_state_mean(result, burn_in),
                          (result.queues[horizon - 2].copy(),
@@ -450,6 +449,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_ars(rows: list[dict]) -> None:
+    for row in rows:
+        print(f"{row['policy']:>8s} {row['metric']:>6s} AR: "
+              f"mean {row['ar_mean']:.4f} "
+              f"quartiles [{row['ar_q25']:.4f}, {row['ar_median']:.4f}, "
+              f"{row['ar_q75']:.4f}]")
+
+
 def _run(args: argparse.Namespace) -> int:
     if args.command == "generate":
         mus = tuple(float(x) for x in args.mu.split(","))
@@ -467,12 +474,8 @@ def _run(args: argparse.Namespace) -> int:
             config.episodes = args.episodes
         if args.seed is not None:
             config.seed = args.seed
-        config.validate()
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         result = train(config, checkpoint_dir=out)
-        from .train import _write_checkpoint
-        _write_checkpoint(out / "checkpoint.ckpt", result.params, config)
         write_training_log(result.log, out / "training_log.csv")
         print(f"trained {config.episodes} episodes; "
               f"win rate {result.win_rate():.3f}; checkpoint at "
@@ -486,18 +489,17 @@ def _run(args: argparse.Namespace) -> int:
             raise ConfigError(f"{manifest}: not found (run generate first)")
         kv = load_kv_file(manifest)
         policies = tuple(p.strip() for p in args.policies.split(","))
-        config = ExperimentConfig(
-            kv["config"], tuple(float(x) for x in kv["mus"].split(",")),
-            instances=int(kv["instances"]), horizon=int(kv["horizon"]),
-            policies=policies, utility_kind=args.utility,
-            checkpoint=Path(args.checkpoint) if args.checkpoint else None)
+        try:
+            config = ExperimentConfig(
+                kv["config"], tuple(float(x) for x in kv["mus"].split(",")),
+                instances=int(kv["instances"]), horizon=int(kv["horizon"]),
+                policies=policies, utility_kind=args.utility,
+                checkpoint=Path(args.checkpoint) if args.checkpoint else None)
+        except KeyError as exc:
+            raise ConfigError(f"{manifest}: missing key {exc.args[0]!r}") \
+                from None
         out = Path(args.out) if args.out else None
-        report = cmd_eval(config, instances_dir, out)
-        for row in report.aggregate():
-            print(f"{row['policy']:>8s} {row['metric']:>6s} AR: "
-                  f"mean {row['ar_mean']:.4f} "
-                  f"quartiles [{row['ar_q25']:.4f}, {row['ar_median']:.4f}, "
-                  f"{row['ar_q75']:.4f}]")
+        _print_ars(cmd_eval(config, instances_dir, out).aggregate())
         return 0
 
     if args.command == "toy":
@@ -513,12 +515,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "report":
-        rows = cmd_report(Path(args.eval_dir))
-        for row in rows:
-            print(f"{row['policy']:>8s} {row['metric']:>6s} AR: "
-                  f"mean {row['ar_mean']:.4f} "
-                  f"quartiles [{row['ar_q25']:.4f}, {row['ar_median']:.4f}, "
-                  f"{row['ar_q75']:.4f}]")
+        _print_ars(cmd_report(Path(args.eval_dir)))
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

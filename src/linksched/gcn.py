@@ -278,29 +278,34 @@ def save_checkpoint(path, params: GcnParams, *,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`; a malformed,
+    truncated or overlong file raises ValueError naming the path."""
     blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:8] != CHECKPOINT_MAGIC:
+    if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a scheduler checkpoint (bad magic)")
     off = 8
-    (layers,) = struct.unpack_from("<i", blob, off)
-    off += 4
+
+    def take(size: int) -> int:
+        """Offset of the next ``size`` bytes, which must all be present."""
+        nonlocal off
+        if off + size > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint")
+        off += size
+        return off - size
+
+    (layers,) = struct.unpack_from("<i", blob, take(4))
     if layers < 1:
         raise ValueError(f"{path}: invalid layer count {layers}")
-    dims = struct.unpack_from(f"<{layers + 1}i", blob, off)
-    off += 4 * (layers + 1)
-    slope, base_lr, decay, beta1, beta2, eps = struct.unpack_from("<6d", blob, off)
-    off += 48
+    dims = struct.unpack_from(f"<{layers + 1}i", blob, take(4 * (layers + 1)))
+    slope, base_lr, decay, beta1, beta2, eps = struct.unpack_from(
+        "<6d", blob, take(48))
     theta0, theta1 = [], []
     for prev, cur in zip(dims[:-1], dims[1:]):
         count = prev * cur
         for dest in (theta0, theta1):
-            end = off + 8 * count
-            if end > len(blob):
-                raise ValueError(f"{path}: truncated checkpoint")
-            mat = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+            mat = np.frombuffer(blob, dtype="<f8", count=count,
+                                offset=take(8 * count))
             dest.append(mat.astype(np.float64).reshape(prev, cur))
-            off = end
     if off != len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
     params = GcnParams(dims, theta0, theta1)

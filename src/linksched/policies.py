@@ -1,56 +1,32 @@
-"""Interchangeable scheduling policies: callables (graph, q, r) -> Schedule."""
+"""Interchangeable scheduling policies: callables (graph, q, r) -> Schedule.
+
+:class:`SolverPolicy` feeds a handcrafted per-link utility of backlog and
+rate to one independent-set solver: ``lgs`` is the distributed baseline,
+``greedy_centralized`` and ``exact_mwis`` are the reference schedulers.
+:class:`GcnLgsPolicy` feeds GCN utilities to ``lgs``.
+"""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from .gcn import LEAKY_SLOPE, GcnParams, forward
 from .graph import ConflictGraph, normalized_laplacian
-from .solvers import (Schedule, baseline_utility, exact_mwis,
-                      greedy_centralized, lgs)
+from .solvers import Schedule, baseline_utility, lgs
 
 
-def policy_utility(queues, rates, kind: str) -> np.ndarray:
-    """Utility selector for the handcrafted policies.
+class SolverPolicy:
+    """A solver applied to the :func:`baseline_utility` of (q, r)."""
 
-    ``product`` and ``min`` combine backlog and rate; ``queue`` uses the raw
-    backlog (the classic myopic weight).
-    """
-    if kind == "queue":
-        return np.asarray(queues, dtype=np.float64)
-    return baseline_utility(queues, rates, kind)
-
-
-class LgsPolicy:
-    """Baseline distributed scheduler: local greedy on a q/r utility."""
-
-    def __init__(self, utility_kind: str = "product"):
+    def __init__(self, solver: Callable[[ConflictGraph, np.ndarray], Schedule],
+                 utility_kind: str = "product"):
+        self.solver = solver
         self.utility_kind = utility_kind
 
     def __call__(self, graph: ConflictGraph, q, r) -> Schedule:
-        return lgs(graph, policy_utility(q, r, self.utility_kind))
-
-
-class GreedyPolicy:
-    """Centralized sequential greedy scheduler."""
-
-    def __init__(self, utility_kind: str = "product"):
-        self.utility_kind = utility_kind
-
-    def __call__(self, graph: ConflictGraph, q, r) -> Schedule:
-        return greedy_centralized(graph, policy_utility(q, r, self.utility_kind))
-
-
-class ExactPolicy:
-    """Per-slot optimal scheduler; only viable on small graphs."""
-
-    def __init__(self, utility_kind: str = "product", max_nodes: int = 40):
-        self.utility_kind = utility_kind
-        self.max_nodes = max_nodes
-
-    def __call__(self, graph: ConflictGraph, q, r) -> Schedule:
-        return exact_mwis(graph, policy_utility(q, r, self.utility_kind),
-                          max_nodes=self.max_nodes)
+        return self.solver(graph, baseline_utility(q, r, self.utility_kind))
 
 
 class GcnLgsPolicy:
@@ -76,7 +52,7 @@ class GcnLgsPolicy:
         return self._laplacian
 
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
-        features = policy_utility(q, r, self.feature_kind)[:, None]
+        features = baseline_utility(q, r, self.feature_kind)[:, None]
         u, _ = forward(self.params, self.laplacian_for(graph), features,
                        self.slope)
         return u

@@ -2,7 +2,9 @@
 
 A slot proceeds as: the policy picks an independent set from the state
 (q(t), r(t)); scheduled links send min(rate, backlog) packets; arrivals land
-on every link. All packet quantities are integers.
+on every link. All packet quantities are integers. :func:`advance` is the
+one implementation of that queue update, q - min(r, q) + a; ``step``, the
+lookahead rollouts and the trainer all call it.
 """
 
 from __future__ import annotations
@@ -103,6 +105,20 @@ def sample_traffic(graph: ConflictGraph, horizon: int, arrival_rate: float,
     return TrafficTrace(arrivals, rates, seed)
 
 
+def advance(q: np.ndarray, schedule: Schedule, rates: np.ndarray,
+            arrivals) -> np.ndarray:
+    """Queues after one slot, as a new array: scheduled links drain
+    min(rate, backlog), then arrivals land everywhere. Inputs are not
+    checked; :func:`step` is the checked entry point."""
+    q = q.copy()
+    if schedule.nodes:
+        idx = np.fromiter(schedule.nodes, dtype=np.int64,
+                          count=len(schedule.nodes))
+        q[idx] -= np.minimum(rates[idx], q[idx])
+    q += arrivals
+    return q
+
+
 def step(state: NetworkState, schedule: Schedule, arrivals, next_rates,
          graph: ConflictGraph | None = None) -> NetworkState:
     """Advance the queue dynamics by one slot.
@@ -118,13 +134,8 @@ def step(state: NetworkState, schedule: Schedule, arrivals, next_rates,
         raise ValueError("arrivals must be non-negative")
     if graph is not None and not is_independent_set(graph, schedule.nodes):
         raise ValueError("schedule is not an independent set of the graph")
-    q = state.q.copy()
-    if schedule.nodes:
-        idx = np.fromiter(schedule.nodes, dtype=np.int64,
-                          count=len(schedule.nodes))
-        q[idx] -= np.minimum(state.r[idx], q[idx])
-    q += a
-    return NetworkState(q, np.asarray(next_rates, dtype=np.int64).copy(),
+    return NetworkState(advance(state.q, schedule, state.r, a),
+                        np.asarray(next_rates, dtype=np.int64).copy(),
                         state.t + 1)
 
 
@@ -187,16 +198,11 @@ def lookahead_compare(graph: ConflictGraph, state: NetworkState,
         raise ValueError(f"trace segment has {trace.horizon} slots, need {k}")
 
     def rollout_backlog(pol: Policy) -> int:
-        q = state.q.copy()
+        q = state.q
         total = 0
         for i in range(k):
             r = trace.rates[i]
-            schedule = pol(graph, q, r)
-            if schedule.nodes:
-                idx = np.fromiter(schedule.nodes, dtype=np.int64,
-                                  count=len(schedule.nodes))
-                q[idx] -= np.minimum(r[idx], q[idx])
-            q += trace.arrivals[i]
+            q = advance(q, pol(graph, q, r), r, trace.arrivals[i])
             total += int(q.sum())
         return total
 
@@ -272,26 +278,59 @@ def save_trace(trace: TrafficTrace, path) -> None:
 
 
 def load_trace(path) -> TrafficTrace:
-    """Read a trace written by :func:`save_trace`."""
+    """Read a trace written by :func:`save_trace`.
+
+    Fails closed: missing or non-integer metadata, a non-integer field, a
+    ``(t, node)`` out of range or repeated, and a file without one row per
+    (slot, node) each raise ValueError naming the path and line.
+    """
     with open(path, newline="") as fh:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("#"):
             raise ValueError(f"{path}: line 1: missing trace metadata comment")
-        meta = dict(part.split("=", 1) for part in meta_line[1:].split())
-        seed = None if meta.get("seed") in (None, "None") else int(meta["seed"])
-        nodes = int(meta["nodes"])
-        horizon = int(meta["horizon"])
+        try:
+            meta = dict(part.split("=", 1) for part in meta_line[1:].split())
+            seed = None if meta.get("seed") in (None, "None") \
+                else int(meta["seed"])
+            nodes = int(meta["nodes"])
+            horizon = int(meta["horizon"])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: line 1: trace metadata needs integer "
+                             "nodes and horizon") from None
+        if nodes < 1 or horizon < 1:
+            raise ValueError(f"{path}: line 1: nodes and horizon must be "
+                             "positive")
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["t", "node", "arrival", "rate"]:
             raise ValueError(f"{path}: line 2: unexpected trace header")
-        arrivals = np.zeros((horizon, nodes), dtype=np.int64)
-        rates = np.zeros((horizon, nodes), dtype=np.int64)
+        size = horizon * nodes
+        arrivals, rates, seen = [0] * size, [0] * size, bytearray(size)
         for row in reader:
-            t, v, a, r = (int(x) for x in row)
-            arrivals[t, v] = a
-            rates[t, v] = r
-    return TrafficTrace(arrivals, rates, seed)
+            # the metadata line was read before the CSV reader started
+            line = reader.line_num + 1
+            try:
+                t, v, a, r = map(int, row)
+            except ValueError:
+                raise ValueError(f"{path}: line {line}: expected four "
+                                 "integer fields") from None
+            if not (0 <= t < horizon and 0 <= v < nodes):
+                raise ValueError(f"{path}: line {line}: (t, node) = "
+                                 f"({t}, {v}) outside {horizon} x {nodes}")
+            cell = t * nodes + v
+            if seen[cell]:
+                raise ValueError(f"{path}: line {line}: duplicate row for "
+                                 f"(t, node) = ({t}, {v})")
+            seen[cell] = 1
+            arrivals[cell] = a
+            rates[cell] = r
+        missing = seen.count(0)
+        if missing:
+            raise ValueError(f"{path}: line {reader.line_num + 1}: "
+                             f"{missing} of {size} (t, node) rows missing")
+    shape = (horizon, nodes)
+    return TrafficTrace(np.array(arrivals).reshape(shape),
+                        np.array(rates).reshape(shape), seed)
 
 
 def write_trajectory_csv(result: EpisodeResult, path) -> None:

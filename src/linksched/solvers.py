@@ -40,7 +40,8 @@ def _check_utilities(graph: ConflictGraph, utilities) -> np.ndarray:
 
 
 def baseline_utility(queues, rates, kind: str = "product") -> np.ndarray:
-    """Per-link utility from backlog and rate: elementwise product or minimum."""
+    """Per-link utility from backlog and rate: elementwise product or
+    minimum, or ``queue`` for the raw backlog (the classic myopic weight)."""
     q = np.asarray(queues, dtype=np.float64)
     r = np.asarray(rates, dtype=np.float64)
     if q.shape != r.shape:
@@ -51,6 +52,8 @@ def baseline_utility(queues, rates, kind: str = "product") -> np.ndarray:
         return q * r
     if kind == "min":
         return np.minimum(q, r)
+    if kind == "queue":
+        return q
     raise ValueError(f"unknown utility kind: {kind!r}")
 
 

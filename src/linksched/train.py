@@ -21,9 +21,9 @@ import numpy as np
 from .gcn import (AdamState, GcnParams, Gradients, adam_step, backward,
                   forward, identity_params, init_params, save_checkpoint)
 from .graph import ConflictGraph, as_rng, normalized_laplacian
-from .policies import GcnLgsPolicy, LgsPolicy
+from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
-from .sim import RATE_MEAN, RATE_STD, NetworkState, TrafficTrace, \
+from .sim import RATE_MEAN, RATE_STD, NetworkState, TrafficTrace, advance, \
     lookahead_compare, sample_traffic
 from .solvers import baseline_utility, lgs
 
@@ -187,35 +187,41 @@ def initial_params(config: TrainConfig,
     return init_params(config.layer_dims, rng)
 
 
+def sample_instance(config: TrainConfig, rng: np.random.Generator,
+                    ) -> tuple[str, ConflictGraph, TrafficTrace]:
+    """Draw one training instance: (graph family name, graph, trace).
+
+    Draws from ``rng`` in this order: the family from the configured mix,
+    the graph, the traffic load, then a trace covering horizon + lookahead
+    slots.
+    """
+    names = [name for name, _ in config.graph_mix]
+    probs = np.array([p for _, p in config.graph_mix], dtype=np.float64)
+    name = names[int(rng.choice(len(names), p=probs / probs.sum()))]
+    graph = parse_graph_config(name).build(rng)
+    mu = float(config.loads[int(rng.integers(len(config.loads)))])
+    trace = sample_traffic(graph, config.horizon + config.lookahead,
+                           mu * config.rate_mean, rng,
+                           rate_mean=config.rate_mean,
+                           rate_std=config.rate_std)
+    return name, graph, trace
+
+
 def collect_episode(config: TrainConfig, params: GcnParams,
-                    rng: np.random.Generator | int | None = None, *,
-                    graph: ConflictGraph | None = None,
-                    trace: TrafficTrace | None = None) -> list[ExperienceTuple]:
+                    graph: ConflictGraph,
+                    trace: TrafficTrace) -> list[ExperienceTuple]:
     """Run one episode under the GCN policy and score every slot.
 
-    A graph from the configured mix and a traffic load are sampled unless
-    supplied. The trace must cover horizon + lookahead slots: the lookahead
-    rollouts are side computations on upcoming trace slots and do not
-    advance the main trajectory.
+    The trace must cover horizon + lookahead slots: the lookahead rollouts
+    are side computations on upcoming trace slots and do not advance the
+    main trajectory.
     """
-    gen = as_rng(rng)
-    if graph is None:
-        names = [name for name, _ in config.graph_mix]
-        probs = np.array([p for _, p in config.graph_mix], dtype=np.float64)
-        pick = int(gen.choice(len(names), p=probs / probs.sum()))
-        graph = parse_graph_config(names[pick]).build(gen)
-    if trace is None:
-        mu = float(config.loads[int(gen.integers(len(config.loads)))])
-        trace = sample_traffic(graph, config.horizon + config.lookahead,
-                               mu * config.rate_mean, gen,
-                               rate_mean=config.rate_mean,
-                               rate_std=config.rate_std)
     horizon, k = config.horizon, config.lookahead
     if trace.horizon < horizon + k:
         raise ValueError("trace must cover horizon + lookahead slots")
-    lap = normalized_laplacian(graph)
     gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
-    baseline = LgsPolicy(config.utility_kind)
+    baseline = SolverPolicy(lgs, config.utility_kind)
+    lap = gcn_policy.laplacian_for(graph)
     q = np.zeros(graph.node_count, dtype=np.int64)
     tuples: list[ExperienceTuple] = []
     for t in range(horizon):
@@ -229,10 +235,7 @@ def collect_episode(config: TrainConfig, params: GcnParams,
         returns = compute_reward(ratio, indicator, u, config.phi)
         tuples.append(ExperienceTuple(graph, features, indicator, returns,
                                       ratio))
-        q = q.copy()
-        members = np.flatnonzero(indicator)
-        q[members] -= np.minimum(r[members], q[members])
-        q += trace.arrivals[t]
+        q = advance(q, schedule, r, trace.arrivals[t])
     return tuples
 
 
@@ -282,8 +285,10 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
 
     Per episode: collect experiences with lookahead rewards, push them into
     the replay buffer, sample one batch, and apply a single Adam step at the
-    decayed learning rate. A non-finite batch loss aborts after writing a
-    diagnostic checkpoint (when a checkpoint directory is given).
+    decayed learning rate. Given a checkpoint directory, it writes the
+    final parameters to ``checkpoint.ckpt`` there, plus interval
+    checkpoints when configured; a non-finite batch loss aborts after
+    writing ``diagnostic.ckpt`` there.
     """
     config.validate()
     master = np.random.default_rng(config.seed)
@@ -292,9 +297,6 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
                                  decay=config.lr_decay, beta1=config.beta1,
                                  beta2=config.beta2, eps=config.eps)
     buffer = ReplayBuffer(config.replay_capacity)
-    names = [name for name, _ in config.graph_mix]
-    probs = np.array([p for _, p in config.graph_mix], dtype=np.float64)
-    probs /= probs.sum()
     out_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,15 +304,8 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
     for episode in range(config.episodes):
         ep_rng = np.random.default_rng(master.integers(2**63))
         batch_rng = np.random.default_rng(master.integers(2**63))
-        model = names[int(ep_rng.choice(len(names), p=probs))]
-        graph = parse_graph_config(model).build(ep_rng)
-        mu = float(config.loads[int(ep_rng.integers(len(config.loads)))])
-        trace = sample_traffic(graph, config.horizon + config.lookahead,
-                               mu * config.rate_mean, ep_rng,
-                               rate_mean=config.rate_mean,
-                               rate_std=config.rate_std)
-        tuples = collect_episode(config, params, ep_rng, graph=graph,
-                                 trace=trace)
+        model, graph, trace = sample_instance(config, ep_rng)
+        tuples = collect_episode(config, params, graph, trace)
         buffer.extend(tuples)
         batch = buffer.sample(config.batch_size, batch_rng)
         loss, grads = batch_gradients(config, params, batch)
@@ -330,6 +325,8 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
                 and (episode + 1) % config.checkpoint_interval == 0):
             _write_checkpoint(out_dir / f"checkpoint_ep{episode + 1:05d}.ckpt",
                               params, config)
+    if out_dir is not None:
+        _write_checkpoint(out_dir / "checkpoint.ckpt", params, config)
     return TrainResult(params, log)
 
 

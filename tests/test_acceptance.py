@@ -11,7 +11,7 @@ from linksched.gcn import identity_params, init_params, save_checkpoint
 from linksched.gcn import backward, forward
 from linksched.graph import (generate_ba, generate_er, generate_star,
                              is_independent_set, normalized_laplacian)
-from linksched.policies import GcnLgsPolicy, LgsPolicy
+from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.presets import parse_graph_config
 from linksched.sim import compute_metrics, run_episode, sample_traffic
 from linksched.solvers import exact_mwis, greedy_centralized, lgs
@@ -134,7 +134,7 @@ def test_criterion_4_gradient_check():
 def test_criterion_5_pipeline_identity(tmp_path):
     rng = np.random.default_rng(50)
     gcn_policy = GcnLgsPolicy(identity_params())
-    baseline = LgsPolicy()
+    baseline = SolverPolicy(lgs)
     mismatches = 0
     for _ in range(100):
         family = rng.choice(["star30", "ba-m2", "er", "tree"])
@@ -168,7 +168,7 @@ def test_criterion_6_dynamics_conservation():
         n = int(rng.integers(2, 40))
         g = generate_er(n, 0.2, rng)
         trace = sample_traffic(g, 32, float(rng.uniform(0.5, 4.0)), rng)
-        result = run_episode(g, LgsPolicy(), trace)
+        result = run_episode(g, SolverPolicy(lgs), trace)
         if (result.queues < 0).any():
             violations += 1
             continue
@@ -206,7 +206,7 @@ def test_criterion_8_training_smoke():
     config = TrainConfig(episodes=1000, seed=TRAIN_SEED)
     result = train(config)
     gcn_policy = GcnLgsPolicy(result.params)
-    baseline = LgsPolicy()
+    baseline = SolverPolicy(lgs)
     preset = parse_graph_config("star30")
     master = np.random.default_rng(EVAL_SEED)
     median_ars = []

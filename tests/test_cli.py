@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import linksched.cli as cli
 from linksched.cli import (ConfigError, ExperimentConfig, cmd_eval,
                            cmd_generate, cmd_report, cmd_toy, main,
                            parse_kv_text, train_config_from_kv)
 from linksched.gcn import identity_params, load_checkpoint, save_checkpoint
+from linksched.solvers import lgs
 
 
 def dir_checksums(root: Path) -> dict:
@@ -158,6 +160,43 @@ class TestEval:
         for checksums in by_instance.values():
             assert len(checksums) == 1
 
+    def test_loads_each_input_once(self, small_instances, tmp_path,
+                                   monkeypatch):
+        config, instances = small_instances
+        ckpt = tmp_path / "identity.ckpt"
+        save_checkpoint(ckpt, identity_params())
+        config.policies = ("baseline", "greedy", "gcn")
+        config.checkpoint = ckpt
+        calls = {"load_trace": 0, "load_checkpoint": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counted("load_trace")
+        counted("load_checkpoint")
+        cmd_eval(config, instances, None)
+        assert calls == {"load_trace": 4, "load_checkpoint": 1}
+
+    def test_policy_writing_rates_fails(self, small_instances, monkeypatch,
+                                        capsys):
+        _, instances = small_instances
+
+        def vandal(graph, q, r):
+            r[:] = 0
+            return lgs(graph, q.astype(float))
+
+        monkeypatch.setattr(cli, "_make_policy", lambda name, config: vandal)
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline,greedy"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "read-only" in err
+
     def test_missing_instances(self, tmp_path):
         config = ExperimentConfig("star5", (0.07,))
         with pytest.raises(ConfigError):
@@ -231,6 +270,19 @@ class TestMainEntry:
         rc = main(["eval", "--instances", str(tmp_path / "missing")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_manifest_missing_key(self, small_instances, capsys):
+        _, instances = small_instances
+        manifest = instances / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("".join(f"{line}\n" for line in lines
+                                    if not line.startswith("horizon")))
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert str(manifest) in err and "'horizon'" in err
 
     def test_bad_config_file_diagnostics(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"

@@ -256,6 +256,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params([1, 3, 1], 0))
+        blob = path.read_bytes()
+        header = 8 + 4 * (2 + 2) + 8 * 6  # magic, L, g_0..g_2, six floats
+        for cut in range(header + 1):
+            path.write_bytes(blob[:cut])
+            expected = "truncated checkpoint" if cut >= 8 else "bad magic"
+            with pytest.raises(ValueError, match=expected):
+                load_checkpoint(path)
+
     def test_byte_identical_rewrite(self, tmp_path):
         params = init_params([1, 3, 1], 2)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

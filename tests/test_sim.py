@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from linksched.graph import ConflictGraph, generate_er, generate_star
-from linksched.policies import GreedyPolicy, LgsPolicy
+from linksched.policies import SolverPolicy
 from linksched.sim import (NetworkState, TrafficTrace, backlog_stats,
                            compute_metrics, load_trace, lookahead_compare,
                            run_episode, sample_traffic, save_trace,
                            steady_state_mean, step, write_trajectory_csv)
-from linksched.solvers import Schedule
+from linksched.solvers import Schedule, greedy_centralized, lgs
 
 
 def constant_trace(horizon, nodes, arrival=1, rate=2):
@@ -86,7 +88,7 @@ class TestRunEpisode:
     def test_no_traffic(self):
         g = generate_star(5)
         trace = constant_trace(10, 6, arrival=0)
-        result = run_episode(g, LgsPolicy(), trace)
+        result = run_episode(g, SolverPolicy(lgs), trace)
         metrics = compute_metrics(result)
         assert metrics.mean == 0 and metrics.objective == 0
         assert metrics.median == 0 and metrics.p95 == 0
@@ -94,14 +96,14 @@ class TestRunEpisode:
     def test_trajectory_shape(self):
         g = generate_er(12, 0.2, 0)
         trace = sample_traffic(g, 20, 2.0, 1)
-        result = run_episode(g, LgsPolicy(), trace)
+        result = run_episode(g, SolverPolicy(lgs), trace)
         assert result.queues.shape == (21, 12)
         assert len(result.schedules) == 20
 
     def test_conservation(self):
         g = generate_er(15, 0.2, 2)
         trace = sample_traffic(g, 30, 3.0, 3)
-        result = run_episode(g, LgsPolicy(), trace)
+        result = run_episode(g, SolverPolicy(lgs), trace)
         for t, schedule in enumerate(result.schedules):
             served = np.zeros(15, dtype=np.int64)
             for v in schedule.nodes:
@@ -113,15 +115,16 @@ class TestRunEpisode:
     def test_reproducible(self):
         g = generate_er(10, 0.3, 4)
         trace = sample_traffic(g, 16, 2.5, 5)
-        a = run_episode(g, LgsPolicy(), trace)
-        b = run_episode(g, LgsPolicy(), trace)
+        a = run_episode(g, SolverPolicy(lgs), trace)
+        b = run_episode(g, SolverPolicy(lgs), trace)
         assert np.array_equal(a.queues, b.queues)
         assert [s.nodes for s in a.schedules] == [s.nodes for s in b.schedules]
 
     def test_toy_steady_states(self):
         g = generate_star(5)
         trace = constant_trace(128, 6)
-        greedy = run_episode(g, GreedyPolicy(utility_kind="queue"), trace)
+        greedy = run_episode(g, SolverPolicy(greedy_centralized, "queue"),
+                             trace)
         assert steady_state_mean(greedy, 20) == pytest.approx(1.5, abs=1e-12)
 
 
@@ -130,7 +133,8 @@ class TestLookahead:
         g = generate_er(10, 0.3, 0)
         trace = sample_traffic(g, 8, 2.0, 1)
         state = NetworkState(np.arange(10, dtype=np.int64), trace.rates[0])
-        ratio = lookahead_compare(g, state, LgsPolicy(), LgsPolicy(), 4, trace)
+        ratio = lookahead_compare(g, state, SolverPolicy(lgs),
+                                  SolverPolicy(lgs), 4, trace)
         assert ratio == 1.0
 
     def test_ratio_matches_independent_rollout(self):
@@ -138,8 +142,8 @@ class TestLookahead:
         g = generate_star(4)
         trace = sample_traffic(g, 6, 1.5, 2)
         q0 = np.array([3, 1, 0, 2, 1], dtype=np.int64)
-        pol_a = LgsPolicy()
-        pol_b = GreedyPolicy(utility_kind="queue")
+        pol_a = SolverPolicy(lgs)
+        pol_b = SolverPolicy(greedy_centralized, "queue")
 
         def oracle_total(policy, k):
             q = q0.copy()
@@ -161,15 +165,17 @@ class TestLookahead:
         g = generate_star(3)
         trace = constant_trace(5, 4, arrival=0)
         state = NetworkState(np.zeros(4, dtype=np.int64), trace.rates[0])
-        assert lookahead_compare(g, state, LgsPolicy(),
-                                 GreedyPolicy(), 3, trace) == 1.0
+        assert lookahead_compare(g, state, SolverPolicy(lgs),
+                                 SolverPolicy(greedy_centralized), 3,
+                                 trace) == 1.0
 
     def test_state_not_mutated(self):
         g = generate_star(3)
         trace = sample_traffic(g, 5, 2.0, 3)
         q = np.array([5, 1, 2, 0], dtype=np.int64)
         state = NetworkState(q, trace.rates[0])
-        lookahead_compare(g, state, LgsPolicy(), GreedyPolicy(), 3, trace)
+        lookahead_compare(g, state, SolverPolicy(lgs),
+                          SolverPolicy(greedy_centralized), 3, trace)
         assert state.q.tolist() == [5, 1, 2, 0]
 
     def test_bad_k(self):
@@ -177,9 +183,11 @@ class TestLookahead:
         trace = constant_trace(5, 4)
         state = NetworkState(np.zeros(4, dtype=np.int64), trace.rates[0])
         with pytest.raises(ValueError):
-            lookahead_compare(g, state, LgsPolicy(), LgsPolicy(), 0, trace)
+            lookahead_compare(g, state, SolverPolicy(lgs),
+                              SolverPolicy(lgs), 0, trace)
         with pytest.raises(ValueError):
-            lookahead_compare(g, state, LgsPolicy(), LgsPolicy(), 9, trace)
+            lookahead_compare(g, state, SolverPolicy(lgs),
+                              SolverPolicy(lgs), 9, trace)
 
 
 class TestMetrics:
@@ -194,7 +202,7 @@ class TestMetrics:
     def test_percentile_ordering(self):
         rng = np.random.default_rng(0)
         m = compute_metrics(run_episode(generate_er(10, 0.3, rng),
-                                        LgsPolicy(),
+                                        SolverPolicy(lgs),
                                         sample_traffic(generate_er(10, 0.3, 0),
                                                        12, 2.0, 1)))
         assert m.p95 >= m.median >= 0
@@ -211,9 +219,9 @@ class TestMetrics:
             lo = np.random.default_rng(1000 + seed).poisson(1.0, (16, 12))
             hi = np.random.default_rng(2000 + seed).poisson(4.0, (16, 12))
             m_lo = compute_metrics(run_episode(
-                g, LgsPolicy(), TrafficTrace(lo, rates)))
+                g, SolverPolicy(lgs), TrafficTrace(lo, rates)))
             m_hi = compute_metrics(run_episode(
-                g, LgsPolicy(), TrafficTrace(hi, rates)))
+                g, SolverPolicy(lgs), TrafficTrace(hi, rates)))
             wins += m_hi.mean >= m_lo.mean
         assert wins >= 80
 
@@ -230,10 +238,35 @@ class TestPersistence:
         assert loaded.seed == 9
         assert loaded.checksum() == trace.checksum()
 
+    GOOD_TRACE = ["# seed=1 nodes=2 horizon=2", "t,node,arrival,rate",
+                  "0,0,1,5", "0,1,0,5", "1,0,2,5", "1,1,0,5"]
+
+    @pytest.mark.parametrize("edits, line", [
+        pytest.param({0: "# seed=1 horizon=2"}, 1, id="no-nodes"),
+        pytest.param({0: "# seed=1 nodes=2"}, 1, id="no-horizon"),
+        pytest.param({0: "# seed=1 nodes=2 horizon=two"}, 1, id="meta-int"),
+        pytest.param({0: "# seed=1 nodes=0 horizon=2"}, 1, id="meta-empty"),
+        pytest.param({4: "1,0,x,5"}, 5, id="field-int"),
+        pytest.param({4: "1,0,2"}, 5, id="short-row"),
+        pytest.param({5: "-1,1,0,5"}, 6, id="t-negative"),
+        pytest.param({5: "2,1,0,5"}, 6, id="t-at-horizon"),
+        pytest.param({3: "0,2,0,5"}, 4, id="node-out-of-range"),
+        pytest.param({5: "1,0,0,5"}, 6, id="duplicate"),
+        pytest.param({5: None}, 5, id="row-missing"),
+    ])
+    def test_malformed_trace_rejected(self, tmp_path, edits, line):
+        lines = [edits.get(i, text) for i, text in enumerate(self.GOOD_TRACE)]
+        path = tmp_path / "trace.csv"
+        path.write_text("".join(f"{text}\n" for text in lines
+                                if text is not None))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: line {line}:")):
+            load_trace(path)
+
     def test_trajectory_schema(self, tmp_path):
         g = generate_star(2)
         trace = constant_trace(3, 3)
-        result = run_episode(g, LgsPolicy(), trace)
+        result = run_episode(g, SolverPolicy(lgs), trace)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(result, path)
         lines = path.read_text().splitlines()

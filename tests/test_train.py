@@ -4,9 +4,11 @@ import pytest
 from linksched.gcn import (AdamState, adam_step, backward, forward,
                            identity_params, init_params)
 from linksched.graph import generate_er, generate_star, normalized_laplacian
+from linksched.policies import GcnLgsPolicy
+from linksched.sim import run_episode, sample_traffic
 from linksched.train import (ExperienceTuple, ReplayBuffer, TrainConfig,
                              batch_gradients, collect_episode, compute_reward,
-                             loss_gradient, rms_loss, train)
+                             loss_gradient, rms_loss, sample_instance, train)
 
 
 def small_config(**overrides):
@@ -15,6 +17,11 @@ def small_config(**overrides):
                 loads=(0.05,), seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def sampled_episode(config, params, seed):
+    _, graph, trace = sample_instance(config, np.random.default_rng(seed))
+    return collect_episode(config, params, graph, trace)
 
 
 class TestComputeReward:
@@ -108,7 +115,7 @@ class TestCollectEpisode:
     def test_tuple_count_matches_horizon(self):
         config = small_config(horizon=12)
         params = init_params(config.layer_dims, 0)
-        tuples = collect_episode(config, params, 1)
+        tuples = sampled_episode(config, params, 1)
         assert len(tuples) == 12
 
     def test_zero_traffic_targets(self):
@@ -119,7 +126,7 @@ class TestCollectEpisode:
         horizon = config.horizon + config.lookahead
         trace = TrafficTrace(np.zeros((horizon, 6), np.int64),
                              np.full((horizon, 6), 50, np.int64))
-        tuples = collect_episode(config, params, 2, graph=g, trace=trace)
+        tuples = collect_episode(config, params, g, trace)
         for item in tuples:
             assert item.ratio == 1.0
             scheduled = item.indicator.astype(bool)
@@ -127,16 +134,34 @@ class TestCollectEpisode:
 
     def test_identity_params_always_tie(self):
         config = small_config(graph_mix=(("ba-m2", 1.0),), horizon=6)
-        tuples = collect_episode(config, identity_params(), 3)
+        tuples = sampled_episode(config, identity_params(), 3)
         assert all(item.ratio == 1.0 for item in tuples)
 
     def test_indicator_is_valid_schedule(self):
         from linksched.graph import is_independent_set
         config = small_config()
         params = init_params(config.layer_dims, 5)
-        for item in collect_episode(config, params, 6):
+        for item in sampled_episode(config, params, 6):
             members = set(np.flatnonzero(item.indicator).tolist())
             assert is_independent_set(item.graph, members)
+
+    def test_main_trajectory_matches_run_episode(self):
+        # the trainer and the simulator share one queue update
+        config = small_config(horizon=24, lookahead=3)
+        params = init_params(config.layer_dims, 7)
+        g = generate_er(12, 0.3, 4)
+        trace = sample_traffic(g, config.horizon + config.lookahead, 20.0, 5,
+                               rate_clip=(1.0, 100.0))
+        tuples = collect_episode(config, params, g, trace)
+        result = run_episode(g, GcnLgsPolicy(params), trace,
+                             steps=config.horizon)
+        assert result.queues.max() > 0
+        for t, item in enumerate(tuples):
+            assert np.array_equal(item.indicator,
+                                  result.schedules[t].indicator(g.node_count))
+            # rates are at least 1, so the q * r features pin the queues
+            assert np.array_equal(item.features[:, 0],
+                                  result.queues[t] * trace.rates[t])
 
 
 class TestBatchGradients:
