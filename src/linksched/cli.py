@@ -287,7 +287,7 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
     for inst_dir in instance_dirs:
         name = inst_dir.name
         graph = load_graph(inst_dir / "graph.txt")
-        if "exact" in policies and graph.node_count > EXACT_NODE_CAP:
+        if "exact" in config.policies and graph.node_count > EXACT_NODE_CAP:
             raise ConfigError(f"{name}: exact policy refused, "
                               f"{graph.node_count} nodes > {EXACT_NODE_CAP}")
         centralizations.append(centralization(graph))

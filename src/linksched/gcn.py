@@ -112,20 +112,25 @@ def init_params(layer_dims,
 
 def forward(params: GcnParams, laplacian, features,
             slope: float = LEAKY_SLOPE) -> tuple[np.ndarray, ForwardCache]:
-    """Run the convolution stack and return (utility vector, cache).
+    """Run the convolution stack and return (utilities, cache).
 
-    ``features`` must be (V, g_0); ``laplacian`` must be (V, V). Hidden
+    ``features`` is (V, g_0), giving (V,) utilities, or a stack (B, V, g_0)
+    of feature matrices on one graph, giving (B, V) utilities; ``laplacian``
+    must be (V, V). A stack goes through ``np.matmul`` broadcasting, which
+    runs each matrix through the same BLAS call as an unbatched forward, so
+    every row is bitwise equal to the forward of that row alone. Hidden
     layers apply a leaky ReLU with the given negative slope; the output
     layer is linear, so a one-layer network is fully linear.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
-        raise ValueError(
-            f"features must be (V, {params.layer_dims[0]}), got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != params.layer_dims[0]:
+        raise ValueError(f"features must be (V, {params.layer_dims[0]}) or "
+                         f"(B, V, {params.layer_dims[0]}), got {x.shape}")
+    n = x.shape[-2]
     lap = np.asarray(laplacian, dtype=np.float64)
-    if lap.shape != (x.shape[0], x.shape[0]):
+    if lap.shape != (n, n):
         raise ValueError(
-            f"laplacian shape {lap.shape} does not match {x.shape[0]} nodes")
+            f"laplacian shape {lap.shape} does not match {n} nodes")
     acts = [x]
     pres: list[np.ndarray] = []
     lap_inputs: list[np.ndarray] = []
@@ -136,7 +141,7 @@ def forward(params: GcnParams, laplacian, features,
         lap_inputs.append(lx)
         pres.append(z)
         acts.append(z if l == last else np.where(z >= 0, z, slope * z))
-    utilities = acts[-1][:, 0].copy()
+    utilities = acts[-1][..., 0].copy()
     return utilities, ForwardCache(lap, slope, acts, pres, lap_inputs)
 
 
@@ -145,7 +150,7 @@ def backward(params: GcnParams, cache: ForwardCache,
     """Exact reverse-mode gradients of a scalar loss given dLoss/d(utility).
 
     The leaky-ReLU derivative is taken as 1 at exactly zero. The cache must
-    come from a ``forward`` call with the same parameters.
+    come from an unbatched ``forward`` call with the same parameters.
     """
     n = cache.activations[0].shape[0]
     g = np.asarray(output_grad, dtype=np.float64)

@@ -93,6 +93,23 @@ class ConflictGraph:
         return a
 
     @cached_property
+    def neighbor_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR view for ``np.ufunc.reduceat`` over neighborhoods:
+        ``(index, starts)``.
+
+        Segment v, ``index[starts[v]:starts[v + 1]]`` (the last one runs to
+        the end), holds the sentinel column ``node_count`` followed by the
+        neighbors of v. No segment is empty, as ``reduceat`` needs; a caller
+        fills the sentinel column with its reduction's identity.
+        """
+        index = np.fromiter(
+            (w for nbrs in self.adjacency for w in (self.node_count, *nbrs)),
+            dtype=np.intp, count=self.node_count + 2 * self.edge_count)
+        starts = np.arange(self.node_count, dtype=np.intp)
+        starts[1:] += np.cumsum(self.degrees[:-1])
+        return index, starts
+
+    @cached_property
     def neighbor_bitmasks(self) -> tuple[int, ...]:
         """Per-node neighbor sets packed into ints (for the exact solver)."""
         masks = []

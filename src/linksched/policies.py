@@ -4,6 +4,10 @@
 rate to one independent-set solver: ``lgs`` is the distributed baseline,
 ``greedy_centralized`` and ``exact_mwis`` are the reference schedulers.
 :class:`GcnLgsPolicy` feeds GCN utilities to ``lgs``.
+
+Each policy's ``utilities(graph, q, r)`` is the utility it hands its
+solver. It takes (V,) vectors or (B, V) rows of queues and rates alike, so
+the lookahead rollouts can score many states in one call.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ class SolverPolicy:
         self.solver = solver
         self.utility_kind = utility_kind
 
+    def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
+        return baseline_utility(q, r, self.utility_kind)
+
     def __call__(self, graph: ConflictGraph, q, r) -> Schedule:
-        return self.solver(graph, baseline_utility(q, r, self.utility_kind))
+        return self.solver(graph, self.utilities(graph, q, r))
 
 
 class GcnLgsPolicy:
@@ -52,7 +59,7 @@ class GcnLgsPolicy:
         return self._laplacian
 
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
-        features = baseline_utility(q, r, self.feature_kind)[:, None]
+        features = baseline_utility(q, r, self.feature_kind)[..., None]
         u, _ = forward(self.params, self.laplacian_for(graph), features,
                        self.slope)
         return u

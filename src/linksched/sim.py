@@ -3,8 +3,10 @@
 A slot proceeds as: the policy picks an independent set from the state
 (q(t), r(t)); scheduled links send min(rate, backlog) packets; arrivals land
 on every link. All packet quantities are integers. :func:`advance` is the
-one implementation of that queue update, q - min(r, q) + a; ``step``, the
-lookahead rollouts and the trainer all call it.
+one implementation of that queue update, q - min(r, q) + a, on a membership
+mask of any batch shape; ``step``, the lookahead rollouts and the trainer
+all call it. :func:`lookahead_compare` is the one rollout loop: it rolls a
+batch of start states forward under two utility functions at once.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ from typing import Callable
 import numpy as np
 
 from .graph import ConflictGraph, as_rng, is_independent_set
-from .solvers import Schedule
+from .solvers import Schedule, lgs_rows
 
 # A scheduling policy maps (graph, queues, rates) to an independent set.
 Policy = Callable[[ConflictGraph, np.ndarray, np.ndarray], Schedule]
+# A utility function maps (graph, queues, rates) to per-link utilities; it
+# takes (V,) vectors or (B, V) rows alike.
+Utilities = Callable[[ConflictGraph, np.ndarray, np.ndarray], np.ndarray]
 
 RATE_MEAN = 50.0
 RATE_STD = 25.0
@@ -105,18 +110,16 @@ def sample_traffic(graph: ConflictGraph, horizon: int, arrival_rate: float,
     return TrafficTrace(arrivals, rates, seed)
 
 
-def advance(q: np.ndarray, schedule: Schedule, rates: np.ndarray,
-            arrivals) -> np.ndarray:
-    """Queues after one slot, as a new array: scheduled links drain
-    min(rate, backlog), then arrivals land everywhere. Inputs are not
-    checked; :func:`step` is the checked entry point."""
-    q = q.copy()
-    if schedule.nodes:
-        idx = np.fromiter(schedule.nodes, dtype=np.int64,
-                          count=len(schedule.nodes))
-        q[idx] -= np.minimum(rates[idx], q[idx])
-    q += arrivals
-    return q
+def advance(q: np.ndarray, members, rates, arrivals) -> np.ndarray:
+    """Queues after one slot, as a new array: member links drain
+    min(rate, backlog), then arrivals land everywhere.
+
+    ``members`` is a bool (or 0/1) membership mask of the schedule. All
+    arguments broadcast, so ``q`` and ``members`` may carry any leading
+    batch shape, e.g. (policies, rows, V) against (rows, V) rates. Inputs
+    are not checked; :func:`step` is the checked entry point.
+    """
+    return q - np.where(members, np.minimum(rates, q), 0) + arrivals
 
 
 def step(state: NetworkState, schedule: Schedule, arrivals, next_rates,
@@ -134,7 +137,8 @@ def step(state: NetworkState, schedule: Schedule, arrivals, next_rates,
         raise ValueError("arrivals must be non-negative")
     if graph is not None and not is_independent_set(graph, schedule.nodes):
         raise ValueError("schedule is not an independent set of the graph")
-    return NetworkState(advance(state.q, schedule, state.r, a),
+    return NetworkState(advance(state.q, schedule.indicator(state.q.size),
+                                state.r, a),
                         np.asarray(next_rates, dtype=np.int64).copy(),
                         state.t + 1)
 
@@ -181,36 +185,46 @@ def run_episode(graph: ConflictGraph, policy: Policy, trace: TrafficTrace,
     return EpisodeResult(graph, queues, schedules, trace)
 
 
-def lookahead_compare(graph: ConflictGraph, state: NetworkState,
-                      policy: Policy, baseline_policy: Policy, k: int,
-                      trace: TrafficTrace) -> float:
-    """Score a policy against a baseline over a k-slot rollout.
+def lookahead_compare(graph: ConflictGraph, starts, utilities: Utilities,
+                      baseline_utilities: Utilities, k: int,
+                      trace: TrafficTrace) -> np.ndarray:
+    """Score a policy against a baseline over k-slot rollouts from many
+    start states at once.
 
-    Both policies are rolled k slots from the same state while consuming
-    the identical trace, and the ratio (baseline backlog sum) / (policy
-    backlog sum) over the k post-step states is returned. Values above 1
-    mean the policy accumulated less backlog. Returns 1.0 when both sums
-    are zero (no traffic: neutral).
+    Row b of the (B, V) ``starts`` is rolled k slots under both utility
+    functions, each scheduling with LGS, from trace slot b: rollout step i
+    consumes trace slot b + i, so the trace must cover B + k - 1 slots.
+    Each step solves the 2B rows of both policies in one :func:`lgs_rows`
+    call. Row b of the result is (baseline backlog sum) / (policy backlog
+    sum) over its k post-step states; values above 1 mean the policy
+    accumulated less backlog. A row whose sums are both zero gets 1.0 (no
+    traffic: neutral), and one whose policy sum alone is zero gets inf.
     """
+    q0 = np.asarray(starts, dtype=np.int64)
+    if q0.ndim != 2 or q0.shape[1] != graph.node_count:
+        raise ValueError(f"start queues must be (rows, {graph.node_count}), "
+                         f"got {q0.shape}")
+    rows = q0.shape[0]
     if k < 1:
         raise ValueError("lookahead needs at least one step")
-    if trace.horizon < k:
-        raise ValueError(f"trace segment has {trace.horizon} slots, need {k}")
-
-    def rollout_backlog(pol: Policy) -> int:
-        q = state.q
-        total = 0
-        for i in range(k):
-            r = trace.rates[i]
-            q = advance(q, pol(graph, q, r), r, trace.arrivals[i])
-            total += int(q.sum())
-        return total
-
-    policy_total = rollout_backlog(policy)
-    baseline_total = rollout_backlog(baseline_policy)
-    if policy_total == 0:
-        return 1.0 if baseline_total == 0 else float("inf")
-    return baseline_total / policy_total
+    if trace.horizon < rows + k - 1:
+        raise ValueError(f"trace has {trace.horizon} slots, need "
+                         f"{rows + k - 1}")
+    q = np.stack([q0, q0])  # (policy, baseline) x rows x V
+    totals = np.zeros((2, rows), dtype=np.int64)
+    for i in range(k):
+        r = trace.rates[i:i + rows]
+        u = np.concatenate([utilities(graph, q[0], r),
+                            baseline_utilities(graph, q[1], r)])
+        members, _ = lgs_rows(graph, u)
+        q = advance(q, members.reshape(q.shape), r,
+                    trace.arrivals[i:i + rows])
+        totals += q.sum(axis=2)
+    policy_total, baseline_total = totals
+    ratios = np.where(baseline_total == 0, 1.0, np.inf)
+    scored = policy_total != 0
+    ratios[scored] = baseline_total[scored] / policy_total[scored]
+    return ratios
 
 
 @dataclass

@@ -57,35 +57,62 @@ def baseline_utility(queues, rates, kind: str = "product") -> np.ndarray:
     raise ValueError(f"unknown utility kind: {kind!r}")
 
 
-def lgs(graph: ConflictGraph, utilities) -> Schedule:
-    """Distributed local greedy scheduler, simulated in synchronous rounds.
+def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
+    """Distributed local greedy scheduler on each row of a (B, V) utility
+    matrix over one graph, simulated in synchronous rounds.
 
     Each round, every remaining node compares its utility against all
     remaining neighbors; a node joins the schedule when it beats every one
     of them, where ties go to the larger node ID. Winners and their
-    neighbors then leave the residual graph, and the loop ends once nothing
-    remains. The returned schedule is a maximal independent set.
+    neighbors then leave the residual graph, and a row is done once nothing
+    of it remains. Each row's schedule is a maximal independent set.
+
+    The kernel ranks each row's (utility, id) pairs once with a stable sort,
+    so a node wins exactly when its rank beats the largest rank among its
+    remaining neighbors; both that maximum and the blocking of the winners'
+    neighbors are segment reductions over ``graph.neighbor_segments``.
+    Returns ``(members, rounds)``: a (B, V) bool membership matrix and the
+    (B,) message rounds each row used.
     """
+    u = np.asarray(utilities, dtype=np.float64)
+    n = graph.node_count
+    if u.ndim != 2 or u.shape[1] != n:
+        raise ValueError(
+            f"utility matrix shape {u.shape} does not match {n} nodes")
+    if not np.isfinite(u).all():
+        raise ValueError("utilities must be finite")
+    b = u.shape[0]
+    index, starts = graph.neighbor_segments
+    # Column n is the sentinel every neighborhood segment starts with.
+    live_rank = np.full((b, n + 1), -1, dtype=np.intp)
+    live_rank[np.arange(b)[:, None], np.argsort(u, axis=1, kind="stable")] = \
+        np.arange(n)
+    wins = np.zeros((b, n + 1), dtype=bool)
+    members = np.zeros((b, n), dtype=bool)
+    rounds = np.zeros(b, dtype=np.int64)
+    active = np.ones((b, n), dtype=bool)
+    while True:
+        live = active.any(axis=1)
+        if not live.any():
+            return members, rounds
+        rounds += live
+        # A node that left has rank -1 and beats no neighborhood maximum.
+        best_nbr = np.maximum.reduceat(live_rank[:, index], starts, axis=1)
+        np.greater(live_rank[:, :n], best_nbr, out=wins[:, :n])
+        members |= wins[:, :n]
+        blocked = np.logical_or.reduceat(wins[:, index], starts, axis=1)
+        active &= ~(wins[:, :n] | blocked)
+        live_rank[:, :n][~active] = -1
+
+
+def lgs(graph: ConflictGraph, utilities) -> Schedule:
+    """Distributed local greedy scheduler: the one-row case of
+    :func:`lgs_rows`, returned as a :class:`Schedule` with its rounds. The
+    result is a maximal independent set."""
     u = _check_utilities(graph, utilities)
-    adj = graph.adjacency_matrix
-    ids = np.arange(graph.node_count)
-    active = np.ones(graph.node_count, dtype=bool)
-    chosen: list[int] = []
-    rounds = 0
-    while active.any():
-        rounds += 1
-        nbr = adj & active[None, :]
-        nbr_best_u = np.where(nbr, u[None, :], -np.inf).max(axis=1)
-        at_best = nbr & (u[None, :] == nbr_best_u[:, None])
-        nbr_best_id = np.where(at_best, ids[None, :], -1).max(axis=1)
-        wins = active & ((u > nbr_best_u)
-                         | ((u == nbr_best_u) & (ids > nbr_best_id)))
-        if not wins.any():  # unreachable: the global (u, id) max always wins
-            raise RuntimeError("local greedy scheduler made no progress")
-        chosen.extend(np.flatnonzero(wins).tolist())
-        blocked = adj[wins].any(axis=0)
-        active &= ~(wins | blocked)
-    return Schedule(frozenset(chosen), rounds_used=rounds)
+    members, rounds = lgs_rows(graph, u[None])
+    return Schedule(frozenset(np.flatnonzero(members[0]).tolist()),
+                    rounds_used=int(rounds[0]))
 
 
 def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:

@@ -2,10 +2,10 @@
 
 Each episode runs the GCN scheduler through a fresh scheduling instance; at
 every slot the decision is scored by rolling both the GCN policy and the
-baseline K slots forward under identical randomness. Scheduled links are
-regressed toward the (activated) backlog ratio, unscheduled links toward
-their own current utility, with one Adam step per episode on a replayed
-batch.
+baseline K slots forward under identical randomness, all slots of the
+episode in one batched rollout. Scheduled links are regressed toward the
+(activated) backlog ratio, unscheduled links toward their own current
+utility, with one Adam step per episode on a replayed batch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .gcn import (AdamState, GcnParams, Gradients, adam_step, backward,
 from .graph import ConflictGraph, as_rng, normalized_laplacian
 from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
-from .sim import RATE_MEAN, RATE_STD, NetworkState, TrafficTrace, advance, \
+from .sim import RATE_MEAN, RATE_STD, TrafficTrace, advance, \
     lookahead_compare, sample_traffic
 from .solvers import baseline_utility, lgs
 
@@ -212,9 +212,12 @@ def collect_episode(config: TrainConfig, params: GcnParams,
                     trace: TrafficTrace) -> list[ExperienceTuple]:
     """Run one episode under the GCN policy and score every slot.
 
-    The trace must cover horizon + lookahead slots: the lookahead rollouts
-    are side computations on upcoming trace slots and do not advance the
-    main trajectory.
+    Two phases. First the main trajectory runs the GCN policy for the
+    horizon and records each slot's start queues. The lookahead rollouts
+    never feed back into it, so then one :func:`lookahead_compare` call
+    rolls all those start states forward under the GCN policy and the LGS
+    baseline together, slot t on trace slots t .. t + lookahead - 1. The
+    trace must cover horizon + lookahead slots.
     """
     horizon, k = config.horizon, config.lookahead
     if trace.horizon < horizon + k:
@@ -222,21 +225,22 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
     baseline = SolverPolicy(lgs, config.utility_kind)
     lap = gcn_policy.laplacian_for(graph)
-    q = np.zeros(graph.node_count, dtype=np.int64)
-    tuples: list[ExperienceTuple] = []
+    queues = np.zeros((horizon + 1, graph.node_count), dtype=np.int64)
+    slots = []
     for t in range(horizon):
-        r = trace.rates[t]
+        q, r = queues[t], trace.rates[t]
         features = baseline_utility(q, r, config.utility_kind)[:, None]
         u, _ = forward(params, lap, features, config.leaky_slope)
-        schedule = lgs(graph, u)
-        indicator = schedule.indicator(graph.node_count)
-        ratio = lookahead_compare(graph, NetworkState(q, r, t), gcn_policy,
-                                  baseline, k, trace.slice(t, t + k))
-        returns = compute_reward(ratio, indicator, u, config.phi)
-        tuples.append(ExperienceTuple(graph, features, indicator, returns,
-                                      ratio))
-        q = advance(q, schedule, r, trace.arrivals[t])
-    return tuples
+        indicator = lgs(graph, u).indicator(graph.node_count)
+        slots.append((features, indicator, u))
+        queues[t + 1] = advance(q, indicator, r, trace.arrivals[t])
+    ratios = lookahead_compare(graph, queues[:horizon], gcn_policy.utilities,
+                               baseline.utilities, k, trace)
+    return [ExperienceTuple(graph, features, indicator,
+                            compute_reward(ratio, indicator, u, config.phi),
+                            ratio)
+            for (features, indicator, u), ratio in zip(slots,
+                                                       ratios.tolist())]
 
 
 def batch_gradients(config: TrainConfig, params: GcnParams,

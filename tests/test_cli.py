@@ -284,6 +284,27 @@ class TestMainEntry:
         assert "error:" in err
         assert str(manifest) in err and "'horizon'" in err
 
+    def test_exact_refused_on_oversized_instance(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a manifest hand-edited to a small config lets validation pass;
+        # the per-instance size check must still refuse the exact solver
+        instances = tmp_path / "inst"
+        cmd_generate(ExperimentConfig("ba-m2", (0.07,), instances=2,
+                                      horizon=8, seed=1), instances)
+        manifest = instances / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("".join(
+            "config = star30\n" if line.startswith("config") else f"{line}\n"
+            for line in lines))
+        runs = []
+        monkeypatch.setattr(cli, "run_episode",
+                            lambda *args, **kwargs: runs.append(args))
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline,exact"])
+        assert rc == 1
+        assert "exact policy refused" in capsys.readouterr().err
+        assert runs == []
+
     def test_bad_config_file_diagnostics(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("episodes == 3\n")

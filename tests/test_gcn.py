@@ -6,8 +6,8 @@ import pytest
 from linksched.gcn import (AdamState, GcnParams, Gradients, adam_step,
                            backward, forward, identity_params, init_params,
                            load_checkpoint, save_checkpoint)
-from linksched.graph import (ConflictGraph, generate_er, generate_star,
-                             normalized_laplacian)
+from linksched.graph import (ConflictGraph, generate_ba, generate_er,
+                             generate_star, normalized_laplacian)
 from linksched.solvers import lgs
 
 
@@ -97,6 +97,30 @@ class TestForward:
         u1, _ = forward(params, lap, s)
         u2, _ = forward(params, lap, s)
         assert np.array_equal(u1, u2)
+
+
+class TestStackedForward:
+    def test_rows_bitwise_equal_unbatched(self):
+        # np.matmul broadcasting runs each row through the unbatched BLAS
+        # call; one (V, V) @ (V, B) product would not be bitwise equal
+        rng = np.random.default_rng(5)
+        for g in (generate_star(30), generate_ba(70, 2, rng)):
+            lap = normalized_laplacian(g)
+            feats = rng.integers(0, 5000, size=(64, g.node_count)) \
+                * rng.random((64, g.node_count))
+            for dims in ((1, 1), (1, 16, 1)):
+                params = init_params(dims, rng)
+                u, _ = forward(params, lap, feats[:, :, None])
+                assert u.shape == feats.shape
+                for row, f in zip(u, feats):
+                    single, _ = forward(params, lap, f[:, None])
+                    assert np.array_equal(row, single)
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            forward(identity_params(), k2_laplacian(), np.ones((4, 3, 1)))
+        with pytest.raises(ValueError):
+            forward(identity_params(), k2_laplacian(), np.ones((4, 2, 2)))
 
 
 class TestBackward:

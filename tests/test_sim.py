@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -133,8 +134,8 @@ class TestLookahead:
         g = generate_er(10, 0.3, 0)
         trace = sample_traffic(g, 8, 2.0, 1)
         state = NetworkState(np.arange(10, dtype=np.int64), trace.rates[0])
-        ratio = lookahead_compare(g, state, SolverPolicy(lgs),
-                                  SolverPolicy(lgs), 4, trace)
+        ratio = lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+                                  SolverPolicy(lgs).utilities, 4, trace)[0]
         assert ratio == 1.0
 
     def test_ratio_matches_independent_rollout(self):
@@ -143,7 +144,7 @@ class TestLookahead:
         trace = sample_traffic(g, 6, 1.5, 2)
         q0 = np.array([3, 1, 0, 2, 1], dtype=np.int64)
         pol_a = SolverPolicy(lgs)
-        pol_b = SolverPolicy(greedy_centralized, "queue")
+        pol_b = SolverPolicy(lgs, "queue")
 
         def oracle_total(policy, k):
             q = q0.copy()
@@ -159,35 +160,56 @@ class TestLookahead:
         k = 3
         want = oracle_total(pol_b, k) / oracle_total(pol_a, k)
         state = NetworkState(q0, trace.rates[0])
-        assert lookahead_compare(g, state, pol_a, pol_b, k, trace) == want
+        assert lookahead_compare(g, state.q[None], pol_a.utilities,
+                                 pol_b.utilities, k, trace)[0] == want
 
     def test_zero_over_zero_is_one(self):
         g = generate_star(3)
         trace = constant_trace(5, 4, arrival=0)
         state = NetworkState(np.zeros(4, dtype=np.int64), trace.rates[0])
-        assert lookahead_compare(g, state, SolverPolicy(lgs),
-                                 SolverPolicy(greedy_centralized), 3,
-                                 trace) == 1.0
+        assert lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+                                 SolverPolicy(greedy_centralized).utilities, 3,
+                                 trace)[0] == 1.0
 
     def test_state_not_mutated(self):
         g = generate_star(3)
         trace = sample_traffic(g, 5, 2.0, 3)
         q = np.array([5, 1, 2, 0], dtype=np.int64)
         state = NetworkState(q, trace.rates[0])
-        lookahead_compare(g, state, SolverPolicy(lgs),
-                          SolverPolicy(greedy_centralized), 3, trace)
+        lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+                          SolverPolicy(greedy_centralized).utilities, 3, trace)
         assert state.q.tolist() == [5, 1, 2, 0]
+
+    def test_row_conventions(self):
+        # K2, no arrivals: the policy always picks node 0, the baseline node 1
+        g = ConflictGraph.from_edges(2, [(0, 1)])
+        starts = np.array([[1, 0], [0, 0], [3, 1], [0, 2]], dtype=np.int64)
+        k = 2
+        trace = constant_trace(len(starts) + k - 1, 2, arrival=0, rate=5)
+
+        def prefer(node):
+            return lambda graph, q, r: np.tile(np.eye(2)[node], (len(q), 1))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratios = lookahead_compare(g, starts, prefer(0), prefer(1), k,
+                                       trace)
+        # x/0 is inf, 0/0 is 1.0, then 6/2 and 0/4
+        assert ratios.tolist() == [float("inf"), 1.0, 3.0, 0.0]
+        with pytest.raises(ValueError):
+            lookahead_compare(g, starts, prefer(0), prefer(1), k,
+                              trace.slice(0, trace.horizon - 1))
 
     def test_bad_k(self):
         g = generate_star(3)
         trace = constant_trace(5, 4)
         state = NetworkState(np.zeros(4, dtype=np.int64), trace.rates[0])
         with pytest.raises(ValueError):
-            lookahead_compare(g, state, SolverPolicy(lgs),
-                              SolverPolicy(lgs), 0, trace)
+            lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+                              SolverPolicy(lgs).utilities, 0, trace)
         with pytest.raises(ValueError):
-            lookahead_compare(g, state, SolverPolicy(lgs),
-                              SolverPolicy(lgs), 9, trace)
+            lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+                              SolverPolicy(lgs).utilities, 9, trace)
 
 
 class TestMetrics:

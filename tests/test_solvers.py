@@ -3,8 +3,9 @@ import pytest
 
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
                              generate_star, is_independent_set)
+from linksched.presets import parse_graph_config
 from linksched.solvers import (baseline_utility, exact_mwis,
-                               greedy_centralized, lgs)
+                               greedy_centralized, lgs, lgs_rows)
 
 
 def path3():
@@ -23,6 +24,21 @@ def brute_force_maximal(g, nodes):
         if v not in nodes and not any(w in nodes for w in g.adjacency[v]):
             return False
     return True
+
+
+def reference_lgs(g, u):
+    # oracle: synchronous rounds with plain (utility, id) comparisons
+    active = set(range(g.node_count))
+    chosen = set()
+    rounds = 0
+    while active:
+        rounds += 1
+        wins = {v for v in active
+                if all((u[v], v) > (u[w], w)
+                       for w in g.adjacency[v] if w in active)}
+        chosen |= wins
+        active -= wins | {w for v in wins for w in g.adjacency[v]}
+    return chosen, rounds
 
 
 def enumerate_mwis_weight(g, w):
@@ -163,6 +179,58 @@ def random_instances(count, seed, max_nodes=60):
             n = int(rng.integers(m + 1, max_nodes + 1))
             g = generate_ba(n, m, rng)
         yield g, rng.random(g.node_count)
+
+
+def tie_heavy_rows(n, rng):
+    # integer utilities 0-3, an all-zero row, -0.0/0.0 mixes, and draws
+    # that mix signed zeros with small integers
+    rows = [rng.integers(0, 4, n).astype(np.float64) for _ in range(12)]
+    rows.append(np.zeros(n))
+    rows += [np.where(rng.random(n) < 0.5, -0.0, 0.0) for _ in range(4)]
+    rows += [np.where(rng.random(n) < 0.5, -0.0, rng.integers(0, 3, n))
+             for _ in range(3)]
+    return np.array(rows, dtype=np.float64)
+
+
+class TestLgsRows:
+    def graphs(self):
+        rng = np.random.default_rng(11)
+        for name in ("star30", "ba-m2", "ba-mix", "er", "tree"):
+            for _ in range(2):
+                yield parse_graph_config(name).build(rng)
+        # isolated nodes, and a graph with no edges at all
+        yield ConflictGraph.from_edges(7, [(1, 2), (2, 5)])
+        yield ConflictGraph.from_edges(5, [])
+
+    def test_rows_match_per_row_lgs_and_reference(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        for g in self.graphs():
+            u = tie_heavy_rows(g.node_count, rng)
+            members, rounds = lgs_rows(g, u)
+            assert members.shape == u.shape and rounds.shape == (len(u),)
+            for row, m, r in zip(u, members, rounds):
+                s = lgs(g, row)
+                assert set(np.flatnonzero(m).tolist()) == s.nodes
+                assert r == s.rounds_used
+                assert (s.nodes, s.rounds_used) == reference_lgs(g, row)
+                checked += 1
+        assert checked == 12 * 20
+
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0, so the larger id wins on both sides
+        g = path3()
+        for row in ([-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]):
+            assert lgs(g, row).nodes == frozenset({2, 0})
+            assert lgs(g, row).rounds_used == 2
+
+    def test_bad_shapes_and_values(self):
+        with pytest.raises(ValueError):
+            lgs_rows(path3(), np.zeros(3))
+        with pytest.raises(ValueError):
+            lgs_rows(path3(), np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            lgs_rows(path3(), [[0.0, np.nan, 1.0]])
 
 
 class TestProperties:

@@ -4,8 +4,9 @@ import pytest
 from linksched.gcn import (AdamState, adam_step, backward, forward,
                            identity_params, init_params)
 from linksched.graph import generate_er, generate_star, normalized_laplacian
-from linksched.policies import GcnLgsPolicy
+from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.sim import run_episode, sample_traffic
+from linksched.solvers import baseline_utility, lgs
 from linksched.train import (ExperienceTuple, ReplayBuffer, TrainConfig,
                              batch_gradients, collect_episode, compute_reward,
                              loss_gradient, rms_loss, sample_instance, train)
@@ -111,7 +112,71 @@ class TestReplayBuffer:
             ReplayBuffer(0)
 
 
+def reference_episode(config, params, graph, trace):
+    # plain loops: the main trajectory, and from each of its start states
+    # both policies rolled k slots with an explicit q - min(r, q) + a
+    gcn = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
+    baseline = SolverPolicy(lgs, config.utility_kind)
+
+    def slot(q, schedule, t):
+        q = q.copy()
+        for v in schedule.nodes:
+            q[v] -= min(trace.rates[t][v], q[v])
+        return q + trace.arrivals[t]
+
+    def rollout_total(policy, q, t):
+        total = 0
+        for i in range(config.lookahead):
+            q = slot(q, policy(graph, q, trace.rates[t + i]), t + i)
+            total += int(q.sum())
+        return total
+
+    q = np.zeros(graph.node_count, dtype=np.int64)
+    out = []
+    for t in range(config.horizon):
+        r = trace.rates[t]
+        features = baseline_utility(q, r, config.utility_kind)[:, None]
+        u = gcn.utilities(graph, q, r)
+        schedule = gcn(graph, q, r)
+        indicator = schedule.indicator(graph.node_count)
+        policy_total = rollout_total(gcn, q, t)
+        baseline_total = rollout_total(baseline, q, t)
+        if policy_total == 0:
+            ratio = 1.0 if baseline_total == 0 else float("inf")
+        else:
+            ratio = baseline_total / policy_total
+        out.append((features, indicator,
+                    compute_reward(ratio, indicator, u, config.phi), ratio))
+        q = slot(q, schedule, t)
+    return out
+
+
 class TestCollectEpisode:
+    @pytest.mark.parametrize("phi,kind", [("heaviside", "product"),
+                                          ("linear", "min")])
+    def test_matches_plain_loop_rollouts(self, phi, kind):
+        config = small_config(horizon=20, lookahead=4, phi=phi,
+                              utility_kind=kind, layer_dims=(1, 4, 1),
+                              graph_mix=(("star8", 0.5), ("er", 0.5)),
+                              loads=(0.08,))
+        ratios = []
+        for seed in range(4):
+            params = init_params(config.layer_dims, seed)
+            _, graph, trace = sample_instance(config,
+                                              np.random.default_rng(seed))
+            tuples = collect_episode(config, params, graph, trace)
+            want = reference_episode(config, params, graph, trace)
+            assert len(tuples) == len(want)
+            for item, (features, indicator, returns, ratio) in zip(tuples,
+                                                                   want):
+                assert np.array_equal(item.features, features)
+                assert np.array_equal(item.indicator, indicator)
+                assert np.array_equal(item.returns, returns)
+                assert item.ratio == ratio
+                ratios.append(ratio)
+        # the rollouts must have told the policies apart somewhere
+        assert len(set(ratios)) > 2
+
     def test_tuple_count_matches_horizon(self):
         config = small_config(horizon=12)
         params = init_params(config.layer_dims, 0)
