@@ -381,28 +381,40 @@ def _format_state(q: np.ndarray) -> str:
 # --- report aggregation ----------------------------------------------------------
 
 
+def _read_report_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """Rows of an eval report CSV. A missing column or a row short of
+    fields raises ConfigError naming the file (and the line)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for column in columns:
+            if column not in (reader.fieldnames or ()):
+                raise ConfigError(f"{path}: missing column {column!r}")
+        rows = []
+        for row in reader:
+            if any(row[column] is None for column in columns):
+                raise ConfigError(f"{path}: line {reader.line_num}: "
+                                  f"expected {len(reader.fieldnames)} fields")
+            rows.append(row)
+        return rows
+
+
 def cmd_report(eval_dir: Path) -> list[dict]:
     """Re-aggregate a previous evaluation's per-instance ARs."""
     ars_path = Path(eval_dir) / "ars.csv"
     if not ars_path.exists():
         raise ConfigError(f"{ars_path}: not found (run eval first)")
     report = EvaluationReport("?")
-    with open(ars_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            report.ars.append({
-                "instance": row["instance"], "policy": row["policy"],
-                "ar_mean": float(row["ar_mean"]),
-                "ar_median": float(row["ar_median"]),
-                "ar_p95": float(row["ar_p95"]),
-            })
+    metrics = ("ar_mean", "ar_median", "ar_p95")
+    for row in _read_report_csv(ars_path, ("instance", "policy") + metrics):
+        report.ars.append({"instance": row["instance"],
+                           "policy": row["policy"],
+                           **{m: float(row[m]) for m in metrics}})
     summary_path = Path(eval_dir) / "summary.csv"
     if summary_path.exists():
-        with open(summary_path, newline="") as fh:
-            first = next(csv.DictReader(fh), None)
-            if first:
-                report.config_name = first["config"]
-                report.centralization_mean = float(first["centralization"])
+        rows = _read_report_csv(summary_path, ("config", "centralization"))
+        if rows:
+            report.config_name = rows[0]["config"]
+            report.centralization_mean = float(rows[0]["centralization"])
     return report.aggregate()
 
 

@@ -85,7 +85,7 @@ class ConflictGraph:
 
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix, cached for solver hot paths."""
+        """Dense boolean adjacency matrix, cached for the dense Laplacian."""
         a = np.zeros((self.node_count, self.node_count), dtype=bool)
         for v, nbrs in enumerate(self.adjacency):
             if nbrs:
@@ -224,19 +224,36 @@ def centralization(graph: ConflictGraph) -> float:
     return float(deg.max() / deg.mean())
 
 
+def is_independent_mask(graph: ConflictGraph, members) -> bool:
+    """True iff no edge of the graph has both endpoints in the (V,) bool or
+    0/1 membership mask ``members``.
+
+    One ``np.logical_or.reduceat`` over ``graph.neighbor_segments`` marks
+    every node with a member neighbor; the sentinel column stays False.
+    """
+    n = graph.node_count
+    mask = np.zeros(n + 1, dtype=bool)
+    members = np.asarray(members)
+    if members.shape != (n,):
+        raise ValueError(f"membership mask shape {members.shape} does not "
+                         f"match {n} nodes")
+    mask[:n] = members
+    index, starts = graph.neighbor_segments
+    has_member_nbr = np.logical_or.reduceat(mask[index], starts)
+    return not (has_member_nbr & mask[:n]).any()
+
+
 def is_independent_set(graph: ConflictGraph, nodes) -> bool:
-    """True iff no edge of the graph has both endpoints in ``nodes``."""
+    """True iff no edge of the graph has both endpoints in ``nodes``; a node
+    ID outside the graph raises ValueError. Builds the membership mask and
+    defers to :func:`is_independent_mask`."""
     ids = [int(v) for v in nodes]
-    member = np.zeros(graph.node_count, dtype=bool)
     for v in ids:
         if not 0 <= v < graph.node_count:
             raise ValueError(f"node {v} out of range")
-        member[v] = True
-    for v in ids:
-        for w in graph.adjacency[v]:
-            if member[w]:
-                return False
-    return True
+    member = np.zeros(graph.node_count, dtype=bool)
+    member[ids] = True
+    return is_independent_mask(graph, member)
 
 
 def save_graph(graph: ConflictGraph, path) -> None:
@@ -247,7 +264,11 @@ def save_graph(graph: ConflictGraph, path) -> None:
 
 
 def load_graph(path) -> ConflictGraph:
-    """Read the edge-list text format written by :func:`save_graph`."""
+    """Read the edge-list text format written by :func:`save_graph`.
+
+    A malformed header, a node count below 1, and a malformed, self-looped
+    or out-of-range edge each raise ValueError naming the path and line.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty graph file")
@@ -258,6 +279,9 @@ def load_graph(path) -> ConflictGraph:
         n = int(head[1])
     except ValueError:
         raise ValueError(f"{path}: line 1: node count is not an integer") from None
+    if n < 1:
+        raise ValueError(f"{path}: line 1: graph needs at least one node, "
+                         f"got {n}")
     edges = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -266,7 +290,13 @@ def load_graph(path) -> ConflictGraph:
         if len(parts) != 2:
             raise ValueError(f"{path}: line {ln}: expected 'i j' pair")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"{path}: line {ln}: non-integer endpoint") from None
+        if i == j:
+            raise ValueError(f"{path}: line {ln}: self-loop at node {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"{path}: line {ln}: edge ({i},{j}) out of "
+                             f"range for {n} nodes")
+        edges.append((i, j))
     return ConflictGraph.from_edges(n, edges)

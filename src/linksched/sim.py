@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import ConflictGraph, as_rng, is_independent_set
+from .graph import ConflictGraph, as_rng, is_independent_mask
 from .solvers import Schedule, lgs_rows
 
 # A scheduling policy maps (graph, queues, rates) to an independent set.
@@ -128,17 +128,24 @@ def step(state: NetworkState, schedule: Schedule, arrivals, next_rates,
 
     Scheduled links drain min(rate, backlog); arrivals then land everywhere.
     Passing ``graph`` additionally enforces that the schedule is an
-    independent set.
+    independent set of the graph's nodes. The schedule's membership mask is
+    built once and feeds both that check (:func:`is_independent_mask`) and
+    :func:`advance`.
     """
     a = np.asarray(arrivals, dtype=np.int64)
     if a.shape != state.q.shape:
         raise ValueError("arrival vector length mismatch")
     if (a < 0).any():
         raise ValueError("arrivals must be non-negative")
-    if graph is not None and not is_independent_set(graph, schedule.nodes):
+    nodes = schedule.nodes
+    if graph is not None and nodes and \
+            (min(nodes) < 0 or max(nodes) >= graph.node_count):
+        # checked before the mask, where a negative ID would wrap around
+        raise ValueError("schedule node outside the graph")
+    members = schedule.indicator(state.q.size)
+    if graph is not None and not is_independent_mask(graph, members):
         raise ValueError("schedule is not an independent set of the graph")
-    return NetworkState(advance(state.q, schedule.indicator(state.q.size),
-                                state.r, a),
+    return NetworkState(advance(state.q, members, state.r, a),
                         np.asarray(next_rates, dtype=np.int64).copy(),
                         state.t + 1)
 

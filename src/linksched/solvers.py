@@ -117,29 +117,43 @@ def lgs(graph: ConflictGraph, utilities) -> Schedule:
 
 def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:
     """Centralized sequential greedy: repeatedly take the globally best
-    remaining node (ties to the larger ID), then drop it and its neighbors."""
+    remaining node (ties to the larger ID), then drop it and its neighbors.
+
+    One pass does this: a stable ascending argsort, reversed, visits the
+    nodes in descending (utility, id) order, and each node that no chosen
+    neighbor has blocked is taken. When the scan reaches an unblocked node,
+    every node ahead of it is chosen or blocked, so it is the best node the
+    repeated-argmax loop would take next. Unlike :func:`lgs_rows`, this is a
+    sequential algorithm, which keeps ``lgs == greedy_centralized`` a
+    meaningful property.
+    """
     u = _check_utilities(graph, utilities)
-    adj = graph.adjacency_matrix
-    active = np.ones(graph.node_count, dtype=bool)
+    blocked = bytearray(graph.node_count)
     chosen: list[int] = []
-    while active.any():
-        tied = np.flatnonzero(active & (u == u[active].max()))
-        v = int(tied.max())
-        chosen.append(v)
-        active[v] = False
-        active &= ~adj[v]
+    for v in np.argsort(u, kind="stable")[::-1].tolist():
+        if not blocked[v]:
+            chosen.append(v)
+            for w in graph.adjacency[v]:
+                blocked[w] = 1
     return Schedule(frozenset(chosen))
 
 
 def exact_mwis(graph: ConflictGraph, utilities, max_nodes: int = 40) -> Schedule:
     """Maximum-weight independent set by depth-first branch and bound.
 
-    Branches on the lowest remaining node ID, exclude branch first, so
-    candidate sets are met in increasing indicator-lexicographic order;
-    pruning on ``current + remaining <= best`` then keeps the first (hence
-    lexicographically smallest) maximizer. Ties therefore prefer the set
-    that leaves out lower-ID nodes. Weights must be non-negative and the
-    graph at most ``max_nodes`` nodes.
+    Each search node that survives the bound applies the degree-0
+    reduction: a remaining node with no remaining neighbor is taken when its
+    weight is positive and dropped when it is zero. It then branches on the
+    lowest remaining node ID, exclude branch first, so candidate sets are
+    met in increasing indicator-lexicographic order (node 0 most
+    significant); pruning on ``current + remaining <= best`` then keeps the
+    first (hence lexicographically smallest) maximizer. Ties therefore
+    prefer the set that leaves out lower-ID nodes. The reduction keeps that
+    rule: a free node of positive weight is in every maximizer, and leaving
+    a free node of zero weight out gives the lexicographically smaller set
+    of equal weight. On a star the search tree has two leaves, hub in or
+    hub out with every leaf taken at once. Weights must be non-negative and
+    the graph at most ``max_nodes`` nodes.
     """
     u = _check_utilities(graph, utilities)
     n = graph.node_count
@@ -148,8 +162,9 @@ def exact_mwis(graph: ConflictGraph, utilities, max_nodes: int = 40) -> Schedule
     if (u < 0).any():
         raise ValueError("exact solver requires non-negative utilities")
     w = u.tolist()
-    closed = [mask | (1 << v)
-              for v, mask in enumerate(graph.neighbor_bitmasks)]
+    nbrs = graph.neighbor_bitmasks
+    closed = [mask | (1 << v) for v, mask in enumerate(nbrs)]
+    positive = sum(1 << v for v in range(n) if w[v] > 0)
     best_weight = -1.0
     best_set = 0
 
@@ -165,6 +180,20 @@ def exact_mwis(graph: ConflictGraph, utilities, max_nodes: int = 40) -> Schedule
         nonlocal best_weight, best_set
         if weight + rem_sum <= best_weight:
             return
+        free = 0
+        scan = rem
+        while scan:
+            low = scan & -scan
+            if not nbrs[low.bit_length() - 1] & rem:
+                free |= low
+            scan ^= low
+        if free:
+            rem ^= free
+            taken = free & positive
+            gain = bit_sum(taken)
+            chosen |= taken
+            weight += gain
+            rem_sum -= gain
         if rem == 0:
             # the bound above guarantees a strict improvement here
             best_weight = weight

@@ -305,6 +305,36 @@ class TestMainEntry:
         assert "exact policy refused" in capsys.readouterr().err
         assert runs == []
 
+    @pytest.mark.parametrize("name, column", [("ars.csv", "ar_median"),
+                                              ("summary.csv", "config")])
+    def test_report_missing_column(self, small_instances, tmp_path, capsys,
+                                   name, column):
+        config, instances = small_instances
+        config.policies = ("baseline", "greedy")
+        out = tmp_path / "eval"
+        cmd_eval(config, instances, out)
+        path = out / name
+        header, *rows = [line.split(",") for line in
+                         path.read_text().splitlines()]
+        keep = [k for k, field in enumerate(header) if field != column]
+        path.write_text("".join(",".join(line[k] for k in keep) + "\n"
+                                for line in [header, *rows]))
+        assert main(["report", "--eval-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: missing column '{column}'" in err
+
+    def test_report_short_row(self, small_instances, tmp_path, capsys):
+        config, instances = small_instances
+        config.policies = ("baseline",)
+        out = tmp_path / "eval"
+        cmd_eval(config, instances, out)
+        path = out / "ars.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:4])  # cut from ar_p95 on
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--eval-dir", str(out)]) == 1
+        assert f"error: {path}: line 3: " in capsys.readouterr().err
+
     def test_bad_config_file_diagnostics(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("episodes == 3\n")

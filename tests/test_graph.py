@@ -3,7 +3,8 @@ import pytest
 
 from linksched.graph import (ConflictGraph, centralization, generate_ba,
                              generate_er, generate_power_law_tree,
-                             generate_star, is_independent_set, load_graph,
+                             generate_star, is_independent_mask,
+                             is_independent_set, load_graph,
                              normalized_laplacian, save_graph)
 
 
@@ -191,6 +192,44 @@ class TestIndependentSet:
         with pytest.raises(ValueError):
             is_independent_set(generate_star(5), {6})
 
+    def graphs(self):
+        rng = np.random.default_rng(31)
+        yield generate_star(30)
+        yield generate_ba(60, 2, rng)
+        yield generate_power_law_tree(40, 2.5, rng)
+        for p in (0.05, 0.3):
+            yield generate_er(25, p, rng)
+        # isolated nodes at both ends, and no edges at all
+        yield ConflictGraph.from_edges(7, [(1, 2), (2, 5)])
+        yield ConflictGraph.from_edges(4, [])
+
+    def test_mask_matches_edge_brute_force(self):
+        rng = np.random.default_rng(32)
+        for g in self.graphs():
+            edges = g.edges()
+            for density in (0.05, 0.2, 0.5):
+                for _ in range(10):
+                    mask = rng.random(g.node_count) < density
+                    want = not any(mask[i] and mask[j] for i, j in edges)
+                    assert is_independent_mask(g, mask) == want
+                    assert is_independent_mask(g, mask.astype(np.int8)) == want
+                    assert is_independent_set(g, np.flatnonzero(mask)) == want
+
+    def test_mask_rejects_one_conflicting_pair(self):
+        for g in self.graphs():
+            for i, j in g.edges():
+                mask = np.zeros(g.node_count, dtype=np.int8)
+                mask[[i, j]] = 1
+                assert not is_independent_mask(g, mask)
+                mask[j] = 0
+                assert is_independent_mask(g, mask)
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ValueError):
+            is_independent_mask(generate_star(5), np.zeros(5, dtype=bool))
+        with pytest.raises(ValueError):
+            is_independent_mask(generate_star(5), np.zeros((1, 6), dtype=bool))
+
 
 class TestValidation:
     def test_self_loop_rejected(self):
@@ -229,3 +268,13 @@ class TestSerialization:
         path.write_text("nodes 3\n0 1 2\n")
         with pytest.raises(ValueError, match="line 2"):
             load_graph(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("nodes 0\n", 1), ("nodes -2\n", 1), ("nodes 3\n0 1\n0 5\n", 3),
+        ("nodes 3\n\n1 1\n", 3), ("nodes 3\n-1 2\n", 2)])
+    def test_bad_graph_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_graph(path)
+        assert str(info.value).startswith(f"{path}: line {line}: ")

@@ -47,6 +47,14 @@ class TestStep:
             step(state, Schedule(frozenset({0, 1})), np.ones(6, int),
                  np.full(6, 2), graph=g)
 
+    @pytest.mark.parametrize("node", [-1, 6])
+    def test_out_of_range_schedule_rejected(self, node):
+        # a negative ID must not wrap around to the last link
+        state = NetworkState(np.ones(6, int), np.full(6, 2), t=0)
+        with pytest.raises(ValueError, match="outside"):
+            step(state, Schedule(frozenset({2, node})), np.ones(6, int),
+                 np.full(6, 2), graph=generate_star(5))
+
     def test_negative_arrivals_rejected(self):
         state = NetworkState(np.ones(2, int), np.ones(2, int), t=0)
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
-                             generate_star, is_independent_set)
+                             generate_power_law_tree, generate_star,
+                             is_independent_set)
 from linksched.presets import parse_graph_config
 from linksched.solvers import (baseline_utility, exact_mwis,
                                greedy_centralized, lgs, lgs_rows)
@@ -60,6 +61,44 @@ def enumerate_mwis_weight(g, w):
     return best
 
 
+def first_lex_mwis(g, w):
+    # oracle: every subset in exclude-first lexicographic order, node 0 most
+    # significant; the first independent set of maximum weight
+    n = g.node_count
+    codes = np.arange(1 << n)
+    members = (codes[:, None] >> (n - 1 - np.arange(n))) & 1 == 1
+    conflict = np.zeros(len(codes), dtype=bool)
+    for i, j in g.edges():
+        conflict |= members[:, i] & members[:, j]
+    weight = np.where(members, np.asarray(w, dtype=np.float64), 0.0).sum(1)
+    weight[conflict] = -np.inf
+    return frozenset(np.flatnonzero(members[np.argmax(weight)]).tolist())
+
+
+def reference_greedy(g, u):
+    # oracle: the repeated-argmax loop, global best first, ties to larger ID
+    u = [float(x) for x in u]
+    active = set(range(g.node_count))
+    chosen = set()
+    while active:
+        best = max(u[v] for v in active)
+        v = max(v for v in active if u[v] == best)
+        chosen.add(v)
+        active -= {v, *g.adjacency[v]}
+    return chosen
+
+
+def weight_rows(n, rng):
+    # all zero, integers 0-1 and 0-3, products of two integers, and
+    # -0.0/0.0 mixes with and without small integers
+    return [np.zeros(n),
+            rng.integers(0, 2, n).astype(np.float64),
+            rng.integers(0, 4, n).astype(np.float64),
+            (rng.integers(0, 6, n) * rng.integers(0, 6, n)).astype(np.float64),
+            np.where(rng.random(n) < 0.5, -0.0, 0.0),
+            np.where(rng.random(n) < 0.5, -0.0, rng.integers(0, 3, n))]
+
+
 class TestLgs:
     def test_path(self):
         s = lgs(path3(), [3, 1, 2])
@@ -108,6 +147,20 @@ class TestGreedyCentralized:
         assert greedy_centralized(path3(), [3, 1, 2]).nodes == \
             lgs(path3(), [3, 1, 2]).nodes
 
+    def test_matches_repeated_argmax(self):
+        rng = np.random.default_rng(21)
+        graphs = [parse_graph_config(name).build(rng)
+                  for name in ("star30", "ba-m2", "ba-mix", "er", "tree")
+                  for _ in range(2)]
+        graphs.append(ConflictGraph.from_edges(6, []))
+        checked = 0
+        for g in graphs:
+            for row in tie_heavy_rows(g.node_count, rng):
+                assert greedy_centralized(g, row).nodes == \
+                    reference_greedy(g, row)
+                checked += 1
+        assert checked == 20 * 11
+
 
 class TestExactMwis:
     def test_star_hub_heavier(self):
@@ -140,6 +193,20 @@ class TestExactMwis:
             s = exact_mwis(g, w)
             assert is_independent_set(g, s.nodes)
             assert sum(w[v] for v in s.nodes) == enumerate_mwis_weight(g, w)
+
+    def test_matches_first_lex_maximizer(self):
+        # by set, not weight: the reduction must keep the tie rule
+        rng = np.random.default_rng(22)
+        graphs = [generate_er(n, p, rng) for n in range(1, 15)
+                  for p in (0.0, 0.15, 0.6, 1.0)]
+        graphs += [generate_star(x) for x in range(1, 16)]
+        graphs += [generate_power_law_tree(n, 2.5, rng) for n in range(2, 15)]
+        checked = 0
+        for g in graphs:
+            for w in weight_rows(g.node_count, rng):
+                assert exact_mwis(g, w).nodes == first_lex_mwis(g, w)
+                checked += 1
+        assert checked == 6 * (56 + 15 + 13)
 
     def test_all_zero_weights(self):
         # the lexicographically smallest zero-weight maximizer is empty
