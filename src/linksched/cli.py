@@ -155,10 +155,12 @@ class ExperimentConfig:
             raise ConfigError("horizon must be at least 1")
         if not self.mus or any(not 0.0 < mu < 1.0 for mu in self.mus):
             raise ConfigError("traffic loads must lie in (0, 1)")
-        for policy in self.policies:
+        for i, policy in enumerate(self.policies):
             if policy not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {policy!r}; "
                                   f"choose from {', '.join(POLICY_NAMES)}")
+            if policy in self.policies[:i]:
+                raise ConfigError(f"policy {policy!r} named more than once")
         if "exact" in self.policies and preset.max_nodes > EXACT_NODE_CAP:
             raise ConfigError(
                 f"exact policy only allowed for configs with at most "
@@ -271,10 +273,10 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
     """Evaluate the selected policies on every stored instance.
 
     Each policy is built once, and each instance's trace is loaded once and
-    replayed by every policy. The trace arrays are made read-only first, so
-    a policy that writes into its rates fails with ValueError instead of
-    changing what later policies replay. Approximation ratios are each
-    policy's backlog metrics divided by the baseline's.
+    replayed by every policy. Trace arrays are read-only, so a policy that
+    writes into its rates fails with ValueError instead of changing what
+    later policies replay. Approximation ratios are each policy's backlog
+    metrics divided by the baseline's.
     """
     config.validate()
     instance_dirs = sorted(p for p in Path(instances_dir).glob("instance_*")
@@ -292,8 +294,6 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
                               f"{graph.node_count} nodes > {EXACT_NODE_CAP}")
         centralizations.append(centralization(graph))
         trace = load_trace(inst_dir / "trace.csv")
-        trace.arrivals.setflags(write=False)
-        trace.rates.setflags(write=False)
         checksum = trace.checksum()
         per_policy: dict[str, MetricsBundle] = {}
         for policy_name, policy in policies:

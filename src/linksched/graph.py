@@ -67,9 +67,6 @@ class ConflictGraph:
             nbrs[j].add(i)
         return cls(node_count, tuple(tuple(sorted(s)) for s in nbrs))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.array([len(n) for n in self.adjacency], dtype=np.int64)
@@ -84,13 +81,12 @@ class ConflictGraph:
                 for w in self.adjacency[v] if v < w]
 
     @cached_property
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix, cached for the dense Laplacian."""
-        a = np.zeros((self.node_count, self.node_count), dtype=bool)
-        for v, nbrs in enumerate(self.adjacency):
-            if nbrs:
-                a[v, list(nbrs)] = True
-        return a
+    def laplacian(self) -> np.ndarray:
+        """This graph's :func:`normalized_laplacian`, built on first use and
+        kept read-only, so every GCN forward on the graph shares one."""
+        lap = normalized_laplacian(self)
+        lap.setflags(write=False)
+        return lap
 
     @cached_property
     def neighbor_segments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,17 +197,24 @@ def generate_power_law_tree(n: int, gamma: float,
 
 
 def normalized_laplacian(graph: ConflictGraph) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^(-1/2) A D^(-1/2), dense float64.
+    """Symmetric normalized Laplacian I - D^(-1/2) A D^(-1/2), dense float64,
+    as a new array; :attr:`ConflictGraph.laplacian` caches it per graph.
 
-    Rows and columns of isolated nodes are identically zero (diagonal
+    The edge entries come from the neighbor lists (the non-sentinel columns
+    of ``graph.neighbor_segments``); all other off-diagonal entries are
+    +0.0. Rows and columns of isolated nodes are identically zero (diagonal
     included), so the aggregation term of the convolution passes nothing
     through them.
     """
+    n = graph.node_count
     deg = graph.degrees.astype(np.float64)
-    a = graph.adjacency_matrix.astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
-    lap = -(inv_sqrt[:, None] * a * inv_sqrt[None, :])
+    index, _ = graph.neighbor_segments
+    cols = index[index < n]
+    rows = np.repeat(np.arange(n), graph.degrees)
+    lap = np.zeros((n, n))
+    lap[rows, cols] = -(inv_sqrt[rows] * inv_sqrt[cols])
     np.fill_diagonal(lap, np.where(deg > 0, 1.0, 0.0))
     return lap
 

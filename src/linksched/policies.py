@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .gcn import LEAKY_SLOPE, GcnParams, forward
-from .graph import ConflictGraph, normalized_laplacian
+from .graph import ConflictGraph
 from .solvers import Schedule, baseline_utility, lgs
 
 
@@ -39,9 +39,9 @@ class SolverPolicy:
 class GcnLgsPolicy:
     """GCN-derived utilities fed to the distributed local greedy solver.
 
-    The node features are the baseline utility; the Laplacian of the most
-    recently seen graph is cached, which covers the per-episode and
-    per-instance usage patterns.
+    The node features are the baseline utility; the convolution uses the
+    graph's own cached :attr:`ConflictGraph.laplacian`, so the policy holds
+    no per-graph state.
     """
 
     def __init__(self, params: GcnParams, slope: float = LEAKY_SLOPE,
@@ -49,19 +49,10 @@ class GcnLgsPolicy:
         self.params = params
         self.slope = slope
         self.feature_kind = feature_kind
-        self._graph: ConflictGraph | None = None
-        self._laplacian: np.ndarray | None = None
-
-    def laplacian_for(self, graph: ConflictGraph) -> np.ndarray:
-        if graph is not self._graph:
-            self._graph = graph
-            self._laplacian = normalized_laplacian(graph)
-        return self._laplacian
 
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
         features = baseline_utility(q, r, self.feature_kind)[..., None]
-        u, _ = forward(self.params, self.laplacian_for(graph), features,
-                       self.slope)
+        u, _ = forward(self.params, graph.laplacian, features, self.slope)
         return u
 
     def __call__(self, graph: ConflictGraph, q, r) -> Schedule:

@@ -2,11 +2,13 @@
 
 A slot proceeds as: the policy picks an independent set from the state
 (q(t), r(t)); scheduled links send min(rate, backlog) packets; arrivals land
-on every link. All packet quantities are integers. :func:`advance` is the
-one implementation of that queue update, q - min(r, q) + a, on a membership
-mask of any batch shape; ``step``, the lookahead rollouts and the trainer
-all call it. :func:`lookahead_compare` is the one rollout loop: it rolls a
-batch of start states forward under two utility functions at once.
+on every link. All packet quantities are integers. :func:`run_episode` is
+the one per-slot loop; evaluation and the trainer's main trajectory both
+run it. :func:`advance` is the one implementation of the queue update,
+q - min(r, q) + a, on a membership mask of any batch shape; only
+:func:`run_episode` and :func:`lookahead_compare` call it.
+:func:`lookahead_compare` is the one rollout loop: it rolls a batch of
+start states forward under two utility functions at once.
 """
 
 from __future__ import annotations
@@ -34,21 +36,15 @@ RATE_CLIP = (0.0, 100.0)
 
 
 @dataclass
-class NetworkState:
-    """Queue lengths and link rates at one time slot."""
-
-    q: np.ndarray
-    r: np.ndarray
-    t: int = 0
-
-
-@dataclass
 class TrafficTrace:
     """Pre-drawn arrival and rate realizations for one episode.
 
     Replaying the same trace under different policies puts them under
     identical randomness (common random numbers). ``seed`` records the
-    integer seed the trace was drawn from, when one is known.
+    integer seed the trace was drawn from, when one is known. The arrays are
+    copied, checked once and then made read-only, so a trace stays
+    non-negative for its whole life and no policy can change what a later
+    one replays.
     """
 
     arrivals: np.ndarray
@@ -56,12 +52,14 @@ class TrafficTrace:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        self.arrivals = np.asarray(self.arrivals, dtype=np.int64)
-        self.rates = np.asarray(self.rates, dtype=np.int64)
+        self.arrivals = np.array(self.arrivals, dtype=np.int64)
+        self.rates = np.array(self.rates, dtype=np.int64)
         if self.arrivals.ndim != 2 or self.arrivals.shape != self.rates.shape:
             raise ValueError("arrivals and rates must be equal-shape 2-D arrays")
         if (self.arrivals < 0).any() or (self.rates < 0).any():
             raise ValueError("arrivals and rates must be non-negative")
+        self.arrivals.setflags(write=False)
+        self.rates.setflags(write=False)
 
     @property
     def horizon(self) -> int:
@@ -72,7 +70,7 @@ class TrafficTrace:
         return self.arrivals.shape[1]
 
     def slice(self, start: int, stop: int) -> "TrafficTrace":
-        """View-backed sub-trace covering slots [start, stop)."""
+        """Sub-trace covering slots [start, stop)."""
         return TrafficTrace(self.arrivals[start:stop], self.rates[start:stop],
                             self.seed)
 
@@ -117,37 +115,9 @@ def advance(q: np.ndarray, members, rates, arrivals) -> np.ndarray:
     ``members`` is a bool (or 0/1) membership mask of the schedule. All
     arguments broadcast, so ``q`` and ``members`` may carry any leading
     batch shape, e.g. (policies, rows, V) against (rows, V) rates. Inputs
-    are not checked; :func:`step` is the checked entry point.
+    are not checked; :func:`run_episode` is the checked entry point.
     """
     return q - np.where(members, np.minimum(rates, q), 0) + arrivals
-
-
-def step(state: NetworkState, schedule: Schedule, arrivals, next_rates,
-         graph: ConflictGraph | None = None) -> NetworkState:
-    """Advance the queue dynamics by one slot.
-
-    Scheduled links drain min(rate, backlog); arrivals then land everywhere.
-    Passing ``graph`` additionally enforces that the schedule is an
-    independent set of the graph's nodes. The schedule's membership mask is
-    built once and feeds both that check (:func:`is_independent_mask`) and
-    :func:`advance`.
-    """
-    a = np.asarray(arrivals, dtype=np.int64)
-    if a.shape != state.q.shape:
-        raise ValueError("arrival vector length mismatch")
-    if (a < 0).any():
-        raise ValueError("arrivals must be non-negative")
-    nodes = schedule.nodes
-    if graph is not None and nodes and \
-            (min(nodes) < 0 or max(nodes) >= graph.node_count):
-        # checked before the mask, where a negative ID would wrap around
-        raise ValueError("schedule node outside the graph")
-    members = schedule.indicator(state.q.size)
-    if graph is not None and not is_independent_mask(graph, members):
-        raise ValueError("schedule is not an independent set of the graph")
-    return NetworkState(advance(state.q, members, state.r, a),
-                        np.asarray(next_rates, dtype=np.int64).copy(),
-                        state.t + 1)
 
 
 @dataclass
@@ -166,27 +136,40 @@ class EpisodeResult:
 
 def run_episode(graph: ConflictGraph, policy: Policy, trace: TrafficTrace,
                 q0=None, steps: int | None = None) -> EpisodeResult:
-    """Iterate policy -> dynamics for ``steps`` slots (default: full trace)."""
+    """Iterate policy -> dynamics for ``steps`` slots (default: full trace).
+
+    This is the one per-slot loop. Each slot the policy picks a schedule
+    from (q(t), r(t)); a schedule node outside the graph, or a schedule
+    that is not an independent set, raises ValueError; then
+    :func:`advance` applies the queue update with trace slot t. The trace
+    was checked when it was built, so only its width is checked here.
+    """
     if trace.node_count != graph.node_count:
         raise ValueError("trace width does not match graph size")
     horizon = trace.horizon if steps is None else int(steps)
     if not 1 <= horizon <= trace.horizon:
         raise ValueError(f"steps must lie in [1, {trace.horizon}]")
+    n = graph.node_count
     if q0 is None:
-        q = np.zeros(graph.node_count, dtype=np.int64)
+        q = np.zeros(n, dtype=np.int64)
     else:
         q = np.asarray(q0, dtype=np.int64).copy()
-        if q.shape != (graph.node_count,) or (q < 0).any():
+        if q.shape != (n,) or (q < 0).any():
             raise ValueError("initial queues must be non-negative, one per node")
-    queues = np.empty((horizon + 1, graph.node_count), dtype=np.int64)
+    queues = np.empty((horizon + 1, n), dtype=np.int64)
     queues[0] = q
     schedules: list[Schedule] = []
     for t in range(horizon):
         r = trace.rates[t]
         schedule = policy(graph, q, r)
-        nxt = step(NetworkState(q, r, t), schedule, trace.arrivals[t],
-                   trace.rates[min(t + 1, trace.horizon - 1)], graph=graph)
-        q = nxt.q
+        nodes = schedule.nodes
+        if nodes and (min(nodes) < 0 or max(nodes) >= n):
+            # checked before the mask, where a negative ID would wrap around
+            raise ValueError("schedule node outside the graph")
+        members = schedule.indicator(n)
+        if not is_independent_mask(graph, members):
+            raise ValueError("schedule is not an independent set of the graph")
+        q = advance(q, members, r, trace.arrivals[t])
         queues[t + 1] = q
         schedules.append(schedule)
     return EpisodeResult(graph, queues, schedules, trace)

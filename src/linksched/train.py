@@ -1,7 +1,8 @@
 """Lookahead-reward training loop with experience replay.
 
-Each episode runs the GCN scheduler through a fresh scheduling instance; at
-every slot the decision is scored by rolling both the GCN policy and the
+Each episode runs the GCN scheduler through a fresh scheduling instance with
+:func:`~linksched.sim.run_episode`, the same per-slot loop evaluation uses;
+every slot's decision is then scored by rolling both the GCN policy and the
 baseline K slots forward under identical randomness, all slots of the
 episode in one batched rollout. Scheduled links are regressed toward the
 (activated) backlog ratio, unscheduled links toward their own current
@@ -20,11 +21,11 @@ import numpy as np
 
 from .gcn import (AdamState, GcnParams, Gradients, adam_step, backward,
                   forward, identity_params, init_params, save_checkpoint)
-from .graph import ConflictGraph, as_rng, normalized_laplacian
+from .graph import ConflictGraph, as_rng
 from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
-from .sim import RATE_MEAN, RATE_STD, TrafficTrace, advance, \
-    lookahead_compare, sample_traffic
+from .sim import RATE_MEAN, RATE_STD, TrafficTrace, lookahead_compare, \
+    run_episode, sample_traffic
 from .solvers import baseline_utility, lgs
 
 DEFAULT_LOADS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
@@ -73,31 +74,39 @@ class ReplayBuffer:
         return [self._items[i] for i in idx]
 
 
-def apply_phi(x: float, kind: str) -> float:
-    """Reward activation: identity, or a unit step at 1 with step(1) = 1."""
+def apply_phi(x, kind: str) -> np.ndarray:
+    """Reward activation, elementwise as float64: identity, or a unit step
+    at 1 with step(1) = 1."""
+    x = np.asarray(x, dtype=np.float64)
     if kind == "linear":
-        return float(x)
+        return x
     if kind == "heaviside":
-        return 1.0 if x >= 1.0 else 0.0
+        return np.where(x >= 1.0, 1.0, 0.0)
     raise ValueError(f"unknown phi kind: {kind!r}")
 
 
-def compute_reward(ratio: float, indicator, u_gcn,
+def compute_reward(ratio, indicator, u_gcn,
                    phi: str = "heaviside") -> np.ndarray:
-    """Per-link regression targets for one slot.
+    """Per-link regression targets for one slot, or for a stack of slots.
 
-    Scheduled links receive phi(ratio); unscheduled links receive their own
-    current utility so they contribute nothing to the loss. The result is a
-    constant target: no gradient flows through it.
+    ``indicator`` and ``u_gcn`` are (V,) with a scalar ``ratio``, or (B, V)
+    with (B,) ratios, one per row. Scheduled links receive phi(ratio);
+    unscheduled links receive their own current utility so they contribute
+    nothing to the loss. Each row equals the one-slot call on that row. The
+    result is a constant target: no gradient flows through it.
     """
     v = np.asarray(indicator)
-    if v.ndim != 1 or not np.isin(v, (0, 1)).all():
-        raise ValueError("schedule indicator must be a binary vector")
+    if v.ndim not in (1, 2) or not ((v == 0) | (v == 1)).all():
+        raise ValueError("schedule indicator must be a binary vector or a "
+                         "stack of them")
     u = np.asarray(u_gcn, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("indicator and utility lengths differ")
+    phi_ratio = apply_phi(ratio, phi)
+    if phi_ratio.shape != v.shape[:-1]:
+        raise ValueError("need one ratio per indicator row")
     vf = v.astype(np.float64)
-    return apply_phi(ratio, phi) * vf + u * (1.0 - vf)
+    return phi_ratio[..., None] * vf + u * (1.0 - vf)
 
 
 def rms_loss(u_gcn, returns) -> float:
@@ -212,35 +221,32 @@ def collect_episode(config: TrainConfig, params: GcnParams,
                     trace: TrafficTrace) -> list[ExperienceTuple]:
     """Run one episode under the GCN policy and score every slot.
 
-    Two phases. First the main trajectory runs the GCN policy for the
-    horizon and records each slot's start queues. The lookahead rollouts
-    never feed back into it, so then one :func:`lookahead_compare` call
-    rolls all those start states forward under the GCN policy and the LGS
-    baseline together, slot t on trace slots t .. t + lookahead - 1. The
-    trace must cover horizon + lookahead slots.
+    Two phases. First :func:`run_episode` runs the GCN policy for the
+    horizon, with evaluation's per-slot checks. The lookahead rollouts never
+    feed back into that trajectory, so then all slots are scored at once:
+    one stacked forward gives the utilities of the recorded start states
+    (bitwise equal per row to the per-slot forward), one
+    :func:`lookahead_compare` call rolls slot t on trace slots
+    t .. t + lookahead - 1 under the GCN policy and the LGS baseline, and
+    one :func:`compute_reward` call gives the targets. The trace must cover
+    horizon + lookahead slots.
     """
     horizon, k = config.horizon, config.lookahead
     if trace.horizon < horizon + k:
         raise ValueError("trace must cover horizon + lookahead slots")
     gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
     baseline = SolverPolicy(lgs, config.utility_kind)
-    lap = gcn_policy.laplacian_for(graph)
-    queues = np.zeros((horizon + 1, graph.node_count), dtype=np.int64)
-    slots = []
-    for t in range(horizon):
-        q, r = queues[t], trace.rates[t]
-        features = baseline_utility(q, r, config.utility_kind)[:, None]
-        u, _ = forward(params, lap, features, config.leaky_slope)
-        indicator = lgs(graph, u).indicator(graph.node_count)
-        slots.append((features, indicator, u))
-        queues[t + 1] = advance(q, indicator, r, trace.arrivals[t])
-    ratios = lookahead_compare(graph, queues[:horizon], gcn_policy.utilities,
+    result = run_episode(graph, gcn_policy, trace, steps=horizon)
+    q, r = result.queues[:horizon], trace.rates[:horizon]
+    features = baseline_utility(q, r, config.utility_kind)[..., None]
+    u = gcn_policy.utilities(graph, q, r)
+    indicators = np.stack([s.indicator(graph.node_count)
+                           for s in result.schedules])
+    ratios = lookahead_compare(graph, q, gcn_policy.utilities,
                                baseline.utilities, k, trace)
-    return [ExperienceTuple(graph, features, indicator,
-                            compute_reward(ratio, indicator, u, config.phi),
-                            ratio)
-            for (features, indicator, u), ratio in zip(slots,
-                                                       ratios.tolist())]
+    returns = compute_reward(ratios, indicators, u, config.phi)
+    return [ExperienceTuple(graph, *slot)
+            for slot in zip(features, indicators, returns, ratios.tolist())]
 
 
 def batch_gradients(config: TrainConfig, params: GcnParams,
@@ -248,14 +254,10 @@ def batch_gradients(config: TrainConfig, params: GcnParams,
                     ) -> tuple[float, Gradients]:
     """Mean loss over the batch and the accumulated parameter gradients."""
     grads = Gradients.zeros_like(params)
-    laps: dict[int, np.ndarray] = {}
     total = 0.0
     for item in batch:
-        lap = laps.get(id(item.graph))
-        if lap is None:
-            lap = normalized_laplacian(item.graph)
-            laps[id(item.graph)] = lap
-        u, cache = forward(params, lap, item.features, config.leaky_slope)
+        u, cache = forward(params, item.graph.laplacian, item.features,
+                           config.leaky_slope)
         returns = item.returns
         if config.recompute_unscheduled:
             vf = item.indicator.astype(np.float64)

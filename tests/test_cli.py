@@ -305,6 +305,20 @@ class TestMainEntry:
         assert "exact policy refused" in capsys.readouterr().err
         assert runs == []
 
+    def test_policy_named_twice(self, small_instances, tmp_path, capsys,
+                                monkeypatch):
+        _, instances = small_instances
+        ckpt = tmp_path / "id.ckpt"
+        save_checkpoint(ckpt, identity_params())
+        runs = []
+        monkeypatch.setattr(cli, "run_episode",
+                            lambda *args, **kwargs: runs.append(args))
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline,gcn,gcn", "--checkpoint", str(ckpt)])
+        assert rc == 1
+        assert "policy 'gcn' named more than once" in capsys.readouterr().err
+        assert runs == []
+
     @pytest.mark.parametrize("name, column", [("ars.csv", "ar_median"),
                                               ("summary.csv", "config")])
     def test_report_missing_column(self, small_instances, tmp_path, capsys,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,32 @@ class TestLaplacian:
     def test_edgeless_is_zero(self):
         g = ConflictGraph(3, ((), (), ()))
         assert not normalized_laplacian(g).any()
+
+    def test_cached_read_only_and_matches_edge_list(self):
+        rng = np.random.default_rng(3)
+        er = generate_er(40, 0.03, 1)
+        assert (er.degrees == 0).any() and er.edge_count > 0
+        for g in (generate_star(30), generate_ba(70, 2, rng), er,
+                  ConflictGraph(3, ((), (), ()))):
+            lap = g.laplacian
+            assert lap is g.laplacian
+            assert not lap.flags.writeable
+            with pytest.raises(ValueError):
+                lap[0, 0] = 2.0
+            # oracle from the edge list; bytes also pin +0.0 off the edges
+            n = g.node_count
+            deg = [0] * n
+            for i, j in g.edges():
+                deg[i] += 1
+                deg[j] += 1
+            want = np.zeros((n, n))
+            for i, j in g.edges():
+                want[i, j] = want[j, i] = \
+                    -((1.0 / math.sqrt(deg[i])) * (1.0 / math.sqrt(deg[j])))
+            for v in range(n):
+                want[v, v] = 1.0 if deg[v] else 0.0
+            assert lap.tobytes() == want.tobytes()
+            assert normalized_laplacian(g).tobytes() == want.tobytes()
 
     def test_psd_and_bounded_spectrum(self):
         rng = np.random.default_rng(0)

@@ -6,10 +6,10 @@ import pytest
 
 from linksched.graph import ConflictGraph, generate_er, generate_star
 from linksched.policies import SolverPolicy
-from linksched.sim import (NetworkState, TrafficTrace, backlog_stats,
-                           compute_metrics, load_trace, lookahead_compare,
-                           run_episode, sample_traffic, save_trace,
-                           steady_state_mean, step, write_trajectory_csv)
+from linksched.sim import (TrafficTrace, backlog_stats, compute_metrics,
+                           load_trace, lookahead_compare, run_episode,
+                           sample_traffic, save_trace, steady_state_mean,
+                           write_trajectory_csv)
 from linksched.solvers import Schedule, greedy_centralized, lgs
 
 
@@ -18,48 +18,68 @@ def constant_trace(horizon, nodes, arrival=1, rate=2):
                         np.full((horizon, nodes), rate, dtype=np.int64))
 
 
+def one_slot(graph, q0, nodes, arrivals, rates):
+    """Queues after one run_episode slot under a fixed schedule."""
+    schedule = Schedule(frozenset(nodes))
+    trace = TrafficTrace(np.array([arrivals]), np.array([rates]))
+    result = run_episode(graph, lambda g, q, r: schedule, trace, q0=q0)
+    assert result.queues.shape == (2, graph.node_count)
+    assert result.schedules == [schedule]
+    return result.queues[1]
+
+
 class TestStep:
     def test_star_transition(self):
-        g = generate_star(5)
-        state = NetworkState(np.array([2, 1, 1, 1, 1, 1]),
-                             np.full(6, 2), t=0)
-        nxt = step(state, Schedule(frozenset({0})), np.ones(6, int),
-                   np.full(6, 2), graph=g)
-        assert nxt.q.tolist() == [1, 2, 2, 2, 2, 2]
-        assert nxt.t == 1
+        q = one_slot(generate_star(5), [2, 1, 1, 1, 1, 1], {0},
+                     np.ones(6, int), np.full(6, 2))
+        assert q.tolist() == [1, 2, 2, 2, 2, 2]
 
     def test_empty_queue_noop(self):
-        state = NetworkState(np.zeros(3, int), np.full(3, 5), t=0)
-        nxt = step(state, Schedule(frozenset({0, 2})), np.zeros(3, int),
-                   np.full(3, 5))
-        assert not nxt.q.any()
+        path = ConflictGraph.from_edges(3, [(0, 1), (1, 2)])
+        q = one_slot(path, np.zeros(3, int), {0, 2}, np.zeros(3, int),
+                     np.full(3, 5))
+        assert not q.any()
 
     def test_service_clamped_by_queue(self):
-        state = NetworkState(np.array([1]), np.array([2]), t=0)
-        nxt = step(state, Schedule(frozenset({0})), np.array([1]),
-                   np.array([2]))
-        assert nxt.q.tolist() == [1]
+        q = one_slot(ConflictGraph(1, ((),)), [1], {0}, [1], [2])
+        assert q.tolist() == [1]
 
     def test_non_independent_schedule_rejected(self):
-        g = generate_star(5)
-        state = NetworkState(np.ones(6, int), np.full(6, 2), t=0)
-        with pytest.raises(ValueError):
-            step(state, Schedule(frozenset({0, 1})), np.ones(6, int),
-                 np.full(6, 2), graph=g)
+        with pytest.raises(ValueError, match="independent"):
+            one_slot(generate_star(5), np.ones(6, int), {0, 1},
+                     np.ones(6, int), np.full(6, 2))
 
     @pytest.mark.parametrize("node", [-1, 6])
     def test_out_of_range_schedule_rejected(self, node):
         # a negative ID must not wrap around to the last link
-        state = NetworkState(np.ones(6, int), np.full(6, 2), t=0)
         with pytest.raises(ValueError, match="outside"):
-            step(state, Schedule(frozenset({2, node})), np.ones(6, int),
-                 np.full(6, 2), graph=generate_star(5))
+            one_slot(generate_star(5), np.ones(6, int), {2, node},
+                     np.ones(6, int), np.full(6, 2))
 
     def test_negative_arrivals_rejected(self):
-        state = NetworkState(np.ones(2, int), np.ones(2, int), t=0)
+        # the trace checks its arrivals once, so no slot can see a negative
+        with pytest.raises(ValueError, match="non-negative"):
+            one_slot(ConflictGraph(2, ((), ())), np.ones(2, int), set(),
+                     [-1, 0], np.ones(2, int))
+
+
+class TestTrafficTrace:
+    def test_arrays_read_only(self):
+        trace = constant_trace(3, 2)
         with pytest.raises(ValueError):
-            step(state, Schedule(frozenset()), np.array([-1, 0]),
-                 np.ones(2, int))
+            trace.arrivals[0, 0] = 5
+        with pytest.raises(ValueError):
+            trace.rates[1] = 0
+        assert trace.slice(1, 3).rates.flags.writeable is False
+
+    def test_source_array_copied(self):
+        arrivals = np.ones((2, 3), dtype=np.int64)
+        rates = np.full((2, 3), 4, dtype=np.int64)
+        trace = TrafficTrace(arrivals, rates)
+        arrivals[:] = -1
+        rates[:] = 0
+        assert (trace.arrivals == 1).all() and (trace.rates == 4).all()
+        assert arrivals.flags.writeable and rates.flags.writeable
 
 
 class TestSampleTraffic:
@@ -141,8 +161,8 @@ class TestLookahead:
     def test_identical_policies(self):
         g = generate_er(10, 0.3, 0)
         trace = sample_traffic(g, 8, 2.0, 1)
-        state = NetworkState(np.arange(10, dtype=np.int64), trace.rates[0])
-        ratio = lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+        q0 = np.arange(10, dtype=np.int64)
+        ratio = lookahead_compare(g, q0[None], SolverPolicy(lgs).utilities,
                                   SolverPolicy(lgs).utilities, 4, trace)[0]
         assert ratio == 1.0
 
@@ -167,15 +187,14 @@ class TestLookahead:
 
         k = 3
         want = oracle_total(pol_b, k) / oracle_total(pol_a, k)
-        state = NetworkState(q0, trace.rates[0])
-        assert lookahead_compare(g, state.q[None], pol_a.utilities,
+        assert lookahead_compare(g, q0[None], pol_a.utilities,
                                  pol_b.utilities, k, trace)[0] == want
 
     def test_zero_over_zero_is_one(self):
         g = generate_star(3)
         trace = constant_trace(5, 4, arrival=0)
-        state = NetworkState(np.zeros(4, dtype=np.int64), trace.rates[0])
-        assert lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+        q0 = np.zeros((1, 4), dtype=np.int64)
+        assert lookahead_compare(g, q0, SolverPolicy(lgs).utilities,
                                  SolverPolicy(greedy_centralized).utilities, 3,
                                  trace)[0] == 1.0
 
@@ -183,10 +202,9 @@ class TestLookahead:
         g = generate_star(3)
         trace = sample_traffic(g, 5, 2.0, 3)
         q = np.array([5, 1, 2, 0], dtype=np.int64)
-        state = NetworkState(q, trace.rates[0])
-        lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+        lookahead_compare(g, q[None], SolverPolicy(lgs).utilities,
                           SolverPolicy(greedy_centralized).utilities, 3, trace)
-        assert state.q.tolist() == [5, 1, 2, 0]
+        assert q.tolist() == [5, 1, 2, 0]
 
     def test_row_conventions(self):
         # K2, no arrivals: the policy always picks node 0, the baseline node 1
@@ -211,12 +229,12 @@ class TestLookahead:
     def test_bad_k(self):
         g = generate_star(3)
         trace = constant_trace(5, 4)
-        state = NetworkState(np.zeros(4, dtype=np.int64), trace.rates[0])
+        q0 = np.zeros((1, 4), dtype=np.int64)
         with pytest.raises(ValueError):
-            lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+            lookahead_compare(g, q0, SolverPolicy(lgs).utilities,
                               SolverPolicy(lgs).utilities, 0, trace)
         with pytest.raises(ValueError):
-            lookahead_compare(g, state.q[None], SolverPolicy(lgs).utilities,
+            lookahead_compare(g, q0, SolverPolicy(lgs).utilities,
                               SolverPolicy(lgs).utilities, 9, trace)
 
 

@@ -4,9 +4,10 @@ import pytest
 from linksched.gcn import (AdamState, adam_step, backward, forward,
                            identity_params, init_params)
 from linksched.graph import generate_er, generate_star, normalized_laplacian
+from linksched import policies
 from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.sim import run_episode, sample_traffic
-from linksched.solvers import baseline_utility, lgs
+from linksched.solvers import Schedule, baseline_utility, lgs
 from linksched.train import (ExperienceTuple, ReplayBuffer, TrainConfig,
                              batch_gradients, collect_episode, compute_reward,
                              loss_gradient, rms_loss, sample_instance, train)
@@ -45,6 +46,22 @@ class TestComputeReward:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             compute_reward(1.0, [2, 0], [0.1, 0.2], "heaviside")
+
+    @pytest.mark.parametrize("phi", ["heaviside", "linear"])
+    def test_stack_equals_rows(self, phi):
+        ratios = np.array([0.0, 1.0, 3.0, np.inf])
+        indicators = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0]],
+                              dtype=np.int8)
+        u = np.random.default_rng(0).normal(size=indicators.shape)
+        with np.errstate(invalid="ignore"):  # linear: inf * 0 off-schedule
+            stacked = compute_reward(ratios, indicators, u, phi)
+            rows = [compute_reward(float(ratio), ind, uu, phi)
+                    for ratio, ind, uu in zip(ratios, indicators, u)]
+        assert stacked.shape == indicators.shape
+        for got, want in zip(stacked, rows):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="one ratio per"):
+            compute_reward(ratios[:3], indicators, u, phi)
 
 
 class TestLoss:
@@ -209,6 +226,16 @@ class TestCollectEpisode:
         for item in sampled_episode(config, params, 6):
             members = set(np.flatnonzero(item.indicator).tolist())
             assert is_independent_set(item.graph, members)
+
+    def test_non_independent_schedule_rejected(self, monkeypatch):
+        # the main trajectory runs evaluation's per-slot checks
+        config = small_config()
+        params = init_params(config.layer_dims, 0)
+        monkeypatch.setattr(
+            policies, "lgs",
+            lambda graph, u: Schedule(frozenset(range(graph.node_count))))
+        with pytest.raises(ValueError, match="independent"):
+            sampled_episode(config, params, 1)
 
     def test_main_trajectory_matches_run_episode(self):
         # the trainer and the simulator share one queue update
