@@ -24,10 +24,9 @@ from .presets import parse_graph_config
 from .sim import (RATE_MEAN, MetricsBundle, TrafficTrace, compute_metrics,
                   load_trace, run_episode, sample_traffic, save_trace,
                   steady_state_mean)
-from .solvers import exact_mwis, greedy_centralized, lgs
+from .solvers import EXACT_NODE_CAP, exact_mwis, greedy_centralized, lgs
 from .train import TrainConfig, train, write_training_log
 
-EXACT_NODE_CAP = 40
 POLICY_NAMES = ("baseline", "greedy", "exact", "gcn")
 
 PER_INSTANCE_HEADER = ["instance", "policy", "mean", "median", "p95",

@@ -246,19 +246,6 @@ def is_independent_mask(graph: ConflictGraph, members) -> bool:
     return not (has_member_nbr & mask[:n]).any()
 
 
-def is_independent_set(graph: ConflictGraph, nodes) -> bool:
-    """True iff no edge of the graph has both endpoints in ``nodes``; a node
-    ID outside the graph raises ValueError. Builds the membership mask and
-    defers to :func:`is_independent_mask`."""
-    ids = [int(v) for v in nodes]
-    for v in ids:
-        if not 0 <= v < graph.node_count:
-            raise ValueError(f"node {v} out of range")
-    member = np.zeros(graph.node_count, dtype=bool)
-    member[ids] = True
-    return is_independent_mask(graph, member)
-
-
 def save_graph(graph: ConflictGraph, path) -> None:
     """Write the edge-list text format: ``nodes <V>`` then one ``i j`` per line."""
     lines = [f"nodes {graph.node_count}"]

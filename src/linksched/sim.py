@@ -1,22 +1,24 @@
 """Discrete-time queueing dynamics, traffic sampling, episodes, and metrics.
 
 A slot proceeds as: the policy picks an independent set from the state
-(q(t), r(t)); scheduled links send min(rate, backlog) packets; arrivals land
-on every link. All packet quantities are integers. :func:`run_episode` is
-the one per-slot loop; evaluation and the trainer's main trajectory both
-run it. :func:`advance` is the one implementation of the queue update,
-q - min(r, q) + a, on a membership mask of any batch shape; only
-:func:`run_episode` and :func:`lookahead_compare` call it.
-:func:`lookahead_compare` is the one rollout loop: it rolls a batch of
-start states forward under two utility functions at once.
+(q(t), r(t)), as a :class:`~linksched.solvers.Schedule` whose (V,) bool
+``members`` mask is the one form a schedule takes; scheduled links send
+min(rate, backlog) packets; arrivals land on every link. All packet
+quantities are integers. :func:`run_episode` is the one per-slot loop;
+evaluation and the trainer's main trajectory both run it. :func:`advance`
+is the one implementation of the queue update, q - min(r, q) + a, on a
+membership mask of any batch shape; only :func:`run_episode` and
+:func:`lookahead_compare` call it. :func:`lookahead_compare` is the one
+rollout loop: it rolls a batch of start states forward under two utility
+functions at once.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -69,11 +71,6 @@ class TrafficTrace:
     def node_count(self) -> int:
         return self.arrivals.shape[1]
 
-    def slice(self, start: int, stop: int) -> "TrafficTrace":
-        """Sub-trace covering slots [start, stop)."""
-        return TrafficTrace(self.arrivals[start:stop], self.rates[start:stop],
-                            self.seed)
-
     def checksum(self) -> str:
         """SHA-256 over shape and contents; equal traces hash equal."""
         h = hashlib.sha256()
@@ -124,13 +121,15 @@ def advance(q: np.ndarray, members, rates, arrivals) -> np.ndarray:
 class EpisodeResult:
     """Recorded trajectory of one simulated episode.
 
-    ``queues`` holds the T+1 states q(0)..q(T) row-wise; ``schedules`` holds
-    the T per-slot decisions.
+    ``queues`` holds the T+1 states q(0)..q(T) row-wise; ``members`` holds
+    the T per-slot schedules as a (T, V) bool mask, and ``rounds`` each
+    slot's message rounds (None for centralized solvers).
     """
 
     graph: ConflictGraph
     queues: np.ndarray
-    schedules: list[Schedule]
+    members: np.ndarray
+    rounds: list[int | None]
     trace: TrafficTrace
 
 
@@ -139,10 +138,10 @@ def run_episode(graph: ConflictGraph, policy: Policy, trace: TrafficTrace,
     """Iterate policy -> dynamics for ``steps`` slots (default: full trace).
 
     This is the one per-slot loop. Each slot the policy picks a schedule
-    from (q(t), r(t)); a schedule node outside the graph, or a schedule
-    that is not an independent set, raises ValueError; then
-    :func:`advance` applies the queue update with trace slot t. The trace
-    was checked when it was built, so only its width is checked here.
+    from (q(t), r(t)); a membership mask of the wrong length, or one that
+    is not an independent set, raises ValueError; then :func:`advance`
+    applies the queue update with trace slot t. The trace was checked when
+    it was built, so only its width is checked here.
     """
     if trace.node_count != graph.node_count:
         raise ValueError("trace width does not match graph size")
@@ -158,21 +157,18 @@ def run_episode(graph: ConflictGraph, policy: Policy, trace: TrafficTrace,
             raise ValueError("initial queues must be non-negative, one per node")
     queues = np.empty((horizon + 1, n), dtype=np.int64)
     queues[0] = q
-    schedules: list[Schedule] = []
+    members = np.empty((horizon, n), dtype=bool)
+    rounds: list[int | None] = []
     for t in range(horizon):
         r = trace.rates[t]
         schedule = policy(graph, q, r)
-        nodes = schedule.nodes
-        if nodes and (min(nodes) < 0 or max(nodes) >= n):
-            # checked before the mask, where a negative ID would wrap around
-            raise ValueError("schedule node outside the graph")
-        members = schedule.indicator(n)
-        if not is_independent_mask(graph, members):
+        if not is_independent_mask(graph, schedule.members):
             raise ValueError("schedule is not an independent set of the graph")
-        q = advance(q, members, r, trace.arrivals[t])
+        members[t] = schedule.members
+        q = advance(q, schedule.members, r, trace.arrivals[t])
         queues[t + 1] = q
-        schedules.append(schedule)
-    return EpisodeResult(graph, queues, schedules, trace)
+        rounds.append(schedule.rounds_used)
+    return EpisodeResult(graph, queues, members, rounds, trace)
 
 
 def lookahead_compare(graph: ConflictGraph, starts, utilities: Utilities,
@@ -247,8 +243,7 @@ def compute_metrics(result: EpisodeResult) -> MetricsBundle:
     qs = result.queues
     mean, median, p95 = backlog_stats(qs)
     objective = float(qs.sum(axis=1).mean() / result.graph.node_count)
-    rounds = [s.rounds_used for s in result.schedules
-              if s.rounds_used is not None]
+    rounds = [r for r in result.rounds if r is not None]
     rounds_mean = float(np.mean(rounds)) if rounds else None
     rounds_max = int(max(rounds)) if rounds else None
     return MetricsBundle(mean, median, p95, objective, rounds_mean, rounds_max)
@@ -257,7 +252,7 @@ def compute_metrics(result: EpisodeResult) -> MetricsBundle:
 def steady_state_mean(result: EpisodeResult, burn_in: int) -> float:
     """Average per-node backlog over the start-of-slot states q(burn_in)
     .. q(T-1), discarding the first ``burn_in`` slots as transient."""
-    horizon = len(result.schedules)
+    horizon = len(result.members)
     if not 0 <= burn_in < horizon:
         raise ValueError(f"burn-in must lie in [0, {horizon})")
     return float(result.queues[burn_in:horizon].mean())
@@ -284,9 +279,10 @@ def save_trace(trace: TrafficTrace, path) -> None:
 def load_trace(path) -> TrafficTrace:
     """Read a trace written by :func:`save_trace`.
 
-    Fails closed: missing or non-integer metadata, a non-integer field, a
-    ``(t, node)`` out of range or repeated, and a file without one row per
-    (slot, node) each raise ValueError naming the path and line.
+    Fails closed: missing or non-integer metadata, metadata promising more
+    rows than the file has bytes for, a non-integer field, a ``(t, node)``
+    out of range or repeated, and a file without one row per (slot, node)
+    each raise ValueError naming the path and line.
     """
     with open(path, newline="") as fh:
         meta_line = fh.readline().strip()
@@ -304,11 +300,15 @@ def load_trace(path) -> TrafficTrace:
         if nodes < 1 or horizon < 1:
             raise ValueError(f"{path}: line 1: nodes and horizon must be "
                              "positive")
+        size = horizon * nodes
+        # every row takes at least "0,0,0,0\n": refuse before allocating
+        if 8 * size > os.fstat(fh.fileno()).st_size:
+            raise ValueError(f"{path}: line 1: {horizon} x {nodes} rows "
+                             "cannot fit in the file")
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t", "node", "arrival", "rate"]:
             raise ValueError(f"{path}: line 2: unexpected trace header")
-        size = horizon * nodes
         arrivals, rates, seen = [0] * size, [0] * size, bytearray(size)
         for row in reader:
             # the metadata line was read before the CSV reader started
@@ -336,15 +336,3 @@ def load_trace(path) -> TrafficTrace:
     return TrafficTrace(np.array(arrivals).reshape(shape),
                         np.array(rates).reshape(shape), seed)
 
-
-def write_trajectory_csv(result: EpisodeResult, path) -> None:
-    """Per-slot trajectory dump with schema ``t,node,q,scheduled``; ``q`` is
-    the start-of-slot backlog."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "q", "scheduled"])
-        for t, schedule in enumerate(result.schedules):
-            members = schedule.nodes
-            for v in range(result.graph.node_count):
-                writer.writerow([t, v, int(result.queues[t, v]),
-                                 int(v in members)])

@@ -9,24 +9,27 @@ import numpy as np
 
 from .graph import ConflictGraph
 
+# The largest graph exact_mwis accepts; its search is exponential in V.
+EXACT_NODE_CAP = 40
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """A set of links cleared to transmit in one slot.
+    """The links cleared to transmit in one slot, as a (V,) bool membership
+    mask over the graph's nodes.
 
     ``rounds_used`` counts the synchronous message rounds consumed by the
-    distributed solver; centralized solvers leave it as None.
+    distributed solver; centralized solvers leave it as None. Equality is
+    identity: compare ``members`` arrays instead.
     """
 
-    nodes: frozenset[int]
+    members: np.ndarray
     rounds_used: int | None = None
 
-    def indicator(self, node_count: int) -> np.ndarray:
-        """0/1 membership vector of length ``node_count``."""
-        v = np.zeros(node_count, dtype=np.int8)
-        if self.nodes:
-            v[list(self.nodes)] = 1
-        return v
+    def __post_init__(self) -> None:
+        m = self.members
+        if not isinstance(m, np.ndarray) or m.dtype != bool or m.ndim != 1:
+            raise ValueError("schedule members must be a 1-D bool mask")
 
 
 def _check_utilities(graph: ConflictGraph, utilities) -> np.ndarray:
@@ -111,8 +114,7 @@ def lgs(graph: ConflictGraph, utilities) -> Schedule:
     result is a maximal independent set."""
     u = _check_utilities(graph, utilities)
     members, rounds = lgs_rows(graph, u[None])
-    return Schedule(frozenset(np.flatnonzero(members[0]).tolist()),
-                    rounds_used=int(rounds[0]))
+    return Schedule(members[0], int(rounds[0]))
 
 
 def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:
@@ -129,16 +131,16 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:
     """
     u = _check_utilities(graph, utilities)
     blocked = bytearray(graph.node_count)
-    chosen: list[int] = []
+    members = np.zeros(graph.node_count, dtype=bool)
     for v in np.argsort(u, kind="stable")[::-1].tolist():
         if not blocked[v]:
-            chosen.append(v)
+            members[v] = True
             for w in graph.adjacency[v]:
                 blocked[w] = 1
-    return Schedule(frozenset(chosen))
+    return Schedule(members)
 
 
-def exact_mwis(graph: ConflictGraph, utilities, max_nodes: int = 40) -> Schedule:
+def exact_mwis(graph: ConflictGraph, utilities) -> Schedule:
     """Maximum-weight independent set by depth-first branch and bound.
 
     Each search node that survives the bound applies the degree-0
@@ -153,12 +155,13 @@ def exact_mwis(graph: ConflictGraph, utilities, max_nodes: int = 40) -> Schedule
     a free node of zero weight out gives the lexicographically smaller set
     of equal weight. On a star the search tree has two leaves, hub in or
     hub out with every leaf taken at once. Weights must be non-negative and
-    the graph at most ``max_nodes`` nodes.
+    the graph at most :data:`EXACT_NODE_CAP` nodes.
     """
     u = _check_utilities(graph, utilities)
     n = graph.node_count
-    if n > max_nodes:
-        raise ValueError(f"exact solver capped at {max_nodes} nodes, got {n}")
+    if n > EXACT_NODE_CAP:
+        raise ValueError(
+            f"exact solver capped at {EXACT_NODE_CAP} nodes, got {n}")
     if (u < 0).any():
         raise ValueError("exact solver requires non-negative utilities")
     w = u.tolist()
@@ -206,5 +209,4 @@ def exact_mwis(graph: ConflictGraph, utilities, max_nodes: int = 40) -> Schedule
                rem_sum - bit_sum(dropped))
 
     search((1 << n) - 1, 0.0, 0, sum(w))
-    nodes = frozenset(v for v in range(n) if best_set >> v & 1)
-    return Schedule(nodes)
+    return Schedule(np.array([best_set >> v & 1 for v in range(n)], dtype=bool))

@@ -40,7 +40,7 @@ class ExperienceTuple:
 
     graph: ConflictGraph
     features: np.ndarray   # (V, 1) float64
-    indicator: np.ndarray  # (V,) int8, membership of the schedule
+    indicator: np.ndarray  # (V,) bool, membership mask of the schedule
     returns: np.ndarray    # (V,) float64 regression targets
     ratio: float
 
@@ -240,13 +240,11 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     q, r = result.queues[:horizon], trace.rates[:horizon]
     features = baseline_utility(q, r, config.utility_kind)[..., None]
     u = gcn_policy.utilities(graph, q, r)
-    indicators = np.stack([s.indicator(graph.node_count)
-                           for s in result.schedules])
     ratios = lookahead_compare(graph, q, gcn_policy.utilities,
                                baseline.utilities, k, trace)
-    returns = compute_reward(ratios, indicators, u, config.phi)
-    return [ExperienceTuple(graph, *slot)
-            for slot in zip(features, indicators, returns, ratios.tolist())]
+    returns = compute_reward(ratios, result.members, u, config.phi)
+    return [ExperienceTuple(graph, *slot) for slot in
+            zip(features, result.members, returns, ratios.tolist())]
 
 
 def batch_gradients(config: TrainConfig, params: GcnParams,

@@ -284,6 +284,20 @@ class TestMainEntry:
         assert "error:" in err
         assert str(manifest) in err and "'horizon'" in err
 
+    def test_oversized_trace_header(self, small_instances, capsys):
+        # metadata promising 10^22 rows must not reach an allocation
+        _, instances = small_instances
+        trace = instances / "instance_0000" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        lines[0] = "# seed=1 nodes=100000000000 horizon=100000000000"
+        trace.write_text("".join(f"{line}\n" for line in lines))
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: line 1: ")
+        assert "Traceback" not in err
+
     def test_exact_refused_on_oversized_instance(self, tmp_path, capsys,
                                                  monkeypatch):
         # a manifest hand-edited to a small config lets validation pass;

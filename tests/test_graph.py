@@ -6,8 +6,7 @@ import pytest
 from linksched.graph import (ConflictGraph, centralization, generate_ba,
                              generate_er, generate_power_law_tree,
                              generate_star, is_independent_mask,
-                             is_independent_set, load_graph,
-                             normalized_laplacian, save_graph)
+                             load_graph, normalized_laplacian, save_graph)
 
 
 def assert_valid_graph(g):
@@ -208,17 +207,18 @@ class TestCentralization:
 
 class TestIndependentSet:
     def test_peripherals(self):
-        assert is_independent_set(generate_star(5), {1, 2, 3, 4, 5})
+        assert is_independent_mask(generate_star(5), np.arange(6) > 0)
 
     def test_adjacent_pair(self):
-        assert not is_independent_set(generate_star(5), {0, 1})
+        assert not is_independent_mask(generate_star(5), np.arange(6) < 2)
 
     def test_empty(self):
-        assert is_independent_set(generate_star(5), set())
+        assert is_independent_mask(generate_star(5), np.zeros(6, dtype=bool))
 
     def test_out_of_range(self):
+        # a mask long enough to name node 6 does not fit the 6-node star
         with pytest.raises(ValueError):
-            is_independent_set(generate_star(5), {6})
+            is_independent_mask(generate_star(5), np.arange(7) == 6)
 
     def graphs(self):
         rng = np.random.default_rng(31)
@@ -241,7 +241,6 @@ class TestIndependentSet:
                     want = not any(mask[i] and mask[j] for i, j in edges)
                     assert is_independent_mask(g, mask) == want
                     assert is_independent_mask(g, mask.astype(np.int8)) == want
-                    assert is_independent_set(g, np.flatnonzero(mask)) == want
 
     def test_mask_rejects_one_conflicting_pair(self):
         for g in self.graphs():

@@ -8,8 +8,7 @@ from linksched.graph import ConflictGraph, generate_er, generate_star
 from linksched.policies import SolverPolicy
 from linksched.sim import (TrafficTrace, backlog_stats, compute_metrics,
                            load_trace, lookahead_compare, run_episode,
-                           sample_traffic, save_trace, steady_state_mean,
-                           write_trajectory_csv)
+                           sample_traffic, save_trace, steady_state_mean)
 from linksched.solvers import Schedule, greedy_centralized, lgs
 
 
@@ -20,11 +19,14 @@ def constant_trace(horizon, nodes, arrival=1, rate=2):
 
 def one_slot(graph, q0, nodes, arrivals, rates):
     """Queues after one run_episode slot under a fixed schedule."""
-    schedule = Schedule(frozenset(nodes))
+    members = np.zeros(graph.node_count, dtype=bool)
+    members[list(nodes)] = True
     trace = TrafficTrace(np.array([arrivals]), np.array([rates]))
-    result = run_episode(graph, lambda g, q, r: schedule, trace, q0=q0)
+    result = run_episode(graph, lambda g, q, r: Schedule(members), trace,
+                         q0=q0)
     assert result.queues.shape == (2, graph.node_count)
-    assert result.schedules == [schedule]
+    assert np.array_equal(result.members, [members])
+    assert result.rounds == [None]
     return result.queues[1]
 
 
@@ -49,12 +51,19 @@ class TestStep:
             one_slot(generate_star(5), np.ones(6, int), {0, 1},
                      np.ones(6, int), np.full(6, 2))
 
-    @pytest.mark.parametrize("node", [-1, 6])
-    def test_out_of_range_schedule_rejected(self, node):
-        # a negative ID must not wrap around to the last link
-        with pytest.raises(ValueError, match="outside"):
-            one_slot(generate_star(5), np.ones(6, int), {2, node},
-                     np.ones(6, int), np.full(6, 2))
+    def test_schedule_must_be_a_bool_mask(self):
+        # node IDs, int8 masks and 2-D masks are not schedules
+        for members in (np.array([0, 2]), np.array([1, 0, 1], np.int8),
+                        np.zeros((1, 6), bool), [True] * 6):
+            with pytest.raises(ValueError, match="1-D bool mask"):
+                Schedule(members)
+        # a bool mask cannot name a node outside the graph, but it can have
+        # the wrong length
+        g = generate_star(5)
+        for n in (5, 7):
+            with pytest.raises(ValueError, match="does not match 6 nodes"):
+                run_episode(g, lambda graph, q, r: Schedule(np.zeros(n, bool)),
+                            constant_trace(1, 6))
 
     def test_negative_arrivals_rejected(self):
         # the trace checks its arrivals once, so no slot can see a negative
@@ -70,7 +79,7 @@ class TestTrafficTrace:
             trace.arrivals[0, 0] = 5
         with pytest.raises(ValueError):
             trace.rates[1] = 0
-        assert trace.slice(1, 3).rates.flags.writeable is False
+        assert trace.rates[1:3].flags.writeable is False
 
     def test_source_array_copied(self):
         arrivals = np.ones((2, 3), dtype=np.int64)
@@ -127,15 +136,15 @@ class TestRunEpisode:
         trace = sample_traffic(g, 20, 2.0, 1)
         result = run_episode(g, SolverPolicy(lgs), trace)
         assert result.queues.shape == (21, 12)
-        assert len(result.schedules) == 20
+        assert result.members.shape == (20, 12) and len(result.rounds) == 20
 
     def test_conservation(self):
         g = generate_er(15, 0.2, 2)
         trace = sample_traffic(g, 30, 3.0, 3)
         result = run_episode(g, SolverPolicy(lgs), trace)
-        for t, schedule in enumerate(result.schedules):
+        for t, members in enumerate(result.members):
             served = np.zeros(15, dtype=np.int64)
-            for v in schedule.nodes:
+            for v in np.flatnonzero(members):
                 served[v] = min(trace.rates[t, v], result.queues[t, v])
             assert np.array_equal(result.queues[t + 1] - result.queues[t],
                                   trace.arrivals[t] - served)
@@ -147,7 +156,7 @@ class TestRunEpisode:
         a = run_episode(g, SolverPolicy(lgs), trace)
         b = run_episode(g, SolverPolicy(lgs), trace)
         assert np.array_equal(a.queues, b.queues)
-        assert [s.nodes for s in a.schedules] == [s.nodes for s in b.schedules]
+        assert np.array_equal(a.members, b.members) and a.rounds == b.rounds
 
     def test_toy_steady_states(self):
         g = generate_star(5)
@@ -179,7 +188,7 @@ class TestLookahead:
             total = 0
             for i in range(k):
                 sched = policy(g, q, trace.rates[i])
-                for v in sched.nodes:
+                for v in np.flatnonzero(sched.members):
                     q[v] -= min(trace.rates[i][v], q[v])
                 q = q + trace.arrivals[i]
                 total += q.sum()
@@ -224,7 +233,8 @@ class TestLookahead:
         assert ratios.tolist() == [float("inf"), 1.0, 3.0, 0.0]
         with pytest.raises(ValueError):
             lookahead_compare(g, starts, prefer(0), prefer(1), k,
-                              trace.slice(0, trace.horizon - 1))
+                              TrafficTrace(trace.arrivals[:-1],
+                                           trace.rates[:-1]))
 
     def test_bad_k(self):
         g = generate_star(3)
@@ -301,6 +311,9 @@ class TestPersistence:
         pytest.param({3: "0,2,0,5"}, 4, id="node-out-of-range"),
         pytest.param({5: "1,0,0,5"}, 6, id="duplicate"),
         pytest.param({5: None}, 5, id="row-missing"),
+        # 10^22 rows cannot fit in the file: refused before allocating
+        pytest.param({0: "# seed=1 nodes=100000000000 horizon=100000000000"},
+                     1, id="meta-oversized"),
     ])
     def test_malformed_trace_rejected(self, tmp_path, edits, line):
         lines = [edits.get(i, text) for i, text in enumerate(self.GOOD_TRACE)]
@@ -310,16 +323,3 @@ class TestPersistence:
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: line {line}:")):
             load_trace(path)
-
-    def test_trajectory_schema(self, tmp_path):
-        g = generate_star(2)
-        trace = constant_trace(3, 3)
-        result = run_episode(g, SolverPolicy(lgs), trace)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(result, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,node,q,scheduled"
-        assert len(lines) == 1 + 3 * 3
-        t, node, q, sched = lines[1].split(",")
-        assert (t, node, q) == ("0", "0", "0")
-        assert sched in ("0", "1")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
                              generate_power_law_tree, generate_star,
-                             is_independent_set)
+                             is_independent_mask)
 from linksched.presets import parse_graph_config
-from linksched.solvers import (baseline_utility, exact_mwis,
+from linksched.solvers import (EXACT_NODE_CAP, baseline_utility, exact_mwis,
                                greedy_centralized, lgs, lgs_rows)
 
 
@@ -17,12 +19,22 @@ def triangle():
     return ConflictGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
 
-def brute_force_maximal(g, nodes):
+def ids(members):
+    return np.flatnonzero(members).tolist()
+
+
+def mask(n, nodes):
+    members = np.zeros(n, dtype=bool)
+    members[list(nodes)] = True
+    return members
+
+
+def brute_force_maximal(g, members):
     # oracle: independent and no node can be added without a conflict
-    if not is_independent_set(g, nodes):
+    if not is_independent_mask(g, members):
         return False
     for v in range(g.node_count):
-        if v not in nodes and not any(w in nodes for w in g.adjacency[v]):
+        if not members[v] and not any(members[w] for w in g.adjacency[v]):
             return False
     return True
 
@@ -39,7 +51,7 @@ def reference_lgs(g, u):
                        for w in g.adjacency[v] if w in active)}
         chosen |= wins
         active -= wins | {w for v in wins for w in g.adjacency[v]}
-    return chosen, rounds
+    return mask(g.node_count, chosen), rounds
 
 
 def enumerate_mwis_weight(g, w):
@@ -72,7 +84,7 @@ def first_lex_mwis(g, w):
         conflict |= members[:, i] & members[:, j]
     weight = np.where(members, np.asarray(w, dtype=np.float64), 0.0).sum(1)
     weight[conflict] = -np.inf
-    return frozenset(np.flatnonzero(members[np.argmax(weight)]).tolist())
+    return members[np.argmax(weight)]
 
 
 def reference_greedy(g, u):
@@ -85,7 +97,7 @@ def reference_greedy(g, u):
         v = max(v for v in active if u[v] == best)
         chosen.add(v)
         active -= {v, *g.adjacency[v]}
-    return chosen
+    return mask(g.node_count, chosen)
 
 
 def weight_rows(n, rng):
@@ -102,26 +114,26 @@ def weight_rows(n, rng):
 class TestLgs:
     def test_path(self):
         s = lgs(path3(), [3, 1, 2])
-        assert s.nodes == {0, 2}
+        assert ids(s.members) == [0, 2]
         assert s.rounds_used == 1
-        assert brute_force_maximal(path3(), s.nodes)
+        assert brute_force_maximal(path3(), s.members)
 
     def test_star_all_ties(self):
         # each peripheral tie-beats the hub through its larger ID
         s = lgs(generate_star(5), [1.0] * 6)
-        assert s.nodes == {1, 2, 3, 4, 5}
+        assert ids(s.members) == [1, 2, 3, 4, 5]
         assert s.rounds_used == 1
 
     def test_triangle(self):
         s = lgs(triangle(), [5, 3, 4])
-        assert s.nodes == {0}
+        assert ids(s.members) == [0]
         assert s.rounds_used == 1
 
     def test_multi_round(self):
         # path 0-1-2-3-4 with a descending staircase forces sequential rounds
         g = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         s = lgs(g, [5, 4, 3, 2, 1])
-        assert s.nodes == {0, 2, 4}
+        assert ids(s.members) == [0, 2, 4]
         assert s.rounds_used == 3
 
     def test_non_finite_rejected(self):
@@ -136,16 +148,16 @@ class TestLgs:
 class TestGreedyCentralized:
     def test_star_hub_wins(self):
         s = greedy_centralized(generate_star(5), [2, 1, 1, 1, 1, 1])
-        assert s.nodes == {0}
+        assert ids(s.members) == [0]
 
     def test_edgeless_takes_all(self):
         g = ConflictGraph(4, ((), (), (), ()))
         s = greedy_centralized(g, [4, 1, 3, 2])
-        assert s.nodes == {0, 1, 2, 3}
+        assert ids(s.members) == [0, 1, 2, 3]
 
     def test_path_matches_lgs(self):
-        assert greedy_centralized(path3(), [3, 1, 2]).nodes == \
-            lgs(path3(), [3, 1, 2]).nodes
+        assert np.array_equal(greedy_centralized(path3(), [3, 1, 2]).members,
+                              lgs(path3(), [3, 1, 2]).members)
 
     def test_matches_repeated_argmax(self):
         rng = np.random.default_rng(21)
@@ -156,8 +168,8 @@ class TestGreedyCentralized:
         checked = 0
         for g in graphs:
             for row in tie_heavy_rows(g.node_count, rng):
-                assert greedy_centralized(g, row).nodes == \
-                    reference_greedy(g, row)
+                assert np.array_equal(greedy_centralized(g, row).members,
+                                      reference_greedy(g, row))
                 checked += 1
         assert checked == 20 * 11
 
@@ -165,20 +177,20 @@ class TestGreedyCentralized:
 class TestExactMwis:
     def test_star_hub_heavier(self):
         s = exact_mwis(generate_star(5), [6, 1, 1, 1, 1, 1])
-        assert s.nodes == {0}
+        assert ids(s.members) == [0]
 
     def test_tie_prefers_excluding_low_ids(self):
         s = exact_mwis(generate_star(5), [5, 1, 1, 1, 1, 1])
-        assert s.nodes == {1, 2, 3, 4, 5}
+        assert ids(s.members) == [1, 2, 3, 4, 5]
 
     def test_clique(self):
         s = exact_mwis(triangle(), [1, 2, 3])
-        assert s.nodes == {2}
+        assert ids(s.members) == [2]
 
     def test_size_cap(self):
-        g = generate_er(41, 0.1, 0)
-        with pytest.raises(ValueError):
-            exact_mwis(g, np.ones(41))
+        n = EXACT_NODE_CAP + 1
+        with pytest.raises(ValueError, match="capped"):
+            exact_mwis(generate_er(n, 0.1, 0), np.ones(n))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -191,8 +203,8 @@ class TestExactMwis:
             g = generate_er(n, float(rng.uniform(0.1, 0.9)), rng)
             w = rng.integers(0, 50, size=n).astype(float)
             s = exact_mwis(g, w)
-            assert is_independent_set(g, s.nodes)
-            assert sum(w[v] for v in s.nodes) == enumerate_mwis_weight(g, w)
+            assert is_independent_mask(g, s.members)
+            assert w[s.members].sum() == enumerate_mwis_weight(g, w)
 
     def test_matches_first_lex_maximizer(self):
         # by set, not weight: the reduction must keep the tie rule
@@ -204,14 +216,15 @@ class TestExactMwis:
         checked = 0
         for g in graphs:
             for w in weight_rows(g.node_count, rng):
-                assert exact_mwis(g, w).nodes == first_lex_mwis(g, w)
+                assert np.array_equal(exact_mwis(g, w).members,
+                                      first_lex_mwis(g, w))
                 checked += 1
         assert checked == 6 * (56 + 15 + 13)
 
     def test_all_zero_weights(self):
         # the lexicographically smallest zero-weight maximizer is empty
         s = exact_mwis(generate_star(5), np.zeros(6))
-        assert s.nodes == frozenset()
+        assert not s.members.any()
 
 
 class TestBaselineUtility:
@@ -278,9 +291,11 @@ class TestLgsRows:
             assert members.shape == u.shape and rounds.shape == (len(u),)
             for row, m, r in zip(u, members, rounds):
                 s = lgs(g, row)
-                assert set(np.flatnonzero(m).tolist()) == s.nodes
+                assert np.array_equal(m, s.members)
                 assert r == s.rounds_used
-                assert (s.nodes, s.rounds_used) == reference_lgs(g, row)
+                ref_members, ref_rounds = reference_lgs(g, row)
+                assert np.array_equal(s.members, ref_members)
+                assert s.rounds_used == ref_rounds
                 checked += 1
         assert checked == 12 * 20
 
@@ -288,7 +303,7 @@ class TestLgsRows:
         # -0.0 == 0.0, so the larger id wins on both sides
         g = path3()
         for row in ([-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]):
-            assert lgs(g, row).nodes == frozenset({2, 0})
+            assert ids(lgs(g, row).members) == [0, 2]
             assert lgs(g, row).rounds_used == 2
 
     def test_bad_shapes_and_values(self):
@@ -305,12 +320,13 @@ class TestProperties:
         for g, u in random_instances(100, seed=1):
             for solver in (lgs, greedy_centralized):
                 s = solver(g, u)
-                assert brute_force_maximal(g, s.nodes)
+                assert brute_force_maximal(g, s.members)
             assert s.rounds_used is None or s.rounds_used <= g.node_count
 
     def test_lgs_equals_greedy(self):
         for g, u in random_instances(150, seed=2):
-            assert lgs(g, u).nodes == greedy_centralized(g, u).nodes
+            assert np.array_equal(lgs(g, u).members,
+                                  greedy_centralized(g, u).members)
 
     def test_round_bound(self):
         for g, u in random_instances(50, seed=3):
@@ -322,19 +338,75 @@ class TestProperties:
             n = int(rng.integers(2, 18))
             g = generate_er(n, 0.3, rng)
             u = rng.random(n)
-            w_exact = sum(u[v] for v in exact_mwis(g, u).nodes)
-            w_greedy = sum(u[v] for v in greedy_centralized(g, u).nodes)
+            w_exact = u[exact_mwis(g, u).members].sum()
+            w_greedy = u[greedy_centralized(g, u).members].sum()
             assert w_exact >= w_greedy - 1e-12
             assert w_greedy >= u.max() - 1e-12
 
     def test_scale_invariance(self):
         # powers of two keep float comparisons exact
         for g, u in random_instances(30, seed=6):
-            base = lgs(g, u).nodes
+            base = lgs(g, u).members
             for c in (0.25, 0.5, 2.0, 8.0):
-                assert lgs(g, c * u).nodes == base
-                assert greedy_centralized(g, c * u).nodes == base
+                assert np.array_equal(lgs(g, c * u).members, base)
+                assert np.array_equal(greedy_centralized(g, c * u).members,
+                                      base)
             if g.node_count <= 20:
-                ref = exact_mwis(g, u).nodes
+                ref = exact_mwis(g, u).members
                 for c in (0.5, 4.0):
-                    assert exact_mwis(g, c * u).nodes == ref
+                    assert np.array_equal(exact_mwis(g, c * u).members, ref)
+
+
+@st.composite
+def tied_instances(draw, max_nodes=12, max_rows=1):
+    # a random graph on up to max_nodes nodes with integer utilities 0-3,
+    # so most rows carry ties; one utility row unless max_rows > 1
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    rows = draw(st.integers(1, max_rows))
+    u = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                      min_size=rows, max_size=rows))
+    graph = ConflictGraph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+    u = np.array(u, dtype=np.float64)
+    return graph, (u if max_rows > 1 else u[0])
+
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+class TestHypothesisProperties:
+    @PROPERTY
+    @given(tied_instances())
+    def test_lgs_equals_greedy(self, instance):
+        g, u = instance
+        assert np.array_equal(lgs(g, u).members,
+                              greedy_centralized(g, u).members)
+
+    @PROPERTY
+    @given(tied_instances())
+    def test_masks_independent_and_maximal(self, instance):
+        g, u = instance
+        for solver in (lgs, greedy_centralized, exact_mwis):
+            members = solver(g, u).members
+            assert members.dtype == bool and members.shape == (g.node_count,)
+            assert is_independent_mask(g, members)
+            if solver is not exact_mwis:
+                assert brute_force_maximal(g, members)
+
+    @PROPERTY
+    @given(tied_instances(max_rows=4))
+    def test_lgs_rows_equals_lgs_per_row(self, instance):
+        g, u = instance
+        members, rounds = lgs_rows(g, u)
+        for row, m, r in zip(u, members, rounds):
+            s = lgs(g, row)
+            assert np.array_equal(m, s.members) and r == s.rounds_used
+
+    @PROPERTY
+    @given(tied_instances())
+    def test_exact_weight_equals_enumeration(self, instance):
+        g, u = instance
+        assert u[exact_mwis(g, u).members].sum() == \
+            enumerate_mwis_weight(g, u)

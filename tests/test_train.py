@@ -137,7 +137,7 @@ def reference_episode(config, params, graph, trace):
 
     def slot(q, schedule, t):
         q = q.copy()
-        for v in schedule.nodes:
+        for v in np.flatnonzero(schedule.members):
             q[v] -= min(trace.rates[t][v], q[v])
         return q + trace.arrivals[t]
 
@@ -155,7 +155,7 @@ def reference_episode(config, params, graph, trace):
         features = baseline_utility(q, r, config.utility_kind)[:, None]
         u = gcn.utilities(graph, q, r)
         schedule = gcn(graph, q, r)
-        indicator = schedule.indicator(graph.node_count)
+        indicator = schedule.members
         policy_total = rollout_total(gcn, q, t)
         baseline_total = rollout_total(baseline, q, t)
         if policy_total == 0:
@@ -211,8 +211,7 @@ class TestCollectEpisode:
         tuples = collect_episode(config, params, g, trace)
         for item in tuples:
             assert item.ratio == 1.0
-            scheduled = item.indicator.astype(bool)
-            assert (item.returns[scheduled] == 1.0).all()
+            assert (item.returns[item.indicator] == 1.0).all()
 
     def test_identity_params_always_tie(self):
         config = small_config(graph_mix=(("ba-m2", 1.0),), horizon=6)
@@ -220,12 +219,12 @@ class TestCollectEpisode:
         assert all(item.ratio == 1.0 for item in tuples)
 
     def test_indicator_is_valid_schedule(self):
-        from linksched.graph import is_independent_set
+        from linksched.graph import is_independent_mask
         config = small_config()
         params = init_params(config.layer_dims, 5)
         for item in sampled_episode(config, params, 6):
-            members = set(np.flatnonzero(item.indicator).tolist())
-            assert is_independent_set(item.graph, members)
+            assert item.indicator.dtype == bool
+            assert is_independent_mask(item.graph, item.indicator)
 
     def test_non_independent_schedule_rejected(self, monkeypatch):
         # the main trajectory runs evaluation's per-slot checks
@@ -233,7 +232,7 @@ class TestCollectEpisode:
         params = init_params(config.layer_dims, 0)
         monkeypatch.setattr(
             policies, "lgs",
-            lambda graph, u: Schedule(frozenset(range(graph.node_count))))
+            lambda graph, u: Schedule(np.ones(graph.node_count, bool)))
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
 
@@ -248,9 +247,9 @@ class TestCollectEpisode:
         result = run_episode(g, GcnLgsPolicy(params), trace,
                              steps=config.horizon)
         assert result.queues.max() > 0
+        assert np.array_equal([item.indicator for item in tuples],
+                              result.members)
         for t, item in enumerate(tuples):
-            assert np.array_equal(item.indicator,
-                                  result.schedules[t].indicator(g.node_count))
             # rates are at least 1, so the q * r features pin the queues
             assert np.array_equal(item.features[:, 0],
                                   result.queues[t] * trace.rates[t])
@@ -301,7 +300,7 @@ class TestBatchGradients:
         features = np.array([[2.0], [1.0], [1.0], [1.0]])
         old = identity_params()
         u_old, _ = forward(old, lap, features)
-        indicator = np.array([0, 1, 1, 1], np.int8)
+        indicator = np.array([False, True, True, True])
         rho = compute_reward(1.5, indicator, u_old, "heaviside")
         batch = [ExperienceTuple(g, features, indicator, rho, 1.5)]
         drifted = identity_params()
@@ -313,7 +312,7 @@ class TestBatchGradients:
         assert g_frozen.theta0[0].any()
         # with recomputation only scheduled nodes feed the gradient
         u_new, cache = forward(drifted, lap, features)
-        target = rho * indicator + u_new * (1 - indicator)
+        target = np.where(indicator, rho, u_new)
         want = backward(drifted, cache, loss_gradient(u_new, target))
         assert np.allclose(g_recompute.theta0[0], want.theta0[0])
 
