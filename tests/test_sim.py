@@ -65,6 +65,17 @@ class TestStep:
                 run_episode(g, lambda graph, q, r: Schedule(np.zeros(n, bool)),
                             constant_trace(1, 6))
 
+    @pytest.mark.parametrize("node", [-1, 6])
+    def test_out_of_range_schedule_rejected(self, node):
+        # node IDs are not a schedule, so a negative ID cannot wrap around to
+        # the last link and an ID past the graph cannot reach run_episode
+        with pytest.raises(ValueError, match="1-D bool mask"):
+            Schedule(np.array([2, node]))
+        with pytest.raises(ValueError, match="1-D bool mask"):
+            run_episode(generate_star(5),
+                        lambda g, q, r: Schedule(np.array([2, node])),
+                        constant_trace(1, 6))
+
     def test_negative_arrivals_rejected(self):
         # the trace checks its arrivals once, so no slot can see a negative
         with pytest.raises(ValueError, match="non-negative"):
