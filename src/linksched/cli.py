@@ -283,14 +283,12 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
     if not instance_dirs:
         raise ConfigError(f"no instances found under {instances_dir}")
     policies = [(name, _make_policy(name, config)) for name in config.policies]
+    max_nodes = parse_graph_config(config.graph_config).max_nodes
     report = EvaluationReport(config.graph_config)
     centralizations = []
     for inst_dir in instance_dirs:
         name = inst_dir.name
-        graph = load_graph(inst_dir / "graph.txt")
-        if "exact" in config.policies and graph.node_count > EXACT_NODE_CAP:
-            raise ConfigError(f"{name}: exact policy refused, "
-                              f"{graph.node_count} nodes > {EXACT_NODE_CAP}")
+        graph = load_graph(inst_dir / "graph.txt", max_nodes)
         centralizations.append(centralization(graph))
         trace = load_trace(inst_dir / "trace.csv")
         checksum = trace.checksum()

@@ -1,7 +1,9 @@
 """Conflict-graph construction, random graph models, and spectral helpers.
 
 Vertices of a conflict graph are wireless links; an edge joins two links
-that interfere and therefore cannot transmit in the same time slot.
+that interfere and therefore cannot transmit in the same time slot. A graph
+is stored once, as compressed sparse rows (CSR); every kernel reads those
+two arrays or a layout cached from them.
 """
 
 from __future__ import annotations
@@ -20,65 +22,79 @@ def as_rng(rng: np.random.Generator | int | None = None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConflictGraph:
-    """Undirected interference graph with stable integer node IDs.
+    """Undirected interference graph in CSR form, with stable node IDs
+    0..node_count-1 (the distributed scheduler breaks ties on them).
 
-    Nodes are numbered 0..node_count-1 and keep that identity for the whole
-    run (the distributed scheduler breaks ties on it). ``adjacency`` holds a
-    sorted, duplicate-free neighbor tuple per node. Instances are immutable
-    and safe to share across threads.
+    ``indptr`` rises from 0 to ``len(indices)``; each neighbor list
+    ``indices[indptr[v]:indptr[v + 1]]`` is sorted, duplicate-free, in
+    range, without v, and mirrored. The constructor copies, checks and
+    freezes both arrays, so instances are immutable and safe to share
+    across threads. Equality is identity: compare ``edges()`` instead.
     """
 
-    node_count: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
+        indptr = np.array(self.indptr, dtype=np.intp)
+        indices = np.array(self.indices, dtype=np.intp)
+        if indptr.ndim != 1 or indices.ndim != 1:
+            raise ValueError("indptr and indices must be 1-D")
+        n = indptr.size - 1
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        if len(self.adjacency) != self.node_count:
-            raise ValueError("adjacency length must equal node_count")
-        for v, nbrs in enumerate(self.adjacency):
-            prev = -1
-            for w in nbrs:
-                if not 0 <= w < self.node_count:
-                    raise ValueError(f"neighbor {w} of node {v} out of range")
-                if w == v:
-                    raise ValueError(f"self-loop at node {v}")
-                if w <= prev:
-                    raise ValueError(f"neighbors of node {v} not sorted unique")
-                prev = w
-        for v, nbrs in enumerate(self.adjacency):
-            for w in nbrs:
-                if v not in self.adjacency[w]:
-                    raise ValueError(f"edge ({v},{w}) missing its mirror")
+        deg = indptr[1:] - indptr[:-1]
+        if indptr[0] != 0 or indptr[-1] != indices.size or (deg < 0).any():
+            raise ValueError("indptr must rise from 0 to len(indices)")
+        rows = np.repeat(np.arange(n), deg)
+        if ((indices < 0) | (indices >= n)).any():
+            raise ValueError(f"a neighbor is out of range for {n} nodes")
+        if (indices == rows).any():
+            raise ValueError(f"self-loop at node {rows[indices == rows][0]}")
+        keys = rows * n + indices
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("neighbor lists must be sorted and unique")
+        if not np.array_equal(np.sort(indices * n + rows), keys):
+            raise ValueError("an edge is missing its mirror")
+        for name, array in (("indptr", indptr), ("indices", indices)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "ConflictGraph":
-        """Build a graph from an iterable of (i, j) pairs."""
-        nbrs: list[set[int]] = [set() for _ in range(node_count)]
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < node_count and 0 <= j < node_count):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return cls(node_count, tuple(tuple(sorted(s)) for s in nbrs))
+        """Build a graph from an iterable of (i, j) pairs; repeated and
+        mirrored pairs name one edge. A self-loop or an endpoint outside
+        0..node_count-1 raises ValueError naming the first such pair."""
+        pairs = np.array([(i, j) for i, j in edges], dtype=np.intp).reshape(-1, 2)
+        i, j = pairs.T
+        bad = (i == j) | ((pairs < 0) | (pairs >= node_count)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"edge {tuple(pairs[bad.argmax()].tolist())} is "
+                             f"a self-loop or out of range")
+        keys = np.sort(np.concatenate([i * node_count + j, j * node_count + i]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows, cols = np.divmod(keys, node_count)
+        return cls(np.searchsorted(rows, np.arange(node_count + 1)), cols)
+
+    @cached_property
+    def node_count(self) -> int:
+        return self.indptr.size - 1
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(n) for n in self.adjacency], dtype=np.int64)
+        return self.indptr[1:] - self.indptr[:-1]
 
-    @cached_property
+    @property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return self.indices.size // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) pairs with i < j, sorted."""
-        return [(v, w) for v in range(self.node_count)
-                for w in self.adjacency[v] if v < w]
+        rows = np.repeat(np.arange(self.node_count), self.degrees)
+        upper = rows < self.indices
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -90,31 +106,23 @@ class ConflictGraph:
 
     @cached_property
     def neighbor_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR view for ``np.ufunc.reduceat`` over neighborhoods:
-        ``(index, starts)``.
+        """The CSR arrays laid out for ``np.ufunc.reduceat`` over
+        neighborhoods: ``(index, starts)``, the LGS kernel's cached form.
 
         Segment v, ``index[starts[v]:starts[v + 1]]`` (the last one runs to
         the end), holds the sentinel column ``node_count`` followed by the
         neighbors of v. No segment is empty, as ``reduceat`` needs; a caller
         fills the sentinel column with its reduction's identity.
         """
-        index = np.fromiter(
-            (w for nbrs in self.adjacency for w in (self.node_count, *nbrs)),
-            dtype=np.intp, count=self.node_count + 2 * self.edge_count)
-        starts = np.arange(self.node_count, dtype=np.intp)
-        starts[1:] += np.cumsum(self.degrees[:-1])
-        return index, starts
+        n, ptr = self.node_count, self.indptr[:-1]
+        return np.insert(self.indices, ptr, n), ptr + np.arange(n)
 
     @cached_property
     def neighbor_bitmasks(self) -> tuple[int, ...]:
         """Per-node neighbor sets packed into ints (for the exact solver)."""
-        masks = []
-        for nbrs in self.adjacency:
-            m = 0
-            for w in nbrs:
-                m |= 1 << w
-            masks.append(m)
-        return tuple(masks)
+        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
+        return tuple(sum(1 << w for w in nbrs[a:b])
+                     for a, b in zip(ptr[:-1], ptr[1:]))
 
 
 def generate_star(x: int) -> ConflictGraph:
@@ -154,15 +162,11 @@ def generate_ba(n: int, m: int,
     edges: list[tuple[int, int]] = []
     for new in range(m, n):
         total = degree[:new].sum()
-        if total == 0:
-            probs = np.full(new, 1.0 / new)
-        else:
-            probs = degree[:new] / total
+        probs = degree[:new] / total if total else np.full(new, 1.0 / new)
         targets = gen.choice(new, size=m, replace=False, p=probs)
-        for t in targets:
-            edges.append((int(t), new))
-            degree[t] += 1
-            degree[new] += 1
+        edges += [(t, new) for t in targets.tolist()]
+        degree[targets] += 1
+        degree[new] += m
     return ConflictGraph.from_edges(n, edges)
 
 
@@ -191,8 +195,7 @@ def generate_power_law_tree(n: int, gamma: float,
         budget = np.maximum(targets[:new] - degree[:new], 1).astype(np.float64)
         parent = int(gen.choice(new, p=budget / budget.sum()))
         edges.append((parent, new))
-        degree[parent] += 1
-        degree[new] += 1
+        degree[[parent, new]] += 1
     return ConflictGraph.from_edges(n, edges)
 
 
@@ -200,19 +203,17 @@ def normalized_laplacian(graph: ConflictGraph) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^(-1/2) A D^(-1/2), dense float64,
     as a new array; :attr:`ConflictGraph.laplacian` caches it per graph.
 
-    The edge entries come from the neighbor lists (the non-sentinel columns
-    of ``graph.neighbor_segments``); all other off-diagonal entries are
-    +0.0. Rows and columns of isolated nodes are identically zero (diagonal
-    included), so the aggregation term of the convolution passes nothing
-    through them.
+    The edge entries are scattered straight from the CSR arrays, at
+    ``(repeat(arange(V), degrees), indices)``; all other off-diagonal
+    entries are +0.0. Rows and columns of isolated nodes are identically
+    zero (diagonal included), so the aggregation term of the convolution
+    passes nothing through them.
     """
     n = graph.node_count
     deg = graph.degrees.astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
-    index, _ = graph.neighbor_segments
-    cols = index[index < n]
-    rows = np.repeat(np.arange(n), graph.degrees)
+    rows, cols = np.repeat(np.arange(n), graph.degrees), graph.indices
     lap = np.zeros((n, n))
     lap[rows, cols] = -(inv_sqrt[rows] * inv_sqrt[cols])
     np.fill_diagonal(lap, np.where(deg > 0, 1.0, 0.0))
@@ -231,19 +232,14 @@ def is_independent_mask(graph: ConflictGraph, members) -> bool:
     """True iff no edge of the graph has both endpoints in the (V,) bool or
     0/1 membership mask ``members``.
 
-    One ``np.logical_or.reduceat`` over ``graph.neighbor_segments`` marks
-    every node with a member neighbor; the sentinel column stays False.
+    Each CSR entry (v, w) is an edge end; the set is independent when no
+    entry has both ``members[v]`` and ``members[w]``.
     """
-    n = graph.node_count
-    mask = np.zeros(n + 1, dtype=bool)
-    members = np.asarray(members)
-    if members.shape != (n,):
-        raise ValueError(f"membership mask shape {members.shape} does not "
-                         f"match {n} nodes")
-    mask[:n] = members
-    index, starts = graph.neighbor_segments
-    has_member_nbr = np.logical_or.reduceat(mask[index], starts)
-    return not (has_member_nbr & mask[:n]).any()
+    m = np.asarray(members, dtype=bool)
+    if m.shape != (graph.node_count,):
+        raise ValueError(f"membership mask shape {m.shape} does not "
+                         f"match {graph.node_count} nodes")
+    return not (np.repeat(m, graph.degrees) & m[graph.indices]).any()
 
 
 def save_graph(graph: ConflictGraph, path) -> None:
@@ -253,11 +249,13 @@ def save_graph(graph: ConflictGraph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_graph(path) -> ConflictGraph:
-    """Read the edge-list text format written by :func:`save_graph`.
+def load_graph(path, max_nodes: int) -> ConflictGraph:
+    """Read the edge-list text format written by :func:`save_graph`, for a
+    caller that accepts graphs of at most ``max_nodes`` nodes.
 
-    A malformed header, a node count below 1, and a malformed, self-looped
-    or out-of-range edge each raise ValueError naming the path and line.
+    A malformed header, a node count outside [1, max_nodes] (refused at line
+    1, before anything is sized by it), and a malformed, self-looped or
+    out-of-range edge each raise ValueError naming the path and line.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -269,9 +267,9 @@ def load_graph(path) -> ConflictGraph:
         n = int(head[1])
     except ValueError:
         raise ValueError(f"{path}: line 1: node count is not an integer") from None
-    if n < 1:
-        raise ValueError(f"{path}: line 1: graph needs at least one node, "
-                         f"got {n}")
+    if not 1 <= n <= max_nodes:
+        raise ValueError(f"{path}: line 1: node count {n} is outside "
+                         f"[1, {max_nodes}]")
     edges = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -73,7 +73,8 @@ def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
     The kernel ranks each row's (utility, id) pairs once with a stable sort,
     so a node wins exactly when its rank beats the largest rank among its
     remaining neighbors; both that maximum and the blocking of the winners'
-    neighbors are segment reductions over ``graph.neighbor_segments``.
+    neighbors are segment reductions over ``graph.neighbor_segments``, the
+    graph's CSR neighbor lists cached with a sentinel heading each segment.
     Returns ``(members, rounds)``: a (B, V) bool membership matrix and the
     (B,) message rounds each row used.
     """
@@ -123,19 +124,21 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:
 
     One pass does this: a stable ascending argsort, reversed, visits the
     nodes in descending (utility, id) order, and each node that no chosen
-    neighbor has blocked is taken. When the scan reaches an unblocked node,
-    every node ahead of it is chosen or blocked, so it is the best node the
-    repeated-argmax loop would take next. Unlike :func:`lgs_rows`, this is a
-    sequential algorithm, which keeps ``lgs == greedy_centralized`` a
-    meaningful property.
+    neighbor has blocked is taken; a taken node v blocks its CSR slice
+    ``indices[indptr[v]:indptr[v + 1]]``. When the scan reaches an
+    unblocked node, every node ahead of it is chosen or blocked, so it is
+    the best node the repeated-argmax loop would take next. Unlike
+    :func:`lgs_rows`, this is a sequential algorithm, which keeps
+    ``lgs == greedy_centralized`` a meaningful property.
     """
     u = _check_utilities(graph, utilities)
+    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
     blocked = bytearray(graph.node_count)
     members = np.zeros(graph.node_count, dtype=bool)
     for v in np.argsort(u, kind="stable")[::-1].tolist():
         if not blocked[v]:
             members[v] = True
-            for w in graph.adjacency[v]:
+            for w in nbrs[ptr[v]:ptr[v + 1]]:
                 blocked[w] = 1
     return Schedule(members)
 

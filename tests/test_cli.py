@@ -301,7 +301,7 @@ class TestMainEntry:
     def test_exact_refused_on_oversized_instance(self, tmp_path, capsys,
                                                  monkeypatch):
         # a manifest hand-edited to a small config lets validation pass;
-        # the per-instance size check must still refuse the exact solver
+        # load_graph must still refuse a graph above the config's size
         instances = tmp_path / "inst"
         cmd_generate(ExperimentConfig("ba-m2", (0.07,), instances=2,
                                       horizon=8, seed=1), instances)
@@ -316,8 +316,24 @@ class TestMainEntry:
         rc = main(["eval", "--instances", str(instances), "--policies",
                    "baseline,exact"])
         assert rc == 1
-        assert "exact policy refused" in capsys.readouterr().err
+        graph = instances / "instance_0000" / "graph.txt"
+        assert capsys.readouterr().err.startswith(f"error: {graph}: line 1: ")
         assert runs == []
+
+    def test_oversized_graph_header(self, small_instances, capsys):
+        # a header promising 10^11 nodes must be refused before anything is
+        # sized by it
+        _, instances = small_instances
+        graph = instances / "instance_0000" / "graph.txt"
+        lines = graph.read_text().splitlines()
+        lines[0] = "nodes 100000000000"
+        graph.write_text("".join(f"{line}\n" for line in lines))
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {graph}: line 1: ")
+        assert "Traceback" not in err
 
     def test_policy_named_twice(self, small_instances, tmp_path, capsys,
                                 monkeypatch):

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksched.gcn import (AdamState, GcnParams, Gradients, adam_step,
                            backward, forward, identity_params, init_params,
@@ -55,7 +57,7 @@ class TestForward:
         assert np.allclose(u, [-1.0, 1.0])
 
     def test_edgeless_drops_aggregation(self):
-        g = ConflictGraph(3, ((), (), ()))
+        g = ConflictGraph.from_edges(3, [])
         s = np.array([[1.0], [2.0], [3.0]])
         u, _ = forward(scalar_params(2.5, 7.0), normalized_laplacian(g), s)
         assert np.allclose(u, 2.5 * s[:, 0])
@@ -115,6 +117,23 @@ class TestStackedForward:
                 for row, f in zip(u, feats):
                     single, _ = forward(params, lap, f[:, None])
                     assert np.array_equal(row, single)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), p=st.floats(0.0, 0.6),
+           stack=st.integers(1, 12),
+           dims=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_bitwise_equal_unbatched_property(self, n, p, stack, dims,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        g = generate_er(n, p, rng)
+        params = init_params((*dims, 1), rng)
+        feats = rng.normal(scale=100.0, size=(stack, n, dims[0]))
+        u, _ = forward(params, g.laplacian, feats)
+        assert u.shape == (stack, n)
+        for row, f in zip(u, feats):
+            single, _ = forward(params, g.laplacian, f)
+            assert np.array_equal(row, single)
 
     def test_stack_shape_mismatch(self):
         with pytest.raises(ValueError):

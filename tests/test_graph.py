@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linksched.graph import (ConflictGraph, centralization, generate_ba,
                              generate_er, generate_power_law_tree,
@@ -9,12 +12,31 @@ from linksched.graph import (ConflictGraph, centralization, generate_ba,
                              load_graph, normalized_laplacian, save_graph)
 
 
+def nbrs(g, v):
+    return g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+
+
+def laplacian_oracle(n, edges):
+    # dense I - D^(-1/2) A D^(-1/2) from the edge list, isolated rows zero
+    deg = [0] * n
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    want = np.zeros((n, n))
+    for i, j in edges:
+        want[i, j] = want[j, i] = \
+            -((1.0 / math.sqrt(deg[i])) * (1.0 / math.sqrt(deg[j])))
+    for v in range(n):
+        want[v, v] = 1.0 if deg[v] else 0.0
+    return want
+
+
 def assert_valid_graph(g):
-    for v, nbrs in enumerate(g.adjacency):
-        assert list(nbrs) == sorted(set(nbrs))
-        assert v not in nbrs
-        for w in nbrs:
-            assert v in g.adjacency[w]
+    for v in range(g.node_count):
+        assert nbrs(g, v) == sorted(set(nbrs(g, v)))
+        assert v not in nbrs(g, v)
+        for w in nbrs(g, v):
+            assert v in nbrs(g, w)
 
 
 def connected(g):
@@ -24,7 +46,7 @@ def connected(g):
     while frontier:
         nxt = []
         for v in frontier:
-            for w in g.adjacency[v]:
+            for w in nbrs(g, v):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -74,7 +96,8 @@ class TestErdosRenyi:
         assert abs(np.mean(counts) - 122.5) <= 0.05 * 122.5
 
     def test_deterministic(self):
-        assert generate_er(30, 0.2, 7) == generate_er(30, 0.2, 7)
+        assert generate_er(30, 0.2, 7).edges() == \
+            generate_er(30, 0.2, 7).edges()
 
     def test_valid(self):
         assert_valid_graph(generate_er(40, 0.3, 11))
@@ -102,7 +125,7 @@ class TestBarabasiAlbert:
             generate_ba(5, 0, 0)
 
     def test_deterministic(self):
-        assert generate_ba(50, 3, 9) == generate_ba(50, 3, 9)
+        assert generate_ba(50, 3, 9).edges() == generate_ba(50, 3, 9).edges()
 
     def test_valid(self):
         for seed in range(5):
@@ -133,8 +156,8 @@ class TestPowerLawTree:
             generate_power_law_tree(1, 3.0, 0)
 
     def test_deterministic(self):
-        assert (generate_power_law_tree(40, 3.0, 5)
-                == generate_power_law_tree(40, 3.0, 5))
+        assert (generate_power_law_tree(40, 3.0, 5).edges()
+                == generate_power_law_tree(40, 3.0, 5).edges())
 
 
 class TestLaplacian:
@@ -148,7 +171,7 @@ class TestLaplacian:
         assert np.allclose(np.sort(eigs), [0, 1, 1, 1, 1, 2], atol=1e-9)
 
     def test_edgeless_is_zero(self):
-        g = ConflictGraph(3, ((), (), ()))
+        g = ConflictGraph.from_edges(3, [])
         assert not normalized_laplacian(g).any()
 
     def test_cached_read_only_and_matches_edge_list(self):
@@ -156,24 +179,14 @@ class TestLaplacian:
         er = generate_er(40, 0.03, 1)
         assert (er.degrees == 0).any() and er.edge_count > 0
         for g in (generate_star(30), generate_ba(70, 2, rng), er,
-                  ConflictGraph(3, ((), (), ()))):
+                  ConflictGraph.from_edges(3, [])):
             lap = g.laplacian
             assert lap is g.laplacian
             assert not lap.flags.writeable
             with pytest.raises(ValueError):
                 lap[0, 0] = 2.0
             # oracle from the edge list; bytes also pin +0.0 off the edges
-            n = g.node_count
-            deg = [0] * n
-            for i, j in g.edges():
-                deg[i] += 1
-                deg[j] += 1
-            want = np.zeros((n, n))
-            for i, j in g.edges():
-                want[i, j] = want[j, i] = \
-                    -((1.0 / math.sqrt(deg[i])) * (1.0 / math.sqrt(deg[j])))
-            for v in range(n):
-                want[v, v] = 1.0 if deg[v] else 0.0
+            want = laplacian_oracle(g.node_count, g.edges())
             assert lap.tobytes() == want.tobytes()
             assert normalized_laplacian(g).tobytes() == want.tobytes()
 
@@ -202,7 +215,7 @@ class TestCentralization:
 
     def test_edgeless(self):
         with pytest.raises(ValueError):
-            centralization(ConflictGraph(3, ((), (), ())))
+            centralization(ConflictGraph.from_edges(3, []))
 
 
 class TestIndependentSet:
@@ -263,13 +276,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ConflictGraph.from_edges(2, [(0, 0)])
 
+    def test_non_pair_rejected(self):
+        for edges in ([(0, 1, 2)], [(0, 1, 2, 0)], [(0,)], [0, 1]):
+            with pytest.raises((ValueError, TypeError)):
+                ConflictGraph.from_edges(3, edges)
+
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            ConflictGraph(2, ((1,), ()))
+        with pytest.raises(ValueError, match="mirror"):
+            ConflictGraph([0, 1, 1], [1])
 
     def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            ConflictGraph(3, ((2, 1), (2,), (0, 1)))
+        with pytest.raises(ValueError, match="sorted"):
+            ConflictGraph([0, 2, 3, 4], [2, 1, 0, 0])
 
 
 class TestSerialization:
@@ -277,7 +295,8 @@ class TestSerialization:
         g = generate_er(20, 0.3, 4)
         path = tmp_path / "graph.txt"
         save_graph(g, path)
-        assert load_graph(path) == g
+        loaded = load_graph(path, 20)
+        assert loaded.node_count == 20 and loaded.edges() == g.edges()
 
     def test_format(self, tmp_path):
         path = tmp_path / "graph.txt"
@@ -288,20 +307,139 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("vertices 3\n0 1\n")
         with pytest.raises(ValueError, match="line 1"):
-            load_graph(path)
+            load_graph(path, 3)
 
     def test_bad_edge_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("nodes 3\n0 1 2\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_graph(path)
+            load_graph(path, 3)
 
     @pytest.mark.parametrize("text, line", [
         ("nodes 0\n", 1), ("nodes -2\n", 1), ("nodes 3\n0 1\n0 5\n", 3),
-        ("nodes 3\n\n1 1\n", 3), ("nodes 3\n-1 2\n", 2)])
+        ("nodes 3\n\n1 1\n", 3), ("nodes 3\n-1 2\n", 2), ("nodes 4\n", 1),
+        ("nodes 100000000000\n0 1\n", 1)])
     def test_bad_graph_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ValueError) as info:
-            load_graph(path)
+            load_graph(path, 3)
         assert str(info.value).startswith(f"{path}: line {line}: ")
+
+
+@st.composite
+def edge_lists(draw, max_nodes=12):
+    # pairs over the first k of n nodes, so nodes k..n-1 are isolated, plus
+    # repeated and mirrored copies of drawn pairs, in shuffled order
+    n = draw(st.integers(1, max_nodes))
+    k = draw(st.integers(1, n))
+    pairs = []
+    if k > 1:
+        pairs = draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                        st.integers(1, k - 1)), max_size=30))
+        pairs = [(i, (i + d) % k) for i, d in pairs]
+    if pairs:
+        copies = draw(st.lists(st.tuples(st.sampled_from(pairs),
+                                         st.booleans()), max_size=10))
+        pairs += [p[::-1] if flip else p for p, flip in copies]
+    return n, draw(st.permutations(pairs))
+
+
+def neighbor_oracle(n, pairs):
+    sets = [set() for _ in range(n)]
+    for i, j in pairs:
+        sets[i].add(j)
+        sets[j].add(i)
+    return [sorted(s) for s in sets]
+
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+class TestCsrProperties:
+    @PROPERTY
+    @given(edge_lists())
+    def test_from_edges_equals_set_oracle(self, case):
+        n, pairs = case
+        g = ConflictGraph.from_edges(n, pairs)
+        want = neighbor_oracle(n, pairs)
+        assert g.node_count == n
+        assert [nbrs(g, v) for v in range(n)] == want
+        assert g.degrees.tolist() == [len(w) for w in want]
+        assert g.edges() == sorted({(min(p), max(p)) for p in pairs})
+        assert g.edge_count == len(g.edges())
+
+    @PROPERTY
+    @given(edge_lists())
+    def test_cached_forms_equal_edge_list_oracles(self, case):
+        n, pairs = case
+        g = ConflictGraph.from_edges(n, pairs)
+        want = neighbor_oracle(n, pairs)
+        index, starts = g.neighbor_segments
+        assert index.tolist() == [w for ws in want for w in (n, *ws)]
+        assert starts.tolist() == np.cumsum(
+            [0] + [1 + len(ws) for ws in want[:-1]]).tolist()
+        assert g.neighbor_bitmasks == tuple(sum(1 << w for w in ws)
+                                            for ws in want)
+        assert g.laplacian.tobytes() == \
+            laplacian_oracle(n, g.edges()).tobytes()
+
+    @PROPERTY
+    @given(edge_lists(), st.data())
+    def test_malformed_csr_rejected(self, case, data):
+        n, pairs = case
+        g = ConflictGraph.from_edges(n, pairs)
+        ptr, idx = g.indptr.copy(), g.indices.copy()
+        rows = np.repeat(np.arange(n), g.degrees)
+        long = ptr.copy()
+        long[-1] += 1
+        bad = [(ptr + 1, idx, "rise from 0"), (long, idx, "rise from 0"),
+               (ptr, np.append(idx, 0), "rise from 0"),
+               (ptr[None], idx, "1-D"), (ptr, idx[None], "1-D"),
+               ([0], [], "at least one node")]
+        if n > 1:
+            drop = ptr.copy()
+            drop[1] = ptr[-1] + 1
+            bad.append((drop, idx, "rise from 0"))
+        if idx.size:
+            k = data.draw(st.integers(0, idx.size - 1))
+            for value, match in ((n, "out of range"), (-1, "out of range"),
+                                 (rows[k], "self-loop")):
+                wrong = idx.copy()
+                wrong[k] = value
+                bad.append((ptr, wrong, match))
+            # drop edge end k: the lists stay sorted, its mirror dangles
+            short = ptr.copy()
+            short[rows[k] + 1:] -= 1
+            bad.append((short, np.delete(idx, k), "mirror"))
+        if (g.degrees > 1).any():
+            v = int(np.flatnonzero(g.degrees > 1)[0])
+            for a, b in ((1, 0), (0, 0)):  # swapped, then repeated
+                wrong = idx.copy()
+                wrong[ptr[v]:ptr[v] + 2] = idx[ptr[v] + a], idx[ptr[v] + b]
+                bad.append((ptr, wrong, "sorted and unique"))
+        for indptr, indices, match in bad:
+            with pytest.raises(ValueError, match=match):
+                ConflictGraph(indptr, indices)
+
+    @PROPERTY
+    @given(edge_lists())
+    def test_fields_read_only_and_copied(self, case):
+        n, pairs = case
+        ptr = ConflictGraph.from_edges(n, pairs).indptr.copy()
+        idx = ConflictGraph.from_edges(n, pairs).indices.copy()
+        g = ConflictGraph(ptr, idx)
+        assert [f.name for f in dataclasses.fields(g)] == ["indptr",
+                                                           "indices"]
+        for field in (g.indptr, g.indices):
+            assert not field.flags.writeable
+            if field.size:
+                with pytest.raises(ValueError):
+                    field[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.indptr = ptr
+        edges = g.edges()
+        ptr[:] = 0
+        idx[:] = 0
+        assert g.edges() == edges
+        assert [nbrs(g, v) for v in range(n)] == neighbor_oracle(n, pairs)

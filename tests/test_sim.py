@@ -43,7 +43,7 @@ class TestStep:
         assert not q.any()
 
     def test_service_clamped_by_queue(self):
-        q = one_slot(ConflictGraph(1, ((),)), [1], {0}, [1], [2])
+        q = one_slot(ConflictGraph.from_edges(1, []), [1], {0}, [1], [2])
         assert q.tolist() == [1]
 
     def test_non_independent_schedule_rejected(self):
@@ -79,7 +79,7 @@ class TestStep:
     def test_negative_arrivals_rejected(self):
         # the trace checks its arrivals once, so no slot can see a negative
         with pytest.raises(ValueError, match="non-negative"):
-            one_slot(ConflictGraph(2, ((), ())), np.ones(2, int), set(),
+            one_slot(ConflictGraph.from_edges(2, []), np.ones(2, int), set(),
                      [-1, 0], np.ones(2, int))
 
 

@@ -29,12 +29,16 @@ def mask(n, nodes):
     return members
 
 
+def nbrs(g, v):
+    return g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+
+
 def brute_force_maximal(g, members):
     # oracle: independent and no node can be added without a conflict
     if not is_independent_mask(g, members):
         return False
     for v in range(g.node_count):
-        if not members[v] and not any(members[w] for w in g.adjacency[v]):
+        if not members[v] and not any(members[w] for w in nbrs(g, v)):
             return False
     return True
 
@@ -48,9 +52,9 @@ def reference_lgs(g, u):
         rounds += 1
         wins = {v for v in active
                 if all((u[v], v) > (u[w], w)
-                       for w in g.adjacency[v] if w in active)}
+                       for w in nbrs(g, v) if w in active)}
         chosen |= wins
-        active -= wins | {w for v in wins for w in g.adjacency[v]}
+        active -= wins | {w for v in wins for w in nbrs(g, v)}
     return mask(g.node_count, chosen), rounds
 
 
@@ -96,7 +100,7 @@ def reference_greedy(g, u):
         best = max(u[v] for v in active)
         v = max(v for v in active if u[v] == best)
         chosen.add(v)
-        active -= {v, *g.adjacency[v]}
+        active -= {v, *nbrs(g, v)}
     return mask(g.node_count, chosen)
 
 
@@ -151,7 +155,7 @@ class TestGreedyCentralized:
         assert ids(s.members) == [0]
 
     def test_edgeless_takes_all(self):
-        g = ConflictGraph(4, ((), (), (), ()))
+        g = ConflictGraph.from_edges(4, [])
         s = greedy_centralized(g, [4, 1, 3, 2])
         assert ids(s.members) == [0, 1, 2, 3]
 
