@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -67,62 +68,56 @@ def load_kv_file(path) -> dict[str, str]:
     return parse_kv_text(Path(path).read_text(), source=str(path))
 
 
-def _parse_bool(value: str, source: str) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{source}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_graph_mix(value: str, source: str) -> tuple[tuple[str, float], ...]:
-    mix = []
-    for part in value.split(","):
-        if ":" not in part:
-            raise ConfigError(f"{source}: graph_mix entries look like name:weight")
-        name, weight = part.rsplit(":", 1)
-        try:
-            mix.append((name.strip(), float(weight)))
-        except ValueError:
-            raise ConfigError(f"{source}: bad graph_mix weight {weight!r}") from None
-    return tuple(mix)
+def _parse_pair(value: str) -> tuple[str, float]:
+    name, weight = value.rsplit(":", 1)
+    return name.strip(), float(weight)
+
+
+def _parser(kind) -> Callable[[str], object]:
+    """The value-text parser for a TrainConfig field type: int, float, str,
+    bool, a comma-separated ``tuple[X, ...]``, or a ``name:weight`` pair."""
+    if kind is bool:
+        return _parse_bool
+    if kind in (int, float, str):
+        return kind
+    args = get_args(kind)
+    if get_origin(kind) is tuple and args[1:] == (Ellipsis,):
+        item = _parser(args[0])
+        return lambda value: tuple(item(part) for part in value.split(","))
+    if get_origin(kind) is tuple and args == (str, float):
+        return _parse_pair
+    raise TypeError(f"no config parser for type {kind}")
+
+
+_TRAIN_TYPES = get_type_hints(TrainConfig)
+_TRAIN_KEYS = {f.name: _parser(_TRAIN_TYPES[f.name])
+               for f in fields(TrainConfig)}
 
 
 def train_config_from_kv(kv: dict[str, str], source: str = "<config>",
                          ) -> TrainConfig:
-    """Build a TrainConfig from key=value pairs (unknown keys rejected)."""
-    config = TrainConfig()
-    converters = {
-        "episodes": int, "horizon": int, "lookahead": int, "batch_size": int,
-        "replay_capacity": int, "checkpoint_interval": int, "seed": int,
-        "rate_mean": float, "rate_std": float, "leaky_slope": float,
-        "base_lr": float, "lr_decay": float, "beta1": float, "beta2": float,
-        "eps": float, "phi": str, "init": str, "utility_kind": str,
-    }
+    """Build a TrainConfig from key=value pairs: each key is a TrainConfig
+    field, and its value is parsed by the field's declared type. Unknown
+    keys and unparsable values raise ConfigError."""
+    values = {}
     for key, value in kv.items():
-        if key in converters:
-            try:
-                setattr(config, key, converters[key](value))
-            except ValueError:
-                raise ConfigError(f"{source}: bad value for {key}: {value!r}") \
-                    from None
-        elif key == "graph_mix":
-            config.graph_mix = _parse_graph_mix(value, source)
-        elif key == "loads":
-            try:
-                config.loads = tuple(float(x) for x in value.split(","))
-            except ValueError:
-                raise ConfigError(f"{source}: bad loads list: {value!r}") from None
-        elif key == "layer_dims":
-            try:
-                config.layer_dims = tuple(int(x) for x in value.split(","))
-            except ValueError:
-                raise ConfigError(f"{source}: bad layer_dims: {value!r}") from None
-        elif key == "recompute_unscheduled":
-            config.recompute_unscheduled = _parse_bool(value, source)
-        else:
+        if key not in _TRAIN_KEYS:
             raise ConfigError(f"{source}: unknown key {key!r}")
+        try:
+            values[key] = _TRAIN_KEYS[key](value)
+        except ValueError:
+            raise ConfigError(f"{source}: bad value for {key}: {value!r}") \
+                from None
+    config = TrainConfig(**values)
     try:
         config.validate()
     except ValueError as exc:
@@ -181,11 +176,11 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """
     config.validate()
     preset = parse_graph_config(config.graph_config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     master = np.random.default_rng(config.seed)
     total = config.instances * len(config.mus)
     graph_seeds = master.integers(2**63, size=total)
     traffic_seeds = master.integers(2**63, size=total)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_kv(out_dir / "manifest.txt", {
         "config": preset.name, "instances": total, "horizon": config.horizon,
         "mus": ",".join(repr(mu) for mu in config.mus), "seed": config.seed,
@@ -290,7 +285,7 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
         name = inst_dir.name
         graph = load_graph(inst_dir / "graph.txt", max_nodes)
         centralizations.append(centralization(graph))
-        trace = load_trace(inst_dir / "trace.csv")
+        trace = load_trace(inst_dir / "trace.csv", graph.node_count)
         checksum = trace.checksum()
         per_policy: dict[str, MetricsBundle] = {}
         for policy_name, policy in policies:
@@ -534,7 +529,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -176,17 +176,10 @@ def backward(params: GcnParams, cache: ForwardCache,
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators plus the decayed learning-rate schedule.
+    """Adam moment accumulators plus the decayed learning-rate schedule."""
 
-    The effective learning rate of step k (counting from 0) is
-    base_lr * decay**k; with one optimizer step per training episode the
-    exponent is the episode index.
-    """
-
-    m0: list[np.ndarray]
-    v0: list[np.ndarray]
-    m1: list[np.ndarray]
-    v1: list[np.ndarray]
+    m: Gradients
+    v: Gradients
     step: int = 0
     base_lr: float = ADAM_DEFAULTS["base_lr"]
     decay: float = ADAM_DEFAULTS["decay"]
@@ -196,11 +189,14 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: GcnParams, **hyper) -> "AdamState":
-        return cls([np.zeros_like(t) for t in params.theta0],
-                   [np.zeros_like(t) for t in params.theta0],
-                   [np.zeros_like(t) for t in params.theta1],
-                   [np.zeros_like(t) for t in params.theta1],
+        return cls(Gradients.zeros_like(params), Gradients.zeros_like(params),
                    **hyper)
+
+    @property
+    def lr(self) -> float:
+        """Learning rate of the next step, base_lr * decay**step (step from
+        0; one step per training episode makes it the episode index)."""
+        return self.base_lr * self.decay ** self.step
 
 
 def adam_step(params: GcnParams, grads: Gradients,
@@ -210,27 +206,25 @@ def adam_step(params: GcnParams, grads: Gradients,
     Non-finite gradients skip the update entirely (logged as a warning);
     params and state are returned untouched in that case.
     """
+    weights = params.theta0 + params.theta1
     tensors = grads.theta0 + grads.theta1
     if len(grads.theta0) != len(params.theta0) or any(
-            g.shape != p.shape for g, p in
-            zip(tensors, params.theta0 + params.theta1)):
+            g.shape != p.shape for g, p in zip(tensors, weights)):
         raise ValueError("gradient shapes do not match parameters")
     if not all(np.isfinite(g).all() for g in tensors):
         logger.warning("skipping optimizer step: non-finite gradient")
         return params, state
-    lr = state.base_lr * state.decay ** state.step
+    lr = state.lr
     state.step += 1
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
-    groups = ((params.theta0, grads.theta0, state.m0, state.v0),
-              (params.theta1, grads.theta1, state.m1, state.v1))
-    for ps, gs, ms, vs in groups:
-        for p, g, m, v in zip(ps, gs, ms, vs):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+    for p, g, m, v in zip(weights, tensors, state.m.theta0 + state.m.theta1,
+                          state.v.theta0 + state.v.theta1):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
     return params, state
 
 
@@ -255,12 +249,12 @@ class Checkpoint:
     """Parameters plus the hyperparameters they were trained with."""
 
     params: GcnParams
-    slope: float = LEAKY_SLOPE
-    base_lr: float = ADAM_DEFAULTS["base_lr"]
-    decay: float = ADAM_DEFAULTS["decay"]
-    beta1: float = ADAM_DEFAULTS["beta1"]
-    beta2: float = ADAM_DEFAULTS["beta2"]
-    eps: float = ADAM_DEFAULTS["eps"]
+    slope: float
+    base_lr: float
+    decay: float
+    beta1: float
+    beta2: float
+    eps: float
 
 
 def save_checkpoint(path, params: GcnParams, *,

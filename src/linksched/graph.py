@@ -119,7 +119,8 @@ class ConflictGraph:
 
     @cached_property
     def neighbor_bitmasks(self) -> tuple[int, ...]:
-        """Per-node neighbor sets packed into ints (for the exact solver)."""
+        """Per-node neighbor sets packed into ints, bit w of entry v set when
+        w neighbors v; the exact solver and centralized greedy share them."""
         ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
         return tuple(sum(1 << w for w in nbrs[a:b])
                      for a, b in zip(ptr[:-1], ptr[1:]))

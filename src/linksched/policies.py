@@ -39,9 +39,9 @@ class SolverPolicy:
 class GcnLgsPolicy:
     """GCN-derived utilities fed to the distributed local greedy solver.
 
-    The node features are the baseline utility; the convolution uses the
-    graph's own cached :attr:`ConflictGraph.laplacian`, so the policy holds
-    no per-graph state.
+    The node :meth:`features` are the baseline utility; the convolution uses
+    the graph's own cached :attr:`ConflictGraph.laplacian`, so the policy
+    holds no per-graph state.
     """
 
     def __init__(self, params: GcnParams, slope: float = LEAKY_SLOPE,
@@ -50,10 +50,13 @@ class GcnLgsPolicy:
         self.slope = slope
         self.feature_kind = feature_kind
 
+    def features(self, q, r) -> np.ndarray:
+        """The GCN input: one feature per link, (V, 1) or (B, V, 1)."""
+        return baseline_utility(q, r, self.feature_kind)[..., None]
+
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
-        features = baseline_utility(q, r, self.feature_kind)[..., None]
-        u, _ = forward(self.params, graph.laplacian, features, self.slope)
-        return u
+        return forward(self.params, graph.laplacian, self.features(q, r),
+                       self.slope)[0]
 
     def __call__(self, graph: ConflictGraph, q, r) -> Schedule:
         return lgs(graph, self.utilities(graph, q, r))

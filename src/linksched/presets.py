@@ -2,7 +2,7 @@
 
 Recognized names (case-insensitive):
 
-    star<X>   star graph with X peripheral links (X+1 nodes)
+    star<X>   star graph, X peripheral links (X+1 <= STAR_MAX_NODES nodes)
     ba-m<X>   Barabasi-Albert graph on 70 nodes, X edges per new node
     ba-mix    BA graphs with size drawn from {100,150,...,300} and
               attachment from {2,5,10,15,20}, sampled independently
@@ -28,6 +28,7 @@ ER_NODES = 50
 ER_EDGE_PROB = 0.1
 TREE_NODES = 50
 TREE_EXPONENT = 3.0
+STAR_MAX_NODES = 10_000  # refused above this before anything is built
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,9 @@ def parse_graph_config(name: str) -> GraphConfig:
     star = re.fullmatch(r"star(\d+)", key)
     if star:
         x = int(star.group(1))
-        if x < 1:
-            raise ValueError(f"{name}: star needs at least one peripheral")
+        if not 1 <= x < STAR_MAX_NODES:
+            raise ValueError(f"{name}: star needs 1 to {STAR_MAX_NODES - 1} "
+                             "peripherals")
         return GraphConfig(key, x + 1, lambda gen, x=x: generate_star(x))
     ba = re.fullmatch(r"ba-m(\d+)", key)
     if ba:

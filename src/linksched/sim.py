@@ -276,13 +276,15 @@ def save_trace(trace: TrafficTrace, path) -> None:
                                  int(trace.rates[t, v])])
 
 
-def load_trace(path) -> TrafficTrace:
-    """Read a trace written by :func:`save_trace`.
+def load_trace(path, nodes: int) -> TrafficTrace:
+    """Read a trace written by :func:`save_trace` for a graph of ``nodes``
+    nodes.
 
-    Fails closed: missing or non-integer metadata, metadata promising more
-    rows than the file has bytes for, a non-integer field, a ``(t, node)``
-    out of range or repeated, and a file without one row per (slot, node)
-    each raise ValueError naming the path and line.
+    Fails closed: missing or non-integer metadata, a metadata node count
+    other than ``nodes``, metadata promising more rows than the file has
+    bytes for, a non-integer field, a ``(t, node)`` out of range or
+    repeated, and a file without one row per (slot, node) each raise
+    ValueError naming the path and line.
     """
     with open(path, newline="") as fh:
         meta_line = fh.readline().strip()
@@ -292,14 +294,13 @@ def load_trace(path) -> TrafficTrace:
             meta = dict(part.split("=", 1) for part in meta_line[1:].split())
             seed = None if meta.get("seed") in (None, "None") \
                 else int(meta["seed"])
-            nodes = int(meta["nodes"])
-            horizon = int(meta["horizon"])
+            meta_nodes, horizon = int(meta["nodes"]), int(meta["horizon"])
         except (KeyError, ValueError):
             raise ValueError(f"{path}: line 1: trace metadata needs integer "
                              "nodes and horizon") from None
-        if nodes < 1 or horizon < 1:
-            raise ValueError(f"{path}: line 1: nodes and horizon must be "
-                             "positive")
+        if meta_nodes != nodes or horizon < 1:
+            raise ValueError(f"{path}: line 1: trace of {horizon} slots x "
+                             f"{meta_nodes} nodes; the graph has {nodes}")
         size = horizon * nodes
         # every row takes at least "0,0,0,0\n": refuse before allocating
         if 8 * size > os.fstat(fh.fileno()).st_size:

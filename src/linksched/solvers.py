@@ -124,22 +124,22 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:
 
     One pass does this: a stable ascending argsort, reversed, visits the
     nodes in descending (utility, id) order, and each node that no chosen
-    neighbor has blocked is taken; a taken node v blocks its CSR slice
-    ``indices[indptr[v]:indptr[v + 1]]``. When the scan reaches an
-    unblocked node, every node ahead of it is chosen or blocked, so it is
-    the best node the repeated-argmax loop would take next. Unlike
-    :func:`lgs_rows`, this is a sequential algorithm, which keeps
-    ``lgs == greedy_centralized`` a meaningful property.
+    neighbor has blocked is taken; a taken node v blocks its neighbors,
+    OR-ing the cached ``graph.neighbor_bitmasks[v]`` into one Python-int
+    mask. When the scan reaches an unblocked node, every node ahead of it
+    is chosen or blocked, so it is the best node the repeated-argmax loop
+    would take next. Unlike :func:`lgs_rows`, this is a sequential
+    algorithm, which keeps ``lgs == greedy_centralized`` a meaningful
+    property.
     """
     u = _check_utilities(graph, utilities)
-    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
-    blocked = bytearray(graph.node_count)
+    nbrs = graph.neighbor_bitmasks
+    blocked = 0
     members = np.zeros(graph.node_count, dtype=bool)
     for v in np.argsort(u, kind="stable")[::-1].tolist():
-        if not blocked[v]:
+        if not blocked >> v & 1:
             members[v] = True
-            for w in nbrs[ptr[v]:ptr[v + 1]]:
-                blocked[w] = 1
+            blocked |= nbrs[v]
     return Schedule(members)
 
 

@@ -19,14 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .gcn import (AdamState, GcnParams, Gradients, adam_step, backward,
-                  forward, identity_params, init_params, save_checkpoint)
+from .gcn import (ADAM_DEFAULTS, LEAKY_SLOPE, AdamState, GcnParams, Gradients,
+                  adam_step, backward, forward, identity_params, init_params,
+                  save_checkpoint)
 from .graph import ConflictGraph, as_rng
 from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
 from .sim import RATE_MEAN, RATE_STD, TrafficTrace, lookahead_compare, \
     run_episode, sample_traffic
-from .solvers import baseline_utility, lgs
+from .solvers import lgs
 
 DEFAULT_LOADS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
 
@@ -91,9 +92,11 @@ def compute_reward(ratio, indicator, u_gcn,
 
     ``indicator`` and ``u_gcn`` are (V,) with a scalar ``ratio``, or (B, V)
     with (B,) ratios, one per row. Scheduled links receive phi(ratio);
-    unscheduled links receive their own current utility so they contribute
-    nothing to the loss. Each row equals the one-slot call on that row. The
-    result is a constant target: no gradient flows through it.
+    unscheduled links receive their utility at collection time, which adds
+    no loss only until the parameters move (replay can recompute it: see
+    ``TrainConfig.recompute_unscheduled``). Each row equals the one-slot
+    call on that row. The result is a constant target: no gradient flows
+    through it.
     """
     v = np.asarray(indicator)
     if v.ndim not in (1, 2) or not ((v == 0) | (v == 1)).all():
@@ -131,9 +134,10 @@ def loss_gradient(u_gcn, returns) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
-    """Training knobs; the defaults reproduce the delivered curriculum
-    (mixed star/BA instances, 5-step lookahead, Heaviside rewards,
-    batch-64 replay, 6000 episodes)."""
+    """Training knobs, the one schema of a training run: each field is a
+    ``train --config`` key, parsed by its declared type. The defaults
+    reproduce the delivered curriculum (mixed star/BA instances, 5-step
+    lookahead, Heaviside rewards, batch-64 replay, 6000 episodes)."""
 
     episodes: int = 6000
     horizon: int = 64
@@ -147,13 +151,13 @@ class TrainConfig:
     rate_std: float = RATE_STD
     utility_kind: str = "product"
     layer_dims: tuple[int, ...] = (1, 1)
-    leaky_slope: float = 0.2
+    leaky_slope: float = LEAKY_SLOPE
     init: str = "glorot"
-    base_lr: float = 1e-3
-    lr_decay: float = 0.999
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    base_lr: float = ADAM_DEFAULTS["base_lr"]
+    lr_decay: float = ADAM_DEFAULTS["decay"]
+    beta1: float = ADAM_DEFAULTS["beta1"]
+    beta2: float = ADAM_DEFAULTS["beta2"]
+    eps: float = ADAM_DEFAULTS["eps"]
     recompute_unscheduled: bool = False
     checkpoint_interval: int = 0
     seed: int = 0
@@ -238,7 +242,7 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     baseline = SolverPolicy(lgs, config.utility_kind)
     result = run_episode(graph, gcn_policy, trace, steps=horizon)
     q, r = result.queues[:horizon], trace.rates[:horizon]
-    features = baseline_utility(q, r, config.utility_kind)[..., None]
+    features = gcn_policy.features(q, r)
     u = gcn_policy.utilities(graph, q, r)
     ratios = lookahead_compare(graph, q, gcn_policy.utilities,
                                baseline.utilities, k, trace)
@@ -263,9 +267,8 @@ def batch_gradients(config: TrainConfig, params: GcnParams,
         total += rms_loss(u, returns)
         contribution = backward(params, cache,
                                 loss_gradient(u, returns) / len(batch))
-        for acc, g in zip(grads.theta0, contribution.theta0):
-            acc += g
-        for acc, g in zip(grads.theta1, contribution.theta1):
+        for acc, g in zip(grads.theta0 + grads.theta1,
+                          contribution.theta0 + contribution.theta1):
             acc += g
     return total / len(batch), grads
 
@@ -320,7 +323,7 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
                                "diagnostic checkpoint written"
                                if out_dir is not None else
                                f"non-finite loss at episode {episode}")
-        lr = state.base_lr * state.decay ** state.step
+        lr = state.lr
         adam_step(params, grads, state)
         win = float(np.mean([1.0 if tp.ratio >= 1.0 else 0.0 for tp in tuples]))
         log.append({"episode": episode, "loss": loss, "win_rate": win,

@@ -1,5 +1,8 @@
 import hashlib
+import re
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -9,7 +12,24 @@ from linksched.cli import (ConfigError, ExperimentConfig, cmd_eval,
                            cmd_generate, cmd_report, cmd_toy, main,
                            parse_kv_text, train_config_from_kv)
 from linksched.gcn import identity_params, load_checkpoint, save_checkpoint
+from linksched.graph import generate_star
+from linksched.sim import sample_traffic, save_trace
 from linksched.solvers import lgs
+from linksched.train import TrainConfig
+
+TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
+
+
+def config_text(value) -> str:
+    """A TrainConfig value written as ``train --config`` value text."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, tuple) and value and isinstance(value[0], str):
+        name, weight = value
+        return f"{name}:{weight!r}"
+    if isinstance(value, tuple):
+        return ",".join(config_text(item) for item in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def dir_checksums(root: Path) -> dict:
@@ -52,6 +72,33 @@ class TestConfigParsing:
     def test_train_config_bad_value(self):
         with pytest.raises(ConfigError, match="episodes"):
             train_config_from_kv({"episodes": "ten"})
+
+    @pytest.mark.parametrize("name", TRAIN_FIELDS)
+    def test_schema_default_round_trip(self, name):
+        # every field is a key whose default, written as text, parses back
+        default = getattr(TrainConfig(), name)
+        config = train_config_from_kv({name: config_text(default)})
+        assert getattr(config, name) == default
+        assert config == TrainConfig()
+
+    def test_schema_all_keys_round_trip(self):
+        default = TrainConfig()
+        kv = {name: config_text(getattr(default, name))
+              for name in TRAIN_FIELDS}
+        assert train_config_from_kv(kv, source="all.cfg") == default
+
+    # any text is a valid str; validate() refuses unknown str choices
+    @pytest.mark.parametrize("name", [
+        name for name, kind in get_type_hints(TrainConfig).items()
+        if kind is not str])
+    def test_schema_unparsable_value_names_key(self, name):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"my.cfg: bad value for {name}: '?'")):
+            train_config_from_kv({name: "?"}, source="my.cfg")
+
+    def test_schema_type_without_parser_refused(self):
+        with pytest.raises(TypeError, match="no config parser"):
+            cli._parser(dict[str, int])
 
     def test_exact_policy_cap(self):
         config = ExperimentConfig("ba-m2", (0.07,), policies=("exact",))
@@ -333,6 +380,37 @@ class TestMainEntry:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {graph}: line 1: ")
+        assert "Traceback" not in err
+
+    def test_trace_width_mismatch_names_trace(self, small_instances,
+                                              capsys):
+        # a star6 trace (7 nodes) in a star5 instance (6 nodes)
+        _, instances = small_instances
+        trace = instances / "instance_0000" / "trace.csv"
+        save_trace(sample_traffic(generate_star(6), 16, 3.5, 1), trace)
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: line 1: trace of 16 slots x 7 nodes; the graph has 6")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["generate", "--config", "star5",
+                      "--instances", "10000000000000000"], id="instances"),
+        pytest.param(["generate", "--config", "star5",
+                      "--horizon", "100000000000000"], id="horizon"),
+        pytest.param(["generate", "--config", "star100000000000"], id="star"),
+        pytest.param(["toy", "--horizon", "100000000000000"], id="toy"),
+    ])
+    def test_oversized_sizes_fail_closed(self, tmp_path, capsys, argv):
+        # each size is far beyond any address space, so numpy refuses the
+        # allocation at once, and a star that large is refused at parsing
+        if argv[0] == "generate":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
     def test_policy_named_twice(self, small_instances, tmp_path, capsys,

@@ -10,6 +10,7 @@ from linksched.graph import (ConflictGraph, centralization, generate_ba,
                              generate_er, generate_power_law_tree,
                              generate_star, is_independent_mask,
                              load_graph, normalized_laplacian, save_graph)
+from linksched.presets import STAR_MAX_NODES, parse_graph_config
 
 
 def nbrs(g, v):
@@ -74,6 +75,15 @@ class TestStar:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             generate_star(0)
+
+    def test_preset_node_limit(self):
+        # parsing alone: the limit holds before any graph is built
+        assert STAR_MAX_NODES >= 5000
+        largest = parse_graph_config(f"star{STAR_MAX_NODES - 1}")
+        assert largest.max_nodes == STAR_MAX_NODES
+        for x in (0, STAR_MAX_NODES, 100000000000):
+            with pytest.raises(ValueError, match=f"star{x}: "):
+                parse_graph_config(f"star{x}")
 
 
 class TestErdosRenyi:

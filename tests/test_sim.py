@@ -301,7 +301,7 @@ class TestPersistence:
         trace = sample_traffic(g, 12, 2.0, 9)
         path = tmp_path / "trace.csv"
         save_trace(trace, path)
-        loaded = load_trace(path)
+        loaded = load_trace(path, 6)
         assert np.array_equal(loaded.arrivals, trace.arrivals)
         assert np.array_equal(loaded.rates, trace.rates)
         assert loaded.seed == 9
@@ -325,6 +325,10 @@ class TestPersistence:
         # 10^22 rows cannot fit in the file: refused before allocating
         pytest.param({0: "# seed=1 nodes=100000000000 horizon=100000000000"},
                      1, id="meta-oversized"),
+        pytest.param({0: "# seed=1 nodes=2 horizon=100000000000000000000000"},
+                     1, id="meta-horizon-oversized"),
+        pytest.param({0: "# seed=1 nodes=3 horizon=2"}, 1,
+                     id="meta-nodes-mismatch"),
     ])
     def test_malformed_trace_rejected(self, tmp_path, edits, line):
         lines = [edits.get(i, text) for i, text in enumerate(self.GOOD_TRACE)]
@@ -333,4 +337,4 @@ class TestPersistence:
                                 if text is not None))
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: line {line}:")):
-            load_trace(path)
+            load_trace(path, 2)
