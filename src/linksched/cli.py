@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, get_args, get_origin, get_type_hints
 
@@ -103,6 +103,18 @@ _TRAIN_KEYS = {f.name: _parser(_TRAIN_TYPES[f.name])
                for f in fields(TrainConfig)}
 
 
+def config_text(value) -> str:
+    """A TrainConfig value written as the value text its parser reads back."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, tuple) and value and isinstance(value[0], str):
+        name, weight = value
+        return f"{name}:{weight!r}"
+    if isinstance(value, tuple):
+        return ",".join(config_text(item) for item in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def train_config_from_kv(kv: dict[str, str], source: str = "<config>",
                          ) -> TrainConfig:
     """Build a TrainConfig from key=value pairs: each key is a TrainConfig
@@ -172,7 +184,7 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Materialize scheduling instances: graph file, traffic trace, metadata.
 
     Re-running with the same configuration and seed reproduces byte-identical
-    files.
+    files. ``manifest.txt`` is written last, so only a complete run has one.
     """
     config.validate()
     preset = parse_graph_config(config.graph_config)
@@ -181,30 +193,31 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     graph_seeds = master.integers(2**63, size=total)
     traffic_seeds = master.integers(2**63, size=total)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_kv(out_dir / "manifest.txt", {
+    manifest = out_dir / "manifest.txt"
+    manifest.unlink(missing_ok=True)
+    dirs = []
+    mus = [mu for mu in config.mus for _ in range(config.instances)]
+    for k, mu in enumerate(mus):
+        # drawn before anything of the instance is written
+        graph = preset.build(int(graph_seeds[k]))
+        lam = mu * RATE_MEAN
+        trace = sample_traffic(graph, config.horizon, lam,
+                               int(traffic_seeds[k]))
+        inst_dir = out_dir / f"instance_{k:04d}"
+        inst_dir.mkdir(exist_ok=True)
+        save_graph(graph, inst_dir / "graph.txt")
+        save_trace(trace, inst_dir / "trace.csv")
+        _write_kv(inst_dir / "meta.txt", {
+            "config": preset.name, "instance": k, "mu": repr(mu),
+            "lambda": repr(lam), "horizon": config.horizon,
+            "graph_seed": int(graph_seeds[k]),
+            "traffic_seed": int(traffic_seeds[k]),
+        })
+        dirs.append(inst_dir)
+    _write_kv(manifest, {
         "config": preset.name, "instances": total, "horizon": config.horizon,
         "mus": ",".join(repr(mu) for mu in config.mus), "seed": config.seed,
     })
-    dirs = []
-    k = 0
-    for mu in config.mus:
-        for _ in range(config.instances):
-            inst_dir = out_dir / f"instance_{k:04d}"
-            inst_dir.mkdir(exist_ok=True)
-            graph = preset.build(int(graph_seeds[k]))
-            lam = mu * RATE_MEAN
-            trace = sample_traffic(graph, config.horizon, lam,
-                                   int(traffic_seeds[k]))
-            save_graph(graph, inst_dir / "graph.txt")
-            save_trace(trace, inst_dir / "trace.csv")
-            _write_kv(inst_dir / "meta.txt", {
-                "config": preset.name, "instance": k, "mu": repr(mu),
-                "lambda": repr(lam), "horizon": config.horizon,
-                "graph_seed": int(graph_seeds[k]),
-                "traffic_seed": int(traffic_seeds[k]),
-            })
-            dirs.append(inst_dir)
-            k += 1
     return dirs
 
 
@@ -472,13 +485,14 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "train":
         kv = load_kv_file(args.config) if args.config else {}
-        source = args.config or "<defaults>"
-        config = train_config_from_kv(kv, source=str(source))
-        if args.episodes is not None:
-            config.episodes = args.episodes
-        if args.seed is not None:
-            config.seed = args.seed
+        for key in ("episodes", "seed"):  # the overrides, parsed as keys
+            if getattr(args, key) is not None:
+                kv[key] = str(getattr(args, key))
+        config = train_config_from_kv(kv, args.config or "<defaults>")
         out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_kv(out / "config.txt",
+                  {k: config_text(v) for k, v in asdict(config).items()})
         result = train(config, checkpoint_dir=out)
         write_training_log(result.log, out / "training_log.csv")
         print(f"trained {config.episodes} episodes; "
@@ -529,7 +543,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,8 @@ symmetric normalized Laplacian of the conflict graph. Hidden layers use a
 leaky ReLU; the final layer is linear and one-dimensional, so the network
 emits one utility per link. Gradients are computed by hand-written reverse
 accumulation, and parameters are updated with Adam under an exponentially
-decaying learning rate.
+decaying learning rate and the ADAM_* defaults of Kingma & Ba (arXiv
+1412.6980). A checkpoint holds only the network: dims, slope and weights.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ logger = logging.getLogger(__name__)
 
 LEAKY_SLOPE = 0.2
 
-ADAM_DEFAULTS = {
-    "base_lr": 1e-3,
-    "decay": 0.999,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-}
+BASE_LR = 1e-3
+LR_DECAY = 0.999
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -61,11 +60,6 @@ class GcnParams:
     @property
     def num_layers(self) -> int:
         return len(self.layer_dims) - 1
-
-    def copy(self) -> "GcnParams":
-        return GcnParams(self.layer_dims,
-                         [t.copy() for t in self.theta0],
-                         [t.copy() for t in self.theta1])
 
 
 @dataclass
@@ -176,16 +170,13 @@ def backward(params: GcnParams, cache: ForwardCache,
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators plus the decayed learning-rate schedule."""
+    """Adam moments and the decayed learning-rate schedule (ADAM_* fixed)."""
 
     m: Gradients
     v: Gradients
     step: int = 0
-    base_lr: float = ADAM_DEFAULTS["base_lr"]
-    decay: float = ADAM_DEFAULTS["decay"]
-    beta1: float = ADAM_DEFAULTS["beta1"]
-    beta2: float = ADAM_DEFAULTS["beta2"]
-    eps: float = ADAM_DEFAULTS["eps"]
+    base_lr: float = BASE_LR
+    decay: float = LR_DECAY
 
     @classmethod
     def for_params(cls, params: GcnParams, **hyper) -> "AdamState":
@@ -216,15 +207,15 @@ def adam_step(params: GcnParams, grads: Gradients,
         return params, state
     lr = state.lr
     state.step += 1
-    b1c = 1.0 - state.beta1 ** state.step
-    b2c = 1.0 - state.beta2 ** state.step
+    b1c = 1.0 - ADAM_BETA1 ** state.step
+    b2c = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v in zip(weights, tensors, state.m.theta0 + state.m.theta1,
                           state.v.theta0 + state.v.theta1):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
     return params, state
 
 
@@ -232,44 +223,33 @@ def adam_step(params: GcnParams, grads: Gradients,
 #
 # Flat little-endian binary layout (documented contract):
 #
-#   offset 0   : 8-byte magic b"LNKSGCN1" (format version 1)
+#   offset 0   : 8-byte magic b"LNKSGCN2" (format version 2)
 #   next       : int32 L = number of layers
 #   next       : int32 * (L + 1) layer dimensions g_0 .. g_L
 #   next       : float64 leaky-ReLU negative slope
-#   next       : float64 * 5 Adam settings: base_lr, decay, beta1, beta2, eps
 #   next       : for l = 1..L: theta0^l then theta1^l, row-major float64
 #
-# Total size: 8 + 4*(L+2) + 8*6 + 8*2*sum(g_(l-1)*g_l) bytes.
+# Total size: 8 + 4*(L+2) + 8 + 8*2*sum(g_(l-1)*g_l) bytes.
 
-CHECKPOINT_MAGIC = b"LNKSGCN1"
+CHECKPOINT_MAGIC = b"LNKSGCN2"
 
 
 @dataclass
 class Checkpoint:
-    """Parameters plus the hyperparameters they were trained with."""
+    """A trained network: its parameters and leaky-ReLU slope."""
 
     params: GcnParams
     slope: float
-    base_lr: float
-    decay: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
 def save_checkpoint(path, params: GcnParams, *,
-                    slope: float = LEAKY_SLOPE,
-                    base_lr: float = ADAM_DEFAULTS["base_lr"],
-                    decay: float = ADAM_DEFAULTS["decay"],
-                    beta1: float = ADAM_DEFAULTS["beta1"],
-                    beta2: float = ADAM_DEFAULTS["beta2"],
-                    eps: float = ADAM_DEFAULTS["eps"]) -> None:
+                    slope: float = LEAKY_SLOPE) -> None:
     """Write a checkpoint in the documented flat binary layout."""
     dims = params.layer_dims
     parts = [CHECKPOINT_MAGIC,
              struct.pack("<i", len(dims) - 1),
              struct.pack(f"<{len(dims)}i", *dims),
-             struct.pack("<6d", slope, base_lr, decay, beta1, beta2, eps)]
+             struct.pack("<d", slope)]
     for t0, t1 in zip(params.theta0, params.theta1):
         parts.append(np.ascontiguousarray(t0, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(t1, dtype="<f8").tobytes())
@@ -277,9 +257,12 @@ def save_checkpoint(path, params: GcnParams, *,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`; a malformed,
-    truncated or overlong file raises ValueError naming the path."""
+    """Read a checkpoint written by :func:`save_checkpoint`; any other file
+    (format 1, malformed, truncated, overlong) raises ValueError naming it."""
     blob = Path(path).read_bytes()
+    if blob[:8] == b"LNKSGCN1":  # it held five Adam settings after the slope
+        raise ValueError(f"{path}: checkpoint format 1 is no longer read; "
+                         "retrain to write format 2")
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a scheduler checkpoint (bad magic)")
     off = 8
@@ -296,8 +279,11 @@ def load_checkpoint(path) -> Checkpoint:
     if layers < 1:
         raise ValueError(f"{path}: invalid layer count {layers}")
     dims = struct.unpack_from(f"<{layers + 1}i", blob, take(4 * (layers + 1)))
-    slope, base_lr, decay, beta1, beta2, eps = struct.unpack_from(
-        "<6d", blob, take(48))
+    if min(dims) < 1:
+        raise ValueError(f"{path}: invalid layer dimensions {dims}")
+    (slope,) = struct.unpack_from("<d", blob, take(8))
+    if not np.isfinite(slope):
+        raise ValueError(f"{path}: non-finite slope {slope}")
     theta0, theta1 = [], []
     for prev, cur in zip(dims[:-1], dims[1:]):
         count = prev * cur
@@ -307,5 +293,7 @@ def load_checkpoint(path) -> Checkpoint:
             dest.append(mat.astype(np.float64).reshape(prev, cur))
     if off != len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
-    params = GcnParams(dims, theta0, theta1)
-    return Checkpoint(params, slope, base_lr, decay, beta1, beta2, eps)
+    try:
+        return Checkpoint(GcnParams(dims, theta0, theta1), slope)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -81,15 +81,14 @@ class TrafficTrace:
 
 
 def sample_traffic(graph: ConflictGraph, horizon: int, arrival_rate: float,
-                   rng: np.random.Generator | int | None = None, *,
-                   rate_mean: float = RATE_MEAN, rate_std: float = RATE_STD,
-                   rate_clip: tuple[float, float] = RATE_CLIP) -> TrafficTrace:
+                   rng: np.random.Generator | int | None = None,
+                   ) -> TrafficTrace:
     """Draw a traffic trace: Poisson arrivals and clipped-normal link rates.
 
     Arrivals are Poisson(arrival_rate) i.i.d. per (slot, node). Rates are
-    normal(rate_mean, rate_std) clipped to ``rate_clip`` and rounded to
-    integers. Passing an int as ``rng`` seeds the draw and is recorded as
-    the trace's provenance.
+    normal(RATE_MEAN, RATE_STD) clipped to RATE_CLIP and rounded, for
+    training and evaluation alike. Passing an int as ``rng`` seeds the draw
+    and is recorded as the trace's provenance.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one slot")
@@ -100,8 +99,8 @@ def sample_traffic(graph: ConflictGraph, horizon: int, arrival_rate: float,
     gen = as_rng(rng)
     shape = (horizon, graph.node_count)
     arrivals = gen.poisson(arrival_rate, size=shape).astype(np.int64)
-    raw = gen.normal(rate_mean, rate_std, size=shape)
-    rates = np.rint(np.clip(raw, *rate_clip)).astype(np.int64)
+    raw = gen.normal(RATE_MEAN, RATE_STD, size=shape)
+    rates = np.rint(np.clip(raw, *RATE_CLIP)).astype(np.int64)
     return TrafficTrace(arrivals, rates, seed)
 
 
@@ -283,8 +282,8 @@ def load_trace(path, nodes: int) -> TrafficTrace:
     Fails closed: missing or non-integer metadata, a metadata node count
     other than ``nodes``, metadata promising more rows than the file has
     bytes for, a non-integer field, a ``(t, node)`` out of range or
-    repeated, and a file without one row per (slot, node) each raise
-    ValueError naming the path and line.
+    repeated, an arrival or rate outside [0, 2**63), and a file without one
+    row per (slot, node) each raise ValueError naming the path and line.
     """
     with open(path, newline="") as fh:
         meta_line = fh.readline().strip()
@@ -322,6 +321,9 @@ def load_trace(path, nodes: int) -> TrafficTrace:
             if not (0 <= t < horizon and 0 <= v < nodes):
                 raise ValueError(f"{path}: line {line}: (t, node) = "
                                  f"({t}, {v}) outside {horizon} x {nodes}")
+            if not (0 <= a < 2**63 and 0 <= r < 2**63):
+                raise ValueError(f"{path}: line {line}: arrival {a} and "
+                                 f"rate {r} must lie in [0, 2**63)")
             cell = t * nodes + v
             if seen[cell]:
                 raise ValueError(f"{path}: line {line}: duplicate row for "

@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .gcn import (ADAM_DEFAULTS, LEAKY_SLOPE, AdamState, GcnParams, Gradients,
-                  adam_step, backward, forward, identity_params, init_params,
-                  save_checkpoint)
+from .gcn import (BASE_LR, LEAKY_SLOPE, LR_DECAY, AdamState, GcnParams,
+                  Gradients, adam_step, backward, forward, identity_params,
+                  init_params, save_checkpoint)
 from .graph import ConflictGraph, as_rng
 from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
-from .sim import RATE_MEAN, RATE_STD, TrafficTrace, lookahead_compare, \
-    run_episode, sample_traffic
+from .sim import RATE_MEAN, TrafficTrace, lookahead_compare, run_episode, \
+    sample_traffic
 from .solvers import lgs
 
 DEFAULT_LOADS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
@@ -137,7 +137,8 @@ class TrainConfig:
     """Training knobs, the one schema of a training run: each field is a
     ``train --config`` key, parsed by its declared type. The defaults
     reproduce the delivered curriculum (mixed star/BA instances, 5-step
-    lookahead, Heaviside rewards, batch-64 replay, 6000 episodes)."""
+    lookahead, Heaviside rewards, batch-64 replay, 6000 episodes). The
+    traffic model (``sim``) and Adam's betas and eps (``gcn``) are fixed."""
 
     episodes: int = 6000
     horizon: int = 64
@@ -147,17 +148,12 @@ class TrainConfig:
     replay_capacity: int = 4096
     graph_mix: tuple[tuple[str, float], ...] = (("star30", 0.8), ("ba-m2", 0.2))
     loads: tuple[float, ...] = DEFAULT_LOADS
-    rate_mean: float = RATE_MEAN
-    rate_std: float = RATE_STD
     utility_kind: str = "product"
     layer_dims: tuple[int, ...] = (1, 1)
     leaky_slope: float = LEAKY_SLOPE
     init: str = "glorot"
-    base_lr: float = ADAM_DEFAULTS["base_lr"]
-    lr_decay: float = ADAM_DEFAULTS["decay"]
-    beta1: float = ADAM_DEFAULTS["beta1"]
-    beta2: float = ADAM_DEFAULTS["beta2"]
-    eps: float = ADAM_DEFAULTS["eps"]
+    base_lr: float = BASE_LR
+    lr_decay: float = LR_DECAY
     recompute_unscheduled: bool = False
     checkpoint_interval: int = 0
     seed: int = 0
@@ -171,6 +167,11 @@ class TrainConfig:
             raise ValueError("lookahead must be at least one step")
         if self.batch_size < 1 or self.replay_capacity < 1:
             raise ValueError("batch size and replay capacity must be positive")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint interval must be non-negative")
+        for name in ("base_lr", "lr_decay", "leaky_slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.phi not in ("heaviside", "linear"):
             raise ValueError(f"unknown phi kind: {self.phi!r}")
         if self.init not in ("glorot", "identity"):
@@ -180,7 +181,7 @@ class TrainConfig:
         if not self.graph_mix:
             raise ValueError("graph mix must name at least one family")
         total = sum(p for _, p in self.graph_mix)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"graph-mix proportions sum to {total}, expected 1")
         for name, prop in self.graph_mix:
             if prop < 0:
@@ -214,9 +215,7 @@ def sample_instance(config: TrainConfig, rng: np.random.Generator,
     graph = parse_graph_config(name).build(rng)
     mu = float(config.loads[int(rng.integers(len(config.loads)))])
     trace = sample_traffic(graph, config.horizon + config.lookahead,
-                           mu * config.rate_mean, rng,
-                           rate_mean=config.rate_mean,
-                           rate_std=config.rate_std)
+                           mu * RATE_MEAN, rng)
     return name, graph, trace
 
 
@@ -301,12 +300,15 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
     master = np.random.default_rng(config.seed)
     params = initial_params(config, np.random.default_rng(master.integers(2**63)))
     state = AdamState.for_params(params, base_lr=config.base_lr,
-                                 decay=config.lr_decay, beta1=config.beta1,
-                                 beta2=config.beta2, eps=config.eps)
+                                 decay=config.lr_decay)
     buffer = ReplayBuffer(config.replay_capacity)
     out_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+
+    def save(name: str) -> None:
+        save_checkpoint(out_dir / name, params, slope=config.leaky_slope)
+
     log: list[dict] = []
     for episode in range(config.episodes):
         ep_rng = np.random.default_rng(master.integers(2**63))
@@ -318,7 +320,7 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
         loss, grads = batch_gradients(config, params, batch)
         if not math.isfinite(loss):
             if out_dir is not None:
-                _write_checkpoint(out_dir / "diagnostic.ckpt", params, config)
+                save("diagnostic.ckpt")
             raise RuntimeError(f"non-finite loss at episode {episode}; "
                                "diagnostic checkpoint written"
                                if out_dir is not None else
@@ -330,18 +332,10 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
                     "lr": lr, "graph_model": model})
         if (out_dir is not None and config.checkpoint_interval > 0
                 and (episode + 1) % config.checkpoint_interval == 0):
-            _write_checkpoint(out_dir / f"checkpoint_ep{episode + 1:05d}.ckpt",
-                              params, config)
+            save(f"checkpoint_ep{episode + 1:05d}.ckpt")
     if out_dir is not None:
-        _write_checkpoint(out_dir / "checkpoint.ckpt", params, config)
+        save("checkpoint.ckpt")
     return TrainResult(params, log)
-
-
-def _write_checkpoint(path: Path, params: GcnParams,
-                      config: TrainConfig) -> None:
-    save_checkpoint(path, params, slope=config.leaky_slope,
-                    base_lr=config.base_lr, decay=config.lr_decay,
-                    beta1=config.beta1, beta2=config.beta2, eps=config.eps)
 
 
 def write_training_log(log: list[dict], path) -> None:

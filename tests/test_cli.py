@@ -9,9 +9,10 @@ import pytest
 
 import linksched.cli as cli
 from linksched.cli import (ConfigError, ExperimentConfig, cmd_eval,
-                           cmd_generate, cmd_report, cmd_toy, main,
-                           parse_kv_text, train_config_from_kv)
-from linksched.gcn import identity_params, load_checkpoint, save_checkpoint
+                           cmd_generate, cmd_report, cmd_toy, config_text,
+                           main, parse_kv_text, train_config_from_kv)
+from linksched.gcn import (identity_params, init_params, load_checkpoint,
+                           save_checkpoint)
 from linksched.graph import generate_star
 from linksched.sim import sample_traffic, save_trace
 from linksched.solvers import lgs
@@ -19,17 +20,26 @@ from linksched.train import TrainConfig
 
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
 
-
-def config_text(value) -> str:
-    """A TrainConfig value written as ``train --config`` value text."""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, tuple) and value and isinstance(value[0], str):
-        name, weight = value
-        return f"{name}:{weight!r}"
-    if isinstance(value, tuple):
-        return ",".join(config_text(item) for item in value)
-    return repr(value) if isinstance(value, float) else str(value)
+# every TrainConfig key, each (but init) away from its default
+ALL_KEYS_CONFIG = """\
+episodes = 3
+horizon = 6
+lookahead = 2
+phi = linear
+batch_size = 4
+replay_capacity = 10
+graph_mix = star5:0.5,ba-m2:0.5
+loads = 0.03,0.06
+utility_kind = min
+layer_dims = 1,3,1
+leaky_slope = 0.1
+init = glorot
+base_lr = 0.002
+lr_decay = 0.99
+recompute_unscheduled = yes
+checkpoint_interval = 2
+seed = 9
+"""
 
 
 def dir_checksums(root: Path) -> dict:
@@ -95,6 +105,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(
                 f"my.cfg: bad value for {name}: '?'")):
             train_config_from_kv({name: "?"}, source="my.cfg")
+
+    def test_all_keys_config_sets_every_key(self):
+        kv = parse_kv_text(ALL_KEYS_CONFIG)
+        assert list(kv) == TRAIN_FIELDS
+        config = train_config_from_kv(kv)
+        assert [name for name in TRAIN_FIELDS if getattr(config, name)
+                == getattr(TrainConfig(), name)] == ["init"]
 
     def test_schema_type_without_parser_refused(self):
         with pytest.raises(TypeError, match="no config parser"):
@@ -465,3 +482,170 @@ class TestMainEntry:
         assert rc == 1
         err = capsys.readouterr().err
         assert "line 1" in err or "bad value" in err
+
+    @pytest.mark.parametrize("config", [None, ALL_KEYS_CONFIG],
+                             ids=["default", "all-keys"])
+    def test_config_txt_reproduces_run(self, tmp_path, capsys, config):
+        # config.txt records the effective config, overrides included, and
+        # training from it rewrites the run byte for byte
+        argv = ["train", "--episodes", "2", "--seed", "5"]
+        if config is not None:
+            (tmp_path / "in.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "in.cfg")]
+        first = tmp_path / "first"
+        assert main(argv + ["--out", str(first)]) == 0
+        text = (first / "config.txt").read_text()
+        assert [line.split(" = ")[0] for line in text.splitlines()] \
+            == TRAIN_FIELDS
+        assert "episodes = 2\n" in text and "seed = 5\n" in text
+        again = tmp_path / "again"
+        assert main(["train", "--config", str(first / "config.txt"),
+                     "--out", str(again)]) == 0
+        assert {"config.txt", "training_log.csv", "checkpoint.ckpt"} \
+            <= {path.name for path in first.iterdir()}
+        assert dir_checksums(again) == dir_checksums(first)
+
+    def test_failed_generate_leaves_no_manifest(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        out.mkdir()
+        (out / "manifest.txt").write_text("config = star5\n")  # a stale one
+        assert main(["generate", "--config", "star5", "--instances", "2",
+                     "--horizon", "100000000000000", "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+        capsys.readouterr()
+        assert main(["eval", "--instances", str(out), "--policies",
+                     "baseline"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'manifest.txt'}: not found (run generate first)\n")
+
+    def test_format_1_checkpoint_refused(self, small_instances, tmp_path,
+                                         capsys):
+        _, instances = small_instances
+        ckpt = tmp_path / "old.ckpt"
+        save_checkpoint(ckpt, identity_params())
+        blob = ckpt.read_bytes()
+        # format 1 kept five Adam settings after the slope
+        ckpt.write_bytes(b"LNKSGCN1" + blob[8:28] + bytes(40) + blob[28:])
+        assert main(["eval", "--instances", str(instances), "--checkpoint",
+                     str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: checkpoint format 1 ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,0,100000000000000000000000,5", "line 3: arrival"),
+        ("0,0,-1,5", "line 3: arrival -1"),
+    ], ids=["overflow", "negative"])
+    def test_trace_field_out_of_int64_names_line(self, small_instances,
+                                                 capsys, row, message):
+        _, instances = small_instances
+        trace = instances / "instance_0000" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        lines[2] = row
+        trace.write_text("".join(f"{line}\n" for line in lines))
+        assert main(["eval", "--instances", str(instances), "--policies",
+                     "baseline"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: {message}")
+        assert "Traceback" not in err
+
+    def test_replay_capacity_overflow_fails_closed(self, tmp_path, capsys):
+        conf = tmp_path / "train.cfg"
+        conf.write_text("replay_capacity = 100000000000000000000\n")
+        assert main(["train", "--config", str(conf), "--episodes", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def junk_variants(lines: list[str]):
+    """(case id, edited lines) pairs: the file truncated after each line
+    count, each line replaced by junk, and each line's last field replaced
+    by an integer that does not fit in int64."""
+    for k in range(len(lines)):
+        yield f"truncate-{k}", lines[:k]
+        yield f"junk-{k}", lines[:k] + ["junk"] + lines[k + 1:]
+        huge = re.sub(r"[^=, ]*$", str(10**23), lines[k])
+        yield f"huge-{k}", lines[:k] + [huge] + lines[k + 1:]
+
+
+class TestFuzz:
+    """Every corruption of an input exits 0 or 1, never with an uncaught
+    exception, and a failure is one ``error:`` line."""
+
+    def outcome(self, capsys, argv) -> int:
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1), argv
+        if rc == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        return rc
+
+    @pytest.fixture
+    def eval_inputs(self, tmp_path):
+        instances = tmp_path / "inst"
+        cmd_generate(ExperimentConfig("star5", (0.07,), instances=1,
+                                      horizon=3, seed=2), instances)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params((1, 1), 0))
+        argv = ["eval", "--instances", str(instances), "--policies",
+                "baseline,gcn", "--checkpoint", str(ckpt)]
+        return instances, ckpt, argv
+
+    @pytest.mark.parametrize("name", ["manifest.txt",
+                                      "instance_0000/graph.txt",
+                                      "instance_0000/trace.csv"])
+    def test_eval_text_inputs(self, eval_inputs, capsys, name):
+        instances, _, argv = eval_inputs
+        path = instances / name
+        good = path.read_text().splitlines()
+        assert self.outcome(capsys, argv) == 0
+        outcomes = {}
+        for case, lines in junk_variants(good):
+            path.write_text("".join(f"{line}\n" for line in lines))
+            outcomes[case] = self.outcome(capsys, argv)
+        path.write_text("".join(f"{line}\n" for line in good))
+        # what a corrupted file may still mean: a graph cut after an edge
+        # is a graph with fewer edges (an edgeless one has no
+        # centralization); eval reads no manifest seed and sizes nothing by
+        # its instance count or horizon
+        valid = {
+            "manifest.txt": {"truncate-4", "huge-1", "huge-2", "huge-4"},
+            "instance_0000/graph.txt": {f"truncate-{k}"
+                                        for k in range(2, len(good))},
+            "instance_0000/trace.csv": set(),
+        }[name]
+        assert {case for case, rc in outcomes.items() if rc == 0} == valid
+
+    def test_eval_checkpoint(self, eval_inputs, capsys):
+        _, ckpt, argv = eval_inputs
+        good = ckpt.read_bytes()
+        fields_at = [(0, 8), (8, 12), (12, 16), (16, 20), (20, 28), (28, 36),
+                     (36, 44)]  # magic, L, g_0, g_1, slope, theta0, theta1
+        assert len(good) == 44
+        for cut in range(len(good)):
+            ckpt.write_bytes(good[:cut])
+            assert self.outcome(capsys, argv) == 1
+        for start, end in fields_at:
+            ckpt.write_bytes(good[:start] + b"\xff" * (end - start)
+                             + good[end:])
+            assert self.outcome(capsys, argv) == 1
+
+    def test_train_config(self, tmp_path, capsys):
+        conf = tmp_path / "train.cfg"
+        good = ["horizon = 3", "graph_mix = star5:1.0", "lookahead = 2",
+                "batch_size = 4", "replay_capacity = 8", "layer_dims = 1,2,1",
+                "loads = 0.05", "checkpoint_interval = 1", "seed = 1",
+                "base_lr = 0.01"]
+        argv = ["train", "--config", str(conf), "--episodes", "1", "--out",
+                str(tmp_path / "out")]
+        outcomes = {}
+        for case, lines in junk_variants(good):
+            conf.write_text("".join(f"{line}\n" for line in lines))
+            outcomes[case] = self.outcome(capsys, argv)
+        # any prefix is a config; a batch larger than the buffer shrinks to
+        # it, and a huge checkpoint interval, seed or finite lr is valid
+        assert {case for case, rc in outcomes.items() if rc == 0} == \
+            {f"truncate-{k}" for k in range(len(good))} | \
+            {"huge-3", "huge-7", "huge-8", "huge-9"}

@@ -1,13 +1,16 @@
 import logging
+import re
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksched.gcn import (AdamState, GcnParams, Gradients, adam_step,
-                           backward, forward, identity_params, init_params,
-                           load_checkpoint, save_checkpoint)
+from linksched.gcn import (AdamState, Checkpoint, GcnParams, Gradients,
+                           adam_step, backward, forward, identity_params,
+                           init_params, load_checkpoint, save_checkpoint)
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
                              generate_star, normalized_laplacian)
 from linksched.solvers import lgs
@@ -275,15 +278,57 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         params = init_params([1, 5, 1], 11)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, slope=0.3, base_lr=2e-3, decay=0.99,
-                        beta1=0.8, beta2=0.95, eps=1e-7)
+        save_checkpoint(path, params, slope=0.3)
         ckpt = load_checkpoint(path)
         assert ckpt.params.layer_dims == (1, 5, 1)
         for a, b in zip(ckpt.params.theta0 + ckpt.params.theta1,
                         params.theta0 + params.theta1):
             assert np.array_equal(a, b)
-        assert (ckpt.slope, ckpt.base_lr, ckpt.decay) == (0.3, 2e-3, 0.99)
-        assert (ckpt.beta1, ckpt.beta2, ckpt.eps) == (0.8, 0.95, 1e-7)
+        assert ckpt.slope == 0.3
+
+    def test_holds_only_the_network(self, tmp_path):
+        # format 2: magic, L, dims, slope, weights; nothing of the optimizer
+        params = init_params([1, 5, 1], 11)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, slope=0.3)
+        weights = b"".join(t.astype("<f8").tobytes() for pair in
+                           zip(params.theta0, params.theta1) for t in pair)
+        assert path.read_bytes() == (
+            b"LNKSGCN2" + struct.pack("<4i", 2, 1, 5, 1)
+            + struct.pack("<d", 0.3) + weights)
+        assert [f.name for f in fields(Checkpoint)] == ["params", "slope"]
+
+    def test_format_1_refused(self, tmp_path):
+        # the format-1 layout: the slope followed by five Adam settings
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"LNKSGCN1" + struct.pack("<3i", 1, 1, 1)
+                         + struct.pack("<8d", 0.2, 1e-3, 0.999, 0.9, 0.999,
+                                       1e-8, 1.0, 0.0))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: checkpoint format 1 ")) as err:
+            load_checkpoint(path)
+        assert "retrain" in str(err.value)
+
+    @pytest.mark.parametrize("dims, slope, weights, message", [
+        pytest.param((1, 0), 0.2, (), "invalid layer dimensions", id="dim-0"),
+        pytest.param((-1, 1), 0.2, (1.0, 0.0), "invalid layer dimensions",
+                     id="dim-negative"),
+        pytest.param((1, 1), float("nan"), (1.0, 0.0), "non-finite slope",
+                     id="slope-nan"),
+        pytest.param((1, 1), 0.2, (float("inf"), 0.0), "non-finite entries",
+                     id="weight-inf"),
+        pytest.param((1, 2), 0.2, (1.0,) * 4, "output dimension",
+                     id="output-2"),
+    ])
+    def test_invalid_network_names_path(self, tmp_path, dims, slope, weights,
+                                        message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"LNKSGCN2" + struct.pack(
+            f"<{len(dims) + 1}i", len(dims) - 1, *dims)
+            + struct.pack(f"<{len(weights) + 1}d", slope, *weights))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")
+                           + ".*" + message):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -303,7 +348,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params([1, 3, 1], 0))
         blob = path.read_bytes()
-        header = 8 + 4 * (2 + 2) + 8 * 6  # magic, L, g_0..g_2, six floats
+        header = 8 + 4 * (2 + 2) + 8  # magic, L, g_0..g_2, slope
         for cut in range(header + 1):
             path.write_bytes(blob[:cut])
             expected = "truncated checkpoint" if cut >= 8 else "bad magic"

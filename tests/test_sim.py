@@ -329,6 +329,12 @@ class TestPersistence:
                      1, id="meta-horizon-oversized"),
         pytest.param({0: "# seed=1 nodes=3 horizon=2"}, 1,
                      id="meta-nodes-mismatch"),
+        # fields outside int64, or negative, are refused at their line
+        pytest.param({2: "0,0,100000000000000000000000,5"}, 3,
+                     id="arrival-overflow"),
+        pytest.param({3: "0,1,0,9223372036854775808"}, 4, id="rate-overflow"),
+        pytest.param({4: "1,0,-1,5"}, 5, id="arrival-negative"),
+        pytest.param({5: "1,1,0,-5"}, 6, id="rate-negative"),
     ])
     def test_malformed_trace_rejected(self, tmp_path, edits, line):
         lines = [edits.get(i, text) for i, text in enumerate(self.GOOD_TRACE)]

@@ -6,7 +6,8 @@ from linksched.gcn import (AdamState, adam_step, backward, forward,
 from linksched.graph import generate_er, generate_star, normalized_laplacian
 from linksched import policies
 from linksched.policies import GcnLgsPolicy, SolverPolicy
-from linksched.sim import run_episode, sample_traffic
+from linksched import train as train_module
+from linksched.sim import RATE_MEAN, TrafficTrace, run_episode, sample_traffic
 from linksched.solvers import Schedule, baseline_utility, lgs
 from linksched.train import (ExperienceTuple, ReplayBuffer, TrainConfig,
                              batch_gradients, collect_episode, compute_reward,
@@ -241,8 +242,8 @@ class TestCollectEpisode:
         config = small_config(horizon=24, lookahead=3)
         params = init_params(config.layer_dims, 7)
         g = generate_er(12, 0.3, 4)
-        trace = sample_traffic(g, config.horizon + config.lookahead, 20.0, 5,
-                               rate_clip=(1.0, 100.0))
+        drawn = sample_traffic(g, config.horizon + config.lookahead, 20.0, 5)
+        trace = TrafficTrace(drawn.arrivals, np.maximum(drawn.rates, 1))
         tuples = collect_episode(config, params, g, trace)
         result = run_episode(g, GcnLgsPolicy(params), trace,
                              steps=config.horizon)
@@ -383,6 +384,28 @@ class TestTrain:
             small_config(graph_mix=(("star5", 0.5),)).validate()
         with pytest.raises(ValueError):
             small_config(graph_mix=(("nonsense", 1.0),)).validate()
+
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param(dict(checkpoint_interval=-1), "checkpoint interval",
+                     id="checkpoint_interval"),
+        pytest.param(dict(base_lr=float("nan")), "base_lr", id="base_lr"),
+        pytest.param(dict(lr_decay=float("inf")), "lr_decay", id="lr_decay"),
+        pytest.param(dict(leaky_slope=-float("inf")), "leaky_slope",
+                     id="leaky_slope"),
+        pytest.param(dict(graph_mix=(("star5", float("nan")),)), "sum to nan",
+                     id="graph_mix-nan"),
+    ])
+    def test_validate_refuses(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides).validate()
+
+    def test_arrival_rate_is_generates(self, monkeypatch):
+        # training draws traffic as generate does: at rate mu * RATE_MEAN
+        seen = []
+        monkeypatch.setattr(train_module, "sample_traffic",
+                            lambda graph, steps, rate, rng: seen.append(rate))
+        sample_instance(small_config(loads=(0.04,)), np.random.default_rng(8))
+        assert seen == [0.04 * RATE_MEAN]
 
     def test_checkpoints_written(self, tmp_path):
         config = small_config(episodes=4, checkpoint_interval=2)

@@ -59,17 +59,12 @@ batch_size = 16
 replay_capacity = 100
 graph_mix = star10:0.5,ba-m2:0.5
 loads = 0.03,0.06
-rate_mean = 40.0
-rate_std = 8.0
 utility_kind = min
 layer_dims = 1,4,1
 leaky_slope = 0.1
 init = glorot
 base_lr = 0.002
 lr_decay = 0.99
-beta1 = 0.8
-beta2 = 0.99
-eps = 1e-7
 recompute_unscheduled = yes
 checkpoint_interval = 4
 seed = 9
