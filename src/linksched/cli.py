@@ -242,12 +242,15 @@ def _ratio(value: float, reference: float) -> float:
 
 @dataclass
 class EvaluationReport:
-    """Per-instance metrics and approximation ratios for each policy."""
+    """Per-instance metrics and approximation ratios for each policy;
+    ``summary`` holds :meth:`aggregate`'s rows once :func:`cmd_eval` has
+    computed them."""
 
     config_name: str
     metrics: list[dict] = field(default_factory=list)
     ars: list[dict] = field(default_factory=list)
     centralization_mean: float = float("nan")
+    summary: list[dict] = field(default_factory=list)
 
     def aggregate(self) -> list[dict]:
         """Mean and quartiles of the per-instance ARs, per policy and metric."""
@@ -263,14 +266,13 @@ class EvaluationReport:
                     per_metric["p95"].append(row["ar_p95"])
             for metric, values in per_metric.items():
                 arr = np.asarray(values, dtype=np.float64)
+                q25, median, q75 = np.percentile(arr, [25, 50, 75])
                 rows.append({
                     "config": self.config_name, "instances": count,
                     "centralization": self.centralization_mean,
                     "policy": policy, "metric": metric,
-                    "ar_mean": float(arr.mean()),
-                    "ar_q25": float(np.percentile(arr, 25)),
-                    "ar_median": float(np.percentile(arr, 50)),
-                    "ar_q75": float(np.percentile(arr, 75)),
+                    "ar_mean": float(arr.mean()), "ar_q25": float(q25),
+                    "ar_median": float(median), "ar_q75": float(q75),
                 })
         return rows
 
@@ -283,7 +285,8 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
     replayed by every policy. Trace arrays are read-only, so a policy that
     writes into its rates fails with ValueError instead of changing what
     later policies replay. Approximation ratios are each policy's backlog
-    metrics divided by the baseline's.
+    metrics divided by the baseline's. The report's ``summary`` is
+    aggregated once, for ``summary.csv`` and the caller alike.
     """
     config.validate()
     instance_dirs = sorted(p for p in Path(instances_dir).glob("instance_*")
@@ -321,6 +324,7 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
                     "trace_checksum": checksum,
                 })
     report.centralization_mean = float(np.mean(centralizations))
+    report.summary = report.aggregate()
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(out_dir / "per_instance.csv", PER_INSTANCE_HEADER,
@@ -328,7 +332,7 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
         if report.ars:
             _write_csv(out_dir / "ars.csv", AR_HEADER, report.ars)
             _write_csv(out_dir / "summary.csv", SUMMARY_HEADER,
-                       report.aggregate())
+                       report.summary)
     return report
 
 
@@ -517,7 +521,7 @@ def _run(args: argparse.Namespace) -> int:
             raise ConfigError(f"{manifest}: missing key {exc.args[0]!r}") \
                 from None
         out = Path(args.out) if args.out else None
-        _print_ars(cmd_eval(config, instances_dir, out).aggregate())
+        _print_ars(cmd_eval(config, instances_dir, out).summary)
         return 0
 
     if args.command == "toy":

@@ -4,10 +4,18 @@ Vertices of a conflict graph are wireless links; an edge joins two links
 that interfere and therefore cannot transmit in the same time slot. A graph
 is stored once, as compressed sparse rows (CSR); every kernel reads those
 two arrays or a layout cached from them.
+
+Instance files are read and written as whole columns: :func:`read_int_rows`
+parses a text table of integers in one call to numpy's C reader, and
+:func:`scan_int_rows`, its line-by-line twin, runs only after a refusal to
+name the offending line. ``graph.txt`` and ``sim``'s ``trace.csv`` both use
+them.
 """
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -64,10 +72,13 @@ class ConflictGraph:
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "ConflictGraph":
-        """Build a graph from an iterable of (i, j) pairs; repeated and
-        mirrored pairs name one edge. A self-loop or an endpoint outside
-        0..node_count-1 raises ValueError naming the first such pair."""
-        pairs = np.array([(i, j) for i, j in edges], dtype=np.intp).reshape(-1, 2)
+        """Build a graph from an iterable of (i, j) pairs or an (E, 2)
+        array; repeated and mirrored pairs name one edge. A self-loop or an
+        endpoint outside 0..node_count-1 raises ValueError naming the first
+        such pair."""
+        if not isinstance(edges, np.ndarray):
+            edges = [(i, j) for i, j in edges]
+        pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
         i, j = pairs.T
         bad = (i == j) | ((pairs < 0) | (pairs >= node_count)).any(axis=1)
         if bad.any():
@@ -90,11 +101,15 @@ class ConflictGraph:
     def edge_count(self) -> int:
         return self.indices.size // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (i, j) pairs with i < j, sorted."""
+    def edge_array(self) -> np.ndarray:
+        """All edges as an (E, 2) array of (i, j) rows with i < j, sorted."""
         rows = np.repeat(np.arange(self.node_count), self.degrees)
         upper = rows < self.indices
-        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+        return np.column_stack([rows[upper], self.indices[upper]])
+
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges as (i, j) pairs with i < j, sorted."""
+        return list(map(tuple, self.edge_array().tolist()))
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -243,25 +258,117 @@ def is_independent_mask(graph: ConflictGraph, members) -> bool:
     return not (np.repeat(m, graph.degrees) & m[graph.indices]).any()
 
 
+# --- integer text tables ------------------------------------------------------
+
+INT64_MAX = 2**63 - 1
+
+
+def _loadtxt_int64(lines, delimiter: str | None) -> np.ndarray:
+    """``np.loadtxt`` of int64 rows, with any warning raised as an error:
+    numpy 1.x reads a field such as ``1.0`` as 1 and only warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, dtype=np.int64, delimiter=delimiter,
+                          comments=None, ndmin=2)
+
+
+def read_int_rows(text: str, width: int,
+                  delimiter: str | None = None) -> np.ndarray | None:
+    """The lines of ``text`` as an (R, width) int64 array, parsed in one
+    ``np.loadtxt`` call (numpy's C reader), or None when that reader refuses
+    a line or the rows are not ``width`` fields wide.
+
+    Fields are split at ``delimiter``, or at runs of whitespace when it is
+    None. The reader skips empty lines, and with a None delimiter also
+    whitespace-only ones; a caller that refuses blank lines compares the row
+    count with the line count. :func:`scan_int_rows` names a refused line.
+    """
+    if not text or text.isspace():  # loadtxt would warn about no data
+        return np.empty((0, width), dtype=np.int64)
+    try:
+        rows = _loadtxt_int64(io.StringIO(text), delimiter)
+    except (ValueError, Warning):
+        return None
+    return rows if rows.shape[1] == width else None
+
+
+def scan_int_rows(text: str, width: int, delimiter: str | None = None,
+                  skip_blank: bool = False):
+    """Line-by-line twin of :func:`read_int_rows`, run after it refused
+    ``text``, to name the refused line.
+
+    Lines end at ``\\n``. Each line must split into ``width`` fields that
+    numpy's reader parses alone; a row of integers that only misses int64
+    is kept as ``int()`` reads it, for the caller's range checks to name.
+    Blank lines are refused unless ``skip_blank``, which skips
+    whitespace-only lines. Returns ``(rows, lines, stop)``: the rows before
+    the first refused line as an (R, width) object array of Python ints,
+    their 0-based line indices, and that line as (index, text), or None.
+    """
+    pieces = text.split("\n")
+    if pieces[-1] == "":
+        pieces.pop()
+    rows, lines, stop = [], [], None
+    for k, line in enumerate(pieces):
+        if skip_blank and not line.strip():
+            continue
+        fields = line.split(delimiter)
+        row = []
+        if len(fields) == width:
+            try:
+                row = _loadtxt_int64([line], delimiter).ravel().tolist()
+            except (ValueError, Warning):
+                try:
+                    ints = [int(field) for field in fields]
+                except ValueError:
+                    ints = []
+                if any(not -INT64_MAX - 1 <= x <= INT64_MAX for x in ints):
+                    row = ints
+        if len(row) != width:
+            stop = (k, line)
+            break
+        rows.append(row)
+        lines.append(k)
+    return np.array(rows, dtype=object).reshape(-1, width), lines, stop
+
+
 def save_graph(graph: ConflictGraph, path) -> None:
-    """Write the edge-list text format: ``nodes <V>`` then one ``i j`` per line."""
-    lines = [f"nodes {graph.node_count}"]
-    lines.extend(f"{i} {j}" for i, j in graph.edges())
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the edge-list text format, byte for byte: ``nodes <V>\\n``,
+    then ``<i> <j>\\n`` per row of :meth:`ConflictGraph.edge_array` (i < j,
+    sorted), in decimal with one space; every line ends in ``\\n``."""
+    pairs = graph.edge_array()
+    text = "%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist())
+    Path(path).write_text(f"nodes {graph.node_count}\n{text}", newline="")
+
+
+def _edge_fault(pairs: np.ndarray, n: int) -> tuple[int, str] | None:
+    """(row, reason) of the first self-looped or out-of-range edge row."""
+    loop = pairs[:, 0] == pairs[:, 1]
+    bad = loop | ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    i, j = (int(x) for x in pairs[k])
+    if loop[k]:
+        return k, f"self-loop at node {i}"
+    return k, f"edge ({i},{j}) out of range for {n} nodes"
 
 
 def load_graph(path, max_nodes: int) -> ConflictGraph:
     """Read the edge-list text format written by :func:`save_graph`, for a
     caller that accepts graphs of at most ``max_nodes`` nodes.
 
-    A malformed header, a node count outside [1, max_nodes] (refused at line
-    1, before anything is sized by it), and a malformed, self-looped or
-    out-of-range edge each raise ValueError naming the path and line.
+    The edge lines are parsed in one :func:`read_int_rows` call; blank lines
+    are allowed. A malformed header, a node count outside [1, max_nodes]
+    (refused at line 1, before anything is sized by it), and a malformed,
+    self-looped or out-of-range edge each raise ValueError naming the path
+    and line.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    text = Path(path).read_text()
+    if not text:
         raise ValueError(f"{path}: empty graph file")
-    head = lines[0].split()
+    head_line, _, body = text.partition("\n")
+    head = head_line.split()
     if len(head) != 2 or head[0] != "nodes":
         raise ValueError(f"{path}: line 1: expected header 'nodes <V>'")
     try:
@@ -271,21 +378,16 @@ def load_graph(path, max_nodes: int) -> ConflictGraph:
     if not 1 <= n <= max_nodes:
         raise ValueError(f"{path}: line 1: node count {n} is outside "
                          f"[1, {max_nodes}]")
-    edges = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {ln}: expected 'i j' pair")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}: line {ln}: non-integer endpoint") from None
-        if i == j:
-            raise ValueError(f"{path}: line {ln}: self-loop at node {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"{path}: line {ln}: edge ({i},{j}) out of "
-                             f"range for {n} nodes")
-        edges.append((i, j))
-    return ConflictGraph.from_edges(n, edges)
+    pairs = read_int_rows(body, 2)
+    if pairs is None or _edge_fault(pairs, n) is not None:
+        pairs, lines, stop = scan_int_rows(body, 2, skip_blank=True)
+        fault = _edge_fault(pairs, n)
+        if fault is not None:
+            k, reason = fault
+            raise ValueError(f"{path}: line {lines[k] + 2}: {reason}")
+        if stop is not None:
+            k, line = stop
+            reason = "expected 'i j' pair" if len(line.split()) != 2 \
+                else "non-integer endpoint"
+            raise ValueError(f"{path}: line {k + 2}: {reason}")
+    return ConflictGraph.from_edges(n, pairs)

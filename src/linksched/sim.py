@@ -11,19 +11,25 @@ membership mask of any batch shape; only :func:`run_episode` and
 :func:`lookahead_compare` call it. :func:`lookahead_compare` is the one
 rollout loop: it rolls a batch of start states forward under two utility
 functions at once.
+
+Traces are stored as ``trace.csv``: :func:`save_trace` formats the whole
+(slot, node) column block in one string operation, and :func:`load_trace`
+parses it in one :func:`~linksched.graph.read_int_rows` call, then checks
+every row at once as array operations.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .graph import ConflictGraph, as_rng, is_independent_mask
+from .graph import (INT64_MAX, ConflictGraph, as_rng, is_independent_mask,
+                    read_int_rows, scan_int_rows)
 from .solvers import Schedule, lgs_rows
 
 # A scheduling policy maps (graph, queues, rates) to an independent set.
@@ -46,7 +52,8 @@ class TrafficTrace:
     integer seed the trace was drawn from, when one is known. The arrays are
     copied, checked once and then made read-only, so a trace stays
     non-negative for its whole life and no policy can change what a later
-    one replays.
+    one replays. Arrivals on one link may sum to at most 2**63 - 1 over the
+    horizon, so no int64 queue fed by them can overflow.
     """
 
     arrivals: np.ndarray
@@ -60,6 +67,12 @@ class TrafficTrace:
             raise ValueError("arrivals and rates must be equal-shape 2-D arrays")
         if (self.arrivals < 0).any() or (self.rates < 0).any():
             raise ValueError("arrivals and rates must be non-negative")
+        # a running sum of non-negative int64s first wraps to a negative
+        wrapped = np.cumsum(self.arrivals, axis=0) < 0
+        if wrapped.any():
+            t, v = np.argwhere(wrapped)[0]
+            raise ValueError(f"arrivals on link {v} sum past 2**63 - 1 by "
+                             f"slot {t}")
         self.arrivals.setflags(write=False)
         self.rates.setflags(write=False)
 
@@ -233,8 +246,8 @@ def backlog_stats(samples) -> tuple[float, float, float]:
     """(mean, median, 95th percentile) of the flattened samples, with
     percentiles computed by linear interpolation."""
     flat = np.asarray(samples, dtype=np.float64).ravel()
-    return (float(flat.mean()), float(np.percentile(flat, 50)),
-            float(np.percentile(flat, 95)))
+    median, p95 = np.percentile(flat, [50, 95])
+    return float(flat.mean()), float(median), float(p95)
 
 
 def compute_metrics(result: EpisodeResult) -> MetricsBundle:
@@ -260,82 +273,112 @@ def steady_state_mean(result: EpisodeResult, burn_in: int) -> float:
 # --- persistence --------------------------------------------------------------
 
 
+TRACE_HEADER = "t,node,arrival,rate"
+
+
 def save_trace(trace: TrafficTrace, path) -> None:
-    """CSV dump with seed metadata: a ``# seed=... nodes=... horizon=...``
-    comment line, a ``t,node,arrival,rate`` header, then one row per
-    (slot, node)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={trace.seed} nodes={trace.node_count} "
-                 f"horizon={trace.horizon}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "arrival", "rate"])
-        for t in range(trace.horizon):
-            for v in range(trace.node_count):
-                writer.writerow([t, v, int(trace.arrivals[t, v]),
-                                 int(trace.rates[t, v])])
+    """Write ``trace.csv``, byte for byte: the metadata line
+    ``# seed=<seed> nodes=<V> horizon=<T>\\n`` (seed ``None`` when unknown),
+    the header ``t,node,arrival,rate\\r\\n``, then one
+    ``<t>,<node>,<arrival>,<rate>\\r\\n`` row per (slot, node), slot-major,
+    all in decimal. The ``\\r\\n`` ends are those of the csv module's
+    writer, which wrote this format first."""
+    t, v = np.divmod(np.arange(trace.arrivals.size), trace.node_count)
+    block = np.column_stack([t, v, trace.arrivals.ravel(),
+                             trace.rates.ravel()])
+    rows = "%d,%d,%d,%d\r\n" * len(block) % tuple(block.ravel().tolist())
+    Path(path).write_text(
+        f"# seed={trace.seed} nodes={trace.node_count} "
+        f"horizon={trace.horizon}\n{TRACE_HEADER}\r\n{rows}", newline="")
+
+
+def _trace_fault(rows: np.ndarray, horizon: int,
+                 nodes: int) -> tuple[int, str] | None:
+    """(row, reason) of the first (t, node, arrival, rate) row, in file
+    order, with (t, node) outside horizon x nodes, an arrival or rate
+    outside [0, 2**63), or the (t, node) of an earlier row; None if none.
+    ``rows`` is int64, or object when a value may miss int64."""
+    t, v, a, r = rows.T
+    outside = (t < 0) | (t >= horizon) | (v < 0) | (v >= nodes)
+    negative = (a < 0) | (a > INT64_MAX) | (r < 0) | (r > INT64_MAX)
+    cell = np.where(outside, -1 - np.arange(len(rows)), t * nodes + v)
+    repeat = np.ones(len(rows), dtype=bool)
+    repeat[np.unique(cell, return_index=True)[1]] = False  # first of each
+    bad = outside | negative | repeat
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    tk, vk, ak, rk = (int(x) for x in rows[k])
+    if outside[k]:
+        return k, f"(t, node) = ({tk}, {vk}) outside {horizon} x {nodes}"
+    if negative[k]:
+        return k, f"arrival {ak} and rate {rk} must lie in [0, 2**63)"
+    return k, f"duplicate row for (t, node) = ({tk}, {vk})"
 
 
 def load_trace(path, nodes: int) -> TrafficTrace:
     """Read a trace written by :func:`save_trace` for a graph of ``nodes``
     nodes.
 
-    Fails closed: missing or non-integer metadata, a metadata node count
-    other than ``nodes``, metadata promising more rows than the file has
-    bytes for, a non-integer field, a ``(t, node)`` out of range or
-    repeated, an arrival or rate outside [0, 2**63), and a file without one
-    row per (slot, node) each raise ValueError naming the path and line.
+    The rows are parsed in one :func:`~linksched.graph.read_int_rows` call
+    and checked as arrays; only a refused parse scans line by line. Fails
+    closed: missing or non-integer metadata, a metadata node count other
+    than ``nodes``, metadata promising more rows than the file has bytes
+    for, a wrong header, a blank row, a row that is not four integers, a
+    ``(t, node)`` out of range or repeated, an arrival or rate outside
+    [0, 2**63), and a file without one row per (slot, node) each raise
+    ValueError naming the path and the first offending line in file order;
+    arrivals on one link summing past 2**63 - 1 raise one naming the path.
     """
-    with open(path, newline="") as fh:
-        meta_line = fh.readline().strip()
-        if not meta_line.startswith("#"):
-            raise ValueError(f"{path}: line 1: missing trace metadata comment")
-        try:
-            meta = dict(part.split("=", 1) for part in meta_line[1:].split())
-            seed = None if meta.get("seed") in (None, "None") \
-                else int(meta["seed"])
-            meta_nodes, horizon = int(meta["nodes"]), int(meta["horizon"])
-        except (KeyError, ValueError):
-            raise ValueError(f"{path}: line 1: trace metadata needs integer "
-                             "nodes and horizon") from None
-        if meta_nodes != nodes or horizon < 1:
-            raise ValueError(f"{path}: line 1: trace of {horizon} slots x "
-                             f"{meta_nodes} nodes; the graph has {nodes}")
-        size = horizon * nodes
-        # every row takes at least "0,0,0,0\n": refuse before allocating
-        if 8 * size > os.fstat(fh.fileno()).st_size:
-            raise ValueError(f"{path}: line 1: {horizon} x {nodes} rows "
-                             "cannot fit in the file")
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "node", "arrival", "rate"]:
-            raise ValueError(f"{path}: line 2: unexpected trace header")
-        arrivals, rates, seen = [0] * size, [0] * size, bytearray(size)
-        for row in reader:
-            # the metadata line was read before the CSV reader started
-            line = reader.line_num + 1
-            try:
-                t, v, a, r = map(int, row)
-            except ValueError:
-                raise ValueError(f"{path}: line {line}: expected four "
-                                 "integer fields") from None
-            if not (0 <= t < horizon and 0 <= v < nodes):
-                raise ValueError(f"{path}: line {line}: (t, node) = "
-                                 f"({t}, {v}) outside {horizon} x {nodes}")
-            if not (0 <= a < 2**63 and 0 <= r < 2**63):
-                raise ValueError(f"{path}: line {line}: arrival {a} and "
-                                 f"rate {r} must lie in [0, 2**63)")
-            cell = t * nodes + v
-            if seen[cell]:
-                raise ValueError(f"{path}: line {line}: duplicate row for "
-                                 f"(t, node) = ({t}, {v})")
-            seen[cell] = 1
-            arrivals[cell] = a
-            rates[cell] = r
-        missing = seen.count(0)
-        if missing:
-            raise ValueError(f"{path}: line {reader.line_num + 1}: "
-                             f"{missing} of {size} (t, node) rows missing")
-    shape = (horizon, nodes)
-    return TrafficTrace(np.array(arrivals).reshape(shape),
-                        np.array(rates).reshape(shape), seed)
-
+    with open(path) as fh:
+        file_bytes = os.fstat(fh.fileno()).st_size
+        text = fh.read()
+    meta_line, _, rest = text.partition("\n")
+    meta_line = meta_line.strip()
+    if not meta_line.startswith("#"):
+        raise ValueError(f"{path}: line 1: missing trace metadata comment")
+    try:
+        meta = dict(part.split("=", 1) for part in meta_line[1:].split())
+        seed = None if meta.get("seed") in (None, "None") \
+            else int(meta["seed"])
+        meta_nodes, horizon = int(meta["nodes"]), int(meta["horizon"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: line 1: trace metadata needs integer "
+                         "nodes and horizon") from None
+    if meta_nodes != nodes or horizon < 1:
+        raise ValueError(f"{path}: line 1: trace of {horizon} slots x "
+                         f"{meta_nodes} nodes; the graph has {nodes}")
+    size = horizon * nodes
+    # every row takes at least "0,0,0,0\n": refuse before allocating
+    if 8 * size > file_bytes:
+        raise ValueError(f"{path}: line 1: {horizon} x {nodes} rows "
+                         "cannot fit in the file")
+    header, _, body = rest.partition("\n")
+    if header != TRACE_HEADER:
+        raise ValueError(f"{path}: line 2: unexpected trace header")
+    line_count = body.count("\n") + (body[-1:] not in ("", "\n"))
+    rows, stop = read_int_rows(body, 4, ","), None
+    # the reader skips blank lines, which a trace refuses
+    if rows is None or len(rows) != line_count:
+        rows, _, stop = scan_int_rows(body, 4, ",")
+    # rows before any refused line sit on consecutive lines from line 3
+    fault = _trace_fault(rows, horizon, nodes)
+    if fault is not None:
+        k, reason = fault
+        raise ValueError(f"{path}: line {k + 3}: {reason}")
+    if stop is not None:
+        raise ValueError(f"{path}: line {stop[0] + 3}: expected four "
+                         "integer fields")
+    if len(rows) < size:
+        raise ValueError(f"{path}: line {len(rows) + 2}: "
+                         f"{size - len(rows)} of {size} (t, node) rows "
+                         "missing")
+    t, v, a, r = np.asarray(rows, dtype=np.int64).T
+    cell = t * nodes + v
+    arrivals, rates = np.empty(size, np.int64), np.empty(size, np.int64)
+    arrivals[cell], rates[cell] = a, r
+    try:
+        return TrafficTrace(arrivals.reshape(horizon, nodes),
+                            rates.reshape(horizon, nodes), seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -30,6 +30,11 @@ from .sim import RATE_MEAN, TrafficTrace, lookahead_compare, run_episode, \
 from .solvers import lgs
 
 DEFAULT_LOADS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
+# The largest value of each size key (for ``layer_dims``, of each width), so
+# an absurd size is refused by name before anything is built from it.
+# ``batch_size`` needs no cap: a batch shrinks to the replay buffer.
+SIZE_CAPS = {"horizon": 100_000, "lookahead": 1_000,
+             "replay_capacity": 1_000_000, "layer_dims": 4_096}
 
 
 @dataclass
@@ -167,6 +172,11 @@ class TrainConfig:
             raise ValueError("lookahead must be at least one step")
         if self.batch_size < 1 or self.replay_capacity < 1:
             raise ValueError("batch size and replay capacity must be positive")
+        for name, cap in SIZE_CAPS.items():
+            value = getattr(self, name)
+            if any(v > cap for v in (value if isinstance(value, tuple)
+                                     else (value,))):
+                raise ValueError(f"{name} must be at most {cap}")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint interval must be non-negative")
         for name in ("base_lr", "lr_decay", "leaky_slope"):

@@ -16,7 +16,7 @@ from linksched.gcn import (identity_params, init_params, load_checkpoint,
 from linksched.graph import generate_star
 from linksched.sim import sample_traffic, save_trace
 from linksched.solvers import lgs
-from linksched.train import TrainConfig
+from linksched.train import SIZE_CAPS, TrainConfig
 
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
 
@@ -117,6 +117,16 @@ class TestConfigParsing:
         with pytest.raises(TypeError, match="no config parser"):
             cli._parser(dict[str, int])
 
+    @pytest.mark.parametrize("name", sorted(SIZE_CAPS))
+    def test_size_caps_name_the_key(self, name):
+        cap = SIZE_CAPS[name]
+        value = (1, cap) if name == "layer_dims" else cap
+        assert getattr(TrainConfig(**{name: value}), name) == value
+        over = (1, cap + 1) if name == "layer_dims" else cap + 1
+        with pytest.raises(ConfigError, match=re.escape(
+                f"my.cfg: {name} must be at most {cap}")):
+            train_config_from_kv({name: config_text(over)}, source="my.cfg")
+
     def test_exact_policy_cap(self):
         config = ExperimentConfig("ba-m2", (0.07,), policies=("exact",))
         with pytest.raises(ConfigError, match="exact"):
@@ -166,6 +176,21 @@ class TestGenerate:
         cmd_generate(config, tmp_path / "a")
         cmd_generate(config, tmp_path / "b")
         assert dir_checksums(tmp_path / "a") == dir_checksums(tmp_path / "b")
+
+    def test_golden_instance_bytes(self, tmp_path):
+        # the instance files of one small fixed-seed run, pinned to the bytes
+        # of the row-by-row csv writer this format started from
+        cmd_generate(ExperimentConfig("ba-mix", (0.05,), instances=1,
+                                      horizon=8, seed=3), tmp_path)
+        inst = tmp_path / "instance_0000"
+        digests = {name: hashlib.sha256((inst / name).read_bytes()).hexdigest()
+                   for name in ("graph.txt", "trace.csv")}
+        assert digests == {
+            "graph.txt": "da18974bfca3da50304823261d228f656c7ed9fc6f63ef27d"
+                         "ac20f4d4ac54b90",
+            "trace.csv": "9d9d9620724b0b989c816e138df90aec4bf64ba8b93a0a08d"
+                         "c8d8ad3a6e5955a",
+        }
 
     def test_seed_changes_output(self, tmp_path):
         base = dict(instances=1, horizon=6)
@@ -555,7 +580,25 @@ class TestMainEntry:
         assert main(["train", "--config", str(conf), "--episodes", "1",
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith(f"error: {conf}: replay_capacity must be at "
+                              "most ")
+        assert "Traceback" not in err
+
+    def test_arrivals_past_int64_name_trace(self, tmp_path, capsys):
+        # star5, 4 slots, 2**62 arrivals per slot on every link: each
+        # field fits int64, but a queue would pass 2**63 - 1 in slot 1
+        instances = tmp_path / "inst"
+        cmd_generate(ExperimentConfig("star5", (0.07,), instances=1,
+                                      horizon=4, seed=1), instances)
+        trace = instances / "instance_0000" / "trace.csv"
+        rows = [f"{t},{v},{2**62},5" for t in range(4) for v in range(6)]
+        trace.write_text("# seed=1 nodes=6 horizon=4\nt,node,arrival,rate\n"
+                         + "".join(f"{row}\n" for row in rows))
+        assert main(["eval", "--instances", str(instances), "--policies",
+                     "baseline"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {trace}: arrivals on link 0 sum past "
+                       "2**63 - 1 by slot 1\n")
 
 
 def junk_variants(lines: list[str]):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,30 @@ class TestSerialization:
         save_graph(generate_star(2), path)
         assert path.read_text() == "nodes 3\n0 1\n0 2\n"
 
+    def test_edgeless_roundtrip(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        save_graph(generate_er(4, 0.0), path)
+        assert path.read_text() == "nodes 4\n"
+        assert load_graph(path, 4).edge_count == 0
+
+    def test_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("nodes 3\n\n0 1\n  \n\t2 0 \n\n")
+        assert load_graph(path, 3).edges() == [(0, 1), (0, 2)]
+
+    @pytest.mark.parametrize("line, reason", [
+        ("0 1_0", "non-integer endpoint"), ('"0" 1', "non-integer endpoint"),
+        ("0 1.0", "non-integer endpoint"), ("0 1 2", "expected 'i j' pair"),
+        ("0 100000000000000000000000", "edge (0,100000000000000000000000) "
+                                       "out of range for 3 nodes")])
+    def test_bad_edge_after_blank_lines_names_line(self, tmp_path, line,
+                                                   reason):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"nodes 3\n0 1\n\n{line}\n1 2\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 4: {reason}")):
+            load_graph(path, 3)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("vertices 3\n0 1\n")
@@ -364,6 +390,62 @@ def neighbor_oracle(n, pairs):
 
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def reference_load_edges(path, n):
+    """The line-by-line edge reader ``load_graph`` replaced, kept as the
+    reference for its diagnostics: the first bad line in file order."""
+    edges = []
+    lines = Path(path).read_text().splitlines()
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {ln}: expected 'i j' pair")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {ln}: non-integer endpoint") \
+                from None
+        if i == j:
+            raise ValueError(f"{path}: line {ln}: self-loop at node {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"{path}: line {ln}: edge ({i},{j}) out of "
+                             f"range for {n} nodes")
+        edges.append((i, j))
+    return ConflictGraph.from_edges(n, edges)
+
+
+class TestGraphFileProperties:
+    KINDS = ("none", "junk", "triple", "self-loop", "outside", "negative",
+             "beyond-int64", "blank")
+
+    @PROPERTY
+    @given(edge_lists(), st.sampled_from(KINDS), st.data())
+    def test_inserted_line_matches_reference(self, tmp_path_factory, case,
+                                             kind, data):
+        # one line inserted among the edge lines: load_graph reads the file
+        # as the line-by-line reference does, or refuses it at the same line
+        n, pairs = case
+        lines = [f"{i} {j}" for i, j in pairs]
+        node = data.draw(st.integers(0, n - 1))
+        extra = {"none": None, "junk": "junk", "triple": "0 1 0",
+                 "self-loop": f"{node} {node}", "outside": f"{node} {n}",
+                 "negative": f"-1 {node}", "beyond-int64": f"{node} {2**63}",
+                 "blank": " \t"}[kind]
+        if extra is not None:
+            lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        path = tmp_path_factory.mktemp("graph") / "graph.txt"
+        path.write_text("".join(f"{line}\n" for line in [f"nodes {n}"] + lines))
+        try:
+            expected = reference_load_edges(path, n).edges()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_graph(path, n)
+            assert str(got.value) == str(exc)
+        else:
+            assert load_graph(path, n).edges() == expected
 
 
 class TestCsrProperties:

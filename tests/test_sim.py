@@ -1,8 +1,12 @@
+import csv
+import os
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linksched.graph import ConflictGraph, generate_er, generate_star
 from linksched.policies import SolverPolicy
@@ -10,6 +14,47 @@ from linksched.sim import (TrafficTrace, backlog_stats, compute_metrics,
                            load_trace, lookahead_compare, run_episode,
                            sample_traffic, save_trace, steady_state_mean)
 from linksched.solvers import Schedule, greedy_centralized, lgs
+
+
+def reference_load_trace(path, nodes):
+    """The row-by-row reader ``load_trace`` replaced, kept as the reference
+    for its diagnostics: the first bad row in file order, one at a time."""
+    with open(path, newline="") as fh:
+        meta = dict(part.split("=", 1)
+                    for part in fh.readline().strip()[1:].split())
+        horizon = int(meta["horizon"])
+        if 8 * horizon * nodes > os.fstat(fh.fileno()).st_size:
+            raise ValueError(f"{path}: line 1: {horizon} x {nodes} rows "
+                             "cannot fit in the file")
+        reader = csv.reader(fh)
+        assert next(reader) == ["t", "node", "arrival", "rate"]
+        size = horizon * nodes
+        arrivals, rates, seen = [0] * size, [0] * size, [False] * size
+        for row in reader:
+            line = reader.line_num + 1
+            try:
+                t, v, a, r = map(int, row)
+            except ValueError:
+                raise ValueError(f"{path}: line {line}: expected four "
+                                 "integer fields") from None
+            if not (0 <= t < horizon and 0 <= v < nodes):
+                raise ValueError(f"{path}: line {line}: (t, node) = "
+                                 f"({t}, {v}) outside {horizon} x {nodes}")
+            if not (0 <= a < 2**63 and 0 <= r < 2**63):
+                raise ValueError(f"{path}: line {line}: arrival {a} and "
+                                 f"rate {r} must lie in [0, 2**63)")
+            cell = t * nodes + v
+            if seen[cell]:
+                raise ValueError(f"{path}: line {line}: duplicate row for "
+                                 f"(t, node) = ({t}, {v})")
+            seen[cell] = True
+            arrivals[cell], rates[cell] = a, r
+        missing = seen.count(False)
+        if missing:
+            raise ValueError(f"{path}: line {reader.line_num + 1}: "
+                             f"{missing} of {size} (t, node) rows missing")
+    return TrafficTrace(np.reshape(arrivals, (horizon, nodes)),
+                        np.reshape(rates, (horizon, nodes)))
 
 
 def constant_trace(horizon, nodes, arrival=1, rate=2):
@@ -100,6 +145,15 @@ class TestTrafficTrace:
         rates[:] = 0
         assert (trace.arrivals == 1).all() and (trace.rates == 4).all()
         assert arrivals.flags.writeable and rates.flags.writeable
+
+    def test_arrivals_summing_past_int64_refused(self):
+        arrivals = np.zeros((4, 6), dtype=np.int64)
+        arrivals[:, 3] = 2**62
+        with pytest.raises(ValueError, match=re.escape(
+                "arrivals on link 3 sum past 2**63 - 1 by slot 1")):
+            TrafficTrace(arrivals, np.ones((4, 6), dtype=np.int64))
+        arrivals[1:, 3] = [2**62 - 1, 0, 0]  # exactly 2**63 - 1 is allowed
+        TrafficTrace(arrivals, np.ones((4, 6), dtype=np.int64))
 
 
 class TestSampleTraffic:
@@ -307,6 +361,34 @@ class TestPersistence:
         assert loaded.seed == 9
         assert loaded.checksum() == trace.checksum()
 
+    def test_trace_format(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace(TrafficTrace([[1, 20], [300, 0]], [[5, 6], [7, 8]], 4),
+                   path)
+        assert path.read_bytes() == (b"# seed=4 nodes=2 horizon=2\n"
+                                     b"t,node,arrival,rate\r\n"
+                                     b"0,0,1,5\r\n0,1,20,6\r\n"
+                                     b"1,0,300,7\r\n1,1,0,8\r\n")
+
+    def test_rows_in_any_order(self, tmp_path):
+        trace = sample_traffic(generate_star(3), 5, 2.0, 3)
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        lines = path.read_text().splitlines()
+        rows = lines[2:]
+        np.random.default_rng(0).shuffle(rows)
+        path.write_text("".join(f"{line}\n" for line in lines[:2] + rows))
+        assert load_trace(path, 4).checksum() == trace.checksum()
+
+    def test_arrivals_past_int64_name_path(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("# seed=None nodes=6 horizon=4\nt,node,arrival,rate\n"
+                        + "".join(f"{t},{v},{2**62},5\n" for t in range(4)
+                                  for v in range(6)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: arrivals on link 0 sum past 2**63 - 1 by slot 1")):
+            load_trace(path, 6)
+
     GOOD_TRACE = ["# seed=1 nodes=2 horizon=2", "t,node,arrival,rate",
                   "0,0,1,5", "0,1,0,5", "1,0,2,5", "1,1,0,5"]
 
@@ -344,3 +426,63 @@ class TestPersistence:
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: line {line}:")):
             load_trace(path, 2)
+
+    @pytest.mark.parametrize("row", ["", "1,0,1_0,5", '"1",0,2,5',
+                                     "1,0,2.0,5", "1,0,2,5,"])
+    def test_rows_numpy_cannot_read_name_line(self, tmp_path, row):
+        # blank rows, underscores, quotes and floats are refused at their line
+        lines = self.GOOD_TRACE[:4] + [row] + self.GOOD_TRACE[5:]
+        path = tmp_path / "trace.csv"
+        path.write_text("".join(f"{text}\n" for text in lines))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 5: expected four integer fields")):
+            load_trace(path, 2)
+
+    CORRUPTIONS = ("none", "junk", "short", "outside", "negative",
+                   "duplicate", "beyond-int64", "blank", "cut")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.sampled_from(CORRUPTIONS), st.data())
+    def test_corrupted_row_matches_reference(self, tmp_path_factory, horizon,
+                                             nodes, seed, kind, data):
+        # one body row corrupted: the error names that row's line, as the
+        # row-by-row reference does; uncorrupted, both read the same trace
+        rng = np.random.default_rng(seed)
+        trace = TrafficTrace(rng.integers(0, 1000, (horizon, nodes)),
+                             rng.integers(0, 101, (horizon, nodes)))
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        save_trace(trace, path)
+        lines = path.read_text().splitlines()
+        first = 1 if kind == "duplicate" else 0  # a duplicate needs an original
+        assume(horizon * nodes > first)
+        k = data.draw(st.integers(first, horizon * nodes - 1))
+        earlier = lines[2 + data.draw(st.integers(0, max(k - 1, 0)))]
+        t, v, a, r = lines[2 + k].split(",")
+        lines[2 + k] = {
+            "none": lines[2 + k],
+            "junk": "junk",
+            "short": f"{t},{v},{a}",
+            "outside": f"{horizon},{v},{a},{r}",
+            "negative": f"{t},{v},-1,{r}",
+            "duplicate": earlier,
+            "beyond-int64": f"{t},{v},{a},{2**63}",
+            "blank": "",
+            "cut": None,  # this row and all after it missing
+        }[kind]
+        if kind == "cut":
+            del lines[2 + k:]
+        path.write_text("".join(f"{line}\r\n" for line in lines),
+                        newline="")
+        if kind == "none":
+            assert load_trace(path, nodes).checksum() == trace.checksum()
+            assert reference_load_trace(path, nodes).checksum() == \
+                trace.checksum()
+            return
+        with pytest.raises(ValueError) as expected:
+            reference_load_trace(path, nodes)
+        with pytest.raises(ValueError) as got:
+            load_trace(path, nodes)
+        assert str(got.value) == str(expected.value)
+        if kind != "cut":  # a cut file may not fit its metadata (line 1)
+            assert str(got.value).startswith(f"{path}: line {k + 3}: ")
