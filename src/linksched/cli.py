@@ -282,9 +282,10 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
     """Evaluate the selected policies on every stored instance.
 
     Each policy is built once, and each instance's trace is loaded once and
-    replayed by every policy. Trace arrays are read-only, so a policy that
-    writes into its rates fails with ValueError instead of changing what
-    later policies replay. Approximation ratios are each policy's backlog
+    replayed by every policy in one lockstep :func:`run_episode` call.
+    Trace arrays are read-only, so a policy that writes into its rates
+    fails with ValueError instead of changing what the others replay.
+    Approximation ratios are each policy's backlog
     metrics divided by the baseline's. The report's ``summary`` is
     aggregated once, for ``summary.csv`` and the caller alike.
     """
@@ -303,10 +304,13 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
         centralizations.append(centralization(graph))
         trace = load_trace(inst_dir / "trace.csv", graph.node_count)
         checksum = trace.checksum()
-        per_policy: dict[str, MetricsBundle] = {}
-        for policy_name, policy in policies:
-            metrics = compute_metrics(run_episode(graph, policy, trace))
-            per_policy[policy_name] = metrics
+        # no episode outlives this statement, so the previous instance's
+        # graph and queues are freed before the next one is loaded
+        per_policy: dict[str, MetricsBundle] = {
+            policy_name: compute_metrics(result) for (policy_name, _), result
+            in zip(policies, run_episode(
+                graph, [policy for _, policy in policies], trace))}
+        for policy_name, metrics in per_policy.items():
             report.metrics.append({
                 "instance": name, "policy": policy_name,
                 "mean": metrics.mean, "median": metrics.median,
@@ -371,15 +375,13 @@ def cmd_toy(horizon: int = 128, burn_in: int = 20) -> ToyReport:
     n = graph.node_count
     trace = TrafficTrace(np.ones((horizon, n), dtype=np.int64),
                          np.full((horizon, n), 2, dtype=np.int64))
-    results = {}
-    for name, policy in (("exact", SolverPolicy(exact_mwis, "queue")),
-                         ("greedy", SolverPolicy(greedy_centralized, "queue"))):
-        result = run_episode(graph, policy, trace)
-        results[name] = (steady_state_mean(result, burn_in),
-                         (result.queues[horizon - 2].copy(),
-                          result.queues[horizon - 1].copy()))
-    return ToyReport(results["exact"][0], results["greedy"][0],
-                     results["exact"][1], results["greedy"][1])
+    exact, greedy = run_episode(graph, [SolverPolicy(exact_mwis, "queue"),
+                                        SolverPolicy(greedy_centralized,
+                                                     "queue")], trace)
+    return ToyReport(steady_state_mean(exact, burn_in),
+                     steady_state_mean(greedy, burn_in),
+                     (exact.queues[horizon - 2], exact.queues[horizon - 1]),
+                     (greedy.queues[horizon - 2], greedy.queues[horizon - 1]))
 
 
 def _format_state(q: np.ndarray) -> str:

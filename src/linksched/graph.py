@@ -120,25 +120,41 @@ class ConflictGraph:
         return lap
 
     @cached_property
-    def neighbor_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """The CSR arrays laid out for ``np.ufunc.reduceat`` over
-        neighborhoods: ``(index, starts)``, the LGS kernel's cached form.
+    def neighbor_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closed neighborhoods laid out for ``np.ufunc.reduceat``:
+        ``(index, starts, higher)``, the LGS kernel's cached form.
 
-        Segment v, ``index[starts[v]:starts[v + 1]]`` (the last one runs to
-        the end), holds the sentinel column ``node_count`` followed by the
-        neighbors of v. No segment is empty, as ``reduceat`` needs; a caller
-        fills the sentinel column with its reduction's identity.
+        Segment v, entries ``starts[v]`` up to ``starts[v + 1]`` (the last
+        one runs to the end), holds v itself and then the neighbors of v, so
+        it has ``degrees[v] + 1`` entries and none is empty, as ``reduceat``
+        needs. ``index`` gives each entry's node and ``higher`` whether that
+        node's ID exceeds v's. All three are read-only.
         """
         n, ptr = self.node_count, self.indptr[:-1]
-        return np.insert(self.indices, ptr, n), ptr + np.arange(n)
+        index = np.insert(self.indices, ptr, np.arange(n))
+        higher = index > np.repeat(np.arange(n), self.degrees + 1)
+        layout = (index, ptr + np.arange(n), higher)
+        for array in layout:
+            array.setflags(write=False)
+        return layout
 
     @cached_property
     def neighbor_bitmasks(self) -> tuple[int, ...]:
         """Per-node neighbor sets packed into ints, bit w of entry v set when
-        w neighbors v; the exact solver and centralized greedy share them."""
-        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
-        return tuple(sum(1 << w for w in nbrs[a:b])
-                     for a, b in zip(ptr[:-1], ptr[1:]))
+        w neighbors v; the exact solver and centralized greedy share them.
+
+        Bit w of row v is set in a (V, ceil(V / 8)) byte array, little-endian
+        within and across bytes, and each row is read as one int.
+        """
+        n = self.node_count
+        width = -(-n // 8)
+        packed = np.zeros((n, width), dtype=np.uint8)
+        rows = np.repeat(np.arange(n), self.degrees)
+        np.bitwise_or.at(packed, (rows, self.indices >> 3),
+                         np.left_shift(1, self.indices & 7).astype(np.uint8))
+        data = packed.tobytes()
+        return tuple(int.from_bytes(data[a:a + width], "little")
+                     for a in range(0, n * width, width))
 
 
 def generate_star(x: int) -> ConflictGraph:

@@ -4,11 +4,14 @@ A slot proceeds as: the policy picks an independent set from the state
 (q(t), r(t)), as a :class:`~linksched.solvers.Schedule` whose (V,) bool
 ``members`` mask is the one form a schedule takes; scheduled links send
 min(rate, backlog) packets; arrivals land on every link. All packet
-quantities are integers. :func:`run_episode` is the one per-slot loop;
-evaluation and the trainer's main trajectory both run it. :func:`advance`
-is the one implementation of the queue update, q - min(r, q) + a, on a
-membership mask of any batch shape; only :func:`run_episode` and
-:func:`lookahead_compare` call it. :func:`lookahead_compare` is the one
+quantities are integers. :func:`run_episode` is the one per-slot loop: it
+runs any number of policies in lockstep on one trace, solving the rows of
+all LGS policies in one :func:`~linksched.solvers.lgs_rows` call per slot;
+evaluation runs every policy of an instance in one call, and the trainer's
+main trajectory runs its one policy. :func:`advance` is the one
+implementation of the queue update, q - min(r, q) + a, on a membership mask
+of any batch shape; only :func:`run_episode` and :func:`lookahead_compare`
+call it. :func:`lookahead_compare` is the one
 rollout loop: it rolls a batch of start states forward under two utility
 functions at once.
 
@@ -24,7 +27,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +35,9 @@ from .graph import (INT64_MAX, ConflictGraph, as_rng, is_independent_mask,
                     read_int_rows, scan_int_rows)
 from .solvers import Schedule, lgs_rows
 
-# A scheduling policy maps (graph, queues, rates) to an independent set.
+# A scheduling policy maps (graph, queues, rates) to an independent set. One
+# that schedules with LGS may also carry a true ``schedules_with_lgs`` and a
+# ``utilities`` function of the same arguments (see policies).
 Policy = Callable[[ConflictGraph, np.ndarray, np.ndarray], Schedule]
 # A utility function maps (graph, queues, rates) to per-link utilities; it
 # takes (V,) vectors or (B, V) rows alike.
@@ -145,42 +150,70 @@ class EpisodeResult:
     trace: TrafficTrace
 
 
-def run_episode(graph: ConflictGraph, policy: Policy, trace: TrafficTrace,
-                q0=None, steps: int | None = None) -> EpisodeResult:
-    """Iterate policy -> dynamics for ``steps`` slots (default: full trace).
+def run_episode(graph: ConflictGraph, policies: Sequence[Policy],
+                trace: TrafficTrace, q0=None,
+                steps: int | None = None) -> list[EpisodeResult]:
+    """Run every policy for ``steps`` slots (default: full trace) in
+    lockstep on one trace; returns one :class:`EpisodeResult` per policy,
+    in order.
 
-    This is the one per-slot loop. Each slot the policy picks a schedule
-    from (q(t), r(t)); a membership mask of the wrong length, or one that
-    is not an independent set, raises ValueError; then :func:`advance`
-    applies the queue update with trace slot t. The trace was checked when
-    it was built, so only its width is checked here.
+    This is the one per-slot loop. Each slot, every policy picks a schedule
+    from its own state (q(t), r(t)). The policies that schedule with LGS,
+    marked by a true ``schedules_with_lgs`` (``SolverPolicy(lgs)`` and
+    ``GcnLgsPolicy``), hand over their ``utilities``, and their rows are
+    solved together in one :func:`lgs_rows` call; every other policy is
+    called on its own row. A membership mask of the wrong shape, or one that
+    is not an independent set, raises ValueError; then one :func:`advance`
+    applies trace slot t to every row.
+    Rows never mix, so each result equals a run of that policy alone. The
+    trace was checked when it was built, so only its width is checked
+    here. A policy sees read-only views of its queues and of the trace's
+    rates, so one that writes into either fails.
     """
     if trace.node_count != graph.node_count:
         raise ValueError("trace width does not match graph size")
     horizon = trace.horizon if steps is None else int(steps)
     if not 1 <= horizon <= trace.horizon:
         raise ValueError(f"steps must lie in [1, {trace.horizon}]")
-    n = graph.node_count
+    n, count = graph.node_count, len(policies)
+    queues = np.empty((count, horizon + 1, n), dtype=np.int64)
     if q0 is None:
-        q = np.zeros(n, dtype=np.int64)
+        queues[:, 0] = 0
     else:
-        q = np.asarray(q0, dtype=np.int64).copy()
-        if q.shape != (n,) or (q < 0).any():
+        start = np.asarray(q0, dtype=np.int64)
+        if start.shape != (n,) or (start < 0).any():
             raise ValueError("initial queues must be non-negative, one per node")
-    queues = np.empty((horizon + 1, n), dtype=np.int64)
-    queues[0] = q
-    members = np.empty((horizon, n), dtype=bool)
-    rounds: list[int | None] = []
+        queues[:, 0] = start
+    states = queues.view()
+    states.setflags(write=False)
+    members = np.empty((count, horizon, n), dtype=bool)
+    batched = [p for p, policy in enumerate(policies)
+               if getattr(policy, "schedules_with_lgs", False)]
+    batched_rounds = np.empty((len(batched), horizon), dtype=np.int64)
+    rounds: list[list[int | None]] = [[] for _ in policies]
     for t in range(horizon):
-        r = trace.rates[t]
-        schedule = policy(graph, q, r)
-        if not is_independent_mask(graph, schedule.members):
-            raise ValueError("schedule is not an independent set of the graph")
-        members[t] = schedule.members
-        q = advance(q, schedule.members, r, trace.arrivals[t])
-        queues[t + 1] = q
-        rounds.append(schedule.rounds_used)
-    return EpisodeResult(graph, queues, members, rounds, trace)
+        q, r, slot = states[:, t], trace.rates[t], members[:, t]
+        if batched:
+            u = np.array([policies[p].utilities(graph, q[p], r)
+                          for p in batched])
+            slot[batched], batched_rounds[:, t] = lgs_rows(graph, u)
+        for p in range(count):
+            if p in batched:
+                mask = slot[p]
+            else:
+                schedule = policies[p](graph, q[p], r)
+                mask = schedule.members
+                rounds[p].append(schedule.rounds_used)
+            # checks the mask's shape as well
+            if not is_independent_mask(graph, mask):
+                raise ValueError(
+                    "schedule is not an independent set of the graph")
+            slot[p] = mask
+        queues[:, t + 1] = advance(q, slot, r, trace.arrivals[t])
+    for p, used in zip(batched, batched_rounds.tolist()):
+        rounds[p] = used
+    return [EpisodeResult(graph, queues[p], members[p], rounds[p], trace)
+            for p in range(count)]
 
 
 def lookahead_compare(graph: ConflictGraph, starts, utilities: Utilities,

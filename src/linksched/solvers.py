@@ -1,5 +1,10 @@
 """Independent-set schedulers: distributed local greedy, centralized greedy,
-exact branch-and-bound, and the per-link utility functions they consume."""
+exact branch-and-bound, and the per-link utility functions they consume.
+
+The distributed local greedy scheduler (LGS) has one kernel,
+:func:`lgs_rows`, which schedules a batch of utility rows on one graph
+without sorting: a node joins when no remaining neighbor outranks it in
+(utility, node ID) order. :func:`lgs` is its one-row case."""
 
 from __future__ import annotations
 
@@ -66,17 +71,23 @@ def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
 
     Each round, every remaining node compares its utility against all
     remaining neighbors; a node joins the schedule when it beats every one
-    of them, where ties go to the larger node ID. Winners and their
-    neighbors then leave the residual graph, and a row is done once nothing
-    of it remains. Each row's schedule is a maximal independent set.
+    of them, where ties go to the larger node ID (the local-maximum rule of
+    Luby's independent-set algorithm). Winners and their neighbors then
+    leave the residual graph, and a row is done once nothing of it remains.
+    Each row's schedule is a maximal independent set.
 
-    The kernel ranks each row's (utility, id) pairs once with a stable sort,
-    so a node wins exactly when its rank beats the largest rank among its
-    remaining neighbors; both that maximum and the blocking of the winners'
-    neighbors are segment reductions over ``graph.neighbor_segments``, the
-    graph's CSR neighbor lists cached with a sentinel heading each segment.
-    Returns ``(members, rounds)``: a (B, V) bool membership matrix and the
-    (B,) message rounds each row used.
+    The kernel sorts nothing. Once per call it decides, for every entry
+    (v, w) of ``graph.neighbor_segments`` (the cached closed
+    neighborhoods), whether w outranks v: u_w > u_v, or u_w == u_v and
+    w > v. Both are exact float comparisons, so -0.0 and 0.0 tie and go by
+    ID. Each round is then two segment ORs: a remaining node is beaten when
+    a remaining neighbor outranks it, and leaves when it or a neighbor won.
+    Every flag is a byte, node- or entry-major, and the B rows of a node or
+    entry fill one unsigned word of 1, 2, 4 or 8 bytes, or whole 8-byte
+    words, padded with rows that never take part; so each OR, AND and
+    ``take`` moves all rows of a node at once. Returns ``(members,
+    rounds)``: a (B, V) bool membership matrix and the (B,) message rounds
+    each row used.
     """
     u = np.asarray(utilities, dtype=np.float64)
     n = graph.node_count
@@ -86,35 +97,43 @@ def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(u).all():
         raise ValueError("utilities must be finite")
     b = u.shape[0]
-    index, starts = graph.neighbor_segments
-    # Column n is the sentinel every neighborhood segment starts with.
-    live_rank = np.full((b, n + 1), -1, dtype=np.intp)
-    live_rank[np.arange(b)[:, None], np.argsort(u, axis=1, kind="stable")] = \
-        np.arange(n)
-    wins = np.zeros((b, n + 1), dtype=bool)
-    members = np.zeros((b, n), dtype=bool)
+    index, starts, higher = graph.neighbor_segments
+    width = 1 << max(b - 1, 0).bit_length() if b <= 8 else -(-b // 8) * 8
+    word = np.dtype(f"u{min(width, 8)}")
+    ones = word.type((256 ** word.itemsize - 1) // 255)  # 1 in every byte
+    by_node = np.zeros((n, width))
+    by_node[:, :b] = u.T
+    uw = by_node.take(index, axis=0)
+    uv = np.repeat(by_node, graph.degrees + 1, axis=0)  # each segment's v
+    outranks = (uw > uv).view(word)
+    # one word per entry: broadcasting the flags over bool rows instead runs
+    # numpy's inner loop once per entry, which is slower for few rows
+    outranks |= (uw == uv).view(word) & (higher.astype(word) * ones)[:, None]
+    remaining = np.zeros((n, width), dtype=bool)
+    remaining[:, :b] = True
+    active = remaining.view(word)
+    members = np.zeros_like(active)
     rounds = np.zeros(b, dtype=np.int64)
-    active = np.ones((b, n), dtype=bool)
+    # in the first round every node remains, so no flag needs gathering
+    beaten = np.bitwise_or.reduceat(outranks, starts, axis=0)
     while True:
-        live = active.any(axis=1)
-        if not live.any():
-            return members, rounds
-        rounds += live
-        # A node that left has rank -1 and beats no neighborhood maximum.
-        best_nbr = np.maximum.reduceat(live_rank[:, index], starts, axis=1)
-        np.greater(live_rank[:, :n], best_nbr, out=wins[:, :n])
-        members |= wins[:, :n]
-        blocked = np.logical_or.reduceat(wins[:, index], starts, axis=1)
-        active &= ~(wins[:, :n] | blocked)
-        live_rank[:, :n][~active] = -1
+        rounds += np.bitwise_or.reduce(active, axis=0).view(bool)[:b]
+        wins = active & ~beaten
+        members |= wins
+        active &= ~np.bitwise_or.reduceat(wins.take(index, axis=0), starts,
+                                          axis=0)
+        if not active.any():
+            return members.view(bool)[:, :b].T.copy(), rounds
+        beaten = np.bitwise_or.reduceat(
+            outranks & active.take(index, axis=0), starts, axis=0)
 
 
 def lgs(graph: ConflictGraph, utilities) -> Schedule:
     """Distributed local greedy scheduler: the one-row case of
-    :func:`lgs_rows`, returned as a :class:`Schedule` with its rounds. The
-    result is a maximal independent set."""
-    u = _check_utilities(graph, utilities)
-    members, rounds = lgs_rows(graph, u[None])
+    :func:`lgs_rows`, which checks the utilities, returned as a
+    :class:`Schedule` with its rounds. The result is a maximal independent
+    set."""
+    members, rounds = lgs_rows(graph, np.asarray(utilities)[None])
     return Schedule(members[0], int(rounds[0]))
 
 

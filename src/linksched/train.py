@@ -249,7 +249,7 @@ def collect_episode(config: TrainConfig, params: GcnParams,
         raise ValueError("trace must cover horizon + lookahead slots")
     gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
     baseline = SolverPolicy(lgs, config.utility_kind)
-    result = run_episode(graph, gcn_policy, trace, steps=horizon)
+    result, = run_episode(graph, [gcn_policy], trace, steps=horizon)
     q, r = result.queues[:horizon], trace.rates[:horizon]
     features = gcn_policy.features(q, r)
     u = gcn_policy.utilities(graph, q, r)

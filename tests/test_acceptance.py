@@ -142,8 +142,7 @@ def test_criterion_5_pipeline_identity(tmp_path):
         g = parse_graph_config(str(family)).build(rng)
         mu = float(rng.choice([0.01, 0.04, 0.07]))
         trace = sample_traffic(g, 24, mu * 50.0, rng)
-        res_a = run_episode(g, gcn_policy, trace)
-        res_b = run_episode(g, baseline, trace)
+        res_a, res_b = run_episode(g, [gcn_policy, baseline], trace)
         mismatches += not np.array_equal(res_a.members, res_b.members)
     ckpt = tmp_path / "identity.ckpt"
     save_checkpoint(ckpt, identity_params())
@@ -168,7 +167,7 @@ def test_criterion_6_dynamics_conservation():
         n = int(rng.integers(2, 40))
         g = generate_er(n, 0.2, rng)
         trace = sample_traffic(g, 32, float(rng.uniform(0.5, 4.0)), rng)
-        result = run_episode(g, SolverPolicy(lgs), trace)
+        result, = run_episode(g, [SolverPolicy(lgs)], trace)
         if (result.queues < 0).any():
             violations += 1
             continue
@@ -214,8 +213,8 @@ def test_criterion_8_training_smoke():
         g = preset.build(int(master.integers(2**63)))
         trace = sample_traffic(g, 64, 0.07 * 50.0,
                                int(master.integers(2**63)))
-        base_metrics = compute_metrics(run_episode(g, baseline, trace))
-        gcn_metrics = compute_metrics(run_episode(g, gcn_policy, trace))
+        base_metrics, gcn_metrics = map(
+            compute_metrics, run_episode(g, [baseline, gcn_policy], trace))
         median_ars.append(gcn_metrics.median / base_metrics.median)
     aggregate = float(np.mean(median_ars))
     elapsed = time.perf_counter() - start

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -13,9 +15,11 @@ from linksched.cli import (ConfigError, ExperimentConfig, cmd_eval,
                            main, parse_kv_text, train_config_from_kv)
 from linksched.gcn import (identity_params, init_params, load_checkpoint,
                            save_checkpoint)
-from linksched.graph import generate_star
-from linksched.sim import sample_traffic, save_trace
-from linksched.solvers import lgs
+from linksched.graph import generate_star, load_graph
+from linksched.policies import GcnLgsPolicy, SolverPolicy
+from linksched.sim import (compute_metrics, load_trace, run_episode,
+                           sample_traffic, save_trace)
+from linksched.solvers import exact_mwis, greedy_centralized, lgs
 from linksched.train import SIZE_CAPS, TrainConfig
 
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
@@ -238,6 +242,33 @@ class TestEval:
             assert row["ar_median"] == 1.0
             assert row["ar_p95"] == 1.0
 
+    def test_metrics_equal_each_policy_alone(self, small_instances,
+                                             tmp_path):
+        # one lockstep episode per instance; each policy's row of
+        # per_instance.csv is that policy's metrics when run by itself
+        config, instances = small_instances
+        ckpt = tmp_path / "deep.ckpt"
+        save_checkpoint(ckpt, init_params((1, 4, 1), 2))
+        config.policies = ("gcn", "greedy", "baseline", "exact")
+        config.checkpoint = ckpt
+        report = cmd_eval(config, instances, None)
+        network = load_checkpoint(ckpt)
+        alone = {"gcn": GcnLgsPolicy(network.params, network.slope),
+                 "greedy": SolverPolicy(greedy_centralized),
+                 "baseline": SolverPolicy(lgs),
+                 "exact": SolverPolicy(exact_mwis)}
+        assert len(report.metrics) == 4 * 4
+        for row in report.metrics:
+            inst = instances / row["instance"]
+            graph = load_graph(inst / "graph.txt", 6)
+            trace = load_trace(inst / "trace.csv", 6)
+            result, = run_episode(graph, [alone[row["policy"]]], trace)
+            want = compute_metrics(result)
+            assert (row["mean"], row["median"], row["p95"],
+                    row["objective"], row["rounds_mean"]) == \
+                (want.mean, want.median, want.p95, want.objective,
+                 want.rounds_mean)
+
     def test_trace_checksums_shared(self, small_instances, tmp_path):
         config, instances = small_instances
         config.policies = ("baseline", "greedy", "exact")
@@ -285,6 +316,55 @@ class TestEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err and "read-only" in err
+
+    def test_policy_writing_rates_fails_beside_lgs_policies(
+            self, small_instances, monkeypatch, capsys, tmp_path):
+        # baseline and gcn are solved in one batch each slot; the vandal
+        # beside them still meets read-only rates
+        _, instances = small_instances
+        ckpt = tmp_path / "identity.ckpt"
+        save_checkpoint(ckpt, identity_params())
+        make_policy = cli._make_policy
+
+        def vandal(graph, q, r):
+            r[:] = 0
+            return greedy_centralized(graph, q.astype(float))
+
+        monkeypatch.setattr(
+            cli, "_make_policy", lambda name, config:
+            vandal if name == "greedy" else make_policy(name, config))
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline,gcn,greedy", "--checkpoint", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "read-only" in err
+
+    def test_same_outputs_under_bench_tracer(self, small_instances,
+                                             tmp_path):
+        # the benchmark's tracer rebinds every package function, lgs
+        # included; eval must still batch, write the same files and leave
+        # no call of a traced function unrecorded
+        config, instances = small_instances
+        ckpt = tmp_path / "identity.ckpt"
+        save_checkpoint(ckpt, init_params((1, 4, 1), 2))
+        config.policies = ("baseline", "greedy", "exact", "gcn")
+        config.checkpoint = ckpt
+        cmd_eval(config, instances, tmp_path / "plain")
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        tracer = tracer_module.Tracer()
+        assert tracer.audit(lambda: cli.cmd_eval(config, instances,
+                                                 tmp_path / "traced")) == {}
+        calls = Counter(tracer.labels[i] for i in tracer.name_ids)
+        # one lockstep episode per instance, one batched solve per slot
+        assert calls["sim.run_episode"] == 4
+        assert calls["solvers.lgs_rows"] == 4 * 16
+        assert calls["solvers.lgs"] == 0
+        for name in ("per_instance.csv", "ars.csv", "summary.csv"):
+            assert (tmp_path / "traced" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
 
     def test_missing_instances(self, tmp_path):
         config = ExperimentConfig("star5", (0.07,))

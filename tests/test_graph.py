@@ -283,6 +283,22 @@ class TestIndependentSet:
             is_independent_mask(generate_star(5), np.zeros((1, 6), dtype=bool))
 
 
+class TestBitmasks:
+    @pytest.mark.parametrize("name", ["ba", "ba-dense", "er", "tree",
+                                      "edgeless", "star"])
+    def test_equal_python_int_definition(self, name):
+        rng = np.random.default_rng(34)
+        g = {"ba": lambda: generate_ba(300, 2, rng),
+             "ba-dense": lambda: generate_ba(300, 20, rng),
+             "er": lambda: generate_er(50, 0.1, rng),
+             "tree": lambda: generate_power_law_tree(50, 3.0, rng),
+             "edgeless": lambda: ConflictGraph.from_edges(9, []),
+             "star": lambda: generate_star(64)}[name]()
+        want = tuple(sum(1 << w for w in nbrs(g, v))
+                     for v in range(g.node_count))
+        assert g.neighbor_bitmasks == want
+
+
 class TestValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -467,10 +483,14 @@ class TestCsrProperties:
         n, pairs = case
         g = ConflictGraph.from_edges(n, pairs)
         want = neighbor_oracle(n, pairs)
-        index, starts = g.neighbor_segments
-        assert index.tolist() == [w for ws in want for w in (n, *ws)]
+        index, starts, higher = g.neighbor_segments
+        # segment v is v itself, then its neighbors
+        assert index.tolist() == [w for v, ws in enumerate(want)
+                                  for w in (v, *ws)]
         assert starts.tolist() == np.cumsum(
             [0] + [1 + len(ws) for ws in want[:-1]]).tolist()
+        assert higher.tolist() == [w > v for v, ws in enumerate(want)
+                                   for w in (v, *ws)]
         assert g.neighbor_bitmasks == tuple(sum(1 << w for w in ws)
                                             for ws in want)
         assert g.laplacian.tobytes() == \

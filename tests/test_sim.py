@@ -1,4 +1,5 @@
 import csv
+import functools
 import os
 import re
 import warnings
@@ -8,12 +9,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linksched.graph import ConflictGraph, generate_er, generate_star
-from linksched.policies import SolverPolicy
-from linksched.sim import (TrafficTrace, backlog_stats, compute_metrics,
-                           load_trace, lookahead_compare, run_episode,
-                           sample_traffic, save_trace, steady_state_mean)
-from linksched.solvers import Schedule, greedy_centralized, lgs
+from linksched import policies as policies_module
+from linksched import solvers
+from linksched.gcn import GcnParams, init_params
+from linksched.graph import (ConflictGraph, generate_er, generate_star,
+                             is_independent_mask)
+from linksched.policies import GcnLgsPolicy, SolverPolicy
+from linksched.sim import (TrafficTrace, advance, backlog_stats,
+                           compute_metrics, load_trace, lookahead_compare,
+                           run_episode, sample_traffic, save_trace,
+                           steady_state_mean)
+from linksched.solvers import (Schedule, exact_mwis, greedy_centralized, lgs,
+                               lgs_rows)
 
 
 def reference_load_trace(path, nodes):
@@ -67,8 +74,8 @@ def one_slot(graph, q0, nodes, arrivals, rates):
     members = np.zeros(graph.node_count, dtype=bool)
     members[list(nodes)] = True
     trace = TrafficTrace(np.array([arrivals]), np.array([rates]))
-    result = run_episode(graph, lambda g, q, r: Schedule(members), trace,
-                         q0=q0)
+    result, = run_episode(graph, [lambda g, q, r: Schedule(members)], trace,
+                          q0=q0)
     assert result.queues.shape == (2, graph.node_count)
     assert np.array_equal(result.members, [members])
     assert result.rounds == [None]
@@ -107,7 +114,7 @@ class TestStep:
         g = generate_star(5)
         for n in (5, 7):
             with pytest.raises(ValueError, match="does not match 6 nodes"):
-                run_episode(g, lambda graph, q, r: Schedule(np.zeros(n, bool)),
+                run_episode(g, [lambda graph, q, r: Schedule(np.zeros(n, bool))],
                             constant_trace(1, 6))
 
     @pytest.mark.parametrize("node", [-1, 6])
@@ -118,7 +125,7 @@ class TestStep:
             Schedule(np.array([2, node]))
         with pytest.raises(ValueError, match="1-D bool mask"):
             run_episode(generate_star(5),
-                        lambda g, q, r: Schedule(np.array([2, node])),
+                        [lambda g, q, r: Schedule(np.array([2, node]))],
                         constant_trace(1, 6))
 
     def test_negative_arrivals_rejected(self):
@@ -191,7 +198,7 @@ class TestRunEpisode:
     def test_no_traffic(self):
         g = generate_star(5)
         trace = constant_trace(10, 6, arrival=0)
-        result = run_episode(g, SolverPolicy(lgs), trace)
+        result, = run_episode(g, [SolverPolicy(lgs)], trace)
         metrics = compute_metrics(result)
         assert metrics.mean == 0 and metrics.objective == 0
         assert metrics.median == 0 and metrics.p95 == 0
@@ -199,14 +206,14 @@ class TestRunEpisode:
     def test_trajectory_shape(self):
         g = generate_er(12, 0.2, 0)
         trace = sample_traffic(g, 20, 2.0, 1)
-        result = run_episode(g, SolverPolicy(lgs), trace)
+        result, = run_episode(g, [SolverPolicy(lgs)], trace)
         assert result.queues.shape == (21, 12)
         assert result.members.shape == (20, 12) and len(result.rounds) == 20
 
     def test_conservation(self):
         g = generate_er(15, 0.2, 2)
         trace = sample_traffic(g, 30, 3.0, 3)
-        result = run_episode(g, SolverPolicy(lgs), trace)
+        result, = run_episode(g, [SolverPolicy(lgs)], trace)
         for t, members in enumerate(result.members):
             served = np.zeros(15, dtype=np.int64)
             for v in np.flatnonzero(members):
@@ -218,17 +225,151 @@ class TestRunEpisode:
     def test_reproducible(self):
         g = generate_er(10, 0.3, 4)
         trace = sample_traffic(g, 16, 2.5, 5)
-        a = run_episode(g, SolverPolicy(lgs), trace)
-        b = run_episode(g, SolverPolicy(lgs), trace)
+        a, = run_episode(g, [SolverPolicy(lgs)], trace)
+        b, = run_episode(g, [SolverPolicy(lgs)], trace)
         assert np.array_equal(a.queues, b.queues)
         assert np.array_equal(a.members, b.members) and a.rounds == b.rounds
 
     def test_toy_steady_states(self):
         g = generate_star(5)
         trace = constant_trace(128, 6)
-        greedy = run_episode(g, SolverPolicy(greedy_centralized, "queue"),
-                             trace)
+        greedy, = run_episode(g, [SolverPolicy(greedy_centralized, "queue")],
+                              trace)
         assert steady_state_mean(greedy, 20) == pytest.approx(1.5, abs=1e-12)
+
+
+def reference_episode(graph, policy, trace, q0=None):
+    """The one-policy slot loop ``run_episode`` replaced, kept as the
+    reference: the policy is called on every slot, whatever it schedules
+    with. Returns (queues, members, rounds)."""
+    n = graph.node_count
+    q = np.zeros(n, np.int64) if q0 is None else np.array(q0, np.int64)
+    queues, members, rounds = [q], [], []
+    for t in range(trace.horizon):
+        schedule = policy(graph, q, trace.rates[t])
+        assert is_independent_mask(graph, schedule.members)
+        q = advance(q, schedule.members, trace.rates[t], trace.arrivals[t])
+        queues.append(q)
+        members.append(schedule.members)
+        rounds.append(schedule.rounds_used)
+    return np.array(queues), np.array(members).reshape(-1, n), rounds
+
+
+# the trained HEAD checkpoint: theta0 = -0.634 makes an isolated idle link's
+# utility -0.0, which ties with 0.0 elsewhere
+HEAD_GCN = GcnParams((1, 1), [np.array([[-0.634]])], [np.array([[0.292]])])
+
+
+def quiet(graph, q, r):
+    # a plain callable: schedules nobody
+    return Schedule(np.zeros(graph.node_count, dtype=bool))
+
+
+def lgs_on_negated_queues(graph, q, r):
+    # a plain callable that calls lgs itself, on utilities of mixed sign
+    return lgs(graph, 1.0 - q)
+
+
+LOCKSTEP_POLICIES = {
+    "baseline": lambda: SolverPolicy(lgs),
+    "baseline-min": lambda: SolverPolicy(lgs, "min"),
+    "greedy": lambda: SolverPolicy(greedy_centralized),
+    "exact": lambda: SolverPolicy(exact_mwis, "queue"),
+    "gcn-head": lambda: GcnLgsPolicy(HEAD_GCN),
+    "gcn-deep": lambda: GcnLgsPolicy(init_params((1, 4, 1), 3), 0.1),
+    "quiet": lambda: quiet,
+    "lgs-callable": lambda: lgs_on_negated_queues,
+}
+
+
+@st.composite
+def lockstep_cases(draw):
+    # a graph on up to 10 nodes whose edges join only the first k nodes, so
+    # nodes k.. are isolated and the graph may have no edges at all; small
+    # integer arrivals, rates and start queues, so utilities tie often
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    graph = ConflictGraph.from_edges(n, [p for p, x in zip(pairs, keep) if x])
+    horizon = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, 3), min_size=horizon * n,
+                     max_size=horizon * n)
+    trace = TrafficTrace(np.reshape(draw(cells), (horizon, n)),
+                         np.reshape(draw(cells), (horizon, n)))
+    q0 = draw(st.none() | st.lists(st.integers(0, 4), min_size=n,
+                                   max_size=n))
+    names = draw(st.lists(st.sampled_from(sorted(LOCKSTEP_POLICIES)),
+                          min_size=1, max_size=6))
+    return graph, trace, q0, names
+
+
+class TestLockstep:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(lockstep_cases())
+    def test_equals_each_policy_alone(self, case):
+        graph, trace, q0, names = case
+        policies = [LOCKSTEP_POLICIES[name]() for name in names]
+        together = run_episode(graph, policies, trace, q0=q0)
+        assert len(together) == len(policies)
+        for policy, result in zip(policies, together):
+            alone, = run_episode(graph, [policy], trace, q0=q0)
+            queues, members, rounds = reference_episode(graph, policy, trace,
+                                                        q0)
+            for other in (alone, result):
+                assert np.array_equal(other.queues, queues)
+                assert np.array_equal(other.members, members)
+                assert other.rounds == rounds
+            assert compute_metrics(result) == compute_metrics(alone)
+
+    def test_lgs_policies_share_one_solve_per_slot(self, monkeypatch):
+        # baseline and gcn rows go to lgs_rows together; greedy is called
+        calls = []
+
+        def counted(graph, u):
+            calls.append(np.shape(u))
+            return lgs_rows(graph, u)
+        monkeypatch.setattr("linksched.sim.lgs_rows", counted)
+        g = generate_er(12, 0.3, 1)
+        trace = sample_traffic(g, 5, 2.0, 2)
+        run_episode(g, [SolverPolicy(lgs), SolverPolicy(greedy_centralized),
+                        GcnLgsPolicy(HEAD_GCN)], trace)
+        assert calls == [(2, 12)] * 5
+
+    def test_wrapped_lgs_still_batched(self, monkeypatch):
+        # a functools.wraps wrapper, as a tracer installs, is still lgs; a
+        # stand-in of another kind is called slot by slot
+        def wrap(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                return fn(*args, **kwargs)
+            return wrapper
+        original = solvers.lgs
+        for module in (solvers, policies_module):
+            monkeypatch.setattr(module, "lgs", wrap(original))
+        assert SolverPolicy(policies_module.lgs).schedules_with_lgs
+        assert SolverPolicy(original).schedules_with_lgs
+        assert GcnLgsPolicy(HEAD_GCN).schedules_with_lgs
+        assert not SolverPolicy(greedy_centralized).schedules_with_lgs
+        assert not SolverPolicy(lambda g, u: original(g, u)).schedules_with_lgs
+        monkeypatch.setattr(policies_module, "lgs",
+                            lambda g, u: original(g, u))
+        assert not GcnLgsPolicy(HEAD_GCN).schedules_with_lgs
+
+    @pytest.mark.parametrize("which", ["queues", "rates"])
+    def test_policy_writing_its_inputs_fails(self, which):
+        g = generate_star(4)
+
+        def vandal(graph, q, r):
+            (q if which == "queues" else r)[:] = 0
+            return quiet(graph, q, r)
+        with pytest.raises(ValueError, match="read-only"):
+            run_episode(g, [SolverPolicy(lgs), vandal],
+                        constant_trace(3, 5))
+
+    def test_no_policies(self):
+        assert run_episode(generate_star(3), [], constant_trace(2, 4)) == []
 
 
 class TestLookahead:
@@ -325,9 +466,9 @@ class TestMetrics:
     def test_percentile_ordering(self):
         rng = np.random.default_rng(0)
         m = compute_metrics(run_episode(generate_er(10, 0.3, rng),
-                                        SolverPolicy(lgs),
+                                        [SolverPolicy(lgs)],
                                         sample_traffic(generate_er(10, 0.3, 0),
-                                                       12, 2.0, 1)))
+                                                       12, 2.0, 1))[0])
         assert m.p95 >= m.median >= 0
         assert m.rounds_mean is not None and m.rounds_mean >= 1
 
@@ -342,9 +483,9 @@ class TestMetrics:
             lo = np.random.default_rng(1000 + seed).poisson(1.0, (16, 12))
             hi = np.random.default_rng(2000 + seed).poisson(4.0, (16, 12))
             m_lo = compute_metrics(run_episode(
-                g, SolverPolicy(lgs), TrafficTrace(lo, rates)))
+                g, [SolverPolicy(lgs)], TrafficTrace(lo, rates))[0])
             m_hi = compute_metrics(run_episode(
-                g, SolverPolicy(lgs), TrafficTrace(hi, rates)))
+                g, [SolverPolicy(lgs)], TrafficTrace(hi, rates))[0])
             wins += m_hi.mean >= m_lo.mean
         assert wins >= 80
 

@@ -276,6 +276,21 @@ def tie_heavy_rows(n, rng):
     return np.array(rows, dtype=np.float64)
 
 
+def signed_tie_rows(n, rng, count):
+    # the tie-heavy rows, then integers -3..3, -0.0/0.0 mixes with negative
+    # integers, all -0.0 and signed floats, then shuffled copies up to count
+    rows = list(tie_heavy_rows(n, rng))
+    rows += [rng.integers(-3, 4, n).astype(np.float64) for _ in range(12)]
+    rows += [np.where(rng.random(n) < 0.5, -0.0,
+                      -rng.integers(0, 3, n).astype(np.float64))
+             for _ in range(6)]
+    rows.append(np.full(n, -0.0))
+    rows += [rng.normal(0.0, 1.0, n) for _ in range(4)]
+    rows += [rng.permutation(rows[k % len(rows)])
+             for k in range(len(rows), count)]
+    return np.array(rows[:count])
+
+
 class TestLgsRows:
     def graphs(self):
         rng = np.random.default_rng(11)
@@ -309,6 +324,35 @@ class TestLgsRows:
         for row in ([-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]):
             assert ids(lgs(g, row).members) == [0, 2]
             assert lgs(g, row).rounds_used == 2
+
+    def test_128_rows_match_reference(self):
+        # the lookahead's batch size, on its two training families, with
+        # negative utilities and -0.0/0.0 mixes among the tie-heavy rows
+        rng = np.random.default_rng(13)
+        for name in ("star30", "ba-m2"):
+            for _ in range(2):
+                g = parse_graph_config(name).build(rng)
+                u = signed_tie_rows(g.node_count, rng, 128)
+                members, rounds = lgs_rows(g, u)
+                for row, m, r in zip(u, members, rounds):
+                    ref_members, ref_rounds = reference_lgs(g, row)
+                    assert np.array_equal(m, ref_members)
+                    assert r == ref_rounds
+
+    def test_rows_independent_of_batch(self):
+        # a row's schedule does not depend on the rows beside it, whatever
+        # the batch size and its padding
+        rng = np.random.default_rng(14)
+        g = parse_graph_config("ba-m2").build(rng)
+        u = signed_tie_rows(g.node_count, rng, 130)
+        members, rounds = lgs_rows(g, u)
+        for b in (1, 2, 3, 5, 8, 9, 17, 64, 129):
+            part_members, part_rounds = lgs_rows(g, u[:b])
+            assert np.array_equal(part_members, members[:b])
+            assert np.array_equal(part_rounds, rounds[:b])
+        empty_members, empty_rounds = lgs_rows(g, u[:0])
+        assert empty_members.shape == (0, g.node_count)
+        assert empty_rounds.shape == (0,)
 
     def test_bad_shapes_and_values(self):
         with pytest.raises(ValueError):
@@ -407,6 +451,20 @@ class TestHypothesisProperties:
         for row, m, r in zip(u, members, rounds):
             s = lgs(g, row)
             assert np.array_equal(m, s.members) and r == s.rounds_used
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.sampled_from(["star30", "ba-m2"]), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                    min_size=1, max_size=6, unique=True))
+    def test_lgs_rows_128_equals_reference(self, name, seed, palette):
+        # 128 rows over a drawn palette of signed values and zeros
+        rng = np.random.default_rng(seed)
+        g = parse_graph_config(name).build(rng)
+        u = rng.choice(palette, size=(128, g.node_count))
+        members, rounds = lgs_rows(g, u)
+        for row, m, r in zip(u, members, rounds):
+            ref_members, ref_rounds = reference_lgs(g, row)
+            assert np.array_equal(m, ref_members) and r == ref_rounds
 
     @PROPERTY
     @given(tied_instances())

@@ -245,8 +245,8 @@ class TestCollectEpisode:
         drawn = sample_traffic(g, config.horizon + config.lookahead, 20.0, 5)
         trace = TrafficTrace(drawn.arrivals, np.maximum(drawn.rates, 1))
         tuples = collect_episode(config, params, g, trace)
-        result = run_episode(g, GcnLgsPolicy(params), trace,
-                             steps=config.horizon)
+        result, = run_episode(g, [GcnLgsPolicy(params)], trace,
+                              steps=config.horizon)
         assert result.queues.max() > 0
         assert np.array_equal([item.indicator for item in tuples],
                               result.members)

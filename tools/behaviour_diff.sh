@@ -73,15 +73,23 @@ CFG
     run train-bench train --config bench.cfg --episodes 8 --seed 11 \
         --out train-bench
     run train-all-keys train --config all-keys.cfg --out train-all-keys
-    for family in star30 ba-mix; do
+    # er and tree have nodes with no or one neighbor
+    for family in star30 ba-mix er tree; do
         run "generate-$family" generate --config "$family" --instances 4 \
             --mu 0.03,0.07 --horizon 48 --seed 5 --out "gen-$family"
     done
     run eval-star30 eval --instances gen-star30 \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30
-    run eval-ba-mix eval --instances gen-ba-mix --policies baseline,greedy,gcn \
-        --checkpoint train-default/checkpoint.ckpt --out eval-ba-mix
+    for family in ba-mix er tree; do
+        run "eval-$family" eval --instances "gen-$family" \
+            --policies baseline,greedy,gcn \
+            --checkpoint train-default/checkpoint.ckpt --out "eval-$family"
+    done
+    # the 1,4,1 leaky network gives utilities of mixed sign
+    run eval-star30-min eval --instances gen-star30 --utility min \
+        --policies baseline,greedy,exact,gcn \
+        --checkpoint train-all-keys/checkpoint.ckpt --out eval-star30-min
     run toy toy
     run report-star30 report --eval-dir eval-star30
     run report-ba-mix report --eval-dir eval-ba-mix
