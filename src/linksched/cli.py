@@ -22,9 +22,9 @@ from .gcn import load_checkpoint
 from .graph import ConflictGraph, centralization, load_graph, save_graph
 from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
-from .sim import (RATE_MEAN, MetricsBundle, TrafficTrace, compute_metrics,
-                  load_trace, run_episode, sample_traffic, save_trace,
-                  steady_state_mean)
+from .sim import (RATE_MEAN, MetricsBundle, TrafficTrace, backlog_ratio,
+                  compute_metrics, load_trace, run_episode, sample_traffic,
+                  save_trace, steady_state_mean)
 from .solvers import EXACT_NODE_CAP, exact_mwis, greedy_centralized, lgs
 from .train import TrainConfig, train, write_training_log
 
@@ -233,13 +233,6 @@ def _make_policy(name: str, config: ExperimentConfig):
     return SolverPolicy(solvers[name], config.utility_kind)
 
 
-def _ratio(value: float, reference: float) -> float:
-    """Approximation ratio with the 0/0 == 1 convention."""
-    if reference == 0.0:
-        return 1.0 if value == 0.0 else float("inf")
-    return value / reference
-
-
 @dataclass
 class EvaluationReport:
     """Per-instance metrics and approximation ratios for each policy;
@@ -285,8 +278,9 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
     replayed by every policy in one lockstep :func:`run_episode` call.
     Trace arrays are read-only, so a policy that writes into its rates
     fails with ValueError instead of changing what the others replay.
-    Approximation ratios are each policy's backlog
-    metrics divided by the baseline's. The report's ``summary`` is
+    Approximation ratios are each policy's backlog metrics divided by the
+    baseline's, by :func:`~linksched.sim.backlog_ratio`'s convention (0/0 is
+    1.0, x/0 is inf), as Python floats. The report's ``summary`` is
     aggregated once, for ``summary.csv`` and the caller alike.
     """
     config.validate()
@@ -320,12 +314,13 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
         if "baseline" in per_policy:
             base = per_policy["baseline"]
             for policy_name, metrics in per_policy.items():
+                ar_mean, ar_median, ar_p95 = backlog_ratio(
+                    [metrics.mean, metrics.median, metrics.p95],
+                    [base.mean, base.median, base.p95]).tolist()
                 report.ars.append({
                     "instance": name, "policy": policy_name,
-                    "ar_mean": _ratio(metrics.mean, base.mean),
-                    "ar_median": _ratio(metrics.median, base.median),
-                    "ar_p95": _ratio(metrics.p95, base.p95),
-                    "trace_checksum": checksum,
+                    "ar_mean": ar_mean, "ar_median": ar_median,
+                    "ar_p95": ar_p95, "trace_checksum": checksum,
                 })
     report.centralization_mean = float(np.mean(centralizations))
     report.summary = report.aggregate()

@@ -9,7 +9,7 @@ Instance files are read and written as whole columns: :func:`read_int_rows`
 parses a text table of integers in one call to numpy's C reader, and
 :func:`scan_int_rows`, its line-by-line twin, runs only after a refusal to
 name the offending line. ``graph.txt`` and ``sim``'s ``trace.csv`` both use
-them.
+them, and both state their size in a header, so a file cut short is refused.
 """
 
 from __future__ import annotations
@@ -349,25 +349,50 @@ def scan_int_rows(text: str, width: int, delimiter: str | None = None,
 
 
 def save_graph(graph: ConflictGraph, path) -> None:
-    """Write the edge-list text format, byte for byte: ``nodes <V>\\n``,
-    then ``<i> <j>\\n`` per row of :meth:`ConflictGraph.edge_array` (i < j,
-    sorted), in decimal with one space; every line ends in ``\\n``."""
+    """Write the edge-list text format, byte for byte: ``nodes <V>\\n`` and
+    ``edges <E>\\n``, then ``<i> <j>\\n`` per row of
+    :meth:`ConflictGraph.edge_array` (i < j, sorted), in decimal with one
+    space; every line ends in ``\\n``."""
     pairs = graph.edge_array()
     text = "%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist())
-    Path(path).write_text(f"nodes {graph.node_count}\n{text}", newline="")
+    Path(path).write_text(f"nodes {graph.node_count}\nedges {len(pairs)}\n"
+                          f"{text}", newline="")
 
 
 def _edge_fault(pairs: np.ndarray, n: int) -> tuple[int, str] | None:
-    """(row, reason) of the first self-looped or out-of-range edge row."""
-    loop = pairs[:, 0] == pairs[:, 1]
-    bad = loop | ((pairs < 0) | (pairs >= n)).any(axis=1)
+    """(row, reason) of the first self-looped, out-of-range or repeated
+    edge row, in file order; a repeat names the edge of an earlier row, in
+    either orientation."""
+    i, j = pairs.T
+    loop = i == j
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    key = np.where(loop | outside, -1 - np.arange(len(pairs)),
+                   np.minimum(i, j) * n + np.maximum(i, j))
+    repeat = np.ones(len(pairs), dtype=bool)
+    repeat[np.unique(key, return_index=True)[1]] = False  # first of each
+    bad = loop | outside | repeat
     if not bad.any():
         return None
     k = int(bad.argmax())
-    i, j = (int(x) for x in pairs[k])
+    a, b = (int(x) for x in pairs[k])
     if loop[k]:
-        return k, f"self-loop at node {i}"
-    return k, f"edge ({i},{j}) out of range for {n} nodes"
+        return k, f"self-loop at node {a}"
+    if outside[k]:
+        return k, f"edge ({a},{b}) out of range for {n} nodes"
+    return k, f"repeated edge ({a},{b})"
+
+
+def _header_count(path, line: int, text: str, key: str) -> int:
+    """The integer of header line ``line``, which must read ``<key> <int>``."""
+    head = text.split()
+    if len(head) != 2 or head[0] != key:
+        raise ValueError(f"{path}: line {line}: expected header "
+                         f"'{key} <count>'")
+    try:
+        return int(head[1])
+    except ValueError:
+        raise ValueError(f"{path}: line {line}: {key[:-1]} count is not "
+                         "an integer") from None
 
 
 def load_graph(path, max_nodes: int) -> ConflictGraph:
@@ -375,35 +400,43 @@ def load_graph(path, max_nodes: int) -> ConflictGraph:
     caller that accepts graphs of at most ``max_nodes`` nodes.
 
     The edge lines are parsed in one :func:`read_int_rows` call; blank lines
-    are allowed. A malformed header, a node count outside [1, max_nodes]
-    (refused at line 1, before anything is sized by it), and a malformed,
-    self-looped or out-of-range edge each raise ValueError naming the path
-    and line.
+    among them are allowed. Fails closed, raising ValueError naming the path
+    and line: a malformed header line, a node count outside
+    [1, max_nodes] (refused at line 1, before anything is sized by it), an
+    edge count outside [0, V(V-1)/2], then the first malformed, self-looped,
+    out-of-range or repeated edge row in file order, and last a number of
+    edge rows other than the edge count.
     """
     text = Path(path).read_text()
     if not text:
         raise ValueError(f"{path}: empty graph file")
-    head_line, _, body = text.partition("\n")
-    head = head_line.split()
-    if len(head) != 2 or head[0] != "nodes":
-        raise ValueError(f"{path}: line 1: expected header 'nodes <V>'")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ValueError(f"{path}: line 1: node count is not an integer") from None
+    nodes_line, _, rest = text.partition("\n")
+    edges_line, _, body = rest.partition("\n")
+    n = _header_count(path, 1, nodes_line, "nodes")
     if not 1 <= n <= max_nodes:
         raise ValueError(f"{path}: line 1: node count {n} is outside "
                          f"[1, {max_nodes}]")
+    m = _header_count(path, 2, edges_line, "edges")
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"{path}: line 2: edge count {m} is outside "
+                         f"[0, {n * (n - 1) // 2}] for {n} nodes")
     pairs = read_int_rows(body, 2)
-    if pairs is None or _edge_fault(pairs, n) is not None:
+    if pairs is None or len(pairs) != m or _edge_fault(pairs, n) is not None:
         pairs, lines, stop = scan_int_rows(body, 2, skip_blank=True)
         fault = _edge_fault(pairs, n)
         if fault is not None:
             k, reason = fault
-            raise ValueError(f"{path}: line {lines[k] + 2}: {reason}")
+            raise ValueError(f"{path}: line {lines[k] + 3}: {reason}")
         if stop is not None:
             k, line = stop
             reason = "expected 'i j' pair" if len(line.split()) != 2 \
                 else "non-integer endpoint"
-            raise ValueError(f"{path}: line {k + 2}: {reason}")
+            raise ValueError(f"{path}: line {k + 3}: {reason}")
+        if len(pairs) > m:
+            raise ValueError(f"{path}: line {lines[m] + 3}: edge row {m + 1} "
+                             f"beyond the edge count {m} of line 2")
+        if len(pairs) < m:
+            line_count = body.count("\n") + (body[-1:] not in ("", "\n"))
+            raise ValueError(f"{path}: line {line_count + 3}: "
+                             f"{m - len(pairs)} of {m} edge rows missing")
     return ConflictGraph.from_edges(n, pairs)

@@ -7,10 +7,11 @@ rate to one independent-set solver: ``lgs`` is the distributed baseline,
 
 Each policy's ``utilities(graph, q, r)`` is the utility it hands its
 solver. It takes (V,) vectors or (B, V) rows of queues and rates alike, so
-the lookahead rollouts can score many states in one call. A policy whose
-``schedules_with_lgs`` is true would call ``lgs`` on those utilities, so
-:func:`~linksched.sim.run_episode` solves the rows of all such policies in
-one :func:`~linksched.solvers.lgs_rows` call instead of calling each.
+the baseline's lookahead rollouts and the trainer's reward read many states
+in one call. A policy whose ``schedules_with_lgs`` is true would call
+``lgs`` on those utilities, so :func:`~linksched.sim.run_episode` solves
+the rows of all such policies in one :func:`~linksched.solvers.lgs_rows`
+call instead of calling each.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ evaluation runs every policy of an instance in one call, and the trainer's
 main trajectory runs its one policy. :func:`advance` is the one
 implementation of the queue update, q - min(r, q) + a, on a membership mask
 of any batch shape; only :func:`run_episode` and :func:`lookahead_compare`
-call it. :func:`lookahead_compare` is the one
-rollout loop: it rolls a batch of start states forward under two utility
-functions at once.
+call it. :func:`lookahead_compare` scores each state of a trajectory by its
+next k states against the baseline rolled k slots from it, all states at
+once; its ratios and evaluation's follow :func:`backlog_ratio`.
 
 Traces are stored as ``trace.csv``: :func:`save_trace` formats the whole
 (slot, node) column block in one string operation, and :func:`load_trace`
@@ -128,7 +128,7 @@ def advance(q: np.ndarray, members, rates, arrivals) -> np.ndarray:
 
     ``members`` is a bool (or 0/1) membership mask of the schedule. All
     arguments broadcast, so ``q`` and ``members`` may carry any leading
-    batch shape, e.g. (policies, rows, V) against (rows, V) rates. Inputs
+    batch shape, e.g. (policies, V) against one slot's (V,) rates. Inputs
     are not checked; :func:`run_episode` is the checked entry point.
     """
     return q - np.where(members, np.minimum(rates, q), 0) + arrivals
@@ -216,46 +216,49 @@ def run_episode(graph: ConflictGraph, policies: Sequence[Policy],
             for p in range(count)]
 
 
-def lookahead_compare(graph: ConflictGraph, starts, utilities: Utilities,
+def backlog_ratio(value, reference) -> np.ndarray:
+    """``value / reference`` elementwise as float64, for backlog ratios of
+    one shape: 0/0 is 1.0 (no backlog on either side is a tie) and x/0 is
+    inf for x != 0."""
+    value, reference = np.asarray(value, float), np.asarray(reference, float)
+    ratio = np.where(value == 0.0, 1.0, np.inf)
+    np.divide(value, reference, out=ratio, where=reference != 0.0)
+    return ratio
+
+
+def lookahead_compare(graph: ConflictGraph, queues,
                       baseline_utilities: Utilities, k: int,
                       trace: TrafficTrace) -> np.ndarray:
-    """Score a policy against a baseline over k-slot rollouts from many
-    start states at once.
+    """Score the first B states of a trajectory against baseline rollouts.
 
-    Row b of the (B, V) ``starts`` is rolled k slots under both utility
-    functions, each scheduling with LGS, from trace slot b: rollout step i
-    consumes trace slot b + i, so the trace must cover B + k - 1 slots.
-    Each step solves the 2B rows of both policies in one :func:`lgs_rows`
-    call. Row b of the result is (baseline backlog sum) / (policy backlog
-    sum) over its k post-step states; values above 1 mean the policy
-    accumulated less backlog. A row whose sums are both zero gets 1.0 (no
-    traffic: neutral), and one whose policy sum alone is zero gets inf.
+    ``queues`` is the (B + k, V) trajectory q(0)..q(B + k - 1) a policy ran
+    on ``trace`` over B + k - 1 slots. From every q(b), b < B, the baseline
+    schedules with LGS on ``baseline_utilities`` for k slots, step i on
+    trace slot b + i, as the policy's step from q(b + i) was; each step
+    solves the B rows in one :func:`lgs_rows` call. Row b of the result is
+    the :func:`backlog_ratio` of the baseline's k post-step backlog sums to
+    the policy's, those of q(b + 1)..q(b + k); values above 1 mean the
+    policy accumulated less backlog.
     """
-    q0 = np.asarray(starts, dtype=np.int64)
-    if q0.ndim != 2 or q0.shape[1] != graph.node_count:
-        raise ValueError(f"start queues must be (rows, {graph.node_count}), "
-                         f"got {q0.shape}")
-    rows = q0.shape[0]
+    trajectory = np.asarray(queues, dtype=np.int64)
     if k < 1:
         raise ValueError("lookahead needs at least one step")
+    if trajectory.shape[1:] != (graph.node_count,) or len(trajectory) <= k:
+        raise ValueError(f"trajectory must be (rows + {k}, {graph.node_count})"
+                         f" with rows >= 1, got {trajectory.shape}")
+    rows = len(trajectory) - k
     if trace.horizon < rows + k - 1:
         raise ValueError(f"trace has {trace.horizon} slots, need "
                          f"{rows + k - 1}")
-    q = np.stack([q0, q0])  # (policy, baseline) x rows x V
-    totals = np.zeros((2, rows), dtype=np.int64)
+    policy_total = np.lib.stride_tricks.sliding_window_view(
+        trajectory[1:].sum(axis=1), k).sum(axis=1)
+    q, baseline_total = trajectory[:rows], np.zeros(rows, dtype=np.int64)
     for i in range(k):
         r = trace.rates[i:i + rows]
-        u = np.concatenate([utilities(graph, q[0], r),
-                            baseline_utilities(graph, q[1], r)])
-        members, _ = lgs_rows(graph, u)
-        q = advance(q, members.reshape(q.shape), r,
-                    trace.arrivals[i:i + rows])
-        totals += q.sum(axis=2)
-    policy_total, baseline_total = totals
-    ratios = np.where(baseline_total == 0, 1.0, np.inf)
-    scored = policy_total != 0
-    ratios[scored] = baseline_total[scored] / policy_total[scored]
-    return ratios
+        members, _ = lgs_rows(graph, baseline_utilities(graph, q, r))
+        q = advance(q, members, r, trace.arrivals[i:i + rows])
+        baseline_total += q.sum(axis=1)
+    return backlog_ratio(baseline_total, policy_total)
 
 
 @dataclass

@@ -1,12 +1,12 @@
 """Lookahead-reward training loop with experience replay.
 
-Each episode runs the GCN scheduler through a fresh scheduling instance with
-:func:`~linksched.sim.run_episode`, the same per-slot loop evaluation uses;
-every slot's decision is then scored by rolling both the GCN policy and the
-baseline K slots forward under identical randomness, all slots of the
-episode in one batched rollout. Scheduled links are regressed toward the
-(activated) backlog ratio, unscheduled links toward their own current
-utility, with one Adam step per episode on a replayed batch.
+Each episode runs the GCN scheduler, its parameters fixed, through a fresh
+instance with :func:`~linksched.sim.run_episode`, evaluation's per-slot
+loop, K - 1 slots past the horizon. Each slot is scored by the trajectory's
+next K states against the baseline's K-slot rollout from the same state on
+the same trace, all slots in one batched rollout. Scheduled links are
+regressed toward the (activated) backlog ratio, unscheduled links toward
+their own utility, with one Adam step per episode on a replayed batch.
 """
 
 from __future__ import annotations
@@ -234,30 +234,31 @@ def collect_episode(config: TrainConfig, params: GcnParams,
                     trace: TrafficTrace) -> list[ExperienceTuple]:
     """Run one episode under the GCN policy and score every slot.
 
-    Two phases. First :func:`run_episode` runs the GCN policy for the
-    horizon, with evaluation's per-slot checks. The lookahead rollouts never
-    feed back into that trajectory, so then all slots are scored at once:
-    one stacked forward gives the utilities of the recorded start states
-    (bitwise equal per row to the per-slot forward), one
-    :func:`lookahead_compare` call rolls slot t on trace slots
-    t .. t + lookahead - 1 under the GCN policy and the LGS baseline, and
-    one :func:`compute_reward` call gives the targets. The trace must cover
-    horizon + lookahead slots.
+    Two phases. First :func:`run_episode` runs the GCN policy, with
+    evaluation's per-slot checks, for horizon + lookahead - 1 slots: the
+    horizon's slots and the lookahead's future of the last one. Then the
+    first horizon slots are scored at once: one stacked forward gives the
+    utilities of their start states (bitwise equal per row to the per-slot
+    forward), one :func:`lookahead_compare` call compares the trajectory's
+    next lookahead states from slot t with the LGS baseline rolled from
+    q(t) on the same trace slots, and one :func:`compute_reward` call gives
+    the targets. The trace must cover horizon + lookahead slots.
     """
     horizon, k = config.horizon, config.lookahead
     if trace.horizon < horizon + k:
         raise ValueError("trace must cover horizon + lookahead slots")
     gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
     baseline = SolverPolicy(lgs, config.utility_kind)
-    result, = run_episode(graph, [gcn_policy], trace, steps=horizon)
+    result, = run_episode(graph, [gcn_policy], trace, steps=horizon + k - 1)
     q, r = result.queues[:horizon], trace.rates[:horizon]
+    members = result.members[:horizon]
     features = gcn_policy.features(q, r)
     u = gcn_policy.utilities(graph, q, r)
-    ratios = lookahead_compare(graph, q, gcn_policy.utilities,
-                               baseline.utilities, k, trace)
-    returns = compute_reward(ratios, result.members, u, config.phi)
+    ratios = lookahead_compare(graph, result.queues, baseline.utilities, k,
+                               trace)
+    returns = compute_reward(ratios, members, u, config.phi)
     return [ExperienceTuple(graph, *slot) for slot in
-            zip(features, result.members, returns, ratios.tolist())]
+            zip(features, members, returns, ratios.tolist())]
 
 
 def batch_gradients(config: TrainConfig, params: GcnParams,

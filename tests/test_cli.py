@@ -183,15 +183,16 @@ class TestGenerate:
 
     def test_golden_instance_bytes(self, tmp_path):
         # the instance files of one small fixed-seed run, pinned to the bytes
-        # of the row-by-row csv writer this format started from
+        # of the row-by-row csv writer this format started from, plus the
+        # graph's "edges <E>" line
         cmd_generate(ExperimentConfig("ba-mix", (0.05,), instances=1,
                                       horizon=8, seed=3), tmp_path)
         inst = tmp_path / "instance_0000"
         digests = {name: hashlib.sha256((inst / name).read_bytes()).hexdigest()
                    for name in ("graph.txt", "trace.csv")}
         assert digests == {
-            "graph.txt": "da18974bfca3da50304823261d228f656c7ed9fc6f63ef27d"
-                         "ac20f4d4ac54b90",
+            "graph.txt": "8df3cf9bd0287395d2665ee0a268d8d7ce2f74d6a5cb29d8a"
+                         "7614750c285a867",
             "trace.csv": "9d9d9620724b0b989c816e138df90aec4bf64ba8b93a0a08d"
                          "c8d8ad3a6e5955a",
         }
@@ -729,14 +730,12 @@ class TestFuzz:
             path.write_text("".join(f"{line}\n" for line in lines))
             outcomes[case] = self.outcome(capsys, argv)
         path.write_text("".join(f"{line}\n" for line in good))
-        # what a corrupted file may still mean: a graph cut after an edge
-        # is a graph with fewer edges (an edgeless one has no
-        # centralization); eval reads no manifest seed and sizes nothing by
-        # its instance count or horizon
+        # what a corrupted file may still mean: eval reads no manifest seed
+        # and sizes nothing by its instance count or horizon; a graph states
+        # its edge count and a trace its size, so no cut of either is valid
         valid = {
             "manifest.txt": {"truncate-4", "huge-1", "huge-2", "huge-4"},
-            "instance_0000/graph.txt": {f"truncate-{k}"
-                                        for k in range(2, len(good))},
+            "instance_0000/graph.txt": set(),
             "instance_0000/trace.csv": set(),
         }[name]
         assert {case for case, rc in outcomes.items() if rc == 0} == valid

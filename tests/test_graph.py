@@ -329,17 +329,17 @@ class TestSerialization:
     def test_format(self, tmp_path):
         path = tmp_path / "graph.txt"
         save_graph(generate_star(2), path)
-        assert path.read_text() == "nodes 3\n0 1\n0 2\n"
+        assert path.read_text() == "nodes 3\nedges 2\n0 1\n0 2\n"
 
     def test_edgeless_roundtrip(self, tmp_path):
         path = tmp_path / "graph.txt"
         save_graph(generate_er(4, 0.0), path)
-        assert path.read_text() == "nodes 4\n"
+        assert path.read_text() == "nodes 4\nedges 0\n"
         assert load_graph(path, 4).edge_count == 0
 
     def test_blank_lines_allowed(self, tmp_path):
         path = tmp_path / "graph.txt"
-        path.write_text("nodes 3\n\n0 1\n  \n\t2 0 \n\n")
+        path.write_text("nodes 3\nedges 2\n\n0 1\n  \n\t2 0 \n\n")
         assert load_graph(path, 3).edges() == [(0, 1), (0, 2)]
 
     @pytest.mark.parametrize("line, reason", [
@@ -350,9 +350,9 @@ class TestSerialization:
     def test_bad_edge_after_blank_lines_names_line(self, tmp_path, line,
                                                    reason):
         path = tmp_path / "graph.txt"
-        path.write_text(f"nodes 3\n0 1\n\n{line}\n1 2\n")
+        path.write_text(f"nodes 3\nedges 3\n0 1\n\n{line}\n1 2\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: line 4: {reason}")):
+                f"{path}: line 5: {reason}")):
             load_graph(path, 3)
 
     def test_bad_header(self, tmp_path):
@@ -363,8 +363,8 @@ class TestSerialization:
 
     def test_bad_edge_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("nodes 3\n0 1 2\n")
-        with pytest.raises(ValueError, match="line 2"):
+        path.write_text("nodes 3\nedges 1\n0 1 2\n")
+        with pytest.raises(ValueError, match="line 3"):
             load_graph(path, 3)
 
     @pytest.mark.parametrize("text, line", [
@@ -372,11 +372,41 @@ class TestSerialization:
         ("nodes 3\n\n1 1\n", 3), ("nodes 3\n-1 2\n", 2), ("nodes 4\n", 1),
         ("nodes 100000000000\n0 1\n", 1)])
     def test_bad_graph_names_path_and_line(self, tmp_path, text, line):
+        # the cases are written without the edge-count line: it is inserted
+        # as line 2, stating every edge row, so those rows move down a line
+        head, _, body = text.partition("\n")
+        count = sum(1 for row in body.splitlines() if row.strip())
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(f"{head}\nedges {count}\n{body}")
         with pytest.raises(ValueError) as info:
             load_graph(path, 3)
-        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert str(info.value).startswith(
+            f"{path}: line {line + (line > 1)}: ")
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("nodes 3\n0 1\n", 2, "expected header 'edges <count>'"),
+        ("nodes 3\n", 2, "expected header 'edges <count>'"),
+        ("nodes 3 edges 1\n0 1\n", 1, "expected header 'nodes <count>'"),
+        ("nodes 3\nedges one\n", 2, "edge count is not an integer"),
+        ("nodes 3\nedges -1\n", 2, "edge count -1 is outside [0, 3]"),
+        ("nodes 3\nedges 4\n", 2, "edge count 4 is outside [0, 3]"),
+        ("nodes 3\nedges 2\n0 1\n", 4, "1 of 2 edge rows missing"),
+        ("nodes 3\nedges 2\n0 1\n\n", 5, "1 of 2 edge rows missing"),
+        ("nodes 3\nedges 1\n0 1\n\n1 2\n", 5,
+         "edge row 2 beyond the edge count 1 of line 2"),
+        ("nodes 3\nedges 2\n0 1\n1 0\n", 4, "repeated edge (1,0)"),
+        ("nodes 3\nedges 3\n1 2\n0 1\n1 2\n", 5, "repeated edge (1,2)"),
+        ("nodes 3\nedges 3\n0 1\n0 1\njunk\n", 4, "repeated edge (0,1)"),
+        ("nodes 3\nedges 1\n0 1\n1 2\njunk\n", 5, "expected 'i j' pair")])
+    def test_edge_count_faults_name_path_and_line(self, tmp_path, text, line,
+                                                  reason):
+        # the file states its edge count, so a file cut or padded by whole
+        # edge rows, or repeating an edge, is refused
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {line}: {reason}")):
+            load_graph(path, 3)
 
 
 @st.composite
@@ -410,10 +440,15 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 def reference_load_edges(path, n):
     """The line-by-line edge reader ``load_graph`` replaced, kept as the
-    reference for its diagnostics: the first bad line in file order."""
-    edges = []
+    reference for its diagnostics: the edge count of line 2, the first bad
+    edge line in file order, then the number of edge rows."""
+    edges, rows, seen = [], [], set()
     lines = Path(path).read_text().splitlines()
-    for ln, line in enumerate(lines[1:], start=2):
+    m = int(lines[1].split()[1])
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"{path}: line 2: edge count {m} is outside "
+                         f"[0, {n * (n - 1) // 2}] for {n} nodes")
+    for ln, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
         parts = line.split()
@@ -429,7 +464,17 @@ def reference_load_edges(path, n):
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"{path}: line {ln}: edge ({i},{j}) out of "
                              f"range for {n} nodes")
+        if frozenset((i, j)) in seen:
+            raise ValueError(f"{path}: line {ln}: repeated edge ({i},{j})")
+        seen.add(frozenset((i, j)))
         edges.append((i, j))
+        rows.append(ln)
+    if len(edges) > m:
+        raise ValueError(f"{path}: line {rows[m]}: edge row {m + 1} beyond "
+                         f"the edge count {m} of line 2")
+    if len(edges) < m:
+        raise ValueError(f"{path}: line {len(lines) + 1}: "
+                         f"{m - len(edges)} of {m} edge rows missing")
     return ConflictGraph.from_edges(n, edges)
 
 
@@ -441,9 +486,15 @@ class TestGraphFileProperties:
     @given(edge_lists(), st.sampled_from(KINDS), st.data())
     def test_inserted_line_matches_reference(self, tmp_path_factory, case,
                                              kind, data):
-        # one line inserted among the edge lines: load_graph reads the file
-        # as the line-by-line reference does, or refuses it at the same line
+        # one line inserted among the edge lines, and an edge count that
+        # may be one off: load_graph reads the file as the line-by-line
+        # reference does, or refuses it at the same line
         n, pairs = case
+        if data.draw(st.booleans()):  # drop repeated and mirrored copies
+            first = {}
+            for pair in pairs:
+                first.setdefault(frozenset(pair), pair)
+            pairs = list(first.values())
         lines = [f"{i} {j}" for i, j in pairs]
         node = data.draw(st.integers(0, n - 1))
         extra = {"none": None, "junk": "junk", "triple": "0 1 0",
@@ -452,8 +503,10 @@ class TestGraphFileProperties:
                  "blank": " \t"}[kind]
         if extra is not None:
             lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        count = len(pairs) + data.draw(st.sampled_from([0, 0, -1, 1]))
         path = tmp_path_factory.mktemp("graph") / "graph.txt"
-        path.write_text("".join(f"{line}\n" for line in [f"nodes {n}"] + lines))
+        path.write_text("".join(f"{line}\n" for line in
+                                [f"nodes {n}", f"edges {count}"] + lines))
         try:
             expected = reference_load_edges(path, n).edges()
         except ValueError as exc:

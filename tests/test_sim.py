@@ -15,10 +15,10 @@ from linksched.gcn import GcnParams, init_params
 from linksched.graph import (ConflictGraph, generate_er, generate_star,
                              is_independent_mask)
 from linksched.policies import GcnLgsPolicy, SolverPolicy
-from linksched.sim import (TrafficTrace, advance, backlog_stats,
-                           compute_metrics, load_trace, lookahead_compare,
-                           run_episode, sample_traffic, save_trace,
-                           steady_state_mean)
+from linksched.sim import (TrafficTrace, advance, backlog_ratio,
+                           backlog_stats, compute_metrics, load_trace,
+                           lookahead_compare, run_episode, sample_traffic,
+                           save_trace, steady_state_mean)
 from linksched.solvers import (Schedule, exact_mwis, greedy_centralized, lgs,
                                lgs_rows)
 
@@ -372,86 +372,147 @@ class TestLockstep:
         assert run_episode(generate_star(3), [], constant_trace(2, 4)) == []
 
 
+def ran(graph, policy, trace, q0=None):
+    """The queue trajectory ``policy`` runs over the whole trace."""
+    result, = run_episode(graph, [policy], trace, q0=q0)
+    return result.queues
+
+
 class TestLookahead:
     def test_identical_policies(self):
+        # the baseline scored against its own trajectory ties everywhere
         g = generate_er(10, 0.3, 0)
         trace = sample_traffic(g, 8, 2.0, 1)
-        q0 = np.arange(10, dtype=np.int64)
-        ratio = lookahead_compare(g, q0[None], SolverPolicy(lgs).utilities,
-                                  SolverPolicy(lgs).utilities, 4, trace)[0]
-        assert ratio == 1.0
+        queues = ran(g, SolverPolicy(lgs), trace, np.arange(10))
+        ratios = lookahead_compare(g, queues, SolverPolicy(lgs).utilities, 4,
+                                   trace)
+        assert ratios.tolist() == [1.0] * 5
 
     def test_ratio_matches_independent_rollout(self):
-        # replicate both rollouts with plain loops and compare the ratio
+        # replicate the trajectory and every baseline rollout with plain
+        # loops and an explicit q - min(r, q) + a, and compare the ratios
         g = generate_star(4)
-        trace = sample_traffic(g, 6, 1.5, 2)
-        q0 = np.array([3, 1, 0, 2, 1], dtype=np.int64)
-        pol_a = SolverPolicy(lgs)
-        pol_b = SolverPolicy(lgs, "queue")
+        trace = sample_traffic(g, 7, 20.0, 2)
+        policy, baseline = GcnLgsPolicy(HEAD_GCN), SolverPolicy(lgs)
 
-        def oracle_total(policy, k):
-            q = q0.copy()
-            total = 0
-            for i in range(k):
-                sched = policy(g, q, trace.rates[i])
-                for v in np.flatnonzero(sched.members):
-                    q[v] -= min(trace.rates[i][v], q[v])
-                q = q + trace.arrivals[i]
-                total += q.sum()
-            return total
+        def slot(q, chooser, t):
+            q = q.copy()
+            for v in np.flatnonzero(chooser(g, q, trace.rates[t]).members):
+                q[v] -= min(trace.rates[t][v], q[v])
+            return q + trace.arrivals[t]
 
-        k = 3
-        want = oracle_total(pol_b, k) / oracle_total(pol_a, k)
-        assert lookahead_compare(g, q0[None], pol_a.utilities,
-                                 pol_b.utilities, k, trace)[0] == want
+        queues = [np.array([3, 1, 0, 2, 1], dtype=np.int64)]
+        for t in range(trace.horizon):
+            queues.append(slot(queues[-1], policy, t))
+        ratios = set()
+        for k in (1, 3, 7):
+            want = []
+            for b in range(len(queues) - k):
+                q, baseline_total = queues[b], 0
+                for i in range(k):
+                    q = slot(q, baseline, b + i)
+                    baseline_total += int(q.sum())
+                policy_total = sum(int(x.sum())
+                                   for x in queues[b + 1:b + k + 1])
+                want.append(baseline_total / policy_total)
+            got = lookahead_compare(g, np.array(queues), baseline.utilities,
+                                    k, trace)
+            assert got.tolist() == want
+            ratios.update(want)
+        # the rollouts must have told the policies apart somewhere
+        assert len(ratios) > 2
 
     def test_zero_over_zero_is_one(self):
         g = generate_star(3)
         trace = constant_trace(5, 4, arrival=0)
-        q0 = np.zeros((1, 4), dtype=np.int64)
-        assert lookahead_compare(g, q0, SolverPolicy(lgs).utilities,
-                                 SolverPolicy(greedy_centralized).utilities, 3,
-                                 trace)[0] == 1.0
+        queues = ran(g, SolverPolicy(greedy_centralized), trace)
+        assert lookahead_compare(g, queues, SolverPolicy(lgs).utilities, 3,
+                                 trace).tolist() == [1.0] * 3
 
     def test_state_not_mutated(self):
         g = generate_star(3)
         trace = sample_traffic(g, 5, 2.0, 3)
-        q = np.array([5, 1, 2, 0], dtype=np.int64)
-        lookahead_compare(g, q[None], SolverPolicy(lgs).utilities,
-                          SolverPolicy(greedy_centralized).utilities, 3, trace)
-        assert q.tolist() == [5, 1, 2, 0]
+        queues = ran(g, SolverPolicy(greedy_centralized), trace,
+                     [5, 1, 2, 0])
+        before = queues.copy()
+        lookahead_compare(g, queues, SolverPolicy(lgs).utilities, 3, trace)
+        assert np.array_equal(queues, before)
 
     def test_row_conventions(self):
-        # K2, no arrivals: the policy always picks node 0, the baseline node 1
+        # K2, no arrivals, the baseline always picks node 1; the trajectory
+        # is written by hand, as lookahead_compare reads it as given
         g = ConflictGraph.from_edges(2, [(0, 1)])
-        starts = np.array([[1, 0], [0, 0], [3, 1], [0, 2]], dtype=np.int64)
-        k = 2
-        trace = constant_trace(len(starts) + k - 1, 2, arrival=0, rate=5)
+        queues = np.array([[1, 0], [0, 0], [0, 0], [3, 1], [0, 2]],
+                          dtype=np.int64)
+        k = 1
+        trace = constant_trace(len(queues) - 1, 2, arrival=0, rate=5)
 
         def prefer(node):
             return lambda graph, q, r: np.tile(np.eye(2)[node], (len(q), 1))
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratios = lookahead_compare(g, starts, prefer(0), prefer(1), k,
-                                       trace)
-        # x/0 is inf, 0/0 is 1.0, then 6/2 and 0/4
-        assert ratios.tolist() == [float("inf"), 1.0, 3.0, 0.0]
-        with pytest.raises(ValueError):
-            lookahead_compare(g, starts, prefer(0), prefer(1), k,
+            ratios = lookahead_compare(g, queues, prefer(1), k, trace)
+        # x/0 is inf, 0/0 is 1.0, then 0/4 and 3/2
+        assert ratios.tolist() == [float("inf"), 1.0, 0.0, 1.5]
+        with pytest.raises(ValueError, match="trace has 3 slots, need 4"):
+            lookahead_compare(g, queues, prefer(1), k,
                               TrafficTrace(trace.arrivals[:-1],
                                            trace.rates[:-1]))
+
+    def test_trajectory_shape(self):
+        # B + k states give B ratios; a trajectory of the wrong width or
+        # rank, or without a state past its last k, is refused
+        g = generate_star(3)
+        trace = constant_trace(6, 4)
+        queues = ran(g, SolverPolicy(lgs), trace)
+        utilities = SolverPolicy(lgs).utilities
+        for k in (1, 2, 6):
+            assert lookahead_compare(g, queues, utilities, k,
+                                     trace).shape == (7 - k,)
+        for bad in (queues[:, :3], queues[0], queues[:2]):
+            with pytest.raises(ValueError, match="trajectory must be"):
+                lookahead_compare(g, bad, utilities, 2, trace)
+
+    def test_one_lgs_rows_call_of_b_rows_per_step(self, monkeypatch):
+        # only the baseline is rolled: each of the k steps solves B rows
+        calls = []
+
+        def counted(graph, u):
+            calls.append(np.shape(u))
+            return lgs_rows(graph, u)
+        g = generate_er(12, 0.3, 1)
+        trace = sample_traffic(g, 9, 2.0, 2)
+        queues = ran(g, GcnLgsPolicy(HEAD_GCN), trace)
+        monkeypatch.setattr("linksched.sim.lgs_rows", counted)
+        lookahead_compare(g, queues, SolverPolicy(lgs).utilities, 4, trace)
+        assert calls == [(6, 12)] * 4
 
     def test_bad_k(self):
         g = generate_star(3)
         trace = constant_trace(5, 4)
-        q0 = np.zeros((1, 4), dtype=np.int64)
-        with pytest.raises(ValueError):
-            lookahead_compare(g, q0, SolverPolicy(lgs).utilities,
-                              SolverPolicy(lgs).utilities, 0, trace)
-        with pytest.raises(ValueError):
-            lookahead_compare(g, q0, SolverPolicy(lgs).utilities,
-                              SolverPolicy(lgs).utilities, 9, trace)
+        queues = ran(g, SolverPolicy(lgs), trace)
+        for k in (0, -1, 6):
+            with pytest.raises(ValueError):
+                lookahead_compare(g, queues, SolverPolicy(lgs).utilities, k,
+                                  trace)
+
+
+class TestBacklogRatio:
+    def test_conventions(self):
+        # 0/0 is a tie, x/0 is inf, and the rest is plain division
+        got = backlog_ratio([0, 3, 0, 6, 1e-300], [0, 0, 4, 4, 3.0])
+        assert got.dtype == np.float64
+        assert got.tolist() == [1.0, float("inf"), 0.0, 1.5, 1e-300 / 3.0]
+
+    def test_matches_python_division(self):
+        # eval writes the ratios through tolist(), as Python floats
+        rng = np.random.default_rng(0)
+        value, reference = rng.random(50) * 100, rng.random(50) * 7
+        got = backlog_ratio(value, reference).tolist()
+        assert all(type(x) is float for x in got)
+        assert got == [a / b for a, b in zip(value.tolist(),
+                                             reference.tolist())]
 
 
 class TestMetrics:

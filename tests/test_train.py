@@ -170,16 +170,25 @@ def reference_episode(config, params, graph, trace):
 
 
 class TestCollectEpisode:
-    @pytest.mark.parametrize("phi,kind", [("heaviside", "product"),
-                                          ("linear", "min")])
-    def test_matches_plain_loop_rollouts(self, phi, kind):
-        config = small_config(horizon=20, lookahead=4, phi=phi,
-                              utility_kind=kind, layer_dims=(1, 4, 1),
-                              graph_mix=(("star8", 0.5), ("er", 0.5)),
-                              loads=(0.08,))
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(phi="heaviside", utility_kind="product"),
+                     id="heaviside-product"),
+        pytest.param(dict(phi="linear", utility_kind="min"), id="linear-min"),
+        # the edges of the window arithmetic: one rollout step, and a
+        # lookahead that reaches past twice the horizon
+        pytest.param(dict(lookahead=1), id="lookahead-1"),
+        pytest.param(dict(horizon=3, lookahead=7),
+                     id="lookahead-past-horizon"),
+        pytest.param(dict(init="identity", layer_dims=(1, 1)),
+                     id="identity-init")])
+    def test_matches_plain_loop_rollouts(self, overrides):
+        config = small_config(**(dict(
+            horizon=20, lookahead=4, layer_dims=(1, 4, 1),
+            graph_mix=(("star8", 0.5), ("er", 0.5)), loads=(0.08,))
+            | overrides))
         ratios = []
         for seed in range(4):
-            params = init_params(config.layer_dims, seed)
+            params = train_module.initial_params(config, seed)
             _, graph, trace = sample_instance(config,
                                               np.random.default_rng(seed))
             tuples = collect_episode(config, params, graph, trace)
@@ -192,8 +201,10 @@ class TestCollectEpisode:
                 assert np.array_equal(item.returns, returns)
                 assert item.ratio == ratio
                 ratios.append(ratio)
-        # the rollouts must have told the policies apart somewhere
-        assert len(set(ratios)) > 2
+        if config.init == "identity":  # the GCN is the baseline
+            assert set(ratios) == {1.0}
+        else:  # the rollouts must have told the policies apart somewhere
+            assert len(set(ratios)) > 2
 
     def test_tuple_count_matches_horizon(self):
         config = small_config(horizon=12)
@@ -236,6 +247,24 @@ class TestCollectEpisode:
             lambda graph, u: Schedule(np.ones(graph.node_count, bool)))
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
+
+    def test_lookahead_slots_checked(self, monkeypatch):
+        # the GCN's lookahead future is the main trajectory, run with
+        # evaluation's per-slot checks past the horizon: a stand-in solver
+        # that breaks independence only in a lookahead slot is refused
+        config = small_config(horizon=6, lookahead=3)
+        params = init_params(config.layer_dims, 0)
+        calls = []
+
+        def late_conflict(graph, u):
+            calls.append(u)
+            if len(calls) > config.horizon:
+                return Schedule(np.ones(graph.node_count, bool))
+            return lgs(graph, u)
+        monkeypatch.setattr(policies, "lgs", late_conflict)
+        with pytest.raises(ValueError, match="independent"):
+            sampled_episode(config, params, 1)
+        assert len(calls) == config.horizon + 1
 
     def test_main_trajectory_matches_run_episode(self):
         # the trainer and the simulator share one queue update

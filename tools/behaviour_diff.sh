@@ -69,7 +69,20 @@ recompute_unscheduled = yes
 checkpoint_interval = 4
 seed = 9
 CFG
+    # the edges of the lookahead window: a single rollout step, and more
+    # steps than the horizon has slots
+    cat > "$side/lookahead-1.cfg" <<'CFG'
+lookahead = 1
+CFG
+    cat > "$side/lookahead-9.cfg" <<'CFG'
+horizon = 6
+lookahead = 9
+CFG
     run train-default train --episodes 40 --seed 3 --out train-default
+    run train-lookahead-1 train --config lookahead-1.cfg --episodes 40 \
+        --seed 4 --out train-lookahead-1
+    run train-lookahead-9 train --config lookahead-9.cfg --episodes 40 \
+        --seed 5 --out train-lookahead-9
     run train-bench train --config bench.cfg --episodes 8 --seed 11 \
         --out train-bench
     run train-all-keys train --config all-keys.cfg --out train-all-keys
