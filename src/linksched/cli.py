@@ -23,12 +23,14 @@ from .graph import ConflictGraph, centralization, load_graph, save_graph
 from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
 from .sim import (RATE_MEAN, MetricsBundle, TrafficTrace, backlog_ratio,
-                  compute_metrics, load_trace, run_episode, sample_traffic,
-                  save_trace, steady_state_mean)
-from .solvers import EXACT_NODE_CAP, exact_mwis, greedy_centralized, lgs
+                  compute_metrics, load_trace, ratio_quartiles, run_episode,
+                  sample_traffic, save_trace, steady_state_mean)
+from .solvers import EXACT_NODE_CAP
 from .train import TrainConfig, train, write_training_log
 
 POLICY_NAMES = ("baseline", "greedy", "exact", "gcn")
+# The solver behind each CLI policy name but ``gcn``, which schedules with LGS.
+SOLVER_NAMES = {"baseline": "lgs", "greedy": "greedy", "exact": "exact"}
 
 PER_INSTANCE_HEADER = ["instance", "policy", "mean", "median", "p95",
                        "objective", "rounds_mean"]
@@ -226,11 +228,7 @@ def _make_policy(name: str, config: ExperimentConfig):
     if name == "gcn":
         ckpt = load_checkpoint(config.checkpoint)
         return GcnLgsPolicy(ckpt.params, ckpt.slope, config.utility_kind)
-    # Looked up at call time, so rebinding a solver in this module takes
-    # effect on the next evaluation.
-    solvers = {"baseline": lgs, "greedy": greedy_centralized,
-               "exact": exact_mwis}
-    return SolverPolicy(solvers[name], config.utility_kind)
+    return SolverPolicy(SOLVER_NAMES[name], config.utility_kind)
 
 
 @dataclass
@@ -246,7 +244,9 @@ class EvaluationReport:
     summary: list[dict] = field(default_factory=list)
 
     def aggregate(self) -> list[dict]:
-        """Mean and quartiles of the per-instance ARs, per policy and metric."""
+        """Mean and quartiles of the per-instance ARs, per policy and
+        metric; an inf AR (x/0) makes the mean inf and the quartiles follow
+        :func:`~linksched.sim.ratio_quartiles`."""
         rows = []
         policies = sorted({row["policy"] for row in self.ars})
         count = len({row["instance"] for row in self.ars})
@@ -259,13 +259,13 @@ class EvaluationReport:
                     per_metric["p95"].append(row["ar_p95"])
             for metric, values in per_metric.items():
                 arr = np.asarray(values, dtype=np.float64)
-                q25, median, q75 = np.percentile(arr, [25, 50, 75])
+                q25, median, q75 = ratio_quartiles(arr)
                 rows.append({
                     "config": self.config_name, "instances": count,
                     "centralization": self.centralization_mean,
                     "policy": policy, "metric": metric,
-                    "ar_mean": float(arr.mean()), "ar_q25": float(q25),
-                    "ar_median": float(median), "ar_q75": float(q75),
+                    "ar_mean": float(arr.mean()), "ar_q25": q25,
+                    "ar_median": median, "ar_q75": q75,
                 })
         return rows
 
@@ -363,16 +363,20 @@ def cmd_toy(horizon: int = 128, burn_in: int = 20) -> ToyReport:
     utilities under the per-slot optimal and greedy schedulers.
 
     The steady-state figure is the average start-of-slot backlog per link
-    over slots [burn_in, horizon).
+    over slots [burn_in, horizon), and each cycle is the last two states
+    q(horizon - 2) and q(horizon - 1), so the horizon must be at least 2.
     """
+    if horizon < 2:
+        raise ValueError(
+            f"toy horizon must be at least 2 slots, got {horizon}")
     preset = parse_graph_config("star5")
     graph = preset.build(0)
     n = graph.node_count
     trace = TrafficTrace(np.ones((horizon, n), dtype=np.int64),
                          np.full((horizon, n), 2, dtype=np.int64))
-    exact, greedy = run_episode(graph, [SolverPolicy(exact_mwis, "queue"),
-                                        SolverPolicy(greedy_centralized,
-                                                     "queue")], trace)
+    exact, greedy = run_episode(graph, [SolverPolicy("exact", "queue"),
+                                        SolverPolicy("greedy", "queue")],
+                                trace)
     return ToyReport(steady_state_mean(exact, burn_in),
                      steady_state_mean(greedy, burn_in),
                      (exact.queues[horizon - 2], exact.queues[horizon - 1]),

@@ -1,57 +1,37 @@
-"""Interchangeable scheduling policies: callables (graph, q, r) -> Schedule.
+"""Interchangeable scheduling policies: a utility function plus a solver name.
 
-:class:`SolverPolicy` feeds a handcrafted per-link utility of backlog and
-rate to one independent-set solver: ``lgs`` is the distributed baseline,
-``greedy_centralized`` and ``exact_mwis`` are the reference schedulers.
-:class:`GcnLgsPolicy` feeds GCN utilities to ``lgs``.
+Every policy has the same two parts. ``utilities(graph, q, r)`` is the
+per-link utility it schedules on; it takes (V,) vectors or (B, V) rows of
+queues and rates alike, so the baseline's lookahead rollouts read many
+states in one call. ``solver`` names the independent-set solver that turns
+those utilities into a schedule: ``"lgs"`` (the distributed baseline),
+``"greedy"`` or ``"exact"`` (the centralized reference schedulers). A
+policy holds no solver function: :func:`~linksched.sim.run_episode` solves
+every policy's utilities, the rows of all ``"lgs"`` policies in one
+:func:`~linksched.solvers.lgs_rows` call per slot.
 
-Each policy's ``utilities(graph, q, r)`` is the utility it hands its
-solver. It takes (V,) vectors or (B, V) rows of queues and rates alike, so
-the baseline's lookahead rollouts and the trainer's reward read many states
-in one call. A policy whose ``schedules_with_lgs`` is true would call
-``lgs`` on those utilities, so :func:`~linksched.sim.run_episode` solves
-the rows of all such policies in one :func:`~linksched.solvers.lgs_rows`
-call instead of calling each.
+:class:`SolverPolicy` hands its solver a handcrafted utility of backlog and
+rate; :class:`GcnLgsPolicy` hands ``lgs`` the GCN's utilities.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable
-
 import numpy as np
 
-from . import solvers
 from .gcn import LEAKY_SLOPE, GcnParams, forward
 from .graph import ConflictGraph
-from .solvers import Schedule, baseline_utility, lgs
-
-
-def _is_lgs(solver) -> bool:
-    """True when ``solver`` is :func:`~linksched.solvers.lgs`, also while
-    wrappers made with ``functools.wraps``, such as a tracer's, stand in for
-    it here or in ``solvers``. A stand-in of another kind is not ``lgs``, so
-    a policy using one is called slot by slot."""
-    return inspect.unwrap(solver) is inspect.unwrap(solvers.lgs)
+from .solvers import baseline_utility
 
 
 class SolverPolicy:
-    """A solver applied to the :func:`baseline_utility` of (q, r)."""
+    """A solver, by name, applied to the :func:`baseline_utility` of (q, r)."""
 
-    def __init__(self, solver: Callable[[ConflictGraph, np.ndarray], Schedule],
-                 utility_kind: str = "product"):
+    def __init__(self, solver: str, utility_kind: str = "product"):
         self.solver = solver
         self.utility_kind = utility_kind
 
-    @property
-    def schedules_with_lgs(self) -> bool:
-        return _is_lgs(self.solver)
-
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
         return baseline_utility(q, r, self.utility_kind)
-
-    def __call__(self, graph: ConflictGraph, q, r) -> Schedule:
-        return self.solver(graph, self.utilities(graph, q, r))
 
 
 class GcnLgsPolicy:
@@ -62,15 +42,13 @@ class GcnLgsPolicy:
     holds no per-graph state.
     """
 
+    solver = "lgs"
+
     def __init__(self, params: GcnParams, slope: float = LEAKY_SLOPE,
                  feature_kind: str = "product"):
         self.params = params
         self.slope = slope
         self.feature_kind = feature_kind
-
-    @property
-    def schedules_with_lgs(self) -> bool:
-        return _is_lgs(lgs)
 
     def features(self, q, r) -> np.ndarray:
         """The GCN input: one feature per link, (V, 1) or (B, V, 1)."""
@@ -79,6 +57,3 @@ class GcnLgsPolicy:
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
         return forward(self.params, graph.laplacian, self.features(q, r),
                        self.slope)[0]
-
-    def __call__(self, graph: ConflictGraph, q, r) -> Schedule:
-        return lgs(graph, self.utilities(graph, q, r))

@@ -1,19 +1,22 @@
 """Discrete-time queueing dynamics, traffic sampling, episodes, and metrics.
 
-A slot proceeds as: the policy picks an independent set from the state
-(q(t), r(t)), as a :class:`~linksched.solvers.Schedule` whose (V,) bool
-``members`` mask is the one form a schedule takes; scheduled links send
-min(rate, backlog) packets; arrivals land on every link. All packet
-quantities are integers. :func:`run_episode` is the one per-slot loop: it
-runs any number of policies in lockstep on one trace, solving the rows of
-all LGS policies in one :func:`~linksched.solvers.lgs_rows` call per slot;
-evaluation runs every policy of an instance in one call, and the trainer's
-main trajectory runs its one policy. :func:`advance` is the one
-implementation of the queue update, q - min(r, q) + a, on a membership mask
-of any batch shape; only :func:`run_episode` and :func:`lookahead_compare`
-call it. :func:`lookahead_compare` scores each state of a trajectory by its
-next k states against the baseline rolled k slots from it, all states at
-once; its ratios and evaluation's follow :func:`backlog_ratio`.
+A slot proceeds as: each policy's utilities of the state (q(t), r(t)) go
+to the solver it names, which picks an independent set as a (V,) bool
+membership mask; scheduled links send min(rate, backlog) packets; arrivals
+land on every link. All packet quantities are integers. :func:`run_episode`
+is the one per-slot loop and the one place a policy's utilities are
+solved: it runs any number of policies in lockstep on one trace, solving
+the rows of all ``"lgs"`` policies in one
+:func:`~linksched.solvers.lgs_rows` call per slot and each other row with
+the solver it names; evaluation runs every policy of an instance in one
+call, and the trainer's main trajectory runs its one policy.
+:func:`advance` is the one implementation of the queue update,
+q - min(r, q) + a, on a membership mask of any batch shape; only
+:func:`run_episode` and :func:`lookahead_compare` call it.
+:func:`lookahead_compare` scores each state of a trajectory by its next k
+states against the baseline rolled k slots from it, all states at once; its
+ratios and evaluation's follow :func:`backlog_ratio`, and
+:func:`ratio_quartiles` summarizes ratios that may be inf.
 
 Traces are stored as ``trace.csv``: :func:`save_trace` formats the whole
 (slot, node) column block in one string operation, and :func:`load_trace`
@@ -33,12 +36,8 @@ import numpy as np
 
 from .graph import (INT64_MAX, ConflictGraph, as_rng, is_independent_mask,
                     read_int_rows, scan_int_rows)
-from .solvers import Schedule, lgs_rows
+from .solvers import exact_mwis, greedy_centralized, lgs_rows
 
-# A scheduling policy maps (graph, queues, rates) to an independent set. One
-# that schedules with LGS may also carry a true ``schedules_with_lgs`` and a
-# ``utilities`` function of the same arguments (see policies).
-Policy = Callable[[ConflictGraph, np.ndarray, np.ndarray], Schedule]
 # A utility function maps (graph, queues, rates) to per-link utilities; it
 # takes (V,) vectors or (B, V) rows alike.
 Utilities = Callable[[ConflictGraph, np.ndarray, np.ndarray], np.ndarray]
@@ -139,32 +138,35 @@ class EpisodeResult:
     """Recorded trajectory of one simulated episode.
 
     ``queues`` holds the T+1 states q(0)..q(T) row-wise; ``members`` holds
-    the T per-slot schedules as a (T, V) bool mask, and ``rounds`` each
-    slot's message rounds (None for centralized solvers).
+    the T per-slot schedules as a (T, V) bool mask, ``utilities`` the (T, V)
+    utilities they were solved on, and ``rounds`` each slot's message rounds
+    as a (T,) int64 array (None for the centralized solvers).
     """
 
-    graph: ConflictGraph
     queues: np.ndarray
     members: np.ndarray
-    rounds: list[int | None]
-    trace: TrafficTrace
+    utilities: np.ndarray
+    rounds: np.ndarray | None
 
 
-def run_episode(graph: ConflictGraph, policies: Sequence[Policy],
+def run_episode(graph: ConflictGraph, policies: Sequence,
                 trace: TrafficTrace, q0=None,
                 steps: int | None = None) -> list[EpisodeResult]:
     """Run every policy for ``steps`` slots (default: full trace) in
     lockstep on one trace; returns one :class:`EpisodeResult` per policy,
     in order.
 
-    This is the one per-slot loop. Each slot, every policy picks a schedule
-    from its own state (q(t), r(t)). The policies that schedule with LGS,
-    marked by a true ``schedules_with_lgs`` (``SolverPolicy(lgs)`` and
-    ``GcnLgsPolicy``), hand over their ``utilities``, and their rows are
-    solved together in one :func:`lgs_rows` call; every other policy is
-    called on its own row. A membership mask of the wrong shape, or one that
-    is not an independent set, raises ValueError; then one :func:`advance`
-    applies trace slot t to every row.
+    This is the one per-slot loop and the one place a policy's utilities
+    are solved. A policy is its ``utilities(graph, q, r)`` and a
+    ``solver`` name (see :mod:`~linksched.policies`). Each slot, every
+    policy's utilities of its own state (q(t), r(t)) fill one row of a
+    (P, V) array; the rows of all ``"lgs"`` policies are solved in one
+    :func:`lgs_rows` call, and each other row by
+    :func:`greedy_centralized` (``"greedy"``) or :func:`exact_mwis`
+    (``"exact"``), looked up in this module at call time. Utilities that
+    are not one per node, or a schedule that is not a (V,) bool mask of an
+    independent set, raise ValueError; then one :func:`advance` applies
+    trace slot t to every row.
     Rows never mix, so each result equals a run of that policy alone. The
     trace was checked when it was built, so only its width is checked
     here. A policy sees read-only views of its queues and of the trace's
@@ -187,32 +189,37 @@ def run_episode(graph: ConflictGraph, policies: Sequence[Policy],
     states = queues.view()
     states.setflags(write=False)
     members = np.empty((count, horizon, n), dtype=bool)
-    batched = [p for p, policy in enumerate(policies)
-               if getattr(policy, "schedules_with_lgs", False)]
-    batched_rounds = np.empty((len(batched), horizon), dtype=np.int64)
-    rounds: list[list[int | None]] = [[] for _ in policies]
+    utilities = np.empty((count, horizon, n))
+    rounds = np.zeros((count, horizon), dtype=np.int64)
+    solve = {"greedy": greedy_centralized, "exact": exact_mwis}
+    names = [policy.solver for policy in policies]
+    for name in names:
+        if name != "lgs" and name not in solve:
+            raise ValueError(f"unknown solver {name!r}")
+    batched = [p for p, name in enumerate(names) if name == "lgs"]
     for t in range(horizon):
-        q, r, slot = states[:, t], trace.rates[t], members[:, t]
+        q, r, slot, u = (states[:, t], trace.rates[t], members[:, t],
+                         utilities[:, t])
+        for p, policy in enumerate(policies):
+            row = policy.utilities(graph, q[p], r)
+            if np.shape(row) != (n,):
+                raise ValueError(f"utilities of shape {np.shape(row)} for "
+                                 f"{n} nodes")
+            u[p] = row
         if batched:
-            u = np.array([policies[p].utilities(graph, q[p], r)
-                          for p in batched])
-            slot[batched], batched_rounds[:, t] = lgs_rows(graph, u)
-        for p in range(count):
-            if p in batched:
-                mask = slot[p]
-            else:
-                schedule = policies[p](graph, q[p], r)
-                mask = schedule.members
-                rounds[p].append(schedule.rounds_used)
+            slot[batched], rounds[batched, t] = lgs_rows(graph, u[batched])
+        for p, name in enumerate(names):
+            mask = slot[p] if name == "lgs" else solve[name](graph, u[p])
+            if getattr(mask, "dtype", None) != bool:
+                raise ValueError("a schedule must be a 1-D bool mask")
             # checks the mask's shape as well
             if not is_independent_mask(graph, mask):
                 raise ValueError(
                     "schedule is not an independent set of the graph")
             slot[p] = mask
         queues[:, t + 1] = advance(q, slot, r, trace.arrivals[t])
-    for p, used in zip(batched, batched_rounds.tolist()):
-        rounds[p] = used
-    return [EpisodeResult(graph, queues[p], members[p], rounds[p], trace)
+    return [EpisodeResult(queues[p], members[p], utilities[p],
+                          rounds[p] if names[p] == "lgs" else None)
             for p in range(count)]
 
 
@@ -224,6 +231,24 @@ def backlog_ratio(value, reference) -> np.ndarray:
     ratio = np.where(value == 0.0, 1.0, np.inf)
     np.divide(value, reference, out=ratio, where=reference != 0.0)
     return ratio
+
+
+def ratio_quartiles(ratios) -> list[float]:
+    """The 25th, 50th and 75th percentiles of ``ratios`` by linear
+    interpolation, as Python floats, where a ratio may be inf (see
+    :func:`backlog_ratio`). A percentile that falls exactly on an order
+    statistic is that value, and one that gives an inf neighbor a nonzero
+    weight is inf. Without inf the values are ``np.percentile``'s, bit for
+    bit; with inf, that function returns nan (the median of [1, 2, inf]
+    among them) and warns."""
+    a = np.sort(np.asarray(ratios, dtype=np.float64))
+    inf = a == np.inf
+    # the largest finite ratio stands in for inf and keeps the order, so
+    # every percentile whose upper neighbor is finite reads the same pair
+    finite = np.where(inf, a[~inf].max(initial=0.0), a)
+    upper = np.ceil(np.array([0.25, 0.5, 0.75]) * (len(a) - 1)).astype(int)
+    return np.where(inf[upper], np.inf,
+                    np.percentile(finite, [25, 50, 75])).tolist()
 
 
 def lookahead_compare(graph: ConflictGraph, queues,
@@ -290,11 +315,12 @@ def compute_metrics(result: EpisodeResult) -> MetricsBundle:
     """Summarize an episode's backlog trajectory."""
     qs = result.queues
     mean, median, p95 = backlog_stats(qs)
-    objective = float(qs.sum(axis=1).mean() / result.graph.node_count)
-    rounds = [r for r in result.rounds if r is not None]
-    rounds_mean = float(np.mean(rounds)) if rounds else None
-    rounds_max = int(max(rounds)) if rounds else None
-    return MetricsBundle(mean, median, p95, objective, rounds_mean, rounds_max)
+    objective = float(qs.sum(axis=1).mean() / qs.shape[1])
+    rounds = result.rounds
+    if rounds is None:
+        return MetricsBundle(mean, median, p95, objective)
+    return MetricsBundle(mean, median, p95, objective,
+                         float(np.mean(rounds)), int(rounds.max()))
 
 
 def steady_state_mean(result: EpisodeResult, burn_in: int) -> float:

@@ -1,14 +1,16 @@
 """Independent-set schedulers: distributed local greedy, centralized greedy,
 exact branch-and-bound, and the per-link utility functions they consume.
 
-The distributed local greedy scheduler (LGS) has one kernel,
-:func:`lgs_rows`, which schedules a batch of utility rows on one graph
-without sorting: a node joins when no remaining neighbor outranks it in
-(utility, node ID) order. :func:`lgs` is its one-row case."""
+A schedule is a (V,) bool membership mask over the graph's nodes. The
+distributed local greedy scheduler (LGS) has one kernel, :func:`lgs_rows`,
+which schedules a batch of utility rows on one graph without sorting: a
+node joins when no remaining neighbor outranks it in (utility, node ID)
+order. :func:`greedy_centralized` and :func:`exact_mwis` schedule one row.
+:func:`~linksched.sim.run_episode` is the one caller that solves a policy's
+utilities; :func:`~linksched.sim.lookahead_compare` calls :func:`lgs_rows`
+for the baseline's rollouts."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,25 +18,6 @@ from .graph import ConflictGraph
 
 # The largest graph exact_mwis accepts; its search is exponential in V.
 EXACT_NODE_CAP = 40
-
-
-@dataclass(frozen=True, eq=False)
-class Schedule:
-    """The links cleared to transmit in one slot, as a (V,) bool membership
-    mask over the graph's nodes.
-
-    ``rounds_used`` counts the synchronous message rounds consumed by the
-    distributed solver; centralized solvers leave it as None. Equality is
-    identity: compare ``members`` arrays instead.
-    """
-
-    members: np.ndarray
-    rounds_used: int | None = None
-
-    def __post_init__(self) -> None:
-        m = self.members
-        if not isinstance(m, np.ndarray) or m.dtype != bool or m.ndim != 1:
-            raise ValueError("schedule members must be a 1-D bool mask")
 
 
 def _check_utilities(graph: ConflictGraph, utilities) -> np.ndarray:
@@ -128,16 +111,7 @@ def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
             outranks & active.take(index, axis=0), starts, axis=0)
 
 
-def lgs(graph: ConflictGraph, utilities) -> Schedule:
-    """Distributed local greedy scheduler: the one-row case of
-    :func:`lgs_rows`, which checks the utilities, returned as a
-    :class:`Schedule` with its rounds. The result is a maximal independent
-    set."""
-    members, rounds = lgs_rows(graph, np.asarray(utilities)[None])
-    return Schedule(members[0], int(rounds[0]))
-
-
-def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:
+def greedy_centralized(graph: ConflictGraph, utilities) -> np.ndarray:
     """Centralized sequential greedy: repeatedly take the globally best
     remaining node (ties to the larger ID), then drop it and its neighbors.
 
@@ -148,8 +122,8 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:
     mask. When the scan reaches an unblocked node, every node ahead of it
     is chosen or blocked, so it is the best node the repeated-argmax loop
     would take next. Unlike :func:`lgs_rows`, this is a sequential
-    algorithm, which keeps ``lgs == greedy_centralized`` a meaningful
-    property.
+    algorithm, which keeps ``lgs_rows == greedy_centralized`` a meaningful
+    property. Returns the (V,) bool membership mask.
     """
     u = _check_utilities(graph, utilities)
     nbrs = graph.neighbor_bitmasks
@@ -159,10 +133,10 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> Schedule:
         if not blocked >> v & 1:
             members[v] = True
             blocked |= nbrs[v]
-    return Schedule(members)
+    return members
 
 
-def exact_mwis(graph: ConflictGraph, utilities) -> Schedule:
+def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     """Maximum-weight independent set by depth-first branch and bound.
 
     Each search node that survives the bound applies the degree-0
@@ -177,7 +151,8 @@ def exact_mwis(graph: ConflictGraph, utilities) -> Schedule:
     a free node of zero weight out gives the lexicographically smaller set
     of equal weight. On a star the search tree has two leaves, hub in or
     hub out with every leaf taken at once. Weights must be non-negative and
-    the graph at most :data:`EXACT_NODE_CAP` nodes.
+    the graph at most :data:`EXACT_NODE_CAP` nodes. Returns the (V,) bool
+    membership mask.
     """
     u = _check_utilities(graph, utilities)
     n = graph.node_count
@@ -231,4 +206,4 @@ def exact_mwis(graph: ConflictGraph, utilities) -> Schedule:
                rem_sum - bit_sum(dropped))
 
     search((1 << n) - 1, 0.0, 0, sum(w))
-    return Schedule(np.array([best_set >> v & 1 for v in range(n)], dtype=bool))
+    return np.array([best_set >> v & 1 for v in range(n)], dtype=bool)

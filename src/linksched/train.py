@@ -27,7 +27,6 @@ from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
 from .sim import RATE_MEAN, TrafficTrace, lookahead_compare, run_episode, \
     sample_traffic
-from .solvers import lgs
 
 DEFAULT_LOADS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
 # The largest value of each size key (for ``layer_dims``, of each width), so
@@ -237,26 +236,26 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     Two phases. First :func:`run_episode` runs the GCN policy, with
     evaluation's per-slot checks, for horizon + lookahead - 1 slots: the
     horizon's slots and the lookahead's future of the last one. Then the
-    first horizon slots are scored at once: one stacked forward gives the
-    utilities of their start states (bitwise equal per row to the per-slot
-    forward), one :func:`lookahead_compare` call compares the trajectory's
-    next lookahead states from slot t with the LGS baseline rolled from
-    q(t) on the same trace slots, and one :func:`compute_reward` call gives
-    the targets. The trace must cover horizon + lookahead slots.
+    first horizon slots are scored at once: one :func:`lookahead_compare`
+    call compares the trajectory's next lookahead states from slot t with
+    the LGS baseline rolled from q(t) on the same trace slots, and one
+    :func:`compute_reward` call gives the targets from the utilities each
+    slot's schedule was solved on. The trace must cover horizon + lookahead
+    slots.
     """
     horizon, k = config.horizon, config.lookahead
     if trace.horizon < horizon + k:
         raise ValueError("trace must cover horizon + lookahead slots")
     gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
-    baseline = SolverPolicy(lgs, config.utility_kind)
+    baseline = SolverPolicy("lgs", config.utility_kind)
     result, = run_episode(graph, [gcn_policy], trace, steps=horizon + k - 1)
-    q, r = result.queues[:horizon], trace.rates[:horizon]
     members = result.members[:horizon]
-    features = gcn_policy.features(q, r)
-    u = gcn_policy.utilities(graph, q, r)
+    features = gcn_policy.features(result.queues[:horizon],
+                                   trace.rates[:horizon])
     ratios = lookahead_compare(graph, result.queues, baseline.utilities, k,
                                trace)
-    returns = compute_reward(ratios, members, u, config.phi)
+    returns = compute_reward(ratios, members, result.utilities[:horizon],
+                             config.phi)
     return [ExperienceTuple(graph, *slot) for slot in
             zip(features, members, returns, ratios.tolist())]
 

@@ -13,13 +13,12 @@ import linksched.cli as cli
 from linksched.cli import (ConfigError, ExperimentConfig, cmd_eval,
                            cmd_generate, cmd_report, cmd_toy, config_text,
                            main, parse_kv_text, train_config_from_kv)
-from linksched.gcn import (identity_params, init_params, load_checkpoint,
-                           save_checkpoint)
+from linksched.gcn import (GcnParams, identity_params, init_params,
+                           load_checkpoint, save_checkpoint)
 from linksched.graph import generate_star, load_graph
 from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.sim import (compute_metrics, load_trace, run_episode,
                            sample_traffic, save_trace)
-from linksched.solvers import exact_mwis, greedy_centralized, lgs
 from linksched.train import SIZE_CAPS, TrainConfig
 
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
@@ -44,6 +43,15 @@ recompute_unscheduled = yes
 checkpoint_interval = 2
 seed = 9
 """
+
+
+def bench_tracer():
+    """A fresh ``Tracer`` of the benchmark's ``perfbench/tracer.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    return tracer_module.Tracer()
 
 
 def dir_checksums(root: Path) -> dict:
@@ -158,6 +166,18 @@ class TestToy:
         states = {tuple(q.tolist()) for q in report.exact_cycle}
         assert states == {(6, 1, 1, 1, 1, 1), (5, 2, 2, 2, 2, 2)}
 
+    @pytest.mark.parametrize("horizon", [1, 0, -3])
+    def test_horizon_below_two_refused(self, horizon, capsys):
+        # the cycle is the last two states, q(horizon - 2) and
+        # q(horizon - 1); a shorter horizon has none to show
+        assert main(["toy", "--horizon", str(horizon), "--burn-in",
+                     "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: toy horizon must be at least 2 "
+                                f"slots, got {horizon}\n")
+        assert main(["toy", "--horizon", "2", "--burn-in", "0"]) == 0
+
 
 class TestGenerate:
     def test_layout_and_count(self, tmp_path):
@@ -255,9 +275,9 @@ class TestEval:
         report = cmd_eval(config, instances, None)
         network = load_checkpoint(ckpt)
         alone = {"gcn": GcnLgsPolicy(network.params, network.slope),
-                 "greedy": SolverPolicy(greedy_centralized),
-                 "baseline": SolverPolicy(lgs),
-                 "exact": SolverPolicy(exact_mwis)}
+                 "greedy": SolverPolicy("greedy"),
+                 "baseline": SolverPolicy("lgs"),
+                 "exact": SolverPolicy("exact")}
         assert len(report.metrics) == 4 * 4
         for row in report.metrics:
             inst = instances / row["instance"]
@@ -307,11 +327,13 @@ class TestEval:
                                         capsys):
         _, instances = small_instances
 
-        def vandal(graph, q, r):
-            r[:] = 0
-            return lgs(graph, q.astype(float))
+        class Vandal(SolverPolicy):
+            def utilities(self, graph, q, r):
+                r[:] = 0
+                return super().utilities(graph, q, r)
 
-        monkeypatch.setattr(cli, "_make_policy", lambda name, config: vandal)
+        monkeypatch.setattr(cli, "_make_policy",
+                            lambda name, config: Vandal("lgs"))
         rc = main(["eval", "--instances", str(instances), "--policies",
                    "baseline,greedy"])
         assert rc == 1
@@ -327,13 +349,15 @@ class TestEval:
         save_checkpoint(ckpt, identity_params())
         make_policy = cli._make_policy
 
-        def vandal(graph, q, r):
-            r[:] = 0
-            return greedy_centralized(graph, q.astype(float))
+        class Vandal(SolverPolicy):
+            def utilities(self, graph, q, r):
+                r[:] = 0
+                return super().utilities(graph, q, r)
 
         monkeypatch.setattr(
             cli, "_make_policy", lambda name, config:
-            vandal if name == "greedy" else make_policy(name, config))
+            Vandal("greedy") if name == "greedy"
+            else make_policy(name, config))
         rc = main(["eval", "--instances", str(instances), "--policies",
                    "baseline,gcn,greedy", "--checkpoint", str(ckpt)])
         assert rc == 1
@@ -342,27 +366,24 @@ class TestEval:
 
     def test_same_outputs_under_bench_tracer(self, small_instances,
                                              tmp_path):
-        # the benchmark's tracer rebinds every package function, lgs
-        # included; eval must still batch, write the same files and leave
-        # no call of a traced function unrecorded
+        # the benchmark's tracer rebinds every package function, the
+        # solvers included; eval must still batch, write the same files and
+        # leave no call of a traced function unrecorded
         config, instances = small_instances
         ckpt = tmp_path / "identity.ckpt"
         save_checkpoint(ckpt, init_params((1, 4, 1), 2))
         config.policies = ("baseline", "greedy", "exact", "gcn")
         config.checkpoint = ckpt
         cmd_eval(config, instances, tmp_path / "plain")
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("bench_tracer", path)
-        tracer_module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer_module)
-        tracer = tracer_module.Tracer()
+        tracer = bench_tracer()
         assert tracer.audit(lambda: cli.cmd_eval(config, instances,
                                                  tmp_path / "traced")) == {}
         calls = Counter(tracer.labels[i] for i in tracer.name_ids)
         # one lockstep episode per instance, one batched solve per slot
         assert calls["sim.run_episode"] == 4
         assert calls["solvers.lgs_rows"] == 4 * 16
-        assert calls["solvers.lgs"] == 0
+        assert calls["solvers.greedy_centralized"] == 4 * 16
+        assert calls["solvers.exact_mwis"] == 4 * 16
         for name in ("per_instance.csv", "ars.csv", "summary.csv"):
             assert (tmp_path / "traced" / name).read_bytes() == \
                 (tmp_path / "plain" / name).read_bytes()
@@ -371,6 +392,37 @@ class TestEval:
         config = ExperimentConfig("star5", (0.07,))
         with pytest.raises(ConfigError):
             cmd_eval(config, tmp_path / "nope", None)
+
+
+class TestInfiniteArs:
+    def test_eval_and_report_quartiles(self, tmp_path, capsys):
+        # at load 0.01 the baseline's median backlog is 0 on one of three
+        # star5 instances, where an inverted GCN's is not: that AR is
+        # x/0 = inf, and the quartiles of [1, 1, inf] are [1, 1, inf]
+        instances, out = tmp_path / "inst", tmp_path / "eval"
+        ckpt = tmp_path / "inverted.ckpt"
+        save_checkpoint(ckpt, GcnParams((1, 1), [np.array([[-0.634]])],
+                                        [np.array([[0.292]])]))
+        assert main(["generate", "--config", "star5", "--instances", "3",
+                     "--mu", "0.01", "--horizon", "16", "--seed", "1",
+                     "--out", str(instances)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--instances", str(instances), "--policies",
+                     "baseline,gcn", "--checkpoint", str(ckpt), "--out",
+                     str(out)]) == 0
+        medians = [float(row.split(",")[3]) for row in
+                   (out / "ars.csv").read_text().splitlines()
+                   if ",gcn," in row]
+        assert sorted(medians) == [1.0, 1.0, np.inf]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert "star5,3,3.0,gcn,median,inf,1.0,1.0,inf" \
+            in summary
+        assert not any("nan" in row for row in summary)
+        printed = capsys.readouterr().out
+        assert "median AR: mean inf quartiles [1.0000, 1.0000, inf]" \
+            in printed
+        assert main(["report", "--eval-dir", str(out)]) == 0
+        assert capsys.readouterr().out == printed
 
 
 class TestReport:
@@ -426,6 +478,36 @@ class TestMainEntry:
         assert np.array_equal(ckpt.params.theta1[0], expected.theta1[0])
         log = (out / "training_log.csv").read_text().splitlines()
         assert log == ["episode,loss,win_rate,lr,graph_model"]
+
+    def test_train_under_bench_tracer(self, tmp_path):
+        # the bench's train-mix config, 3 episodes: the tracer misses no
+        # call, the outputs are those of an untraced run, and each episode
+        # runs the GCN forward once per main-trajectory slot (horizon +
+        # lookahead - 1) and once per replayed item, with no re-forward
+        # for the reward's utilities
+        conf = tmp_path / "train.cfg"
+        conf.write_text("graph_mix = star30:0.8,ba-m2:0.2\n"
+                        "loads = 0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08\n"
+                        "horizon = 64\nlookahead = 5\nbatch_size = 64\n"
+                        "layer_dims = 1,1\ninit = identity\n")
+
+        def run(name):  # through the module, as the tracer rebinds it
+            return cli.main(["train", "--config", str(conf), "--episodes",
+                             "3", "--seed", "11", "--out",
+                             str(tmp_path / name)])
+        assert run("plain") == 0
+        tracer = bench_tracer()
+        codes = []
+        assert tracer.audit(lambda: codes.append(run("traced"))) == {}
+        assert codes == [0]
+        for name in ("training_log.csv", "checkpoint.ckpt"):
+            assert (tmp_path / "traced" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+        calls = Counter(tracer.labels[i] for i in tracer.name_ids)
+        # the buffer holds 64 items after the first episode: every batch is
+        # min(64, buffer) = 64 items
+        assert calls["train.collect_episode"] == 3
+        assert calls["gcn.forward"] == 3 * (64 + 5 - 1 + 64)
 
     def test_train_smoke_log_rows(self, tmp_path, capsys):
         conf = tmp_path / "train.conf"

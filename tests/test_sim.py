@@ -1,5 +1,4 @@
 import csv
-import functools
 import os
 import re
 import warnings
@@ -9,18 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linksched import policies as policies_module
-from linksched import solvers
+from linksched import sim
 from linksched.gcn import GcnParams, init_params
 from linksched.graph import (ConflictGraph, generate_er, generate_star,
                              is_independent_mask)
 from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.sim import (TrafficTrace, advance, backlog_ratio,
                            backlog_stats, compute_metrics, load_trace,
-                           lookahead_compare, run_episode, sample_traffic,
-                           save_trace, steady_state_mean)
-from linksched.solvers import (Schedule, exact_mwis, greedy_centralized, lgs,
-                               lgs_rows)
+                           lookahead_compare, ratio_quartiles, run_episode,
+                           sample_traffic, save_trace, steady_state_mean)
+from linksched.solvers import exact_mwis, greedy_centralized, lgs_rows
 
 
 def reference_load_trace(path, nodes):
@@ -69,16 +66,33 @@ def constant_trace(horizon, nodes, arrival=1, rate=2):
                         np.full((horizon, nodes), rate, dtype=np.int64))
 
 
+class Stub:
+    """A stand-in policy: zero utilities for sim's ``exact`` solver, which
+    :func:`run_stub` replaces."""
+
+    solver = "exact"
+
+    def utilities(self, graph, q, r):
+        return np.zeros(np.shape(q))
+
+
+def run_stub(graph, schedule, trace, q0=None):
+    """One :class:`Stub` policy's episode, with ``schedule(graph, u)`` as
+    sim's exact solver: a fault injected where ``run_episode`` calls it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "exact_mwis", schedule)
+        return run_episode(graph, [Stub()], trace, q0=q0)
+
+
 def one_slot(graph, q0, nodes, arrivals, rates):
     """Queues after one run_episode slot under a fixed schedule."""
     members = np.zeros(graph.node_count, dtype=bool)
     members[list(nodes)] = True
     trace = TrafficTrace(np.array([arrivals]), np.array([rates]))
-    result, = run_episode(graph, [lambda g, q, r: Schedule(members)], trace,
-                          q0=q0)
+    result, = run_stub(graph, lambda g, u: members, trace, q0)
     assert result.queues.shape == (2, graph.node_count)
     assert np.array_equal(result.members, [members])
-    assert result.rounds == [None]
+    assert result.rounds is None
     return result.queues[1]
 
 
@@ -104,29 +118,28 @@ class TestStep:
                      np.ones(6, int), np.full(6, 2))
 
     def test_schedule_must_be_a_bool_mask(self):
-        # node IDs, int8 masks and 2-D masks are not schedules
-        for members in (np.array([0, 2]), np.array([1, 0, 1], np.int8),
-                        np.zeros((1, 6), bool), [True] * 6):
-            with pytest.raises(ValueError, match="1-D bool mask"):
-                Schedule(members)
-        # a bool mask cannot name a node outside the graph, but it can have
-        # the wrong length
+        # node IDs, int8 masks of the right length and lists are not
+        # schedules
         g = generate_star(5)
-        for n in (5, 7):
+        for members in (np.array([0, 2, 0, 0, 0, 0]),
+                        np.array([1, 0, 1, 1, 1, 1], np.int8), [False] * 6):
+            with pytest.raises(ValueError, match="1-D bool mask"):
+                run_stub(g, lambda graph, u: members, constant_trace(1, 6))
+        # a bool mask cannot name a node outside the graph, but it can have
+        # the wrong length or rank
+        for members in (np.zeros(5, bool), np.zeros(7, bool),
+                        np.zeros((1, 6), bool)):
             with pytest.raises(ValueError, match="does not match 6 nodes"):
-                run_episode(g, [lambda graph, q, r: Schedule(np.zeros(n, bool))],
-                            constant_trace(1, 6))
+                run_stub(g, lambda graph, u: members, constant_trace(1, 6))
 
     @pytest.mark.parametrize("node", [-1, 6])
     def test_out_of_range_schedule_rejected(self, node):
         # node IDs are not a schedule, so a negative ID cannot wrap around to
-        # the last link and an ID past the graph cannot reach run_episode
-        with pytest.raises(ValueError, match="1-D bool mask"):
-            Schedule(np.array([2, node]))
-        with pytest.raises(ValueError, match="1-D bool mask"):
-            run_episode(generate_star(5),
-                        [lambda g, q, r: Schedule(np.array([2, node]))],
-                        constant_trace(1, 6))
+        # the last link and an ID past the graph cannot reach the queues
+        for ids in (np.array([2, node]), np.array([2, node, 0, 0, 0, 0])):
+            with pytest.raises(ValueError, match="1-D bool mask"):
+                run_stub(generate_star(5), lambda g, u: ids,
+                         constant_trace(1, 6))
 
     def test_negative_arrivals_rejected(self):
         # the trace checks its arrivals once, so no slot can see a negative
@@ -198,7 +211,7 @@ class TestRunEpisode:
     def test_no_traffic(self):
         g = generate_star(5)
         trace = constant_trace(10, 6, arrival=0)
-        result, = run_episode(g, [SolverPolicy(lgs)], trace)
+        result, = run_episode(g, [SolverPolicy("lgs")], trace)
         metrics = compute_metrics(result)
         assert metrics.mean == 0 and metrics.objective == 0
         assert metrics.median == 0 and metrics.p95 == 0
@@ -206,14 +219,16 @@ class TestRunEpisode:
     def test_trajectory_shape(self):
         g = generate_er(12, 0.2, 0)
         trace = sample_traffic(g, 20, 2.0, 1)
-        result, = run_episode(g, [SolverPolicy(lgs)], trace)
+        result, = run_episode(g, [SolverPolicy("lgs")], trace)
         assert result.queues.shape == (21, 12)
-        assert result.members.shape == (20, 12) and len(result.rounds) == 20
+        assert result.members.shape == (20, 12)
+        assert result.utilities.shape == (20, 12)
+        assert result.rounds.shape == (20,) and result.rounds.dtype == np.int64
 
     def test_conservation(self):
         g = generate_er(15, 0.2, 2)
         trace = sample_traffic(g, 30, 3.0, 3)
-        result, = run_episode(g, [SolverPolicy(lgs)], trace)
+        result, = run_episode(g, [SolverPolicy("lgs")], trace)
         for t, members in enumerate(result.members):
             served = np.zeros(15, dtype=np.int64)
             for v in np.flatnonzero(members):
@@ -225,34 +240,44 @@ class TestRunEpisode:
     def test_reproducible(self):
         g = generate_er(10, 0.3, 4)
         trace = sample_traffic(g, 16, 2.5, 5)
-        a, = run_episode(g, [SolverPolicy(lgs)], trace)
-        b, = run_episode(g, [SolverPolicy(lgs)], trace)
+        a, = run_episode(g, [SolverPolicy("lgs")], trace)
+        b, = run_episode(g, [SolverPolicy("lgs")], trace)
         assert np.array_equal(a.queues, b.queues)
-        assert np.array_equal(a.members, b.members) and a.rounds == b.rounds
+        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a.rounds, b.rounds)
 
     def test_toy_steady_states(self):
         g = generate_star(5)
         trace = constant_trace(128, 6)
-        greedy, = run_episode(g, [SolverPolicy(greedy_centralized, "queue")],
-                              trace)
+        greedy, = run_episode(g, [SolverPolicy("greedy", "queue")], trace)
         assert steady_state_mean(greedy, 20) == pytest.approx(1.5, abs=1e-12)
 
 
 def reference_episode(graph, policy, trace, q0=None):
     """The one-policy slot loop ``run_episode`` replaced, kept as the
-    reference: the policy is called on every slot, whatever it schedules
-    with. Returns (queues, members, rounds)."""
+    reference: every slot, the policy's utilities go to its solver on their
+    own, an LGS row as a batch of one. Returns (queues, members, utilities,
+    rounds), rounds None for a centralized solver."""
     n = graph.node_count
     q = np.zeros(n, np.int64) if q0 is None else np.array(q0, np.int64)
-    queues, members, rounds = [q], [], []
+    queues, members, utilities, rounds = [q], [], [], []
     for t in range(trace.horizon):
-        schedule = policy(graph, q, trace.rates[t])
-        assert is_independent_mask(graph, schedule.members)
-        q = advance(q, schedule.members, trace.rates[t], trace.arrivals[t])
+        u = policy.utilities(graph, q, trace.rates[t])
+        if policy.solver == "lgs":
+            batch_members, batch_rounds = lgs_rows(graph, u[None])
+            mask = batch_members[0]
+            rounds.append(int(batch_rounds[0]))
+        else:
+            solver = {"greedy": greedy_centralized, "exact": exact_mwis}
+            mask = solver[policy.solver](graph, u)
+        assert is_independent_mask(graph, mask)
+        q = advance(q, mask, trace.rates[t], trace.arrivals[t])
         queues.append(q)
-        members.append(schedule.members)
-        rounds.append(schedule.rounds_used)
-    return np.array(queues), np.array(members).reshape(-1, n), rounds
+        members.append(mask)
+        utilities.append(u)
+    return (np.array(queues), np.array(members).reshape(-1, n),
+            np.array(utilities).reshape(-1, n),
+            np.array(rounds) if policy.solver == "lgs" else None)
 
 
 # the trained HEAD checkpoint: theta0 = -0.634 makes an isolated idle link's
@@ -260,25 +285,31 @@ def reference_episode(graph, policy, trace, q0=None):
 HEAD_GCN = GcnParams((1, 1), [np.array([[-0.634]])], [np.array([[0.292]])])
 
 
-def quiet(graph, q, r):
-    # a plain callable: schedules nobody
-    return Schedule(np.zeros(graph.node_count, dtype=bool))
+class Quiet:
+    # zero weights: the exact solver schedules nobody
+    solver = "exact"
+
+    def utilities(self, graph, q, r):
+        return np.zeros(np.shape(q))
 
 
-def lgs_on_negated_queues(graph, q, r):
-    # a plain callable that calls lgs itself, on utilities of mixed sign
-    return lgs(graph, 1.0 - q)
+class NegatedQueues:
+    # LGS on utilities of mixed sign
+    solver = "lgs"
+
+    def utilities(self, graph, q, r):
+        return 1.0 - np.asarray(q)
 
 
 LOCKSTEP_POLICIES = {
-    "baseline": lambda: SolverPolicy(lgs),
-    "baseline-min": lambda: SolverPolicy(lgs, "min"),
-    "greedy": lambda: SolverPolicy(greedy_centralized),
-    "exact": lambda: SolverPolicy(exact_mwis, "queue"),
+    "baseline": lambda: SolverPolicy("lgs"),
+    "baseline-min": lambda: SolverPolicy("lgs", "min"),
+    "greedy": lambda: SolverPolicy("greedy"),
+    "exact": lambda: SolverPolicy("exact", "queue"),
     "gcn-head": lambda: GcnLgsPolicy(HEAD_GCN),
     "gcn-deep": lambda: GcnLgsPolicy(init_params((1, 4, 1), 3), 0.1),
-    "quiet": lambda: quiet,
-    "lgs-callable": lambda: lgs_on_negated_queues,
+    "quiet": Quiet,
+    "lgs-negated": NegatedQueues,
 }
 
 
@@ -315,16 +346,21 @@ class TestLockstep:
         assert len(together) == len(policies)
         for policy, result in zip(policies, together):
             alone, = run_episode(graph, [policy], trace, q0=q0)
-            queues, members, rounds = reference_episode(graph, policy, trace,
-                                                        q0)
+            queues, members, utilities, rounds = reference_episode(
+                graph, policy, trace, q0)
             for other in (alone, result):
                 assert np.array_equal(other.queues, queues)
                 assert np.array_equal(other.members, members)
-                assert other.rounds == rounds
+                assert np.array_equal(other.utilities, utilities)
+                if rounds is None:
+                    assert other.rounds is None
+                else:
+                    assert np.array_equal(other.rounds, rounds)
             assert compute_metrics(result) == compute_metrics(alone)
 
     def test_lgs_policies_share_one_solve_per_slot(self, monkeypatch):
         # baseline and gcn rows go to lgs_rows together; greedy is called
+        # on its own row
         calls = []
 
         def counted(graph, u):
@@ -333,39 +369,59 @@ class TestLockstep:
         monkeypatch.setattr("linksched.sim.lgs_rows", counted)
         g = generate_er(12, 0.3, 1)
         trace = sample_traffic(g, 5, 2.0, 2)
-        run_episode(g, [SolverPolicy(lgs), SolverPolicy(greedy_centralized),
+        run_episode(g, [SolverPolicy("lgs"), SolverPolicy("greedy"),
                         GcnLgsPolicy(HEAD_GCN)], trace)
         assert calls == [(2, 12)] * 5
 
-    def test_wrapped_lgs_still_batched(self, monkeypatch):
-        # a functools.wraps wrapper, as a tracer installs, is still lgs; a
-        # stand-in of another kind is called slot by slot
-        def wrap(fn):
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                return fn(*args, **kwargs)
+    def test_solvers_looked_up_at_call_time(self, monkeypatch):
+        # a solver rebound in sim, as a tracer rebinds it, is the one called:
+        # once per slot for each policy that names it, on its utilities
+        calls = []
+
+        def counted(name, solver):
+            def wrapper(graph, u):
+                calls.append((name, u.tolist()))
+                return solver(graph, u)
             return wrapper
-        original = solvers.lgs
-        for module in (solvers, policies_module):
-            monkeypatch.setattr(module, "lgs", wrap(original))
-        assert SolverPolicy(policies_module.lgs).schedules_with_lgs
-        assert SolverPolicy(original).schedules_with_lgs
-        assert GcnLgsPolicy(HEAD_GCN).schedules_with_lgs
-        assert not SolverPolicy(greedy_centralized).schedules_with_lgs
-        assert not SolverPolicy(lambda g, u: original(g, u)).schedules_with_lgs
-        monkeypatch.setattr(policies_module, "lgs",
-                            lambda g, u: original(g, u))
-        assert not GcnLgsPolicy(HEAD_GCN).schedules_with_lgs
+        monkeypatch.setattr(sim, "greedy_centralized",
+                            counted("greedy", greedy_centralized))
+        monkeypatch.setattr(sim, "exact_mwis", counted("exact", exact_mwis))
+        g = generate_star(3)
+        trace = sample_traffic(g, 4, 2.0, 3)
+        greedy, exact, _ = run_episode(
+            g, [SolverPolicy("greedy"), SolverPolicy("exact", "queue"),
+                SolverPolicy("lgs")], trace)
+        assert calls == [(name, result.utilities[t].tolist())
+                         for t in range(4)
+                         for name, result in (("greedy", greedy),
+                                              ("exact", exact))]
+
+    def test_unknown_solver_refused(self):
+        # a solver is named, never passed: a function object is refused
+        g = generate_star(3)
+        for solver in ("lgs_rows", greedy_centralized):
+            with pytest.raises(ValueError, match="unknown solver"):
+                run_episode(g, [SolverPolicy("lgs"), SolverPolicy(solver)],
+                            constant_trace(2, 4))
+
+    def test_utilities_one_per_node(self):
+        g = generate_star(3)
+        for shape in ((), (3,), (5,), (1, 4)):
+            policy = SolverPolicy("lgs")
+            policy.utilities = lambda graph, q, r: np.zeros(shape)
+            with pytest.raises(ValueError, match="utilities of shape"):
+                run_episode(g, [policy], constant_trace(2, 4))
 
     @pytest.mark.parametrize("which", ["queues", "rates"])
     def test_policy_writing_its_inputs_fails(self, which):
         g = generate_star(4)
 
-        def vandal(graph, q, r):
-            (q if which == "queues" else r)[:] = 0
-            return quiet(graph, q, r)
+        class Vandal(Quiet):
+            def utilities(self, graph, q, r):
+                (q if which == "queues" else r)[:] = 0
+                return super().utilities(graph, q, r)
         with pytest.raises(ValueError, match="read-only"):
-            run_episode(g, [SolverPolicy(lgs), vandal],
+            run_episode(g, [SolverPolicy("lgs"), Vandal()],
                         constant_trace(3, 5))
 
     def test_no_policies(self):
@@ -383,9 +439,9 @@ class TestLookahead:
         # the baseline scored against its own trajectory ties everywhere
         g = generate_er(10, 0.3, 0)
         trace = sample_traffic(g, 8, 2.0, 1)
-        queues = ran(g, SolverPolicy(lgs), trace, np.arange(10))
-        ratios = lookahead_compare(g, queues, SolverPolicy(lgs).utilities, 4,
-                                   trace)
+        queues = ran(g, SolverPolicy("lgs"), trace, np.arange(10))
+        ratios = lookahead_compare(g, queues, SolverPolicy("lgs").utilities,
+                                   4, trace)
         assert ratios.tolist() == [1.0] * 5
 
     def test_ratio_matches_independent_rollout(self):
@@ -393,11 +449,12 @@ class TestLookahead:
         # loops and an explicit q - min(r, q) + a, and compare the ratios
         g = generate_star(4)
         trace = sample_traffic(g, 7, 20.0, 2)
-        policy, baseline = GcnLgsPolicy(HEAD_GCN), SolverPolicy(lgs)
+        policy, baseline = GcnLgsPolicy(HEAD_GCN), SolverPolicy("lgs")
 
         def slot(q, chooser, t):
             q = q.copy()
-            for v in np.flatnonzero(chooser(g, q, trace.rates[t]).members):
+            u = chooser.utilities(g, q, trace.rates[t])
+            for v in np.flatnonzero(lgs_rows(g, u[None])[0][0]):
                 q[v] -= min(trace.rates[t][v], q[v])
             return q + trace.arrivals[t]
 
@@ -425,17 +482,18 @@ class TestLookahead:
     def test_zero_over_zero_is_one(self):
         g = generate_star(3)
         trace = constant_trace(5, 4, arrival=0)
-        queues = ran(g, SolverPolicy(greedy_centralized), trace)
-        assert lookahead_compare(g, queues, SolverPolicy(lgs).utilities, 3,
+        queues = ran(g, SolverPolicy("greedy"), trace)
+        assert lookahead_compare(g, queues, SolverPolicy("lgs").utilities, 3,
                                  trace).tolist() == [1.0] * 3
 
     def test_state_not_mutated(self):
         g = generate_star(3)
         trace = sample_traffic(g, 5, 2.0, 3)
-        queues = ran(g, SolverPolicy(greedy_centralized), trace,
+        queues = ran(g, SolverPolicy("greedy"), trace,
                      [5, 1, 2, 0])
         before = queues.copy()
-        lookahead_compare(g, queues, SolverPolicy(lgs).utilities, 3, trace)
+        lookahead_compare(g, queues, SolverPolicy("lgs").utilities, 3,
+                          trace)
         assert np.array_equal(queues, before)
 
     def test_row_conventions(self):
@@ -465,8 +523,8 @@ class TestLookahead:
         # rank, or without a state past its last k, is refused
         g = generate_star(3)
         trace = constant_trace(6, 4)
-        queues = ran(g, SolverPolicy(lgs), trace)
-        utilities = SolverPolicy(lgs).utilities
+        queues = ran(g, SolverPolicy("lgs"), trace)
+        utilities = SolverPolicy("lgs").utilities
         for k in (1, 2, 6):
             assert lookahead_compare(g, queues, utilities, k,
                                      trace).shape == (7 - k,)
@@ -485,17 +543,18 @@ class TestLookahead:
         trace = sample_traffic(g, 9, 2.0, 2)
         queues = ran(g, GcnLgsPolicy(HEAD_GCN), trace)
         monkeypatch.setattr("linksched.sim.lgs_rows", counted)
-        lookahead_compare(g, queues, SolverPolicy(lgs).utilities, 4, trace)
+        lookahead_compare(g, queues, SolverPolicy("lgs").utilities, 4,
+                          trace)
         assert calls == [(6, 12)] * 4
 
     def test_bad_k(self):
         g = generate_star(3)
         trace = constant_trace(5, 4)
-        queues = ran(g, SolverPolicy(lgs), trace)
+        queues = ran(g, SolverPolicy("lgs"), trace)
         for k in (0, -1, 6):
             with pytest.raises(ValueError):
-                lookahead_compare(g, queues, SolverPolicy(lgs).utilities, k,
-                                  trace)
+                lookahead_compare(g, queues,
+                                  SolverPolicy("lgs").utilities, k, trace)
 
 
 class TestBacklogRatio:
@@ -515,6 +574,40 @@ class TestBacklogRatio:
                                              reference.tolist())]
 
 
+class TestRatioQuartiles:
+    def test_inf_neighbors(self):
+        # an exact order statistic is itself; any weight on inf gives inf
+        inf = float("inf")
+        assert ratio_quartiles([1.0, 2.0, inf]) == [1.5, 2.0, inf]
+        assert ratio_quartiles([inf, 2.0, 1.0]) == [1.5, 2.0, inf]
+        assert ratio_quartiles([1.0, inf]) == [inf] * 3
+        assert ratio_quartiles([inf, inf]) == [inf] * 3
+        assert ratio_quartiles([inf]) == [inf] * 3
+        assert ratio_quartiles([0.5, 1.0, 2.0, 3.0, inf]) == [1.0, 2.0, 3.0]
+        assert ratio_quartiles([0.0, 1.0, 2.0, inf]) == [0.75, 1.5, inf]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6) | st.sampled_from([0.0, 1.0]),
+                    min_size=1, max_size=40))
+    def test_finite_equals_numpy_percentile(self, ratios):
+        got = ratio_quartiles(ratios)
+        assert all(type(x) is float for x in got)
+        assert got == np.percentile(ratios, [25, 50, 75]).tolist()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6) | st.just(float("inf")), min_size=1,
+                    max_size=40))
+    def test_equals_large_stand_in(self, ratios):
+        # inf read as a value far above every finite ratio: a quartile that
+        # gives it any weight lands above them all, and reads inf
+        a = np.asarray(ratios)
+        top = a[np.isfinite(a)].max(initial=0.0)
+        stand_in = np.percentile(np.where(np.isfinite(a), a, 8 * (top + 1)),
+                                 [25, 50, 75])
+        assert ratio_quartiles(ratios) == [x if x <= top else float("inf")
+                                           for x in stand_in.tolist()]
+
+
 class TestMetrics:
     def test_constant_samples(self):
         mean, median, p95 = backlog_stats(np.full((4, 3), 7.0))
@@ -527,7 +620,7 @@ class TestMetrics:
     def test_percentile_ordering(self):
         rng = np.random.default_rng(0)
         m = compute_metrics(run_episode(generate_er(10, 0.3, rng),
-                                        [SolverPolicy(lgs)],
+                                        [SolverPolicy("lgs")],
                                         sample_traffic(generate_er(10, 0.3, 0),
                                                        12, 2.0, 1))[0])
         assert m.p95 >= m.median >= 0
@@ -544,9 +637,9 @@ class TestMetrics:
             lo = np.random.default_rng(1000 + seed).poisson(1.0, (16, 12))
             hi = np.random.default_rng(2000 + seed).poisson(4.0, (16, 12))
             m_lo = compute_metrics(run_episode(
-                g, [SolverPolicy(lgs)], TrafficTrace(lo, rates))[0])
+                g, [SolverPolicy("lgs")], TrafficTrace(lo, rates))[0])
             m_hi = compute_metrics(run_episode(
-                g, [SolverPolicy(lgs)], TrafficTrace(hi, rates))[0])
+                g, [SolverPolicy("lgs")], TrafficTrace(hi, rates))[0])
             wins += m_hi.mean >= m_lo.mean
         assert wins >= 80
 

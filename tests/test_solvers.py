@@ -8,7 +8,7 @@ from linksched.graph import (ConflictGraph, generate_ba, generate_er,
                              is_independent_mask)
 from linksched.presets import parse_graph_config
 from linksched.solvers import (EXACT_NODE_CAP, baseline_utility, exact_mwis,
-                               greedy_centralized, lgs, lgs_rows)
+                               greedy_centralized, lgs_rows)
 
 
 def path3():
@@ -21,6 +21,12 @@ def triangle():
 
 def ids(members):
     return np.flatnonzero(members).tolist()
+
+
+def lgs_row(graph, utilities):
+    """``lgs_rows`` on one utility row: (members, rounds)."""
+    members, rounds = lgs_rows(graph, np.asarray(utilities)[None])
+    return members[0], int(rounds[0])
 
 
 def mask(n, nodes):
@@ -117,51 +123,51 @@ def weight_rows(n, rng):
 
 class TestLgs:
     def test_path(self):
-        s = lgs(path3(), [3, 1, 2])
-        assert ids(s.members) == [0, 2]
-        assert s.rounds_used == 1
-        assert brute_force_maximal(path3(), s.members)
+        members, rounds = lgs_row(path3(), [3, 1, 2])
+        assert ids(members) == [0, 2]
+        assert rounds == 1
+        assert brute_force_maximal(path3(), members)
 
     def test_star_all_ties(self):
         # each peripheral tie-beats the hub through its larger ID
-        s = lgs(generate_star(5), [1.0] * 6)
-        assert ids(s.members) == [1, 2, 3, 4, 5]
-        assert s.rounds_used == 1
+        members, rounds = lgs_row(generate_star(5), [1.0] * 6)
+        assert ids(members) == [1, 2, 3, 4, 5]
+        assert rounds == 1
 
     def test_triangle(self):
-        s = lgs(triangle(), [5, 3, 4])
-        assert ids(s.members) == [0]
-        assert s.rounds_used == 1
+        members, rounds = lgs_row(triangle(), [5, 3, 4])
+        assert ids(members) == [0]
+        assert rounds == 1
 
     def test_multi_round(self):
         # path 0-1-2-3-4 with a descending staircase forces sequential rounds
         g = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        s = lgs(g, [5, 4, 3, 2, 1])
-        assert ids(s.members) == [0, 2, 4]
-        assert s.rounds_used == 3
+        members, rounds = lgs_row(g, [5, 4, 3, 2, 1])
+        assert ids(members) == [0, 2, 4]
+        assert rounds == 3
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            lgs(path3(), [1.0, np.inf, 0.0])
+            lgs_row(path3(), [1.0, np.inf, 0.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            lgs(path3(), [1.0, 2.0])
+            lgs_row(path3(), [1.0, 2.0])
 
 
 class TestGreedyCentralized:
     def test_star_hub_wins(self):
         s = greedy_centralized(generate_star(5), [2, 1, 1, 1, 1, 1])
-        assert ids(s.members) == [0]
+        assert ids(s) == [0]
 
     def test_edgeless_takes_all(self):
         g = ConflictGraph.from_edges(4, [])
         s = greedy_centralized(g, [4, 1, 3, 2])
-        assert ids(s.members) == [0, 1, 2, 3]
+        assert ids(s) == [0, 1, 2, 3]
 
     def test_path_matches_lgs(self):
-        assert np.array_equal(greedy_centralized(path3(), [3, 1, 2]).members,
-                              lgs(path3(), [3, 1, 2]).members)
+        assert np.array_equal(greedy_centralized(path3(), [3, 1, 2]),
+                              lgs_row(path3(), [3, 1, 2])[0])
 
     def test_matches_repeated_argmax(self):
         rng = np.random.default_rng(21)
@@ -172,7 +178,7 @@ class TestGreedyCentralized:
         checked = 0
         for g in graphs:
             for row in tie_heavy_rows(g.node_count, rng):
-                assert np.array_equal(greedy_centralized(g, row).members,
+                assert np.array_equal(greedy_centralized(g, row),
                                       reference_greedy(g, row))
                 checked += 1
         assert checked == 20 * 11
@@ -181,15 +187,15 @@ class TestGreedyCentralized:
 class TestExactMwis:
     def test_star_hub_heavier(self):
         s = exact_mwis(generate_star(5), [6, 1, 1, 1, 1, 1])
-        assert ids(s.members) == [0]
+        assert ids(s) == [0]
 
     def test_tie_prefers_excluding_low_ids(self):
         s = exact_mwis(generate_star(5), [5, 1, 1, 1, 1, 1])
-        assert ids(s.members) == [1, 2, 3, 4, 5]
+        assert ids(s) == [1, 2, 3, 4, 5]
 
     def test_clique(self):
         s = exact_mwis(triangle(), [1, 2, 3])
-        assert ids(s.members) == [2]
+        assert ids(s) == [2]
 
     def test_size_cap(self):
         n = EXACT_NODE_CAP + 1
@@ -207,8 +213,8 @@ class TestExactMwis:
             g = generate_er(n, float(rng.uniform(0.1, 0.9)), rng)
             w = rng.integers(0, 50, size=n).astype(float)
             s = exact_mwis(g, w)
-            assert is_independent_mask(g, s.members)
-            assert w[s.members].sum() == enumerate_mwis_weight(g, w)
+            assert is_independent_mask(g, s)
+            assert w[s].sum() == enumerate_mwis_weight(g, w)
 
     def test_matches_first_lex_maximizer(self):
         # by set, not weight: the reduction must keep the tie rule
@@ -220,7 +226,7 @@ class TestExactMwis:
         checked = 0
         for g in graphs:
             for w in weight_rows(g.node_count, rng):
-                assert np.array_equal(exact_mwis(g, w).members,
+                assert np.array_equal(exact_mwis(g, w),
                                       first_lex_mwis(g, w))
                 checked += 1
         assert checked == 6 * (56 + 15 + 13)
@@ -228,7 +234,7 @@ class TestExactMwis:
     def test_all_zero_weights(self):
         # the lexicographically smallest zero-weight maximizer is empty
         s = exact_mwis(generate_star(5), np.zeros(6))
-        assert not s.members.any()
+        assert not s.any()
 
 
 class TestBaselineUtility:
@@ -309,12 +315,12 @@ class TestLgsRows:
             members, rounds = lgs_rows(g, u)
             assert members.shape == u.shape and rounds.shape == (len(u),)
             for row, m, r in zip(u, members, rounds):
-                s = lgs(g, row)
-                assert np.array_equal(m, s.members)
-                assert r == s.rounds_used
+                one_members, one_rounds = lgs_row(g, row)
+                assert np.array_equal(m, one_members)
+                assert r == one_rounds
                 ref_members, ref_rounds = reference_lgs(g, row)
-                assert np.array_equal(s.members, ref_members)
-                assert s.rounds_used == ref_rounds
+                assert np.array_equal(one_members, ref_members)
+                assert one_rounds == ref_rounds
                 checked += 1
         assert checked == 12 * 20
 
@@ -322,8 +328,8 @@ class TestLgsRows:
         # -0.0 == 0.0, so the larger id wins on both sides
         g = path3()
         for row in ([-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]):
-            assert ids(lgs(g, row).members) == [0, 2]
-            assert lgs(g, row).rounds_used == 2
+            assert ids(lgs_row(g, row)[0]) == [0, 2]
+            assert lgs_row(g, row)[1] == 2
 
     def test_128_rows_match_reference(self):
         # the lookahead's batch size, on its two training families, with
@@ -366,19 +372,19 @@ class TestLgsRows:
 class TestProperties:
     def test_validity_and_maximality(self):
         for g, u in random_instances(100, seed=1):
-            for solver in (lgs, greedy_centralized):
-                s = solver(g, u)
-                assert brute_force_maximal(g, s.members)
-            assert s.rounds_used is None or s.rounds_used <= g.node_count
+            members, rounds = lgs_row(g, u)
+            assert brute_force_maximal(g, members)
+            assert rounds <= g.node_count
+            assert brute_force_maximal(g, greedy_centralized(g, u))
 
     def test_lgs_equals_greedy(self):
         for g, u in random_instances(150, seed=2):
-            assert np.array_equal(lgs(g, u).members,
-                                  greedy_centralized(g, u).members)
+            assert np.array_equal(lgs_row(g, u)[0],
+                                  greedy_centralized(g, u))
 
     def test_round_bound(self):
         for g, u in random_instances(50, seed=3):
-            assert lgs(g, u).rounds_used <= g.node_count
+            assert lgs_row(g, u)[1] <= g.node_count
 
     def test_optimality_dominance(self):
         rng = np.random.default_rng(4)
@@ -386,23 +392,23 @@ class TestProperties:
             n = int(rng.integers(2, 18))
             g = generate_er(n, 0.3, rng)
             u = rng.random(n)
-            w_exact = u[exact_mwis(g, u).members].sum()
-            w_greedy = u[greedy_centralized(g, u).members].sum()
+            w_exact = u[exact_mwis(g, u)].sum()
+            w_greedy = u[greedy_centralized(g, u)].sum()
             assert w_exact >= w_greedy - 1e-12
             assert w_greedy >= u.max() - 1e-12
 
     def test_scale_invariance(self):
         # powers of two keep float comparisons exact
         for g, u in random_instances(30, seed=6):
-            base = lgs(g, u).members
+            base = lgs_row(g, u)[0]
             for c in (0.25, 0.5, 2.0, 8.0):
-                assert np.array_equal(lgs(g, c * u).members, base)
-                assert np.array_equal(greedy_centralized(g, c * u).members,
+                assert np.array_equal(lgs_row(g, c * u)[0], base)
+                assert np.array_equal(greedy_centralized(g, c * u),
                                       base)
             if g.node_count <= 20:
-                ref = exact_mwis(g, u).members
+                ref = exact_mwis(g, u)
                 for c in (0.5, 4.0):
-                    assert np.array_equal(exact_mwis(g, c * u).members, ref)
+                    assert np.array_equal(exact_mwis(g, c * u), ref)
 
 
 @st.composite
@@ -429,15 +435,16 @@ class TestHypothesisProperties:
     @given(tied_instances())
     def test_lgs_equals_greedy(self, instance):
         g, u = instance
-        assert np.array_equal(lgs(g, u).members,
-                              greedy_centralized(g, u).members)
+        assert np.array_equal(lgs_row(g, u)[0],
+                              greedy_centralized(g, u))
 
     @PROPERTY
     @given(tied_instances())
     def test_masks_independent_and_maximal(self, instance):
         g, u = instance
-        for solver in (lgs, greedy_centralized, exact_mwis):
-            members = solver(g, u).members
+        for solver in (lambda g, u: lgs_row(g, u)[0], greedy_centralized,
+                       exact_mwis):
+            members = solver(g, u)
             assert members.dtype == bool and members.shape == (g.node_count,)
             assert is_independent_mask(g, members)
             if solver is not exact_mwis:
@@ -449,8 +456,8 @@ class TestHypothesisProperties:
         g, u = instance
         members, rounds = lgs_rows(g, u)
         for row, m, r in zip(u, members, rounds):
-            s = lgs(g, row)
-            assert np.array_equal(m, s.members) and r == s.rounds_used
+            one_members, one_rounds = lgs_row(g, row)
+            assert np.array_equal(m, one_members) and r == one_rounds
 
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(st.sampled_from(["star30", "ba-m2"]), st.integers(0, 2**32 - 1),
@@ -470,5 +477,5 @@ class TestHypothesisProperties:
     @given(tied_instances())
     def test_exact_weight_equals_enumeration(self, instance):
         g, u = instance
-        assert u[exact_mwis(g, u).members].sum() == \
+        assert u[exact_mwis(g, u)].sum() == \
             enumerate_mwis_weight(g, u)

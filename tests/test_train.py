@@ -4,11 +4,11 @@ import pytest
 from linksched.gcn import (AdamState, adam_step, backward, forward,
                            identity_params, init_params)
 from linksched.graph import generate_er, generate_star, normalized_laplacian
-from linksched import policies
+from linksched import sim
 from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched import train as train_module
 from linksched.sim import RATE_MEAN, TrafficTrace, run_episode, sample_traffic
-from linksched.solvers import Schedule, baseline_utility, lgs
+from linksched.solvers import baseline_utility, lgs_rows
 from linksched.train import (ExperienceTuple, ReplayBuffer, TrainConfig,
                              batch_gradients, collect_episode, compute_reward,
                              loss_gradient, rms_loss, sample_instance, train)
@@ -134,18 +134,23 @@ def reference_episode(config, params, graph, trace):
     # plain loops: the main trajectory, and from each of its start states
     # both policies rolled k slots with an explicit q - min(r, q) + a
     gcn = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
-    baseline = SolverPolicy(lgs, config.utility_kind)
+    baseline = SolverPolicy("lgs", config.utility_kind)
 
-    def slot(q, schedule, t):
+    def schedule(policy, q, t):
+        # both policies schedule with LGS, here on one row
+        u = policy.utilities(graph, q, trace.rates[t])
+        return lgs_rows(graph, u[None])[0][0]
+
+    def slot(q, members, t):
         q = q.copy()
-        for v in np.flatnonzero(schedule.members):
+        for v in np.flatnonzero(members):
             q[v] -= min(trace.rates[t][v], q[v])
         return q + trace.arrivals[t]
 
     def rollout_total(policy, q, t):
         total = 0
         for i in range(config.lookahead):
-            q = slot(q, policy(graph, q, trace.rates[t + i]), t + i)
+            q = slot(q, schedule(policy, q, t + i), t + i)
             total += int(q.sum())
         return total
 
@@ -155,8 +160,7 @@ def reference_episode(config, params, graph, trace):
         r = trace.rates[t]
         features = baseline_utility(q, r, config.utility_kind)[:, None]
         u = gcn.utilities(graph, q, r)
-        schedule = gcn(graph, q, r)
-        indicator = schedule.members
+        indicator = schedule(gcn, q, t)
         policy_total = rollout_total(gcn, q, t)
         baseline_total = rollout_total(baseline, q, t)
         if policy_total == 0:
@@ -165,7 +169,7 @@ def reference_episode(config, params, graph, trace):
             ratio = baseline_total / policy_total
         out.append((features, indicator,
                     compute_reward(ratio, indicator, u, config.phi), ratio))
-        q = slot(q, schedule, t)
+        q = slot(q, indicator, t)
     return out
 
 
@@ -243,8 +247,9 @@ class TestCollectEpisode:
         config = small_config()
         params = init_params(config.layer_dims, 0)
         monkeypatch.setattr(
-            policies, "lgs",
-            lambda graph, u: Schedule(np.ones(graph.node_count, bool)))
+            sim, "lgs_rows",
+            lambda graph, u: (np.ones(np.shape(u), bool),
+                              np.ones(len(u), np.int64)))
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
 
@@ -258,10 +263,11 @@ class TestCollectEpisode:
 
         def late_conflict(graph, u):
             calls.append(u)
+            members, rounds = lgs_rows(graph, u)
             if len(calls) > config.horizon:
-                return Schedule(np.ones(graph.node_count, bool))
-            return lgs(graph, u)
-        monkeypatch.setattr(policies, "lgs", late_conflict)
+                members[:] = True
+            return members, rounds
+        monkeypatch.setattr(sim, "lgs_rows", late_conflict)
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
         assert len(calls) == config.horizon + 1

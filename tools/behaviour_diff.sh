@@ -103,9 +103,17 @@ CFG
     run eval-star30-min eval --instances gen-star30 --utility min \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-all-keys/checkpoint.ckpt --out eval-star30-min
+    # at load 0.01 the baseline's median backlog is 0 on some instances
+    # where the trained GCN's is not: those ARs are x/0 = inf
+    run generate-star30-low generate --config star30 --instances 4 \
+        --mu 0.01 --horizon 48 --seed 5 --out gen-star30-low
+    run eval-star30-low eval --instances gen-star30-low \
+        --policies baseline,greedy,exact,gcn \
+        --checkpoint train-default/checkpoint.ckpt --out eval-star30-low
     run toy toy
     run report-star30 report --eval-dir eval-star30
     run report-ba-mix report --eval-dir eval-ba-mix
+    run report-star30-low report --eval-dir eval-star30-low
 done
 
 status=0
