@@ -79,7 +79,7 @@ class Gradients:
 class ForwardCache:
     """Intermediate values retained for the backward pass."""
 
-    laplacian: np.ndarray
+    laplacian: np.ndarray | list[np.ndarray]  # one, or one per stack row
     slope: float
     activations: list[np.ndarray]     # X^0 .. X^L
     preactivations: list[np.ndarray]  # Z^1 .. Z^L
@@ -104,33 +104,56 @@ def init_params(layer_dims,
     return GcnParams(dims, theta0, theta1)
 
 
+def _convolve(laplacian, x) -> np.ndarray:
+    """L @ X: one (V, V) Laplacian for every matrix of ``x``, or a list
+    with one for each matrix of a (B, V, g) stack, each product then the
+    same 2-D call as on that matrix alone."""
+    if isinstance(laplacian, np.ndarray):
+        return laplacian @ x
+    out = np.empty(x.shape)
+    for lap, row, dest in zip(laplacian, x, out):
+        np.matmul(lap, row, out=dest)
+    return out
+
+
 def forward(params: GcnParams, laplacian, features,
             slope: float = LEAKY_SLOPE) -> tuple[np.ndarray, ForwardCache]:
     """Run the convolution stack and return (utilities, cache).
 
     ``features`` is (V, g_0), giving (V,) utilities, or a stack (B, V, g_0)
-    of feature matrices on one graph, giving (B, V) utilities; ``laplacian``
-    must be (V, V). A stack goes through ``np.matmul`` broadcasting, which
-    runs each matrix through the same BLAS call as an unbatched forward, so
-    every row is bitwise equal to the forward of that row alone. Hidden
-    layers apply a leaky ReLU with the given negative slope; the output
-    layer is linear, so a one-layer network is fully linear.
+    of feature matrices, giving (B, V) utilities. ``laplacian`` is one
+    (V, V) matrix, shared by every row of a stack, or a list of B of them,
+    one per row, so that rows from different graphs of V nodes stack
+    without a (B, V, V) array. Each row's L @ X is the 2-D product of an
+    unbatched forward, and every other product goes through ``np.matmul``
+    broadcasting, which runs each matrix through the same BLAS call as an
+    unbatched forward, so every row is bitwise equal to the forward of that
+    row alone. Hidden layers apply a leaky ReLU with the given negative
+    slope; the output layer is linear, so a one-layer network is fully
+    linear.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != params.layer_dims[0]:
         raise ValueError(f"features must be (V, {params.layer_dims[0]}) or "
                          f"(B, V, {params.layer_dims[0]}), got {x.shape}")
     n = x.shape[-2]
-    lap = np.asarray(laplacian, dtype=np.float64)
-    if lap.shape != (n, n):
-        raise ValueError(
-            f"laplacian shape {lap.shape} does not match {n} nodes")
+    if isinstance(laplacian, (list, tuple)):
+        if x.ndim != 3 or len(laplacian) != x.shape[0]:
+            raise ValueError("a list of Laplacians needs a (B, V, g_0) stack "
+                             "of features, one Laplacian per row")
+        lap = [np.asarray(row, dtype=np.float64) for row in laplacian]
+        shape = next((row.shape for row in lap if row.shape != (n, n)), None)
+    else:
+        lap = np.asarray(laplacian, dtype=np.float64)
+        shape = None if lap.shape == (n, n) else lap.shape
+    if shape is not None:
+        raise ValueError(f"laplacian shape {shape} does not match {n} nodes")
     acts = [x]
     pres: list[np.ndarray] = []
     lap_inputs: list[np.ndarray] = []
     last = params.num_layers - 1
     for l in range(params.num_layers):
-        lx = lap @ acts[-1]
+        lx = _convolve(lap, acts[-1])
         z = acts[-1] @ params.theta0[l] + lx @ params.theta1[l]
         lap_inputs.append(lx)
         pres.append(z)
@@ -143,26 +166,32 @@ def backward(params: GcnParams, cache: ForwardCache,
              output_grad) -> Gradients:
     """Exact reverse-mode gradients of a scalar loss given dLoss/d(utility).
 
-    The leaky-ReLU derivative is taken as 1 at exactly zero. The cache must
-    come from an unbatched ``forward`` call with the same parameters.
+    ``output_grad`` has the shape of the forward's utilities. For a stacked
+    forward it is (B, V), and each gradient matrix gets a leading batch
+    axis, (B, g_(l-1), g_l): row b is bitwise the backward of row b alone,
+    so summing the rows is left to the caller, in its own order. The
+    leaky-ReLU derivative is taken as 1 at exactly zero. The cache must
+    come from a ``forward`` call with the same parameters.
     """
-    n = cache.activations[0].shape[0]
+    stack = cache.activations[0].shape[:-1]
     g = np.asarray(output_grad, dtype=np.float64)
-    if g.shape != (n,):
-        raise ValueError(f"output gradient must have shape ({n},), got {g.shape}")
+    if g.shape != stack:
+        raise ValueError(f"output gradient must have shape {stack}, "
+                         f"got {g.shape}")
     layers = params.num_layers
     if len(cache.preactivations) != layers or any(
-            cache.activations[l].shape[1] != params.layer_dims[l]
+            cache.activations[l].shape[-1] != params.layer_dims[l]
             for l in range(layers + 1)):
         raise ValueError("cache does not match these parameters")
     grad0: list[np.ndarray] = [None] * layers  # type: ignore[list-item]
     grad1: list[np.ndarray] = [None] * layers  # type: ignore[list-item]
-    dz = g[:, None]
+    dz = g[..., None]
     for l in range(layers - 1, -1, -1):
-        grad0[l] = cache.activations[l].T @ dz
-        grad1[l] = cache.lap_inputs[l].T @ dz
+        grad0[l] = np.swapaxes(cache.activations[l], -1, -2) @ dz
+        grad1[l] = np.swapaxes(cache.lap_inputs[l], -1, -2) @ dz
         if l > 0:
-            dx = dz @ params.theta0[l].T + cache.laplacian @ (dz @ params.theta1[l].T)
+            dx = dz @ params.theta0[l].T + _convolve(
+                cache.laplacian, dz @ params.theta1[l].T)
             z_prev = cache.preactivations[l - 1]
             dz = np.where(z_prev >= 0, 1.0, cache.slope) * dx
     return Gradients(grad0, grad1)

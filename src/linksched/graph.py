@@ -178,6 +178,28 @@ def generate_er(n: int, p: float,
     return ConflictGraph.from_edges(n, edges)
 
 
+def weighted_draw(gen: np.random.Generator, p: np.ndarray,
+                  size: int) -> np.ndarray:
+    """``gen.choice(p.size, size=size, replace=False, p=p)``, step for step.
+
+    It is numpy's own algorithm, so it returns the same indices and leaves
+    ``gen`` in the same state, but it keeps first occurrences with a dict
+    where numpy calls ``np.unique``. Each retry draws one ``gen.random`` for
+    every index still missing, zeroes the weights of those found, and
+    searches the normalized cumulative sum of the rest. ``p`` must be
+    non-negative with at least ``size`` nonzero entries and a positive sum.
+    """
+    p = p.copy()
+    found: list[int] = []
+    while len(found) < size:
+        x = gen.random(size - len(found))
+        p[found] = 0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        found += dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
+    return np.array(found, dtype=np.int64)
+
+
 def generate_ba(n: int, m: int,
                 rng: np.random.Generator | int | None = None) -> ConflictGraph:
     """Barabasi-Albert preferential attachment on n nodes.
@@ -195,7 +217,7 @@ def generate_ba(n: int, m: int,
     for new in range(m, n):
         total = degree[:new].sum()
         probs = degree[:new] / total if total else np.full(new, 1.0 / new)
-        targets = gen.choice(new, size=m, replace=False, p=probs)
+        targets = weighted_draw(gen, probs, m)
         edges += [(t, new) for t in targets.tolist()]
         degree[targets] += 1
         degree[new] += m

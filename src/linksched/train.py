@@ -7,6 +7,9 @@ next K states against the baseline's K-slot rollout from the same state on
 the same trace, all slots in one batched rollout. Scheduled links are
 regressed toward the (activated) backlog ratio, unscheduled links toward
 their own utility, with one Adam step per episode on a replayed batch.
+The batch runs one stacked GCN forward and backward per node count in it,
+and the per-item losses and gradients are summed in batch order, so the
+step is bitwise that of an item-by-item loop.
 """
 
 from __future__ import annotations
@@ -116,24 +119,34 @@ def compute_reward(ratio, indicator, u_gcn,
     return phi_ratio[..., None] * vf + u * (1.0 - vf)
 
 
-def rms_loss(u_gcn, returns) -> float:
-    """Root-mean-square deviation between utilities and targets."""
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """sqrt(d @ d) of each row d: the one ``ddot`` of ``np.linalg.norm``."""
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+
+
+def rms_loss(u_gcn, returns) -> float | np.ndarray:
+    """Root-mean-square deviation between utilities and targets: a float
+    for (V,) inputs, one per row for (B, V) stacks, each row's bitwise
+    what the row alone gives."""
     u = np.asarray(u_gcn, dtype=np.float64)
     rho = np.asarray(returns, dtype=np.float64)
     if u.shape != rho.shape:
         raise ValueError("utility and return lengths differ")
-    return float(np.linalg.norm(u - rho) / math.sqrt(u.size))
+    loss = _row_norms(u - rho) / math.sqrt(u.shape[-1])
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def loss_gradient(u_gcn, returns) -> np.ndarray:
-    """d(rms_loss)/d(utilities); zero at the (non-smooth) minimum."""
+    """d(rms_loss)/d(utilities), row by row for (B, V) stacks; a row at the
+    (non-smooth) minimum, where its norm is 0, gets a zero gradient."""
     u = np.asarray(u_gcn, dtype=np.float64)
     rho = np.asarray(returns, dtype=np.float64)
     diff = u - rho
-    norm = np.linalg.norm(diff)
-    if norm == 0.0:
-        return np.zeros_like(diff)
-    return diff / (norm * math.sqrt(u.size))
+    norm = _row_norms(diff)
+    zero = norm == 0.0
+    grad = diff / np.where(zero, 1.0, norm * math.sqrt(u.shape[-1]))[..., None]
+    grad[zero] = 0.0
+    return grad
 
 
 @dataclass
@@ -263,23 +276,38 @@ def collect_episode(config: TrainConfig, params: GcnParams,
 def batch_gradients(config: TrainConfig, params: GcnParams,
                     batch: list[ExperienceTuple],
                     ) -> tuple[float, Gradients]:
-    """Mean loss over the batch and the accumulated parameter gradients."""
-    grads = Gradients.zeros_like(params)
-    total = 0.0
-    for item in batch:
-        u, cache = forward(params, item.graph.laplacian, item.features,
+    """Mean loss over the batch and the summed parameter gradients.
+
+    The items are grouped by node count, and each group runs one stacked
+    :func:`forward`, with one Laplacian per row, and one stacked
+    :func:`backward`. Each item's loss and gradients are bitwise those of
+    the item alone; they are summed in batch order, one item at a time onto
+    a zero, so the result is that of a loop over the items.
+    """
+    size = len(batch)
+    groups: dict[int, list[int]] = {}
+    for row, item in enumerate(batch, start=1):
+        groups.setdefault(item.graph.node_count, []).append(row)
+    # one row per item in batch order, after row 0: the zero the sums start on
+    losses = np.zeros(size + 1)
+    per_item = [np.zeros((size + 1, *t.shape))
+                for t in params.theta0 + params.theta1]
+    for rows in groups.values():
+        items = [batch[row - 1] for row in rows]
+        u, cache = forward(params, [item.graph.laplacian for item in items],
+                           np.array([item.features for item in items]),
                            config.leaky_slope)
-        returns = item.returns
+        returns = np.array([item.returns for item in items])
         if config.recompute_unscheduled:
-            vf = item.indicator.astype(np.float64)
+            vf = np.array([item.indicator for item in items], np.float64)
             returns = returns * vf + u * (1.0 - vf)
-        total += rms_loss(u, returns)
-        contribution = backward(params, cache,
-                                loss_gradient(u, returns) / len(batch))
-        for acc, g in zip(grads.theta0 + grads.theta1,
-                          contribution.theta0 + contribution.theta1):
-            acc += g
-    return total / len(batch), grads
+        losses[rows] = rms_loss(u, returns)
+        grads = backward(params, cache, loss_gradient(u, returns) / size)
+        for acc, g in zip(per_item, grads.theta0 + grads.theta1):
+            acc[rows] = g
+    total, *sums = [np.add.accumulate(acc)[-1] for acc in (losses, *per_item)]
+    layers = params.num_layers
+    return float(total) / size, Gradients(sums[:layers], sums[layers:])
 
 
 @dataclass

@@ -19,6 +19,7 @@ from linksched.graph import generate_star, load_graph
 from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.sim import (compute_metrics, load_trace, run_episode,
                            sample_traffic, save_trace)
+from linksched import train as train_module
 from linksched.train import SIZE_CAPS, TrainConfig
 
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
@@ -479,12 +480,12 @@ class TestMainEntry:
         log = (out / "training_log.csv").read_text().splitlines()
         assert log == ["episode,loss,win_rate,lr,graph_model"]
 
-    def test_train_under_bench_tracer(self, tmp_path):
+    def test_train_under_bench_tracer(self, tmp_path, monkeypatch):
         # the bench's train-mix config, 3 episodes: the tracer misses no
         # call, the outputs are those of an untraced run, and each episode
         # runs the GCN forward once per main-trajectory slot (horizon +
-        # lookahead - 1) and once per replayed item, with no re-forward
-        # for the reward's utilities
+        # lookahead - 1), with no re-forward for the reward's utilities,
+        # and the replay batch one forward and one backward per node count
         conf = tmp_path / "train.cfg"
         conf.write_text("graph_mix = star30:0.8,ba-m2:0.2\n"
                         "loads = 0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08\n"
@@ -493,9 +494,20 @@ class TestMainEntry:
 
         def run(name):  # through the module, as the tracer rebinds it
             return cli.main(["train", "--config", str(conf), "--episodes",
-                             "3", "--seed", "11", "--out",
+                             "3", "--seed", "15", "--out",
                              str(tmp_path / name)])
-        assert run("plain") == 0
+        sizes = []
+        batch_gradients = train_module.batch_gradients
+
+        def counting(config, params, batch):
+            sizes.append(len({item.graph.node_count for item in batch}))
+            return batch_gradients(config, params, batch)
+        with monkeypatch.context() as patch:
+            patch.setattr(train_module, "batch_gradients", counting)
+            assert run("plain") == 0
+        # seed 15 trains on star30, ba-m2, star30: the last two batches
+        # hold items of 31 and of 70 nodes
+        assert sizes == [1, 2, 2]
         tracer = bench_tracer()
         codes = []
         assert tracer.audit(lambda: codes.append(run("traced"))) == {}
@@ -504,10 +516,9 @@ class TestMainEntry:
             assert (tmp_path / "traced" / name).read_bytes() == \
                 (tmp_path / "plain" / name).read_bytes()
         calls = Counter(tracer.labels[i] for i in tracer.name_ids)
-        # the buffer holds 64 items after the first episode: every batch is
-        # min(64, buffer) = 64 items
         assert calls["train.collect_episode"] == 3
-        assert calls["gcn.forward"] == 3 * (64 + 5 - 1 + 64)
+        assert calls["gcn.forward"] == 3 * (64 + 5 - 1) + sum(sizes)
+        assert calls["gcn.backward"] == sum(sizes)
 
     def test_train_smoke_log_rows(self, tmp_path, capsys):
         conf = tmp_path / "train.conf"

@@ -138,11 +138,52 @@ class TestStackedForward:
             single, _ = forward(params, g.laplacian, f)
             assert np.array_equal(row, single)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), stack=st.integers(1, 8),
+           dims=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+           shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_backward_rows_bitwise_equal_unbatched(self, n, stack, dims,
+                                                   shared, seed):
+        # a stack over one graph, or over one graph per row, each row's
+        # utilities and gradients those of the row alone, sign of zero too
+        rng = np.random.default_rng(seed)
+        laps = [generate_er(n, rng.random() * 0.6, rng).laplacian
+                for _ in range(stack)]
+        if shared:
+            laps = [laps[0]] * stack
+        params = init_params((*dims, 1), rng)
+        feats = rng.normal(scale=100.0, size=(stack, n, dims[0]))
+        feats[:, ::3] = 0.0
+        out_grad = rng.normal(size=(stack, n))
+        u, cache = forward(params, laps[0] if shared else laps, feats)
+        grads = backward(params, cache, out_grad)
+        assert u.shape == (stack, n)
+        for b, lap in enumerate(laps):
+            single, single_cache = forward(params, lap, feats[b])
+            assert u[b].tobytes() == single.tobytes()
+            want = backward(params, single_cache, out_grad[b])
+            for got, ref in zip(grads.theta0 + grads.theta1,
+                                want.theta0 + want.theta1):
+                assert got.shape == (stack, *ref.shape)
+                assert got[b].tobytes() == ref.tobytes()
+
     def test_stack_shape_mismatch(self):
         with pytest.raises(ValueError):
             forward(identity_params(), k2_laplacian(), np.ones((4, 3, 1)))
         with pytest.raises(ValueError):
             forward(identity_params(), k2_laplacian(), np.ones((4, 2, 2)))
+
+    def test_laplacian_list_mismatch(self):
+        lap = k2_laplacian()
+        with pytest.raises(ValueError, match="one Laplacian per row"):
+            forward(identity_params(), [lap] * 3, np.ones((4, 2, 1)))
+        with pytest.raises(ValueError, match="one Laplacian per row"):
+            forward(identity_params(), [lap], np.ones((2, 1)))
+        with pytest.raises(ValueError, match="does not match 2 nodes"):
+            forward(identity_params(), [lap, np.eye(3)], np.ones((2, 2, 1)))
+        _, cache = forward(identity_params(), [lap, lap], np.ones((2, 2, 1)))
+        with pytest.raises(ValueError, match="output gradient"):
+            backward(identity_params(), cache, np.ones(2))
 
 
 class TestBackward:

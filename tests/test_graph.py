@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from linksched.graph import (ConflictGraph, centralization, generate_ba,
                              generate_er, generate_power_law_tree,
                              generate_star, is_independent_mask,
-                             load_graph, normalized_laplacian, save_graph)
+                             load_graph, normalized_laplacian, save_graph,
+                             weighted_draw)
 from linksched.presets import STAR_MAX_NODES, parse_graph_config
 
 
@@ -142,6 +143,30 @@ class TestBarabasiAlbert:
     def test_valid(self):
         for seed in range(5):
             assert_valid_graph(generate_ba(30, 2, seed))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_weighted_draw_is_generator_choice(self, data):
+        # integer degree-like weights with zeros, or a uniform start, and
+        # sizes often close to the nonzero count, where retries are most
+        # frequent
+        n = data.draw(st.integers(1, 60))
+        if data.draw(st.booleans()):
+            p = np.full(n, 1.0 / n)
+        else:
+            weights = np.array(data.draw(st.lists(
+                st.integers(0, 40), min_size=n, max_size=n)), np.float64)
+            assume(weights.any())
+            p = weights / weights.sum()
+        nonzero = int(np.count_nonzero(p))
+        size = data.draw(st.integers(1, nonzero)
+                         | st.integers(max(1, nonzero - 3), nonzero))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        numpy_gen, our_gen = (np.random.default_rng(seed) for _ in range(2))
+        want = numpy_gen.choice(n, size=size, replace=False, p=p)
+        got = weighted_draw(our_gen, p, size)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert our_gen.bit_generator.state == numpy_gen.bit_generator.state
 
 
 class TestPowerLawTree:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from linksched.gcn import (AdamState, adam_step, backward, forward,
+from linksched.gcn import (AdamState, Gradients, adam_step, backward, forward,
                            identity_params, init_params)
 from linksched.graph import generate_er, generate_star, normalized_laplacian
 from linksched import sim
@@ -20,6 +24,31 @@ def small_config(**overrides):
                 loads=(0.05,), seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def reference_batch_gradients(config, params, batch):
+    """The item-by-item loop ``batch_gradients`` replaced, kept as the
+    reference: one forward and one backward per item, the loss and its
+    gradient from ``np.linalg.norm``, and the sums in batch order."""
+    grads = Gradients.zeros_like(params)
+    total = 0.0
+    for item in batch:
+        u, cache = forward(params, item.graph.laplacian, item.features,
+                           config.leaky_slope)
+        returns = item.returns
+        if config.recompute_unscheduled:
+            vf = item.indicator.astype(np.float64)
+            returns = returns * vf + u * (1.0 - vf)
+        diff = u - returns
+        norm = np.linalg.norm(diff)
+        total += float(norm / math.sqrt(u.size))
+        out_grad = (np.zeros_like(diff) if norm == 0.0
+                    else diff / (norm * math.sqrt(u.size)))
+        contribution = backward(params, cache, out_grad / len(batch))
+        for acc, g in zip(grads.theta0 + grads.theta1,
+                          contribution.theta0 + contribution.theta1):
+            acc += g
+    return total / len(batch), grads
 
 
 def sampled_episode(config, params, seed):
@@ -96,6 +125,26 @@ class TestLoss:
             bumped[i] += h
             fd = (rms_loss(bumped, rho) - rms_loss(u, rho)) / h
             assert grad[i] == pytest.approx(fd, rel=1e-4)
+
+    def test_rows_bitwise_equal_unbatched(self):
+        # rows of all kinds: zero norm, one entry off, entries whose squares
+        # underflow to a zero norm, and rows too long for one SIMD block
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 31, 70):
+            u = rng.normal(scale=1e3, size=(6, n))
+            rho = u.copy()
+            rho[1, 0] += 1.0
+            u[2], rho[2] = 0.0, 1e-170
+            rho[3:] = rng.normal(size=(3, n))
+            losses = rms_loss(u, rho)
+            grads = loss_gradient(u, rho)
+            assert losses.shape == (6,) and grads.shape == (6, n)
+            for loss, grad, uu, rr in zip(losses, grads, u, rho):
+                norm = np.linalg.norm(uu - rr)
+                assert loss == rms_loss(uu, rr) == norm / math.sqrt(n)
+                assert grad.tobytes() == loss_gradient(uu, rr).tobytes()
+            assert losses[0] == losses[2] == 0.0
+            assert grads[2].tobytes() == np.zeros(n).tobytes()
 
 
 class TestReplayBuffer:
@@ -292,6 +341,64 @@ class TestCollectEpisode:
 
 
 class TestBatchGradients:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(1, 1), (1, 4, 1)]),
+           recompute=st.booleans(), size=st.integers(1, 24),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dims=(1, 1), recompute=False, size=1, seed=0)
+    @example(dims=(1, 4, 1), recompute=True, size=1, seed=1)
+    def test_bitwise_equal_to_item_loop(self, dims, recompute, size, seed):
+        # items of 6, 11 and n nodes from real episodes, all three sizes in
+        # any batch of three or more, replayed under parameters that moved
+        # since collection; one item's returns are the new utilities, so
+        # its norm is 0
+        rng = np.random.default_rng(seed)
+        config = small_config(horizon=6, layer_dims=dims,
+                              recompute_unscheduled=recompute)
+        collected = init_params(dims, rng)
+        episodes = []
+        for g in (generate_star(5), generate_star(10),
+                  generate_er(int(rng.choice([1, 2, 4, 13, 19])), 0.3, rng)):
+            trace = sample_traffic(g, config.horizon + config.lookahead,
+                                   20.0, rng)
+            episodes.append(collect_episode(config, collected, g, trace))
+        params = init_params(dims, rng)
+        pool = [item for items in episodes for item in items]
+        batch = [items[int(rng.integers(len(items)))]
+                 for items in episodes][:size]
+        batch += [pool[i] for i in rng.choice(len(pool), size - len(batch))]
+        rng.shuffle(batch)
+        k = int(rng.integers(size))
+        fit = batch[k]
+        u, _ = forward(params, fit.graph.laplacian, fit.features,
+                       config.leaky_slope)
+        batch[k] = ExperienceTuple(fit.graph, fit.features, fit.indicator, u,
+                                   fit.ratio)
+        loss, grads = batch_gradients(config, params, batch)
+        want_loss, want = reference_batch_gradients(config, params, batch)
+        assert type(loss) is float and loss == want_loss
+        for got, ref in zip(grads.theta0 + grads.theta1,
+                            want.theta0 + want.theta1):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_batch_spans_node_counts(self, monkeypatch):
+        # one forward and one backward for each node count in the batch
+        config = small_config(graph_mix=(("star5", 0.4), ("star10", 0.3),
+                                         ("ba-m2", 0.3)))
+        params = init_params(config.layer_dims, 0)
+        batch = [item for seed in range(6)
+                 for item in sampled_episode(config, params, seed)]
+        counts = {item.graph.node_count for item in batch}
+        assert len(counts) == 3
+        calls = []
+        for name, real in (("forward", forward), ("backward", backward)):
+            def counted(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(train_module, name, counted)
+        batch_gradients(config, params, batch)
+        assert calls == ["forward", "backward"] * 3
+
     def test_zero_loss_fixpoint(self):
         # when u already equals rho everywhere the Adam step is a no-op
         config = small_config()

@@ -78,6 +78,17 @@ CFG
 horizon = 6
 lookahead = 9
 CFG
+    # replay batches of up to six node counts (11, 50 and 150-300), so
+    # the replay's stacked forward runs several groups per batch
+    cat > "$side/mixed-sizes.cfg" <<'CFG'
+episodes = 12
+horizon = 8
+lookahead = 3
+batch_size = 32
+graph_mix = star10:0.4,ba-mix:0.3,er:0.3
+layer_dims = 1,4,1
+seed = 6
+CFG
     run train-default train --episodes 40 --seed 3 --out train-default
     run train-lookahead-1 train --config lookahead-1.cfg --episodes 40 \
         --seed 4 --out train-lookahead-1
@@ -86,6 +97,8 @@ CFG
     run train-bench train --config bench.cfg --episodes 8 --seed 11 \
         --out train-bench
     run train-all-keys train --config all-keys.cfg --out train-all-keys
+    run train-mixed-sizes train --config mixed-sizes.cfg \
+        --out train-mixed-sizes
     # er and tree have nodes with no or one neighbor
     for family in star30 ba-mix er tree; do
         run "generate-$family" generate --config "$family" --instances 4 \
