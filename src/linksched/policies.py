@@ -11,7 +11,12 @@ every policy's utilities, the rows of all ``"lgs"`` policies in one
 :func:`~linksched.solvers.lgs_rows` call per slot.
 
 :class:`SolverPolicy` hands its solver a handcrafted utility of backlog and
-rate; :class:`GcnLgsPolicy` hands ``lgs`` the GCN's utilities.
+rate; :class:`GcnLgsPolicy` hands its solver the GCN's utilities: ``lgs``
+in evaluation, which reports its message rounds, and ``greedy`` on
+training's main trajectory, which reads no rounds. Greedy's scan in
+(utility, node ID) order picks LGS's schedule on every row, signed
+utilities and zeros included, at a fraction of the cost of a one-row
+:func:`~linksched.solvers.lgs_rows` call.
 """
 
 from __future__ import annotations
@@ -35,17 +40,19 @@ class SolverPolicy:
 
 
 class GcnLgsPolicy:
-    """GCN-derived utilities fed to the distributed local greedy solver.
+    """GCN-derived utilities fed to the distributed local greedy solver, or
+    to another solver by name.
 
-    The node :meth:`features` are the baseline utility; the convolution uses
-    the graph's own cached :attr:`ConflictGraph.laplacian`, so the policy
-    holds no per-graph state.
+    ``solver="greedy"`` schedules exactly what ``"lgs"`` does, without
+    message rounds (training uses it; see the module docstring). The node
+    :meth:`features` are the baseline utility; the convolution uses the
+    graph's own cached :attr:`ConflictGraph.laplacian`, so the policy holds
+    no per-graph state.
     """
 
-    solver = "lgs"
-
     def __init__(self, params: GcnParams, slope: float = LEAKY_SLOPE,
-                 feature_kind: str = "product"):
+                 feature_kind: str = "product", solver: str = "lgs"):
+        self.solver = solver
         self.params = params
         self.slope = slope
         self.feature_kind = feature_kind

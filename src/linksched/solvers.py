@@ -123,7 +123,8 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> np.ndarray:
     is chosen or blocked, so it is the best node the repeated-argmax loop
     would take next. Unlike :func:`lgs_rows`, this is a sequential
     algorithm, which keeps ``lgs_rows == greedy_centralized`` a meaningful
-    property. Returns the (V,) bool membership mask.
+    property; training's main trajectory relies on it, scheduling with
+    this scan instead of LGS. Returns the (V,) bool membership mask.
     """
     u = _check_utilities(graph, utilities)
     nbrs = graph.neighbor_bitmasks

@@ -2,14 +2,16 @@
 
 Each episode runs the GCN scheduler, its parameters fixed, through a fresh
 instance with :func:`~linksched.sim.run_episode`, evaluation's per-slot
-loop, K - 1 slots past the horizon. Each slot is scored by the trajectory's
-next K states against the baseline's K-slot rollout from the same state on
-the same trace, all slots in one batched rollout. Scheduled links are
-regressed toward the (activated) backlog ratio, unscheduled links toward
-their own utility, with one Adam step per episode on a replayed batch.
-The batch runs one stacked GCN forward and backward per node count in it,
-and the per-item losses and gradients are summed in batch order, so the
-step is bitwise that of an item-by-item loop.
+loop, K - 1 slots past the horizon. Its utilities are solved by the
+centralized greedy scan, which picks LGS's schedule at a fraction of the
+cost; training reads no message rounds. Each slot is scored by the
+trajectory's next K states against the baseline's K-slot rollout from the
+same state on the same trace, all slots in one batched rollout. Scheduled
+links are regressed toward the (activated) backlog ratio, unscheduled links
+toward their own utility, with one Adam step per episode on a replayed
+batch. The batch runs one stacked GCN forward and backward per node count
+in it, and the per-item losses and gradients are summed in batch order, so
+the step is bitwise that of an item-by-item loop.
 """
 
 from __future__ import annotations
@@ -248,7 +250,10 @@ def collect_episode(config: TrainConfig, params: GcnParams,
 
     Two phases. First :func:`run_episode` runs the GCN policy, with
     evaluation's per-slot checks, for horizon + lookahead - 1 slots: the
-    horizon's slots and the lookahead's future of the last one. Then the
+    horizon's slots and the lookahead's future of the last one. It solves
+    with ``"greedy"``: LGS's local maxima are the greedy set in (utility,
+    node ID) order, so the schedule is LGS's on every row, and training
+    reads no message rounds, which only LGS reports. Then the
     first horizon slots are scored at once: one :func:`lookahead_compare`
     call compares the trajectory's next lookahead states from slot t with
     the LGS baseline rolled from q(t) on the same trace slots, and one
@@ -259,7 +264,8 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     horizon, k = config.horizon, config.lookahead
     if trace.horizon < horizon + k:
         raise ValueError("trace must cover horizon + lookahead slots")
-    gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
+    gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind,
+                              solver="greedy")
     baseline = SolverPolicy("lgs", config.utility_kind)
     result, = run_episode(graph, [gcn_policy], trace, steps=horizon + k - 1)
     members = result.members[:horizon]

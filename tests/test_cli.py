@@ -485,7 +485,9 @@ class TestMainEntry:
         # call, the outputs are those of an untraced run, and each episode
         # runs the GCN forward once per main-trajectory slot (horizon +
         # lookahead - 1), with no re-forward for the reward's utilities,
-        # and the replay batch one forward and one backward per node count
+        # and the replay batch one forward and one backward per node count;
+        # each main-trajectory slot is one greedy solve, and LGS runs only
+        # in the baseline's rollouts, one batched call per lookahead step
         conf = tmp_path / "train.cfg"
         conf.write_text("graph_mix = star30:0.8,ba-m2:0.2\n"
                         "loads = 0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08\n"
@@ -519,6 +521,8 @@ class TestMainEntry:
         assert calls["train.collect_episode"] == 3
         assert calls["gcn.forward"] == 3 * (64 + 5 - 1) + sum(sizes)
         assert calls["gcn.backward"] == sum(sizes)
+        assert calls["solvers.greedy_centralized"] == 3 * (64 + 5 - 1)
+        assert calls["solvers.lgs_rows"] == 3 * 5
 
     def test_train_smoke_log_rows(self, tmp_path, capsys):
         conf = tmp_path / "train.conf"

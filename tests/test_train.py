@@ -10,9 +10,10 @@ from linksched.gcn import (AdamState, Gradients, adam_step, backward, forward,
 from linksched.graph import generate_er, generate_star, normalized_laplacian
 from linksched import sim
 from linksched.policies import GcnLgsPolicy, SolverPolicy
+from linksched.presets import parse_graph_config
 from linksched import train as train_module
 from linksched.sim import RATE_MEAN, TrafficTrace, run_episode, sample_traffic
-from linksched.solvers import baseline_utility, lgs_rows
+from linksched.solvers import baseline_utility, greedy_centralized, lgs_rows
 from linksched.train import (ExperienceTuple, ReplayBuffer, TrainConfig,
                              batch_gradients, collect_episode, compute_reward,
                              loss_gradient, rms_loss, sample_instance, train)
@@ -186,7 +187,8 @@ def reference_episode(config, params, graph, trace):
     baseline = SolverPolicy("lgs", config.utility_kind)
 
     def schedule(policy, q, t):
-        # both policies schedule with LGS, here on one row
+        # both policies schedule with LGS, here on one row: the LGS oracle
+        # for training's greedy main trajectory
         u = policy.utilities(graph, q, trace.rates[t])
         return lgs_rows(graph, u[None])[0][0]
 
@@ -292,13 +294,12 @@ class TestCollectEpisode:
             assert is_independent_mask(item.graph, item.indicator)
 
     def test_non_independent_schedule_rejected(self, monkeypatch):
-        # the main trajectory runs evaluation's per-slot checks
+        # the main trajectory runs evaluation's per-slot checks on its
+        # greedy schedules
         config = small_config()
         params = init_params(config.layer_dims, 0)
-        monkeypatch.setattr(
-            sim, "lgs_rows",
-            lambda graph, u: (np.ones(np.shape(u), bool),
-                              np.ones(len(u), np.int64)))
+        monkeypatch.setattr(sim, "greedy_centralized",
+                            lambda graph, u: np.ones(len(u), bool))
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
 
@@ -312,32 +313,39 @@ class TestCollectEpisode:
 
         def late_conflict(graph, u):
             calls.append(u)
-            members, rounds = lgs_rows(graph, u)
+            members = greedy_centralized(graph, u)
             if len(calls) > config.horizon:
                 members[:] = True
-            return members, rounds
-        monkeypatch.setattr(sim, "lgs_rows", late_conflict)
+            return members
+        monkeypatch.setattr(sim, "greedy_centralized", late_conflict)
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
         assert len(calls) == config.horizon + 1
 
     def test_main_trajectory_matches_run_episode(self):
-        # the trainer and the simulator share one queue update
+        # the trainer and the simulator share one queue update, and the
+        # trainer's greedy solves schedule what evaluation's LGS does, on
+        # glorot utilities of both signs
         config = small_config(horizon=24, lookahead=3)
-        params = init_params(config.layer_dims, 7)
-        g = generate_er(12, 0.3, 4)
-        drawn = sample_traffic(g, config.horizon + config.lookahead, 20.0, 5)
-        trace = TrafficTrace(drawn.arrivals, np.maximum(drawn.rates, 1))
-        tuples = collect_episode(config, params, g, trace)
-        result, = run_episode(g, [GcnLgsPolicy(params)], trace,
-                              steps=config.horizon)
-        assert result.queues.max() > 0
-        assert np.array_equal([item.indicator for item in tuples],
-                              result.members)
-        for t, item in enumerate(tuples):
-            # rates are at least 1, so the q * r features pin the queues
-            assert np.array_equal(item.features[:, 0],
-                                  result.queues[t] * trace.rates[t])
+        params = init_params(config.layer_dims, 8)  # theta0 < 0 < theta1
+        for g in (generate_er(12, 0.3, 4),
+                  *(parse_graph_config(name).build(4)
+                    for name in ("star30", "ba-m2"))):
+            drawn = sample_traffic(g, config.horizon + config.lookahead,
+                                   20.0, 5)
+            trace = TrafficTrace(drawn.arrivals, np.maximum(drawn.rates, 1))
+            tuples = collect_episode(config, params, g, trace)
+            result, = run_episode(g, [GcnLgsPolicy(params)], trace,
+                                  steps=config.horizon)
+            assert result.rounds is not None  # solved by LGS
+            assert (result.utilities < 0).any()
+            assert result.queues.max() > 0
+            assert np.array_equal([item.indicator for item in tuples],
+                                  result.members)
+            for t, item in enumerate(tuples):
+                # rates are at least 1, so the q * r features pin the queues
+                assert np.array_equal(item.features[:, 0],
+                                      result.queues[t] * trace.rates[t])
 
 
 class TestBatchGradients:

@@ -89,6 +89,17 @@ graph_mix = star10:0.4,ba-mix:0.3,er:0.3
 layer_dims = 1,4,1
 seed = 6
 CFG
+    # 100-300-node BA graphs, one with 20 attachments, and glorot weights
+    # of both signs (theta0 < 0 < theta1 at seed 6), so utilities of mixed
+    # sign: training's greedy main trajectory must schedule what LGS did
+    cat > "$side/ba-mix.cfg" <<'CFG'
+episodes = 6
+horizon = 8
+lookahead = 3
+graph_mix = ba-mix:1.0
+init = glorot
+seed = 6
+CFG
     run train-default train --episodes 40 --seed 3 --out train-default
     run train-lookahead-1 train --config lookahead-1.cfg --episodes 40 \
         --seed 4 --out train-lookahead-1
@@ -99,6 +110,7 @@ CFG
     run train-all-keys train --config all-keys.cfg --out train-all-keys
     run train-mixed-sizes train --config mixed-sizes.cfg \
         --out train-mixed-sizes
+    run train-ba-mix train --config ba-mix.cfg --out train-ba-mix
     # er and tree have nodes with no or one neighbor
     for family in star30 ba-mix er tree; do
         run "generate-$family" generate --config "$family" --instances 4 \
