@@ -70,15 +70,6 @@ def load_kv_file(path) -> dict[str, str]:
     return parse_kv_text(Path(path).read_text(), source=str(path))
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def _parse_pair(value: str) -> tuple[str, float]:
     name, weight = value.rsplit(":", 1)
     return name.strip(), float(weight)
@@ -86,9 +77,7 @@ def _parse_pair(value: str) -> tuple[str, float]:
 
 def _parser(kind) -> Callable[[str], object]:
     """The value-text parser for a TrainConfig field type: int, float, str,
-    bool, a comma-separated ``tuple[X, ...]``, or a ``name:weight`` pair."""
-    if kind is bool:
-        return _parse_bool
+    a comma-separated ``tuple[X, ...]``, or a ``name:weight`` pair."""
     if kind in (int, float, str):
         return kind
     args = get_args(kind)
@@ -107,8 +96,6 @@ _TRAIN_KEYS = {f.name: _parser(_TRAIN_TYPES[f.name])
 
 def config_text(value) -> str:
     """A TrainConfig value written as the value text its parser reads back."""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
     if isinstance(value, tuple) and value and isinstance(value[0], str):
         name, weight = value
         return f"{name}:{weight!r}"
@@ -151,7 +138,6 @@ class ExperimentConfig:
     instances: int = 100
     horizon: int = 64
     policies: tuple[str, ...] = ("baseline",)
-    utility_kind: str = "product"
     seed: int = 0
     checkpoint: Path | None = None
 
@@ -227,8 +213,8 @@ def _make_policy(name: str, config: ExperimentConfig):
     """The policy behind a validated CLI policy name."""
     if name == "gcn":
         ckpt = load_checkpoint(config.checkpoint)
-        return GcnLgsPolicy(ckpt.params, ckpt.slope, config.utility_kind)
-    return SolverPolicy(SOLVER_NAMES[name], config.utility_kind)
+        return GcnLgsPolicy(ckpt.params, ckpt.slope)
+    return SolverPolicy(SOLVER_NAMES[name])
 
 
 @dataclass
@@ -457,9 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--instances", required=True,
                     help="directory produced by generate")
     ev.add_argument("--policies", default="baseline,gcn",
-                    help="comma-separated: baseline, greedy, exact, gcn")
+                    help="comma-separated: baseline, greedy, exact, gcn (LGS "
+                    "on the checkpoint's GCN of backlog x rate)")
     ev.add_argument("--checkpoint", help="GCN checkpoint (required for gcn)")
-    ev.add_argument("--utility", default="product", choices=["product", "min"])
     ev.add_argument("--out", help="output directory for CSV reports")
 
     toy = sub.add_parser("toy", help="deterministic 6-link star demo")
@@ -516,7 +502,7 @@ def _run(args: argparse.Namespace) -> int:
             config = ExperimentConfig(
                 kv["config"], tuple(float(x) for x in kv["mus"].split(",")),
                 instances=int(kv["instances"]), horizon=int(kv["horizon"]),
-                policies=policies, utility_kind=args.utility,
+                policies=policies,
                 checkpoint=Path(args.checkpoint) if args.checkpoint else None)
         except KeyError as exc:
             raise ConfigError(f"{manifest}: missing key {exc.args[0]!r}") \

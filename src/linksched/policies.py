@@ -11,12 +11,12 @@ every policy's utilities, the rows of all ``"lgs"`` policies in one
 :func:`~linksched.solvers.lgs_rows` call per slot.
 
 :class:`SolverPolicy` hands its solver a handcrafted utility of backlog and
-rate; :class:`GcnLgsPolicy` hands its solver the GCN's utilities: ``lgs``
-in evaluation, which reports its message rounds, and ``greedy`` on
-training's main trajectory, which reads no rounds. Greedy's scan in
-(utility, node ID) order picks LGS's schedule on every row, signed
-utilities and zeros included, at a fraction of the cost of a one-row
-:func:`~linksched.solvers.lgs_rows` call.
+rate; :class:`GcnLgsPolicy` hands its solver the GCN's utilities of one
+input feature per link, backlog x rate: ``lgs`` in evaluation, which
+reports its message rounds, and ``greedy`` on training's main trajectory,
+which reads no rounds. Greedy's scan in (utility, node ID) order picks
+LGS's schedule on every row, signed utilities and zeros included, at a
+fraction of the cost of a one-row :func:`~linksched.solvers.lgs_rows` call.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from .solvers import baseline_utility
 class SolverPolicy:
     """A solver, by name, applied to the :func:`baseline_utility` of (q, r)."""
 
-    def __init__(self, solver: str, utility_kind: str = "product"):
+    def __init__(self, solver: str, kind: str = "product"):
         self.solver = solver
-        self.utility_kind = utility_kind
+        self.kind = kind
 
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
-        return baseline_utility(q, r, self.utility_kind)
+        return baseline_utility(q, r, self.kind)
 
 
 class GcnLgsPolicy:
@@ -45,21 +45,20 @@ class GcnLgsPolicy:
 
     ``solver="greedy"`` schedules exactly what ``"lgs"`` does, without
     message rounds (training uses it; see the module docstring). The node
-    :meth:`features` are the baseline utility; the convolution uses the
-    graph's own cached :attr:`ConflictGraph.laplacian`, so the policy holds
-    no per-graph state.
+    :meth:`features` are backlog x rate, the one input a checkpoint is
+    trained on; the convolution uses the graph's own cached
+    :attr:`ConflictGraph.laplacian`, so the policy holds no per-graph state.
     """
 
     def __init__(self, params: GcnParams, slope: float = LEAKY_SLOPE,
-                 feature_kind: str = "product", solver: str = "lgs"):
+                 solver: str = "lgs"):
         self.solver = solver
         self.params = params
         self.slope = slope
-        self.feature_kind = feature_kind
 
     def features(self, q, r) -> np.ndarray:
-        """The GCN input: one feature per link, (V, 1) or (B, V, 1)."""
-        return baseline_utility(q, r, self.feature_kind)[..., None]
+        """The GCN input: backlog x rate, (V, 1) or (B, V, 1)."""
+        return baseline_utility(q, r)[..., None]
 
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
         return forward(self.params, graph.laplacian, self.features(q, r),

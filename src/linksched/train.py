@@ -7,11 +7,12 @@ centralized greedy scan, which picks LGS's schedule at a fraction of the
 cost; training reads no message rounds. Each slot is scored by the
 trajectory's next K states against the baseline's K-slot rollout from the
 same state on the same trace, all slots in one batched rollout. Scheduled
-links are regressed toward the (activated) backlog ratio, unscheduled links
-toward their own utility, with one Adam step per episode on a replayed
-batch. The batch runs one stacked GCN forward and backward per node count
-in it, and the per-item losses and gradients are summed in batch order, so
-the step is bitwise that of an item-by-item loop.
+links are regressed toward 1 where the lookahead tied or beat the baseline
+and toward 0 where it lost, unscheduled links toward their own utility,
+with one Adam step per episode on a replayed batch. The batch runs one
+stacked GCN forward and backward per node count in it, and the per-item
+losses and gradients are summed in batch order, so the step is bitwise
+that of an item-by-item loop.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .gcn import (BASE_LR, LEAKY_SLOPE, LR_DECAY, AdamState, GcnParams,
-                  Gradients, adam_step, backward, forward, identity_params,
-                  init_params, save_checkpoint)
+from .gcn import (BASE_LR, LR_DECAY, AdamState, GcnParams, Gradients,
+                  adam_step, backward, forward, identity_params, init_params,
+                  save_checkpoint)
 from .graph import ConflictGraph, as_rng
 from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
@@ -43,7 +44,8 @@ SIZE_CAPS = {"horizon": 100_000, "lookahead": 1_000,
 
 @dataclass
 class ExperienceTuple:
-    """One slot of interaction: features, the schedule taken, and targets.
+    """One slot of interaction: the backlog x rate features, the schedule
+    taken, and the regression targets of :func:`compute_reward`.
 
     ``ratio`` keeps the raw lookahead outcome for win-rate bookkeeping.
     """
@@ -84,28 +86,16 @@ class ReplayBuffer:
         return [self._items[i] for i in idx]
 
 
-def apply_phi(x, kind: str) -> np.ndarray:
-    """Reward activation, elementwise as float64: identity, or a unit step
-    at 1 with step(1) = 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "linear":
-        return x
-    if kind == "heaviside":
-        return np.where(x >= 1.0, 1.0, 0.0)
-    raise ValueError(f"unknown phi kind: {kind!r}")
-
-
-def compute_reward(ratio, indicator, u_gcn,
-                   phi: str = "heaviside") -> np.ndarray:
+def compute_reward(ratio, indicator, u_gcn) -> np.ndarray:
     """Per-link regression targets for one slot, or for a stack of slots.
 
     ``indicator`` and ``u_gcn`` are (V,) with a scalar ``ratio``, or (B, V)
-    with (B,) ratios, one per row. Scheduled links receive phi(ratio);
-    unscheduled links receive their utility at collection time, which adds
-    no loss only until the parameters move (replay can recompute it: see
-    ``TrainConfig.recompute_unscheduled``). Each row equals the one-slot
-    call on that row. The result is a constant target: no gradient flows
-    through it.
+    with (B,) ratios, one per row. Scheduled links receive the unit step of
+    the ratio at 1: 1.0 where the lookahead tied or beat the baseline
+    (ratio >= 1), else 0.0. Unscheduled links receive their utility at
+    collection time, which adds no loss only until the parameters move.
+    Each row equals the one-slot call on that row. The result is a constant
+    target: no gradient flows through it.
     """
     v = np.asarray(indicator)
     if v.ndim not in (1, 2) or not ((v == 0) | (v == 1)).all():
@@ -114,11 +104,11 @@ def compute_reward(ratio, indicator, u_gcn,
     u = np.asarray(u_gcn, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("indicator and utility lengths differ")
-    phi_ratio = apply_phi(ratio, phi)
-    if phi_ratio.shape != v.shape[:-1]:
+    won = np.where(np.asarray(ratio, dtype=np.float64) >= 1.0, 1.0, 0.0)
+    if won.shape != v.shape[:-1]:
         raise ValueError("need one ratio per indicator row")
     vf = v.astype(np.float64)
-    return phi_ratio[..., None] * vf + u * (1.0 - vf)
+    return won[..., None] * vf + u * (1.0 - vf)
 
 
 def _row_norms(diff: np.ndarray) -> np.ndarray:
@@ -156,24 +146,22 @@ class TrainConfig:
     """Training knobs, the one schema of a training run: each field is a
     ``train --config`` key, parsed by its declared type. The defaults
     reproduce the delivered curriculum (mixed star/BA instances, 5-step
-    lookahead, Heaviside rewards, batch-64 replay, 6000 episodes). The
-    traffic model (``sim``) and Adam's betas and eps (``gcn``) are fixed."""
+    lookahead, batch-64 replay, 6000 episodes). Fixed are the GCN's one
+    input, backlog x rate, the reward (:func:`compute_reward`), the
+    leaky-ReLU slope (``gcn.LEAKY_SLOPE``), the traffic model (``sim``) and
+    Adam's betas and eps (``gcn``)."""
 
     episodes: int = 6000
     horizon: int = 64
     lookahead: int = 5
-    phi: str = "heaviside"
     batch_size: int = 64
     replay_capacity: int = 4096
     graph_mix: tuple[tuple[str, float], ...] = (("star30", 0.8), ("ba-m2", 0.2))
     loads: tuple[float, ...] = DEFAULT_LOADS
-    utility_kind: str = "product"
     layer_dims: tuple[int, ...] = (1, 1)
-    leaky_slope: float = LEAKY_SLOPE
     init: str = "glorot"
     base_lr: float = BASE_LR
     lr_decay: float = LR_DECAY
-    recompute_unscheduled: bool = False
     checkpoint_interval: int = 0
     seed: int = 0
 
@@ -191,17 +179,17 @@ class TrainConfig:
             if any(v > cap for v in (value if isinstance(value, tuple)
                                      else (value,))):
                 raise ValueError(f"{name} must be at most {cap}")
+        dims = self.layer_dims
+        if len(dims) < 2 or dims[0] != 1 or dims[-1] != 1 or min(dims) < 1:
+            raise ValueError("layer_dims must read 1,...,1 with no width "
+                             "below 1: one feature in, one utility out")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint interval must be non-negative")
-        for name in ("base_lr", "lr_decay", "leaky_slope"):
+        for name in ("base_lr", "lr_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.phi not in ("heaviside", "linear"):
-            raise ValueError(f"unknown phi kind: {self.phi!r}")
         if self.init not in ("glorot", "identity"):
             raise ValueError(f"unknown initialization: {self.init!r}")
-        if self.utility_kind not in ("product", "min"):
-            raise ValueError(f"unknown utility kind: {self.utility_kind!r}")
         if not self.graph_mix:
             raise ValueError("graph mix must name at least one family")
         total = sum(p for _, p in self.graph_mix)
@@ -264,23 +252,20 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     horizon, k = config.horizon, config.lookahead
     if trace.horizon < horizon + k:
         raise ValueError("trace must cover horizon + lookahead slots")
-    gcn_policy = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind,
-                              solver="greedy")
-    baseline = SolverPolicy("lgs", config.utility_kind)
+    gcn_policy = GcnLgsPolicy(params, solver="greedy")
+    baseline = SolverPolicy("lgs")
     result, = run_episode(graph, [gcn_policy], trace, steps=horizon + k - 1)
     members = result.members[:horizon]
     features = gcn_policy.features(result.queues[:horizon],
                                    trace.rates[:horizon])
     ratios = lookahead_compare(graph, result.queues, baseline.utilities, k,
                                trace)
-    returns = compute_reward(ratios, members, result.utilities[:horizon],
-                             config.phi)
+    returns = compute_reward(ratios, members, result.utilities[:horizon])
     return [ExperienceTuple(graph, *slot) for slot in
             zip(features, members, returns, ratios.tolist())]
 
 
-def batch_gradients(config: TrainConfig, params: GcnParams,
-                    batch: list[ExperienceTuple],
+def batch_gradients(params: GcnParams, batch: list[ExperienceTuple],
                     ) -> tuple[float, Gradients]:
     """Mean loss over the batch and the summed parameter gradients.
 
@@ -301,12 +286,8 @@ def batch_gradients(config: TrainConfig, params: GcnParams,
     for rows in groups.values():
         items = [batch[row - 1] for row in rows]
         u, cache = forward(params, [item.graph.laplacian for item in items],
-                           np.array([item.features for item in items]),
-                           config.leaky_slope)
+                           np.array([item.features for item in items]))
         returns = np.array([item.returns for item in items])
-        if config.recompute_unscheduled:
-            vf = np.array([item.indicator for item in items], np.float64)
-            returns = returns * vf + u * (1.0 - vf)
         losses[rows] = rms_loss(u, returns)
         grads = backward(params, cache, loss_gradient(u, returns) / size)
         for acc, g in zip(per_item, grads.theta0 + grads.theta1):
@@ -351,7 +332,7 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def save(name: str) -> None:
-        save_checkpoint(out_dir / name, params, slope=config.leaky_slope)
+        save_checkpoint(out_dir / name, params)
 
     log: list[dict] = []
     for episode in range(config.episodes):
@@ -361,7 +342,7 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
         tuples = collect_episode(config, params, graph, trace)
         buffer.extend(tuples)
         batch = buffer.sample(config.batch_size, batch_rng)
-        loss, grads = batch_gradients(config, params, batch)
+        loss, grads = batch_gradients(params, batch)
         if not math.isfinite(loss):
             if out_dir is not None:
                 save("diagnostic.ckpt")

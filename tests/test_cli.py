@@ -29,20 +29,39 @@ ALL_KEYS_CONFIG = """\
 episodes = 3
 horizon = 6
 lookahead = 2
-phi = linear
 batch_size = 4
 replay_capacity = 10
 graph_mix = star5:0.5,ba-m2:0.5
 loads = 0.03,0.06
-utility_kind = min
 layer_dims = 1,3,1
-leaky_slope = 0.1
 init = glorot
 base_lr = 0.002
 lr_decay = 0.99
-recompute_unscheduled = yes
 checkpoint_interval = 2
 seed = 9
+"""
+
+# the keys removed from TrainConfig, and a config.txt that
+# `train --episodes 0` wrote while they existed
+REMOVED_KEYS = ("phi", "utility_kind", "leaky_slope", "recompute_unscheduled")
+OLD_CONFIG_TXT = """\
+episodes = 0
+horizon = 64
+lookahead = 5
+phi = heaviside
+batch_size = 64
+replay_capacity = 4096
+graph_mix = star30:0.8,ba-m2:0.2
+loads = 0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08
+utility_kind = product
+layer_dims = 1,1
+leaky_slope = 0.2
+init = glorot
+base_lr = 0.001
+lr_decay = 0.999
+recompute_unscheduled = no
+checkpoint_interval = 0
+seed = 0
 """
 
 
@@ -79,12 +98,12 @@ class TestConfigParsing:
 
     def test_train_config_keys(self):
         kv = parse_kv_text(
-            "episodes = 10\nlookahead = 3\nphi = linear\n"
+            "episodes = 10\nlookahead = 3\nlayer_dims = 1,4,1\n"
             "graph_mix = star10:0.5,er:0.5\nloads = 0.02,0.04\nseed = 5\n")
         config = train_config_from_kv(kv)
         assert config.episodes == 10
         assert config.lookahead == 3
-        assert config.phi == "linear"
+        assert config.layer_dims == (1, 4, 1)
         assert config.graph_mix == (("star10", 0.5), ("er", 0.5))
         assert config.loads == (0.02, 0.04)
 
@@ -133,9 +152,11 @@ class TestConfigParsing:
     @pytest.mark.parametrize("name", sorted(SIZE_CAPS))
     def test_size_caps_name_the_key(self, name):
         cap = SIZE_CAPS[name]
-        value = (1, cap) if name == "layer_dims" else cap
-        assert getattr(TrainConfig(**{name: value}), name) == value
-        over = (1, cap + 1) if name == "layer_dims" else cap + 1
+        value = (1, cap, 1) if name == "layer_dims" else cap
+        config = TrainConfig(**{name: value})
+        config.validate()
+        assert getattr(config, name) == value
+        over = (1, cap + 1, 1) if name == "layer_dims" else cap + 1
         with pytest.raises(ConfigError, match=re.escape(
                 f"my.cfg: {name} must be at most {cap}")):
             train_config_from_kv({name: config_text(over)}, source="my.cfg")
@@ -501,9 +522,9 @@ class TestMainEntry:
         sizes = []
         batch_gradients = train_module.batch_gradients
 
-        def counting(config, params, batch):
+        def counting(params, batch):
             sizes.append(len({item.graph.node_count for item in batch}))
-            return batch_gradients(config, params, batch)
+            return batch_gradients(params, batch)
         with monkeypatch.context() as patch:
             patch.setattr(train_module, "batch_gradients", counting)
             assert run("plain") == 0
@@ -707,6 +728,43 @@ class TestMainEntry:
         assert {"config.txt", "training_log.csv", "checkpoint.ckpt"} \
             <= {path.name for path in first.iterdir()}
         assert dir_checksums(again) == dir_checksums(first)
+
+    @pytest.mark.parametrize("key", [*REMOVED_KEYS, None],
+                             ids=[*REMOVED_KEYS, "old-config.txt"])
+    def test_removed_key_refused_by_name(self, tmp_path, capsys, key):
+        # each removed key alone among the kept keys of an old config.txt,
+        # then the whole file, whose first removed key is phi
+        conf = tmp_path / "old.cfg"
+        conf.write_text("".join(
+            f"{line}\n" for line in OLD_CONFIG_TXT.splitlines()
+            if key is None or line.split(" = ")[0] not in REMOVED_KEYS
+            or line.startswith(f"{key} = ")))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(conf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {conf}: unknown key '{key or 'phi'}'\n"
+        assert not out.exists()
+
+    def test_eval_utility_flag_refused(self, tmp_path, capsys):
+        # the GCN's input is fixed by training, not chosen at eval
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--instances", str(tmp_path), "--utility", "min"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --utility min" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["2,1", "1,3", "1", "1,0,1"])
+    def test_bad_layer_dims_refused_before_output(self, tmp_path, capsys,
+                                                  dims):
+        # refused by name when the file is read, not in the first episode
+        conf = tmp_path / "train.cfg"
+        conf.write_text(f"layer_dims = {dims}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(conf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {conf}: layer_dims ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_failed_generate_leaves_no_manifest(self, tmp_path, capsys):
         out = tmp_path / "inst"

@@ -13,7 +13,7 @@ from linksched.gcn import (AdamState, Checkpoint, GcnParams, Gradients,
                            init_params, load_checkpoint, save_checkpoint)
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
                              generate_star, normalized_laplacian)
-from linksched.solvers import lgs_rows
+from linksched.solvers import greedy_centralized, lgs_rows
 
 
 def k2_laplacian():
@@ -256,6 +256,42 @@ class TestPipelineIdentity:
             u, _ = forward(params, lap, s[:, None])
             assert np.array_equal(lgs_rows(g, u[None])[0],
                                   lgs_rows(g, s[None])[0])
+
+
+class TestHomogeneity:
+    # the network has no biases and a positively homogeneous activation:
+    # features scaled by c > 0 scale the utilities by c, and every weight
+    # scaled by c scales them by c^L; neither changes their order, so a
+    # schedule reads no feature scale and a checkpoint records none. Powers
+    # of two keep every product and sum exact, so the equalities are bitwise
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(ba=st.booleans(), n=st.integers(2, 40),
+           dims=st.sampled_from([(1, 1), (1, 4, 1), (1, 3, 2, 1)]),
+           k=st.integers(-8, 8), seed=st.integers(0, 2**32 - 1))
+    def test_scaling_keeps_utilities_and_schedules(self, ba, n, dims, k,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        g = (generate_ba(n, int(rng.integers(1, min(n, 6))), rng) if ba
+             else generate_er(n, rng.random() * 0.6, rng))
+        params = init_params(dims, rng)
+        # backlog x rate of small integers: zeros and ties are common
+        x = (rng.integers(0, 30, n) * rng.integers(0, 12, n))[:, None] * 1.0
+        c = 2.0 ** k
+        u, _ = forward(params, g.laplacian, x)
+        scaled_input, _ = forward(params, g.laplacian, c * x)
+        assert scaled_input.tobytes() == (c * u).tobytes()
+        scaled = GcnParams(dims, [c * t for t in params.theta0],
+                           [c * t for t in params.theta1])
+        scaled_weights, _ = forward(scaled, g.laplacian, x)
+        assert scaled_weights.tobytes() == \
+            (c ** params.num_layers * u).tobytes()
+        members, rounds = lgs_rows(g, u[None])
+        for v in (scaled_input, scaled_weights):
+            got_members, got_rounds = lgs_rows(g, v[None])
+            assert np.array_equal(got_members, members)
+            assert np.array_equal(got_rounds, rounds)
+            assert np.array_equal(greedy_centralized(g, v),
+                                  greedy_centralized(g, u))
 
 
 class TestAdam:

@@ -303,7 +303,7 @@ class NegatedQueues:
 
 LOCKSTEP_POLICIES = {
     "baseline": lambda: SolverPolicy("lgs"),
-    "baseline-min": lambda: SolverPolicy("lgs", "min"),
+    "baseline-queue": lambda: SolverPolicy("lgs", "queue"),
     "greedy": lambda: SolverPolicy("greedy"),
     "exact": lambda: SolverPolicy("exact", "queue"),
     "gcn-head": lambda: GcnLgsPolicy(HEAD_GCN),

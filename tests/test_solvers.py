@@ -241,11 +241,8 @@ class TestBaselineUtility:
     def test_product(self):
         assert baseline_utility([2, 0], [3, 5], "product").tolist() == [6, 0]
 
-    def test_min(self):
-        assert baseline_utility([2, 0], [3, 5], "min").tolist() == [2, 0]
-
     def test_zero(self):
-        for kind in ("product", "min"):
+        for kind in ("product", "queue"):
             assert not baseline_utility([0, 0], [3, 5], kind).any()
 
     def test_length_mismatch(self):
@@ -253,8 +250,9 @@ class TestBaselineUtility:
             baseline_utility([1, 2], [1], "product")
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            baseline_utility([1], [1], "sum")
+        for kind in ("sum", "min"):
+            with pytest.raises(ValueError, match="unknown utility kind"):
+                baseline_utility([1], [1], kind)
 
 
 def random_instances(count, seed, max_nodes=60):

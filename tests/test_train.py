@@ -27,20 +27,15 @@ def small_config(**overrides):
     return TrainConfig(**base)
 
 
-def reference_batch_gradients(config, params, batch):
+def reference_batch_gradients(params, batch):
     """The item-by-item loop ``batch_gradients`` replaced, kept as the
     reference: one forward and one backward per item, the loss and its
     gradient from ``np.linalg.norm``, and the sums in batch order."""
     grads = Gradients.zeros_like(params)
     total = 0.0
     for item in batch:
-        u, cache = forward(params, item.graph.laplacian, item.features,
-                           config.leaky_slope)
-        returns = item.returns
-        if config.recompute_unscheduled:
-            vf = item.indicator.astype(np.float64)
-            returns = returns * vf + u * (1.0 - vf)
-        diff = u - returns
+        u, cache = forward(params, item.graph.laplacian, item.features)
+        diff = u - item.returns
         norm = np.linalg.norm(diff)
         total += float(norm / math.sqrt(u.size))
         out_grad = (np.zeros_like(diff) if norm == 0.0
@@ -59,40 +54,34 @@ def sampled_episode(config, params, seed):
 
 class TestComputeReward:
     def test_heaviside_win(self):
-        rho = compute_reward(1.2, [1, 0], [0.7, 0.3], "heaviside")
+        rho = compute_reward(1.2, [1, 0], [0.7, 0.3])
         assert rho.tolist() == [1.0, 0.3]
 
     def test_heaviside_loss(self):
-        rho = compute_reward(0.8, [1, 1], [0.7, 0.3], "heaviside")
+        rho = compute_reward(0.8, [1, 1], [0.7, 0.3])
         assert rho.tolist() == [0.0, 0.0]
 
-    def test_linear(self):
-        rho = compute_reward(1.2, [1, 0], [0.7, 0.3], "linear")
-        assert rho.tolist() == [1.2, 0.3]
-
     def test_tie_counts_as_win(self):
-        rho = compute_reward(1.0, [1], [5.0], "heaviside")
+        rho = compute_reward(1.0, [1], [5.0])
         assert rho.tolist() == [1.0]
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            compute_reward(1.0, [2, 0], [0.1, 0.2], "heaviside")
+            compute_reward(1.0, [2, 0], [0.1, 0.2])
 
-    @pytest.mark.parametrize("phi", ["heaviside", "linear"])
-    def test_stack_equals_rows(self, phi):
+    def test_stack_equals_rows(self):
         ratios = np.array([0.0, 1.0, 3.0, np.inf])
         indicators = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0]],
                               dtype=np.int8)
         u = np.random.default_rng(0).normal(size=indicators.shape)
-        with np.errstate(invalid="ignore"):  # linear: inf * 0 off-schedule
-            stacked = compute_reward(ratios, indicators, u, phi)
-            rows = [compute_reward(float(ratio), ind, uu, phi)
-                    for ratio, ind, uu in zip(ratios, indicators, u)]
+        stacked = compute_reward(ratios, indicators, u)
+        rows = [compute_reward(float(ratio), ind, uu)
+                for ratio, ind, uu in zip(ratios, indicators, u)]
         assert stacked.shape == indicators.shape
         for got, want in zip(stacked, rows):
             assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="one ratio per"):
-            compute_reward(ratios[:3], indicators, u, phi)
+            compute_reward(ratios[:3], indicators, u)
 
 
 class TestLoss:
@@ -104,7 +93,7 @@ class TestLoss:
 
     def test_unscheduled_contribute_nothing(self):
         u = np.array([3.0, -1.0, 2.0])
-        rho = compute_reward(2.0, [1, 0, 0], u, "heaviside")
+        rho = compute_reward(2.0, [1, 0, 0], u)
         # only the scheduled entry differs from u
         assert rms_loss(u, rho) == pytest.approx(abs(u[0] - 1.0) / np.sqrt(3))
 
@@ -183,8 +172,8 @@ class TestReplayBuffer:
 def reference_episode(config, params, graph, trace):
     # plain loops: the main trajectory, and from each of its start states
     # both policies rolled k slots with an explicit q - min(r, q) + a
-    gcn = GcnLgsPolicy(params, config.leaky_slope, config.utility_kind)
-    baseline = SolverPolicy("lgs", config.utility_kind)
+    gcn = GcnLgsPolicy(params)
+    baseline = SolverPolicy("lgs")
 
     def schedule(policy, q, t):
         # both policies schedule with LGS, here on one row: the LGS oracle
@@ -209,7 +198,7 @@ def reference_episode(config, params, graph, trace):
     out = []
     for t in range(config.horizon):
         r = trace.rates[t]
-        features = baseline_utility(q, r, config.utility_kind)[:, None]
+        features = baseline_utility(q, r)[:, None]
         u = gcn.utilities(graph, q, r)
         indicator = schedule(gcn, q, t)
         policy_total = rollout_total(gcn, q, t)
@@ -219,16 +208,15 @@ def reference_episode(config, params, graph, trace):
         else:
             ratio = baseline_total / policy_total
         out.append((features, indicator,
-                    compute_reward(ratio, indicator, u, config.phi), ratio))
+                    compute_reward(ratio, indicator, u), ratio))
         q = slot(q, indicator, t)
     return out
 
 
 class TestCollectEpisode:
     @pytest.mark.parametrize("overrides", [
-        pytest.param(dict(phi="heaviside", utility_kind="product"),
-                     id="heaviside-product"),
-        pytest.param(dict(phi="linear", utility_kind="min"), id="linear-min"),
+        # the one reward (a unit step at ratio 1) on backlog x rate features
+        pytest.param(dict(), id="heaviside-product"),
         # the edges of the window arithmetic: one rollout step, and a
         # lookahead that reaches past twice the horizon
         pytest.param(dict(lookahead=1), id="lookahead-1"),
@@ -351,18 +339,16 @@ class TestCollectEpisode:
 class TestBatchGradients:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(dims=st.sampled_from([(1, 1), (1, 4, 1)]),
-           recompute=st.booleans(), size=st.integers(1, 24),
-           seed=st.integers(0, 2**32 - 1))
-    @example(dims=(1, 1), recompute=False, size=1, seed=0)
-    @example(dims=(1, 4, 1), recompute=True, size=1, seed=1)
-    def test_bitwise_equal_to_item_loop(self, dims, recompute, size, seed):
+           size=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    @example(dims=(1, 1), size=1, seed=0)
+    @example(dims=(1, 4, 1), size=1, seed=1)
+    def test_bitwise_equal_to_item_loop(self, dims, size, seed):
         # items of 6, 11 and n nodes from real episodes, all three sizes in
         # any batch of three or more, replayed under parameters that moved
         # since collection; one item's returns are the new utilities, so
         # its norm is 0
         rng = np.random.default_rng(seed)
-        config = small_config(horizon=6, layer_dims=dims,
-                              recompute_unscheduled=recompute)
+        config = small_config(horizon=6, layer_dims=dims)
         collected = init_params(dims, rng)
         episodes = []
         for g in (generate_star(5), generate_star(10),
@@ -378,12 +364,11 @@ class TestBatchGradients:
         rng.shuffle(batch)
         k = int(rng.integers(size))
         fit = batch[k]
-        u, _ = forward(params, fit.graph.laplacian, fit.features,
-                       config.leaky_slope)
+        u, _ = forward(params, fit.graph.laplacian, fit.features)
         batch[k] = ExperienceTuple(fit.graph, fit.features, fit.indicator, u,
                                    fit.ratio)
-        loss, grads = batch_gradients(config, params, batch)
-        want_loss, want = reference_batch_gradients(config, params, batch)
+        loss, grads = batch_gradients(params, batch)
+        want_loss, want = reference_batch_gradients(params, batch)
         assert type(loss) is float and loss == want_loss
         for got, ref in zip(grads.theta0 + grads.theta1,
                             want.theta0 + want.theta1):
@@ -404,12 +389,11 @@ class TestBatchGradients:
                 calls.append(name)
                 return real(*args)
             monkeypatch.setattr(train_module, name, counted)
-        batch_gradients(config, params, batch)
+        batch_gradients(params, batch)
         assert calls == ["forward", "backward"] * 3
 
     def test_zero_loss_fixpoint(self):
         # when u already equals rho everywhere the Adam step is a no-op
-        config = small_config()
         params = identity_params()
         g = generate_star(3)
         lap = normalized_laplacian(g)
@@ -420,7 +404,7 @@ class TestBatchGradients:
             u, _ = forward(params, lap, features)
             batch.append(ExperienceTuple(g, features, np.zeros(4, np.int8),
                                          u.copy(), 1.0))
-        loss, grads = batch_gradients(config, params, batch)
+        loss, grads = batch_gradients(params, batch)
         assert loss == 0.0
         assert not any(t.any() for t in grads.theta0 + grads.theta1)
         state = AdamState.for_params(params)
@@ -429,7 +413,6 @@ class TestBatchGradients:
         assert params.theta1[0].item() == 0.0
 
     def test_gradient_matches_manual_chain(self):
-        config = small_config()
         params = identity_params()
         g = generate_star(3)
         lap = normalized_laplacian(g)
@@ -437,35 +420,11 @@ class TestBatchGradients:
         u, cache = forward(params, lap, features)
         rho = np.zeros(4)
         batch = [ExperienceTuple(g, features, np.ones(4, np.int8), rho, 0.5)]
-        loss, grads = batch_gradients(config, params, batch)
+        loss, grads = batch_gradients(params, batch)
         want = backward(params, cache, loss_gradient(u, rho))
         assert loss == pytest.approx(rms_loss(u, rho))
         assert np.allclose(grads.theta0[0], want.theta0[0])
         assert np.allclose(grads.theta1[0], want.theta1[0])
-
-    def test_recompute_unscheduled_zeroes_drift(self):
-        # after params drift, frozen targets give unscheduled nodes a pull;
-        # the recompute switch removes it exactly
-        g = generate_star(3)
-        lap = normalized_laplacian(g)
-        features = np.array([[2.0], [1.0], [1.0], [1.0]])
-        old = identity_params()
-        u_old, _ = forward(old, lap, features)
-        indicator = np.array([False, True, True, True])
-        rho = compute_reward(1.5, indicator, u_old, "heaviside")
-        batch = [ExperienceTuple(g, features, indicator, rho, 1.5)]
-        drifted = identity_params()
-        drifted.theta0[0][0, 0] = 1.25
-        frozen_cfg = small_config()
-        recompute_cfg = small_config(recompute_unscheduled=True)
-        _, g_frozen = batch_gradients(frozen_cfg, drifted, batch)
-        _, g_recompute = batch_gradients(recompute_cfg, drifted, batch)
-        assert g_frozen.theta0[0].any()
-        # with recomputation only scheduled nodes feed the gradient
-        u_new, cache = forward(drifted, lap, features)
-        target = np.where(indicator, rho, u_new)
-        want = backward(drifted, cache, loss_gradient(u_new, target))
-        assert np.allclose(g_recompute.theta0[0], want.theta0[0])
 
 
 class TestTrain:
@@ -507,7 +466,6 @@ class TestTrain:
     def test_regression_sanity(self):
         # frozen synthetic batch with fixed targets drawn from a reachable
         # ground truth: repeated optimizer steps drive the loss toward zero
-        config = small_config()
         g = generate_star(5)
         lap = normalized_laplacian(g)
         rng = np.random.default_rng(1)
@@ -519,13 +477,13 @@ class TestTrain:
                                          target, 1.0))
         params = init_params((1, 1), 3)
         state = AdamState.for_params(params, base_lr=0.05, decay=1.0)
-        first = batch_gradients(config, params, batch)[0]
+        first = batch_gradients(params, batch)[0]
         losses = []
         for _ in range(500):
-            loss, grads = batch_gradients(config, params, batch)
+            loss, grads = batch_gradients(params, batch)
             losses.append(loss)
             adam_step(params, grads, state)
-        final = batch_gradients(config, params, batch)[0]
+        final = batch_gradients(params, batch)[0]
         assert final < first
         assert final < 0.05
 
@@ -540,8 +498,12 @@ class TestTrain:
                      id="checkpoint_interval"),
         pytest.param(dict(base_lr=float("nan")), "base_lr", id="base_lr"),
         pytest.param(dict(lr_decay=float("inf")), "lr_decay", id="lr_decay"),
-        pytest.param(dict(leaky_slope=-float("inf")), "leaky_slope",
-                     id="leaky_slope"),
+        # one input feature per link, one utility out, no empty layer
+        pytest.param(dict(layer_dims=(2, 1)), "layer_dims", id="layer_dims-2,1"),
+        pytest.param(dict(layer_dims=(1, 3)), "layer_dims", id="layer_dims-1,3"),
+        pytest.param(dict(layer_dims=(1,)), "layer_dims", id="layer_dims-1"),
+        pytest.param(dict(layer_dims=(1, 0, 1)), "layer_dims",
+                     id="layer_dims-1,0,1"),
         pytest.param(dict(graph_mix=(("star5", float("nan")),)), "sum to nan",
                      id="graph_mix-nan"),
     ])

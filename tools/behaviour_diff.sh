@@ -54,18 +54,14 @@ CFG
 episodes = 12
 horizon = 16
 lookahead = 3
-phi = linear
 batch_size = 16
 replay_capacity = 100
 graph_mix = star10:0.5,ba-m2:0.5
 loads = 0.03,0.06
-utility_kind = min
 layer_dims = 1,4,1
-leaky_slope = 0.1
 init = glorot
 base_lr = 0.002
 lr_decay = 0.99
-recompute_unscheduled = yes
 checkpoint_interval = 4
 seed = 9
 CFG
@@ -125,9 +121,9 @@ CFG
             --checkpoint train-default/checkpoint.ckpt --out "eval-$family"
     done
     # the 1,4,1 leaky network gives utilities of mixed sign
-    run eval-star30-min eval --instances gen-star30 --utility min \
+    run eval-star30-deep eval --instances gen-star30 \
         --policies baseline,greedy,exact,gcn \
-        --checkpoint train-all-keys/checkpoint.ckpt --out eval-star30-min
+        --checkpoint train-all-keys/checkpoint.ckpt --out eval-star30-deep
     # at load 0.01 the baseline's median backlog is 0 on some instances
     # where the trained GCN's is not: those ARs are x/0 = inf
     run generate-star30-low generate --config star30 --instances 4 \
