@@ -40,6 +40,13 @@ class ConflictGraph:
     range, without v, and mirrored. The constructor copies, checks and
     freezes both arrays, so instances are immutable and safe to share
     across threads. Equality is identity: compare ``edges()`` instead.
+
+    Every table a kernel derives from the graph alone is a read-only
+    cached property, built on first use and then shared by every call on
+    the graph: :attr:`edge_ends` (each edge once, for the independence
+    check and the graph file), :attr:`laplacian` (the GCN),
+    :attr:`neighbor_segments` (LGS), and :attr:`neighbor_bitmasks` and
+    :attr:`closed_bitmasks` (centralized greedy and the exact solver).
     """
 
     indptr: np.ndarray
@@ -101,11 +108,21 @@ class ConflictGraph:
     def edge_count(self) -> int:
         return self.indices.size // 2
 
-    def edge_array(self) -> np.ndarray:
-        """All edges as an (E, 2) array of (i, j) rows with i < j, sorted."""
+    @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge once, as two read-only (E,) arrays ``(i, j)`` with
+        i < j, sorted: the CSR entries of the upper triangle."""
         rows = np.repeat(np.arange(self.node_count), self.degrees)
         upper = rows < self.indices
-        return np.column_stack([rows[upper], self.indices[upper]])
+        ends = (rows[upper], self.indices[upper])
+        for array in ends:
+            array.setflags(write=False)
+        return ends
+
+    def edge_array(self) -> np.ndarray:
+        """All edges as a new (E, 2) array of (i, j) rows with i < j,
+        sorted: the columns of :attr:`edge_ends`."""
+        return np.column_stack(self.edge_ends)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) pairs with i < j, sorted."""
@@ -155,6 +172,14 @@ class ConflictGraph:
         data = packed.tobytes()
         return tuple(int.from_bytes(data[a:a + width], "little")
                      for a in range(0, n * width, width))
+
+    @cached_property
+    def closed_bitmasks(self) -> tuple[int, ...]:
+        """:attr:`neighbor_bitmasks` with bit v of entry v set as well: the
+        closed neighborhood of v, which the exact solver drops on taking v.
+        """
+        return tuple(mask | 1 << v
+                     for v, mask in enumerate(self.neighbor_bitmasks))
 
 
 def generate_star(x: int) -> ConflictGraph:
@@ -282,18 +307,23 @@ def centralization(graph: ConflictGraph) -> float:
     return float(deg.max() / deg.mean())
 
 
-def is_independent_mask(graph: ConflictGraph, members) -> bool:
+def is_independent_mask(graph: ConflictGraph, members, *,
+                        rows: bool = False) -> bool:
     """True iff no edge of the graph has both endpoints in the (V,) bool or
-    0/1 membership mask ``members``.
+    0/1 membership mask ``members``; with ``rows``, in any row of the
+    (P, V) block ``members``, so one call checks P schedules.
 
-    Each CSR entry (v, w) is an edge end; the set is independent when no
-    entry has both ``members[v]`` and ``members[w]``.
+    Each edge of :attr:`ConflictGraph.edge_ends` is checked once, by two
+    gathers along the node axis. Without ``rows`` any shape but (V,) is
+    refused, so a block is never read as one mask by mistake.
     """
     m = np.asarray(members, dtype=bool)
-    if m.shape != (graph.node_count,):
+    n = graph.node_count
+    if m.shape[-1:] != (n,) or m.ndim != 1 + rows:
         raise ValueError(f"membership mask shape {m.shape} does not "
-                         f"match {graph.node_count} nodes")
-    return not (np.repeat(m, graph.degrees) & m[graph.indices]).any()
+                         f"match {n} nodes")
+    i, j = graph.edge_ends
+    return not (m.take(i, axis=-1) & m.take(j, axis=-1)).any()
 
 
 # --- integer text tables ------------------------------------------------------

@@ -8,8 +8,10 @@ is the one per-slot loop and the one place a policy's utilities are
 solved: it runs any number of policies in lockstep on one trace, solving
 the rows of all ``"lgs"`` policies in one
 :func:`~linksched.solvers.lgs_rows` call per slot and each other row with
-the solver it names; evaluation runs every policy of an instance in one
-call, and the trainer's main trajectory runs its one policy.
+the solver it names, then checking every row's schedule for independence
+in one :func:`~linksched.graph.is_independent_mask` call per slot;
+evaluation runs every policy of an instance in one call, and the trainer's
+main trajectory runs its one policy.
 :func:`advance` is the one implementation of the queue update,
 q - min(r, q) + a, on a membership mask of any batch shape; only
 :func:`run_episode` and :func:`lookahead_compare` call it.
@@ -161,12 +163,15 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     ``solver`` name (see :mod:`~linksched.policies`). Each slot, every
     policy's utilities of its own state (q(t), r(t)) fill one row of a
     (P, V) array; the rows of all ``"lgs"`` policies are solved in one
-    :func:`lgs_rows` call, and each other row by
-    :func:`greedy_centralized` (``"greedy"``) or :func:`exact_mwis`
-    (``"exact"``), looked up in this module at call time. Utilities that
-    are not one per node, or a schedule that is not a (V,) bool mask of an
-    independent set, raise ValueError; then one :func:`advance` applies
-    trace slot t to every row.
+    :func:`lgs_rows` call, on a slice of the rows when they are
+    contiguous, and each other row by :func:`greedy_centralized`
+    (``"greedy"``) or :func:`exact_mwis` (``"exact"``), looked up in this
+    module at call time. Utilities that are not one per node, or a
+    schedule that is not a (V,) bool mask, raise ValueError as that row
+    is stored; then one :func:`is_independent_mask` call checks the whole
+    (P, V) slot of schedules, raising ValueError if any row is not an
+    independent set, and one :func:`advance` applies trace slot t to every
+    row.
     Rows never mix, so each result equals a run of that policy alone. The
     trace was checked when it was built, so only its width is checked
     here. A policy sees read-only views of its queues and of the trace's
@@ -196,7 +201,13 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     for name in names:
         if name != "lgs" and name not in solve:
             raise ValueError(f"unknown solver {name!r}")
-    batched = [p for p, name in enumerate(names) if name == "lgs"]
+    lgs = [p for p, name in enumerate(names) if name == "lgs"]
+    any_lgs = bool(lgs)
+    # a contiguous run of rows is sliced, a view, where a list would copy
+    if any_lgs and lgs[-1] - lgs[0] == len(lgs) - 1:
+        lgs = slice(lgs[0], lgs[-1] + 1)
+    others = [(p, solve[name]) for p, name in enumerate(names)
+              if name != "lgs"]
     for t in range(horizon):
         q, r, slot, u = (states[:, t], trace.rates[t], members[:, t],
                          utilities[:, t])
@@ -206,17 +217,18 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
                 raise ValueError(f"utilities of shape {np.shape(row)} for "
                                  f"{n} nodes")
             u[p] = row
-        if batched:
-            slot[batched], rounds[batched, t] = lgs_rows(graph, u[batched])
-        for p, name in enumerate(names):
-            mask = slot[p] if name == "lgs" else solve[name](graph, u[p])
+        if any_lgs:
+            slot[lgs], rounds[lgs, t] = lgs_rows(graph, u[lgs])
+        for p, solver in others:
+            mask = solver(graph, u[p])
             if getattr(mask, "dtype", None) != bool:
                 raise ValueError("a schedule must be a 1-D bool mask")
-            # checks the mask's shape as well
-            if not is_independent_mask(graph, mask):
-                raise ValueError(
-                    "schedule is not an independent set of the graph")
+            if np.shape(mask) != (n,):
+                raise ValueError(f"membership mask shape {np.shape(mask)} "
+                                 f"does not match {n} nodes")
             slot[p] = mask
+        if not is_independent_mask(graph, slot, rows=True):
+            raise ValueError("schedule is not an independent set of the graph")
         queues[:, t + 1] = advance(q, slot, r, trace.arrivals[t])
     return [EpisodeResult(queues[p], members[p], utilities[p],
                           rounds[p] if names[p] == "lgs" else None)

@@ -8,7 +8,13 @@ node joins when no remaining neighbor outranks it in (utility, node ID)
 order. :func:`greedy_centralized` and :func:`exact_mwis` schedule one row.
 :func:`~linksched.sim.run_episode` is the one caller that solves a policy's
 utilities; :func:`~linksched.sim.lookahead_compare` calls :func:`lgs_rows`
-for the baseline's rollouts."""
+for the baseline's rollouts.
+
+Every solver reads what it derives from the graph alone from a table
+cached on the immutable :class:`~linksched.graph.ConflictGraph`, so a
+call pays only for its utilities: LGS the neighbor segments, greedy the
+neighbor bitmasks, and the exact solver those and the closed-neighborhood
+bitmasks."""
 
 from __future__ import annotations
 
@@ -34,16 +40,16 @@ def baseline_utility(queues, rates, kind: str = "product") -> np.ndarray:
     """Per-link utility from backlog and rate: their elementwise
     ``product`` (the baseline's weight and the GCN's input), or ``queue``
     for the raw backlog (the classic myopic weight)."""
-    q = np.asarray(queues, dtype=np.float64)
-    r = np.asarray(rates, dtype=np.float64)
+    q, r = np.asarray(queues), np.asarray(rates)
     if q.shape != r.shape:
         raise ValueError("queue and rate vectors differ in length")
-    if (q < 0).any() or (r < 0).any():
+    # fmin skips a NaN, so this refuses what a test of each side refuses
+    if (np.fmin(q, r) < 0).any():
         raise ValueError("queues and rates must be non-negative")
     if kind == "product":
-        return q * r
+        return np.multiply(q, r, dtype=np.float64)
     if kind == "queue":
-        return q
+        return np.asarray(q, dtype=np.float64)
     raise ValueError(f"unknown utility kind: {kind!r}")
 
 
@@ -129,7 +135,7 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> np.ndarray:
     nbrs = graph.neighbor_bitmasks
     blocked = 0
     members = np.zeros(graph.node_count, dtype=bool)
-    for v in np.argsort(u, kind="stable")[::-1].tolist():
+    for v in u.argsort(kind="stable")[::-1].tolist():
         if not blocked >> v & 1:
             members[v] = True
             blocked |= nbrs[v]
@@ -151,8 +157,14 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     a free node of zero weight out gives the lexicographically smaller set
     of equal weight. On a star the search tree has two leaves, hub in or
     hub out with every leaf taken at once. Weights must be non-negative and
-    the graph at most :data:`EXACT_NODE_CAP` nodes. Returns the (V,) bool
-    membership mask.
+    the graph at most :data:`EXACT_NODE_CAP` nodes.
+
+    Node sets are Python ints, bit v for node v. The neighbor and
+    closed-neighborhood sets are the graph's cached
+    :attr:`~linksched.graph.ConflictGraph.neighbor_bitmasks` and
+    :attr:`~linksched.graph.ConflictGraph.closed_bitmasks`; the set of
+    positive weights is packed from ``u > 0`` and the best set unpacked
+    into the returned (V,) bool membership mask, each in one numpy call.
     """
     u = _check_utilities(graph, utilities)
     n = graph.node_count
@@ -162,9 +174,10 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     if (u < 0).any():
         raise ValueError("exact solver requires non-negative utilities")
     w = u.tolist()
-    nbrs = graph.neighbor_bitmasks
-    closed = [mask | (1 << v) for v, mask in enumerate(nbrs)]
-    positive = sum(1 << v for v in range(n) if w[v] > 0)
+    nbrs, closed = graph.neighbor_bitmasks, graph.closed_bitmasks
+    # bit v of a set is node v, little-endian within and across bytes
+    positive = int.from_bytes(np.packbits(u > 0, bitorder="little").tobytes(),
+                              "little")
     best_weight = -1.0
     best_set = 0
 
@@ -206,4 +219,5 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
                rem_sum - bit_sum(dropped))
 
     search((1 << n) - 1, 0.0, 0, sum(w))
-    return np.array([best_set >> v & 1 for v in range(n)], dtype=bool)
+    packed = np.frombuffer(best_set.to_bytes(-(-n // 8), "little"), np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)

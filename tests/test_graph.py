@@ -307,6 +307,65 @@ class TestIndependentSet:
         with pytest.raises(ValueError):
             is_independent_mask(generate_star(5), np.zeros((1, 6), dtype=bool))
 
+    def test_block_shape_checked(self):
+        # a block is a 2-D stack of masks, one per row, each V long
+        g = generate_star(5)
+        for shape in ((6,), (2, 5), (2, 7), (1, 2, 6), ()):
+            with pytest.raises(ValueError, match="does not match 6 nodes"):
+                is_independent_mask(g, np.zeros(shape, dtype=bool), rows=True)
+        assert is_independent_mask(g, np.zeros((0, 6), dtype=bool), rows=True)
+
+
+def per_row_reference(g, m):
+    """The per-mask check that the edge-end gathers replaced: every CSR
+    entry (v, w), each edge twice."""
+    return not (np.repeat(m, g.degrees) & m[g.indices]).any()
+
+
+@st.composite
+def mask_blocks(draw):
+    # an ER, BA or star graph, or one whose edges join only its first k
+    # nodes (isolated nodes, no edges at k = 1), with P in 1..5 masks
+    family = draw(st.sampled_from(["er", "ba", "star", "isolated"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "er":
+        g = generate_er(draw(st.integers(1, 30)),
+                        draw(st.floats(0.0, 1.0)), seed)
+    elif family == "ba":
+        n = draw(st.integers(2, 30))
+        g = generate_ba(n, draw(st.integers(1, n - 1)), seed)
+    elif family == "star":
+        g = generate_star(draw(st.integers(1, 30)))
+    else:
+        n = draw(st.integers(1, 12))
+        k = draw(st.integers(1, n))
+        g = ConflictGraph.from_edges(n, [(i, j) for i in range(k)
+                                         for j in range(i + 1, k)
+                                         if (i * 7 + j * 3 + seed) % 3])
+    p = draw(st.integers(1, 5))
+    density = draw(st.floats(0.0, 1.0))
+    block = np.random.default_rng(seed).random((p, g.node_count)) < density
+    return g, block
+
+
+class TestIndependentBlocks:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(mask_blocks())
+    def test_block_equals_rows_and_edge_loop(self, case):
+        g, block = case
+        n = g.node_count
+        edges = [(v, w) for v in range(n) for w in nbrs(g, v) if v < w]
+        loop = [not any(m[v] and m[w] for v, w in edges) for m in block]
+        for row, want in zip(block, loop):
+            assert is_independent_mask(g, row) == want
+            assert per_row_reference(g, row) == want
+        assert is_independent_mask(g, block, rows=True) == all(loop)
+        assert is_independent_mask(g, block.astype(np.int8),
+                                   rows=True) == all(loop)
+        # a strided block, as run_episode passes one slot of (P, T, V)
+        strided = np.repeat(block[:, None], 3, axis=1)[:, 1]
+        assert is_independent_mask(g, strided, rows=True) == all(loop)
+
 
 class TestBitmasks:
     @pytest.mark.parametrize("name", ["ba", "ba-dense", "er", "tree",
@@ -571,6 +630,14 @@ class TestCsrProperties:
                                    for w in (v, *ws)]
         assert g.neighbor_bitmasks == tuple(sum(1 << w for w in ws)
                                             for ws in want)
+        assert g.closed_bitmasks == tuple(sum(1 << w for w in (v, *ws))
+                                          for v, ws in enumerate(want))
+        i, j = g.edge_ends
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (v, w) for v, ws in enumerate(want) for w in ws if v < w]
+        assert not i.flags.writeable and not j.flags.writeable
+        assert g.edge_array().tolist() == [[v, w] for v, w in
+                                           zip(i.tolist(), j.tolist())]
         assert g.laplacian.tobytes() == \
             laplacian_oracle(n, g.edges()).tobytes()
 

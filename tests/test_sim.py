@@ -132,6 +132,26 @@ class TestStep:
             with pytest.raises(ValueError, match="does not match 6 nodes"):
                 run_stub(g, lambda graph, u: members, constant_trace(1, 6))
 
+    @pytest.mark.parametrize("first", [False, True])
+    def test_bad_row_beside_valid_rows(self, first):
+        # each row's dtype and shape are checked as it is stored, so a
+        # faulty row raises its own message whether valid rows come before
+        # it or after it; independence is checked over all rows at once
+        g = generate_star(5)
+        valid = [SolverPolicy("lgs"), SolverPolicy("greedy")]
+        policies = [Stub(), *valid] if first else [*valid, Stub()]
+        for members, match in (
+                (np.array([1, 0, 0, 0, 0, 0], np.int8), "1-D bool mask"),
+                ([False] * 6, "1-D bool mask"),
+                (np.zeros(5, bool), r"shape \(5,\) does not match 6 nodes"),
+                (np.zeros((1, 6), bool),
+                 r"shape \(1, 6\) does not match 6 nodes"),
+                (np.arange(6) < 2, "not an independent set")):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim, "exact_mwis", lambda graph, u: members)
+                with pytest.raises(ValueError, match=match):
+                    run_episode(g, policies, constant_trace(1, 6))
+
     @pytest.mark.parametrize("node", [-1, 6])
     def test_out_of_range_schedule_rejected(self, node):
         # node IDs are not a schedule, so a negative ID cannot wrap around to
@@ -372,6 +392,30 @@ class TestLockstep:
         run_episode(g, [SolverPolicy("lgs"), SolverPolicy("greedy"),
                         GcnLgsPolicy(HEAD_GCN)], trace)
         assert calls == [(2, 12)] * 5
+
+    def test_contiguous_lgs_rows_passed_as_a_view(self, monkeypatch):
+        # a contiguous run of LGS rows reaches lgs_rows as a slice of the
+        # episode's utilities; rows with another policy between them are
+        # gathered into a copy
+        passed = []
+
+        def recorded(graph, u):
+            passed.append(u)
+            return lgs_rows(graph, u)
+        monkeypatch.setattr("linksched.sim.lgs_rows", recorded)
+        g = generate_er(12, 0.3, 1)
+        trace = sample_traffic(g, 3, 2.0, 2)
+        for order, view in ((["greedy", "lgs", "gcn"], True),
+                            (["lgs", "gcn", "greedy"], True),
+                            (["lgs", "greedy", "gcn"], False)):
+            policies = [GcnLgsPolicy(HEAD_GCN) if name == "gcn"
+                        else SolverPolicy(name) for name in order]
+            passed.clear()
+            results = run_episode(g, policies, trace)
+            everything = results[0].utilities.base
+            assert [u.shape for u in passed] == [(2, 12)] * 3
+            assert all(np.shares_memory(u, everything) == view
+                       for u in passed)
 
     def test_solvers_looked_up_at_call_time(self, monkeypatch):
         # a solver rebound in sim, as a tracer rebinds it, is the one called:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
@@ -493,3 +493,100 @@ class TestHypothesisProperties:
         g, u = instance
         assert u[exact_mwis(g, u)].sum() == \
             enumerate_mwis_weight(g, u)
+
+
+def reference_baseline_utility(queues, rates, kind="product"):
+    """The two-test rule that one fmin test replaced, kept as the
+    reference: both sides cast to float64, each tested for a negative."""
+    q = np.asarray(queues, dtype=np.float64)
+    r = np.asarray(rates, dtype=np.float64)
+    if q.shape != r.shape:
+        raise ValueError("queue and rate vectors differ in length")
+    if (q < 0).any() or (r < 0).any():
+        raise ValueError("queues and rates must be non-negative")
+    return q * r if kind == "product" else q
+
+
+# int64 extremes, -0.0, NaN, inf and negatives on both sides
+UTILITY_INTS = st.integers(-2**63, 2**63 - 1)
+UTILITY_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                           st.sampled_from([-0.0, 0.0, -1.0, np.nan, -np.inf]))
+
+
+@st.composite
+def queue_rate_pairs(draw):
+    # (V,) or (B, V) sides, each all int or all float
+    shape = draw(st.sampled_from([(0,), (1,), (5,), (2, 3)]))
+    size = int(np.prod(shape))
+    sides = []
+    for _ in range(2):
+        kind = draw(st.sampled_from([UTILITY_INTS, UTILITY_FLOATS]))
+        values = draw(st.lists(kind, min_size=size, max_size=size))
+        dtype = np.int64 if kind is UTILITY_INTS else np.float64
+        sides.append(np.array(values, dtype=dtype).reshape(shape))
+    return sides
+
+
+def exclude_first_mwis(g, w):
+    """Every independent set of ``g`` in exclude-first order, node 0 most
+    significant, by a search over the edge list; the first of maximum
+    weight, as a (V,) bool mask. Its cost grows with the number of
+    independent sets, not with 2^V."""
+    n = g.node_count
+    conflicts = [0] * n
+    for i, j in g.edges():
+        conflicts[i] |= 1 << j
+        conflicts[j] |= 1 << i
+    best = [-1.0, 0]
+
+    def visit(v, chosen, weight):
+        if v == n:
+            if weight > best[0]:
+                best[:] = [weight, chosen]
+            return
+        visit(v + 1, chosen, weight)
+        if not conflicts[v] & chosen:
+            visit(v + 1, chosen | 1 << v, weight + w[v])
+
+    visit(0, 0, 0.0)
+    return np.array([best[1] >> v & 1 for v in range(n)], dtype=bool)
+
+
+class TestFastPathProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(queue_rate_pairs(), st.sampled_from(["product", "queue"]))
+    # a NaN beside a negative is refused, though np.minimum would hide it
+    @example([np.array([np.nan]), np.array([-1.0])], "product")
+    @example([np.array([-3]), np.array([np.nan])], "queue")
+    @example([np.array([np.nan, 2.0]), np.array([-0.0, np.nan])], "product")
+    def test_baseline_utility_equals_two_test_rule(self, sides, kind):
+        q, r = sides
+        try:
+            want = reference_baseline_utility(q, r, kind)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                baseline_utility(q, r, kind)
+            return
+        got = baseline_utility(q, r, kind)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the same values as lists, as the unit tests pass them
+        assert baseline_utility(q.tolist(), r.tolist(), kind).tobytes() == \
+            want.tobytes()
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.sampled_from([1, 7, 8, 9, EXACT_NODE_CAP]),
+           st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0]),
+                    min_size=1, max_size=4, unique=True))
+    def test_exact_mask_equals_enumeration(self, n, seed, palette):
+        # 7, 8 and 9 nodes pack into one or two bytes; at the 40-node cap
+        # the graph is dense enough to enumerate its independent sets
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.6, 1.0) if n == EXACT_NODE_CAP else rng.random()
+        g = generate_er(n, p, rng)
+        w = rng.choice(palette, size=n)
+        got = exact_mwis(g, w)
+        assert got.dtype == bool and got.shape == (n,)
+        assert got.flags.writeable
+        assert np.array_equal(got, exclude_first_mwis(g, w))

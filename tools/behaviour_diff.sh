@@ -115,6 +115,11 @@ CFG
     run eval-star30 eval --instances gen-star30 \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30
+    # the two LGS rows side by side, solved on a slice of the rows rather
+    # than on a gathered copy
+    run eval-star30-adjacent eval --instances gen-star30 \
+        --policies baseline,gcn,exact,greedy \
+        --checkpoint train-default/checkpoint.ckpt --out eval-star30-adjacent
     for family in ba-mix er tree; do
         run "eval-$family" eval --instances "gen-$family" \
             --policies baseline,greedy,gcn \
