@@ -38,6 +38,12 @@ AR_HEADER = ["instance", "policy", "ar_mean", "ar_median", "ar_p95",
              "trace_checksum"]
 SUMMARY_HEADER = ["config", "instances", "centralization", "policy", "metric",
                   "ar_mean", "ar_q25", "ar_median", "ar_q75"]
+# The most queue entries (rows x (T + 1) x V, a row per instance and
+# policy) one eval group holds: 2 MB of int64 queues, and as much of float64
+# utilities. Past a few traces a group shares each slot's fixed cost so
+# widely that a larger one gains little, while its memory would grow with
+# the instance count; this bounds it whatever the directory holds.
+EVAL_GROUP_ENTRIES = 2**18
 
 
 class ConfigError(ValueError):
@@ -260,14 +266,21 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
              out_dir: Path | None = None) -> EvaluationReport:
     """Evaluate the selected policies on every stored instance.
 
-    Each policy is built once, and each instance's trace is loaded once and
-    replayed by every policy in one lockstep :func:`run_episode` call.
-    Trace arrays are read-only, so a policy that writes into its rates
-    fails with ValueError instead of changing what the others replay.
-    Approximation ratios are each policy's backlog metrics divided by the
-    baseline's, by :func:`~linksched.sim.backlog_ratio`'s convention (0/0 is
-    1.0, x/0 is inf), as Python floats. The report's ``summary`` is
-    aggregated once, for ``summary.csv`` and the caller alike.
+    Each policy is built once. Instances are read in sorted order and
+    grouped: a group is a run of consecutive instances whose ``graph.txt``
+    is byte-identical to the first one's and whose traces have one
+    horizon, up to :data:`EVAL_GROUP_ENTRIES` queue entries. A group's
+    graph file is parsed once, so its instances share one
+    :class:`~linksched.graph.ConflictGraph` and its cached tables, and each
+    trace is loaded once; every policy then replays every trace of the
+    group in one lockstep :func:`run_episode` call, whose results equal
+    one call per instance bit for bit. Trace arrays are read-only, so a
+    policy that writes into its rates fails with ValueError instead of
+    changing what the others replay. Approximation ratios are each
+    policy's backlog metrics divided by the baseline's, by
+    :func:`~linksched.sim.backlog_ratio`'s convention (0/0 is 1.0, x/0 is
+    inf), as Python floats. The report's ``summary`` is aggregated once,
+    for ``summary.csv`` and the caller alike.
     """
     config.validate()
     instance_dirs = sorted(p for p in Path(instances_dir).glob("instance_*")
@@ -278,36 +291,29 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
     max_nodes = parse_graph_config(config.graph_config).max_nodes
     report = EvaluationReport(config.graph_config)
     centralizations = []
+    # one group's traces and trajectories are alive at a time, as one
+    # instance's were: a group is evaluated, and its results dropped, before
+    # the next graph or trace that cannot join it is loaded, and
+    # EVAL_GROUP_ENTRIES caps how much a group holds
+    graph, graph_text, group = None, None, []
     for inst_dir in instance_dirs:
-        name = inst_dir.name
-        graph = load_graph(inst_dir / "graph.txt", max_nodes)
-        centralizations.append(centralization(graph))
+        text = (inst_dir / "graph.txt").read_bytes()
+        if text != graph_text:
+            _evaluate_group(report, policies, graph, group)
+            group = []
+            graph = load_graph(inst_dir / "graph.txt", max_nodes)
+            graph_text = text
+            graph_centralization = centralization(graph)
+        centralizations.append(graph_centralization)
         trace = load_trace(inst_dir / "trace.csv", graph.node_count)
-        checksum = trace.checksum()
-        # no episode outlives this statement, so the previous instance's
-        # graph and queues are freed before the next one is loaded
-        per_policy: dict[str, MetricsBundle] = {
-            policy_name: compute_metrics(result) for (policy_name, _), result
-            in zip(policies, run_episode(
-                graph, [policy for _, policy in policies], trace))}
-        for policy_name, metrics in per_policy.items():
-            report.metrics.append({
-                "instance": name, "policy": policy_name,
-                "mean": metrics.mean, "median": metrics.median,
-                "p95": metrics.p95, "objective": metrics.objective,
-                "rounds_mean": metrics.rounds_mean,
-            })
-        if "baseline" in per_policy:
-            base = per_policy["baseline"]
-            for policy_name, metrics in per_policy.items():
-                ar_mean, ar_median, ar_p95 = backlog_ratio(
-                    [metrics.mean, metrics.median, metrics.p95],
-                    [base.mean, base.median, base.p95]).tolist()
-                report.ars.append({
-                    "instance": name, "policy": policy_name,
-                    "ar_mean": ar_mean, "ar_median": ar_median,
-                    "ar_p95": ar_p95, "trace_checksum": checksum,
-                })
+        entries = ((len(group) + 1) * len(policies) * (trace.horizon + 1)
+                   * graph.node_count)
+        if group and (trace.horizon != group[0][1].horizon
+                      or entries > EVAL_GROUP_ENTRIES):
+            _evaluate_group(report, policies, graph, group)
+            group = []
+        group.append((inst_dir.name, trace))
+    _evaluate_group(report, policies, graph, group)
     report.centralization_mean = float(np.mean(centralizations))
     report.summary = report.aggregate()
     if out_dir is not None:
@@ -319,6 +325,42 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
             _write_csv(out_dir / "summary.csv", SUMMARY_HEADER,
                        report.summary)
     return report
+
+
+def _evaluate_group(report: EvaluationReport, policies: list,
+                    graph: ConflictGraph,
+                    group: list[tuple[str, TrafficTrace]]) -> None:
+    """Append the metric and AR rows of each (instance name, trace) of
+    ``group``, in order, from one :func:`run_episode` call of every policy
+    on every trace over ``graph``; an empty group appends nothing."""
+    if not group:
+        return
+    results = run_episode(graph, [policy for _, policy in policies],
+                          *(trace for _, trace in group))
+    count = len(policies)
+    for k, (name, trace) in enumerate(group):
+        per_policy: dict[str, MetricsBundle] = {
+            policy_name: compute_metrics(result) for (policy_name, _), result
+            in zip(policies, results[k * count:(k + 1) * count])}
+        for policy_name, metrics in per_policy.items():
+            report.metrics.append({
+                "instance": name, "policy": policy_name,
+                "mean": metrics.mean, "median": metrics.median,
+                "p95": metrics.p95, "objective": metrics.objective,
+                "rounds_mean": metrics.rounds_mean,
+            })
+        if "baseline" in per_policy:
+            checksum = trace.checksum()
+            base = per_policy["baseline"]
+            for policy_name, metrics in per_policy.items():
+                ar_mean, ar_median, ar_p95 = backlog_ratio(
+                    [metrics.mean, metrics.median, metrics.p95],
+                    [base.mean, base.median, base.p95]).tolist()
+                report.ars.append({
+                    "instance": name, "policy": policy_name,
+                    "ar_mean": ar_mean, "ar_median": ar_median,
+                    "ar_p95": ar_p95, "trace_checksum": checksum,
+                })
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:

@@ -5,13 +5,15 @@ to the solver it names, which picks an independent set as a (V,) bool
 membership mask; scheduled links send min(rate, backlog) packets; arrivals
 land on every link. All packet quantities are integers. :func:`run_episode`
 is the one per-slot loop and the one place a policy's utilities are
-solved: it runs any number of policies in lockstep on one trace, solving
-the rows of all ``"lgs"`` policies in one
-:func:`~linksched.solvers.lgs_rows` call per slot and each other row with
-the solver it names, then checking every row's schedule for independence
-in one :func:`~linksched.graph.is_independent_mask` call per slot;
-evaluation runs every policy of an instance in one call, and the trainer's
-main trajectory runs its one policy.
+solved: it runs any number of policies on any number of traces of one
+graph in lockstep, one row per (trace, policy) pair. Each slot it takes
+each policy's utilities in one call over its rows, solves the rows of all
+``"lgs"`` policies in one :func:`~linksched.solvers.lgs_rows` call and
+each other row with the solver it names, then checks every row's schedule
+for independence in one :func:`~linksched.graph.is_independent_mask` call;
+evaluation runs every policy on every trace of a group of instances that
+share a graph in one call, and the trainer's main trajectory runs its one
+policy on one trace.
 :func:`advance` is the one implementation of the queue update,
 q - min(r, q) + a, on a membership mask of any batch shape; only
 :func:`run_episode` and :func:`lookahead_compare` call it.
@@ -152,38 +154,50 @@ class EpisodeResult:
 
 
 def run_episode(graph: ConflictGraph, policies: Sequence,
-                trace: TrafficTrace, q0=None,
+                *traces: TrafficTrace, q0=None,
                 steps: int | None = None) -> list[EpisodeResult]:
-    """Run every policy for ``steps`` slots (default: full trace) in
-    lockstep on one trace; returns one :class:`EpisodeResult` per policy,
-    in order.
+    """Run every policy on every trace for ``steps`` slots (default: the
+    traces' full horizon, which must then be one) in lockstep, every row
+    from ``q0`` (default: empty queues); returns one :class:`EpisodeResult`
+    per (trace, policy) pair, trace-major: with P policies, result
+    k * P + p is policy p on trace k. With one trace that is one result per
+    policy, in order.
 
     This is the one per-slot loop and the one place a policy's utilities
     are solved. A policy is its ``utilities(graph, q, r)`` and a
-    ``solver`` name (see :mod:`~linksched.policies`). Each slot, every
-    policy's utilities of its own state (q(t), r(t)) fill one row of a
-    (P, V) array; the rows of all ``"lgs"`` policies are solved in one
-    :func:`lgs_rows` call, on a slice of the rows when they are
-    contiguous, and each other row by :func:`greedy_centralized`
-    (``"greedy"``) or :func:`exact_mwis` (``"exact"``), looked up in this
-    module at call time. Utilities that are not one per node, or a
-    schedule that is not a (V,) bool mask, raise ValueError as that row
-    is stored; then one :func:`is_independent_mask` call checks the whole
-    (P, V) slot of schedules, raising ValueError if any row is not an
-    independent set, and one :func:`advance` applies trace slot t to every
-    row.
-    Rows never mix, so each result equals a run of that policy alone. The
-    trace was checked when it was built, so only its width is checked
-    here. A policy sees read-only views of its queues and of the trace's
-    rates, so one that writes into either fails.
+    ``solver`` name (see :mod:`~linksched.policies`). A row is one
+    (trace, policy) pair, and each slot fills one row of an (R, V) array
+    per pair. With one trace, each policy's utilities are one call on its
+    (V,) state (q(t), r(t)); with K traces, one call on the (K, V) rows of
+    its state in every trace. The rows of all ``"lgs"`` policies, in every
+    trace, are solved in one :func:`lgs_rows` call, on a slice of the rows
+    when they are contiguous, and each other row by
+    :func:`greedy_centralized` (``"greedy"``) or :func:`exact_mwis`
+    (``"exact"``), looked up in this module at call time. Utilities that
+    are not one per node, or a schedule that is not a (V,) bool mask,
+    raise ValueError as that row is stored; then one
+    :func:`is_independent_mask` call checks the whole (R, V) slot of
+    schedules, raising ValueError if any row is not an independent set,
+    and one :func:`advance` applies each trace's slot t to its rows.
+    Rows never mix, so each result equals a run of that policy alone on
+    that trace. The traces were checked when they were built, so only
+    their width, and that they cover the steps, are checked here. A policy
+    sees read-only views of its queues and rates, so one that writes into
+    either fails.
     """
-    if trace.node_count != graph.node_count:
+    if not traces:
+        raise ValueError("run_episode needs at least one trace")
+    n, count, k = graph.node_count, len(policies), len(traces)
+    if any(trace.node_count != n for trace in traces):
         raise ValueError("trace width does not match graph size")
-    horizon = trace.horizon if steps is None else int(steps)
-    if not 1 <= horizon <= trace.horizon:
-        raise ValueError(f"steps must lie in [1, {trace.horizon}]")
-    n, count = graph.node_count, len(policies)
-    queues = np.empty((count, horizon + 1, n), dtype=np.int64)
+    shortest = min(trace.horizon for trace in traces)
+    if steps is None and shortest != max(trace.horizon for trace in traces):
+        raise ValueError("traces of unequal horizons need steps")
+    horizon = shortest if steps is None else int(steps)
+    if not 1 <= horizon <= shortest:
+        raise ValueError(f"steps must lie in [1, {shortest}]")
+    rows = k * count
+    queues = np.empty((rows, horizon + 1, n), dtype=np.int64)
     if q0 is None:
         queues[:, 0] = 0
     else:
@@ -193,46 +207,71 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
         queues[:, 0] = start
     states = queues.view()
     states.setflags(write=False)
-    members = np.empty((count, horizon, n), dtype=bool)
-    utilities = np.empty((count, horizon, n))
-    rounds = np.zeros((count, horizon), dtype=np.int64)
+    members = np.empty((rows, horizon, n), dtype=bool)
+    utilities = np.empty((rows, horizon, n))
+    rounds = np.zeros((rows, horizon), dtype=np.int64)
     solve = {"greedy": greedy_centralized, "exact": exact_mwis}
-    names = [policy.solver for policy in policies]
+    names = [policy.solver for policy in policies] * k
     for name in names:
         if name != "lgs" and name not in solve:
             raise ValueError(f"unknown solver {name!r}")
-    lgs = [p for p, name in enumerate(names) if name == "lgs"]
+    lgs = [row for row, name in enumerate(names) if name == "lgs"]
     any_lgs = bool(lgs)
-    # a contiguous run of rows is sliced, a view, where a list would copy
+    # a contiguous run of rows is sliced, a view; other rows are gathered
+    # with an index array built once, which numpy applies faster than a list
     if any_lgs and lgs[-1] - lgs[0] == len(lgs) - 1:
         lgs = slice(lgs[0], lgs[-1] + 1)
-    others = [(p, solve[name]) for p, name in enumerate(names)
+    elif any_lgs:
+        lgs = np.array(lgs, dtype=np.intp)
+    others = [(row, solve[name]) for row, name in enumerate(names)
               if name != "lgs"]
+    if k == 1:
+        # a policy's one row: its (V,) state and the trace's (V,) rates
+        rates, arrivals = traces[0].rates, traces[0].arrivals
+        picks, shape = range(count), (n,)
+    else:
+        # a policy's rows, one in every trace: a (K, V) block of states and
+        # slot t of every trace as one read-only (K, V) block of rates; as
+        # (K, 1, V) blocks they broadcast over each trace's P rows of a
+        # (K, P, V) view of the slot
+        rates = np.stack([trace.rates[:horizon] for trace in traces], axis=1)
+        rates.setflags(write=False)
+        arrivals = np.stack([trace.arrivals[:horizon] for trace in traces],
+                            axis=1)[:, :, None]
+        row_rates = rates[:, :, None]
+        blocks = queues.reshape(k, count, horizon + 1, n)
+        member_blocks = members.reshape(k, count, horizon, n)
+        picks, shape = [slice(p, None, count) for p in range(count)], (k, n)
     for t in range(horizon):
-        q, r, slot, u = (states[:, t], trace.rates[t], members[:, t],
-                         utilities[:, t])
-        for p, policy in enumerate(policies):
-            row = policy.utilities(graph, q[p], r)
-            if np.shape(row) != (n,):
+        q, r, slot, u = states[:, t], rates[t], members[:, t], utilities[:, t]
+        for pick, policy in zip(picks, policies):
+            row = policy.utilities(graph, q[pick], r)
+            if np.shape(row) != shape:
                 raise ValueError(f"utilities of shape {np.shape(row)} for "
-                                 f"{n} nodes")
-            u[p] = row
+                                 + (f"{k} traces of " if k > 1 else "")
+                                 + f"{n} nodes")
+            u[pick] = row
         if any_lgs:
             slot[lgs], rounds[lgs, t] = lgs_rows(graph, u[lgs])
-        for p, solver in others:
-            mask = solver(graph, u[p])
+        for row, solver in others:
+            mask = solver(graph, u[row])
             if getattr(mask, "dtype", None) != bool:
                 raise ValueError("a schedule must be a 1-D bool mask")
             if np.shape(mask) != (n,):
                 raise ValueError(f"membership mask shape {np.shape(mask)} "
                                  f"does not match {n} nodes")
-            slot[p] = mask
+            slot[row] = mask
         if not is_independent_mask(graph, slot, rows=True):
             raise ValueError("schedule is not an independent set of the graph")
-        queues[:, t + 1] = advance(q, slot, r, trace.arrivals[t])
-    return [EpisodeResult(queues[p], members[p], utilities[p],
-                          rounds[p] if names[p] == "lgs" else None)
-            for p in range(count)]
+        if k == 1:
+            queues[:, t + 1] = advance(q, slot, r, arrivals[t])
+        else:
+            blocks[:, :, t + 1] = advance(blocks[:, :, t],
+                                          member_blocks[:, :, t],
+                                          row_rates[t], arrivals[t])
+    return [EpisodeResult(queues[row], members[row], utilities[row],
+                          rounds[row] if names[row] == "lgs" else None)
+            for row in range(rows)]
 
 
 def backlog_ratio(value, reference) -> np.ndarray:

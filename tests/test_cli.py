@@ -15,7 +15,8 @@ from linksched.cli import (ConfigError, ExperimentConfig, cmd_eval,
                            main, parse_kv_text, train_config_from_kv)
 from linksched.gcn import (GcnParams, identity_params, init_params,
                            load_checkpoint, save_checkpoint)
-from linksched.graph import generate_star, load_graph
+from linksched.graph import (ConflictGraph, generate_star, load_graph,
+                             save_graph)
 from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.sim import (compute_metrics, load_trace, run_episode,
                            sample_traffic, save_trace)
@@ -330,7 +331,7 @@ class TestEval:
         save_checkpoint(ckpt, identity_params())
         config.policies = ("baseline", "greedy", "gcn")
         config.checkpoint = ckpt
-        calls = {"load_trace": 0, "load_checkpoint": 0}
+        calls = {"load_trace": 0, "load_checkpoint": 0, "load_graph": 0}
 
         def counted(name):
             original = getattr(cli, name)
@@ -342,8 +343,11 @@ class TestEval:
 
         counted("load_trace")
         counted("load_checkpoint")
+        counted("load_graph")
         cmd_eval(config, instances, None)
-        assert calls == {"load_trace": 4, "load_checkpoint": 1}
+        # the 4 star5 instances share one graph.txt, parsed once
+        assert calls == {"load_trace": 4, "load_checkpoint": 1,
+                         "load_graph": 1}
 
     def test_policy_writing_rates_fails(self, small_instances, monkeypatch,
                                         capsys):
@@ -401,9 +405,10 @@ class TestEval:
         assert tracer.audit(lambda: cli.cmd_eval(config, instances,
                                                  tmp_path / "traced")) == {}
         calls = Counter(tracer.labels[i] for i in tracer.name_ids)
-        # one lockstep episode per instance, one batched solve per slot
-        assert calls["sim.run_episode"] == 4
-        assert calls["solvers.lgs_rows"] == 4 * 16
+        # the 4 star5 instances share a graph: one lockstep episode for the
+        # group, one batched LGS solve per slot
+        assert calls["sim.run_episode"] == 1
+        assert calls["solvers.lgs_rows"] == 16
         assert calls["solvers.greedy_centralized"] == 4 * 16
         assert calls["solvers.exact_mwis"] == 4 * 16
         for name in ("per_instance.csv", "ars.csv", "summary.csv"):
@@ -414,6 +419,103 @@ class TestEval:
         config = ExperimentConfig("star5", (0.07,))
         with pytest.raises(ConfigError):
             cmd_eval(config, tmp_path / "nope", None)
+
+
+@pytest.fixture
+def mixed_instances(tmp_path):
+    """Eight star5-config instances in one directory, as A A A D A B B A:
+    A of horizon 16 and B of horizon 12 share the star5 graph.txt, and D
+    is a 6-node star centred on node 5, another graph.txt."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    cmd_generate(ExperimentConfig("star5", (0.07,), instances=5, horizon=16,
+                                  seed=3), a)
+    cmd_generate(ExperimentConfig("star5", (0.05,), instances=2, horizon=12,
+                                  seed=4), b)
+    out = tmp_path / "mixed"
+    out.mkdir()
+    (out / "manifest.txt").write_bytes((a / "manifest.txt").read_bytes())
+    sources = [a / "instance_0000", a / "instance_0001", a / "instance_0002",
+               None, a / "instance_0003", b / "instance_0000",
+               b / "instance_0001", a / "instance_0004"]
+    for k, source in enumerate(sources):
+        inst = out / f"instance_{k:04d}"
+        inst.mkdir()
+        if source is None:
+            graph = ConflictGraph.from_edges(6, [(5, v) for v in range(5)])
+            save_graph(graph, inst / "graph.txt")
+            save_trace(sample_traffic(graph, 16, 3.0, 8), inst / "trace.csv")
+        else:
+            for name in ("graph.txt", "trace.csv"):
+                (inst / name).write_bytes((source / name).read_bytes())
+    return out
+
+
+class TestEvalGroups:
+    POLICIES = ("baseline", "greedy", "exact", "gcn")
+
+    def config(self, tmp_path):
+        ckpt = tmp_path / "deep.ckpt"
+        save_checkpoint(ckpt, init_params((1, 4, 1), 2))
+        return ExperimentConfig("star5", (0.07,), policies=self.POLICIES,
+                                checkpoint=ckpt)
+
+    def test_same_outputs_as_each_instance_alone(self, mixed_instances,
+                                                 tmp_path, monkeypatch):
+        # a group holds two instances of horizon 16 here; it breaks on
+        # the cap, on the distinct graph and on the horizon
+        config = self.config(tmp_path)
+        per_instance = len(self.POLICIES) * 17 * 6
+        traces_per_call, graphs_parsed = [], []
+        episode, parse = cli.run_episode, cli.load_graph
+
+        def counted_episode(graph, policies, *traces, **kwargs):
+            traces_per_call.append([trace.horizon for trace in traces])
+            return episode(graph, policies, *traces, **kwargs)
+
+        def counted_parse(path, max_nodes):
+            graphs_parsed.append(Path(path).parent.name)
+            return parse(path, max_nodes)
+        monkeypatch.setattr(cli, "run_episode", counted_episode)
+        monkeypatch.setattr(cli, "load_graph", counted_parse)
+        monkeypatch.setattr(cli, "EVAL_GROUP_ENTRIES", 2 * per_instance)
+        grouped = cmd_eval(config, mixed_instances, tmp_path / "grouped")
+        assert traces_per_call == [[16, 16], [16], [16], [16], [12, 12],
+                                   [16]]
+        assert graphs_parsed == ["instance_0000", "instance_0003",
+                                 "instance_0004"]
+        # a cap below one instance leaves every instance alone
+        traces_per_call.clear()
+        monkeypatch.setattr(cli, "EVAL_GROUP_ENTRIES", 1)
+        alone = cmd_eval(config, mixed_instances, tmp_path / "alone")
+        assert traces_per_call == [[16]] * 5 + [[12]] * 2 + [[16]]
+        assert len(grouped.metrics) == 8 * len(self.POLICIES)
+        assert grouped.summary == alone.summary
+        for name in ("per_instance.csv", "ars.csv", "summary.csv"):
+            assert (tmp_path / "grouped" / name).read_bytes() == \
+                (tmp_path / "alone" / name).read_bytes()
+
+    @pytest.mark.parametrize("inst, name", [
+        ("instance_0001", "graph.txt"), ("instance_0001", "trace.csv"),
+        ("instance_0006", "trace.csv"), ("instance_0007", "graph.txt")])
+    def test_malformed_file_in_a_group(self, mixed_instances, tmp_path,
+                                       capsys, inst, name, monkeypatch):
+        # a file that breaks a group's run of identical graphs, or a trace
+        # inside one, gives the one error line its own loader raises
+        path = mixed_instances / inst / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + "x y\n")
+        with pytest.raises(ValueError) as raised:
+            if name == "graph.txt":
+                load_graph(path, 6)
+            else:
+                load_trace(path, 6)
+        for cap in (cli.EVAL_GROUP_ENTRIES, 1):
+            monkeypatch.setattr(cli, "EVAL_GROUP_ENTRIES", cap)
+            assert main(["eval", "--instances", str(mixed_instances),
+                         "--policies", "baseline,greedy,exact"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {raised.value}\n"
+            assert captured.out == ""
 
 
 class TestInfiniteArs:

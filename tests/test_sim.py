@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from linksched import sim
 from linksched.gcn import GcnParams, init_params
-from linksched.graph import (ConflictGraph, generate_er, generate_star,
-                             is_independent_mask)
+from linksched.graph import (ConflictGraph, generate_ba, generate_er,
+                             generate_star, is_independent_mask)
 from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.sim import (TrafficTrace, advance, backlog_ratio,
                            backlog_stats, compute_metrics, load_trace,
@@ -470,6 +470,137 @@ class TestLockstep:
 
     def test_no_policies(self):
         assert run_episode(generate_star(3), [], constant_trace(2, 4)) == []
+
+
+# the lockstep policies plus the two solver and utility pairs they lack
+MULTI_TRACE_POLICIES = {
+    **LOCKSTEP_POLICIES,
+    "greedy-queue": lambda: SolverPolicy("greedy", "queue"),
+    "exact-product": lambda: SolverPolicy("exact"),
+}
+
+
+@st.composite
+def multi_trace_cases(draw):
+    # an ER, BA or star graph with up to 3 isolated nodes after it, and 1..5
+    # traces of one shape; small integer arrivals, rates and start queues,
+    # so utilities tie often
+    family = draw(st.sampled_from(["er", "ba", "star"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "er":
+        base = generate_er(draw(st.integers(1, 10)),
+                           draw(st.floats(0.0, 1.0)), seed)
+    elif family == "ba":
+        size = draw(st.integers(2, 10))
+        base = generate_ba(size, draw(st.integers(1, size - 1)), seed)
+    else:
+        base = generate_star(draw(st.integers(1, 10)))
+    graph = ConflictGraph.from_edges(base.node_count + draw(st.integers(0, 3)),
+                                     base.edge_array())
+    n = graph.node_count
+    horizon = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, 3), min_size=horizon * n,
+                     max_size=horizon * n)
+    traces = [TrafficTrace(np.reshape(draw(cells), (horizon, n)),
+                           np.reshape(draw(cells), (horizon, n)))
+              for _ in range(draw(st.integers(1, 5)))]
+    q0 = draw(st.none() | st.lists(st.integers(0, 4), min_size=n,
+                                   max_size=n))
+    steps = draw(st.none() | st.integers(1, horizon))
+    names = draw(st.lists(st.sampled_from(sorted(MULTI_TRACE_POLICIES)),
+                          min_size=1, max_size=5))
+    return graph, traces, q0, steps, names
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+class TestTraces:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(multi_trace_cases())
+    def test_equals_each_trace_alone(self, case):
+        # rows are (trace, policy) pairs, trace-major; each trace's rows are
+        # bit for bit what its run alone gives
+        graph, traces, q0, steps, names = case
+        policies = [MULTI_TRACE_POLICIES[name]() for name in names]
+        count = len(policies)
+        together = run_episode(graph, policies, *traces, q0=q0, steps=steps)
+        assert len(together) == len(traces) * count
+        for k, trace in enumerate(traces):
+            alone = run_episode(graph, policies, trace, q0=q0, steps=steps)
+            for want, got in zip(alone, together[k * count:(k + 1) * count],
+                                 strict=True):
+                assert same_bits(got.queues, want.queues)
+                assert same_bits(got.members, want.members)
+                assert same_bits(got.utilities, want.utilities)
+                if want.rounds is None:
+                    assert got.rounds is None
+                else:
+                    assert same_bits(got.rounds, want.rounds)
+
+    def test_one_lgs_solve_per_slot_over_every_trace(self, monkeypatch):
+        # the LGS rows of both policies in all three traces go to one
+        # lgs_rows call a slot; each policy's utilities are one call on its
+        # (K, V) rows
+        calls, shapes = [], []
+
+        def counted(graph, u):
+            calls.append(np.shape(u))
+            return lgs_rows(graph, u)
+
+        class Recorded(SolverPolicy):
+            def utilities(self, graph, q, r):
+                shapes.append((np.shape(q), np.shape(r)))
+                return super().utilities(graph, q, r)
+        monkeypatch.setattr("linksched.sim.lgs_rows", counted)
+        g = generate_er(12, 0.3, 1)
+        traces = [sample_traffic(g, 5, 2.0, seed) for seed in (2, 3, 4)]
+        run_episode(g, [Recorded("lgs"), SolverPolicy("greedy"),
+                        GcnLgsPolicy(HEAD_GCN)], *traces)
+        assert calls == [(6, 12)] * 5
+        assert shapes == [((3, 12), (3, 12))] * 5
+
+    def test_refusals(self):
+        g = generate_star(3)
+        lgs = [SolverPolicy("lgs")]
+        with pytest.raises(ValueError, match="at least one trace"):
+            run_episode(g, lgs)
+        with pytest.raises(ValueError, match="trace width"):
+            run_episode(g, lgs, constant_trace(3, 4), constant_trace(3, 5))
+        with pytest.raises(ValueError, match=r"steps must lie in \[1, 2\]"):
+            run_episode(g, lgs, constant_trace(4, 4), constant_trace(2, 4),
+                        steps=3)
+        with pytest.raises(ValueError, match="unequal horizons"):
+            run_episode(g, lgs, constant_trace(4, 4), constant_trace(2, 4))
+        # with steps, traces longer than the steps run their first slots
+        short, = run_episode(g, lgs, constant_trace(2, 4))
+        both = run_episode(g, lgs, constant_trace(4, 4),
+                           constant_trace(2, 4), steps=2)
+        assert all(same_bits(r.queues, short.queues) for r in both)
+
+    def test_utilities_one_row_per_trace(self):
+        g = generate_star(3)
+        policy = SolverPolicy("lgs")
+        policy.utilities = lambda graph, q, r: np.zeros(4)
+        with pytest.raises(ValueError, match=r"utilities of shape \(4,\)"):
+            run_episode(g, [policy], constant_trace(2, 4),
+                        constant_trace(2, 4))
+
+    @pytest.mark.parametrize("which", ["queues", "rates"])
+    def test_policy_writing_its_inputs_fails(self, which):
+        g = generate_star(4)
+
+        class Vandal(Quiet):
+            def utilities(self, graph, q, r):
+                (q if which == "queues" else r)[:] = 0
+                return super().utilities(graph, q, r)
+        with pytest.raises(ValueError, match="read-only"):
+            run_episode(g, [SolverPolicy("lgs"), Vandal()],
+                        constant_trace(3, 5), constant_trace(3, 5))
 
 
 def ran(graph, policy, trace, q0=None):

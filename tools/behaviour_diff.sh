@@ -125,6 +125,27 @@ CFG
             --policies baseline,greedy,gcn \
             --checkpoint train-default/checkpoint.ckpt --out "eval-$family"
     done
+    # star30 instances of horizons 48 and 32 from two generate runs, in one
+    # directory as A A B B A B A A: eval's groups of instances that share
+    # a graph break on the horizon
+    run generate-star30-short generate --config star30 --instances 3 \
+        --mu 0.05 --horizon 32 --seed 8 --out gen-star30-short
+    mkdir -p "$side/gen-star30-mixed"
+    k=0
+    for from in gen-star30/instance_0000 gen-star30/instance_0001 \
+            gen-star30-short/instance_0000 gen-star30-short/instance_0001 \
+            gen-star30/instance_0002 gen-star30-short/instance_0002 \
+            gen-star30/instance_0003 gen-star30/instance_0004 \
+            gen-star30/manifest.txt; do
+        to=$(basename "$from")
+        case $to in instance_*) to=instance_000$k; k=$((k + 1)) ;; esac
+        cp -R "$side/$from" "$side/gen-star30-mixed/$to" \
+            2>> "$side/log/copy-star30-mixed.txt" \
+            || echo "exit $?" >> "$side/log/copy-star30-mixed.txt"
+    done
+    run eval-star30-mixed eval --instances gen-star30-mixed \
+        --policies baseline,greedy,exact,gcn \
+        --checkpoint train-default/checkpoint.ckpt --out eval-star30-mixed
     # the 1,4,1 leaky network gives utilities of mixed sign
     run eval-star30-deep eval --instances gen-star30 \
         --policies baseline,greedy,exact,gcn \
