@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise ConfigError("instance count must be at least 1")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.mus or any(not 0.0 < mu < 1.0 for mu in self.mus):
             raise ConfigError("traffic loads must lie in (0, 1)")
         for i, policy in enumerate(self.policies):
@@ -539,16 +541,22 @@ def _run(args: argparse.Namespace) -> int:
         if not manifest.exists():
             raise ConfigError(f"{manifest}: not found (run generate first)")
         kv = load_kv_file(manifest)
+        values = []  # ExperimentConfig's first four fields, in order
+        for key, parse in (("config", str),
+                           ("mus", _parser(tuple[float, ...])),
+                           ("instances", int), ("horizon", int)):
+            try:
+                values.append(parse(kv[key]))
+            except KeyError:
+                raise ConfigError(f"{manifest}: missing key {key!r}") \
+                    from None
+            except ValueError:
+                raise ConfigError(f"{manifest}: bad value for {key}: "
+                                  f"{kv[key]!r}") from None
         policies = tuple(p.strip() for p in args.policies.split(","))
-        try:
-            config = ExperimentConfig(
-                kv["config"], tuple(float(x) for x in kv["mus"].split(",")),
-                instances=int(kv["instances"]), horizon=int(kv["horizon"]),
-                policies=policies,
-                checkpoint=Path(args.checkpoint) if args.checkpoint else None)
-        except KeyError as exc:
-            raise ConfigError(f"{manifest}: missing key {exc.args[0]!r}") \
-                from None
+        config = ExperimentConfig(
+            *values, policies=policies,
+            checkpoint=Path(args.checkpoint) if args.checkpoint else None)
         out = Path(args.out) if args.out else None
         _print_ars(cmd_eval(config, instances_dir, out).summary)
         return 0

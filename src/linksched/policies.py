@@ -1,14 +1,16 @@
 """Interchangeable scheduling policies: a utility function plus a solver name.
 
 Every policy has the same two parts. ``utilities(graph, q, r)`` is the
-per-link utility it schedules on; it takes (V,) vectors or (B, V) rows of
-queues and rates alike, so the baseline's lookahead rollouts read many
-states in one call. ``solver`` names the independent-set solver that turns
-those utilities into a schedule: ``"lgs"`` (the distributed baseline),
-``"greedy"`` or ``"exact"`` (the centralized reference schedulers). A
-policy holds no solver function: :func:`~linksched.sim.run_episode` solves
-every policy's utilities, the rows of all ``"lgs"`` policies in one
-:func:`~linksched.solvers.lgs_rows` call per slot.
+per-link utility it schedules on: given (B, V) rows of queues and rates,
+it returns (B, V) utilities. :func:`~linksched.sim.run_episode` always
+passes (K, V) rows, one per trace, K = 1 included, and the baseline's
+lookahead rollouts pass many states at once. ``solver`` names the
+independent-set solver that turns those utilities into a schedule:
+``"lgs"`` (the distributed baseline), ``"greedy"`` or ``"exact"`` (the
+centralized reference schedulers). A policy holds no solver function:
+:func:`~linksched.sim.run_episode` solves every policy's utilities, the
+rows of all ``"lgs"`` policies in one :func:`~linksched.solvers.lgs_rows`
+call per slot.
 
 :class:`SolverPolicy` hands its solver a handcrafted utility of backlog and
 rate; :class:`GcnLgsPolicy` hands its solver the GCN's utilities of one
@@ -57,7 +59,7 @@ class GcnLgsPolicy:
         self.slope = slope
 
     def features(self, q, r) -> np.ndarray:
-        """The GCN input: backlog x rate, (V, 1) or (B, V, 1)."""
+        """The GCN input: backlog x rate, (B, V, 1) for (B, V) rows."""
         return baseline_utility(q, r)[..., None]
 
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:

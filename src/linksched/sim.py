@@ -5,15 +5,14 @@ to the solver it names, which picks an independent set as a (V,) bool
 membership mask; scheduled links send min(rate, backlog) packets; arrivals
 land on every link. All packet quantities are integers. :func:`run_episode`
 is the one per-slot loop and the one place a policy's utilities are
-solved: it runs any number of policies on any number of traces of one
-graph in lockstep, one row per (trace, policy) pair. Each slot it takes
-each policy's utilities in one call over its rows, solves the rows of all
-``"lgs"`` policies in one :func:`~linksched.solvers.lgs_rows` call and
-each other row with the solver it names, then checks every row's schedule
-for independence in one :func:`~linksched.graph.is_independent_mask` call;
-evaluation runs every policy on every trace of a group of instances that
-share a graph in one call, and the trainer's main trajectory runs its one
-policy on one trace.
+solved: it runs P policies on K traces of one graph in lockstep, each
+policy on a (K, V) block of rows, one per trace. Each slot it takes each
+policy's utilities in one call on its block, solves every ``"lgs"`` row in
+one :func:`~linksched.solvers.lgs_rows` call and each other row with the
+solver it names, then checks every schedule for independence in one
+:func:`~linksched.graph.is_independent_mask` call. Evaluation runs every
+policy on the traces of instances that share a graph; the trainer's main
+trajectory runs one policy on one trace (K = 1).
 :func:`advance` is the one implementation of the queue update,
 q - min(r, q) + a, on a membership mask of any batch shape; only
 :func:`run_episode` and :func:`lookahead_compare` call it.
@@ -42,8 +41,8 @@ from .graph import (INT64_MAX, ConflictGraph, as_rng, is_independent_mask,
                     read_int_rows, scan_int_rows)
 from .solvers import exact_mwis, greedy_centralized, lgs_rows
 
-# A utility function maps (graph, queues, rates) to per-link utilities; it
-# takes (V,) vectors or (B, V) rows alike.
+# A utility function maps (graph, queues, rates) to per-link utilities, one
+# (B, V) row of utilities per (B, V) row of states; it takes (V,) vectors too.
 Utilities = Callable[[ConflictGraph, np.ndarray, np.ndarray], np.ndarray]
 
 RATE_MEAN = 50.0
@@ -131,7 +130,7 @@ def advance(q: np.ndarray, members, rates, arrivals) -> np.ndarray:
 
     ``members`` is a bool (or 0/1) membership mask of the schedule. All
     arguments broadcast, so ``q`` and ``members`` may carry any leading
-    batch shape, e.g. (policies, V) against one slot's (V,) rates. Inputs
+    batch shape, e.g. (P, K, V) against one slot's (K, V) rates. Inputs
     are not checked; :func:`run_episode` is the checked entry point.
     """
     return q - np.where(members, np.minimum(rates, q), 0) + arrivals
@@ -160,30 +159,22 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     traces' full horizon, which must then be one) in lockstep, every row
     from ``q0`` (default: empty queues); returns one :class:`EpisodeResult`
     per (trace, policy) pair, trace-major: with P policies, result
-    k * P + p is policy p on trace k. With one trace that is one result per
-    policy, in order.
+    k * P + p is policy p on trace k.
 
-    This is the one per-slot loop and the one place a policy's utilities
-    are solved. A policy is its ``utilities(graph, q, r)`` and a
-    ``solver`` name (see :mod:`~linksched.policies`). A row is one
-    (trace, policy) pair, and each slot fills one row of an (R, V) array
-    per pair. With one trace, each policy's utilities are one call on its
-    (V,) state (q(t), r(t)); with K traces, one call on the (K, V) rows of
-    its state in every trace. The rows of all ``"lgs"`` policies, in every
-    trace, are solved in one :func:`lgs_rows` call, on a slice of the rows
-    when they are contiguous, and each other row by
-    :func:`greedy_centralized` (``"greedy"``) or :func:`exact_mwis`
-    (``"exact"``), looked up in this module at call time. Utilities that
-    are not one per node, or a schedule that is not a (V,) bool mask,
-    raise ValueError as that row is stored; then one
-    :func:`is_independent_mask` call checks the whole (R, V) slot of
-    schedules, raising ValueError if any row is not an independent set,
-    and one :func:`advance` applies each trace's slot t to its rows.
-    Rows never mix, so each result equals a run of that policy alone on
-    that trace. The traces were checked when they were built, so only
-    their width, and that they cover the steps, are checked here. A policy
-    sees read-only views of its queues and rates, so one that writes into
-    either fails.
+    A policy is its ``utilities(graph, q, r)`` and a ``solver`` name (see
+    :mod:`~linksched.policies`). A slot's rows form a (P, K, V) block,
+    policy-major, with the ``"lgs"`` policies first. Each slot, the
+    policies' utilities are called in the caller's order, each on its
+    read-only (K, V) states and rates, and must return (K, V). The
+    ``"lgs"`` rows, one slice, go to one :func:`lgs_rows` call; each other
+    row, policy-major, goes to :func:`greedy_centralized` (``"greedy"``) or
+    :func:`exact_mwis` (``"exact"``), looked up in this module at call
+    time, and must come back a (V,) bool mask. One
+    :func:`is_independent_mask` call checks the slot's schedules, and one
+    :func:`advance` applies each trace's slot t to its rows. A fault raises
+    ValueError. Rows never mix, so each result equals a run of that policy
+    alone on that trace. The traces were checked when they were built, so
+    only their width, and that they cover the steps, are checked here.
     """
     if not traces:
         raise ValueError("run_episode needs at least one trace")
@@ -196,63 +187,54 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     horizon = shortest if steps is None else int(steps)
     if not 1 <= horizon <= shortest:
         raise ValueError(f"steps must lie in [1, {shortest}]")
-    rows = k * count
-    queues = np.empty((rows, horizon + 1, n), dtype=np.int64)
+    solve = {"greedy": greedy_centralized, "exact": exact_mwis}
+    for policy in policies:
+        if policy.solver != "lgs" and policy.solver not in solve:
+            raise ValueError(f"unknown solver {policy.solver!r}")
+    # each policy's block of K rows, one per trace, the "lgs" policies'
+    # blocks first: policy p's rows start at start[p], and every "lgs" row
+    # lies in :lgs_end
+    lgs = [p for p, policy in enumerate(policies) if policy.solver == "lgs"]
+    order = lgs + [p for p, policy in enumerate(policies)
+                   if policy.solver != "lgs"]
+    start = {p: b * k for b, p in enumerate(order)}
+    lgs_end, rows, shape = k * len(lgs), count * k, (k, n)
+    picks = [slice(start[p], start[p] + k) for p in range(count)]
+    others = [(row, solve[policies[p].solver]) for p in order[len(lgs):]
+              for row in range(start[p], start[p] + k)]
+    queues = np.empty((horizon + 1, rows, n), dtype=np.int64)
     if q0 is None:
-        queues[:, 0] = 0
+        queues[0] = 0
     else:
-        start = np.asarray(q0, dtype=np.int64)
-        if start.shape != (n,) or (start < 0).any():
+        first = np.asarray(q0, dtype=np.int64)
+        if first.shape != (n,) or (first < 0).any():
             raise ValueError("initial queues must be non-negative, one per node")
-        queues[:, 0] = start
+        queues[0] = first
     states = queues.view()
     states.setflags(write=False)
-    members = np.empty((rows, horizon, n), dtype=bool)
-    utilities = np.empty((rows, horizon, n))
+    members = np.empty((horizon, rows, n), dtype=bool)
+    utilities = np.empty((horizon, rows, n))
     rounds = np.zeros((rows, horizon), dtype=np.int64)
-    solve = {"greedy": greedy_centralized, "exact": exact_mwis}
-    names = [policy.solver for policy in policies] * k
-    for name in names:
-        if name != "lgs" and name not in solve:
-            raise ValueError(f"unknown solver {name!r}")
-    lgs = [row for row, name in enumerate(names) if name == "lgs"]
-    any_lgs = bool(lgs)
-    # a contiguous run of rows is sliced, a view; other rows are gathered
-    # with an index array built once, which numpy applies faster than a list
-    if any_lgs and lgs[-1] - lgs[0] == len(lgs) - 1:
-        lgs = slice(lgs[0], lgs[-1] + 1)
-    elif any_lgs:
-        lgs = np.array(lgs, dtype=np.intp)
-    others = [(row, solve[name]) for row, name in enumerate(names)
-              if name != "lgs"]
-    if k == 1:
-        # a policy's one row: its (V,) state and the trace's (V,) rates
-        rates, arrivals = traces[0].rates, traces[0].arrivals
-        picks, shape = range(count), (n,)
-    else:
-        # a policy's rows, one in every trace: a (K, V) block of states and
-        # slot t of every trace as one read-only (K, V) block of rates; as
-        # (K, 1, V) blocks they broadcast over each trace's P rows of a
-        # (K, P, V) view of the slot
-        rates = np.stack([trace.rates[:horizon] for trace in traces], axis=1)
-        rates.setflags(write=False)
-        arrivals = np.stack([trace.arrivals[:horizon] for trace in traces],
-                            axis=1)[:, :, None]
-        row_rates = rates[:, :, None]
-        blocks = queues.reshape(k, count, horizon + 1, n)
-        member_blocks = members.reshape(k, count, horizon, n)
-        picks, shape = [slice(p, None, count) for p in range(count)], (k, n)
+    # the (K, V) rates and arrivals of a slot broadcast over the P blocks
+    # of a (P, K, V) view of its rows
+    rates = np.concatenate([trace.rates[:horizon, None] for trace in traces],
+                           axis=1)
+    rates.setflags(write=False)
+    arrivals = np.concatenate([trace.arrivals[:horizon, None]
+                               for trace in traces], axis=1)
+    queue_blocks = queues.reshape(horizon + 1, count, k, n)
+    member_blocks = members.reshape(horizon, count, k, n)
     for t in range(horizon):
-        q, r, slot, u = states[:, t], rates[t], members[:, t], utilities[:, t]
+        q, r, slot, u = states[t], rates[t], members[t], utilities[t]
         for pick, policy in zip(picks, policies):
             row = policy.utilities(graph, q[pick], r)
             if np.shape(row) != shape:
-                raise ValueError(f"utilities of shape {np.shape(row)} for "
-                                 + (f"{k} traces of " if k > 1 else "")
-                                 + f"{n} nodes")
+                raise ValueError(f"utilities of shape {np.shape(row)}, not "
+                                 f"{shape}: one row per trace, one utility "
+                                 "per node")
             u[pick] = row
-        if any_lgs:
-            slot[lgs], rounds[lgs, t] = lgs_rows(graph, u[lgs])
+        if lgs_end:
+            slot[:lgs_end], rounds[:lgs_end, t] = lgs_rows(graph, u[:lgs_end])
         for row, solver in others:
             mask = solver(graph, u[row])
             if getattr(mask, "dtype", None) != bool:
@@ -263,15 +245,11 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
             slot[row] = mask
         if not is_independent_mask(graph, slot, rows=True):
             raise ValueError("schedule is not an independent set of the graph")
-        if k == 1:
-            queues[:, t + 1] = advance(q, slot, r, arrivals[t])
-        else:
-            blocks[:, :, t + 1] = advance(blocks[:, :, t],
-                                          member_blocks[:, :, t],
-                                          row_rates[t], arrivals[t])
-    return [EpisodeResult(queues[row], members[row], utilities[row],
-                          rounds[row] if names[row] == "lgs" else None)
-            for row in range(rows)]
+        queue_blocks[t + 1] = advance(queue_blocks[t], member_blocks[t], r,
+                                      arrivals[t])
+    return [EpisodeResult(queues[:, row], members[:, row], utilities[:, row],
+                          rounds[row] if row < lgs_end else None)
+            for j in range(k) for row in (start[p] + j for p in range(count))]
 
 
 def backlog_ratio(value, reference) -> np.ndarray:

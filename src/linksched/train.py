@@ -185,6 +185,8 @@ class TrainConfig:
                              "below 1: one feature in, one utility out")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint interval must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("base_lr", "lr_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -674,6 +674,41 @@ class TestMainEntry:
         assert "error:" in err
         assert str(manifest) in err and "'horizon'" in err
 
+    @pytest.mark.parametrize("key, value", [("mus", "abc"),
+                                            ("instances", "2.5"),
+                                            ("horizon", "x")])
+    def test_manifest_bad_value_names_key(self, small_instances, capsys, key,
+                                          value):
+        _, instances = small_instances
+        manifest = instances / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("".join(
+            f"{key} = {value}\n" if line.startswith(f"{key} = ")
+            else f"{line}\n" for line in lines))
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {manifest}: bad value for {key}: '{value}'\n"
+
+    @pytest.mark.parametrize("command", ["train", "train-config", "generate"])
+    def test_negative_seed_refused_before_output(self, tmp_path, capsys,
+                                                 command):
+        # refused by name when the configuration is read, before the output
+        # directory or any file in it is made
+        conf = tmp_path / "train.cfg"
+        conf.write_text("seed = -1\n")
+        argv, source = {
+            "train": (["train", "--seed", "-1"], "<defaults>: "),
+            "train-config": (["train", "--config", str(conf)], f"{conf}: "),
+            "generate": (["generate", "--config", "star5", "--seed", "-1"], ""),
+        }[command]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {source}seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     def test_oversized_trace_header(self, small_instances, capsys):
         # metadata promising 10^22 rows must not reach an allocation
         _, instances = small_instances

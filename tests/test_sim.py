@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import re
 import warnings
@@ -393,10 +394,10 @@ class TestLockstep:
                         GcnLgsPolicy(HEAD_GCN)], trace)
         assert calls == [(2, 12)] * 5
 
-    def test_contiguous_lgs_rows_passed_as_a_view(self, monkeypatch):
-        # a contiguous run of LGS rows reaches lgs_rows as a slice of the
-        # episode's utilities; rows with another policy between them are
-        # gathered into a copy
+    def test_lgs_rows_passed_as_a_view(self, monkeypatch):
+        # in every policy order, with one trace or two, the rows of the LGS
+        # policies, policy-major in the caller's order and one per trace,
+        # reach lgs_rows as one slice of the episode's utilities
         passed = []
 
         def recorded(graph, u):
@@ -404,22 +405,28 @@ class TestLockstep:
             return lgs_rows(graph, u)
         monkeypatch.setattr("linksched.sim.lgs_rows", recorded)
         g = generate_er(12, 0.3, 1)
-        trace = sample_traffic(g, 3, 2.0, 2)
-        for order, view in ((["greedy", "lgs", "gcn"], True),
-                            (["lgs", "gcn", "greedy"], True),
-                            (["lgs", "greedy", "gcn"], False)):
+        for traces, order in itertools.product(
+                (1, 2), itertools.permutations(["greedy", "lgs", "gcn",
+                                                "exact"])):
+            trace_list = [sample_traffic(g, 3, 2.0, seed)
+                          for seed in range(2, 2 + traces)]
             policies = [GcnLgsPolicy(HEAD_GCN) if name == "gcn"
                         else SolverPolicy(name) for name in order]
+            lgs = [p for p, name in enumerate(order)
+                   if name in ("lgs", "gcn")]
             passed.clear()
-            results = run_episode(g, policies, trace)
+            results = run_episode(g, policies, *trace_list)
             everything = results[0].utilities.base
-            assert [u.shape for u in passed] == [(2, 12)] * 3
-            assert all(np.shares_memory(u, everything) == view
-                       for u in passed)
+            assert len(passed) == 3
+            for t, u in enumerate(passed):
+                assert u.base is everything
+                assert same_bits(u, [results[j * 4 + p].utilities[t]
+                                     for p in lgs for j in range(traces)])
 
     def test_solvers_looked_up_at_call_time(self, monkeypatch):
         # a solver rebound in sim, as a tracer rebinds it, is the one called:
-        # once per slot for each policy that names it, on its utilities
+        # once per slot for each row of a policy that names it, on its
+        # utilities, policy-major over one trace or two
         calls = []
 
         def counted(name, solver):
@@ -431,14 +438,17 @@ class TestLockstep:
                             counted("greedy", greedy_centralized))
         monkeypatch.setattr(sim, "exact_mwis", counted("exact", exact_mwis))
         g = generate_star(3)
-        trace = sample_traffic(g, 4, 2.0, 3)
-        greedy, exact, _ = run_episode(
-            g, [SolverPolicy("greedy"), SolverPolicy("exact", "queue"),
-                SolverPolicy("lgs")], trace)
-        assert calls == [(name, result.utilities[t].tolist())
-                         for t in range(4)
-                         for name, result in (("greedy", greedy),
-                                              ("exact", exact))]
+        for traces in (1, 2):
+            calls.clear()
+            results = run_episode(
+                g, [SolverPolicy("greedy"), SolverPolicy("exact", "queue"),
+                    SolverPolicy("lgs")],
+                *(sample_traffic(g, 4, 2.0, seed)
+                  for seed in range(3, 3 + traces)))
+            assert calls == [(name, results[j * 3 + p].utilities[t].tolist())
+                             for t in range(4)
+                             for p, name in enumerate(("greedy", "exact"))
+                             for j in range(traces)]
 
     def test_unknown_solver_refused(self):
         # a solver is named, never passed: a function object is refused
@@ -449,12 +459,50 @@ class TestLockstep:
                             constant_trace(2, 4))
 
     def test_utilities_one_per_node(self):
+        # one trace is one (1, V) row: a (V,) vector is refused
         g = generate_star(3)
-        for shape in ((), (3,), (5,), (1, 4)):
+        for shape in ((), (3,), (4,), (5,), (1, 3), (2, 4), (1, 4, 1)):
             policy = SolverPolicy("lgs")
             policy.utilities = lambda graph, q, r: np.zeros(shape)
             with pytest.raises(ValueError, match="utilities of shape"):
                 run_episode(g, [policy], constant_trace(2, 4))
+        policy.utilities = lambda graph, q, r: np.zeros((1, 4))
+        result, = run_episode(g, [policy], constant_trace(2, 4))
+        assert same_bits(result.utilities, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("traces", [1, 2])
+    def test_permuted_policies(self, traces):
+        # the results permute with the policies, bit for bit, and the
+        # policies' utilities are called in the caller's order every slot
+        g = generate_er(10, 0.4, 5)
+        trace_list = [sample_traffic(g, 4, 2.0, seed)
+                      for seed in range(7, 7 + traces)]
+        names = ["baseline", "greedy", "exact", "gcn-head", "lgs-negated"]
+        calls = []
+
+        class Logged:
+            def __init__(self, name):
+                self.name, self.policy = name, LOCKSTEP_POLICIES[name]()
+                self.solver = self.policy.solver
+
+            def utilities(self, graph, q, r):
+                calls.append(self.name)
+                return self.policy.utilities(graph, q, r)
+        first = run_episode(g, [Logged(name) for name in names], *trace_list)
+        for order in itertools.permutations(range(len(names))):
+            calls.clear()
+            results = run_episode(g, [Logged(names[p]) for p in order],
+                                  *trace_list)
+            assert calls == [names[p] for p in order] * 4
+            for j in range(traces):
+                for got, p in zip(results[j * 5:(j + 1) * 5], order):
+                    want = first[j * 5 + p]
+                    assert same_bits(got.queues, want.queues)
+                    assert same_bits(got.members, want.members)
+                    assert same_bits(got.utilities, want.utilities)
+                    assert (got.rounds is None) == (want.rounds is None)
+                    if want.rounds is not None:
+                        assert same_bits(got.rounds, want.rounds)
 
     @pytest.mark.parametrize("which", ["queues", "rates"])
     def test_policy_writing_its_inputs_fails(self, which):

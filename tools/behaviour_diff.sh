@@ -115,11 +115,16 @@ CFG
     run eval-star30 eval --instances gen-star30 \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30
-    # the two LGS rows side by side, solved on a slice of the rows rather
-    # than on a gathered copy
+    # the policies in other orders: the two LGS policies side by side, last
+    # and apart, and none at all, which writes no ars.csv
     run eval-star30-adjacent eval --instances gen-star30 \
         --policies baseline,gcn,exact,greedy \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30-adjacent
+    run eval-star30-lgs-last eval --instances gen-star30 \
+        --policies greedy,exact,gcn,baseline \
+        --checkpoint train-default/checkpoint.ckpt --out eval-star30-lgs-last
+    run eval-star30-no-lgs eval --instances gen-star30 \
+        --policies greedy,exact --out eval-star30-no-lgs
     for family in ba-mix er tree; do
         run "eval-$family" eval --instances "gen-$family" \
             --policies baseline,greedy,gcn \
@@ -146,6 +151,10 @@ CFG
     run eval-star30-mixed eval --instances gen-star30-mixed \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30-mixed
+    run eval-star30-mixed-lgs-last eval --instances gen-star30-mixed \
+        --policies greedy,exact,gcn,baseline \
+        --checkpoint train-default/checkpoint.ckpt \
+        --out eval-star30-mixed-lgs-last
     # the 1,4,1 leaky network gives utilities of mixed sign
     run eval-star30-deep eval --instances gen-star30 \
         --policies baseline,greedy,exact,gcn \
