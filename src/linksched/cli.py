@@ -26,7 +26,7 @@ from .sim import (RATE_MEAN, MetricsBundle, TrafficTrace, backlog_ratio,
                   compute_metrics, load_trace, ratio_quartiles, run_episode,
                   sample_traffic, save_trace, steady_state_mean)
 from .solvers import EXACT_NODE_CAP
-from .train import TrainConfig, train, write_training_log
+from .train import TrainConfig, train
 
 POLICY_NAMES = ("baseline", "greedy", "exact", "gcn")
 # The solver behind each CLI policy name but ``gcn``, which schedules with LGS.
@@ -38,6 +38,7 @@ AR_HEADER = ["instance", "policy", "ar_mean", "ar_median", "ar_p95",
              "trace_checksum"]
 SUMMARY_HEADER = ["config", "instances", "centralization", "policy", "metric",
                   "ar_mean", "ar_q25", "ar_median", "ar_q75"]
+LOG_HEADER = ["episode", "loss", "win_rate", "lr", "graph_model"]
 # The most queue entries (rows x (T + 1) x V, a row per instance and
 # policy) one eval group holds: 2 MB of int64 queues, and as much of float64
 # utilities. Past a few traces a group shares each slot's fixed cost so
@@ -389,8 +390,8 @@ class ToyReport:
 
 
 def cmd_toy(horizon: int = 128, burn_in: int = 20) -> ToyReport:
-    """Run the 6-link star with unit arrivals, rate 2, and queue-length
-    utilities under the per-slot optimal and greedy schedulers.
+    """Run the 6-link star with unit arrivals and rate 2 under the per-slot
+    optimal and greedy schedulers, each on backlog x rate at rate 2.
 
     The steady-state figure is the average start-of-slot backlog per link
     over slots [burn_in, horizon), and each cycle is the last two states
@@ -404,9 +405,8 @@ def cmd_toy(horizon: int = 128, burn_in: int = 20) -> ToyReport:
     n = graph.node_count
     trace = TrafficTrace(np.ones((horizon, n), dtype=np.int64),
                          np.full((horizon, n), 2, dtype=np.int64))
-    exact, greedy = run_episode(graph, [SolverPolicy("exact", "queue"),
-                                        SolverPolicy("greedy", "queue")],
-                                trace)
+    exact, greedy = run_episode(graph, [SolverPolicy("exact"),
+                                        SolverPolicy("greedy")], trace)
     return ToyReport(steady_state_mean(exact, burn_in),
                      steady_state_mean(greedy, burn_in),
                      (exact.queues[horizon - 2], exact.queues[horizon - 1]),
@@ -421,9 +421,11 @@ def _format_state(q: np.ndarray) -> str:
 # --- report aggregation ----------------------------------------------------------
 
 
-def _read_report_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
-    """Rows of an eval report CSV. A missing column or a row short of
-    fields raises ConfigError naming the file (and the line)."""
+def _read_report_csv(path: Path, columns: dict[str, Callable]) -> list[dict]:
+    """The named columns of an eval report CSV's rows, each value parsed
+    by its column's function. A missing column, a row short of fields or a
+    value its parser refuses raises ConfigError naming the file (and the
+    line)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for column in columns:
@@ -431,10 +433,18 @@ def _read_report_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
                 raise ConfigError(f"{path}: missing column {column!r}")
         rows = []
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
             if any(row[column] is None for column in columns):
-                raise ConfigError(f"{path}: line {reader.line_num}: "
-                                  f"expected {len(reader.fieldnames)} fields")
-            rows.append(row)
+                raise ConfigError(f"{where}: expected "
+                                  f"{len(reader.fieldnames)} fields")
+            parsed = {}
+            for column, parse in columns.items():
+                try:
+                    parsed[column] = parse(row[column])
+                except ValueError:
+                    raise ConfigError(f"{where}: bad value for {column}: "
+                                      f"{row[column]!r}") from None
+            rows.append(parsed)
         return rows
 
 
@@ -444,17 +454,16 @@ def cmd_report(eval_dir: Path) -> list[dict]:
     if not ars_path.exists():
         raise ConfigError(f"{ars_path}: not found (run eval first)")
     report = EvaluationReport("?")
-    metrics = ("ar_mean", "ar_median", "ar_p95")
-    for row in _read_report_csv(ars_path, ("instance", "policy") + metrics):
-        report.ars.append({"instance": row["instance"],
-                           "policy": row["policy"],
-                           **{m: float(row[m]) for m in metrics}})
+    report.ars = _read_report_csv(ars_path, {
+        "instance": str, "policy": str, "ar_mean": float, "ar_median": float,
+        "ar_p95": float})
     summary_path = Path(eval_dir) / "summary.csv"
     if summary_path.exists():
-        rows = _read_report_csv(summary_path, ("config", "centralization"))
+        rows = _read_report_csv(summary_path,
+                                {"config": str, "centralization": float})
         if rows:
             report.config_name = rows[0]["config"]
-            report.centralization_mean = float(rows[0]["centralization"])
+            report.centralization_mean = rows[0]["centralization"]
     return report.aggregate()
 
 
@@ -511,7 +520,10 @@ def _print_ars(rows: list[dict]) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "generate":
-        mus = tuple(float(x) for x in args.mu.split(","))
+        try:
+            mus = _parser(tuple[float, ...])(args.mu)
+        except ValueError:
+            raise ConfigError(f"bad value for --mu: {args.mu!r}") from None
         config = ExperimentConfig(args.config, mus, instances=args.instances,
                                   horizon=args.horizon, seed=args.seed)
         dirs = cmd_generate(config, Path(args.out))
@@ -529,7 +541,7 @@ def _run(args: argparse.Namespace) -> int:
         _write_kv(out / "config.txt",
                   {k: config_text(v) for k, v in asdict(config).items()})
         result = train(config, checkpoint_dir=out)
-        write_training_log(result.log, out / "training_log.csv")
+        _write_csv(out / "training_log.csv", LOG_HEADER, result.log)
         print(f"trained {config.episodes} episodes; "
               f"win rate {result.win_rate():.3f}; checkpoint at "
               f"{out / 'checkpoint.ckpt'}")

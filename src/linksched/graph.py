@@ -45,8 +45,8 @@ class ConflictGraph:
     cached property, built on first use and then shared by every call on
     the graph: :attr:`edge_ends` (each edge once, for the independence
     check and the graph file), :attr:`laplacian` (the GCN),
-    :attr:`neighbor_segments` (LGS), and :attr:`neighbor_bitmasks` and
-    :attr:`closed_bitmasks` (centralized greedy and the exact solver).
+    :attr:`neighbor_segments` (LGS), and :attr:`neighbor_bitmasks`
+    (centralized greedy and the exact solver).
     """
 
     indptr: np.ndarray
@@ -172,14 +172,6 @@ class ConflictGraph:
         data = packed.tobytes()
         return tuple(int.from_bytes(data[a:a + width], "little")
                      for a in range(0, n * width, width))
-
-    @cached_property
-    def closed_bitmasks(self) -> tuple[int, ...]:
-        """:attr:`neighbor_bitmasks` with bit v of entry v set as well: the
-        closed neighborhood of v, which the exact solver drops on taking v.
-        """
-        return tuple(mask | 1 << v
-                     for v, mask in enumerate(self.neighbor_bitmasks))
 
 
 def generate_star(x: int) -> ConflictGraph:

@@ -3,8 +3,7 @@
 Every policy has the same two parts. ``utilities(graph, q, r)`` is the
 per-link utility it schedules on: given (B, V) rows of queues and rates,
 it returns (B, V) utilities. :func:`~linksched.sim.run_episode` always
-passes (K, V) rows, one per trace, K = 1 included, and the baseline's
-lookahead rollouts pass many states at once. ``solver`` names the
+passes (K, V) rows, one per trace, K = 1 included. ``solver`` names the
 independent-set solver that turns those utilities into a schedule:
 ``"lgs"`` (the distributed baseline), ``"greedy"`` or ``"exact"`` (the
 centralized reference schedulers). A policy holds no solver function:
@@ -12,7 +11,7 @@ centralized reference schedulers). A policy holds no solver function:
 rows of all ``"lgs"`` policies in one :func:`~linksched.solvers.lgs_rows`
 call per slot.
 
-:class:`SolverPolicy` hands its solver a handcrafted utility of backlog and
+:class:`SolverPolicy` hands its solver the baseline's weight, backlog x
 rate; :class:`GcnLgsPolicy` hands its solver the GCN's utilities of one
 input feature per link, backlog x rate: ``lgs`` in evaluation, which
 reports its message rounds, and ``greedy`` on training's main trajectory,
@@ -33,12 +32,11 @@ from .solvers import baseline_utility
 class SolverPolicy:
     """A solver, by name, applied to the :func:`baseline_utility` of (q, r)."""
 
-    def __init__(self, solver: str, kind: str = "product"):
+    def __init__(self, solver: str):
         self.solver = solver
-        self.kind = kind
 
     def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
-        return baseline_utility(q, r, self.kind)
+        return baseline_utility(q, r)
 
 
 class GcnLgsPolicy:

@@ -17,9 +17,11 @@ trajectory runs one policy on one trace (K = 1).
 q - min(r, q) + a, on a membership mask of any batch shape; only
 :func:`run_episode` and :func:`lookahead_compare` call it.
 :func:`lookahead_compare` scores each state of a trajectory by its next k
-states against the baseline rolled k slots from it, all states at once; its
-ratios and evaluation's follow :func:`backlog_ratio`, and
-:func:`ratio_quartiles` summarizes ratios that may be inf.
+states against the baseline rolled k slots from it, all states at once.
+It calls no policy: the baseline is LGS on backlog x rate, which it
+weighs with :func:`~linksched.solvers.baseline_utility` itself. Its ratios
+and evaluation's follow :func:`backlog_ratio`, and :func:`ratio_quartiles`
+summarizes ratios that may be inf.
 
 Traces are stored as ``trace.csv``: :func:`save_trace` formats the whole
 (slot, node) column block in one string operation, and :func:`load_trace`
@@ -33,17 +35,13 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graph import (INT64_MAX, ConflictGraph, as_rng, is_independent_mask,
                     read_int_rows, scan_int_rows)
-from .solvers import exact_mwis, greedy_centralized, lgs_rows
-
-# A utility function maps (graph, queues, rates) to per-link utilities, one
-# (B, V) row of utilities per (B, V) row of states; it takes (V,) vectors too.
-Utilities = Callable[[ConflictGraph, np.ndarray, np.ndarray], np.ndarray]
+from .solvers import baseline_utility, exact_mwis, greedy_centralized, lgs_rows
 
 RATE_MEAN = 50.0
 RATE_STD = 25.0
@@ -280,19 +278,19 @@ def ratio_quartiles(ratios) -> list[float]:
                     np.percentile(finite, [25, 50, 75])).tolist()
 
 
-def lookahead_compare(graph: ConflictGraph, queues,
-                      baseline_utilities: Utilities, k: int,
+def lookahead_compare(graph: ConflictGraph, queues, k: int,
                       trace: TrafficTrace) -> np.ndarray:
     """Score the first B states of a trajectory against baseline rollouts.
 
     ``queues`` is the (B + k, V) trajectory q(0)..q(B + k - 1) a policy ran
     on ``trace`` over B + k - 1 slots. From every q(b), b < B, the baseline
-    schedules with LGS on ``baseline_utilities`` for k slots, step i on
-    trace slot b + i, as the policy's step from q(b + i) was; each step
-    solves the B rows in one :func:`lgs_rows` call. Row b of the result is
-    the :func:`backlog_ratio` of the baseline's k post-step backlog sums to
-    the policy's, those of q(b + 1)..q(b + k); values above 1 mean the
-    policy accumulated less backlog.
+    schedules with LGS on backlog x rate for k slots, step i on trace slot
+    b + i, as the policy's step from q(b + i) was; each step weighs the B
+    rows in one :func:`baseline_utility` call and solves them in one
+    :func:`lgs_rows` call, both looked up in this module at call time. Row
+    b of the result is the :func:`backlog_ratio` of the baseline's k
+    post-step backlog sums to the policy's, those of q(b + 1)..q(b + k);
+    values above 1 mean the policy accumulated less backlog.
     """
     trajectory = np.asarray(queues, dtype=np.int64)
     if k < 1:
@@ -309,7 +307,7 @@ def lookahead_compare(graph: ConflictGraph, queues,
     q, baseline_total = trajectory[:rows], np.zeros(rows, dtype=np.int64)
     for i in range(k):
         r = trace.rates[i:i + rows]
-        members, _ = lgs_rows(graph, baseline_utilities(graph, q, r))
+        members, _ = lgs_rows(graph, baseline_utility(q, r))
         q = advance(q, members, r, trace.arrivals[i:i + rows])
         baseline_total += q.sum(axis=1)
     return backlog_ratio(baseline_total, policy_total)

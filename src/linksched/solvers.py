@@ -1,5 +1,5 @@
 """Independent-set schedulers: distributed local greedy, centralized greedy,
-exact branch-and-bound, and the per-link utility functions they consume.
+exact branch-and-bound, and the baseline's per-link utility.
 
 A schedule is a (V,) bool membership mask over the graph's nodes. The
 distributed local greedy scheduler (LGS) has one kernel, :func:`lgs_rows`,
@@ -8,13 +8,12 @@ node joins when no remaining neighbor outranks it in (utility, node ID)
 order. :func:`greedy_centralized` and :func:`exact_mwis` schedule one row.
 :func:`~linksched.sim.run_episode` is the one caller that solves a policy's
 utilities; :func:`~linksched.sim.lookahead_compare` calls :func:`lgs_rows`
-for the baseline's rollouts.
+on :func:`baseline_utility` for the baseline's rollouts.
 
 Every solver reads what it derives from the graph alone from a table
 cached on the immutable :class:`~linksched.graph.ConflictGraph`, so a
-call pays only for its utilities: LGS the neighbor segments, greedy the
-neighbor bitmasks, and the exact solver those and the closed-neighborhood
-bitmasks."""
+call pays only for its utilities: LGS the neighbor segments, and greedy
+and the exact solver the neighbor bitmasks."""
 
 from __future__ import annotations
 
@@ -36,21 +35,16 @@ def _check_utilities(graph: ConflictGraph, utilities) -> np.ndarray:
     return u
 
 
-def baseline_utility(queues, rates, kind: str = "product") -> np.ndarray:
-    """Per-link utility from backlog and rate: their elementwise
-    ``product`` (the baseline's weight and the GCN's input), or ``queue``
-    for the raw backlog (the classic myopic weight)."""
+def baseline_utility(queues, rates) -> np.ndarray:
+    """Per-link utility backlog x rate, elementwise as float64: the LGS
+    baseline's weight and the GCN's input."""
     q, r = np.asarray(queues), np.asarray(rates)
     if q.shape != r.shape:
         raise ValueError("queue and rate vectors differ in length")
     # fmin skips a NaN, so this refuses what a test of each side refuses
     if (np.fmin(q, r) < 0).any():
         raise ValueError("queues and rates must be non-negative")
-    if kind == "product":
-        return np.multiply(q, r, dtype=np.float64)
-    if kind == "queue":
-        return np.asarray(q, dtype=np.float64)
-    raise ValueError(f"unknown utility kind: {kind!r}")
+    return np.multiply(q, r, dtype=np.float64)
 
 
 def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
@@ -159,12 +153,12 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     hub out with every leaf taken at once. Weights must be non-negative and
     the graph at most :data:`EXACT_NODE_CAP` nodes.
 
-    Node sets are Python ints, bit v for node v. The neighbor and
-    closed-neighborhood sets are the graph's cached
-    :attr:`~linksched.graph.ConflictGraph.neighbor_bitmasks` and
-    :attr:`~linksched.graph.ConflictGraph.closed_bitmasks`; the set of
-    positive weights is packed from ``u > 0`` and the best set unpacked
-    into the returned (V,) bool membership mask, each in one numpy call.
+    Node sets are Python ints, bit v for node v. The neighbor sets are the
+    graph's cached :attr:`~linksched.graph.ConflictGraph.neighbor_bitmasks`,
+    which greedy reads too; taking v drops ``nbrs[v] & rem | 1 << v``, its
+    closed neighborhood within the remaining set. The set of positive
+    weights is packed from ``u > 0`` and the best set unpacked into the
+    returned (V,) bool membership mask, each in one numpy call.
     """
     u = _check_utilities(graph, utilities)
     n = graph.node_count
@@ -174,7 +168,7 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     if (u < 0).any():
         raise ValueError("exact solver requires non-negative utilities")
     w = u.tolist()
-    nbrs, closed = graph.neighbor_bitmasks, graph.closed_bitmasks
+    nbrs = graph.neighbor_bitmasks
     # bit v of a set is node v, little-endian within and across bytes
     positive = int.from_bytes(np.packbits(u > 0, bitorder="little").tobytes(),
                               "little")
@@ -214,7 +208,7 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
             return
         v = (rem & -rem).bit_length() - 1
         search(rem & ~(1 << v), weight, chosen, rem_sum - w[v])
-        dropped = closed[v] & rem
+        dropped = nbrs[v] & rem | 1 << v  # v is in rem
         search(rem & ~dropped, weight + w[v], chosen | (1 << v),
                rem_sum - bit_sum(dropped))
 

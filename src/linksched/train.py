@@ -17,7 +17,6 @@ that of an item-by-item loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from .gcn import (BASE_LR, LR_DECAY, AdamState, GcnParams, Gradients,
                   adam_step, backward, forward, identity_params, init_params,
                   save_checkpoint)
 from .graph import ConflictGraph, as_rng
-from .policies import GcnLgsPolicy, SolverPolicy
+from .policies import GcnLgsPolicy
 from .presets import parse_graph_config
 from .sim import RATE_MEAN, TrafficTrace, lookahead_compare, run_episode, \
     sample_traffic
@@ -255,13 +254,11 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     if trace.horizon < horizon + k:
         raise ValueError("trace must cover horizon + lookahead slots")
     gcn_policy = GcnLgsPolicy(params, solver="greedy")
-    baseline = SolverPolicy("lgs")
     result, = run_episode(graph, [gcn_policy], trace, steps=horizon + k - 1)
     members = result.members[:horizon]
     features = gcn_policy.features(result.queues[:horizon],
                                    trace.rates[:horizon])
-    ratios = lookahead_compare(graph, result.queues, baseline.utilities, k,
-                               trace)
+    ratios = lookahead_compare(graph, result.queues, k, trace)
     returns = compute_reward(ratios, members, result.utilities[:horizon])
     return [ExperienceTuple(graph, *slot) for slot in
             zip(features, members, returns, ratios.tolist())]
@@ -363,14 +360,3 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
     if out_dir is not None:
         save("checkpoint.ckpt")
     return TrainResult(params, log)
-
-
-def write_training_log(log: list[dict], path) -> None:
-    """CSV log with columns episode,loss,win_rate,lr,graph_model."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "loss", "win_rate", "lr", "graph_model"])
-        for row in log:
-            writer.writerow([row["episode"], repr(row["loss"]),
-                             repr(row["win_rate"]), repr(row["lr"]),
-                             row["graph_model"]])

@@ -835,6 +835,33 @@ class TestMainEntry:
         assert main(["report", "--eval-dir", str(out)]) == 1
         assert f"error: {path}: line 3: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, column", [
+        ("ars.csv", "ar_median"), ("summary.csv", "centralization")])
+    def test_report_bad_value_named(self, small_instances, tmp_path, capsys,
+                                    name, column):
+        config, instances = small_instances
+        config.policies = ("baseline", "greedy")
+        out = tmp_path / "eval"
+        cmd_eval(config, instances, out)
+        path = out / name
+        header, *rows = [line.split(",") for line in
+                         path.read_text().splitlines()]
+        rows[1][header.index(column)] = "abc"
+        path.write_text("".join(",".join(line) + "\n"
+                                for line in [header, *rows]))
+        assert main(["report", "--eval-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 3: bad value for {column}: 'abc'\n"
+
+    @pytest.mark.parametrize("mu", ["abc", "0.05,"])
+    def test_generate_bad_mu_named(self, tmp_path, capsys, mu):
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", "star5", "--mu", mu,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad value for --mu: {mu!r}\n"
+        assert not out.exists()
+
     def test_bad_config_file_diagnostics(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("episodes == 3\n")

@@ -630,8 +630,6 @@ class TestCsrProperties:
                                    for w in (v, *ws)]
         assert g.neighbor_bitmasks == tuple(sum(1 << w for w in ws)
                                             for ws in want)
-        assert g.closed_bitmasks == tuple(sum(1 << w for w in (v, *ws))
-                                          for v, ws in enumerate(want))
         i, j = g.edge_ends
         assert list(zip(i.tolist(), j.tolist())) == [
             (v, w) for v, ws in enumerate(want) for w in ws if v < w]

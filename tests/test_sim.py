@@ -18,7 +18,8 @@ from linksched.sim import (TrafficTrace, advance, backlog_ratio,
                            backlog_stats, compute_metrics, load_trace,
                            lookahead_compare, ratio_quartiles, run_episode,
                            sample_traffic, save_trace, steady_state_mean)
-from linksched.solvers import exact_mwis, greedy_centralized, lgs_rows
+from linksched.solvers import (baseline_utility, exact_mwis,
+                               greedy_centralized, lgs_rows)
 
 
 def reference_load_trace(path, nodes):
@@ -270,7 +271,7 @@ class TestRunEpisode:
     def test_toy_steady_states(self):
         g = generate_star(5)
         trace = constant_trace(128, 6)
-        greedy, = run_episode(g, [SolverPolicy("greedy", "queue")], trace)
+        greedy, = run_episode(g, [SolverPolicy("greedy")], trace)
         assert steady_state_mean(greedy, 20) == pytest.approx(1.5, abs=1e-12)
 
 
@@ -314,6 +315,15 @@ class Quiet:
         return np.zeros(np.shape(q))
 
 
+class Queues:
+    # the raw backlog as float64: a second weight beside backlog x rate
+    def __init__(self, solver):
+        self.solver = solver
+
+    def utilities(self, graph, q, r):
+        return np.asarray(q, dtype=np.float64)
+
+
 class NegatedQueues:
     # LGS on utilities of mixed sign
     solver = "lgs"
@@ -324,9 +334,9 @@ class NegatedQueues:
 
 LOCKSTEP_POLICIES = {
     "baseline": lambda: SolverPolicy("lgs"),
-    "baseline-queue": lambda: SolverPolicy("lgs", "queue"),
+    "baseline-queue": lambda: Queues("lgs"),
     "greedy": lambda: SolverPolicy("greedy"),
-    "exact": lambda: SolverPolicy("exact", "queue"),
+    "exact": lambda: Queues("exact"),
     "gcn-head": lambda: GcnLgsPolicy(HEAD_GCN),
     "gcn-deep": lambda: GcnLgsPolicy(init_params((1, 4, 1), 3), 0.1),
     "quiet": Quiet,
@@ -441,7 +451,7 @@ class TestLockstep:
         for traces in (1, 2):
             calls.clear()
             results = run_episode(
-                g, [SolverPolicy("greedy"), SolverPolicy("exact", "queue"),
+                g, [SolverPolicy("greedy"), Queues("exact"),
                     SolverPolicy("lgs")],
                 *(sample_traffic(g, 4, 2.0, seed)
                   for seed in range(3, 3 + traces)))
@@ -523,7 +533,7 @@ class TestLockstep:
 # the lockstep policies plus the two solver and utility pairs they lack
 MULTI_TRACE_POLICIES = {
     **LOCKSTEP_POLICIES,
-    "greedy-queue": lambda: SolverPolicy("greedy", "queue"),
+    "greedy-queue": lambda: Queues("greedy"),
     "exact-product": lambda: SolverPolicy("exact"),
 }
 
@@ -663,8 +673,7 @@ class TestLookahead:
         g = generate_er(10, 0.3, 0)
         trace = sample_traffic(g, 8, 2.0, 1)
         queues = ran(g, SolverPolicy("lgs"), trace, np.arange(10))
-        ratios = lookahead_compare(g, queues, SolverPolicy("lgs").utilities,
-                                   4, trace)
+        ratios = lookahead_compare(g, queues, 4, trace)
         assert ratios.tolist() == [1.0] * 5
 
     def test_ratio_matches_independent_rollout(self):
@@ -695,8 +704,7 @@ class TestLookahead:
                 policy_total = sum(int(x.sum())
                                    for x in queues[b + 1:b + k + 1])
                 want.append(baseline_total / policy_total)
-            got = lookahead_compare(g, np.array(queues), baseline.utilities,
-                                    k, trace)
+            got = lookahead_compare(g, np.array(queues), k, trace)
             assert got.tolist() == want
             ratios.update(want)
         # the rollouts must have told the policies apart somewhere
@@ -706,8 +714,7 @@ class TestLookahead:
         g = generate_star(3)
         trace = constant_trace(5, 4, arrival=0)
         queues = ran(g, SolverPolicy("greedy"), trace)
-        assert lookahead_compare(g, queues, SolverPolicy("lgs").utilities, 3,
-                                 trace).tolist() == [1.0] * 3
+        assert lookahead_compare(g, queues, 3, trace).tolist() == [1.0] * 3
 
     def test_state_not_mutated(self):
         g = generate_star(3)
@@ -715,29 +722,27 @@ class TestLookahead:
         queues = ran(g, SolverPolicy("greedy"), trace,
                      [5, 1, 2, 0])
         before = queues.copy()
-        lookahead_compare(g, queues, SolverPolicy("lgs").utilities, 3,
-                          trace)
+        lookahead_compare(g, queues, 3, trace)
         assert np.array_equal(queues, before)
 
     def test_row_conventions(self):
-        # K2, no arrivals, the baseline always picks node 1; the trajectory
-        # is written by hand, as lookahead_compare reads it as given
+        # K2, no arrivals, rates (0, 5): node 0's backlog x rate is 0, so
+        # the baseline always picks node 1, on ties by its larger ID; the
+        # trajectory is written by hand, as lookahead_compare reads it as
+        # given
         g = ConflictGraph.from_edges(2, [(0, 1)])
         queues = np.array([[1, 0], [0, 0], [0, 0], [3, 1], [0, 2]],
                           dtype=np.int64)
         k = 1
-        trace = constant_trace(len(queues) - 1, 2, arrival=0, rate=5)
-
-        def prefer(node):
-            return lambda graph, q, r: np.tile(np.eye(2)[node], (len(q), 1))
-
+        trace = TrafficTrace(np.zeros((len(queues) - 1, 2)),
+                             np.tile([0, 5], (len(queues) - 1, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratios = lookahead_compare(g, queues, prefer(1), k, trace)
+            ratios = lookahead_compare(g, queues, k, trace)
         # x/0 is inf, 0/0 is 1.0, then 0/4 and 3/2
         assert ratios.tolist() == [float("inf"), 1.0, 0.0, 1.5]
         with pytest.raises(ValueError, match="trace has 3 slots, need 4"):
-            lookahead_compare(g, queues, prefer(1), k,
+            lookahead_compare(g, queues, k,
                               TrafficTrace(trace.arrivals[:-1],
                                            trace.rates[:-1]))
 
@@ -747,28 +752,30 @@ class TestLookahead:
         g = generate_star(3)
         trace = constant_trace(6, 4)
         queues = ran(g, SolverPolicy("lgs"), trace)
-        utilities = SolverPolicy("lgs").utilities
         for k in (1, 2, 6):
-            assert lookahead_compare(g, queues, utilities, k,
-                                     trace).shape == (7 - k,)
+            assert lookahead_compare(g, queues, k, trace).shape == (7 - k,)
         for bad in (queues[:, :3], queues[0], queues[:2]):
             with pytest.raises(ValueError, match="trajectory must be"):
-                lookahead_compare(g, bad, utilities, 2, trace)
+                lookahead_compare(g, bad, 2, trace)
 
     def test_one_lgs_rows_call_of_b_rows_per_step(self, monkeypatch):
-        # only the baseline is rolled: each of the k steps solves B rows
+        # only the baseline is rolled: each of the k steps weighs and solves
+        # B rows, through sim's names at call time, as a tracer rebinds them
         calls = []
 
-        def counted(graph, u):
-            calls.append(np.shape(u))
-            return lgs_rows(graph, u)
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append((name, np.shape(args[-1])))
+                return function(*args)
+            return wrapper
         g = generate_er(12, 0.3, 1)
         trace = sample_traffic(g, 9, 2.0, 2)
         queues = ran(g, GcnLgsPolicy(HEAD_GCN), trace)
-        monkeypatch.setattr("linksched.sim.lgs_rows", counted)
-        lookahead_compare(g, queues, SolverPolicy("lgs").utilities, 4,
-                          trace)
-        assert calls == [(6, 12)] * 4
+        monkeypatch.setattr(sim, "lgs_rows", counted("lgs", lgs_rows))
+        monkeypatch.setattr(sim, "baseline_utility",
+                            counted("weight", baseline_utility))
+        lookahead_compare(g, queues, 4, trace)
+        assert calls == [("weight", (6, 12)), ("lgs", (6, 12))] * 4
 
     def test_bad_k(self):
         g = generate_star(3)
@@ -776,8 +783,7 @@ class TestLookahead:
         queues = ran(g, SolverPolicy("lgs"), trace)
         for k in (0, -1, 6):
             with pytest.raises(ValueError):
-                lookahead_compare(g, queues,
-                                  SolverPolicy("lgs").utilities, k, trace)
+                lookahead_compare(g, queues, k, trace)
 
 
 class TestBacklogRatio:

@@ -239,20 +239,14 @@ class TestExactMwis:
 
 class TestBaselineUtility:
     def test_product(self):
-        assert baseline_utility([2, 0], [3, 5], "product").tolist() == [6, 0]
+        assert baseline_utility([2, 0], [3, 5]).tolist() == [6, 0]
 
     def test_zero(self):
-        for kind in ("product", "queue"):
-            assert not baseline_utility([0, 0], [3, 5], kind).any()
+        assert not baseline_utility([0, 0], [3, 5]).any()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            baseline_utility([1, 2], [1], "product")
-
-    def test_unknown_kind(self):
-        for kind in ("sum", "min"):
-            with pytest.raises(ValueError, match="unknown utility kind"):
-                baseline_utility([1], [1], kind)
+            baseline_utility([1, 2], [1])
 
 
 def random_instances(count, seed, max_nodes=60):
@@ -495,7 +489,7 @@ class TestHypothesisProperties:
             enumerate_mwis_weight(g, u)
 
 
-def reference_baseline_utility(queues, rates, kind="product"):
+def reference_baseline_utility(queues, rates):
     """The two-test rule that one fmin test replaced, kept as the
     reference: both sides cast to float64, each tested for a negative."""
     q = np.asarray(queues, dtype=np.float64)
@@ -504,7 +498,7 @@ def reference_baseline_utility(queues, rates, kind="product"):
         raise ValueError("queue and rate vectors differ in length")
     if (q < 0).any() or (r < 0).any():
         raise ValueError("queues and rates must be non-negative")
-    return q * r if kind == "product" else q
+    return q * r
 
 
 # int64 extremes, -0.0, NaN, inf and negatives on both sides
@@ -554,24 +548,24 @@ def exclude_first_mwis(g, w):
 
 class TestFastPathProperties:
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(queue_rate_pairs(), st.sampled_from(["product", "queue"]))
+    @given(queue_rate_pairs())
     # a NaN beside a negative is refused, though np.minimum would hide it
-    @example([np.array([np.nan]), np.array([-1.0])], "product")
-    @example([np.array([-3]), np.array([np.nan])], "queue")
-    @example([np.array([np.nan, 2.0]), np.array([-0.0, np.nan])], "product")
-    def test_baseline_utility_equals_two_test_rule(self, sides, kind):
+    @example([np.array([np.nan]), np.array([-1.0])])
+    @example([np.array([-3]), np.array([np.nan])])
+    @example([np.array([np.nan, 2.0]), np.array([-0.0, np.nan])])
+    def test_baseline_utility_equals_two_test_rule(self, sides):
         q, r = sides
         try:
-            want = reference_baseline_utility(q, r, kind)
+            want = reference_baseline_utility(q, r)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                baseline_utility(q, r, kind)
+                baseline_utility(q, r)
             return
-        got = baseline_utility(q, r, kind)
+        got = baseline_utility(q, r)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         # the same values as lists, as the unit tests pass them
-        assert baseline_utility(q.tolist(), r.tolist(), kind).tobytes() == \
+        assert baseline_utility(q.tolist(), r.tolist()).tobytes() == \
             want.tobytes()
 
     @settings(derandomize=True, max_examples=120, deadline=None)

@@ -167,6 +167,8 @@ CFG
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30-low
     run toy toy
+    # the toy away from its default horizon and burn-in
+    run toy-short toy --horizon 9 --burn-in 3
     run report-star30 report --eval-dir eval-star30
     run report-ba-mix report --eval-dir eval-ba-mix
     run report-star30-low report --eval-dir eval-star30-low
