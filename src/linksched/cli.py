@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -470,7 +471,10 @@ def cmd_report(eval_dir: Path) -> list[dict]:
 # --- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: each parse_args call fills a fresh namespace
+    # from the defaults, so nothing of one command reaches the next
     parser = argparse.ArgumentParser(
         prog="linksched",
         description="Delay-oriented link-scheduling workbench")

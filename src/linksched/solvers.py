@@ -13,9 +13,16 @@ on :func:`baseline_utility` for the baseline's rollouts.
 Every solver reads what it derives from the graph alone from a table
 cached on the immutable :class:`~linksched.graph.ConflictGraph`, so a
 call pays only for its utilities: LGS the neighbor segments, and greedy
-and the exact solver the neighbor bitmasks."""
+and the exact solver the neighbor bitmasks. LGS runs in numpy; greedy
+and the exact solver run on Python-int node sets, and the exact solver
+works on a wide set in one C-level ``functools.reduce`` pass over
+``itertools.compress``."""
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import compress
+from operator import add, or_
 
 import numpy as np
 
@@ -23,6 +30,15 @@ from .graph import ConflictGraph
 
 # The largest graph exact_mwis accepts; its search is exponential in V.
 EXACT_NODE_CAP = 40
+# exact_mwis walks a node set of at most this many members bit by bit and
+# folds a wider one in C: a fold's fixed cost is about that of ten loop
+# steps, so a narrow set does not repay it
+_LOOP_MAX = 12
+# bin(mask)[:1:-1] spells mask's bits node 0 first as ASCII digits; these
+# tables turn the digits into one 0/1 byte per node, as itertools.compress
+# and numpy's bool arrays read them, and back
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _check_utilities(graph: ConflictGraph, utilities) -> np.ndarray:
@@ -156,26 +172,40 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     Node sets are Python ints, bit v for node v. The neighbor sets are the
     graph's cached :attr:`~linksched.graph.ConflictGraph.neighbor_bitmasks`,
     which greedy reads too; taking v drops ``nbrs[v] & rem | 1 << v``, its
-    closed neighborhood within the remaining set. The set of positive
-    weights is packed from ``u > 0`` and the best set unpacked into the
-    returned (V,) bool membership mask, each in one numpy call.
+    closed neighborhood within the remaining set. A set's weight is summed
+    sequentially from 0.0 in ascending node ID, at the root too, and this
+    order is the contract: every bound and comparison sees the same float
+    as the plain loop would, on any Python (builtin ``sum`` compensates
+    from 3.12 on). A set of more than ``_LOOP_MAX`` members is spelled as
+    one 0/1 byte per node, and its weight and free nodes are each one C
+    fold: ``reduce(add, compress(w, flags), 0.0)``, and ``rem`` less the
+    union of the remaining nodes' neighbor sets (adjacency is symmetric,
+    so that union is exactly the nodes with a remaining neighbor). A
+    narrower set is walked bit by bit, which its few members make cheaper
+    than the fold's fixed cost. The same byte spelling packs ``u > 0`` into
+    the set of positive weights and unpacks the best set into the returned
+    (V,) bool membership mask.
     """
     u = _check_utilities(graph, utilities)
     n = graph.node_count
     if n > EXACT_NODE_CAP:
         raise ValueError(
             f"exact solver capped at {EXACT_NODE_CAP} nodes, got {n}")
-    if (u < 0).any():
-        raise ValueError("exact solver requires non-negative utilities")
     w = u.tolist()
+    if min(w) < 0:  # the weights are finite, so this is (u < 0).any()
+        raise ValueError("exact solver requires non-negative utilities")
     nbrs = graph.neighbor_bitmasks
-    # bit v of a set is node v, little-endian within and across bytes
-    positive = int.from_bytes(np.packbits(u > 0, bitorder="little").tobytes(),
-                              "little")
+    positive = int((u > 0).tobytes()[::-1].translate(_TO_DIGITS), 2)
     best_weight = -1.0
     best_set = 0
 
+    def flags(mask: int) -> bytes:
+        # one 0/1 byte per node, node 0 first, up to mask's highest member
+        return bin(mask)[:1:-1].encode().translate(_TO_FLAGS)
+
     def bit_sum(mask: int) -> float:
+        if mask.bit_count() > _LOOP_MAX:
+            return reduce(add, compress(w, flags(mask)), 0.0)
         s = 0.0
         while mask:
             low = mask & -mask
@@ -187,13 +217,16 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
         nonlocal best_weight, best_set
         if weight + rem_sum <= best_weight:
             return
-        free = 0
-        scan = rem
-        while scan:
-            low = scan & -scan
-            if not nbrs[low.bit_length() - 1] & rem:
-                free |= low
-            scan ^= low
+        if rem.bit_count() > _LOOP_MAX:
+            free = rem & ~reduce(or_, compress(nbrs, flags(rem)), 0)
+        else:
+            free = 0
+            scan = rem
+            while scan:
+                low = scan & -scan
+                if not nbrs[low.bit_length() - 1] & rem:
+                    free |= low
+                scan ^= low
         if free:
             rem ^= free
             taken = free & positive
@@ -212,6 +245,6 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
         search(rem & ~dropped, weight + w[v], chosen | (1 << v),
                rem_sum - bit_sum(dropped))
 
-    search((1 << n) - 1, 0.0, 0, sum(w))
-    packed = np.frombuffer(best_set.to_bytes(-(-n // 8), "little"), np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+    search((1 << n) - 1, 0.0, 0, reduce(add, w, 0.0))
+    digits = bin(best_set)[:1:-1].ljust(n, "0").encode()
+    return np.frombuffer(bytearray(digits.translate(_TO_FLAGS)), bool)

@@ -656,6 +656,30 @@ class TestMainEntry:
         rows = (out / "training_log.csv").read_text().splitlines()
         assert len(rows) == 3  # header + 2 episodes
 
+    def test_parser_cache_leaks_no_override(self, tmp_path, capsys):
+        # the second run omits --seed, so it trains at its config's seed
+        conf = tmp_path / "train.conf"
+        conf.write_text("episodes = 0\nseed = 4\n")
+        runs = [(["--seed", "5"], "seed = 5\n"), ([], "seed = 4\n")]
+        for k, (extra, line) in enumerate(runs):
+            out = tmp_path / f"run{k}"
+            assert main(["train", "--config", str(conf), *extra,
+                         "--out", str(out)]) == 0
+            assert line in (out / "config.txt").read_text()
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parse_error_between_calls(self, monkeypatch, capsys):
+        # an argparse error between two calls changes neither of them
+        seen = []
+        monkeypatch.setattr(cli, "_run", lambda args: seen.append(vars(args)))
+        main(["toy", "--horizon", "9"])
+        with pytest.raises(SystemExit) as exc:
+            main(["toy", "--horizon", "x", "--burn-in", "3"])
+        assert exc.value.code == 2
+        main(["toy"])
+        assert seen == [{"command": "toy", "horizon": 9, "burn_in": 20},
+                        {"command": "toy", "horizon": 128, "burn_in": 20}]
+
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main(["eval", "--instances", str(tmp_path / "missing")])
         assert rc == 1

@@ -97,6 +97,50 @@ def first_lex_mwis(g, w):
     return members[np.argmax(weight)]
 
 
+def reference_exact(g, u):
+    """The exact solver's branch and bound as plain loops, frozen: free
+    nodes found one by one, every weight summed from 0.0 in ascending node
+    ID, the root bound included. ``exact_mwis`` must return its mask."""
+    w = [float(x) for x in u]
+    n = g.node_count
+    nbrs = g.neighbor_bitmasks
+    positive = sum(1 << v for v in range(n) if w[v] > 0)
+    best = [-1.0, 0]
+
+    def bit_sum(mask):
+        s = 0.0
+        for v in range(n):
+            if mask >> v & 1:
+                s += w[v]
+        return s
+
+    def search(rem, weight, chosen, rem_sum):
+        if weight + rem_sum <= best[0]:
+            return
+        free = 0
+        for v in range(n):
+            if rem >> v & 1 and not nbrs[v] & rem:
+                free |= 1 << v
+        if free:
+            rem ^= free
+            taken = free & positive
+            gain = bit_sum(taken)
+            chosen |= taken
+            weight += gain
+            rem_sum -= gain
+        if rem == 0:
+            best[:] = [weight, chosen]
+            return
+        v = (rem & -rem).bit_length() - 1
+        search(rem & ~(1 << v), weight, chosen, rem_sum - w[v])
+        dropped = nbrs[v] & rem | 1 << v
+        search(rem & ~dropped, weight + w[v], chosen | (1 << v),
+               rem_sum - bit_sum(dropped))
+
+    search((1 << n) - 1, 0.0, 0, bit_sum((1 << n) - 1))
+    return mask(n, [v for v in range(n) if best[1] >> v & 1])
+
+
 def reference_greedy(g, u):
     # oracle: the repeated-argmax loop, global best first, ties to larger ID
     u = [float(x) for x in u]
@@ -230,6 +274,22 @@ class TestExactMwis:
                                       first_lex_mwis(g, w))
                 checked += 1
         assert checked == 6 * (56 + 15 + 13)
+
+    @pytest.mark.parametrize("leaves, weight, sequential, exact", [
+        (10, 0.1, 0.9999999999999999, 1.0),
+        (13, 0.3, 3.899999999999999, 3.9)])
+    def test_near_tie_sums_sequentially(self, leaves, weight, sequential,
+                                        exact):
+        # the leaves sum to `sequential` from 0.0 in order, but to `exact`
+        # compensated (math.fsum; np.sum too for ten leaves): a hub of the
+        # sequential sum ties them, and the leaves win; a hub of the exact
+        # sum beats them. Ten leaves are summed bit by bit, thirteen in the
+        # C fold.
+        g = generate_star(leaves)
+        w = [weight] * leaves
+        assert ids(exact_mwis(g, [sequential] + w)) == \
+            list(range(1, leaves + 1))
+        assert ids(exact_mwis(g, [exact] + w)) == [0]
 
     def test_all_zero_weights(self):
         # the lexicographically smallest zero-weight maximizer is empty
@@ -546,6 +606,35 @@ def exclude_first_mwis(g, w):
     return np.array([best[1] >> v & 1 for v in range(n)], dtype=bool)
 
 
+@st.composite
+def float_weight_instances(draw):
+    """Stars of 5, 10, 30 and 39 leaves, ER graphs of up to 40 nodes, and
+    ER graphs scattered among isolated nodes, weighed with non-dyadic
+    floats: uniform, or integer backlog x fractional rate; some weights
+    zero of either sign."""
+    family = draw(st.sampled_from(["star", "er", "isolated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "star":
+        g = generate_star(draw(st.sampled_from([5, 10, 30, 39])))
+    elif family == "er":
+        g = generate_er(int(rng.integers(1, EXACT_NODE_CAP + 1)), rng.random(),
+                        rng)
+    else:
+        n = int(rng.integers(2, EXACT_NODE_CAP + 1))
+        core = generate_er(int(rng.integers(1, n)), rng.random(), rng)
+        labels = rng.permutation(n)
+        g = ConflictGraph.from_edges(
+            n, [(labels[i], labels[j]) for i, j in core.edges()])
+    n = g.node_count
+    if draw(st.booleans()):
+        w = rng.random(n) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    else:
+        w = baseline_utility(rng.integers(0, 40, n), rng.uniform(0.1, 2.0, n))
+    zero = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    w[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return g, w
+
+
 class TestFastPathProperties:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(queue_rate_pairs())
@@ -584,3 +673,11 @@ class TestFastPathProperties:
         assert got.dtype == bool and got.shape == (n,)
         assert got.flags.writeable
         assert np.array_equal(got, exclude_first_mwis(g, w))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(float_weight_instances())
+    def test_exact_equals_reference_on_floats(self, instance):
+        # every summation order gives a dyadic palette one sum; these
+        # weights pin the order, so the mask is the plain loops' mask
+        g, w = instance
+        assert np.array_equal(exact_mwis(g, w), reference_exact(g, w))

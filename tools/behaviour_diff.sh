@@ -108,7 +108,7 @@ CFG
         --out train-mixed-sizes
     run train-ba-mix train --config ba-mix.cfg --out train-ba-mix
     # er and tree have nodes with no or one neighbor
-    for family in star30 ba-mix er tree; do
+    for family in star5 star10 star30 ba-mix er tree; do
         run "generate-$family" generate --config "$family" --instances 4 \
             --mu 0.03,0.07 --horizon 48 --seed 5 --out "gen-$family"
     done
@@ -125,6 +125,13 @@ CFG
         --checkpoint train-default/checkpoint.ckpt --out eval-star30-lgs-last
     run eval-star30-no-lgs eval --instances gen-star30 \
         --policies greedy,exact --out eval-star30-no-lgs
+    # small stars whose hub and leaves weigh differently, so the exact
+    # solver's search ends with the hub in or with it out
+    for family in star5 star10; do
+        run "eval-$family" eval --instances "gen-$family" \
+            --policies baseline,greedy,exact,gcn \
+            --checkpoint train-default/checkpoint.ckpt --out "eval-$family"
+    done
     for family in ba-mix er tree; do
         run "eval-$family" eval --instances "gen-$family" \
             --policies baseline,greedy,gcn \
