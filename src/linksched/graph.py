@@ -3,7 +3,9 @@
 Vertices of a conflict graph are wireless links; an edge joins two links
 that interfere and therefore cannot transmit in the same time slot. A graph
 is stored once, as compressed sparse rows (CSR); every kernel reads those
-two arrays or a layout cached from them.
+two arrays or a layout cached from them. The random-graph generators build
+their edges as one (E, 2) array each, never as Python pairs, and hand it to
+:meth:`ConflictGraph.from_edges`.
 
 Instance files are read and written as whole columns: :func:`read_int_rows`
 parses a text table of integers in one call to numpy's C reader, and
@@ -79,10 +81,10 @@ class ConflictGraph:
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "ConflictGraph":
-        """Build a graph from an iterable of (i, j) pairs or an (E, 2)
-        array; repeated and mirrored pairs name one edge. A self-loop or an
-        endpoint outside 0..node_count-1 raises ValueError naming the first
-        such pair."""
+        """Build a graph from an (E, 2) array of (i, j) rows, as every
+        generator passes, or from any iterable of (i, j) pairs; repeated and
+        mirrored pairs name one edge. A self-loop or an endpoint outside
+        0..node_count-1 raises ValueError naming the first such pair."""
         if not isinstance(edges, np.ndarray):
             edges = [(i, j) for i, j in edges]
         pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
@@ -178,7 +180,9 @@ def generate_star(x: int) -> ConflictGraph:
     """Star graph: hub node 0 adjacent to peripheral nodes 1..x."""
     if x < 1:
         raise ValueError("star needs at least one peripheral node")
-    return ConflictGraph.from_edges(x + 1, [(0, i) for i in range(1, x + 1)])
+    leaves = np.arange(1, x + 1)
+    return ConflictGraph.from_edges(
+        x + 1, np.column_stack([np.zeros_like(leaves), leaves]))
 
 
 def generate_er(n: int, p: float,
@@ -191,30 +195,46 @@ def generate_er(n: int, p: float,
     gen = as_rng(rng)
     rows, cols = np.triu_indices(n, k=1)
     hit = gen.random(rows.size) < p
-    edges = zip(rows[hit].tolist(), cols[hit].tolist())
-    return ConflictGraph.from_edges(n, edges)
+    return ConflictGraph.from_edges(n, np.column_stack([rows[hit], cols[hit]]))
 
 
 def weighted_draw(gen: np.random.Generator, p: np.ndarray,
                   size: int) -> np.ndarray:
     """``gen.choice(p.size, size=size, replace=False, p=p)``, step for step.
 
-    It is numpy's own algorithm, so it returns the same indices and leaves
-    ``gen`` in the same state, but it keeps first occurrences with a dict
-    where numpy calls ``np.unique``. Each retry draws one ``gen.random`` for
-    every index still missing, zeroes the weights of those found, and
-    searches the normalized cumulative sum of the rest. ``p`` must be
-    non-negative with at least ``size`` nonzero entries and a positive sum.
+    It is numpy's own algorithm, so it returns the same int64 indices and
+    leaves ``gen`` in the same state. Each pass draws one ``gen.random`` for
+    every index still missing and searches (``side="right"``) the cumulative
+    sum of the weights, divided by its last entry; indices already found are
+    dropped and first occurrences kept in draw order, with an
+    insertion-ordered dict where numpy calls ``np.unique`` and sorts. The
+    first pass reads ``p`` as it is; a retry zeroes the weights of the
+    indices found in a copy, so ``p`` itself is never written.
+
+    Where numpy would refuse, this refuses too, instead of repeating an
+    index or drawing forever: a pass whose weights lack a positive finite
+    total raises ValueError naming ``size`` and the count of positive
+    weights. That happens when fewer than ``size`` weights are positive or
+    when one is NaN or infinite. Negative weights under a positive total
+    are not checked, since numpy's full check of ``p`` is most of the cost
+    of its ``choice``; the caller must not pass them.
     """
-    p = p.copy()
-    found: list[int] = []
+    weights, found = p, {}
     while len(found) < size:
+        if found:
+            weights = p.copy()
+            weights[list(found)] = 0
+        cdf = weights.cumsum()
+        total = cdf[-1]
+        if not 0 < total < np.inf:
+            raise ValueError(
+                f"cannot draw {size} distinct indices: {np.count_nonzero(p > 0)}"
+                f" of {p.size} weights are positive, and the weights left "
+                f"sum to {total}")
         x = gen.random(size - len(found))
-        p[found] = 0
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        found += dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
-    return np.array(found, dtype=np.int64)
+        cdf /= total
+        found.update(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+    return np.fromiter(found, np.int64, size)
 
 
 def generate_ba(n: int, m: int,
@@ -223,22 +243,30 @@ def generate_ba(n: int, m: int,
 
     Starts from m isolated seed nodes; each new node attaches to m distinct
     existing nodes chosen with probability proportional to current degree
-    (uniformly while all degrees are still zero). The result always has
-    exactly (n - m) * m edges.
+    (uniformly while all degrees are still zero), by :func:`weighted_draw`.
+    The result always has exactly (n - m) * m edges.
+
+    The degree total before node ``new`` is ``2 m (new - m)``, since every
+    node added so far gave m to its own degree and 1 to each of its m
+    targets; integers below 2**53 sum exactly in float64 in any order, so
+    this equals the sum of the degree array bit for bit. Each node's
+    targets fill one row of an (n - m, m) array, from which the edges are
+    built once, as an (E, 2) array.
     """
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     gen = as_rng(rng)
     degree = np.zeros(n, dtype=np.float64)
-    edges: list[tuple[int, int]] = []
+    targets = np.empty((n - m, m), dtype=np.int64)
     for new in range(m, n):
-        total = degree[:new].sum()
+        total = 2.0 * m * (new - m)
         probs = degree[:new] / total if total else np.full(new, 1.0 / new)
-        targets = weighted_draw(gen, probs, m)
-        edges += [(t, new) for t in targets.tolist()]
-        degree[targets] += 1
-        degree[new] += m
-    return ConflictGraph.from_edges(n, edges)
+        found = targets[new - m] = weighted_draw(gen, probs, m)
+        degree[found] += 1
+        degree[new] = m
+    sources = np.repeat(np.arange(m, n), m)
+    return ConflictGraph.from_edges(
+        n, np.column_stack([targets.ravel(), sources]))
 
 
 def generate_power_law_tree(n: int, gamma: float,
@@ -261,13 +289,13 @@ def generate_power_law_tree(n: int, gamma: float,
     pmf /= pmf.sum()
     targets = gen.choice(n - 1, size=n, p=pmf) + 1
     degree = np.zeros(n, dtype=np.int64)
-    edges: list[tuple[int, int]] = []
+    parents = np.empty(n - 1, dtype=np.int64)
     for new in range(1, n):
         budget = np.maximum(targets[:new] - degree[:new], 1).astype(np.float64)
-        parent = int(gen.choice(new, p=budget / budget.sum()))
-        edges.append((parent, new))
+        parent = parents[new - 1] = gen.choice(new, p=budget / budget.sum())
         degree[[parent, new]] += 1
-    return ConflictGraph.from_edges(n, edges)
+    return ConflictGraph.from_edges(
+        n, np.column_stack([parents, np.arange(1, n)]))
 
 
 def normalized_laplacian(graph: ConflictGraph) -> np.ndarray:

@@ -1,6 +1,10 @@
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import linksched
 from linksched.graph import (ConflictGraph, centralization, generate_ba,
                              generate_er, generate_power_law_tree,
                              generate_star, is_independent_mask,
                              load_graph, normalized_laplacian, save_graph,
                              weighted_draw)
-from linksched.presets import STAR_MAX_NODES, parse_graph_config
+from linksched.presets import (BA_MIX_ATTACH, BA_MIX_SIZES, STAR_MAX_NODES,
+                               parse_graph_config)
 
 
 def nbrs(g, v):
@@ -33,6 +39,26 @@ def laplacian_oracle(n, edges):
     for v in range(n):
         want[v, v] = 1.0 if deg[v] else 0.0
     return want
+
+
+def reference_ba(n, m, gen):
+    # the preferential-attachment loop on numpy's own draw: the degree
+    # array summed per added node, gen.choice, and a list of edge tuples
+    degree = np.zeros(n, dtype=np.float64)
+    edges = []
+    for new in range(m, n):
+        total = degree[:new].sum()
+        probs = degree[:new] / total if total else np.full(new, 1.0 / new)
+        targets = gen.choice(new, size=m, replace=False, p=probs)
+        edges += [(t, new) for t in targets.tolist()]
+        degree[targets] += 1
+        degree[new] += m
+    return ConflictGraph.from_edges(n, edges)
+
+
+def assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
 
 
 def assert_valid_graph(g):
@@ -162,11 +188,69 @@ class TestBarabasiAlbert:
         size = data.draw(st.integers(1, nonzero)
                          | st.integers(max(1, nonzero - 3), nonzero))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        numpy_gen, our_gen = (np.random.default_rng(seed) for _ in range(2))
+        numpy_gen = np.random.default_rng(seed)
         want = numpy_gen.choice(n, size=size, replace=False, p=p)
-        got = weighted_draw(our_gen, p, size)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert our_gen.bit_generator.state == numpy_gen.bit_generator.state
+        # the same weights as every other entry of a larger array, between
+        # NaNs that a read past the view would pick up
+        wide = np.full(2 * n, np.nan)
+        wide[::2] = p
+        for weights, base in ((p, p), (wide[::2], wide)):
+            held = base.tobytes()
+            our_gen = np.random.default_rng(seed)
+            got = weighted_draw(our_gen, weights, size)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert our_gen.bit_generator.state == numpy_gen.bit_generator.state
+            assert base.tobytes() == held
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0],
+                                         [math.nan, 0.5, 0.5]],
+                             ids=["too-few-positive", "all-zero", "nan"])
+    def test_weighted_draw_refuses_what_choice_refuses(self, weights):
+        p = np.array(weights)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, size=3, replace=False, p=p)
+        # in a child process, so a draw that never ends fails on the timeout
+        code = ("import json, sys\n"
+                "import numpy as np\n"
+                "from linksched.graph import weighted_draw\n"
+                "p = np.array(json.loads(sys.argv[1]))\n"
+                "try:\n"
+                "    print(weighted_draw(np.random.default_rng(0), p, 3))\n"
+                "except ValueError as error:\n"
+                "    print('ValueError:', error)\n")
+        src = str(Path(linksched.__file__).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(weights)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert child.returncode == 0, child.stderr
+        positive = np.count_nonzero(p > 0)
+        assert child.stdout.startswith(
+            f"ValueError: cannot draw 3 distinct indices: {positive} of 3 "
+            "weights are positive"), child.stdout
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.data())
+    def test_equals_reference_ba(self, data):
+        # m = 1 is a tree, m <= 20 covers the presets, and m >= n - 3 draws
+        # most of the existing nodes, where retries are most frequent
+        n = data.draw(st.integers(2, 320))
+        m = data.draw(st.integers(1, n - 1) | st.integers(1, min(20, n - 1))
+                      | st.sampled_from([1, n - 1])
+                      | st.integers(max(1, n - 3), n - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ours, numpys = (np.random.default_rng(seed) for _ in range(2))
+        assert_same_csr(generate_ba(n, m, ours), reference_ba(n, m, numpys))
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_ba_mix_equals_reference(self):
+        for seed in range(6):
+            ours, numpys = (np.random.default_rng(seed) for _ in range(2))
+            got = parse_graph_config("ba-mix").build(ours)
+            n = int(numpys.choice(BA_MIX_SIZES))
+            m = int(numpys.choice(BA_MIX_ATTACH))
+            assert_same_csr(got, reference_ba(n, m, numpys))
+            assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestPowerLawTree:

@@ -112,6 +112,12 @@ CFG
         run "generate-$family" generate --config "$family" --instances 4 \
             --mu 0.03,0.07 --horizon 48 --seed 5 --out "gen-$family"
     done
+    # ba-m20 draws with the most retries of any preset, and in ba-m69 one
+    # added node draws all 69 seed nodes from the uniform start
+    for family in ba-m20 ba-m69; do
+        run "generate-$family" generate --config "$family" --instances 4 \
+            --mu 0.03,0.07 --horizon 8 --seed 5 --out "gen-$family"
+    done
     run eval-star30 eval --instances gen-star30 \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30
