@@ -7,11 +7,11 @@ two arrays or a layout cached from them. The random-graph generators build
 their edges as one (E, 2) array each, never as Python pairs, and hand it to
 :meth:`ConflictGraph.from_edges`.
 
-Instance files are read and written as whole columns: :func:`read_int_rows`
-parses a text table of integers in one call to numpy's C reader, and
-:func:`scan_int_rows`, its line-by-line twin, runs only after a refusal to
-name the offending line. ``graph.txt`` and ``sim``'s ``trace.csv`` both use
-them, and both state their size in a header, so a file cut short is refused.
+Instance files are read and written as whole columns, in one layout each.
+:func:`read_int_rows`, the one reader of integer tables, parses a text in
+one call to numpy's C reader and names the first line that is no row. The
+readers of ``graph.txt`` and ``sim``'s ``trace.csv`` check its rows against
+their writer's, and each file states its size in a header.
 """
 
 from __future__ import annotations
@@ -276,7 +276,8 @@ def generate_power_law_tree(n: int, gamma: float,
 
     Target degrees (d >= 1) are drawn per node, then node i >= 1 attaches to
     an existing node picked with probability proportional to its remaining
-    target-degree budget, floored at 1 so attachment never stalls. The
+    target-degree budget, floored at 1 so attachment never stalls, by
+    :func:`weighted_draw`, which draws as numpy's ``choice`` does. The
     output is always connected with n - 1 edges.
     """
     if n < 2:
@@ -292,7 +293,8 @@ def generate_power_law_tree(n: int, gamma: float,
     parents = np.empty(n - 1, dtype=np.int64)
     for new in range(1, n):
         budget = np.maximum(targets[:new] - degree[:new], 1).astype(np.float64)
-        parent = parents[new - 1] = gen.choice(new, p=budget / budget.sum())
+        parent = parents[new - 1] = weighted_draw(gen, budget / budget.sum(),
+                                                  1)[0]
         degree[[parent, new]] += 1
     return ConflictGraph.from_edges(
         n, np.column_stack([parents, np.arange(1, n)]))
@@ -348,83 +350,54 @@ def is_independent_mask(graph: ConflictGraph, members, *,
 
 # --- integer text tables ------------------------------------------------------
 
-INT64_MAX = 2**63 - 1
 
-
-def _loadtxt_int64(lines, delimiter: str | None) -> np.ndarray:
-    """``np.loadtxt`` of int64 rows, with any warning raised as an error:
-    numpy 1.x reads a field such as ``1.0`` as 1 and only warns."""
+def _loadtxt_int64(lines, width: int, delimiter: str | None):
+    """``np.loadtxt`` of int64 rows ``width`` fields wide, or None when
+    numpy refuses ``lines`` or they are another width. A warning counts as
+    a refusal: numpy 1.x reads a field such as ``1.0`` as 1 and only warns,
+    and an empty input warns."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.loadtxt(lines, dtype=np.int64, delimiter=delimiter,
-                          comments=None, ndmin=2)
-
-
-def read_int_rows(text: str, width: int,
-                  delimiter: str | None = None) -> np.ndarray | None:
-    """The lines of ``text`` as an (R, width) int64 array, parsed in one
-    ``np.loadtxt`` call (numpy's C reader), or None when that reader refuses
-    a line or the rows are not ``width`` fields wide.
-
-    Fields are split at ``delimiter``, or at runs of whitespace when it is
-    None. The reader skips empty lines, and with a None delimiter also
-    whitespace-only ones; a caller that refuses blank lines compares the row
-    count with the line count. :func:`scan_int_rows` names a refused line.
-    """
-    if not text or text.isspace():  # loadtxt would warn about no data
-        return np.empty((0, width), dtype=np.int64)
-    try:
-        rows = _loadtxt_int64(io.StringIO(text), delimiter)
-    except (ValueError, Warning):
-        return None
+        try:
+            rows = np.loadtxt(lines, dtype=np.int64, delimiter=delimiter,
+                              comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
     return rows if rows.shape[1] == width else None
 
 
-def scan_int_rows(text: str, width: int, delimiter: str | None = None,
-                  skip_blank: bool = False):
-    """Line-by-line twin of :func:`read_int_rows`, run after it refused
-    ``text``, to name the refused line.
+def read_int_rows(text: str, width: int, delimiter: str | None = None):
+    """The lines of ``text`` (each ends at ``\\n``, the last may lack it) as
+    int64 rows: ``(rows, stop)``, ``rows`` an (R, width) int64 array and
+    ``stop`` None, or the first line that is no row, as (0-based index,
+    text), with the rows before it. A row splits at ``delimiter`` (runs of
+    whitespace when None) into ``width`` fields that numpy's reader parses
+    as int64, so a blank line and a field past int64 are refused too.
 
-    Lines end at ``\\n``. Each line must split into ``width`` fields that
-    numpy's reader parses alone; a row of integers that only misses int64
-    is kept as ``int()`` reads it, for the caller's range checks to name.
-    Blank lines are refused unless ``skip_blank``, which skips
-    whitespace-only lines. Returns ``(rows, lines, stop)``: the rows before
-    the first refused line as an (R, width) object array of Python ints,
-    their 0-based line indices, and that line as (index, text), or None.
+    One ``np.loadtxt`` call parses the whole text, and its result stands
+    when it holds one row per line; otherwise the lines are parsed one at
+    a time, up to the refused one.
     """
-    pieces = text.split("\n")
-    if pieces[-1] == "":
-        pieces.pop()
-    rows, lines, stop = [], [], None
-    for k, line in enumerate(pieces):
-        if skip_blank and not line.strip():
-            continue
-        fields = line.split(delimiter)
-        row = []
-        if len(fields) == width:
-            try:
-                row = _loadtxt_int64([line], delimiter).ravel().tolist()
-            except (ValueError, Warning):
-                try:
-                    ints = [int(field) for field in fields]
-                except ValueError:
-                    ints = []
-                if any(not -INT64_MAX - 1 <= x <= INT64_MAX for x in ints):
-                    row = ints
-        if len(row) != width:
+    count = text.count("\n") + (text[-1:] not in ("", "\n"))
+    rows = _loadtxt_int64(io.StringIO(text), width, delimiter)
+    if rows is not None and len(rows) == count:
+        return rows, None
+    rows, stop = [], None
+    for k, line in enumerate(text.split("\n")[:count]):
+        row = _loadtxt_int64([line], width, delimiter)
+        if row is None:
             stop = (k, line)
             break
-        rows.append(row)
-        lines.append(k)
-    return np.array(rows, dtype=object).reshape(-1, width), lines, stop
+        rows.append(row[0])
+    return np.array(rows, dtype=np.int64).reshape(-1, width), stop
 
 
 def save_graph(graph: ConflictGraph, path) -> None:
     """Write the edge-list text format, byte for byte: ``nodes <V>\\n`` and
     ``edges <E>\\n``, then ``<i> <j>\\n`` per row of
     :meth:`ConflictGraph.edge_array` (i < j, sorted), in decimal with one
-    space; every line ends in ``\\n``."""
+    space; every line ends in ``\\n``. This is the one layout
+    :func:`load_graph` reads."""
     pairs = graph.edge_array()
     text = "%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist())
     Path(path).write_text(f"nodes {graph.node_count}\nedges {len(pairs)}\n"
@@ -432,26 +405,25 @@ def save_graph(graph: ConflictGraph, path) -> None:
 
 
 def _edge_fault(pairs: np.ndarray, n: int) -> tuple[int, str] | None:
-    """(row, reason) of the first self-looped, out-of-range or repeated
-    edge row, in file order; a repeat names the edge of an earlier row, in
-    either orientation."""
+    """(row, reason) of the first edge row, in file order, that is a
+    self-loop, has an endpoint outside 0..n-1, or is not i < j after the
+    row before it; None if none. The first row out of range is the first
+    fault, so clipping leaves every key before it exact."""
     i, j = pairs.T
     loop = i == j
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
-    key = np.where(loop | outside, -1 - np.arange(len(pairs)),
-                   np.minimum(i, j) * n + np.maximum(i, j))
-    repeat = np.ones(len(pairs), dtype=bool)
-    repeat[np.unique(key, return_index=True)[1]] = False  # first of each
-    bad = loop | outside | repeat
+    key = i.clip(0, n) * n + j.clip(0, n)
+    disorder = (i > j) | (np.diff(key, prepend=-1) <= 0)
+    bad = loop | outside | disorder
     if not bad.any():
         return None
     k = int(bad.argmax())
-    a, b = (int(x) for x in pairs[k])
+    a, b = pairs[k].tolist()
     if loop[k]:
         return k, f"self-loop at node {a}"
     if outside[k]:
         return k, f"edge ({a},{b}) out of range for {n} nodes"
-    return k, f"repeated edge ({a},{b})"
+    return k, f"edge ({a},{b}) out of order: edges run i < j, ascending"
 
 
 def _header_count(path, line: int, text: str, key: str) -> int:
@@ -468,16 +440,17 @@ def _header_count(path, line: int, text: str, key: str) -> int:
 
 
 def load_graph(path, max_nodes: int) -> ConflictGraph:
-    """Read the edge-list text format written by :func:`save_graph`, for a
-    caller that accepts graphs of at most ``max_nodes`` nodes.
+    """Read the edge-list text format exactly as :func:`save_graph` writes
+    it, for a caller that accepts graphs of at most ``max_nodes`` nodes.
 
-    The edge lines are parsed in one :func:`read_int_rows` call; blank lines
-    among them are allowed. Fails closed, raising ValueError naming the path
-    and line: a malformed header line, a node count outside
-    [1, max_nodes] (refused at line 1, before anything is sized by it), an
-    edge count outside [0, V(V-1)/2], then the first malformed, self-looped,
-    out-of-range or repeated edge row in file order, and last a number of
-    edge rows other than the edge count.
+    The edge lines are parsed in one :func:`read_int_rows` call and checked
+    as arrays. Fails closed, raising ValueError naming the path and line: a
+    malformed header line, a node count outside [1, max_nodes] (refused at
+    line 1, before anything is sized by it), an edge count outside
+    [0, V(V-1)/2], then the first edge row, in file order, that is a
+    self-loop, out of range or not i < j after the row before it (a
+    repeated or mirrored edge among them), the first line that is no row
+    (a blank one among them), and last a wrong number of edge rows.
     """
     text = Path(path).read_text()
     if not text:
@@ -492,23 +465,20 @@ def load_graph(path, max_nodes: int) -> ConflictGraph:
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"{path}: line 2: edge count {m} is outside "
                          f"[0, {n * (n - 1) // 2}] for {n} nodes")
-    pairs = read_int_rows(body, 2)
-    if pairs is None or len(pairs) != m or _edge_fault(pairs, n) is not None:
-        pairs, lines, stop = scan_int_rows(body, 2, skip_blank=True)
-        fault = _edge_fault(pairs, n)
-        if fault is not None:
-            k, reason = fault
-            raise ValueError(f"{path}: line {lines[k] + 3}: {reason}")
-        if stop is not None:
-            k, line = stop
-            reason = "expected 'i j' pair" if len(line.split()) != 2 \
-                else "non-integer endpoint"
-            raise ValueError(f"{path}: line {k + 3}: {reason}")
-        if len(pairs) > m:
-            raise ValueError(f"{path}: line {lines[m] + 3}: edge row {m + 1} "
-                             f"beyond the edge count {m} of line 2")
-        if len(pairs) < m:
-            line_count = body.count("\n") + (body[-1:] not in ("", "\n"))
-            raise ValueError(f"{path}: line {line_count + 3}: "
-                             f"{m - len(pairs)} of {m} edge rows missing")
+    pairs, stop = read_int_rows(body, 2)
+    fault = _edge_fault(pairs, n)
+    if fault is not None:
+        k, reason = fault
+        raise ValueError(f"{path}: line {k + 3}: {reason}")
+    if stop is not None:
+        k, line = stop
+        reason = "expected 'i j' pair" if len(line.split()) != 2 \
+            else "non-integer endpoint, or one outside int64"
+        raise ValueError(f"{path}: line {k + 3}: {reason}")
+    if len(pairs) > m:
+        raise ValueError(f"{path}: line {m + 3}: edge row {m + 1} beyond "
+                         f"the edge count {m} of line 2")
+    if len(pairs) < m:
+        raise ValueError(f"{path}: line {len(pairs) + 3}: "
+                         f"{m - len(pairs)} of {m} edge rows missing")
     return ConflictGraph.from_edges(n, pairs)

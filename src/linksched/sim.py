@@ -25,22 +25,23 @@ summarizes ratios that may be inf.
 
 Traces are stored as ``trace.csv``: :func:`save_trace` formats the whole
 (slot, node) column block in one string operation, and :func:`load_trace`
-parses it in one :func:`~linksched.graph.read_int_rows` call, then checks
-every row at once as array operations.
+reads back only that layout: one :func:`~linksched.graph.read_int_rows`
+call, one check that row k reads (t, node) = (k // V, k % V), and the
+arrival and rate columns as they stand.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .graph import (INT64_MAX, ConflictGraph, as_rng, is_independent_mask,
-                    read_int_rows, scan_int_rows)
+from .graph import ConflictGraph, as_rng, is_independent_mask, read_int_rows
 from .solvers import baseline_utility, exact_mwis, greedy_centralized, lgs_rows
 
 RATE_MEAN = 50.0
@@ -151,13 +152,13 @@ class EpisodeResult:
 
 
 def run_episode(graph: ConflictGraph, policies: Sequence,
-                *traces: TrafficTrace, q0=None,
+                *traces: TrafficTrace,
                 steps: int | None = None) -> list[EpisodeResult]:
     """Run every policy on every trace for ``steps`` slots (default: the
     traces' full horizon, which must then be one) in lockstep, every row
-    from ``q0`` (default: empty queues); returns one :class:`EpisodeResult`
-    per (trace, policy) pair, trace-major: with P policies, result
-    k * P + p is policy p on trace k.
+    from empty queues, so no queue exceeds its trace's bound on arrivals;
+    returns one :class:`EpisodeResult` per (trace, policy) pair,
+    trace-major: with P policies, result k * P + p is policy p on trace k.
 
     A policy is its ``utilities(graph, q, r)`` and a ``solver`` name (see
     :mod:`~linksched.policies`). A slot's rows form a (P, K, V) block,
@@ -200,14 +201,7 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     picks = [slice(start[p], start[p] + k) for p in range(count)]
     others = [(row, solve[policies[p].solver]) for p in order[len(lgs):]
               for row in range(start[p], start[p] + k)]
-    queues = np.empty((horizon + 1, rows, n), dtype=np.int64)
-    if q0 is None:
-        queues[0] = 0
-    else:
-        first = np.asarray(q0, dtype=np.int64)
-        if first.shape != (n,) or (first < 0).any():
-            raise ValueError("initial queues must be non-negative, one per node")
-        queues[0] = first
+    queues = np.zeros((horizon + 1, rows, n), dtype=np.int64)
     states = queues.view()
     states.setflags(write=False)
     members = np.empty((horizon, rows, n), dtype=bool)
@@ -371,7 +365,8 @@ def save_trace(trace: TrafficTrace, path) -> None:
     the header ``t,node,arrival,rate\\r\\n``, then one
     ``<t>,<node>,<arrival>,<rate>\\r\\n`` row per (slot, node), slot-major,
     all in decimal. The ``\\r\\n`` ends are those of the csv module's
-    writer, which wrote this format first."""
+    writer, which wrote this format first. This is the one layout
+    :func:`load_trace` reads."""
     t, v = np.divmod(np.arange(trace.arrivals.size), trace.node_count)
     block = np.column_stack([t, v, trace.arrivals.ravel(),
                              trace.rates.ravel()])
@@ -384,56 +379,59 @@ def save_trace(trace: TrafficTrace, path) -> None:
 def _trace_fault(rows: np.ndarray, horizon: int,
                  nodes: int) -> tuple[int, str] | None:
     """(row, reason) of the first (t, node, arrival, rate) row, in file
-    order, with (t, node) outside horizon x nodes, an arrival or rate
-    outside [0, 2**63), or the (t, node) of an earlier row; None if none.
-    ``rows`` is int64, or object when a value may miss int64."""
-    t, v, a, r = rows.T
-    outside = (t < 0) | (t >= horizon) | (v < 0) | (v >= nodes)
-    negative = (a < 0) | (a > INT64_MAX) | (r < 0) | (r > INT64_MAX)
-    cell = np.where(outside, -1 - np.arange(len(rows)), t * nodes + v)
-    repeat = np.ones(len(rows), dtype=bool)
-    repeat[np.unique(cell, return_index=True)[1]] = False  # first of each
-    bad = outside | negative | repeat
+    order, that is not where :func:`save_trace` puts it, row k reading
+    (t, node) = (k // nodes, k % nodes) for k < horizon * nodes, or whose
+    arrival or rate is negative; None if every row is in place."""
+    slot, node = np.divmod(np.arange(len(rows)), nodes)
+    moved = (rows[:, 0] != slot) | (rows[:, 1] != node) | (slot >= horizon)
+    bad = moved | (rows[:, 2:] < 0).any(axis=1)
     if not bad.any():
         return None
     k = int(bad.argmax())
-    tk, vk, ak, rk = (int(x) for x in rows[k])
-    if outside[k]:
-        return k, f"(t, node) = ({tk}, {vk}) outside {horizon} x {nodes}"
-    if negative[k]:
-        return k, f"arrival {ak} and rate {rk} must lie in [0, 2**63)"
-    return k, f"duplicate row for (t, node) = ({tk}, {vk})"
+    t, v, a, r = rows[k].tolist()
+    if not moved[k]:
+        return k, f"arrival {a} and rate {r} must lie in [0, 2**63)"
+    want = f"({slot[k]}, {node[k]})" if slot[k] < horizon else \
+        f"no row after the {horizon} x {nodes} of line 1"
+    return k, f"(t, node) = ({t}, {v}), expected {want}"
 
 
 def load_trace(path, nodes: int) -> TrafficTrace:
-    """Read a trace written by :func:`save_trace` for a graph of ``nodes``
-    nodes.
+    """Read a trace exactly as :func:`save_trace` writes it, for a graph of
+    ``nodes`` nodes.
 
     The rows are parsed in one :func:`~linksched.graph.read_int_rows` call
-    and checked as arrays; only a refused parse scans line by line. Fails
-    closed: missing or non-integer metadata, a metadata node count other
-    than ``nodes``, metadata promising more rows than the file has bytes
-    for, a wrong header, a blank row, a row that is not four integers, a
-    ``(t, node)`` out of range or repeated, an arrival or rate outside
-    [0, 2**63), and a file without one row per (slot, node) each raise
-    ValueError naming the path and the first offending line in file order;
-    arrivals on one link summing past 2**63 - 1 raise one naming the path.
+    and checked as arrays. Fails closed: a metadata field other than the
+    decimal ``seed`` (or ``None``), ``nodes`` and ``horizon`` in that order
+    (named by its place), a node count other than ``nodes``, more rows than
+    the file has bytes for, a wrong header, a row k that does not read
+    (t, node) = (k // V, k % V) with k < T V (a row moved, repeated, out of
+    range or extra), a negative arrival or rate, a line that is no row (a
+    blank one among them), and a missing row each raise ValueError naming
+    the path and the first offending line in file order; arrivals on one
+    link summing past 2**63 - 1 raise one naming the path.
     """
     with open(path) as fh:
         file_bytes = os.fstat(fh.fileno()).st_size
         text = fh.read()
     meta_line, _, rest = text.partition("\n")
-    meta_line = meta_line.strip()
-    if not meta_line.startswith("#"):
+    words = meta_line.split(" ")
+    if words[0] != "#":
         raise ValueError(f"{path}: line 1: missing trace metadata comment")
-    try:
-        meta = dict(part.split("=", 1) for part in meta_line[1:].split())
-        seed = None if meta.get("seed") in (None, "None") \
-            else int(meta["seed"])
-        meta_nodes, horizon = int(meta["nodes"]), int(meta["horizon"])
-    except (KeyError, ValueError):
-        raise ValueError(f"{path}: line 1: trace metadata needs integer "
-                         "nodes and horizon") from None
+    values = []
+    for k, key in enumerate(("seed", "nodes", "horizon"), 1):
+        word = words[k] if k < len(words) else ""
+        value = word.removeprefix(f"{key}=")
+        if value == word or not re.fullmatch(
+                "-?[0-9]+" + "|None" * (key == "seed"), value):
+            form = "<int or None>" if key == "seed" else "<int>"
+            raise ValueError(f"{path}: line 1: metadata field {k} reads "
+                             f"'{word}', expected '{key}={form}'")
+        values.append(None if value == "None" else int(value))
+    if len(words) > 4:
+        raise ValueError(f"{path}: line 1: metadata field 4 reads "
+                         f"'{words[4]}', expected the end of the line")
+    seed, meta_nodes, horizon = values
     if meta_nodes != nodes or horizon < 1:
         raise ValueError(f"{path}: line 1: trace of {horizon} slots x "
                          f"{meta_nodes} nodes; the graph has {nodes}")
@@ -445,29 +443,20 @@ def load_trace(path, nodes: int) -> TrafficTrace:
     header, _, body = rest.partition("\n")
     if header != TRACE_HEADER:
         raise ValueError(f"{path}: line 2: unexpected trace header")
-    line_count = body.count("\n") + (body[-1:] not in ("", "\n"))
-    rows, stop = read_int_rows(body, 4, ","), None
-    # the reader skips blank lines, which a trace refuses
-    if rows is None or len(rows) != line_count:
-        rows, _, stop = scan_int_rows(body, 4, ",")
-    # rows before any refused line sit on consecutive lines from line 3
+    rows, stop = read_int_rows(body, 4, ",")
     fault = _trace_fault(rows, horizon, nodes)
     if fault is not None:
         k, reason = fault
         raise ValueError(f"{path}: line {k + 3}: {reason}")
     if stop is not None:
         raise ValueError(f"{path}: line {stop[0] + 3}: expected four "
-                         "integer fields")
+                         "integer fields, each within int64")
     if len(rows) < size:
         raise ValueError(f"{path}: line {len(rows) + 2}: "
                          f"{size - len(rows)} of {size} (t, node) rows "
                          "missing")
-    t, v, a, r = np.asarray(rows, dtype=np.int64).T
-    cell = t * nodes + v
-    arrivals, rates = np.empty(size, np.int64), np.empty(size, np.int64)
-    arrivals[cell], rates[cell] = a, r
+    arrivals, rates = rows[:, 2:].T.reshape(2, horizon, nodes)
     try:
-        return TrafficTrace(arrivals.reshape(horizon, nodes),
-                            rates.reshape(horizon, nodes), seed)
+        return TrafficTrace(arrivals, rates, seed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -982,7 +982,8 @@ class TestMainEntry:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("row, message", [
-        ("0,0,100000000000000000000000,5", "line 3: arrival"),
+        ("0,0,100000000000000000000000,5",
+         "line 3: expected four integer fields, each within int64"),
         ("0,0,-1,5", "line 3: arrival -1"),
     ], ids=["overflow", "negative"])
     def test_trace_field_out_of_int64_names_line(self, small_instances,
@@ -997,6 +998,29 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace}: {message}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["trace.csv", "graph.txt"])
+    def test_hand_edited_instance_refused(self, tmp_path, capsys, name):
+        # generate writes one layout per file, and eval reads no other: two
+        # trace rows swapped, or a blank line among the edges, is refused
+        # at its line before any output is written
+        instances = tmp_path / "inst"
+        cmd_generate(ExperimentConfig("star30", (0.05,), instances=2,
+                                      horizon=4, seed=2), instances)
+        path = instances / "instance_0001" / name
+        lines = path.read_text().splitlines()
+        if name == "trace.csv":
+            lines[3], lines[4] = lines[4], lines[3]  # rows (0, 1) and (0, 2)
+            reason = "line 4: (t, node) = (0, 2), expected (0, 1)"
+        else:
+            lines.insert(10, "")
+            reason = "line 11: expected 'i j' pair"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        out = tmp_path / "eval"
+        assert main(["eval", "--instances", str(instances), "--policies",
+                     "baseline,greedy", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        assert not out.exists()
 
     def test_replay_capacity_overflow_fails_closed(self, tmp_path, capsys):
         conf = tmp_path / "train.cfg"

@@ -56,6 +56,22 @@ def reference_ba(n, m, gen):
     return ConflictGraph.from_edges(n, edges)
 
 
+def reference_power_law_tree(n, gamma, gen):
+    # the tree loop on numpy's own draw: gen.choice of one parent per added
+    # node, and a list of edge tuples
+    pmf = np.arange(1, n, dtype=np.float64) ** (-gamma)
+    targets = gen.choice(n - 1, size=n, p=pmf / pmf.sum()) + 1
+    degree = np.zeros(n, dtype=np.int64)
+    edges = []
+    for new in range(1, n):
+        budget = np.maximum(targets[:new] - degree[:new], 1).astype(np.float64)
+        parent = int(gen.choice(new, p=budget / budget.sum()))
+        edges.append((parent, new))
+        degree[parent] += 1
+        degree[new] += 1
+    return ConflictGraph.from_edges(n, edges)
+
+
 def assert_same_csr(got, want):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
@@ -280,6 +296,17 @@ class TestPowerLawTree:
         assert (generate_power_law_tree(40, 3.0, 5).edges()
                 == generate_power_law_tree(40, 3.0, 5).edges())
 
+    @pytest.mark.parametrize("n, gamma", [(50, 3.0), (2, 3.0), (3, 1.5),
+                                          (120, 2.2)])
+    def test_equals_reference_tree(self, n, gamma):
+        # each parent is weighted_draw's one draw, numpy's choice step for
+        # step: the same trees, and the generator left in the same state
+        for seed in range(40):
+            ours, numpys = (np.random.default_rng(seed) for _ in range(2))
+            got = generate_power_law_tree(n, gamma, ours)
+            assert_same_csr(got, reference_power_law_tree(n, gamma, numpys))
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
 
 class TestLaplacian:
     def test_single_edge(self):
@@ -486,6 +513,9 @@ class TestValidation:
             ConflictGraph([0, 2, 3, 4], [2, 1, 0, 0])
 
 
+OUT_OF_ORDER = "out of order: edges run i < j, ascending"
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         g = generate_er(20, 0.3, 4)
@@ -505,22 +535,33 @@ class TestSerialization:
         assert path.read_text() == "nodes 4\nedges 0\n"
         assert load_graph(path, 4).edge_count == 0
 
-    def test_blank_lines_allowed(self, tmp_path):
+    def test_blank_lines_refused(self, tmp_path):
+        # save_graph writes no blank line, so one is refused where it stands
         path = tmp_path / "graph.txt"
-        path.write_text("nodes 3\nedges 2\n\n0 1\n  \n\t2 0 \n\n")
-        assert load_graph(path, 3).edges() == [(0, 1), (0, 2)]
+        for body, line in (("\n0 1\n0 2\n", 3), ("0 1\n  \n0 2\n", 4),
+                           ("0 1\n\t\n0 2\n", 4), ("0 1\n0 2\n\n", 5)):
+            path.write_text(f"nodes 3\nedges 2\n{body}")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: line {line}: expected 'i j' pair")):
+                load_graph(path, 3)
 
     @pytest.mark.parametrize("line, reason", [
         ("0 1_0", "non-integer endpoint"), ('"0" 1', "non-integer endpoint"),
         ("0 1.0", "non-integer endpoint"), ("0 1 2", "expected 'i j' pair"),
-        ("0 100000000000000000000000", "edge (0,100000000000000000000000) "
-                                       "out of range for 3 nodes")])
+        ("0 100000000000000000000000",
+         "non-integer endpoint, or one outside int64")])
     def test_bad_edge_after_blank_lines_names_line(self, tmp_path, line,
                                                    reason):
+        # the blank line before the bad edge line is refused first; without
+        # it, the bad line is refused at its own line
         path = tmp_path / "graph.txt"
         path.write_text(f"nodes 3\nedges 3\n0 1\n\n{line}\n1 2\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: line 5: {reason}")):
+                f"{path}: line 4: expected 'i j' pair")):
+            load_graph(path, 3)
+        path.write_text(f"nodes 3\nedges 3\n0 1\n{line}\n1 2\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 4: {reason}")):
             load_graph(path, 3)
 
     def test_bad_header(self, tmp_path):
@@ -537,7 +578,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text, line", [
         ("nodes 0\n", 1), ("nodes -2\n", 1), ("nodes 3\n0 1\n0 5\n", 3),
-        ("nodes 3\n\n1 1\n", 3), ("nodes 3\n-1 2\n", 2), ("nodes 4\n", 1),
+        ("nodes 3\n\n1 1\n", 2), ("nodes 3\n-1 2\n", 2), ("nodes 4\n", 1),
         ("nodes 100000000000\n0 1\n", 1)])
     def test_bad_graph_names_path_and_line(self, tmp_path, text, line):
         # the cases are written without the edge-count line: it is inserted
@@ -559,17 +600,20 @@ class TestSerialization:
         ("nodes 3\nedges -1\n", 2, "edge count -1 is outside [0, 3]"),
         ("nodes 3\nedges 4\n", 2, "edge count 4 is outside [0, 3]"),
         ("nodes 3\nedges 2\n0 1\n", 4, "1 of 2 edge rows missing"),
-        ("nodes 3\nedges 2\n0 1\n\n", 5, "1 of 2 edge rows missing"),
-        ("nodes 3\nedges 1\n0 1\n\n1 2\n", 5,
+        ("nodes 3\nedges 2\n0 1\n\n", 4, "expected 'i j' pair"),
+        ("nodes 3\nedges 1\n0 1\n1 2\n", 4,
          "edge row 2 beyond the edge count 1 of line 2"),
-        ("nodes 3\nedges 2\n0 1\n1 0\n", 4, "repeated edge (1,0)"),
-        ("nodes 3\nedges 3\n1 2\n0 1\n1 2\n", 5, "repeated edge (1,2)"),
-        ("nodes 3\nedges 3\n0 1\n0 1\njunk\n", 4, "repeated edge (0,1)"),
+        ("nodes 3\nedges 2\n0 1\n1 0\n", 4, f"edge (1,0) {OUT_OF_ORDER}"),
+        ("nodes 3\nedges 3\n1 2\n0 1\n1 2\n", 4, f"edge (0,1) {OUT_OF_ORDER}"),
+        ("nodes 3\nedges 3\n0 1\n0 1\njunk\n", 4,
+         f"edge (0,1) {OUT_OF_ORDER}"),
+        ("nodes 3\nedges 1\n2 1\n", 3, f"edge (2,1) {OUT_OF_ORDER}"),
         ("nodes 3\nedges 1\n0 1\n1 2\njunk\n", 5, "expected 'i j' pair")])
     def test_edge_count_faults_name_path_and_line(self, tmp_path, text, line,
                                                   reason):
         # the file states its edge count, so a file cut or padded by whole
-        # edge rows, or repeating an edge, is refused
+        # edge rows is refused, and save_graph writes each edge once, as
+        # i < j, ascending, so a repeated, mirrored or moved row is too
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(
@@ -606,42 +650,48 @@ def neighbor_oracle(n, pairs):
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
+def is_int64(field: str) -> bool:
+    """Whether numpy's reader takes ``field`` as an int64: an optional sign
+    and ASCII digits, with a value in [-2**63, 2**63)."""
+    return re.fullmatch(r"[+-]?[0-9]+", field) is not None \
+        and -2**63 <= int(field) < 2**63
+
+
 def reference_load_edges(path, n):
-    """The line-by-line edge reader ``load_graph`` replaced, kept as the
-    reference for its diagnostics: the edge count of line 2, the first bad
-    edge line in file order, then the number of edge rows."""
-    edges, rows, seen = [], [], set()
-    lines = Path(path).read_text().splitlines()
+    """A line-at-a-time reader of the one layout ``save_graph`` writes, the
+    reference for ``load_graph``'s diagnostics: the edge count of line 2,
+    the first edge line in file order that is no pair or not the edge after
+    the one before it, then the number of edge rows."""
+    lines = Path(path).read_text().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     m = int(lines[1].split()[1])
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"{path}: line 2: edge count {m} is outside "
                          f"[0, {n * (n - 1) // 2}] for {n} nodes")
+    edges = []
     for ln, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}: line {ln}: expected 'i j' pair")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}: line {ln}: non-integer endpoint") \
-                from None
+        if not all(map(is_int64, parts)):
+            raise ValueError(f"{path}: line {ln}: non-integer endpoint, or "
+                             "one outside int64")
+        i, j = int(parts[0]), int(parts[1])
         if i == j:
             raise ValueError(f"{path}: line {ln}: self-loop at node {i}")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"{path}: line {ln}: edge ({i},{j}) out of "
                              f"range for {n} nodes")
-        if frozenset((i, j)) in seen:
-            raise ValueError(f"{path}: line {ln}: repeated edge ({i},{j})")
-        seen.add(frozenset((i, j)))
+        if i > j or edges and (i, j) <= edges[-1]:
+            raise ValueError(f"{path}: line {ln}: edge ({i},{j}) "
+                             f"{OUT_OF_ORDER}")
         edges.append((i, j))
-        rows.append(ln)
     if len(edges) > m:
-        raise ValueError(f"{path}: line {rows[m]}: edge row {m + 1} beyond "
+        raise ValueError(f"{path}: line {m + 3}: edge row {m + 1} beyond "
                          f"the edge count {m} of line 2")
     if len(edges) < m:
-        raise ValueError(f"{path}: line {len(lines) + 1}: "
+        raise ValueError(f"{path}: line {len(edges) + 3}: "
                          f"{m - len(edges)} of {m} edge rows missing")
     return ConflictGraph.from_edges(n, edges)
 
@@ -654,15 +704,14 @@ class TestGraphFileProperties:
     @given(edge_lists(), st.sampled_from(KINDS), st.data())
     def test_inserted_line_matches_reference(self, tmp_path_factory, case,
                                              kind, data):
-        # one line inserted among the edge lines, and an edge count that
-        # may be one off: load_graph reads the file as the line-by-line
-        # reference does, or refuses it at the same line
+        # one line inserted among the edge lines, which are written as
+        # save_graph writes them or in the drawn order, with repeated and
+        # mirrored pairs, and an edge count that may be one off: load_graph
+        # reads the file as the line-at-a-time reference does, or refuses
+        # it at the same line
         n, pairs = case
-        if data.draw(st.booleans()):  # drop repeated and mirrored copies
-            first = {}
-            for pair in pairs:
-                first.setdefault(frozenset(pair), pair)
-            pairs = list(first.values())
+        if data.draw(st.booleans()):  # as save_graph writes them
+            pairs = sorted({(min(p), max(p)) for p in pairs})
         lines = [f"{i} {j}" for i, j in pairs]
         node = data.draw(st.integers(0, n - 1))
         extra = {"none": None, "junk": "junk", "triple": "0 1 0",

@@ -1,4 +1,3 @@
-import csv
 import itertools
 import os
 import re
@@ -12,53 +11,58 @@ from hypothesis import strategies as st
 from linksched import sim
 from linksched.gcn import GcnParams, init_params
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
-                             generate_star, is_independent_mask)
+                             generate_star, is_independent_mask, load_graph,
+                             save_graph)
 from linksched.policies import GcnLgsPolicy, SolverPolicy
+from linksched.presets import parse_graph_config
 from linksched.sim import (TrafficTrace, advance, backlog_ratio,
                            backlog_stats, compute_metrics, load_trace,
                            lookahead_compare, ratio_quartiles, run_episode,
                            sample_traffic, save_trace, steady_state_mean)
 from linksched.solvers import (baseline_utility, exact_mwis,
                                greedy_centralized, lgs_rows)
+from test_graph import is_int64, reference_load_edges
 
 
 def reference_load_trace(path, nodes):
-    """The row-by-row reader ``load_trace`` replaced, kept as the reference
-    for its diagnostics: the first bad row in file order, one at a time."""
-    with open(path, newline="") as fh:
-        meta = dict(part.split("=", 1)
-                    for part in fh.readline().strip()[1:].split())
-        horizon = int(meta["horizon"])
-        if 8 * horizon * nodes > os.fstat(fh.fileno()).st_size:
-            raise ValueError(f"{path}: line 1: {horizon} x {nodes} rows "
-                             "cannot fit in the file")
-        reader = csv.reader(fh)
-        assert next(reader) == ["t", "node", "arrival", "rate"]
-        size = horizon * nodes
-        arrivals, rates, seen = [0] * size, [0] * size, [False] * size
-        for row in reader:
-            line = reader.line_num + 1
-            try:
-                t, v, a, r = map(int, row)
-            except ValueError:
-                raise ValueError(f"{path}: line {line}: expected four "
-                                 "integer fields") from None
-            if not (0 <= t < horizon and 0 <= v < nodes):
-                raise ValueError(f"{path}: line {line}: (t, node) = "
-                                 f"({t}, {v}) outside {horizon} x {nodes}")
-            if not (0 <= a < 2**63 and 0 <= r < 2**63):
-                raise ValueError(f"{path}: line {line}: arrival {a} and "
-                                 f"rate {r} must lie in [0, 2**63)")
-            cell = t * nodes + v
-            if seen[cell]:
-                raise ValueError(f"{path}: line {line}: duplicate row for "
-                                 f"(t, node) = ({t}, {v})")
-            seen[cell] = True
-            arrivals[cell], rates[cell] = a, r
-        missing = seen.count(False)
-        if missing:
-            raise ValueError(f"{path}: line {reader.line_num + 1}: "
-                             f"{missing} of {size} (t, node) rows missing")
+    """A line-at-a-time reader of the one layout ``save_trace`` writes, the
+    reference for ``load_trace``'s diagnostics: the first line in file
+    order that is no row or not the row k = (t, node) there, then the row
+    count."""
+    with open(path) as fh:
+        text = fh.read()
+        file_bytes = os.fstat(fh.fileno()).st_size
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    meta = dict(part.split("=", 1) for part in lines[0][2:].split(" "))
+    horizon = int(meta["horizon"])
+    if 8 * horizon * nodes > file_bytes:
+        raise ValueError(f"{path}: line 1: {horizon} x {nodes} rows "
+                         "cannot fit in the file")
+    assert lines[1] == "t,node,arrival,rate"
+    size = horizon * nodes
+    arrivals, rates = [], []
+    for k, line in enumerate(lines[2:]):
+        fields = line.split(",")
+        if len(fields) != 4 or not all(map(is_int64, fields)):
+            raise ValueError(f"{path}: line {k + 3}: expected four integer "
+                             "fields, each within int64")
+        t, v, a, r = map(int, fields)
+        want = f"({k // nodes}, {k % nodes})" if k < size else \
+            f"no row after the {horizon} x {nodes} of line 1"
+        if k >= size or (t, v) != divmod(k, nodes):
+            raise ValueError(f"{path}: line {k + 3}: (t, node) = ({t}, {v}),"
+                             f" expected {want}")
+        if a < 0 or r < 0:
+            raise ValueError(f"{path}: line {k + 3}: arrival {a} and rate "
+                             f"{r} must lie in [0, 2**63)")
+        arrivals.append(a)
+        rates.append(r)
+    if len(arrivals) < size:
+        raise ValueError(f"{path}: line {len(arrivals) + 2}: "
+                         f"{size - len(arrivals)} of {size} (t, node) rows "
+                         "missing")
     return TrafficTrace(np.reshape(arrivals, (horizon, nodes)),
                         np.reshape(rates, (horizon, nodes)))
 
@@ -78,24 +82,29 @@ class Stub:
         return np.zeros(np.shape(q))
 
 
-def run_stub(graph, schedule, trace, q0=None):
+def run_stub(graph, schedule, trace):
     """One :class:`Stub` policy's episode, with ``schedule(graph, u)`` as
     sim's exact solver: a fault injected where ``run_episode`` calls it."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "exact_mwis", schedule)
-        return run_episode(graph, [Stub()], trace, q0=q0)
+        return run_episode(graph, [Stub()], trace)
 
 
 def one_slot(graph, q0, nodes, arrivals, rates):
-    """Queues after one run_episode slot under a fixed schedule."""
-    members = np.zeros(graph.node_count, dtype=bool)
+    """Queues after one run_episode slot from ``q0`` under a fixed
+    schedule. Every episode starts empty, so a first slot that schedules
+    nobody and brings ``q0`` as its arrivals sets that state up."""
+    n = graph.node_count
+    members = np.zeros(n, dtype=bool)
     members[list(nodes)] = True
-    trace = TrafficTrace(np.array([arrivals]), np.array([rates]))
-    result, = run_stub(graph, lambda g, u: members, trace, q0)
-    assert result.queues.shape == (2, graph.node_count)
-    assert np.array_equal(result.members, [members])
+    schedules = iter([np.zeros(n, dtype=bool), members])
+    trace = TrafficTrace(np.array([q0, arrivals]), np.array([rates, rates]))
+    result, = run_stub(graph, lambda g, u: next(schedules), trace)
+    assert result.queues.shape == (3, n)
+    assert np.array_equal(result.queues[1], q0)
+    assert np.array_equal(result.members, [np.zeros(n, dtype=bool), members])
     assert result.rounds is None
-    return result.queues[1]
+    return result.queues[2]
 
 
 class TestStep:
@@ -162,6 +171,15 @@ class TestStep:
             with pytest.raises(ValueError, match="1-D bool mask"):
                 run_stub(generate_star(5), lambda g, u: ids,
                          constant_trace(1, 6))
+
+    def test_queues_reach_the_trace_bound_without_wrapping(self):
+        # every run starts from empty queues, so no queue exceeds the sum of
+        # its link's arrivals, which a trace bounds by 2**63 - 1
+        arrivals = np.array([[2**62] * 3, [2**62 - 1] * 3])
+        trace = TrafficTrace(arrivals, np.zeros((2, 3), dtype=np.int64))
+        for policy in (SolverPolicy("lgs"), Quiet()):
+            result, = run_episode(generate_star(2), [policy], trace)
+            assert result.queues[-1].tolist() == [2**63 - 1] * 3
 
     def test_negative_arrivals_rejected(self):
         # the trace checks its arrivals once, so no slot can see a negative
@@ -275,13 +293,13 @@ class TestRunEpisode:
         assert steady_state_mean(greedy, 20) == pytest.approx(1.5, abs=1e-12)
 
 
-def reference_episode(graph, policy, trace, q0=None):
+def reference_episode(graph, policy, trace):
     """The one-policy slot loop ``run_episode`` replaced, kept as the
-    reference: every slot, the policy's utilities go to its solver on their
-    own, an LGS row as a batch of one. Returns (queues, members, utilities,
-    rounds), rounds None for a centralized solver."""
+    reference: from empty queues, every slot, the policy's utilities go to
+    its solver on their own, an LGS row as a batch of one. Returns (queues,
+    members, utilities, rounds), rounds None for a centralized solver."""
     n = graph.node_count
-    q = np.zeros(n, np.int64) if q0 is None else np.array(q0, np.int64)
+    q = np.zeros(n, np.int64)
     queues, members, utilities, rounds = [q], [], [], []
     for t in range(trace.horizon):
         u = policy.utilities(graph, q, trace.rates[t])
@@ -348,7 +366,7 @@ LOCKSTEP_POLICIES = {
 def lockstep_cases(draw):
     # a graph on up to 10 nodes whose edges join only the first k nodes, so
     # nodes k.. are isolated and the graph may have no edges at all; small
-    # integer arrivals, rates and start queues, so utilities tie often
+    # integer arrivals and rates, so utilities tie often
     n = draw(st.integers(1, 10))
     k = draw(st.integers(1, n))
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -360,25 +378,23 @@ def lockstep_cases(draw):
                      max_size=horizon * n)
     trace = TrafficTrace(np.reshape(draw(cells), (horizon, n)),
                          np.reshape(draw(cells), (horizon, n)))
-    q0 = draw(st.none() | st.lists(st.integers(0, 4), min_size=n,
-                                   max_size=n))
     names = draw(st.lists(st.sampled_from(sorted(LOCKSTEP_POLICIES)),
                           min_size=1, max_size=6))
-    return graph, trace, q0, names
+    return graph, trace, names
 
 
 class TestLockstep:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(lockstep_cases())
     def test_equals_each_policy_alone(self, case):
-        graph, trace, q0, names = case
+        graph, trace, names = case
         policies = [LOCKSTEP_POLICIES[name]() for name in names]
-        together = run_episode(graph, policies, trace, q0=q0)
+        together = run_episode(graph, policies, trace)
         assert len(together) == len(policies)
         for policy, result in zip(policies, together):
-            alone, = run_episode(graph, [policy], trace, q0=q0)
+            alone, = run_episode(graph, [policy], trace)
             queues, members, utilities, rounds = reference_episode(
-                graph, policy, trace, q0)
+                graph, policy, trace)
             for other in (alone, result):
                 assert np.array_equal(other.queues, queues)
                 assert np.array_equal(other.members, members)
@@ -541,8 +557,8 @@ MULTI_TRACE_POLICIES = {
 @st.composite
 def multi_trace_cases(draw):
     # an ER, BA or star graph with up to 3 isolated nodes after it, and 1..5
-    # traces of one shape; small integer arrivals, rates and start queues,
-    # so utilities tie often
+    # traces of one shape; small integer arrivals and rates, so utilities
+    # tie often
     family = draw(st.sampled_from(["er", "ba", "star"]))
     seed = draw(st.integers(0, 2**32 - 1))
     if family == "er":
@@ -562,12 +578,10 @@ def multi_trace_cases(draw):
     traces = [TrafficTrace(np.reshape(draw(cells), (horizon, n)),
                            np.reshape(draw(cells), (horizon, n)))
               for _ in range(draw(st.integers(1, 5)))]
-    q0 = draw(st.none() | st.lists(st.integers(0, 4), min_size=n,
-                                   max_size=n))
     steps = draw(st.none() | st.integers(1, horizon))
     names = draw(st.lists(st.sampled_from(sorted(MULTI_TRACE_POLICIES)),
                           min_size=1, max_size=5))
-    return graph, traces, q0, steps, names
+    return graph, traces, steps, names
 
 
 def same_bits(a, b) -> bool:
@@ -583,13 +597,13 @@ class TestTraces:
     def test_equals_each_trace_alone(self, case):
         # rows are (trace, policy) pairs, trace-major; each trace's rows are
         # bit for bit what its run alone gives
-        graph, traces, q0, steps, names = case
+        graph, traces, steps, names = case
         policies = [MULTI_TRACE_POLICIES[name]() for name in names]
         count = len(policies)
-        together = run_episode(graph, policies, *traces, q0=q0, steps=steps)
+        together = run_episode(graph, policies, *traces, steps=steps)
         assert len(together) == len(traces) * count
         for k, trace in enumerate(traces):
-            alone = run_episode(graph, policies, trace, q0=q0, steps=steps)
+            alone = run_episode(graph, policies, trace, steps=steps)
             for want, got in zip(alone, together[k * count:(k + 1) * count],
                                  strict=True):
                 assert same_bits(got.queues, want.queues)
@@ -661,9 +675,9 @@ class TestTraces:
                         constant_trace(3, 5), constant_trace(3, 5))
 
 
-def ran(graph, policy, trace, q0=None):
+def ran(graph, policy, trace):
     """The queue trajectory ``policy`` runs over the whole trace."""
-    result, = run_episode(graph, [policy], trace, q0=q0)
+    result, = run_episode(graph, [policy], trace)
     return result.queues
 
 
@@ -672,7 +686,7 @@ class TestLookahead:
         # the baseline scored against its own trajectory ties everywhere
         g = generate_er(10, 0.3, 0)
         trace = sample_traffic(g, 8, 2.0, 1)
-        queues = ran(g, SolverPolicy("lgs"), trace, np.arange(10))
+        queues = ran(g, SolverPolicy("lgs"), trace)
         ratios = lookahead_compare(g, queues, 4, trace)
         assert ratios.tolist() == [1.0] * 5
 
@@ -719,8 +733,7 @@ class TestLookahead:
     def test_state_not_mutated(self):
         g = generate_star(3)
         trace = sample_traffic(g, 5, 2.0, 3)
-        queues = ran(g, SolverPolicy("greedy"), trace,
-                     [5, 1, 2, 0])
+        queues = ran(g, SolverPolicy("greedy"), trace)
         before = queues.copy()
         lookahead_compare(g, queues, 3, trace)
         assert np.array_equal(queues, before)
@@ -894,15 +907,50 @@ class TestPersistence:
                                      b"0,0,1,5\r\n0,1,20,6\r\n"
                                      b"1,0,300,7\r\n1,1,0,8\r\n")
 
-    def test_rows_in_any_order(self, tmp_path):
+    def test_swapped_rows_refused(self, tmp_path):
+        # save_trace writes the rows slot-major, and no other order is read
         trace = sample_traffic(generate_star(3), 5, 2.0, 3)
         path = tmp_path / "trace.csv"
         save_trace(trace, path)
         lines = path.read_text().splitlines()
-        rows = lines[2:]
-        np.random.default_rng(0).shuffle(rows)
-        path.write_text("".join(f"{line}\n" for line in lines[:2] + rows))
-        assert load_trace(path, 4).checksum() == trace.checksum()
+        lines[6], lines[7] = lines[7], lines[6]  # rows (1, 0) and (1, 1)
+        path.write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 7: (t, node) = (1, 1), expected (1, 0)")):
+            load_trace(path, 4)
+
+    def test_row_past_the_horizon_refused(self, tmp_path):
+        # a row after the last (slot, node) is refused at its line, even one
+        # that continues the slot-major count
+        path = tmp_path / "trace.csv"
+        path.write_text("".join(f"{text}\n" for text in
+                                self.GOOD_TRACE + ["2,0,0,5"]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 7: (t, node) = (2, 0), expected no row after "
+                "the 2 x 2 of line 1")):
+            load_trace(path, 2)
+
+    @pytest.mark.parametrize("meta, reason", [
+        ("# seed=abc nodes=2 horizon=2",
+         "metadata field 1 reads 'seed=abc', expected 'seed=<int or None>'"),
+        ("# seed=5 nodes=2 nodes=3 horizon=2",
+         "metadata field 3 reads 'nodes=3', expected 'horizon=<int>'"),
+        ("# seed=5 nodes=2 horizon=2 horizon=3",
+         "metadata field 4 reads 'horizon=3', expected the end of the line"),
+        ("# seed=5 horizon=2 nodes=2",
+         "metadata field 2 reads 'horizon=2', expected 'nodes=<int>'"),
+        ("# seed=5 nodes=2 horizon=2_0",
+         "metadata field 3 reads 'horizon=2_0', expected 'horizon=<int>'"),
+        ("#seed=5 nodes=2 horizon=2", "missing trace metadata comment")])
+    def test_metadata_read_as_written(self, tmp_path, meta, reason):
+        # line 1 is read exactly as save_trace writes it, and the field that
+        # departs from it is named
+        path = tmp_path / "trace.csv"
+        path.write_text("".join(f"{text}\n" for text in
+                                [meta] + self.GOOD_TRACE[1:]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 1: {reason}")):
+            load_trace(path, 2)
 
     def test_arrivals_past_int64_name_path(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -963,7 +1011,8 @@ class TestPersistence:
             load_trace(path, 2)
 
     CORRUPTIONS = ("none", "junk", "short", "outside", "negative",
-                   "duplicate", "beyond-int64", "blank", "cut")
+                   "duplicate", "beyond-int64", "blank", "cut", "swap",
+                   "extra")
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
@@ -971,18 +1020,22 @@ class TestPersistence:
     def test_corrupted_row_matches_reference(self, tmp_path_factory, horizon,
                                              nodes, seed, kind, data):
         # one body row corrupted: the error names that row's line, as the
-        # row-by-row reference does; uncorrupted, both read the same trace
+        # line-at-a-time reference does; uncorrupted, both read the same
+        # trace
         rng = np.random.default_rng(seed)
         trace = TrafficTrace(rng.integers(0, 1000, (horizon, nodes)),
                              rng.integers(0, 101, (horizon, nodes)))
         path = tmp_path_factory.mktemp("trace") / "trace.csv"
         save_trace(trace, path)
         lines = path.read_text().splitlines()
+        size = horizon * nodes
         first = 1 if kind == "duplicate" else 0  # a duplicate needs an original
-        assume(horizon * nodes > first)
-        k = data.draw(st.integers(first, horizon * nodes - 1))
+        last = size - 2 if kind == "swap" else size - 1  # a swap needs a next
+        assume(first <= last)
+        k = data.draw(st.integers(first, last))
         earlier = lines[2 + data.draw(st.integers(0, max(k - 1, 0)))]
-        t, v, a, r = lines[2 + k].split(",")
+        row = lines[2 + k]
+        t, v, a, r = row.split(",")
         lines[2 + k] = {
             "none": lines[2 + k],
             "junk": "junk",
@@ -993,9 +1046,16 @@ class TestPersistence:
             "beyond-int64": f"{t},{v},{a},{2**63}",
             "blank": "",
             "cut": None,  # this row and all after it missing
+            "swap": lines[3 + k] if kind == "swap" else None,
+            "extra": row,
         }[kind]
         if kind == "cut":
             del lines[2 + k:]
+        if kind == "swap":
+            lines[3 + k] = row
+        if kind == "extra":  # a copy of row k after the last row
+            lines.append(row)
+            k = size
         path.write_text("".join(f"{line}\r\n" for line in lines),
                         newline="")
         if kind == "none":
@@ -1010,3 +1070,78 @@ class TestPersistence:
         assert str(got.value) == str(expected.value)
         if kind != "cut":  # a cut file may not fit its metadata (line 1)
             assert str(got.value).startswith(f"{path}: line {k + 3}: ")
+
+
+class TestGeneratedFiles:
+    # per file, the corruptions of its body lines drawn below
+    CORRUPTIONS = {
+        "graph.txt": ("none", "swap", "blank", "repeat", "mirror",
+                      "beyond-int64", "cut"),
+        "trace.csv": ("none", "swap", "blank", "repeat", "beyond-int64",
+                      "cut"),
+    }
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from(["star5", "star30", "ba-m2", "ba-mix", "er",
+                            "tree"]),
+           st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.sampled_from(sorted(CORRUPTIONS)), st.data())
+    def test_loaded_as_written_or_as_the_reference_reads(
+            self, tmp_path_factory, preset, seed, horizon, name, data):
+        # the graph and trace of one instance, written as generate writes
+        # them, load back equal; one corruption of one file is refused at
+        # the line, and with the message, of the line-at-a-time reference
+        # reader (a cut may leave a file both read alike)
+        config = parse_graph_config(preset)
+        graph = config.build(seed)
+        trace = sample_traffic(graph, horizon, 2.5, seed)
+        folder = tmp_path_factory.mktemp("instance")
+        save_graph(graph, folder / "graph.txt")
+        save_trace(trace, folder / "trace.csv")
+        assert load_graph(folder / "graph.txt",
+                          config.max_nodes).edges() == graph.edges()
+        assert load_trace(folder / "trace.csv",
+                          graph.node_count).checksum() == trace.checksum()
+        path = folder / name
+        if name == "graph.txt":
+            end, sep = "\n", " "
+            read = lambda: load_graph(path, config.max_nodes).edges()
+            reference = lambda: reference_load_edges(
+                path, graph.node_count).edges()
+        else:
+            end, sep = "\r\n", ","
+            read = lambda: load_trace(path, graph.node_count).checksum()
+            reference = lambda: reference_load_trace(
+                path, graph.node_count).checksum()
+        lines = path.read_bytes().decode().split(end)
+        head, body = lines[:2], lines[2:-1]  # the text ends in `end`
+        kind = data.draw(st.sampled_from(self.CORRUPTIONS[name]))
+        assume(len(body) >= 2 or kind in ("none", "blank", "cut"))
+        assume(body or kind != "cut")
+        k = data.draw(st.integers(0, max(len(body) - 2, 0)))
+        fields = body[k].split(sep) if body else []
+        if kind == "swap":
+            body[k], body[k + 1] = body[k + 1], body[k]
+        elif kind == "blank":
+            body.insert(data.draw(st.integers(0, len(body))), "")
+        elif kind == "repeat":
+            body.insert(data.draw(st.integers(k + 1, len(body))), body[k])
+        elif kind == "mirror":
+            body[k] = sep.join(reversed(fields))
+        elif kind == "beyond-int64":
+            body[k] = sep.join(fields[:-1] + [str(2**63)])
+        text = "".join(f"{line}{end}" for line in head + body)
+        if kind == "cut":  # at any byte of the rows
+            text = text[:data.draw(st.integers(
+                len(head[0]) + len(head[1]) + 2 * len(end), len(text) - 1))]
+        path.write_bytes(text.encode())
+        try:
+            expected = reference()
+        except ValueError as exc:
+            assert kind != "none"
+            with pytest.raises(ValueError) as got:
+                read()
+            assert str(got.value) == str(exc)
+        else:
+            assert kind in ("none", "cut")
+            assert read() == expected

@@ -8,8 +8,11 @@
 # command then runs once on that source and once on the working tree's src/,
 # each side in its own directory with the same relative output paths, and
 # the two directories, stdout and stderr included, are compared with
-# `diff -r`. Exits 0 when they are identical and every command succeeded, 1
-# otherwise, 2 on a usage error. Needs git, tar, diff and python3 with numpy.
+# `diff -r`. Commands run with `refuse` are expected to fail: their output
+# and exit status land in log/refused-<name>.txt and are compared too, but
+# their failure is not counted. Exits 0 when the two sides are identical
+# and every other command succeeded, 1 otherwise, 2 on a usage error.
+# Needs git, tar, diff, awk, head and python3 with numpy.
 # The work dir defaults to a fresh `mktemp -d` and is kept for inspection.
 set -eu
 
@@ -33,6 +36,26 @@ run() {
     shift
     (cd "$side" && PYTHONPATH="$src" python3 -m linksched "$@") \
         > "$side/log/$name.txt" 2>&1 || echo "exit $?" >> "$side/log/$name.txt"
+}
+
+# refuse <name> <linksched arguments...>: one command expected to fail on
+# the current side; its output and exit status land in
+# log/refused-<name>.txt.
+refuse() {
+    name=$1
+    shift
+    code=0
+    (cd "$side" && PYTHONPATH="$src" python3 -m linksched "$@") \
+        > "$side/log/refused-$name.txt" 2>&1 || code=$?
+    echo "status $code" >> "$side/log/refused-$name.txt"
+}
+
+# edit <copy> <from> <file> <awk program>: <from> copied to <copy> on the
+# current side, then <file> of its first instance rewritten by the program
+edit() {
+    cp -R "$side/$2" "$side/$1"
+    file=$side/$1/instance_0000/$3
+    awk "$4" "$file" > "$file.new" && mv "$file.new" "$file"
 }
 
 for which in rev tree; do
@@ -179,6 +202,23 @@ CFG
     run eval-star30-low eval --instances gen-star30-low \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30-low
+    # hand-edited instances and a checkpoint cut short: each eval must
+    # refuse its input and name the file and line
+    edit gen-star30-swapped gen-star30 trace.csv \
+        'NR == 4 { held = $0; next } NR == 5 { print; print held; next } 1'
+    edit gen-star30-blank gen-star30 graph.txt 'NR == 10 { print "" } 1'
+    edit gen-star30-huge gen-star30 trace.csv \
+        'BEGIN { FS = OFS = "," } NR == 3 { $3 = "9223372036854775808" } 1'
+    edit gen-star30-seed gen-star30 trace.csv \
+        'NR == 1 { sub(/seed=[^ ]*/, "seed=abc") } 1'
+    head -c 20 "$side/train-default/checkpoint.ckpt" > "$side/cut.ckpt"
+    for case in swapped blank huge seed; do
+        refuse "eval-star30-$case" eval --instances "gen-star30-$case" \
+            --policies baseline,greedy --out "eval-star30-$case"
+    done
+    refuse eval-star30-cut-checkpoint eval --instances gen-star30 \
+        --policies baseline,gcn --checkpoint cut.ckpt \
+        --out eval-star30-cut-checkpoint
     run toy toy
     # the toy away from its default horizon and burn-in
     run toy-short toy --horizon 9 --burn-in 3
