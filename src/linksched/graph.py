@@ -17,6 +17,7 @@ their writer's, and each file states its size in a header.
 from __future__ import annotations
 
 import io
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -329,19 +330,15 @@ def centralization(graph: ConflictGraph) -> float:
     return float(deg.max() / deg.mean())
 
 
-def is_independent_mask(graph: ConflictGraph, members, *,
-                        rows: bool = False) -> bool:
-    """True iff no edge of the graph has both endpoints in the (V,) bool or
-    0/1 membership mask ``members``; with ``rows``, in any row of the
-    (P, V) block ``members``, so one call checks P schedules.
-
+def is_independent_mask(graph: ConflictGraph, members) -> bool:
+    """True iff no edge of the graph has both endpoints in the bool or 0/1
+    membership mask ``members``, one (V,) mask or, as in
+    :func:`~linksched.sim.advance`, a batch (..., V) of them, every one.
     Each edge of :attr:`ConflictGraph.edge_ends` is checked once, by two
-    gathers along the node axis. Without ``rows`` any shape but (V,) is
-    refused, so a block is never read as one mask by mistake.
-    """
+    gathers along the node axis."""
     m = np.asarray(members, dtype=bool)
     n = graph.node_count
-    if m.shape[-1:] != (n,) or m.ndim != 1 + rows:
+    if m.shape[-1:] != (n,):
         raise ValueError(f"membership mask shape {m.shape} does not "
                          f"match {n} nodes")
     i, j = graph.edge_ends
@@ -349,6 +346,8 @@ def is_independent_mask(graph: ConflictGraph, members, *,
 
 
 # --- integer text tables ------------------------------------------------------
+
+CUT_SHORT = "no '\\n' ends this last line: the file is cut short"
 
 
 def _loadtxt_int64(lines, width: int, delimiter: str | None):
@@ -367,23 +366,24 @@ def _loadtxt_int64(lines, width: int, delimiter: str | None):
 
 
 def read_int_rows(text: str, width: int, delimiter: str | None = None):
-    """The lines of ``text`` (each ends at ``\\n``, the last may lack it) as
-    int64 rows: ``(rows, stop)``, ``rows`` an (R, width) int64 array and
-    ``stop`` None, or the first line that is no row, as (0-based index,
-    text), with the rows before it. A row splits at ``delimiter`` (runs of
-    whitespace when None) into ``width`` fields that numpy's reader parses
-    as int64, so a blank line and a field past int64 are refused too.
-
-    One ``np.loadtxt`` call parses the whole text, and its result stands
-    when it holds one row per line; otherwise the lines are parsed one at
-    a time, up to the refused one.
+    """The lines of ``text``, each ended by ``\\n``, as int64 rows:
+    ``(rows, stop)``, ``rows`` an (R, width) int64 array and ``stop`` None,
+    or the first line that is no row, as (0-based index, text), with the
+    rows before it; text after the last ``\\n``, cut short, is (index, None).
+    A row splits at ``delimiter`` (runs of whitespace when None) into
+    ``width`` fields that numpy's reader parses as int64; a blank line and a
+    field past int64 are no row. One ``np.loadtxt`` call parses the ended
+    lines, and its result stands when it holds one row per line, else the
+    lines are parsed one at a time.
     """
-    count = text.count("\n") + (text[-1:] not in ("", "\n"))
-    rows = _loadtxt_int64(io.StringIO(text), width, delimiter)
+    ended = text[:text.rfind("\n") + 1]  # text itself when it ends in \n
+    count = text.count("\n")
+    rows = _loadtxt_int64(io.StringIO(ended), width, delimiter)
+    stop = (count, None) if len(ended) < len(text) else None
     if rows is not None and len(rows) == count:
-        return rows, None
-    rows, stop = [], None
-    for k, line in enumerate(text.split("\n")[:count]):
+        return rows, stop
+    rows = []
+    for k, line in enumerate(ended.split("\n")[:count]):
         row = _loadtxt_int64([line], width, delimiter)
         if row is None:
             stop = (k, line)
@@ -426,17 +426,20 @@ def _edge_fault(pairs: np.ndarray, n: int) -> tuple[int, str] | None:
     return k, f"edge ({a},{b}) out of order: edges run i < j, ascending"
 
 
-def _header_count(path, line: int, text: str, key: str) -> int:
-    """The integer of header line ``line``, which must read ``<key> <int>``."""
-    head = text.split()
-    if len(head) != 2 or head[0] != key:
+def _header_count(path, line: int, text: str, key: str) -> tuple[int, str]:
+    """The count of header line ``line``, the first of ``text``, read as
+    :func:`save_graph` writes it, ``<key> <decimal>\\n``, and the rest."""
+    head, end, rest = text.partition("\n")
+    if head and not end:
+        raise ValueError(f"{path}: line {line}: {CUT_SHORT}")
+    words = head.split(" ")
+    if len(words) != 2 or words[0] != key:
         raise ValueError(f"{path}: line {line}: expected header "
                          f"'{key} <count>'")
-    try:
-        return int(head[1])
-    except ValueError:
+    if not re.fullmatch("-?[0-9]+", words[1]):
         raise ValueError(f"{path}: line {line}: {key[:-1]} count is not "
-                         "an integer") from None
+                         "an integer")
+    return int(words[1]), rest
 
 
 def load_graph(path, max_nodes: int) -> ConflictGraph:
@@ -450,18 +453,15 @@ def load_graph(path, max_nodes: int) -> ConflictGraph:
     [0, V(V-1)/2], then the first edge row, in file order, that is a
     self-loop, out of range or not i < j after the row before it (a
     repeated or mirrored edge among them), the first line that is no row
-    (a blank one among them), and last a wrong number of edge rows.
+    (a blank one among them), and last a wrong number of edge rows. A last
+    line cut short, without its ``\\n``, is refused whatever it holds.
     """
     text = Path(path).read_text()
-    if not text:
-        raise ValueError(f"{path}: empty graph file")
-    nodes_line, _, rest = text.partition("\n")
-    edges_line, _, body = rest.partition("\n")
-    n = _header_count(path, 1, nodes_line, "nodes")
+    n, rest = _header_count(path, 1, text, "nodes")
     if not 1 <= n <= max_nodes:
         raise ValueError(f"{path}: line 1: node count {n} is outside "
                          f"[1, {max_nodes}]")
-    m = _header_count(path, 2, edges_line, "edges")
+    m, body = _header_count(path, 2, rest, "edges")
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"{path}: line 2: edge count {m} is outside "
                          f"[0, {n * (n - 1) // 2}] for {n} nodes")
@@ -472,8 +472,9 @@ def load_graph(path, max_nodes: int) -> ConflictGraph:
         raise ValueError(f"{path}: line {k + 3}: {reason}")
     if stop is not None:
         k, line = stop
-        reason = "expected 'i j' pair" if len(line.split()) != 2 \
-            else "non-integer endpoint, or one outside int64"
+        reason = CUT_SHORT if line is None else \
+            "expected 'i j' pair" if len(line.split()) != 2 else \
+            "non-integer endpoint, or one outside int64"
         raise ValueError(f"{path}: line {k + 3}: {reason}")
     if len(pairs) > m:
         raise ValueError(f"{path}: line {m + 3}: edge row {m + 1} beyond "

@@ -41,7 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import ConflictGraph, as_rng, is_independent_mask, read_int_rows
+from .graph import CUT_SHORT, ConflictGraph, as_rng, is_independent_mask, \
+    read_int_rows
 from .solvers import baseline_utility, exact_mwis, greedy_centralized, lgs_rows
 
 RATE_MEAN = 50.0
@@ -235,7 +236,7 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
                 raise ValueError(f"membership mask shape {np.shape(mask)} "
                                  f"does not match {n} nodes")
             slot[row] = mask
-        if not is_independent_mask(graph, slot, rows=True):
+        if not is_independent_mask(graph, slot):
             raise ValueError("schedule is not an independent set of the graph")
         queue_blocks[t + 1] = advance(queue_blocks[t], member_blocks[t], r,
                                       arrivals[t])
@@ -409,12 +410,15 @@ def load_trace(path, nodes: int) -> TrafficTrace:
     range or extra), a negative arrival or rate, a line that is no row (a
     blank one among them), and a missing row each raise ValueError naming
     the path and the first offending line in file order; arrivals on one
-    link summing past 2**63 - 1 raise one naming the path.
+    link summing past 2**63 - 1 raise one naming the path. A last line
+    cut short, without its line end, is refused whatever it holds.
     """
     with open(path) as fh:
         file_bytes = os.fstat(fh.fileno()).st_size
         text = fh.read()
-    meta_line, _, rest = text.partition("\n")
+    meta_line, end, rest = text.partition("\n")
+    if meta_line and not end:
+        raise ValueError(f"{path}: line 1: {CUT_SHORT}")
     words = meta_line.split(" ")
     if words[0] != "#":
         raise ValueError(f"{path}: line 1: missing trace metadata comment")
@@ -440,7 +444,9 @@ def load_trace(path, nodes: int) -> TrafficTrace:
     if 8 * size > file_bytes:
         raise ValueError(f"{path}: line 1: {horizon} x {nodes} rows "
                          "cannot fit in the file")
-    header, _, body = rest.partition("\n")
+    header, end, body = rest.partition("\n")
+    if header and not end:
+        raise ValueError(f"{path}: line 2: {CUT_SHORT}")
     if header != TRACE_HEADER:
         raise ValueError(f"{path}: line 2: unexpected trace header")
     rows, stop = read_int_rows(body, 4, ",")
@@ -449,8 +455,9 @@ def load_trace(path, nodes: int) -> TrafficTrace:
         k, reason = fault
         raise ValueError(f"{path}: line {k + 3}: {reason}")
     if stop is not None:
-        raise ValueError(f"{path}: line {stop[0] + 3}: expected four "
-                         "integer fields, each within int64")
+        reason = CUT_SHORT if stop[1] is None else \
+            "expected four integer fields, each within int64"
+        raise ValueError(f"{path}: line {stop[0] + 3}: {reason}")
     if len(rows) < size:
         raise ValueError(f"{path}: line {len(rows) + 2}: "
                          f"{size - len(rows)} of {size} (t, node) rows "

@@ -9,10 +9,10 @@ trajectory's next K states against the baseline's K-slot rollout from the
 same state on the same trace, all slots in one batched rollout. Scheduled
 links are regressed toward 1 where the lookahead tied or beat the baseline
 and toward 0 where it lost, unscheduled links toward their own utility,
-with one Adam step per episode on a replayed batch. The batch runs one
-stacked GCN forward and backward per node count in it, and the per-item
-losses and gradients are summed in batch order, so the step is bitwise
-that of an item-by-item loop.
+with one Adam step per episode on a batch replayed from the last
+``replay_capacity`` slots. The batch runs one stacked GCN forward and
+backward per node count in it, and the per-item losses and gradients
+are summed in batch order: the step is bitwise that of an item-by-item loop.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .gcn import (BASE_LR, LR_DECAY, AdamState, GcnParams, Gradients,
                   adam_step, backward, forward, identity_params, init_params,
                   save_checkpoint)
-from .graph import ConflictGraph, as_rng
+from .graph import ConflictGraph
 from .policies import GcnLgsPolicy
 from .presets import parse_graph_config
 from .sim import RATE_MEAN, TrafficTrace, lookahead_compare, run_episode, \
@@ -36,7 +36,7 @@ from .sim import RATE_MEAN, TrafficTrace, lookahead_compare, run_episode, \
 DEFAULT_LOADS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
 # The largest value of each size key (for ``layer_dims``, of each width), so
 # an absurd size is refused by name before anything is built from it.
-# ``batch_size`` needs no cap: a batch shrinks to the replay buffer.
+# ``batch_size`` needs no cap: a batch shrinks to the replay window.
 SIZE_CAPS = {"horizon": 100_000, "lookahead": 1_000,
              "replay_capacity": 1_000_000, "layer_dims": 4_096}
 
@@ -54,35 +54,6 @@ class ExperienceTuple:
     indicator: np.ndarray  # (V,) bool, membership mask of the schedule
     returns: np.ndarray    # (V,) float64 regression targets
     ratio: float
-
-
-class ReplayBuffer:
-    """Bounded FIFO of experience tuples with uniform batch sampling."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("replay capacity must be positive")
-        self.capacity = capacity
-        self._items: deque[ExperienceTuple] = deque(maxlen=capacity)
-
-    def push(self, item: ExperienceTuple) -> None:
-        self._items.append(item)
-
-    def extend(self, items) -> None:
-        for item in items:
-            self.push(item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def sample(self, batch_size: int,
-               rng: np.random.Generator | int | None = None) -> list[ExperienceTuple]:
-        """Uniform sample without replacement; shrinks to the buffer size."""
-        if batch_size < 1:
-            raise ValueError("batch size must be positive")
-        take = min(batch_size, len(self._items))
-        idx = as_rng(rng).choice(len(self._items), size=take, replace=False)
-        return [self._items[i] for i in idx]
 
 
 def compute_reward(ratio, indicator, u_gcn) -> np.ndarray:
@@ -310,29 +281,24 @@ class TrainResult:
         return float(np.mean([row["win_rate"] for row in self.log]))
 
 
-def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
-    """Run the full training loop.
+def train(config: TrainConfig, checkpoint_dir) -> TrainResult:
+    """Run the full training loop, writing to ``checkpoint_dir``.
 
-    Per episode: collect experiences with lookahead rewards, push them into
-    the replay buffer, sample one batch, and apply a single Adam step at the
-    decayed learning rate. Given a checkpoint directory, it writes the
-    final parameters to ``checkpoint.ckpt`` there, plus interval
-    checkpoints when configured; a non-finite batch loss aborts after
-    writing ``diagnostic.ckpt`` there.
+    Per episode: collect experiences with lookahead rewards into the replay
+    deque, sample one batch of up to ``batch_size`` without replacement, and
+    apply a single Adam step at the decayed learning rate. The final
+    parameters go to ``checkpoint.ckpt`` there, plus interval checkpoints
+    when configured; a non-finite batch loss aborts after writing
+    ``diagnostic.ckpt`` there.
     """
     config.validate()
     master = np.random.default_rng(config.seed)
     params = initial_params(config, np.random.default_rng(master.integers(2**63)))
     state = AdamState.for_params(params, base_lr=config.base_lr,
                                  decay=config.lr_decay)
-    buffer = ReplayBuffer(config.replay_capacity)
-    out_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def save(name: str) -> None:
-        save_checkpoint(out_dir / name, params)
-
+    buffer: deque[ExperienceTuple] = deque(maxlen=config.replay_capacity)
+    out_dir = Path(checkpoint_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     log: list[dict] = []
     for episode in range(config.episodes):
         ep_rng = np.random.default_rng(master.integers(2**63))
@@ -340,23 +306,22 @@ def train(config: TrainConfig, checkpoint_dir=None) -> TrainResult:
         model, graph, trace = sample_instance(config, ep_rng)
         tuples = collect_episode(config, params, graph, trace)
         buffer.extend(tuples)
-        batch = buffer.sample(config.batch_size, batch_rng)
+        batch = [buffer[i] for i in batch_rng.choice(
+            len(buffer), size=min(config.batch_size, len(buffer)),
+            replace=False)]
         loss, grads = batch_gradients(params, batch)
         if not math.isfinite(loss):
-            if out_dir is not None:
-                save("diagnostic.ckpt")
+            save_checkpoint(out_dir / "diagnostic.ckpt", params)
             raise RuntimeError(f"non-finite loss at episode {episode}; "
-                               "diagnostic checkpoint written"
-                               if out_dir is not None else
-                               f"non-finite loss at episode {episode}")
+                               "diagnostic checkpoint written")
         lr = state.lr
         adam_step(params, grads, state)
         win = float(np.mean([1.0 if tp.ratio >= 1.0 else 0.0 for tp in tuples]))
         log.append({"episode": episode, "loss": loss, "win_rate": win,
                     "lr": lr, "graph_model": model})
-        if (out_dir is not None and config.checkpoint_interval > 0
+        if (config.checkpoint_interval > 0
                 and (episode + 1) % config.checkpoint_interval == 0):
-            save(f"checkpoint_ep{episode + 1:05d}.ckpt")
-    if out_dir is not None:
-        save("checkpoint.ckpt")
+            save_checkpoint(out_dir / f"checkpoint_ep{episode + 1:05d}.ckpt",
+                            params)
+    save_checkpoint(out_dir / "checkpoint.ckpt", params)
     return TrainResult(params, log)

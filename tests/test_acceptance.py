@@ -200,10 +200,10 @@ def test_criterion_7_round_complexity():
            f"rounds {mean_rounds}, growth {growth:.3f} <= {bound:.3f}")
 
 
-def test_criterion_8_training_smoke():
+def test_criterion_8_training_smoke(tmp_path):
     start = time.perf_counter()
     config = TrainConfig(episodes=1000, seed=TRAIN_SEED)
-    result = train(config)
+    result = train(config, tmp_path)
     gcn_policy = GcnLgsPolicy(result.params)
     baseline = SolverPolicy("lgs")
     preset = parse_graph_config("star30")

@@ -413,18 +413,20 @@ class TestIndependentSet:
                 assert is_independent_mask(g, mask)
 
     def test_mask_shape_checked(self):
-        with pytest.raises(ValueError):
-            is_independent_mask(generate_star(5), np.zeros(5, dtype=bool))
-        with pytest.raises(ValueError):
-            is_independent_mask(generate_star(5), np.zeros((1, 6), dtype=bool))
+        # the last axis is the node axis, V long, whatever comes before it
+        g = generate_star(5)
+        for shape in ((5,), (7,), (1, 5), (2, 7), (3, 1, 5), ()):
+            with pytest.raises(ValueError, match="does not match 6 nodes"):
+                is_independent_mask(g, np.zeros(shape, dtype=bool))
 
     def test_block_shape_checked(self):
-        # a block is a 2-D stack of masks, one per row, each V long
+        # one mask or a batch of any leading shape, empty ones included
         g = generate_star(5)
-        for shape in ((6,), (2, 5), (2, 7), (1, 2, 6), ()):
-            with pytest.raises(ValueError, match="does not match 6 nodes"):
-                is_independent_mask(g, np.zeros(shape, dtype=bool), rows=True)
-        assert is_independent_mask(g, np.zeros((0, 6), dtype=bool), rows=True)
+        for shape in ((6,), (1, 6), (2, 6), (1, 2, 6), (0, 6), (2, 0, 6)):
+            assert is_independent_mask(g, np.zeros(shape, dtype=bool))
+            conflict = np.zeros(shape, dtype=bool)
+            conflict[..., :2] = True  # the hub and leaf 1 in every mask
+            assert is_independent_mask(g, conflict) == (0 in shape)
 
 
 def per_row_reference(g, m):
@@ -470,12 +472,13 @@ class TestIndependentBlocks:
         for row, want in zip(block, loop):
             assert is_independent_mask(g, row) == want
             assert per_row_reference(g, row) == want
-        assert is_independent_mask(g, block, rows=True) == all(loop)
-        assert is_independent_mask(g, block.astype(np.int8),
-                                   rows=True) == all(loop)
-        # a strided block, as run_episode passes one slot of (P, T, V)
+        assert is_independent_mask(g, block) == all(loop)
+        assert is_independent_mask(g, block.astype(np.int8)) == all(loop)
+        # a strided block, as run_episode passes one slot of (P, T, V), and
+        # the block as a (P, 1, V) batch
         strided = np.repeat(block[:, None], 3, axis=1)[:, 1]
-        assert is_independent_mask(g, strided, rows=True) == all(loop)
+        assert is_independent_mask(g, strided) == all(loop)
+        assert is_independent_mask(g, block[:, None]) == all(loop)
 
 
 class TestBitmasks:
@@ -514,6 +517,7 @@ class TestValidation:
 
 
 OUT_OF_ORDER = "out of order: edges run i < j, ascending"
+CUT_SHORT = "no '\\n' ends this last line: the file is cut short"
 
 
 class TestSerialization:
@@ -563,6 +567,38 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line 4: {reason}")):
             load_graph(path, 3)
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("nodes 1_0\nedges +1\n0 1\n", 1, "node count is not an integer"),
+        ("nodes +3\nedges 1\n0 1\n", 1, "node count is not an integer"),
+        ("nodes 3\nedges +1\n0 1\n", 2, "edge count is not an integer"),
+        ("nodes  3\nedges 1\n0 1\n", 1, "expected header 'nodes <count>'"),
+        ("nodes 3 \nedges 1\n0 1\n", 1, "expected header 'nodes <count>'"),
+        ("nodes\t3\nedges 1\n0 1\n", 1, "expected header 'nodes <count>'")])
+    def test_header_read_as_written(self, tmp_path, text, line, reason):
+        # each header line reads '<key> <decimal>' with one space, as
+        # save_graph writes it ('nodes 1_0' once read as 10 nodes)
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {line}: {reason}")):
+            load_graph(path, 20)
+
+    @pytest.mark.parametrize("text, line", [
+        ("nodes 200\nedges 1\n5 12", 3), ("nodes 3\nedges 2\n0 1\n0 2", 4),
+        ("nodes 3\nedges 2\n0 1\n0", 4), ("nodes 3\nedges 0", 2),
+        ("nodes 3", 1), ("nodes 3\nedges 1\n0 1\n1", 4)])
+    def test_cut_last_line_refused(self, tmp_path, text, line):
+        # every line save_graph writes ends in \n, so a last line without
+        # one was cut short, perhaps inside a number ('5 123' read as
+        # '5 12'), and is refused at its line, whatever it holds
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {line}: {CUT_SHORT}")):
+            load_graph(path, 200)
+        path.write_text("nodes 200\nedges 1\n5 123\n")  # the file uncut
+        assert load_graph(path, 200).edges() == [(5, 123)]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -661,10 +697,10 @@ def reference_load_edges(path, n):
     """A line-at-a-time reader of the one layout ``save_graph`` writes, the
     reference for ``load_graph``'s diagnostics: the edge count of line 2,
     the first edge line in file order that is no pair or not the edge after
-    the one before it, then the number of edge rows."""
+    the one before it, a last line without its \\n, then the number of edge
+    rows."""
     lines = Path(path).read_text().split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    cut = lines.pop()  # what follows the last \n: a line cut short, if any
     m = int(lines[1].split()[1])
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"{path}: line 2: edge count {m} is outside "
@@ -687,6 +723,8 @@ def reference_load_edges(path, n):
             raise ValueError(f"{path}: line {ln}: edge ({i},{j}) "
                              f"{OUT_OF_ORDER}")
         edges.append((i, j))
+    if cut:
+        raise ValueError(f"{path}: line {len(lines) + 1}: {CUT_SHORT}")
     if len(edges) > m:
         raise ValueError(f"{path}: line {m + 3}: edge row {m + 1} beyond "
                          f"the edge count {m} of line 2")

@@ -21,20 +21,19 @@ from linksched.sim import (TrafficTrace, advance, backlog_ratio,
                            sample_traffic, save_trace, steady_state_mean)
 from linksched.solvers import (baseline_utility, exact_mwis,
                                greedy_centralized, lgs_rows)
-from test_graph import is_int64, reference_load_edges
+from test_graph import CUT_SHORT, is_int64, reference_load_edges
 
 
 def reference_load_trace(path, nodes):
     """A line-at-a-time reader of the one layout ``save_trace`` writes, the
     reference for ``load_trace``'s diagnostics: the first line in file
-    order that is no row or not the row k = (t, node) there, then the row
-    count."""
+    order that is no row or not the row k = (t, node) there, a last line
+    without its line end, then the row count."""
     with open(path) as fh:
         text = fh.read()
         file_bytes = os.fstat(fh.fileno()).st_size
     lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    cut = lines.pop()  # what follows the last line end: a line cut short
     meta = dict(part.split("=", 1) for part in lines[0][2:].split(" "))
     horizon = int(meta["horizon"])
     if 8 * horizon * nodes > file_bytes:
@@ -59,6 +58,8 @@ def reference_load_trace(path, nodes):
                              f"{r} must lie in [0, 2**63)")
         arrivals.append(a)
         rates.append(r)
+    if cut:
+        raise ValueError(f"{path}: line {len(lines) + 1}: {CUT_SHORT}")
     if len(arrivals) < size:
         raise ValueError(f"{path}: line {len(arrivals) + 2}: "
                          f"{size - len(arrivals)} of {size} (t, node) rows "
@@ -907,6 +908,27 @@ class TestPersistence:
                                      b"0,0,1,5\r\n0,1,20,6\r\n"
                                      b"1,0,300,7\r\n1,1,0,8\r\n")
 
+    @pytest.mark.parametrize("cut, line", [
+        pytest.param(3, 4, id="inside-last-row"),
+        pytest.param(2, 4, id="before-last-line-end"),
+        pytest.param(5, 4, id="before-last-field"),
+        pytest.param(13, 3, id="end-of-row-before"),
+        pytest.param(30, 2, id="inside-header"),
+        pytest.param(22, 2, id="before-header-line-end"),
+        pytest.param(50, 1, id="inside-metadata")])
+    def test_cut_last_line_refused(self, tmp_path, cut, line):
+        # every line save_trace writes has a line end, so a last line
+        # without one was cut short, perhaps inside a number (a rate of 50
+        # read as 5), and is refused at its line, whatever it holds
+        path = tmp_path / "trace.csv"
+        save_trace(TrafficTrace([[1, 12]], [[5, 50]], 4), path)
+        text = path.read_bytes()
+        assert text.endswith(b"\n0,1,12,50\r\n") and len(text) == 68
+        path.write_bytes(text[:len(text) - cut])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {line}: {CUT_SHORT}")):
+            load_trace(path, 2)
+
     def test_swapped_rows_refused(self, tmp_path):
         # save_trace writes the rows slot-major, and no other order is read
         trace = sample_traffic(generate_star(3), 5, 2.0, 3)
@@ -1091,7 +1113,7 @@ class TestGeneratedFiles:
         # the graph and trace of one instance, written as generate writes
         # them, load back equal; one corruption of one file is refused at
         # the line, and with the message, of the line-at-a-time reference
-        # reader (a cut may leave a file both read alike)
+        # reader
         config = parse_graph_config(preset)
         graph = config.build(seed)
         trace = sample_traffic(graph, horizon, 2.5, seed)
@@ -1130,7 +1152,7 @@ class TestGeneratedFiles:
             body[k] = sep.join(reversed(fields))
         elif kind == "beyond-int64":
             body[k] = sep.join(fields[:-1] + [str(2**63)])
-        text = "".join(f"{line}{end}" for line in head + body)
+        whole = text = "".join(f"{line}{end}" for line in head + body)
         if kind == "cut":  # at any byte of the rows
             text = text[:data.draw(st.integers(
                 len(head[0]) + len(head[1]) + 2 * len(end), len(text) - 1))]
@@ -1143,5 +1165,9 @@ class TestGeneratedFiles:
                 read()
             assert str(got.value) == str(exc)
         else:
-            assert kind in ("none", "cut")
+            # text mode reads a lone \r as a line end, so only the cut of
+            # the trace's last \n leaves a file that loads, and it loads
+            # whole; every other cut is refused
+            assert kind == "none" or (name == "trace.csv"
+                                      and text == whole[:-1])
             assert read() == expected

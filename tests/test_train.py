@@ -14,9 +14,9 @@ from linksched.presets import parse_graph_config
 from linksched import train as train_module
 from linksched.sim import RATE_MEAN, TrafficTrace, run_episode, sample_traffic
 from linksched.solvers import baseline_utility, greedy_centralized, lgs_rows
-from linksched.train import (ExperienceTuple, ReplayBuffer, TrainConfig,
-                             batch_gradients, collect_episode, compute_reward,
-                             loss_gradient, rms_loss, sample_instance, train)
+from linksched.train import (ExperienceTuple, TrainConfig, batch_gradients,
+                             collect_episode, compute_reward, loss_gradient,
+                             rms_loss, sample_instance, train)
 
 
 def small_config(**overrides):
@@ -135,38 +135,6 @@ class TestLoss:
                 assert grad.tobytes() == loss_gradient(uu, rr).tobytes()
             assert losses[0] == losses[2] == 0.0
             assert grads[2].tobytes() == np.zeros(n).tobytes()
-
-
-class TestReplayBuffer:
-    @staticmethod
-    def dummy_tuple(tag):
-        g = generate_star(2)
-        return ExperienceTuple(g, np.zeros((3, 1)), np.zeros(3, np.int8),
-                               np.full(3, float(tag)), 1.0)
-
-    def test_capacity_is_fifo(self):
-        buf = ReplayBuffer(4)
-        buf.extend(self.dummy_tuple(i) for i in range(6))
-        assert len(buf) == 4
-        kept = sorted(item.returns[0] for item in buf.sample(4, 0))
-        assert kept == [2.0, 3.0, 4.0, 5.0]
-
-    def test_sample_without_replacement(self):
-        buf = ReplayBuffer(16)
-        buf.extend(self.dummy_tuple(i) for i in range(16))
-        tags = [item.returns[0] for item in buf.sample(16, 1)]
-        assert len(set(tags)) == 16
-
-    def test_sample_reproducible(self):
-        buf = ReplayBuffer(32)
-        buf.extend(self.dummy_tuple(i) for i in range(32))
-        a = [t.returns[0] for t in buf.sample(8, 42)]
-        b = [t.returns[0] for t in buf.sample(8, 42)]
-        assert a == b
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            ReplayBuffer(0)
 
 
 def reference_episode(config, params, graph, trace):
@@ -428,39 +396,97 @@ class TestBatchGradients:
 
 
 class TestTrain:
-    def test_zero_episodes_returns_init(self):
+    def test_zero_episodes_returns_init(self, tmp_path):
         config = small_config(episodes=0)
-        result = train(config)
+        result = train(config, tmp_path)
         master = np.random.default_rng(config.seed)
         expected = init_params(config.layer_dims,
                                np.random.default_rng(master.integers(2**63)))
         assert np.array_equal(result.params.theta0[0], expected.theta0[0])
         assert np.array_equal(result.params.theta1[0], expected.theta1[0])
         assert result.log == []
+        assert (tmp_path / "checkpoint.ckpt").exists()
 
-    def test_deterministic(self):
-        a = train(small_config(episodes=3))
-        b = train(small_config(episodes=3))
+    def test_deterministic(self, tmp_path):
+        a = train(small_config(episodes=3), tmp_path / "a")
+        b = train(small_config(episodes=3), tmp_path / "b")
         assert np.array_equal(a.params.theta0[0], b.params.theta0[0])
         assert np.array_equal(a.params.theta1[0], b.params.theta1[0])
         assert a.log == b.log
+        assert (tmp_path / "a" / "checkpoint.ckpt").read_bytes() == \
+            (tmp_path / "b" / "checkpoint.ckpt").read_bytes()
 
-    def test_log_columns(self):
-        result = train(small_config(episodes=3))
+    def test_replay_window(self, tmp_path, monkeypatch):
+        # the replay window is a FIFO of the last replay_capacity slots, and
+        # each batch draws min(batch_size, window) of them without
+        # replacement, from its episode's batch generator, in window order
+        config = small_config(episodes=3, horizon=4, replay_capacity=5,
+                              batch_size=8)
+        collected, batches = [], []
+        collect, gradients = collect_episode, batch_gradients
+
+        def recording_collect(*args):
+            collected.extend(collect(*args))
+            return collected[-config.horizon:]
+
+        def recording_gradients(params, batch):
+            batches.append(list(batch))
+            return gradients(params, batch)
+
+        monkeypatch.setattr(train_module, "collect_episode", recording_collect)
+        monkeypatch.setattr(train_module, "batch_gradients",
+                            recording_gradients)
+        train(config, tmp_path)
+        master = np.random.default_rng(config.seed)
+        master.integers(2**63)  # the initial parameters' draw
+        assert len(batches) == config.episodes
+        for k, batch in enumerate(batches):
+            master.integers(2**63)  # episode k's instance
+            batch_rng = np.random.default_rng(master.integers(2**63))
+            n = min(5, 4 * (k + 1))
+            window = collected[4 * (k + 1) - n:4 * (k + 1)]
+            picks = batch_rng.choice(n, size=min(8, n), replace=False)
+            assert len(batch) == min(8, n)
+            assert len({id(item) for item in batch}) == len(batch)
+            assert all(got is window[i] for got, i in zip(batch, picks))
+
+    def test_non_finite_loss_aborts_with_diagnostic(self, tmp_path,
+                                                     monkeypatch):
+        # a NaN batch loss at episode 2 stops the run before its Adam step:
+        # diagnostic.ckpt holds the parameters after episodes 0 and 1,
+        # those a 2-episode run ends with, and no checkpoint.ckpt is written
+        train(small_config(episodes=2), tmp_path / "two")
+        gradients, calls = batch_gradients, []
+
+        def nan_at_episode_2(params, batch):
+            loss, grads = gradients(params, batch)
+            calls.append(loss)
+            return (float("nan") if len(calls) == 3 else loss), grads
+
+        monkeypatch.setattr(train_module, "batch_gradients", nan_at_episode_2)
+        with pytest.raises(RuntimeError, match="non-finite loss at episode 2;"):
+            train(small_config(episodes=4), tmp_path / "nan")
+        assert len(calls) == 3
+        assert (tmp_path / "nan" / "diagnostic.ckpt").read_bytes() == \
+            (tmp_path / "two" / "checkpoint.ckpt").read_bytes()
+        assert not (tmp_path / "nan" / "checkpoint.ckpt").exists()
+
+    def test_log_columns(self, tmp_path):
+        result = train(small_config(episodes=3), tmp_path)
         assert len(result.log) == 3
         for row in result.log:
             assert set(row) == {"episode", "loss", "win_rate", "lr",
                                 "graph_model"}
             assert 0.0 <= row["win_rate"] <= 1.0
 
-    def test_identity_init_win_rate_one(self):
+    def test_identity_init_win_rate_one(self, tmp_path):
         config = small_config(episodes=2, init="identity")
-        result = train(config)
+        result = train(config, tmp_path)
         assert result.win_rate() == 1.0
 
-    def test_lr_decays(self):
+    def test_lr_decays(self, tmp_path):
         config = small_config(episodes=3, lr_decay=0.5, base_lr=0.1)
-        result = train(config)
+        result = train(config, tmp_path)
         assert [row["lr"] for row in result.log] == [0.1, 0.05, 0.025]
 
     def test_regression_sanity(self):
@@ -506,6 +532,11 @@ class TestTrain:
                      id="layer_dims-1,0,1"),
         pytest.param(dict(graph_mix=(("star5", float("nan")),)), "sum to nan",
                      id="graph_mix-nan"),
+        # a batch shrinks to the replay window, but neither may be empty
+        pytest.param(dict(batch_size=0), "batch size and replay capacity "
+                     "must be positive", id="batch_size"),
+        pytest.param(dict(replay_capacity=0), "batch size and replay "
+                     "capacity must be positive", id="replay_capacity"),
     ])
     def test_validate_refuses(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -521,6 +552,6 @@ class TestTrain:
 
     def test_checkpoints_written(self, tmp_path):
         config = small_config(episodes=4, checkpoint_interval=2)
-        train(config, checkpoint_dir=tmp_path)
+        train(config, tmp_path)
         assert (tmp_path / "checkpoint_ep00002.ckpt").exists()
         assert (tmp_path / "checkpoint_ep00004.ckpt").exists()

@@ -12,7 +12,7 @@
 # and exit status land in log/refused-<name>.txt and are compared too, but
 # their failure is not counted. Exits 0 when the two sides are identical
 # and every other command succeeded, 1 otherwise, 2 on a usage error.
-# Needs git, tar, diff, awk, head and python3 with numpy.
+# Needs git, tar, diff, awk, head, wc and python3 with numpy.
 # The work dir defaults to a fresh `mktemp -d` and is kept for inspection.
 set -eu
 
@@ -56,6 +56,15 @@ edit() {
     cp -R "$side/$2" "$side/$1"
     file=$side/$1/instance_0000/$3
     awk "$4" "$file" > "$file.new" && mv "$file.new" "$file"
+}
+
+# chop <copy> <from> <file> <bytes>: <from> copied to <copy> on the current
+# side, then the last <bytes> bytes of <file> of its first instance cut off
+chop() {
+    cp -R "$side/$2" "$side/$1"
+    file=$side/$1/instance_0000/$3
+    size=$(wc -c < "$file")
+    head -c $((size - $4)) "$file" > "$file.new" && mv "$file.new" "$file"
 }
 
 for which in rev tree; do
@@ -202,8 +211,9 @@ CFG
     run eval-star30-low eval --instances gen-star30-low \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30-low
-    # hand-edited instances and a checkpoint cut short: each eval must
-    # refuse its input and name the file and line
+    # hand-edited instances, files cut short and a header count that is
+    # not plain decimal: each eval must refuse its input and name the file
+    # and line
     edit gen-star30-swapped gen-star30 trace.csv \
         'NR == 4 { held = $0; next } NR == 5 { print; print held; next } 1'
     edit gen-star30-blank gen-star30 graph.txt 'NR == 10 { print "" } 1'
@@ -211,8 +221,13 @@ CFG
         'BEGIN { FS = OFS = "," } NR == 3 { $3 = "9223372036854775808" } 1'
     edit gen-star30-seed gen-star30 trace.csv \
         'NR == 1 { sub(/seed=[^ ]*/, "seed=abc") } 1'
+    # the trace's last rate and the graph's last endpoint, "0 30", cut
+    # inside their numbers
+    chop gen-star30-cut-trace gen-star30 trace.csv 3
+    chop gen-star30-cut-graph gen-star30 graph.txt 2
+    edit gen-star30-header gen-star30 graph.txt 'NR == 1 { $0 = "nodes 3_1" } 1'
     head -c 20 "$side/train-default/checkpoint.ckpt" > "$side/cut.ckpt"
-    for case in swapped blank huge seed; do
+    for case in swapped blank huge seed cut-trace cut-graph header; do
         refuse "eval-star30-$case" eval --instances "gen-star30-$case" \
             --policies baseline,greedy --out "eval-star30-$case"
     done
