@@ -41,10 +41,14 @@ SUMMARY_HEADER = ["config", "instances", "centralization", "policy", "metric",
                   "ar_mean", "ar_q25", "ar_median", "ar_q75"]
 LOG_HEADER = ["episode", "loss", "win_rate", "lr", "graph_model"]
 # The most queue entries (rows x (T + 1) x V, a row per instance and
-# policy) one eval group holds: 2 MB of int64 queues, and as much of float64
-# utilities. Past a few traces a group shares each slot's fixed cost so
-# widely that a larger one gains little, while its memory would grow with
-# the instance count; this bounds it whatever the directory holds.
+# policy) one eval group holds: 2 MB of int64 queues, as much of float64
+# utilities, and an eighth of that of bool schedules, whose independence
+# check after the last slot packs them eight to a byte. The traces' rates
+# are broadcast over the policies, never copied per row. Past a few traces
+# a group shares each slot's fixed cost (one weighing of every row, one
+# call per solver) so widely that a larger one gains little, while its
+# memory would grow with the instance count; this bounds it whatever the
+# directory holds.
 EVAL_GROUP_ENTRIES = 2**18
 
 
@@ -278,10 +282,10 @@ def cmd_eval(config: ExperimentConfig, instances_dir: Path,
     :class:`~linksched.graph.ConflictGraph` and its cached tables, and each
     trace is loaded once; every policy then replays every trace of the
     group in one lockstep :func:`run_episode` call, whose results equal
-    one call per instance bit for bit. Trace arrays are read-only, so a
-    policy that writes into its rates fails with ValueError instead of
-    changing what the others replay. Approximation ratios are each
-    policy's backlog metrics divided by the baseline's, by
+    one call per instance bit for bit. A policy's backlog x rate rows are
+    read-only, so a policy that writes into them fails with ValueError
+    instead of changing what the others schedule on. Approximation ratios
+    are each policy's backlog metrics divided by the baseline's, by
     :func:`~linksched.sim.backlog_ratio`'s convention (0/0 is 1.0, x/0 is
     inf), as Python floats. The report's ``summary`` is aggregated once,
     for ``summary.csv`` and the caller alike.

@@ -10,8 +10,9 @@ their edges as one (E, 2) array each, never as Python pairs, and hand it to
 Instance files are read and written as whole columns, in one layout each.
 :func:`read_int_rows`, the one reader of integer tables, parses a text in
 one call to numpy's C reader and names the first line that is no row. The
-readers of ``graph.txt`` and ``sim``'s ``trace.csv`` check its rows against
-their writer's, and each file states its size in a header.
+readers of ``graph.txt`` and ``sim``'s ``trace.csv`` check its rows, and
+through :func:`read_as_written` its line ends, against their writer's, and
+each file states its size in a header.
 """
 
 from __future__ import annotations
@@ -334,20 +335,62 @@ def is_independent_mask(graph: ConflictGraph, members) -> bool:
     """True iff no edge of the graph has both endpoints in the bool or 0/1
     membership mask ``members``, one (V,) mask or, as in
     :func:`~linksched.sim.advance`, a batch (..., V) of them, every one.
-    Each edge of :attr:`ConflictGraph.edge_ends` is checked once, by two
-    gathers along the node axis."""
+    The R masks are packed eight to a byte along the batch, and each edge
+    of :attr:`ConflictGraph.edge_ends` is checked once, by two gathers
+    along the node axis of the (ceil(R / 8), V) packed bytes."""
     m = np.asarray(members, dtype=bool)
     n = graph.node_count
     if m.shape[-1:] != (n,):
         raise ValueError(f"membership mask shape {m.shape} does not "
                          f"match {n} nodes")
     i, j = graph.edge_ends
-    return not (m.take(i, axis=-1) & m.take(j, axis=-1)).any()
+    packed = np.packbits(m.reshape(-1, n), axis=0)
+    return not (packed.take(i, axis=1) & packed.take(j, axis=1)).any()
 
 
 # --- integer text tables ------------------------------------------------------
 
 CUT_SHORT = "no '\\n' ends this last line: the file is cut short"
+
+
+def read_as_written(path, crlf: bool = False) -> tuple[str, int]:
+    """The text of the file at ``path`` and its size in bytes, for a file
+    whose lines end as its writer ends them: each in ``\\n`` alone, or,
+    with ``crlf``, line 1 in ``\\n`` and every later line in ``\\r\\n``,
+    as :func:`~linksched.sim.save_trace` writes.
+
+    The first line that ends otherwise, or holds another ``\\r``, raises
+    ValueError naming the path and the line; with ``crlf``, text after the
+    last ``\\n`` may end in the ``\\r`` of a line end cut short, which the
+    caller refuses as cut short. The text comes back with every ``\\r``
+    deleted, so each line ends in ``\\n`` alone. The file is read as bytes
+    and checked by whole-array byte comparisons; only a faulty file is
+    walked line by line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not crlf:
+        fine = b"\r" not in data
+    else:
+        # no \r before the \n that ends line 1, and from it on, byte i is
+        # \r exactly where byte i + 1 is \n; a last byte \r is a line end
+        # cut short
+        first = data.find(b"\n")
+        tail = np.frombuffer(data, np.uint8)[max(first, 0):]
+        fine = first > 0 and data.find(b"\r", 0, first) < 0 and \
+            np.array_equal(tail[:-1] == 13, tail[1:] == 10)
+    if not fine:
+        lines = data.split(b"\n")
+        for k, line in enumerate(lines, start=1):
+            want_cr = crlf and k > 1
+            ends = want_cr and line.endswith(b"\r")
+            # the last piece follows the last \n, so only it may lack one
+            if b"\r" in (line[:-1] if ends else line) or \
+                    want_cr and not ends and k < len(lines):
+                end = "'\\r\\n'" if want_cr else "'\\n'"
+                raise ValueError(f"{path}: line {k}: line end other than "
+                                 f"{end}")
+    return (data.translate(None, b"\r") if crlf else data).decode(), len(data)
 
 
 def _loadtxt_int64(lines, width: int, delimiter: str | None):
@@ -377,7 +420,9 @@ def read_int_rows(text: str, width: int, delimiter: str | None = None):
     lines are parsed one at a time.
     """
     ended = text[:text.rfind("\n") + 1]  # text itself when it ends in \n
-    count = text.count("\n")
+    # str.count walks the text a character at a time; numpy compares its
+    # UTF-8 bytes, in which only a \n is byte 10, in one pass
+    count = int(np.count_nonzero(np.frombuffer(text.encode(), np.uint8) == 10))
     rows = _loadtxt_int64(io.StringIO(ended), width, delimiter)
     stop = (count, None) if len(ended) < len(text) else None
     if rows is not None and len(rows) == count:
@@ -453,10 +498,12 @@ def load_graph(path, max_nodes: int) -> ConflictGraph:
     [0, V(V-1)/2], then the first edge row, in file order, that is a
     self-loop, out of range or not i < j after the row before it (a
     repeated or mirrored edge among them), the first line that is no row
-    (a blank one among them), and last a wrong number of edge rows. A last
-    line cut short, without its ``\\n``, is refused whatever it holds.
+    (a blank one among them), and last a wrong number of edge rows. Line
+    ends are read as written: before all of that, the first line that
+    holds a ``\\r`` is refused, and a last line cut short, without its
+    ``\\n``, is refused whatever it holds.
     """
-    text = Path(path).read_text()
+    text, _ = read_as_written(path)
     n, rest = _header_count(path, 1, text, "nodes")
     if not 1 <= n <= max_nodes:
         raise ValueError(f"{path}: line 1: node count {n} is outside "

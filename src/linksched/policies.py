@@ -1,23 +1,24 @@
 """Interchangeable scheduling policies: a utility function plus a solver name.
 
-Every policy has the same two parts. ``utilities(graph, q, r)`` is the
-per-link utility it schedules on: given (B, V) rows of queues and rates,
-it returns (B, V) utilities. :func:`~linksched.sim.run_episode` always
-passes (K, V) rows, one per trace, K = 1 included. ``solver`` names the
+Every policy has the same two parts. ``utilities(graph, x)`` is the
+per-link utility it schedules on: given (B, V) rows of the one input
+feature, backlog x rate, it returns (B, V) utilities. The rows are
+read-only. :func:`~linksched.sim.run_episode` weighs every row of a slot in
+one :func:`~linksched.solvers.baseline_utility` call and passes each policy
+its (K, V) block, one row per trace, K = 1 included. ``solver`` names the
 independent-set solver that turns those utilities into a schedule:
 ``"lgs"`` (the distributed baseline), ``"greedy"`` or ``"exact"`` (the
 centralized reference schedulers). A policy holds no solver function:
 :func:`~linksched.sim.run_episode` solves every policy's utilities, the
-rows of all ``"lgs"`` policies in one :func:`~linksched.solvers.lgs_rows`
-call per slot.
+rows of all policies that name one solver in one call of it per slot.
 
 :class:`SolverPolicy` hands its solver the baseline's weight, backlog x
-rate; :class:`GcnLgsPolicy` hands its solver the GCN's utilities of one
-input feature per link, backlog x rate: ``lgs`` in evaluation, which
-reports its message rounds, and ``greedy`` on training's main trajectory,
-which reads no rounds. Greedy's scan in (utility, node ID) order picks
-LGS's schedule on every row, signed utilities and zeros included, at a
-fraction of the cost of a one-row :func:`~linksched.solvers.lgs_rows` call.
+rate itself; :class:`GcnLgsPolicy` hands its solver the GCN's utilities of
+that one feature per link: ``lgs`` in evaluation, which reports its
+message rounds, and ``greedy`` on training's main trajectory, which reads
+no rounds. Greedy's scan in (utility, node ID) order picks LGS's schedule
+on every row, signed utilities and zeros included, at a fraction of the
+cost of a one-row :func:`~linksched.solvers.lgs_rows` call.
 """
 
 from __future__ import annotations
@@ -26,17 +27,16 @@ import numpy as np
 
 from .gcn import LEAKY_SLOPE, GcnParams, forward
 from .graph import ConflictGraph
-from .solvers import baseline_utility
 
 
 class SolverPolicy:
-    """A solver, by name, applied to the :func:`baseline_utility` of (q, r)."""
+    """A solver, by name, applied to backlog x rate as it stands."""
 
     def __init__(self, solver: str):
         self.solver = solver
 
-    def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
-        return baseline_utility(q, r)
+    def utilities(self, graph: ConflictGraph, x) -> np.ndarray:
+        return x
 
 
 class GcnLgsPolicy:
@@ -44,9 +44,9 @@ class GcnLgsPolicy:
     to another solver by name.
 
     ``solver="greedy"`` schedules exactly what ``"lgs"`` does, without
-    message rounds (training uses it; see the module docstring). The node
-    :meth:`features` are backlog x rate, the one input a checkpoint is
-    trained on; the convolution uses the graph's own cached
+    message rounds (training uses it; see the module docstring). The GCN's
+    one input feature per node is backlog x rate, the one input a
+    checkpoint is trained on; the convolution uses the graph's own cached
     :attr:`ConflictGraph.laplacian`, so the policy holds no per-graph state.
     """
 
@@ -56,10 +56,6 @@ class GcnLgsPolicy:
         self.params = params
         self.slope = slope
 
-    def features(self, q, r) -> np.ndarray:
-        """The GCN input: backlog x rate, (B, V, 1) for (B, V) rows."""
-        return baseline_utility(q, r)[..., None]
-
-    def utilities(self, graph: ConflictGraph, q, r) -> np.ndarray:
-        return forward(self.params, graph.laplacian, self.features(q, r),
+    def utilities(self, graph: ConflictGraph, x) -> np.ndarray:
+        return forward(self.params, graph.laplacian, x[..., None],
                        self.slope)[0]

@@ -1,18 +1,20 @@
 """Discrete-time queueing dynamics, traffic sampling, episodes, and metrics.
 
-A slot proceeds as: each policy's utilities of the state (q(t), r(t)) go
-to the solver it names, which picks an independent set as a (V,) bool
-membership mask; scheduled links send min(rate, backlog) packets; arrivals
-land on every link. All packet quantities are integers. :func:`run_episode`
-is the one per-slot loop and the one place a policy's utilities are
-solved: it runs P policies on K traces of one graph in lockstep, each
-policy on a (K, V) block of rows, one per trace. Each slot it takes each
-policy's utilities in one call on its block, solves every ``"lgs"`` row in
-one :func:`~linksched.solvers.lgs_rows` call and each other row with the
-solver it names, then checks every schedule for independence in one
-:func:`~linksched.graph.is_independent_mask` call. Evaluation runs every
-policy on the traces of instances that share a graph; the trainer's main
-trajectory runs one policy on one trace (K = 1).
+A slot proceeds as: each policy's utilities of the state's backlog x
+rate, q(t) r(t), go to the solver it names, which picks an independent set
+as a (V,) bool membership mask; scheduled links send min(rate, backlog)
+packets; arrivals land on every link. All packet quantities are integers.
+:func:`run_episode` is the one per-slot loop and the one place a policy's
+utilities are solved: it runs P policies on K traces of one graph in
+lockstep, each policy on a (K, V) block of rows, one per trace. Each slot
+pays once for what its rows share: one
+:func:`~linksched.solvers.baseline_utility` call weighs every row, each
+policy's utilities are one call on its block of that, and each solver
+solves all of its rows in one call. Every schedule of the run is checked
+for independence in one :func:`~linksched.graph.is_independent_mask` call
+after the last slot. Evaluation runs every policy on the traces of
+instances that share a graph; the trainer's main trajectory runs one
+policy on one trace (K = 1).
 :func:`advance` is the one implementation of the queue update,
 q - min(r, q) + a, on a membership mask of any batch shape; only
 :func:`run_episode` and :func:`lookahead_compare` call it.
@@ -25,15 +27,16 @@ summarizes ratios that may be inf.
 
 Traces are stored as ``trace.csv``: :func:`save_trace` formats the whole
 (slot, node) column block in one string operation, and :func:`load_trace`
-reads back only that layout: one :func:`~linksched.graph.read_int_rows`
-call, one check that row k reads (t, node) = (k // V, k % V), and the
-arrival and rate columns as they stand.
+reads back only that layout, its line ends included: one
+:func:`~linksched.graph.read_int_rows` call, one check that row k reads
+(t, node) = (k // V, k % V), and the arrival and rate columns as they
+stand.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import CUT_SHORT, ConflictGraph, as_rng, is_independent_mask, \
-    read_int_rows
+    read_as_written, read_int_rows
 from .solvers import baseline_utility, exact_mwis, greedy_centralized, lgs_rows
 
 RATE_MEAN = 50.0
@@ -161,20 +164,31 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     returns one :class:`EpisodeResult` per (trace, policy) pair,
     trace-major: with P policies, result k * P + p is policy p on trace k.
 
-    A policy is its ``utilities(graph, q, r)`` and a ``solver`` name (see
+    A policy is its ``utilities(graph, x)`` and a ``solver`` name (see
     :mod:`~linksched.policies`). A slot's rows form a (P, K, V) block,
-    policy-major, with the ``"lgs"`` policies first. Each slot, the
-    policies' utilities are called in the caller's order, each on its
-    read-only (K, V) states and rates, and must return (K, V). The
-    ``"lgs"`` rows, one slice, go to one :func:`lgs_rows` call; each other
-    row, policy-major, goes to :func:`greedy_centralized` (``"greedy"``) or
-    :func:`exact_mwis` (``"exact"``), looked up in this module at call
-    time, and must come back a (V,) bool mask. One
-    :func:`is_independent_mask` call checks the slot's schedules, and one
-    :func:`advance` applies each trace's slot t to its rows. A fault raises
-    ValueError. Rows never mix, so each result equals a run of that policy
-    alone on that trace. The traces were checked when they were built, so
-    only their width, and that they cover the steps, are checked here.
+    policy-major, ordered by solver: the ``"lgs"`` policies, then the
+    ``"greedy"`` ones, then the ``"exact"`` ones, each in the caller's
+    order, so each solver's rows are one slice. Each slot, one
+    :func:`baseline_utility` call weighs every row, the queues against
+    that slot's (K, V) rates broadcast over the P blocks; the policies'
+    utilities are then called in the caller's order, each on its read-only
+    (K, V) block of that, and must return (K, V). Each solver gets its
+    slice in one call, in that order: :func:`lgs_rows`,
+    :func:`greedy_centralized` (``"greedy"``) and :func:`exact_mwis`
+    (``"exact"``), looked up in this module at call time; the centralized
+    solvers must return a bool mask of their slice's shape. One
+    :func:`advance` then applies each trace's slot t to its rows. Rows
+    never mix, so each result equals a run of that policy alone on that
+    trace.
+
+    A fault raises ValueError: utilities or schedules of the wrong kind at
+    their slot, and schedules that are no independent set of the graph
+    after the last slot, where one :func:`is_independent_mask` call checks
+    them all, before anything is returned; no queue update depends on
+    that check. The error names the first such slot, its policy by its
+    place in the caller's order, and its trace. The traces were checked
+    when they were built, so only their width, and that they cover the
+    steps, are checked here.
     """
     if not traces:
         raise ValueError("run_episode needs at least one trace")
@@ -187,62 +201,77 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     horizon = shortest if steps is None else int(steps)
     if not 1 <= horizon <= shortest:
         raise ValueError(f"steps must lie in [1, {shortest}]")
-    solve = {"greedy": greedy_centralized, "exact": exact_mwis}
+    solve = {"lgs": lgs_rows, "greedy": greedy_centralized,
+             "exact": exact_mwis}
     for policy in policies:
-        if policy.solver != "lgs" and policy.solver not in solve:
+        if policy.solver not in solve:
             raise ValueError(f"unknown solver {policy.solver!r}")
-    # each policy's block of K rows, one per trace, the "lgs" policies'
-    # blocks first: policy p's rows start at start[p], and every "lgs" row
-    # lies in :lgs_end
-    lgs = [p for p, policy in enumerate(policies) if policy.solver == "lgs"]
-    order = lgs + [p for p, policy in enumerate(policies)
-                   if policy.solver != "lgs"]
-    start = {p: b * k for b, p in enumerate(order)}
-    lgs_end, rows, shape = k * len(lgs), count * k, (k, n)
-    picks = [slice(start[p], start[p] + k) for p in range(count)]
-    others = [(row, solve[policies[p].solver]) for p in order[len(lgs):]
-              for row in range(start[p], start[p] + k)]
+    # each policy's block of K rows, one per trace, sorted by solver in the
+    # order of ``solve``: policy order[b] owns block b, rows b * K on, and
+    # each solver's rows are one slice of ``groups``
+    rank = list(solve)
+    order = sorted(range(count), key=lambda p: rank.index(policies[p].solver))
+    block = [order.index(p) for p in range(count)]
+    groups, end = [], 0
+    for name, run in itertools.groupby(policies[p].solver for p in order):
+        size = k * len(list(run))
+        groups.append((name, slice(end, end + size)))
+        end += size
+    lgs_end = k * sum(policy.solver == "lgs" for policy in policies)
+    rows, shape = count * k, (k, n)
     queues = np.zeros((horizon + 1, rows, n), dtype=np.int64)
-    states = queues.view()
-    states.setflags(write=False)
     members = np.empty((horizon, rows, n), dtype=bool)
     utilities = np.empty((horizon, rows, n))
-    rounds = np.zeros((rows, horizon), dtype=np.int64)
+    rounds = np.zeros((lgs_end, horizon), dtype=np.int64)
     # the (K, V) rates and arrivals of a slot broadcast over the P blocks
     # of a (P, K, V) view of its rows
     rates = np.concatenate([trace.rates[:horizon, None] for trace in traces],
                            axis=1)
-    rates.setflags(write=False)
+    rate_blocks = np.broadcast_to(rates[:, None], (horizon, count, k, n))
     arrivals = np.concatenate([trace.arrivals[:horizon, None]
                                for trace in traces], axis=1)
     queue_blocks = queues.reshape(horizon + 1, count, k, n)
     member_blocks = members.reshape(horizon, count, k, n)
+    utility_blocks = utilities.reshape(horizon, count, k, n)
     for t in range(horizon):
-        q, r, slot, u = states[t], rates[t], members[t], utilities[t]
-        for pick, policy in zip(picks, policies):
-            row = policy.utilities(graph, q[pick], r)
+        x = baseline_utility(queue_blocks[t], rate_blocks[t])
+        x.setflags(write=False)
+        u = utility_blocks[t]
+        for b, policy in zip(block, policies):
+            row = policy.utilities(graph, x[b])
             if np.shape(row) != shape:
                 raise ValueError(f"utilities of shape {np.shape(row)}, not "
                                  f"{shape}: one row per trace, one utility "
                                  "per node")
-            u[pick] = row
-        if lgs_end:
-            slot[:lgs_end], rounds[:lgs_end, t] = lgs_rows(graph, u[:lgs_end])
-        for row, solver in others:
-            mask = solver(graph, u[row])
-            if getattr(mask, "dtype", None) != bool:
-                raise ValueError("a schedule must be a 1-D bool mask")
-            if np.shape(mask) != (n,):
+            u[b] = row
+        for name, pick in groups:
+            rows_u = utilities[t, pick]
+            mask = solve[name](graph, rows_u)
+            if name == "lgs":
+                mask, rounds[:, t] = mask
+            elif getattr(mask, "dtype", None) != bool:
+                raise ValueError("a solver must return a 1-D bool mask per "
+                                 "row")
+            elif np.shape(mask) != rows_u.shape:
                 raise ValueError(f"membership mask shape {np.shape(mask)} "
-                                 f"does not match {n} nodes")
-            slot[row] = mask
-        if not is_independent_mask(graph, slot):
-            raise ValueError("schedule is not an independent set of the graph")
-        queue_blocks[t + 1] = advance(queue_blocks[t], member_blocks[t], r,
-                                      arrivals[t])
+                                 f"does not match {n} nodes in each of "
+                                 f"{len(rows_u)} rows")
+            members[t, pick] = mask
+        queue_blocks[t + 1] = advance(queue_blocks[t], member_blocks[t],
+                                      rates[t], arrivals[t])
+    if not is_independent_mask(graph, members):
+        # the error path alone scans: the first faulty slot, then its row
+        t = next(t for t in range(horizon)
+                 if not is_independent_mask(graph, members[t]))
+        row = next(row for row in range(rows)
+                   if not is_independent_mask(graph, members[t, row]))
+        b, j = divmod(row, k)
+        raise ValueError(f"slot {t}: the schedule of policy {order[b]} "
+                         f"({policies[order[b]].solver!r}) on trace {j} is "
+                         "not an independent set of the graph")
     return [EpisodeResult(queues[:, row], members[:, row], utilities[:, row],
                           rounds[row] if row < lgs_end else None)
-            for j in range(k) for row in (start[p] + j for p in range(count))]
+            for j in range(k) for row in (b * k + j for b in block)]
 
 
 def backlog_ratio(value, reference) -> np.ndarray:
@@ -410,12 +439,13 @@ def load_trace(path, nodes: int) -> TrafficTrace:
     range or extra), a negative arrival or rate, a line that is no row (a
     blank one among them), and a missing row each raise ValueError naming
     the path and the first offending line in file order; arrivals on one
-    link summing past 2**63 - 1 raise one naming the path. A last line
-    cut short, without its line end, is refused whatever it holds.
+    link summing past 2**63 - 1 raise one naming the path. Line ends are
+    read as written, ``\\n`` after the metadata and ``\\r\\n`` after every
+    other line: the first line that ends otherwise, or holds another
+    ``\\r``, is refused before all of the above, and a last line cut short,
+    without its line end, is refused whatever it holds.
     """
-    with open(path) as fh:
-        file_bytes = os.fstat(fh.fileno()).st_size
-        text = fh.read()
+    text, file_bytes = read_as_written(path, crlf=True)
     meta_line, end, rest = text.partition("\n")
     if meta_line and not end:
         raise ValueError(f"{path}: line 1: {CUT_SHORT}")

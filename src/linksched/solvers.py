@@ -5,10 +5,12 @@ A schedule is a (V,) bool membership mask over the graph's nodes. The
 distributed local greedy scheduler (LGS) has one kernel, :func:`lgs_rows`,
 which schedules a batch of utility rows on one graph without sorting: a
 node joins when no remaining neighbor outranks it in (utility, node ID)
-order. :func:`greedy_centralized` and :func:`exact_mwis` schedule one row.
-:func:`~linksched.sim.run_episode` is the one caller that solves a policy's
-utilities; :func:`~linksched.sim.lookahead_compare` calls :func:`lgs_rows`
-on :func:`baseline_utility` for the baseline's rollouts.
+order. :func:`greedy_centralized` and :func:`exact_mwis` schedule one (V,)
+row or a (B, V) stack of rows, each row as on its own; every solver checks
+its input once per call. :func:`~linksched.sim.run_episode` is the one
+caller that solves a policy's utilities, one call per solver per slot;
+:func:`~linksched.sim.lookahead_compare` calls :func:`lgs_rows` on
+:func:`baseline_utility` for the baseline's rollouts.
 
 Every solver reads what it derives from the graph alone from a table
 cached on the immutable :class:`~linksched.graph.ConflictGraph`, so a
@@ -42,10 +44,13 @@ _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _check_utilities(graph: ConflictGraph, utilities) -> np.ndarray:
+    """``utilities`` as float64, one (V,) row or a (B, V) stack, refused
+    unless it is one of those shapes and every entry is finite."""
     u = np.asarray(utilities, dtype=np.float64)
-    if u.shape != (graph.node_count,):
-        raise ValueError(
-            f"utility vector length {u.shape} does not match {graph.node_count} nodes")
+    n = graph.node_count
+    if u.ndim not in (1, 2) or u.shape[-1] != n:
+        raise ValueError(f"utility shape {u.shape} does not match {n} "
+                         "nodes: one (V,) row or a (B, V) stack")
     if not np.isfinite(u).all():
         raise ValueError("utilities must be finite")
     return u
@@ -139,16 +144,23 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> np.ndarray:
     would take next. Unlike :func:`lgs_rows`, this is a sequential
     algorithm, which keeps ``lgs_rows == greedy_centralized`` a meaningful
     property; training's main trajectory relies on it, scheduling with
-    this scan instead of LGS. Returns the (V,) bool membership mask.
+    this scan instead of LGS.
+
+    ``utilities`` is one (V,) row or a (B, V) stack; the stack is checked
+    and argsorted once, and each row is scanned as on its own. Returns bool
+    membership masks of the input's shape.
     """
     u = _check_utilities(graph, utilities)
-    nbrs = graph.neighbor_bitmasks
-    blocked = 0
-    members = np.zeros(graph.node_count, dtype=bool)
-    for v in u.argsort(kind="stable")[::-1].tolist():
-        if not blocked >> v & 1:
-            members[v] = True
-            blocked |= nbrs[v]
+    n, nbrs = graph.node_count, graph.neighbor_bitmasks
+    members = np.zeros(u.shape, dtype=bool)
+    flat, base = members.reshape(-1), 0  # row b's node v at base b * V + v
+    for order in u.reshape(-1, n).argsort(kind="stable").tolist():
+        blocked = 0
+        for v in reversed(order):
+            if not blocked >> v & 1:
+                flat[base + v] = True
+                blocked |= nbrs[v]
+        base += n
     return members
 
 
@@ -169,6 +181,12 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     hub out with every leaf taken at once. Weights must be non-negative and
     the graph at most :data:`EXACT_NODE_CAP` nodes.
 
+    ``utilities`` is one (V,) row or a (B, V) stack, and each row is
+    searched as on its own. A call checks its input once, refusing in this
+    order a wrong shape, a non-finite weight, a graph over the cap and a
+    negative weight, and builds the search once; it returns bool
+    membership masks of the input's shape.
+
     Node sets are Python ints, bit v for node v. The neighbor sets are the
     graph's cached :attr:`~linksched.graph.ConflictGraph.neighbor_bitmasks`,
     which greedy reads too; taking v drops ``nbrs[v] & rem | 1 << v``, its
@@ -183,21 +201,25 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     so that union is exactly the nodes with a remaining neighbor). A
     narrower set is walked bit by bit, which its few members make cheaper
     than the fold's fixed cost. The same byte spelling packs ``u > 0`` into
-    the set of positive weights and unpacks the best set into the returned
-    (V,) bool membership mask.
+    each row's set of positive weights and unpacks the best sets into the
+    returned masks.
     """
     u = _check_utilities(graph, utilities)
     n = graph.node_count
     if n > EXACT_NODE_CAP:
         raise ValueError(
             f"exact solver capped at {EXACT_NODE_CAP} nodes, got {n}")
-    w = u.tolist()
-    if min(w) < 0:  # the weights are finite, so this is (u < 0).any()
+    rows = u.reshape(-1, n).tolist()
+    # the weights are finite, so this is (u < 0).any()
+    if rows and min(map(min, rows)) < 0:
         raise ValueError("exact solver requires non-negative utilities")
     nbrs = graph.neighbor_bitmasks
-    positive = int((u > 0).tobytes()[::-1].translate(_TO_DIGITS), 2)
+    positives = (u > 0).tobytes()  # one 0/1 byte per (row, node)
+    # the row being searched: its weights, its set of positive weights, and
+    # the best set found so far with its weight
+    w: list[float] = []
+    positive = best_set = 0
     best_weight = -1.0
-    best_set = 0
 
     def flags(mask: int) -> bytes:
         # one 0/1 byte per node, node 0 first, up to mask's highest member
@@ -245,6 +267,11 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
         search(rem & ~dropped, weight + w[v], chosen | (1 << v),
                rem_sum - bit_sum(dropped))
 
-    search((1 << n) - 1, 0.0, 0, reduce(add, w, 0.0))
-    digits = bin(best_set)[:1:-1].ljust(n, "0").encode()
-    return np.frombuffer(bytearray(digits.translate(_TO_FLAGS)), bool)
+    digits = []
+    for a, w in zip(range(0, u.size, n), rows):
+        positive = int(positives[a:a + n][::-1].translate(_TO_DIGITS), 2)
+        best_weight, best_set = -1.0, 0
+        search((1 << n) - 1, 0.0, 0, reduce(add, w, 0.0))
+        digits.append(bin(best_set)[:1:-1].ljust(n, "0"))
+    flat = "".join(digits).encode().translate(_TO_FLAGS)
+    return np.frombuffer(bytearray(flat), bool).reshape(u.shape)

@@ -32,6 +32,7 @@ from .policies import GcnLgsPolicy
 from .presets import parse_graph_config
 from .sim import RATE_MEAN, TrafficTrace, lookahead_compare, run_episode, \
     sample_traffic
+from .solvers import baseline_utility
 
 DEFAULT_LOADS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
 # The largest value of each size key (for ``layer_dims``, of each width), so
@@ -209,12 +210,13 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     """Run one episode under the GCN policy and score every slot.
 
     Two phases. First :func:`run_episode` runs the GCN policy, with
-    evaluation's per-slot checks, for horizon + lookahead - 1 slots: the
+    evaluation's checks, for horizon + lookahead - 1 slots: the
     horizon's slots and the lookahead's future of the last one. It solves
     with ``"greedy"``: LGS's local maxima are the greedy set in (utility,
     node ID) order, so the schedule is LGS's on every row, and training
     reads no message rounds, which only LGS reports. Then the
-    first horizon slots are scored at once: one :func:`lookahead_compare`
+    first horizon slots are scored at once, their features weighed in one
+    :func:`baseline_utility` call: one :func:`lookahead_compare`
     call compares the trajectory's next lookahead states from slot t with
     the LGS baseline rolled from q(t) on the same trace slots, and one
     :func:`compute_reward` call gives the targets from the utilities each
@@ -227,8 +229,8 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     gcn_policy = GcnLgsPolicy(params, solver="greedy")
     result, = run_episode(graph, [gcn_policy], trace, steps=horizon + k - 1)
     members = result.members[:horizon]
-    features = gcn_policy.features(result.queues[:horizon],
-                                   trace.rates[:horizon])
+    features = baseline_utility(result.queues[:horizon],
+                                trace.rates[:horizon])[..., None]
     ratios = lookahead_compare(graph, result.queues, k, trace)
     returns = compute_reward(ratios, members, result.utilities[:horizon])
     return [ExperienceTuple(graph, *slot) for slot in

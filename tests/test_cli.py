@@ -22,6 +22,7 @@ from linksched.sim import (compute_metrics, load_trace, run_episode,
                            sample_traffic, save_trace)
 from linksched import train as train_module
 from linksched.train import SIZE_CAPS, TrainConfig
+from test_sim import write_trace_lines
 
 TRAIN_FIELDS = [f.name for f in fields(TrainConfig)]
 
@@ -351,12 +352,13 @@ class TestEval:
 
     def test_policy_writing_rates_fails(self, small_instances, monkeypatch,
                                         capsys):
+        # a policy's input, its rows of backlog x rate, is read-only
         _, instances = small_instances
 
         class Vandal(SolverPolicy):
-            def utilities(self, graph, q, r):
-                r[:] = 0
-                return super().utilities(graph, q, r)
+            def utilities(self, graph, x):
+                x[:] = 0
+                return super().utilities(graph, x)
 
         monkeypatch.setattr(cli, "_make_policy",
                             lambda name, config: Vandal("lgs"))
@@ -369,16 +371,16 @@ class TestEval:
     def test_policy_writing_rates_fails_beside_lgs_policies(
             self, small_instances, monkeypatch, capsys, tmp_path):
         # baseline and gcn are solved in one batch each slot; the vandal
-        # beside them still meets read-only rates
+        # beside them still meets read-only backlog x rate rows
         _, instances = small_instances
         ckpt = tmp_path / "identity.ckpt"
         save_checkpoint(ckpt, identity_params())
         make_policy = cli._make_policy
 
         class Vandal(SolverPolicy):
-            def utilities(self, graph, q, r):
-                r[:] = 0
-                return super().utilities(graph, q, r)
+            def utilities(self, graph, x):
+                x[:] = 0
+                return super().utilities(graph, x)
 
         monkeypatch.setattr(
             cli, "_make_policy", lambda name, config:
@@ -406,11 +408,13 @@ class TestEval:
                                                  tmp_path / "traced")) == {}
         calls = Counter(tracer.labels[i] for i in tracer.name_ids)
         # the 4 star5 instances share a graph: one lockstep episode for the
-        # group, one batched LGS solve per slot
+        # group, one batched solve per solver and slot, and one weighing of
+        # every row per slot
         assert calls["sim.run_episode"] == 1
         assert calls["solvers.lgs_rows"] == 16
-        assert calls["solvers.greedy_centralized"] == 4 * 16
-        assert calls["solvers.exact_mwis"] == 4 * 16
+        assert calls["solvers.greedy_centralized"] == 16
+        assert calls["solvers.exact_mwis"] == 16
+        assert calls["solvers.baseline_utility"] == 16
         for name in ("per_instance.csv", "ars.csv", "summary.csv"):
             assert (tmp_path / "traced" / name).read_bytes() == \
                 (tmp_path / "plain" / name).read_bytes()
@@ -739,7 +743,7 @@ class TestMainEntry:
         trace = instances / "instance_0000" / "trace.csv"
         lines = trace.read_text().splitlines()
         lines[0] = "# seed=1 nodes=100000000000 horizon=100000000000"
-        trace.write_text("".join(f"{line}\n" for line in lines))
+        write_trace_lines(trace, lines)
         rc = main(["eval", "--instances", str(instances), "--policies",
                    "baseline"])
         assert rc == 1
@@ -992,7 +996,7 @@ class TestMainEntry:
         trace = instances / "instance_0000" / "trace.csv"
         lines = trace.read_text().splitlines()
         lines[2] = row
-        trace.write_text("".join(f"{line}\n" for line in lines))
+        write_trace_lines(trace, lines)
         assert main(["eval", "--instances", str(instances), "--policies",
                      "baseline"]) == 1
         err = capsys.readouterr().err
@@ -1015,7 +1019,10 @@ class TestMainEntry:
         else:
             lines.insert(10, "")
             reason = "line 11: expected 'i j' pair"
-        path.write_text("".join(f"{line}\n" for line in lines))
+        if name == "trace.csv":
+            write_trace_lines(path, lines)
+        else:
+            path.write_text("".join(f"{line}\n" for line in lines))
         out = tmp_path / "eval"
         assert main(["eval", "--instances", str(instances), "--policies",
                      "baseline,greedy", "--out", str(out)]) == 1
@@ -1040,8 +1047,8 @@ class TestMainEntry:
                                       horizon=4, seed=1), instances)
         trace = instances / "instance_0000" / "trace.csv"
         rows = [f"{t},{v},{2**62},5" for t in range(4) for v in range(6)]
-        trace.write_text("# seed=1 nodes=6 horizon=4\nt,node,arrival,rate\n"
-                         + "".join(f"{row}\n" for row in rows))
+        write_trace_lines(trace, ["# seed=1 nodes=6 horizon=4",
+                                  "t,node,arrival,rate"] + rows)
         assert main(["eval", "--instances", str(instances), "--policies",
                      "baseline"]) == 1
         err = capsys.readouterr().err
@@ -1092,11 +1099,17 @@ class TestFuzz:
         path = instances / name
         good = path.read_text().splitlines()
         assert self.outcome(capsys, argv) == 0
+
+        def write(lines):  # with the line ends the file was written with
+            if name.endswith("trace.csv"):
+                write_trace_lines(path, lines)
+            else:
+                path.write_text("".join(f"{line}\n" for line in lines))
         outcomes = {}
         for case, lines in junk_variants(good):
-            path.write_text("".join(f"{line}\n" for line in lines))
+            write(lines)
             outcomes[case] = self.outcome(capsys, argv)
-        path.write_text("".join(f"{line}\n" for line in good))
+        write(good)
         # what a corrupted file may still mean: eval reads no manifest seed
         # and sizes nothing by its instance count or horizon; a graph states
         # its edge count and a trace its size, so no cut of either is valid

@@ -480,6 +480,30 @@ class TestIndependentBlocks:
         assert is_independent_mask(g, strided) == all(loop)
         assert is_independent_mask(g, block[:, None]) == all(loop)
 
+    @pytest.mark.parametrize("rows", [0, 1, 5, 7, 9, 13, 16, 17, 23])
+    def test_packed_batches_equal_row_loop(self, rows):
+        # the rows pack eight to a byte, so R % 8 != 0 leaves padding bits
+        # in the last byte that must never read as members; R = 0 packs to
+        # nothing and is independent
+        rng = np.random.default_rng(rows)
+        for g in TestIndependentSet().graphs():
+            n = g.node_count
+            for density in (0.0, 0.1, 0.4):
+                block = rng.random((rows, n)) < density
+                loop = [per_row_reference(g, row) for row in block]
+                assert is_independent_mask(g, block) == all(loop)
+                assert is_independent_mask(g, block.reshape(rows, 1, n)) \
+                    == all(loop)
+            if g.edge_count == 0 or rows == 0:
+                continue
+            i, j = g.edges()[0]
+            for k in (0, rows - 1):  # the first row, and the last one
+                block = np.zeros((rows, n), dtype=bool)
+                block[k, [i, j]] = True
+                assert not is_independent_mask(g, block)
+                block[k, j] = False
+                assert is_independent_mask(g, block)
+
 
 class TestBitmasks:
     @pytest.mark.parametrize("name", ["ba", "ba-dense", "er", "tree",
@@ -600,6 +624,26 @@ class TestSerialization:
         path.write_text("nodes 200\nedges 1\n5 123\n")  # the file uncut
         assert load_graph(path, 200).edges() == [(5, 123)]
 
+    @pytest.mark.parametrize("edit, line", [
+        pytest.param(lambda text: text.replace("\n", "\r\n"), 1, id="crlf"),
+        pytest.param(lambda text: text.replace("\n", "\r"), 1, id="cr"),
+        pytest.param(lambda text: text.replace("0 2\n", "0 2\r\n"), 4,
+                     id="crlf-one-row"),
+        pytest.param(lambda text: text.replace("0 1\n", "0\r1\n"), 3,
+                     id="cr-inside-row"),
+        pytest.param(lambda text: text + "\r", 6, id="cr-after-last-line")])
+    def test_line_ends_read_as_written(self, tmp_path, edit, line):
+        # save_graph ends every line in \n alone, and a \r anywhere is
+        # refused at its line
+        path = tmp_path / "graph.txt"
+        save_graph(generate_star(3), path)
+        text = path.read_bytes().decode()
+        assert text == "nodes 4\nedges 3\n0 1\n0 2\n0 3\n"
+        path.write_bytes(edit(text).encode())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {line}: line end other than '\\n'")):
+            load_graph(path, 4)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("vertices 3\n0 1\n")
@@ -698,8 +742,13 @@ def reference_load_edges(path, n):
     reference for ``load_graph``'s diagnostics: the edge count of line 2,
     the first edge line in file order that is no pair or not the edge after
     the one before it, a last line without its \\n, then the number of edge
-    rows."""
-    lines = Path(path).read_text().split("\n")
+    rows; before all of that, the first line that holds a \\r."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    for ln, line in enumerate(text.split("\n"), start=1):
+        if "\r" in line:
+            raise ValueError(f"{path}: line {ln}: line end other than '\\n'")
+    lines = text.split("\n")
     cut = lines.pop()  # what follows the last \n: a line cut short, if any
     m = int(lines[1].split()[1])
     if not 0 <= m <= n * (n - 1) // 2:

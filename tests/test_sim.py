@@ -2,6 +2,7 @@ import itertools
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,16 +25,37 @@ from linksched.solvers import (baseline_utility, exact_mwis,
 from test_graph import CUT_SHORT, is_int64, reference_load_edges
 
 
+def trace_text(lines) -> str:
+    """Trace file lines joined with the line ends ``save_trace`` writes:
+    ``\\n`` after the metadata line and ``\\r\\n`` after every other."""
+    return "".join(f"{line}\n" if k == 0 else f"{line}\r\n"
+                   for k, line in enumerate(lines))
+
+
+def write_trace_lines(path, lines) -> None:
+    Path(path).write_bytes(trace_text(lines).encode())
+
+
 def reference_load_trace(path, nodes):
     """A line-at-a-time reader of the one layout ``save_trace`` writes, the
     reference for ``load_trace``'s diagnostics: the first line in file
-    order that is no row or not the row k = (t, node) there, a last line
-    without its line end, then the row count."""
-    with open(path) as fh:
+    order that does not end as written, then the first that is no row or
+    not the row k = (t, node) there, a last line without its line end,
+    then the row count."""
+    with open(path, newline="") as fh:
         text = fh.read()
         file_bytes = os.fstat(fh.fileno()).st_size
     lines = text.split("\n")
     cut = lines.pop()  # what follows the last line end: a line cut short
+    for k, line in enumerate(lines + [cut]):
+        # the writer's "\r" ends every line but the first, and a cut line
+        # may end in it
+        inner = line if k == 0 else line[:-1]
+        if "\r" in inner or 0 < k < len(lines) and not line.endswith("\r"):
+            end = "'\\n'" if k == 0 else "'\\r\\n'"
+            raise ValueError(f"{path}: line {k + 1}: line end other than "
+                             f"{end}")
+    lines[1:] = [line[:-1] for line in lines[1:]]
     meta = dict(part.split("=", 1) for part in lines[0][2:].split(" "))
     horizon = int(meta["horizon"])
     if 8 * horizon * nodes > file_bytes:
@@ -79,13 +101,14 @@ class Stub:
 
     solver = "exact"
 
-    def utilities(self, graph, q, r):
-        return np.zeros(np.shape(q))
+    def utilities(self, graph, x):
+        return np.zeros(np.shape(x))
 
 
 def run_stub(graph, schedule, trace):
     """One :class:`Stub` policy's episode, with ``schedule(graph, u)`` as
-    sim's exact solver: a fault injected where ``run_episode`` calls it."""
+    sim's exact solver: a fault injected where ``run_episode`` calls it,
+    once a slot on the (1, V) stack of the one row."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "exact_mwis", schedule)
         return run_episode(graph, [Stub()], trace)
@@ -100,7 +123,7 @@ def one_slot(graph, q0, nodes, arrivals, rates):
     members[list(nodes)] = True
     schedules = iter([np.zeros(n, dtype=bool), members])
     trace = TrafficTrace(np.array([q0, arrivals]), np.array([rates, rates]))
-    result, = run_stub(graph, lambda g, u: next(schedules), trace)
+    result, = run_stub(graph, lambda g, u: next(schedules)[None], trace)
     assert result.queues.shape == (3, n)
     assert np.array_equal(result.queues[1], q0)
     assert np.array_equal(result.members, [np.zeros(n, dtype=bool), members])
@@ -133,42 +156,74 @@ class TestStep:
         # node IDs, int8 masks of the right length and lists are not
         # schedules
         g = generate_star(5)
-        for members in (np.array([0, 2, 0, 0, 0, 0]),
-                        np.array([1, 0, 1, 1, 1, 1], np.int8), [False] * 6):
+        for members in (np.array([[0, 2, 0, 0, 0, 0]]),
+                        np.array([[1, 0, 1, 1, 1, 1]], np.int8),
+                        [[False] * 6]):
             with pytest.raises(ValueError, match="1-D bool mask"):
                 run_stub(g, lambda graph, u: members, constant_trace(1, 6))
         # a bool mask cannot name a node outside the graph, but it can have
-        # the wrong length or rank
-        for members in (np.zeros(5, bool), np.zeros(7, bool),
-                        np.zeros((1, 6), bool)):
+        # the wrong length or rank: one row is a (1, V) stack
+        for members in (np.zeros((1, 5), bool), np.zeros((1, 7), bool),
+                        np.zeros(6, bool), np.zeros((1, 1, 6), bool)):
             with pytest.raises(ValueError, match="does not match 6 nodes"):
                 run_stub(g, lambda graph, u: members, constant_trace(1, 6))
 
     @pytest.mark.parametrize("first", [False, True])
     def test_bad_row_beside_valid_rows(self, first):
-        # each row's dtype and shape are checked as it is stored, so a
-        # faulty row raises its own message whether valid rows come before
-        # it or after it; independence is checked over all rows at once
+        # each solver's block of rows is checked for dtype and shape as it
+        # is stored, so a faulty greedy row raises its own message whether
+        # the caller names valid policies before it or after it, and
+        # whatever the valid lgs and exact rows solved before and after it
+        # hold; independence is checked over all rows at once
         g = generate_star(5)
-        valid = [SolverPolicy("lgs"), SolverPolicy("greedy")]
-        policies = [Stub(), *valid] if first else [*valid, Stub()]
+        valid = [SolverPolicy("lgs"), Quiet()]
+        policies = [SolverPolicy("greedy"), *valid] if first \
+            else [*valid, SolverPolicy("greedy")]
         for members, match in (
-                (np.array([1, 0, 0, 0, 0, 0], np.int8), "1-D bool mask"),
-                ([False] * 6, "1-D bool mask"),
-                (np.zeros(5, bool), r"shape \(5,\) does not match 6 nodes"),
-                (np.zeros((1, 6), bool),
-                 r"shape \(1, 6\) does not match 6 nodes"),
-                (np.arange(6) < 2, "not an independent set")):
+                (np.array([[1, 0, 0, 0, 0, 0]], np.int8), "1-D bool mask"),
+                ([[False] * 6], "1-D bool mask"),
+                (np.zeros((1, 5), bool),
+                 r"shape \(1, 5\) does not match 6 nodes"),
+                (np.zeros(6, bool), r"shape \(6,\) does not match 6 nodes"),
+                ((np.arange(6) < 2)[None], "not an independent set")):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sim, "exact_mwis", lambda graph, u: members)
+                patch.setattr(sim, "greedy_centralized",
+                              lambda graph, u: members)
                 with pytest.raises(ValueError, match=match):
                     run_episode(g, policies, constant_trace(1, 6))
+
+    def test_first_faulty_slot_named(self):
+        # schedules are checked for independence once, after the last
+        # slot; the error names the first faulty slot, its policy by its
+        # place in the caller's order, and its trace, and nothing is
+        # returned
+        g = generate_star(5)
+        slots = []
+
+        def late_conflict(graph, u):
+            members = greedy_centralized(graph, u)
+            slots.append(len(slots))
+            if slots[-1] == 2:
+                members[2] = True  # the greedy row of trace 2
+            return members
+        returned = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "greedy_centralized", late_conflict)
+            with pytest.raises(ValueError, match=re.escape(
+                    "slot 2: the schedule of policy 2 ('greedy') on trace 2 "
+                    "is not an independent set of the graph")):
+                returned = run_episode(
+                    g, [Quiet(), SolverPolicy("lgs"), SolverPolicy("greedy")],
+                    *(sample_traffic(g, 4, 2.0, seed) for seed in (1, 2, 3)))
+        assert returned is None
+        assert slots == [0, 1, 2, 3]  # every slot was solved
 
     @pytest.mark.parametrize("node", [-1, 6])
     def test_out_of_range_schedule_rejected(self, node):
         # node IDs are not a schedule, so a negative ID cannot wrap around to
         # the last link and an ID past the graph cannot reach the queues
-        for ids in (np.array([2, node]), np.array([2, node, 0, 0, 0, 0])):
+        for ids in (np.array([[2, node]]),
+                    np.array([[2, node, 0, 0, 0, 0]])):
             with pytest.raises(ValueError, match="1-D bool mask"):
                 run_stub(generate_star(5), lambda g, u: ids,
                          constant_trace(1, 6))
@@ -296,14 +351,15 @@ class TestRunEpisode:
 
 def reference_episode(graph, policy, trace):
     """The one-policy slot loop ``run_episode`` replaced, kept as the
-    reference: from empty queues, every slot, the policy's utilities go to
-    its solver on their own, an LGS row as a batch of one. Returns (queues,
-    members, utilities, rounds), rounds None for a centralized solver."""
+    reference: from empty queues, every slot, the policy's utilities of
+    that slot's backlog x rate go to its solver on their own, an LGS row as
+    a batch of one. Returns (queues, members, utilities, rounds), rounds
+    None for a centralized solver."""
     n = graph.node_count
     q = np.zeros(n, np.int64)
     queues, members, utilities, rounds = [q], [], [], []
     for t in range(trace.horizon):
-        u = policy.utilities(graph, q, trace.rates[t])
+        u = policy.utilities(graph, baseline_utility(q, trace.rates[t]))
         if policy.solver == "lgs":
             batch_members, batch_rounds = lgs_rows(graph, u[None])
             mask = batch_members[0]
@@ -330,36 +386,37 @@ class Quiet:
     # zero weights: the exact solver schedules nobody
     solver = "exact"
 
-    def utilities(self, graph, q, r):
-        return np.zeros(np.shape(q))
+    def utilities(self, graph, x):
+        return np.zeros(np.shape(x))
 
 
-class Queues:
-    # the raw backlog as float64: a second weight beside backlog x rate
+class Residues:
+    # backlog x rate modulo 7: a second weight beside backlog x rate, not
+    # in its order and with many ties
     def __init__(self, solver):
         self.solver = solver
 
-    def utilities(self, graph, q, r):
-        return np.asarray(q, dtype=np.float64)
+    def utilities(self, graph, x):
+        return x % 7
 
 
-class NegatedQueues:
+class Negated:
     # LGS on utilities of mixed sign
     solver = "lgs"
 
-    def utilities(self, graph, q, r):
-        return 1.0 - np.asarray(q)
+    def utilities(self, graph, x):
+        return 1.0 - x
 
 
 LOCKSTEP_POLICIES = {
     "baseline": lambda: SolverPolicy("lgs"),
-    "baseline-queue": lambda: Queues("lgs"),
+    "baseline-residue": lambda: Residues("lgs"),
     "greedy": lambda: SolverPolicy("greedy"),
-    "exact": lambda: Queues("exact"),
+    "exact": lambda: Residues("exact"),
     "gcn-head": lambda: GcnLgsPolicy(HEAD_GCN),
     "gcn-deep": lambda: GcnLgsPolicy(init_params((1, 4, 1), 3), 0.1),
     "quiet": Quiet,
-    "lgs-negated": NegatedQueues,
+    "lgs-negated": Negated,
 }
 
 
@@ -452,7 +509,7 @@ class TestLockstep:
 
     def test_solvers_looked_up_at_call_time(self, monkeypatch):
         # a solver rebound in sim, as a tracer rebinds it, is the one called:
-        # once per slot for each row of a policy that names it, on its
+        # once per slot on the rows of the policies that name it, their
         # utilities, policy-major over one trace or two
         calls = []
 
@@ -468,14 +525,14 @@ class TestLockstep:
         for traces in (1, 2):
             calls.clear()
             results = run_episode(
-                g, [SolverPolicy("greedy"), Queues("exact"),
+                g, [SolverPolicy("greedy"), Residues("exact"),
                     SolverPolicy("lgs")],
                 *(sample_traffic(g, 4, 2.0, seed)
                   for seed in range(3, 3 + traces)))
-            assert calls == [(name, results[j * 3 + p].utilities[t].tolist())
+            assert calls == [(name, [results[j * 3 + p].utilities[t].tolist()
+                                     for j in range(traces)])
                              for t in range(4)
-                             for p, name in enumerate(("greedy", "exact"))
-                             for j in range(traces)]
+                             for p, name in enumerate(("greedy", "exact"))]
 
     def test_unknown_solver_refused(self):
         # a solver is named, never passed: a function object is refused
@@ -490,10 +547,10 @@ class TestLockstep:
         g = generate_star(3)
         for shape in ((), (3,), (4,), (5,), (1, 3), (2, 4), (1, 4, 1)):
             policy = SolverPolicy("lgs")
-            policy.utilities = lambda graph, q, r: np.zeros(shape)
+            policy.utilities = lambda graph, x: np.zeros(shape)
             with pytest.raises(ValueError, match="utilities of shape"):
                 run_episode(g, [policy], constant_trace(2, 4))
-        policy.utilities = lambda graph, q, r: np.zeros((1, 4))
+        policy.utilities = lambda graph, x: np.zeros((1, 4))
         result, = run_episode(g, [policy], constant_trace(2, 4))
         assert same_bits(result.utilities, np.zeros((2, 4)))
 
@@ -512,9 +569,9 @@ class TestLockstep:
                 self.name, self.policy = name, LOCKSTEP_POLICIES[name]()
                 self.solver = self.policy.solver
 
-            def utilities(self, graph, q, r):
+            def utilities(self, graph, x):
                 calls.append(self.name)
-                return self.policy.utilities(graph, q, r)
+                return self.policy.utilities(graph, x)
         first = run_episode(g, [Logged(name) for name in names], *trace_list)
         for order in itertools.permutations(range(len(names))):
             calls.clear()
@@ -533,12 +590,18 @@ class TestLockstep:
 
     @pytest.mark.parametrize("which", ["queues", "rates"])
     def test_policy_writing_its_inputs_fails(self, which):
+        # a policy's backlog x rate rows are read-only: it can neither
+        # empty the backlog factor by assignment nor rescale the rate
+        # factor in place
         g = generate_star(4)
 
         class Vandal(Quiet):
-            def utilities(self, graph, q, r):
-                (q if which == "queues" else r)[:] = 0
-                return super().utilities(graph, q, r)
+            def utilities(self, graph, x):
+                if which == "queues":
+                    x[:] = 0
+                else:
+                    x *= 2
+                return super().utilities(graph, x)
         with pytest.raises(ValueError, match="read-only"):
             run_episode(g, [SolverPolicy("lgs"), Vandal()],
                         constant_trace(3, 5))
@@ -550,7 +613,7 @@ class TestLockstep:
 # the lockstep policies plus the two solver and utility pairs they lack
 MULTI_TRACE_POLICIES = {
     **LOCKSTEP_POLICIES,
-    "greedy-queue": lambda: Queues("greedy"),
+    "greedy-residue": lambda: Residues("greedy"),
     "exact-product": lambda: SolverPolicy("exact"),
 }
 
@@ -626,16 +689,16 @@ class TestTraces:
             return lgs_rows(graph, u)
 
         class Recorded(SolverPolicy):
-            def utilities(self, graph, q, r):
-                shapes.append((np.shape(q), np.shape(r)))
-                return super().utilities(graph, q, r)
+            def utilities(self, graph, x):
+                shapes.append(np.shape(x))
+                return super().utilities(graph, x)
         monkeypatch.setattr("linksched.sim.lgs_rows", counted)
         g = generate_er(12, 0.3, 1)
         traces = [sample_traffic(g, 5, 2.0, seed) for seed in (2, 3, 4)]
         run_episode(g, [Recorded("lgs"), SolverPolicy("greedy"),
                         GcnLgsPolicy(HEAD_GCN)], *traces)
         assert calls == [(6, 12)] * 5
-        assert shapes == [((3, 12), (3, 12))] * 5
+        assert shapes == [(3, 12)] * 5
 
     def test_refusals(self):
         g = generate_star(3)
@@ -658,19 +721,25 @@ class TestTraces:
     def test_utilities_one_row_per_trace(self):
         g = generate_star(3)
         policy = SolverPolicy("lgs")
-        policy.utilities = lambda graph, q, r: np.zeros(4)
+        policy.utilities = lambda graph, x: np.zeros(4)
         with pytest.raises(ValueError, match=r"utilities of shape \(4,\)"):
             run_episode(g, [policy], constant_trace(2, 4),
                         constant_trace(2, 4))
 
     @pytest.mark.parametrize("which", ["queues", "rates"])
     def test_policy_writing_its_inputs_fails(self, which):
+        # a policy's (K, V) block of backlog x rate rows is read-only: it can neither
+        # empty the backlog factor by assignment nor rescale the rate
+        # factor in place
         g = generate_star(4)
 
         class Vandal(Quiet):
-            def utilities(self, graph, q, r):
-                (q if which == "queues" else r)[:] = 0
-                return super().utilities(graph, q, r)
+            def utilities(self, graph, x):
+                if which == "queues":
+                    x[:] = 0
+                else:
+                    x *= 2
+                return super().utilities(graph, x)
         with pytest.raises(ValueError, match="read-only"):
             run_episode(g, [SolverPolicy("lgs"), Vandal()],
                         constant_trace(3, 5), constant_trace(3, 5))
@@ -700,7 +769,7 @@ class TestLookahead:
 
         def slot(q, chooser, t):
             q = q.copy()
-            u = chooser.utilities(g, q, trace.rates[t])
+            u = chooser.utilities(g, baseline_utility(q, trace.rates[t]))
             for v in np.flatnonzero(lgs_rows(g, u[None])[0][0]):
                 q[v] -= min(trace.rates[t][v], q[v])
             return q + trace.arrivals[t]
@@ -929,6 +998,39 @@ class TestPersistence:
                 f"{path}: line {line}: {CUT_SHORT}")):
             load_trace(path, 2)
 
+    @pytest.mark.parametrize("edit, line, end", [
+        pytest.param(lambda text: text.replace("\r\n", "\n"), 2, "\r\n",
+                     id="lf"),
+        pytest.param(lambda text: text.replace("\r\n", "\r"), 2, "\r\n",
+                     id="cr-after-metadata"),
+        pytest.param(lambda text: text.replace("\r\n", "\r").replace(
+            "\n", "\r"), 1, "\n", id="cr"),
+        pytest.param(lambda text: text.replace("\n", "\r\n", 1), 1, "\n",
+                     id="crlf-metadata"),
+        pytest.param(lambda text: text.replace("0,1,12,50\r\n",
+                                               "0,1,12,50\n"), 4, "\r\n",
+                     id="lf-last-row"),
+        pytest.param(lambda text: text.replace("0,0,", "0,\r0,"), 3, "\r\n",
+                     id="cr-inside-row"),
+        pytest.param(lambda text: text[:-1] + "\r\r", 4, "\r\n",
+                     id="cr-before-cut")])
+    def test_line_ends_read_as_written(self, tmp_path, edit, line, end):
+        # save_trace ends line 1 in \n and every other line in \r\n, and
+        # any other line end is refused at its line: a file rewritten with
+        # \n or lone \r ends among them
+        path = tmp_path / "trace.csv"
+        save_trace(TrafficTrace([[1, 12]], [[5, 50]], 4), path)
+        text = path.read_bytes().decode()
+        path.write_bytes(edit(text).encode())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {line}: line end other than {end!r}")):
+            load_trace(path, 2)
+        # the cut between the last \r and \n is cut short
+        path.write_bytes(text[:-1].encode())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 4: {CUT_SHORT}")):
+            load_trace(path, 2)
+
     def test_swapped_rows_refused(self, tmp_path):
         # save_trace writes the rows slot-major, and no other order is read
         trace = sample_traffic(generate_star(3), 5, 2.0, 3)
@@ -936,7 +1038,7 @@ class TestPersistence:
         save_trace(trace, path)
         lines = path.read_text().splitlines()
         lines[6], lines[7] = lines[7], lines[6]  # rows (1, 0) and (1, 1)
-        path.write_text("".join(f"{line}\n" for line in lines))
+        write_trace_lines(path, lines)
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line 7: (t, node) = (1, 1), expected (1, 0)")):
             load_trace(path, 4)
@@ -945,8 +1047,7 @@ class TestPersistence:
         # a row after the last (slot, node) is refused at its line, even one
         # that continues the slot-major count
         path = tmp_path / "trace.csv"
-        path.write_text("".join(f"{text}\n" for text in
-                                self.GOOD_TRACE + ["2,0,0,5"]))
+        write_trace_lines(path, self.GOOD_TRACE + ["2,0,0,5"])
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line 7: (t, node) = (2, 0), expected no row after "
                 "the 2 x 2 of line 1")):
@@ -968,17 +1069,17 @@ class TestPersistence:
         # line 1 is read exactly as save_trace writes it, and the field that
         # departs from it is named
         path = tmp_path / "trace.csv"
-        path.write_text("".join(f"{text}\n" for text in
-                                [meta] + self.GOOD_TRACE[1:]))
+        write_trace_lines(path, [meta] + self.GOOD_TRACE[1:])
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line 1: {reason}")):
             load_trace(path, 2)
 
     def test_arrivals_past_int64_name_path(self, tmp_path):
         path = tmp_path / "trace.csv"
-        path.write_text("# seed=None nodes=6 horizon=4\nt,node,arrival,rate\n"
-                        + "".join(f"{t},{v},{2**62},5\n" for t in range(4)
-                                  for v in range(6)))
+        write_trace_lines(path, ["# seed=None nodes=6 horizon=4",
+                                 "t,node,arrival,rate"]
+                          + [f"{t},{v},{2**62},5" for t in range(4)
+                             for v in range(6)])
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: arrivals on link 0 sum past 2**63 - 1 by slot 1")):
             load_trace(path, 6)
@@ -1015,8 +1116,7 @@ class TestPersistence:
     def test_malformed_trace_rejected(self, tmp_path, edits, line):
         lines = [edits.get(i, text) for i, text in enumerate(self.GOOD_TRACE)]
         path = tmp_path / "trace.csv"
-        path.write_text("".join(f"{text}\n" for text in lines
-                                if text is not None))
+        write_trace_lines(path, [text for text in lines if text is not None])
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: line {line}:")):
             load_trace(path, 2)
@@ -1027,7 +1127,7 @@ class TestPersistence:
         # blank rows, underscores, quotes and floats are refused at their line
         lines = self.GOOD_TRACE[:4] + [row] + self.GOOD_TRACE[5:]
         path = tmp_path / "trace.csv"
-        path.write_text("".join(f"{text}\n" for text in lines))
+        write_trace_lines(path, lines)
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line 5: expected four integer fields")):
             load_trace(path, 2)
@@ -1078,8 +1178,7 @@ class TestPersistence:
         if kind == "extra":  # a copy of row k after the last row
             lines.append(row)
             k = size
-        path.write_text("".join(f"{line}\r\n" for line in lines),
-                        newline="")
+        write_trace_lines(path, lines)
         if kind == "none":
             assert load_trace(path, nodes).checksum() == trace.checksum()
             assert reference_load_trace(path, nodes).checksum() == \
@@ -1152,7 +1251,7 @@ class TestGeneratedFiles:
             body[k] = sep.join(reversed(fields))
         elif kind == "beyond-int64":
             body[k] = sep.join(fields[:-1] + [str(2**63)])
-        whole = text = "".join(f"{line}{end}" for line in head + body)
+        text = "".join(f"{line}{end}" for line in head + body)
         if kind == "cut":  # at any byte of the rows
             text = text[:data.draw(st.integers(
                 len(head[0]) + len(head[1]) + 2 * len(end), len(text) - 1))]
@@ -1165,9 +1264,7 @@ class TestGeneratedFiles:
                 read()
             assert str(got.value) == str(exc)
         else:
-            # text mode reads a lone \r as a line end, so only the cut of
-            # the trace's last \n leaves a file that loads, and it loads
-            # whole; every other cut is refused
-            assert kind == "none" or (name == "trace.csv"
-                                      and text == whole[:-1])
+            # every cut is refused, the one between the trace's last \r
+            # and \n among them
+            assert kind == "none"
             assert read() == expected

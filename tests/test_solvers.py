@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -681,3 +683,90 @@ class TestFastPathProperties:
         # weights pin the order, so the mask is the plain loops' mask
         g, w = instance
         assert np.array_equal(exact_mwis(g, w), reference_exact(g, w))
+
+
+@st.composite
+def solver_stacks(draw):
+    # a star, BA (m = 2), ER or power-law tree graph of 3 to 60 nodes, and a
+    # (B, V) stack, B from 0 to 6, of tie-heavy integer utilities with
+    # signed zeros
+    family = draw(st.sampled_from(["star", "ba-m2", "er", "tree"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(3, 60))
+    if family == "star":
+        g = generate_star(n - 1)
+    elif family == "ba-m2":
+        g = generate_ba(n, 2, seed)
+    elif family == "er":
+        g = generate_er(n, draw(st.sampled_from([0.05, 0.2, 0.6])), seed)
+    else:
+        g = generate_power_law_tree(n, 3.0, seed)
+    rows = draw(st.integers(0, 6))
+    palette = np.array([-0.0, 0.0, 1.0, 2.0, 3.0])
+    return g, np.random.default_rng(seed).choice(palette, size=(rows, n))
+
+
+class TestStacks:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(solver_stacks())
+    def test_stack_equals_per_row_calls(self, case):
+        # each row of a stacked call is bitwise the one-row call; greedy
+        # also on the negated rows, and exact only up to its node cap
+        g, u = case
+        cases = [(greedy_centralized, u), (greedy_centralized, -u)]
+        if g.node_count <= EXACT_NODE_CAP:
+            cases.append((exact_mwis, u))
+        for solver, stack in cases:
+            got = solver(g, stack)
+            assert got.dtype == bool and got.shape == stack.shape
+            want = [solver(g, row) for row in stack]
+            assert all(row.shape == (g.node_count,) for row in want)
+            assert got.tobytes() == np.array(want, dtype=bool).tobytes()
+
+    @pytest.mark.parametrize("solver", [greedy_centralized, exact_mwis])
+    def test_one_bad_row_refused_with_its_fault(self, solver):
+        # a stack is refused as its faulty row alone is, whichever row
+        # that is, and a stack of the wrong shape names its shape
+        g = generate_star(5)
+        faults = [(np.nan, "utilities must be finite"),
+                  (np.inf, "utilities must be finite")]
+        if solver is exact_mwis:
+            faults.append((-1.0, "requires non-negative utilities"))
+        for value, message in faults:
+            for k in range(4):
+                stack = np.ones((4, 6))
+                stack[k, 3] = value
+                with pytest.raises(ValueError, match=message):
+                    solver(g, stack[k])
+                with pytest.raises(ValueError, match=message):
+                    solver(g, stack)
+        for shape in ((4, 5), (2, 2, 6), ()):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"utility shape {shape} does not match 6 nodes")):
+                solver(g, np.ones(shape))
+        if solver is exact_mwis:
+            n = EXACT_NODE_CAP + 1
+            with pytest.raises(ValueError, match="capped"):
+                exact_mwis(generate_star(n - 1), -np.ones((2, n)))
+
+    def test_refusals_in_order(self):
+        # shape, then non-finite, then the cap, then a negative weight
+        big = generate_star(EXACT_NODE_CAP)
+        n = big.node_count
+        stack = np.ones((3, n))
+        stack[0, 0], stack[2, 1] = -1.0, np.nan
+        with pytest.raises(ValueError, match="does not match"):
+            exact_mwis(big, stack[:, 1:])
+        with pytest.raises(ValueError, match="finite"):
+            exact_mwis(big, stack)
+        with pytest.raises(ValueError, match="capped"):
+            exact_mwis(big, stack[:2])
+        small = generate_star(5)
+        with pytest.raises(ValueError, match="non-negative"):
+            exact_mwis(small, stack[:2, :6])
+
+    def test_empty_stack(self):
+        g = generate_star(5)
+        for solver in (greedy_centralized, exact_mwis):
+            got = solver(g, np.zeros((0, 6)))
+            assert got.dtype == bool and got.shape == (0, 6)

@@ -146,7 +146,7 @@ def reference_episode(config, params, graph, trace):
     def schedule(policy, q, t):
         # both policies schedule with LGS, here on one row: the LGS oracle
         # for training's greedy main trajectory
-        u = policy.utilities(graph, q, trace.rates[t])
+        u = policy.utilities(graph, baseline_utility(q, trace.rates[t]))
         return lgs_rows(graph, u[None])[0][0]
 
     def slot(q, members, t):
@@ -167,7 +167,7 @@ def reference_episode(config, params, graph, trace):
     for t in range(config.horizon):
         r = trace.rates[t]
         features = baseline_utility(q, r)[:, None]
-        u = gcn.utilities(graph, q, r)
+        u = gcn.utilities(graph, baseline_utility(q, r))
         indicator = schedule(gcn, q, t)
         policy_total = rollout_total(gcn, q, t)
         baseline_total = rollout_total(baseline, q, t)
@@ -255,14 +255,15 @@ class TestCollectEpisode:
         config = small_config()
         params = init_params(config.layer_dims, 0)
         monkeypatch.setattr(sim, "greedy_centralized",
-                            lambda graph, u: np.ones(len(u), bool))
+                            lambda graph, u: np.ones(np.shape(u), bool))
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
 
     def test_lookahead_slots_checked(self, monkeypatch):
         # the GCN's lookahead future is the main trajectory, run with
-        # evaluation's per-slot checks past the horizon: a stand-in solver
-        # that breaks independence only in a lookahead slot is refused
+        # evaluation's checks past the horizon: a stand-in solver that
+        # breaks independence only in a lookahead slot is refused, naming
+        # that slot, once every slot is solved
         config = small_config(horizon=6, lookahead=3)
         params = init_params(config.layer_dims, 0)
         calls = []
@@ -274,9 +275,10 @@ class TestCollectEpisode:
                 members[:] = True
             return members
         monkeypatch.setattr(sim, "greedy_centralized", late_conflict)
-        with pytest.raises(ValueError, match="independent"):
+        with pytest.raises(ValueError, match=f"slot {config.horizon}: .* "
+                           "independent"):
             sampled_episode(config, params, 1)
-        assert len(calls) == config.horizon + 1
+        assert len(calls) == config.horizon + config.lookahead - 1
 
     def test_main_trajectory_matches_run_episode(self):
         # the trainer and the simulator share one queue update, and the

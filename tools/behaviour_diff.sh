@@ -226,8 +226,15 @@ CFG
     chop gen-star30-cut-trace gen-star30 trace.csv 3
     chop gen-star30-cut-graph gen-star30 graph.txt 2
     edit gen-star30-header gen-star30 graph.txt 'NR == 1 { $0 = "nodes 3_1" } 1'
+    # line ends other than the writer's: the graph rewritten with \r\n, and
+    # the trace with \n alone and with a lone \r
+    edit gen-star30-crlf-graph gen-star30 graph.txt '{ printf "%s\r\n", $0 }'
+    edit gen-star30-lf-trace gen-star30 trace.csv '{ sub(/\r$/, ""); print }'
+    edit gen-star30-cr-trace gen-star30 trace.csv \
+        '{ sub(/\r$/, ""); printf "%s\r", $0 }'
     head -c 20 "$side/train-default/checkpoint.ckpt" > "$side/cut.ckpt"
-    for case in swapped blank huge seed cut-trace cut-graph header; do
+    for case in swapped blank huge seed cut-trace cut-graph header \
+            crlf-graph lf-trace cr-trace; do
         refuse "eval-star30-$case" eval --instances "gen-star30-$case" \
             --policies baseline,greedy --out "eval-star30-$case"
     done
