@@ -453,15 +453,25 @@ def _read_report_csv(path: Path, columns: dict[str, Callable]) -> list[dict]:
         return rows
 
 
+def _ratio(text: str) -> float:
+    """An AR as eval writes it: by :func:`~linksched.sim.backlog_ratio`'s
+    convention never NaN and never below 0 (0/0 is 1, x/0 is inf)."""
+    value = float(text)
+    if not value >= 0.0:
+        raise ValueError(text)
+    return value
+
+
 def cmd_report(eval_dir: Path) -> list[dict]:
-    """Re-aggregate a previous evaluation's per-instance ARs."""
+    """Re-aggregate a previous evaluation's per-instance ARs; an AR that is
+    NaN or below 0 is refused at its line."""
     ars_path = Path(eval_dir) / "ars.csv"
     if not ars_path.exists():
         raise ConfigError(f"{ars_path}: not found (run eval first)")
     report = EvaluationReport("?")
     report.ars = _read_report_csv(ars_path, {
-        "instance": str, "policy": str, "ar_mean": float, "ar_median": float,
-        "ar_p95": float})
+        "instance": str, "policy": str, "ar_mean": _ratio,
+        "ar_median": _ratio, "ar_p95": _ratio})
     summary_path = Path(eval_dir) / "summary.csv"
     if summary_path.exists():
         rows = _read_report_csv(summary_path,

@@ -7,17 +7,21 @@ two arrays or a layout cached from them. The random-graph generators build
 their edges as one (E, 2) array each, never as Python pairs, and hand it to
 :meth:`ConflictGraph.from_edges`.
 
-Instance files are read and written as whole columns, in one layout each.
-:func:`read_int_rows`, the one reader of integer tables, parses a text in
-one call to numpy's C reader and names the first line that is no row. The
-readers of ``graph.txt`` and ``sim``'s ``trace.csv`` check its rows, and
-through :func:`read_as_written` its line ends, against their writer's, and
-each file states its size in a header.
+Instance files are read and written as whole columns, in one layout each,
+through one reader and one writer of integer tables.
+:func:`read_int_rows` parses a text in one call to numpy's C reader and
+names the first line that is no row; its twin :func:`format_int_rows`
+writes the decimal text of a non-negative int64 table from one byte
+buffer, one decimal place at a time over the whole table. The writers of
+``graph.txt`` and ``sim``'s ``trace.csv`` call it for their rows, and
+their readers check the rows, and through :func:`read_as_written` the line
+ends, against the writer's; each file states its size in a header.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -437,16 +441,64 @@ def read_int_rows(text: str, width: int, delimiter: str | None = None):
     return np.array(rows, dtype=np.int64).reshape(-1, width), stop
 
 
+def format_int_rows(rows, delimiter: str, end: str) -> bytes:
+    """The (R, F) table ``rows`` of integers in [0, 2**63) as decimal text,
+    F >= 1: each row's fields joined by ``delimiter`` and the row followed
+    by ``end``, the bytes of ``(delimiter.join(["%d"] * F) + end) * R %
+    tuple(values)``. The twin of :func:`read_int_rows`, which reads the
+    text back as the same int64 rows. A negative value raises ValueError.
+
+    Each column gets the digit width of its largest value, and the rows are
+    laid out in one (R, W) uint8 buffer filled with NUL but for the
+    delimiter and end bytes. The digits are written right-aligned, one
+    decimal place at a time: one ``// 10`` pass over the whole table, in the
+    narrowest unsigned type that holds it, then one strided write per
+    column still that wide. A place above a number's first digit stays
+    NUL, and the text is the buffer with every NUL deleted; a space would
+    not do, as a delimiter may be one.
+    """
+    block = np.asarray(rows, dtype=np.int64)
+    if block.ndim != 2 or block.shape[1] < 1:
+        raise ValueError(f"rows of shape {block.shape}: expected (R, F), "
+                         "F >= 1")
+    if not len(block):
+        return b""
+    if block.min() < 0:
+        k, c = np.argwhere(block < 0)[0].tolist()
+        raise ValueError(f"row {k}, field {c}: {block[k, c]} is negative")
+    tops = block.max(axis=0).tolist()
+    widths = [len(str(top)) for top in tops]
+    sep = delimiter.encode()
+    template = sep.join(b"\0" * width for width in widths) + end.encode()
+    buf = np.frombuffer(bytearray(template * len(block)), np.uint8)
+    buf = buf.reshape(len(block), len(template))
+    # the ones place of each column within a row
+    ones = [stop - len(sep) - 1 for stop in
+            itertools.accumulate(width + len(sep) for width in widths)]
+    rest = block.astype(np.min_scalar_type(max(tops)))
+    for place in range(max(widths)):
+        head = rest // 10
+        char = rest - head * 10
+        char += 48
+        if place:
+            char *= rest != 0
+        for c, width in enumerate(widths):
+            if width > place:
+                buf[:, ones[c] - place] = char[:, c]
+        rest = head
+    return buf.tobytes().translate(None, b"\0")
+
+
 def save_graph(graph: ConflictGraph, path) -> None:
     """Write the edge-list text format, byte for byte: ``nodes <V>\\n`` and
     ``edges <E>\\n``, then ``<i> <j>\\n`` per row of
     :meth:`ConflictGraph.edge_array` (i < j, sorted), in decimal with one
-    space; every line ends in ``\\n``. This is the one layout
-    :func:`load_graph` reads."""
+    space, formatted by :func:`format_int_rows`; every line ends in
+    ``\\n``. This is the one layout :func:`load_graph` reads."""
     pairs = graph.edge_array()
-    text = "%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist())
-    Path(path).write_text(f"nodes {graph.node_count}\nedges {len(pairs)}\n"
-                          f"{text}", newline="")
+    Path(path).write_bytes(
+        f"nodes {graph.node_count}\nedges {len(pairs)}\n".encode()
+        + format_int_rows(pairs, " ", "\n"))
 
 
 def _edge_fault(pairs: np.ndarray, n: int) -> tuple[int, str] | None:

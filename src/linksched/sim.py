@@ -22,21 +22,26 @@ q - min(r, q) + a, on a membership mask of any batch shape; only
 states against the baseline rolled k slots from it, all states at once.
 It calls no policy: the baseline is LGS on backlog x rate, which it
 weighs with :func:`~linksched.solvers.baseline_utility` itself. Its ratios
-and evaluation's follow :func:`backlog_ratio`, and :func:`ratio_quartiles`
-summarizes ratios that may be inf.
+and evaluation's follow :func:`backlog_ratio`. Every percentile goes
+through one quantile kernel, :func:`percentiles`, numpy's linear
+interpolation bit for bit from one partition: :func:`backlog_stats` calls
+it for an episode's backlog, and :func:`ratio_quartiles` for ratios that
+may be inf.
 
-Traces are stored as ``trace.csv``: :func:`save_trace` formats the whole
-(slot, node) column block in one string operation, and :func:`load_trace`
-reads back only that layout, its line ends included: one
-:func:`~linksched.graph.read_int_rows` call, one check that row k reads
-(t, node) = (k // V, k % V), and the arrival and rate columns as they
-stand.
+Traces are stored as ``trace.csv`` through the one writer and the one
+reader of integer tables: :func:`save_trace` formats the whole
+(slot, node) column block in one :func:`~linksched.graph.format_int_rows`
+call, and :func:`load_trace` reads back only that layout, its line ends
+included: one :func:`~linksched.graph.read_int_rows` call, one check that
+row k reads (t, node) = (k // V, k % V), and the arrival and rate columns
+as they stand.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import CUT_SHORT, ConflictGraph, as_rng, is_independent_mask, \
-    read_as_written, read_int_rows
+from .graph import CUT_SHORT, ConflictGraph, as_rng, format_int_rows, \
+    is_independent_mask, read_as_written, read_int_rows
 from .solvers import baseline_utility, exact_mwis, greedy_centralized, lgs_rows
 
 RATE_MEAN = 50.0
@@ -284,22 +289,70 @@ def backlog_ratio(value, reference) -> np.ndarray:
     return ratio
 
 
+def percentiles(values, qs, *, overwrite_input: bool = False) -> list[float]:
+    """The percentiles ``qs``, each in [0, 100], of ``values`` flattened, as
+    Python floats: the one quantile kernel, numpy's ``percentile(values,
+    qs)`` bit for bit, signed zeros included, wherever the values are
+    finite.
+
+    This is numpy's default ``method="linear"`` (Hyndman and Fan's type 7)
+    as numpy computes it: over n values, percentile q has the virtual rank
+    ``vi = (n - 1) * (q / 100)``, between ranks ``lo = floor(vi)`` and
+    ``lo + 1`` with weight ``g = vi - lo`` on the upper one, except that at
+    ``vi >= n - 1`` both neighbours are the last rank and g is
+    ``vi + 1``; with x and y the neighbours' values, the percentile is
+    ``y - (y - x) * (1 - g)`` when ``g >= 0.5``, else ``x + (y - x) * g``.
+    One ``np.partition`` on numpy's own ranks, the neighbours and the first
+    and last, puts just those values in place, in the same places, so tied
+    signed zeros land as numpy's do; nothing is sorted. It partitions a
+    float64 copy, or, with ``overwrite_input`` as in numpy, a float64
+    ``values`` itself.
+
+    A value may be inf: a percentile on an order statistic (g == 0) is
+    that value, and one that gives an inf neighbour a nonzero weight is
+    inf, where numpy's ``percentile`` gives nan. No values, a NaN, a -inf, or
+    a q outside [0, 100] raises ValueError.
+    """
+    a = np.asarray(values, dtype=np.float64) if overwrite_input \
+        else np.array(values, dtype=np.float64)
+    a = a.ravel()
+    n = a.size
+    if not n:
+        raise ValueError("percentiles of no values")
+    # numpy's ranks, the last one written -1, so its weight is vi + 1
+    picks, ranks = [], {0, -1}
+    for q in qs:
+        if not 0 <= q <= 100:
+            raise ValueError(f"percentile {q} outside [0, 100]")
+        vi = (n - 1) * (q / 100)
+        lo = math.floor(vi) if vi < n - 1 else -1
+        hi = lo + 1 if lo >= 0 else -1
+        picks.append((vi, lo, hi))
+        ranks.update((lo, hi))
+    a.partition(sorted(ranks))
+    if a[-1] != a[-1] or a[0] == -np.inf:
+        raise ValueError("percentiles of values with a NaN or a -inf")
+    found = []
+    for vi, lo, hi in picks:
+        x, y, g = float(a[lo]), float(a[hi]), vi - lo
+        if y == math.inf:
+            found.append(x if g == 0 else math.inf)
+        elif g >= 0.5:
+            found.append(y - (y - x) * (1 - g))
+        else:
+            found.append(x + (y - x) * g)
+    return found
+
+
 def ratio_quartiles(ratios) -> list[float]:
     """The 25th, 50th and 75th percentiles of ``ratios`` by linear
     interpolation, as Python floats, where a ratio may be inf (see
-    :func:`backlog_ratio`). A percentile that falls exactly on an order
-    statistic is that value, and one that gives an inf neighbor a nonzero
-    weight is inf. Without inf the values are ``np.percentile``'s, bit for
-    bit; with inf, that function returns nan (the median of [1, 2, inf]
-    among them) and warns."""
-    a = np.sort(np.asarray(ratios, dtype=np.float64))
-    inf = a == np.inf
-    # the largest finite ratio stands in for inf and keeps the order, so
-    # every percentile whose upper neighbor is finite reads the same pair
-    finite = np.where(inf, a[~inf].max(initial=0.0), a)
-    upper = np.ceil(np.array([0.25, 0.5, 0.75]) * (len(a) - 1)).astype(int)
-    return np.where(inf[upper], np.inf,
-                    np.percentile(finite, [25, 50, 75])).tolist()
+    :func:`backlog_ratio`), from :func:`percentiles`. A percentile that
+    falls exactly on an order statistic is that value, and one that gives
+    an inf neighbor a nonzero weight is inf. Without inf the values are
+    numpy's ``percentile``'s, bit for bit; with inf, that function returns
+    nan (the median of [1, 2, inf] among them) and warns."""
+    return percentiles(ratios, (25, 50, 75))
 
 
 def lookahead_compare(graph: ConflictGraph, queues, k: int,
@@ -355,11 +408,14 @@ class MetricsBundle:
 
 
 def backlog_stats(samples) -> tuple[float, float, float]:
-    """(mean, median, 95th percentile) of the flattened samples, with
-    percentiles computed by linear interpolation."""
-    flat = np.asarray(samples, dtype=np.float64).ravel()
-    median, p95 = np.percentile(flat, [50, 95])
-    return float(flat.mean()), float(median), float(p95)
+    """(mean, median, 95th percentile) of the flattened samples, as
+    numpy's ``mean`` and ``percentile`` give them, bit for bit: the mean of
+    a float64 copy, then :func:`percentiles` on that copy, partitioned in
+    place."""
+    flat = np.array(samples, dtype=np.float64).ravel()
+    mean = float(flat.mean())
+    median, p95 = percentiles(flat, (50, 95), overwrite_input=True)
+    return mean, median, p95
 
 
 def compute_metrics(result: EpisodeResult) -> MetricsBundle:
@@ -395,15 +451,16 @@ def save_trace(trace: TrafficTrace, path) -> None:
     the header ``t,node,arrival,rate\\r\\n``, then one
     ``<t>,<node>,<arrival>,<rate>\\r\\n`` row per (slot, node), slot-major,
     all in decimal. The ``\\r\\n`` ends are those of the csv module's
-    writer, which wrote this format first. This is the one layout
-    :func:`load_trace` reads."""
+    writer, which wrote this format first. The rows are one
+    :func:`~linksched.graph.format_int_rows` call on the (T V, 4) block.
+    This is the one layout :func:`load_trace` reads."""
     t, v = np.divmod(np.arange(trace.arrivals.size), trace.node_count)
     block = np.column_stack([t, v, trace.arrivals.ravel(),
                              trace.rates.ravel()])
-    rows = "%d,%d,%d,%d\r\n" * len(block) % tuple(block.ravel().tolist())
-    Path(path).write_text(
+    Path(path).write_bytes(
         f"# seed={trace.seed} nodes={trace.node_count} "
-        f"horizon={trace.horizon}\n{TRACE_HEADER}\r\n{rows}", newline="")
+        f"horizon={trace.horizon}\n{TRACE_HEADER}\r\n".encode()
+        + format_int_rows(block, ",", "\r\n"))
 
 
 def _trace_fault(rows: np.ndarray, horizon: int,

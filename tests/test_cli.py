@@ -881,6 +881,32 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == f"error: {path}: line 3: bad value for {column}: 'abc'\n"
 
+    @pytest.mark.parametrize("column", ["ar_mean", "ar_median", "ar_p95"])
+    @pytest.mark.parametrize("value, refused", [
+        ("nan", True), ("-1.0", True), ("-inf", True), ("inf", False),
+        ("-0.0", False)])
+    def test_report_ar_outside_convention(self, small_instances, tmp_path,
+                                          capsys, column, value, refused):
+        # backlog_ratio's ARs are never NaN and never below 0; x/0 is inf
+        config, instances = small_instances
+        config.policies = ("baseline", "greedy")
+        out = tmp_path / "eval"
+        cmd_eval(config, instances, out)
+        path = out / "ars.csv"
+        header, *rows = [line.split(",") for line in
+                         path.read_text().splitlines()]
+        rows[1][header.index(column)] = value
+        path.write_text("".join(",".join(line) + "\n"
+                                for line in [header, *rows]))
+        code = main(["report", "--eval-dir", str(out)])
+        err = capsys.readouterr().err
+        if refused:
+            assert code == 1
+            assert err == (f"error: {path}: line 3: bad value for {column}: "
+                           f"{value!r}\n")
+        else:
+            assert code == 0 and err == ""
+
     @pytest.mark.parametrize("mu", ["abc", "0.05,"])
     def test_generate_bad_mu_named(self, tmp_path, capsys, mu):
         out = tmp_path / "gen"

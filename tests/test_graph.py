@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import linksched
-from linksched.graph import (ConflictGraph, centralization, generate_ba,
-                             generate_er, generate_power_law_tree,
-                             generate_star, is_independent_mask,
-                             load_graph, normalized_laplacian, save_graph,
+from linksched.graph import (ConflictGraph, centralization, format_int_rows,
+                             generate_ba, generate_er,
+                             generate_power_law_tree, generate_star,
+                             is_independent_mask, load_graph,
+                             normalized_laplacian, read_int_rows, save_graph,
                              weighted_draw)
 from linksched.presets import (BA_MIX_ATTACH, BA_MIX_SIZES, STAR_MAX_NODES,
                                parse_graph_config)
@@ -781,6 +783,42 @@ def reference_load_edges(path, n):
         raise ValueError(f"{path}: line {len(edges) + 3}: "
                          f"{m - len(edges)} of {m} edge rows missing")
     return ConflictGraph.from_edges(n, edges)
+
+
+# both ends of each digit width: 0, 9, 10, 99, 100, ..., 10**18, and the
+# int64 top
+EDGE_VALUES = sorted({0, 2**63 - 1} | {10**k for k in range(19)}
+                     | {10**k - 1 for k in range(1, 19)})
+
+
+class TestFormatIntRows:
+    @PROPERTY
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(0, 300),
+                                          st.integers(1, 4)),
+                      elements=st.sampled_from(EDGE_VALUES)),
+           st.sampled_from([(" ", "\n"), (",", "\r\n")]))
+    def test_equals_percent_format_and_reads_back(self, rows, ends):
+        # the text of the % format the instance writers used before, read
+        # back as the same rows
+        delimiter, end = ends
+        text = format_int_rows(rows, delimiter, end)
+        fmt = delimiter.join(["%d"] * rows.shape[1]) + end
+        assert text == (fmt * len(rows) % tuple(rows.ravel().tolist())).encode()
+        back, stop = read_int_rows(text.decode().replace("\r", ""),
+                                   rows.shape[1], delimiter.strip() or None)
+        assert stop is None and back.dtype == np.int64
+        assert np.array_equal(back, rows)
+
+    def test_negative_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "row 1, field 0: -1 is negative")):
+            format_int_rows(np.array([[3, 4], [-1, 2]]), " ", "\n")
+
+    def test_shape_checked(self):
+        for rows in (np.zeros(3, np.int64), np.zeros((3, 0), np.int64)):
+            with pytest.raises(ValueError, match="expected \\(R, F\\)"):
+                format_int_rows(rows, " ", "\n")
+        assert format_int_rows(np.zeros((0, 2), np.int64), " ", "\n") == b""
 
 
 class TestGraphFileProperties:

@@ -920,6 +920,51 @@ class TestRatioQuartiles:
                                            for x in stand_in.tolist()]
 
 
+QS = (0, 25, 50, 75, 95, 100)
+
+
+class TestPercentiles:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 3).map(float)
+                    | st.sampled_from([0.0, -0.0])
+                    | st.floats(-1e300, 1e300, allow_nan=False),
+                    min_size=1, max_size=400),
+           st.lists(st.sampled_from(QS), min_size=1, max_size=6))
+    def test_equals_numpy_percentile_bytes(self, values, qs):
+        # tie-heavy values, signed zeros and magnitudes up to 1e300: the
+        # same float64 bytes as numpy's, so a -0.0 for a 0.0 counts
+        got = sim.percentiles(values, qs)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.percentile(values, qs).tobytes()
+
+    def test_signed_zeros_as_numpy(self):
+        # numpy's weight at the top rank is vi + 1, and its partition puts
+        # the ranks 0 and n - 1 in place too; both decide a zero's sign
+        for values in ([-0.0], [-0.0, -0.0], [0.0, -0.0, 0.0, -0.0, -0.0],
+                       [0.0, 0.0, 0.0, -0.0, -0.0]):
+            for qs in [QS, *([q] for q in QS)]:
+                assert np.array(sim.percentiles(values, qs)).tobytes() == \
+                    np.percentile(values, qs).tobytes()
+
+    def test_input_kept_unless_overwritten(self):
+        values = np.array([3.0, 1.0, 2.0])
+        assert sim.percentiles(values, (50,)) == [2.0]
+        assert values.tolist() == [3.0, 1.0, 2.0]
+        assert sim.percentiles(values, (50,), overwrite_input=True) == [2.0]
+        assert values[1] == 2.0  # partitioned in place
+
+    @pytest.mark.parametrize("values, qs, message", [
+        ([1.0, float("nan")], (50,), "NaN"),
+        ([float("nan")], (0,), "NaN"),
+        ([-float("inf"), 1.0], (100,), "-inf"),
+        ([], (50,), "no values"),
+        ([1.0], (101,), r"percentile 101 outside \[0, 100\]"),
+        ([1.0], (-1,), r"percentile -1 outside \[0, 100\]")])
+    def test_refused(self, values, qs, message):
+        with pytest.raises(ValueError, match=message):
+            sim.percentiles(values, qs)
+
+
 class TestMetrics:
     def test_constant_samples(self):
         mean, median, p95 = backlog_stats(np.full((4, 3), 7.0))
@@ -967,6 +1012,20 @@ class TestPersistence:
         assert np.array_equal(loaded.rates, trace.rates)
         assert loaded.seed == 9
         assert loaded.checksum() == trace.checksum()
+
+    def test_int64_top_roundtrip(self, tmp_path):
+        # one arrival of 2**63 - 1, the most a link may receive, makes its
+        # column 19 digits wide; every other number keeps its own digits
+        arrivals = np.zeros((3, 2), np.int64)
+        arrivals[1, 1] = 2**63 - 1
+        trace = TrafficTrace(arrivals, [[5, 6], [7, 100], [0, 9]], 4)
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        assert path.read_bytes().endswith(
+            b"1,0,0,7\r\n1,1,9223372036854775807,100\r\n2,0,0,0\r\n"
+            b"2,1,0,9\r\n")
+        loaded = load_trace(path, 2)
+        assert loaded.checksum() == trace.checksum() and loaded.seed == 4
 
     def test_trace_format(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -150,6 +150,16 @@ CFG
         run "generate-$family" generate --config "$family" --instances 4 \
             --mu 0.03,0.07 --horizon 8 --seed 5 --out "gen-$family"
     done
+    # four-digit columns in both instance files: node IDs up to 1200 in
+    # graph.txt and trace.csv, and slots up to 1099 in trace.csv
+    run generate-star1200 generate --config star1200 --instances 1 \
+        --horizon 2 --seed 5 --out gen-star1200
+    run generate-star5-long generate --config star5 --instances 1 \
+        --horizon 1100 --seed 5 --out gen-star5-long
+    for case in star1200 star5-long; do
+        run "eval-$case" eval --instances "gen-$case" \
+            --policies baseline,greedy --out "eval-$case"
+    done
     run eval-star30 eval --instances gen-star30 \
         --policies baseline,greedy,exact,gcn \
         --checkpoint train-default/checkpoint.ckpt --out eval-star30
