@@ -130,7 +130,8 @@ def forward(params: GcnParams, laplacian, features,
     unbatched forward, so every row is bitwise equal to the forward of that
     row alone. Hidden layers apply a leaky ReLU with the given negative
     slope; the output layer is linear, so a one-layer network is fully
-    linear.
+    linear. The features and Laplacians are checked here, and the layers
+    run in :func:`propagate`, which fills the returned cache.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != params.layer_dims[0]:
@@ -148,18 +149,30 @@ def forward(params: GcnParams, laplacian, features,
         shape = None if lap.shape == (n, n) else lap.shape
     if shape is not None:
         raise ValueError(f"laplacian shape {shape} does not match {n} nodes")
-    acts = [x]
-    pres: list[np.ndarray] = []
-    lap_inputs: list[np.ndarray] = []
+    cache = ForwardCache(lap, slope, [x], [], [])
+    utilities = propagate(params, lap, x, slope, cache)[..., 0].copy()
+    return utilities, cache
+
+
+def propagate(params: GcnParams, laplacian, features, slope: float,
+              cache: ForwardCache | None = None) -> np.ndarray:
+    """:func:`forward`'s layer loop, unchecked: the (..., V, 1) output of
+    float64 ``features`` of matching shape under a ``laplacian`` of
+    matching size, appending each layer's L @ X, preactivation and
+    activation to ``cache`` when one is given. The one implementation of
+    the network: :func:`forward` checks its input and calls it with its
+    cache, and a policy, which needs no cache, calls it directly."""
+    x = features
     last = params.num_layers - 1
     for l in range(params.num_layers):
-        lx = _convolve(lap, acts[-1])
-        z = acts[-1] @ params.theta0[l] + lx @ params.theta1[l]
-        lap_inputs.append(lx)
-        pres.append(z)
-        acts.append(z if l == last else np.where(z >= 0, z, slope * z))
-    utilities = acts[-1][..., 0].copy()
-    return utilities, ForwardCache(lap, slope, acts, pres, lap_inputs)
+        lx = _convolve(laplacian, x)
+        z = x @ params.theta0[l] + lx @ params.theta1[l]
+        x = z if l == last else np.where(z >= 0, z, slope * z)
+        if cache is not None:
+            cache.lap_inputs.append(lx)
+            cache.preactivations.append(z)
+            cache.activations.append(x)
+    return x
 
 
 def backward(params: GcnParams, cache: ForwardCache,

@@ -21,7 +21,6 @@ ends, against the writer's; each file states its size in a header.
 from __future__ import annotations
 
 import io
-import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -448,14 +447,16 @@ def format_int_rows(rows, delimiter: str, end: str) -> bytes:
     tuple(values)``. The twin of :func:`read_int_rows`, which reads the
     text back as the same int64 rows. A negative value raises ValueError.
 
-    Each column gets the digit width of its largest value, and the rows are
-    laid out in one (R, W) uint8 buffer filled with NUL but for the
-    delimiter and end bytes. The digits are written right-aligned, one
-    decimal place at a time: one ``// 10`` pass over the whole table, in the
-    narrowest unsigned type that holds it, then one strided write per
-    column still that wide. A place above a number's first digit stays
-    NUL, and the text is the buffer with every NUL deleted; a space would
-    not do, as a delimiter may be one.
+    Every field gets the digit width W of the table's largest value, and
+    the rows are laid out in one uint8 buffer of R F slots of S bytes,
+    each W digit places and then the delimiter, or in a row's last slot
+    the end, padded with NUL; so one decimal place of every field of the
+    table is one slice of stride S. The digits are written right-aligned,
+    one place at a time: one ``// 10`` pass over the whole table, in the
+    narrowest unsigned type that holds it, its ASCII digits, and one write
+    of them into that place's slice. A place above a number's first digit
+    stays NUL, and the text is the buffer with every NUL deleted; a space
+    would not do, as a delimiter may be one.
     """
     block = np.asarray(rows, dtype=np.int64)
     if block.ndim != 2 or block.shape[1] < 1:
@@ -463,28 +464,28 @@ def format_int_rows(rows, delimiter: str, end: str) -> bytes:
                          "F >= 1")
     if not len(block):
         return b""
-    if block.min() < 0:
+    # a negative int64 reads as 2**63 or more as uint64, so one max finds
+    # the widest value and any negative one
+    top = int(block.view(np.uint64).max())
+    if top >= 2**63:
         k, c = np.argwhere(block < 0)[0].tolist()
         raise ValueError(f"row {k}, field {c}: {block[k, c]} is negative")
-    tops = block.max(axis=0).tolist()
-    widths = [len(str(top)) for top in tops]
-    sep = delimiter.encode()
-    template = sep.join(b"\0" * width for width in widths) + end.encode()
-    buf = np.frombuffer(bytearray(template * len(block)), np.uint8)
-    buf = buf.reshape(len(block), len(template))
-    # the ones place of each column within a row
-    ones = [stop - len(sep) - 1 for stop in
-            itertools.accumulate(width + len(sep) for width in widths)]
-    rest = block.astype(np.min_scalar_type(max(tops)))
-    for place in range(max(widths)):
+    width = len(str(top))
+    sep, stop = delimiter.encode(), end.encode()
+    slot = width + max(len(sep), len(stop))
+    count, fields = block.shape
+    template = ((b"\0" * width + sep).ljust(slot, b"\0") * (fields - 1)
+                + (b"\0" * width + stop).ljust(slot, b"\0"))
+    buf = np.frombuffer(bytearray(template * count), np.uint8)
+    lines = buf.reshape(count, fields * slot)
+    rest = block.astype(np.min_scalar_type(top))
+    for place in range(width):
         head = rest // 10
         char = rest - head * 10
         char += 48
         if place:
             char *= rest != 0
-        for c, width in enumerate(widths):
-            if width > place:
-                buf[:, ones[c] - place] = char[:, c]
+        lines[:, width - 1 - place::slot] = char
         rest = head
     return buf.tobytes().translate(None, b"\0")
 

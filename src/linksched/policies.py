@@ -4,8 +4,9 @@ Every policy has the same two parts. ``utilities(graph, x)`` is the
 per-link utility it schedules on: given (B, V) rows of the one input
 feature, backlog x rate, it returns (B, V) utilities. The rows are
 read-only. :func:`~linksched.sim.run_episode` weighs every row of a slot in
-one :func:`~linksched.solvers.baseline_utility` call and passes each policy
-its (K, V) block, one row per trace, K = 1 included. ``solver`` names the
+one :func:`~linksched.solvers.baseline_kernel` call and passes each policy
+its (K, V) block, one row per trace, K = 1 included; it checks what the
+policies return, so a policy checks nothing. ``solver`` names the
 independent-set solver that turns those utilities into a schedule:
 ``"lgs"`` (the distributed baseline), ``"greedy"`` or ``"exact"`` (the
 centralized reference schedulers). A policy holds no solver function:
@@ -18,14 +19,17 @@ that one feature per link: ``lgs`` in evaluation, which reports its
 message rounds, and ``greedy`` on training's main trajectory, which reads
 no rounds. Greedy's scan in (utility, node ID) order picks LGS's schedule
 on every row, signed utilities and zeros included, at a fraction of the
-cost of a one-row :func:`~linksched.solvers.lgs_rows` call.
+cost of a one-row :func:`~linksched.solvers.lgs_rows` call. The GCN runs
+as :func:`~linksched.gcn.propagate`, :func:`~linksched.gcn.forward`'s
+layer loop without its input checks or the cache that only training's
+backward pass reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gcn import LEAKY_SLOPE, GcnParams, forward
+from .gcn import LEAKY_SLOPE, GcnParams, propagate
 from .graph import ConflictGraph
 
 
@@ -48,6 +52,8 @@ class GcnLgsPolicy:
     one input feature per node is backlog x rate, the one input a
     checkpoint is trained on; the convolution uses the graph's own cached
     :attr:`ConflictGraph.laplacian`, so the policy holds no per-graph state.
+    Its utilities are bitwise :func:`~linksched.gcn.forward`'s, whose layer
+    loop it runs, unchecked, on float64 rows of the graph's width.
     """
 
     def __init__(self, params: GcnParams, slope: float = LEAKY_SLOPE,
@@ -57,5 +63,5 @@ class GcnLgsPolicy:
         self.slope = slope
 
     def utilities(self, graph: ConflictGraph, x) -> np.ndarray:
-        return forward(self.params, graph.laplacian, x[..., None],
-                       self.slope)[0]
+        return propagate(self.params, graph.laplacian, x[..., None],
+                         self.slope)[..., 0]

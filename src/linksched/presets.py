@@ -33,14 +33,28 @@ STAR_MAX_NODES = 10_000  # refused above this before anything is built
 
 @dataclass(frozen=True)
 class GraphConfig:
-    """A named random-graph family; ``build`` draws one instance."""
+    """A named random-graph family; ``build`` draws one instance. A
+    ``fixed`` family builds the same graph on every draw and draws nothing
+    from the generator (a star)."""
 
     name: str
     max_nodes: int
     _builder: Callable[[np.random.Generator], ConflictGraph]
+    fixed: bool = False
 
     def build(self, rng: np.random.Generator | int | None = None) -> ConflictGraph:
         return self._builder(as_rng(rng))
+
+    def for_run(self) -> "GraphConfig":
+        """This family for the draws of one run: a fixed family builds its
+        graph once, here, and returns that one graph, whose derived tables
+        are cached on it, on every draw; any other family is itself. The
+        graph lives as long as the returned config, so nothing outlives
+        the run that holds it."""
+        if not self.fixed:
+            return self
+        graph = self.build()
+        return GraphConfig(self.name, self.max_nodes, lambda gen: graph, True)
 
 
 def _ba_mix(gen: np.random.Generator) -> ConflictGraph:
@@ -58,7 +72,8 @@ def parse_graph_config(name: str) -> GraphConfig:
         if not 1 <= x < STAR_MAX_NODES:
             raise ValueError(f"{name}: star needs 1 to {STAR_MAX_NODES - 1} "
                              "peripherals")
-        return GraphConfig(key, x + 1, lambda gen, x=x: generate_star(x))
+        return GraphConfig(key, x + 1, lambda gen, x=x: generate_star(x),
+                           fixed=True)
     ba = re.fullmatch(r"ba-m(\d+)", key)
     if ba:
         m = int(ba.group(1))

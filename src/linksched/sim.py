@@ -7,12 +7,13 @@ packets; arrivals land on every link. All packet quantities are integers.
 :func:`run_episode` is the one per-slot loop and the one place a policy's
 utilities are solved: it runs P policies on K traces of one graph in
 lockstep, each policy on a (K, V) block of rows, one per trace. Each slot
-pays once for what its rows share: one
-:func:`~linksched.solvers.baseline_utility` call weighs every row, each
-policy's utilities are one call on its block of that, and each solver
-solves all of its rows in one call. Every schedule of the run is checked
-for independence in one :func:`~linksched.graph.is_independent_mask` call
-after the last slot. Evaluation runs every policy on the traces of
+pays once for what its rows share, and only for its arithmetic: one
+:func:`~linksched.solvers.baseline_kernel` call weighs every row, each
+policy's utilities are one call on its block of that, one pass checks
+them all finite, and each solver's kernel solves all of its rows in one
+call, unchecked. Every schedule of the run is checked for independence
+in one :func:`~linksched.graph.is_independent_mask` call after the last
+slot. Evaluation runs every policy on the traces of
 instances that share a graph; the trainer's main trajectory runs one
 policy on one trace (K = 1).
 :func:`advance` is the one implementation of the queue update,
@@ -51,7 +52,8 @@ import numpy as np
 
 from .graph import CUT_SHORT, ConflictGraph, as_rng, format_int_rows, \
     is_independent_mask, read_as_written, read_int_rows
-from .solvers import baseline_utility, exact_mwis, greedy_centralized, lgs_rows
+from .solvers import baseline_kernel, baseline_utility, check_exact_cap, \
+    exact_kernel, greedy_kernel, lgs_kernel, lgs_rows
 
 RATE_MEAN = 50.0
 RATE_STD = 25.0
@@ -174,26 +176,43 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     policy-major, ordered by solver: the ``"lgs"`` policies, then the
     ``"greedy"`` ones, then the ``"exact"`` ones, each in the caller's
     order, so each solver's rows are one slice. Each slot, one
-    :func:`baseline_utility` call weighs every row, the queues against
+    :func:`baseline_kernel` call weighs every row, the queues against
     that slot's (K, V) rates broadcast over the P blocks; the policies'
     utilities are then called in the caller's order, each on its read-only
-    (K, V) block of that, and must return (K, V). Each solver gets its
-    slice in one call, in that order: :func:`lgs_rows`,
-    :func:`greedy_centralized` (``"greedy"``) and :func:`exact_mwis`
+    (K, V) block of that, and must return (K, V). Each solver's kernel
+    gets its slice in one call, in that order: :func:`lgs_kernel`,
+    :func:`greedy_kernel` (``"greedy"``) and :func:`exact_kernel`
     (``"exact"``), looked up in this module at call time; the centralized
-    solvers must return a bool mask of their slice's shape. One
+    kernels must return a bool mask of their slice's shape. One
     :func:`advance` then applies each trace's slot t to its rows. Rows
     never mix, so each result equals a run of that policy alone on that
-    trace.
+    trace, and its schedules those of :func:`lgs_rows`,
+    :func:`greedy_centralized` or :func:`exact_mwis` on its utilities.
 
-    A fault raises ValueError: utilities or schedules of the wrong kind at
-    their slot, and schedules that are no independent set of the graph
-    after the last slot, where one :func:`is_independent_mask` call checks
-    them all, before anything is returned; no queue update depends on
-    that check. The error names the first such slot, its policy by its
-    place in the caller's order, and its trace. The traces were checked
-    when they were built, so only their width, and that they cover the
-    steps, are checked here.
+    The weighing is the plain product, with no test of sign: the queues
+    start at 0, an update drains at most the backlog, and a trace's
+    arrivals on one link sum to at most 2**63 - 1, so every queue lies in
+    [0, its link's arrivals so far]. The kernels check nothing else, so a
+    refusal of the public solvers fires here instead, with the same
+    message. A fault raises ValueError, at the first of these places:
+    - before the first slot, and before any policy is called: an unknown
+      solver name, traces of the wrong width or too short, and a graph
+      over :data:`~linksched.solvers.EXACT_NODE_CAP` nodes when a policy
+      names ``"exact"``;
+    - at slot t: utilities of the wrong shape as each policy returns them;
+      then, once every policy has filled its rows and before any solver
+      runs, ``utilities must be finite`` when any of them is NaN or
+      infinite; then a negative weight on an ``"exact"`` row, which
+      :func:`exact_kernel` refuses as its search needs, and a centralized
+      schedule of the wrong dtype or shape as its kernel returns it;
+    - after the last slot, before anything is returned: schedules that are
+      no independent set of the graph, all checked in one
+      :func:`is_independent_mask` call, on which no queue update depends.
+      The error names the first such slot, its policy by its place in the
+      caller's order, and its trace.
+
+    The traces were checked when they were built, so only their width,
+    and that they cover the steps, are checked here.
     """
     if not traces:
         raise ValueError("run_episode needs at least one trace")
@@ -206,15 +225,15 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     horizon = shortest if steps is None else int(steps)
     if not 1 <= horizon <= shortest:
         raise ValueError(f"steps must lie in [1, {shortest}]")
-    solve = {"lgs": lgs_rows, "greedy": greedy_centralized,
-             "exact": exact_mwis}
+    rank = ["lgs", "greedy", "exact"]
     for policy in policies:
-        if policy.solver not in solve:
+        if policy.solver not in rank:
             raise ValueError(f"unknown solver {policy.solver!r}")
+    if any(policy.solver == "exact" for policy in policies):
+        check_exact_cap(graph)
     # each policy's block of K rows, one per trace, sorted by solver in the
-    # order of ``solve``: policy order[b] owns block b, rows b * K on, and
+    # order of ``rank``: policy order[b] owns block b, rows b * K on, and
     # each solver's rows are one slice of ``groups``
-    rank = list(solve)
     order = sorted(range(count), key=lambda p: rank.index(policies[p].solver))
     block = [order.index(p) for p in range(count)]
     groups, end = [], 0
@@ -239,7 +258,7 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     member_blocks = members.reshape(horizon, count, k, n)
     utility_blocks = utilities.reshape(horizon, count, k, n)
     for t in range(horizon):
-        x = baseline_utility(queue_blocks[t], rate_blocks[t])
+        x = baseline_kernel(queue_blocks[t], rate_blocks[t])
         x.setflags(write=False)
         u = utility_blocks[t]
         for b, policy in zip(block, policies):
@@ -249,18 +268,22 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
                                  f"{shape}: one row per trace, one utility "
                                  "per node")
             u[b] = row
+        if not np.isfinite(utilities[t]).all():
+            raise ValueError("utilities must be finite")
         for name, pick in groups:
             rows_u = utilities[t, pick]
-            mask = solve[name](graph, rows_u)
             if name == "lgs":
-                mask, rounds[:, t] = mask
-            elif getattr(mask, "dtype", None) != bool:
-                raise ValueError("a solver must return a 1-D bool mask per "
-                                 "row")
-            elif np.shape(mask) != rows_u.shape:
-                raise ValueError(f"membership mask shape {np.shape(mask)} "
-                                 f"does not match {n} nodes in each of "
-                                 f"{len(rows_u)} rows")
+                mask, rounds[:, t] = lgs_kernel(graph, rows_u)
+            else:
+                mask = (greedy_kernel if name == "greedy" else exact_kernel)(
+                    graph, rows_u)
+                if getattr(mask, "dtype", None) != bool:
+                    raise ValueError("a solver must return a 1-D bool mask "
+                                     "per row")
+                if np.shape(mask) != rows_u.shape:
+                    raise ValueError(f"membership mask shape "
+                                     f"{np.shape(mask)} does not match {n} "
+                                     f"nodes in each of {len(rows_u)} rows")
             members[t, pick] = mask
         queue_blocks[t + 1] = advance(queue_blocks[t], member_blocks[t],
                                       rates[t], arrivals[t])

@@ -2,13 +2,23 @@
 exact branch-and-bound, and the baseline's per-link utility.
 
 A schedule is a (V,) bool membership mask over the graph's nodes. The
-distributed local greedy scheduler (LGS) has one kernel, :func:`lgs_rows`,
-which schedules a batch of utility rows on one graph without sorting: a
+distributed local greedy scheduler (LGS) has one implementation,
+:func:`lgs_rows`, which schedules a batch of utility rows on one graph without sorting: a
 node joins when no remaining neighbor outranks it in (utility, node ID)
 order. :func:`greedy_centralized` and :func:`exact_mwis` schedule one (V,)
-row or a (B, V) stack of rows, each row as on its own; every solver checks
-its input once per call. :func:`~linksched.sim.run_episode` is the one
-caller that solves a policy's utilities, one call per solver per slot;
+row or a (B, V) stack of rows, each row as on its own.
+
+Each public entry point, :func:`lgs_rows`, :func:`greedy_centralized`,
+:func:`exact_mwis` and :func:`baseline_utility`, is its input check, once
+per call, plus one kernel that runs unchecked: :func:`lgs_kernel`,
+:func:`greedy_kernel`, :func:`exact_kernel` and :func:`baseline_kernel`.
+:func:`exact_kernel` alone keeps a test, the one on negative weights its
+search needs. :func:`~linksched.sim.run_episode` is the one caller that
+solves a policy's utilities, and it calls the kernels, the weighing's
+included, one per solver per slot, after its own checks: the exact cap
+(:func:`check_exact_cap`) once before the first slot, and the
+finiteness of every row once per slot; its queues are non-negative by
+construction.
 :func:`~linksched.sim.lookahead_compare` calls :func:`lgs_rows` on
 :func:`baseline_utility` for the baseline's rollouts.
 
@@ -58,14 +68,22 @@ def _check_utilities(graph: ConflictGraph, utilities) -> np.ndarray:
 
 def baseline_utility(queues, rates) -> np.ndarray:
     """Per-link utility backlog x rate, elementwise as float64: the LGS
-    baseline's weight and the GCN's input."""
+    baseline's weight and the GCN's input. Refuses sides of unequal
+    shapes and a negative or NaN entry, then calls
+    :func:`baseline_kernel`."""
     q, r = np.asarray(queues), np.asarray(rates)
     if q.shape != r.shape:
         raise ValueError("queue and rate vectors differ in length")
     # fmin skips a NaN, so this refuses what a test of each side refuses
     if (np.fmin(q, r) < 0).any():
         raise ValueError("queues and rates must be non-negative")
-    return np.multiply(q, r, dtype=np.float64)
+    return baseline_kernel(q, r)
+
+
+def baseline_kernel(queues, rates) -> np.ndarray:
+    """:func:`baseline_utility` unchecked: the product, broadcast, as
+    float64."""
+    return np.multiply(queues, rates, dtype=np.float64)
 
 
 def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
@@ -91,6 +109,9 @@ def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
     ``take`` moves all rows of a node at once. Returns ``(members,
     rounds)``: a (B, V) bool membership matrix and the (B,) message rounds
     each row used.
+
+    Refuses a matrix of the wrong shape and a non-finite entry, then calls
+    :func:`lgs_kernel`.
     """
     u = np.asarray(utilities, dtype=np.float64)
     n = graph.node_count
@@ -99,6 +120,13 @@ def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
             f"utility matrix shape {u.shape} does not match {n} nodes")
     if not np.isfinite(u).all():
         raise ValueError("utilities must be finite")
+    return lgs_kernel(graph, u)
+
+
+def lgs_kernel(graph: ConflictGraph,
+               utilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lgs_rows` unchecked, on a finite float64 (B, V) matrix."""
+    u, n = utilities, graph.node_count
     b = u.shape[0]
     index, starts, higher = graph.neighbor_segments
     width = 1 << max(b - 1, 0).bit_length() if b <= 8 else -(-b // 8) * 8
@@ -148,9 +176,16 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> np.ndarray:
 
     ``utilities`` is one (V,) row or a (B, V) stack; the stack is checked
     and argsorted once, and each row is scanned as on its own. Returns bool
-    membership masks of the input's shape.
+    membership masks of the input's shape. Refuses a wrong shape and a
+    non-finite utility, then calls :func:`greedy_kernel`.
     """
-    u = _check_utilities(graph, utilities)
+    return greedy_kernel(graph, _check_utilities(graph, utilities))
+
+
+def greedy_kernel(graph: ConflictGraph, utilities: np.ndarray) -> np.ndarray:
+    """:func:`greedy_centralized` unchecked, on a finite float64 (V,) row
+    or (B, V) stack."""
+    u = utilities
     n, nbrs = graph.node_count, graph.neighbor_bitmasks
     members = np.zeros(u.shape, dtype=bool)
     flat, base = members.reshape(-1), 0  # row b's node v at base b * V + v
@@ -183,9 +218,9 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
 
     ``utilities`` is one (V,) row or a (B, V) stack, and each row is
     searched as on its own. A call checks its input once, refusing in this
-    order a wrong shape, a non-finite weight, a graph over the cap and a
-    negative weight, and builds the search once; it returns bool
-    membership masks of the input's shape.
+    order a wrong shape, a non-finite weight, a graph over the cap and,
+    in :func:`exact_kernel`, a negative weight, and builds the search once;
+    it returns bool membership masks of the input's shape.
 
     Node sets are Python ints, bit v for node v. The neighbor sets are the
     graph's cached :attr:`~linksched.graph.ConflictGraph.neighbor_bitmasks`,
@@ -205,10 +240,23 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     returned masks.
     """
     u = _check_utilities(graph, utilities)
-    n = graph.node_count
-    if n > EXACT_NODE_CAP:
-        raise ValueError(
-            f"exact solver capped at {EXACT_NODE_CAP} nodes, got {n}")
+    check_exact_cap(graph)
+    return exact_kernel(graph, u)
+
+
+def check_exact_cap(graph: ConflictGraph) -> None:
+    """Refuse a graph of more than :data:`EXACT_NODE_CAP` nodes."""
+    if graph.node_count > EXACT_NODE_CAP:
+        raise ValueError(f"exact solver capped at {EXACT_NODE_CAP} nodes, "
+                         f"got {graph.node_count}")
+
+
+def exact_kernel(graph: ConflictGraph, utilities: np.ndarray) -> np.ndarray:
+    """:func:`exact_mwis` on a finite float64 (V,) row or (B, V) stack over
+    a graph within the cap, unchecked but for the one test the search
+    needs: a negative weight, which it finds in the row lists it builds
+    anyway, and on which its bound would not hold, is refused."""
+    u, n = utilities, graph.node_count
     rows = u.reshape(-1, n).tolist()
     # the weights are finite, so this is (u < 0).any()
     if rows and min(map(min, rows)) < 0:

@@ -13,6 +13,8 @@ with one Adam step per episode on a batch replayed from the last
 ``replay_capacity`` slots. The batch runs one stacked GCN forward and
 backward per node count in it, and the per-item losses and gradients
 are summed in batch order: the step is bitwise that of an item-by-item loop.
+A run resolves its graph mix once (:func:`resolve_mix`): a star family is
+built once per run, and its cached tables serve every episode drawn on it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .gcn import (BASE_LR, LR_DECAY, AdamState, GcnParams, Gradients,
                   save_checkpoint)
 from .graph import ConflictGraph
 from .policies import GcnLgsPolicy
-from .presets import parse_graph_config
+from .presets import GraphConfig, parse_graph_config
 from .sim import RATE_MEAN, TrafficTrace, lookahead_compare, run_episode, \
     sample_traffic
 from .solvers import baseline_utility
@@ -186,18 +188,32 @@ def initial_params(config: TrainConfig,
     return init_params(config.layer_dims, rng)
 
 
+def resolve_mix(config: TrainConfig) -> list[GraphConfig]:
+    """The families of ``config.graph_mix``, in its order, resolved once
+    for a run: a star family is built here and gives that one graph on
+    every draw (:meth:`GraphConfig.for_run`), so a run builds it and its
+    cached tables once. The graphs live as long as the list, which
+    :func:`train` holds for one run only: a star of 10,000 nodes has an
+    800 MB Laplacian."""
+    return [parse_graph_config(name).for_run() for name, _ in config.graph_mix]
+
+
 def sample_instance(config: TrainConfig, rng: np.random.Generator,
+                    families: list[GraphConfig] | None = None,
                     ) -> tuple[str, ConflictGraph, TrafficTrace]:
     """Draw one training instance: (graph family name, graph, trace).
 
     Draws from ``rng`` in this order: the family from the configured mix,
     the graph, the traffic load, then a trace covering horizon + lookahead
-    slots.
+    slots. ``families`` is :func:`resolve_mix`'s list for the run, resolved
+    on this call if not given; a star draws nothing, so the draws are the
+    same either way.
     """
-    names = [name for name, _ in config.graph_mix]
+    if families is None:
+        families = resolve_mix(config)
     probs = np.array([p for _, p in config.graph_mix], dtype=np.float64)
-    name = names[int(rng.choice(len(names), p=probs / probs.sum()))]
-    graph = parse_graph_config(name).build(rng)
+    k = int(rng.choice(len(families), p=probs / probs.sum()))
+    name, graph = config.graph_mix[k][0], families[k].build(rng)
     mu = float(config.loads[int(rng.integers(len(config.loads)))])
     trace = sample_traffic(graph, config.horizon + config.lookahead,
                            mu * RATE_MEAN, rng)
@@ -299,13 +315,14 @@ def train(config: TrainConfig, checkpoint_dir) -> TrainResult:
     state = AdamState.for_params(params, base_lr=config.base_lr,
                                  decay=config.lr_decay)
     buffer: deque[ExperienceTuple] = deque(maxlen=config.replay_capacity)
+    families = resolve_mix(config)
     out_dir = Path(checkpoint_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log: list[dict] = []
     for episode in range(config.episodes):
         ep_rng = np.random.default_rng(master.integers(2**63))
         batch_rng = np.random.default_rng(master.integers(2**63))
-        model, graph, trace = sample_instance(config, ep_rng)
+        model, graph, trace = sample_instance(config, ep_rng, families)
         tuples = collect_episode(config, params, graph, trace)
         buffer.extend(tuples)
         batch = [buffer[i] for i in batch_rng.choice(

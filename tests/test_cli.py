@@ -408,13 +408,13 @@ class TestEval:
                                                  tmp_path / "traced")) == {}
         calls = Counter(tracer.labels[i] for i in tracer.name_ids)
         # the 4 star5 instances share a graph: one lockstep episode for the
-        # group, one batched solve per solver and slot, and one weighing of
-        # every row per slot
+        # group, one batched solve per solver kernel and slot, and one
+        # weighing of every row per slot
         assert calls["sim.run_episode"] == 1
-        assert calls["solvers.lgs_rows"] == 16
-        assert calls["solvers.greedy_centralized"] == 16
-        assert calls["solvers.exact_mwis"] == 16
-        assert calls["solvers.baseline_utility"] == 16
+        assert calls["solvers.lgs_kernel"] == 16
+        assert calls["solvers.greedy_kernel"] == 16
+        assert calls["solvers.exact_kernel"] == 16
+        assert calls["solvers.baseline_kernel"] == 16
         for name in ("per_instance.csv", "ars.csv", "summary.csv"):
             assert (tmp_path / "traced" / name).read_bytes() == \
                 (tmp_path / "plain" / name).read_bytes()
@@ -610,11 +610,12 @@ class TestMainEntry:
     def test_train_under_bench_tracer(self, tmp_path, monkeypatch):
         # the bench's train-mix config, 3 episodes: the tracer misses no
         # call, the outputs are those of an untraced run, and each episode
-        # runs the GCN forward once per main-trajectory slot (horizon +
+        # runs the GCN's layer loop once per main-trajectory slot (horizon +
         # lookahead - 1), with no re-forward for the reward's utilities,
-        # and the replay batch one forward and one backward per node count;
-        # each main-trajectory slot is one greedy solve, and LGS runs only
-        # in the baseline's rollouts, one batched call per lookahead step
+        # and the replay batch one forward, through that loop, and one
+        # backward per node count; each main-trajectory slot is one greedy
+        # kernel call, and LGS runs only in the baseline's rollouts, one
+        # batched call per lookahead step
         conf = tmp_path / "train.cfg"
         conf.write_text("graph_mix = star30:0.8,ba-m2:0.2\n"
                         "loads = 0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08\n"
@@ -646,9 +647,10 @@ class TestMainEntry:
                 (tmp_path / "plain" / name).read_bytes()
         calls = Counter(tracer.labels[i] for i in tracer.name_ids)
         assert calls["train.collect_episode"] == 3
-        assert calls["gcn.forward"] == 3 * (64 + 5 - 1) + sum(sizes)
+        assert calls["gcn.propagate"] == 3 * (64 + 5 - 1) + sum(sizes)
+        assert calls["gcn.forward"] == sum(sizes)
         assert calls["gcn.backward"] == sum(sizes)
-        assert calls["solvers.greedy_centralized"] == 3 * (64 + 5 - 1)
+        assert calls["solvers.greedy_kernel"] == 3 * (64 + 5 - 1)
         assert calls["solvers.lgs_rows"] == 3 * 5
 
     def test_train_smoke_log_rows(self, tmp_path, capsys):

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksched.gcn import (AdamState, Checkpoint, GcnParams, Gradients,
-                           adam_step, backward, forward, identity_params,
-                           init_params, load_checkpoint, save_checkpoint)
+from linksched.gcn import (LEAKY_SLOPE, AdamState, Checkpoint, ForwardCache,
+                           GcnParams, Gradients, adam_step, backward, forward,
+                           identity_params, init_params, load_checkpoint,
+                           propagate, save_checkpoint)
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
                              generate_star, normalized_laplacian)
+from linksched.policies import GcnLgsPolicy
 from linksched.solvers import greedy_centralized, lgs_rows
 
 
@@ -166,6 +168,35 @@ class TestStackedForward:
                                 want.theta0 + want.theta1):
                 assert got.shape == (stack, *ref.shape)
                 assert got[b].tobytes() == ref.tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), stack=st.integers(1, 6),
+           dims=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+           slope=st.sampled_from([LEAKY_SLOPE, 0.1, 0.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_policy_utilities_are_forwards(self, n, stack, dims, slope,
+                                           seed):
+        # the policy runs forward's layer loop, propagate, with no checks
+        # and no cache: its utilities of read-only (B, V) rows are
+        # forward's bit for bit, and propagate fills a cache given to it
+        # as forward does
+        rng = np.random.default_rng(seed)
+        g = generate_er(n, rng.random() * 0.6, rng)
+        params = init_params((1, *dims, 1), rng)
+        x = rng.integers(0, 5000, size=(stack, n)) * rng.random((stack, n))
+        x.setflags(write=False)
+        want, cache = forward(params, g.laplacian, x[..., None], slope)
+        got = GcnLgsPolicy(params, slope).utilities(g, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        mine = ForwardCache(g.laplacian, slope, [x[..., None]], [], [])
+        out = propagate(params, g.laplacian, x[..., None], slope, mine)
+        assert out.tobytes() == cache.activations[-1].tobytes()
+        for name in ("activations", "preactivations", "lap_inputs"):
+            ours, theirs = getattr(mine, name), getattr(cache, name)
+            assert len(ours) == len(theirs) == len(dims) + 1 + (
+                name == "activations")
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(ours, theirs))
 
     def test_stack_shape_mismatch(self):
         with pytest.raises(ValueError):

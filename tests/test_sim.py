@@ -2,6 +2,7 @@ import itertools
 import os
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from linksched.sim import (TrafficTrace, advance, backlog_ratio,
                            backlog_stats, compute_metrics, load_trace,
                            lookahead_compare, ratio_quartiles, run_episode,
                            sample_traffic, save_trace, steady_state_mean)
-from linksched.solvers import (baseline_utility, exact_mwis,
-                               greedy_centralized, lgs_rows)
+from linksched.solvers import (EXACT_NODE_CAP, baseline_utility,
+                               exact_mwis, greedy_centralized, lgs_rows)
 from test_graph import CUT_SHORT, is_int64, reference_load_edges
 
 
@@ -96,7 +97,7 @@ def constant_trace(horizon, nodes, arrival=1, rate=2):
 
 
 class Stub:
-    """A stand-in policy: zero utilities for sim's ``exact`` solver, which
+    """A stand-in policy: zero utilities for sim's ``exact`` kernel, which
     :func:`run_stub` replaces."""
 
     solver = "exact"
@@ -107,10 +108,10 @@ class Stub:
 
 def run_stub(graph, schedule, trace):
     """One :class:`Stub` policy's episode, with ``schedule(graph, u)`` as
-    sim's exact solver: a fault injected where ``run_episode`` calls it,
+    sim's ``exact_kernel``: a fault injected where ``run_episode`` calls it,
     once a slot on the (1, V) stack of the one row."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "exact_mwis", schedule)
+        patch.setattr(sim, "exact_kernel", schedule)
         return run_episode(graph, [Stub()], trace)
 
 
@@ -187,7 +188,7 @@ class TestStep:
                 (np.zeros(6, bool), r"shape \(6,\) does not match 6 nodes"),
                 ((np.arange(6) < 2)[None], "not an independent set")):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sim, "greedy_centralized",
+                patch.setattr(sim, "greedy_kernel",
                               lambda graph, u: members)
                 with pytest.raises(ValueError, match=match):
                     run_episode(g, policies, constant_trace(1, 6))
@@ -208,7 +209,7 @@ class TestStep:
             return members
         returned = None
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "greedy_centralized", late_conflict)
+            patch.setattr(sim, "greedy_kernel", late_conflict)
             with pytest.raises(ValueError, match=re.escape(
                     "slot 2: the schedule of policy 2 ('greedy') on trace 2 "
                     "is not an independent set of the graph")):
@@ -464,14 +465,14 @@ class TestLockstep:
             assert compute_metrics(result) == compute_metrics(alone)
 
     def test_lgs_policies_share_one_solve_per_slot(self, monkeypatch):
-        # baseline and gcn rows go to lgs_rows together; greedy is called
+        # baseline and gcn rows go to lgs_kernel together; greedy is called
         # on its own row
         calls = []
 
         def counted(graph, u):
             calls.append(np.shape(u))
             return lgs_rows(graph, u)
-        monkeypatch.setattr("linksched.sim.lgs_rows", counted)
+        monkeypatch.setattr("linksched.sim.lgs_kernel", counted)
         g = generate_er(12, 0.3, 1)
         trace = sample_traffic(g, 5, 2.0, 2)
         run_episode(g, [SolverPolicy("lgs"), SolverPolicy("greedy"),
@@ -481,13 +482,13 @@ class TestLockstep:
     def test_lgs_rows_passed_as_a_view(self, monkeypatch):
         # in every policy order, with one trace or two, the rows of the LGS
         # policies, policy-major in the caller's order and one per trace,
-        # reach lgs_rows as one slice of the episode's utilities
+        # reach lgs_kernel as one slice of the episode's utilities
         passed = []
 
         def recorded(graph, u):
             passed.append(u)
             return lgs_rows(graph, u)
-        monkeypatch.setattr("linksched.sim.lgs_rows", recorded)
+        monkeypatch.setattr("linksched.sim.lgs_kernel", recorded)
         g = generate_er(12, 0.3, 1)
         for traces, order in itertools.product(
                 (1, 2), itertools.permutations(["greedy", "lgs", "gcn",
@@ -508,9 +509,9 @@ class TestLockstep:
                                      for p in lgs for j in range(traces)])
 
     def test_solvers_looked_up_at_call_time(self, monkeypatch):
-        # a solver rebound in sim, as a tracer rebinds it, is the one called:
-        # once per slot on the rows of the policies that name it, their
-        # utilities, policy-major over one trace or two
+        # a solver kernel rebound in sim, as a tracer rebinds it, is the one
+        # called: once per slot on the rows of the policies that name it,
+        # their utilities, policy-major over one trace or two
         calls = []
 
         def counted(name, solver):
@@ -518,9 +519,9 @@ class TestLockstep:
                 calls.append((name, u.tolist()))
                 return solver(graph, u)
             return wrapper
-        monkeypatch.setattr(sim, "greedy_centralized",
+        monkeypatch.setattr(sim, "greedy_kernel",
                             counted("greedy", greedy_centralized))
-        monkeypatch.setattr(sim, "exact_mwis", counted("exact", exact_mwis))
+        monkeypatch.setattr(sim, "exact_kernel", counted("exact", exact_mwis))
         g = generate_star(3)
         for traces in (1, 2):
             calls.clear()
@@ -680,7 +681,7 @@ class TestTraces:
 
     def test_one_lgs_solve_per_slot_over_every_trace(self, monkeypatch):
         # the LGS rows of both policies in all three traces go to one
-        # lgs_rows call a slot; each policy's utilities are one call on its
+        # lgs_kernel call a slot; each policy's utilities are one call on its
         # (K, V) rows
         calls, shapes = [], []
 
@@ -692,7 +693,7 @@ class TestTraces:
             def utilities(self, graph, x):
                 shapes.append(np.shape(x))
                 return super().utilities(graph, x)
-        monkeypatch.setattr("linksched.sim.lgs_rows", counted)
+        monkeypatch.setattr("linksched.sim.lgs_kernel", counted)
         g = generate_er(12, 0.3, 1)
         traces = [sample_traffic(g, 5, 2.0, seed) for seed in (2, 3, 4)]
         run_episode(g, [Recorded("lgs"), SolverPolicy("greedy"),
@@ -743,6 +744,143 @@ class TestTraces:
         with pytest.raises(ValueError, match="read-only"):
             run_episode(g, [SolverPolicy("lgs"), Vandal()],
                         constant_trace(3, 5), constant_trace(3, 5))
+
+
+QUEUE_BOUND = 2**63 - 1
+
+
+@st.composite
+def bounded_cases(draw):
+    # a star, BA or ER graph of up to 45 nodes, and one or two traces in
+    # which some links get arrivals that sum to exactly 2**63 - 1, split
+    # over one to three slots, and every rate may be 0; the policies are
+    # LGS, greedy, exact up to its node cap, and GCNs of both signs
+    family = draw(st.sampled_from(["star", "ba", "er"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "star":
+        graph = generate_star(draw(st.integers(1, 44)))
+    elif family == "ba":
+        size = draw(st.integers(2, 45))
+        graph = generate_ba(size, draw(st.integers(1, min(size - 1, 4))),
+                            seed)
+    else:
+        graph = generate_er(draw(st.integers(1, 45)),
+                            draw(st.sampled_from([0.0, 0.05, 0.2])), seed)
+    n = graph.node_count
+    horizon = draw(st.integers(1, 8))
+    traces = []
+    for _ in range(draw(st.integers(1, 2))):
+        arrivals = np.array(draw(st.lists(
+            st.integers(0, 3), min_size=horizon * n,
+            max_size=horizon * n)), dtype=object).reshape(horizon, n)
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=3,
+                               unique=True)):
+            slots = draw(st.lists(st.integers(0, horizon - 1), min_size=1,
+                                  max_size=3, unique=True))
+            column = arrivals[:, v]
+            column[slots] = 0
+            rest = QUEUE_BOUND - sum(column)
+            column[slots] = rest // len(slots)
+            column[slots[0]] += rest % len(slots)
+        rates = draw(st.lists(st.sampled_from([0, 0, 1, 2, 50, 100]),
+                              min_size=horizon * n, max_size=horizon * n))
+        traces.append(TrafficTrace(arrivals.astype(np.int64),
+                                   np.reshape(rates, (horizon, n))))
+    names = ["lgs", "greedy", "gcn-lgs", "gcn-greedy", "gcn-head"]
+    if n <= EXACT_NODE_CAP:
+        names.append("exact")
+    policies = [
+        GcnLgsPolicy(init_params((1, 4, 1), seed), solver=name[4:])
+        if name in ("gcn-lgs", "gcn-greedy") else
+        GcnLgsPolicy(HEAD_GCN) if name == "gcn-head" else SolverPolicy(name)
+        for name in draw(st.lists(st.sampled_from(names), min_size=1,
+                                  max_size=4))]
+    return graph, traces, policies
+
+
+class TestQueueBounds:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(bounded_cases())
+    def test_every_queue_within_its_arrivals(self, case):
+        # run_episode weighs with the plain product, no sign test, because
+        # every queue at every slot lies in [0, its link's arrivals so far],
+        # whatever the policy schedules; with arrivals at the trace's
+        # 2**63 - 1 bound that is also the largest queue int64 can hold
+        graph, traces, policies = case
+        results = run_episode(graph, policies, *traces)
+        for k, trace in enumerate(traces):
+            arrived = np.zeros((trace.horizon + 1, graph.node_count),
+                               dtype=np.int64)
+            np.cumsum(trace.arrivals, axis=0, out=arrived[1:])
+            for result in results[k * len(policies):(k + 1) * len(policies)]:
+                assert result.queues.dtype == np.int64
+                assert (result.queues >= 0).all()
+                assert (result.queues <= arrived).all()
+
+
+class FaultAt:
+    """Backlog x rate, but at slot ``slot`` the last node's utility is
+    ``value``."""
+
+    def __init__(self, solver, slot, value):
+        self.solver, self.slot, self.value = solver, slot, value
+        self.calls = 0
+
+    def utilities(self, graph, x):
+        u = np.array(x)
+        if self.calls == self.slot:
+            u[:, -1] = self.value
+        self.calls += 1
+        return u
+
+
+KERNELS = {"lgs": "lgs_kernel", "greedy": "greedy_kernel",
+           "exact": "exact_kernel"}
+
+
+class TestRefusalPlaces:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solver", sorted(KERNELS))
+    def test_non_finite_utility_refused_before_its_slot_is_solved(
+            self, solver, value, monkeypatch):
+        # slots 0 to 2 are solved; at slot 3 the policies fill their rows,
+        # one pass finds the non-finite one, and no kernel sees slot 3
+        g = generate_star(5)
+        solved = Counter()
+
+        def counted(name, kernel):
+            def wrapper(graph, u):
+                solved[name] += 1
+                return kernel(graph, u)
+            return wrapper
+        for name, attr in KERNELS.items():
+            monkeypatch.setattr(sim, attr, counted(name, getattr(sim, attr)))
+        faulty = FaultAt(solver, 3, value)
+        policies = [SolverPolicy("lgs"), faulty, SolverPolicy("greedy")]
+        with pytest.raises(ValueError, match="^utilities must be finite$"):
+            run_episode(g, policies, constant_trace(6, 6))
+        assert faulty.calls == 4
+        assert solved == {name: 3 for name in {"lgs", "greedy", solver}}
+
+    def test_negative_exact_utility_refused(self):
+        g = generate_star(5)
+        with pytest.raises(ValueError, match="exact solver requires "
+                           "non-negative utilities"):
+            run_episode(g, [FaultAt("exact", 2, -1.0)], constant_trace(4, 6))
+
+    def test_exact_cap_refused_before_any_policy(self):
+        # star40 has 41 nodes: the cap is checked once, before the first
+        # slot, so no policy is called, an LGS one ahead of it included
+        g = generate_star(EXACT_NODE_CAP)
+        policies = [FaultAt("lgs", 0, 0.0), FaultAt("exact", 0, 0.0)]
+        with pytest.raises(ValueError, match=re.escape(
+                f"exact solver capped at {EXACT_NODE_CAP} nodes, got "
+                f"{EXACT_NODE_CAP + 1}")):
+            run_episode(g, policies, constant_trace(3, EXACT_NODE_CAP + 1))
+        assert [p.calls for p in policies] == [0, 0]
+        # without an exact policy the graph is fine
+        run_episode(g, policies[:1], constant_trace(3, EXACT_NODE_CAP + 1))
+        assert policies[0].calls == 3
 
 
 def ran(graph, policy, trace):

@@ -16,7 +16,7 @@ from linksched.sim import RATE_MEAN, TrafficTrace, run_episode, sample_traffic
 from linksched.solvers import baseline_utility, greedy_centralized, lgs_rows
 from linksched.train import (ExperienceTuple, TrainConfig, batch_gradients,
                              collect_episode, compute_reward, loss_gradient,
-                             rms_loss, sample_instance, train)
+                             resolve_mix, rms_loss, sample_instance, train)
 
 
 def small_config(**overrides):
@@ -254,7 +254,7 @@ class TestCollectEpisode:
         # greedy schedules
         config = small_config()
         params = init_params(config.layer_dims, 0)
-        monkeypatch.setattr(sim, "greedy_centralized",
+        monkeypatch.setattr(sim, "greedy_kernel",
                             lambda graph, u: np.ones(np.shape(u), bool))
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
@@ -274,7 +274,7 @@ class TestCollectEpisode:
             if len(calls) > config.horizon:
                 members[:] = True
             return members
-        monkeypatch.setattr(sim, "greedy_centralized", late_conflict)
+        monkeypatch.setattr(sim, "greedy_kernel", late_conflict)
         with pytest.raises(ValueError, match=f"slot {config.horizon}: .* "
                            "independent"):
             sampled_episode(config, params, 1)
@@ -543,6 +543,52 @@ class TestTrain:
     def test_validate_refuses(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_config(**overrides).validate()
+
+    def test_star_built_once_per_run(self, tmp_path, monkeypatch):
+        # a run resolves its mix once: every star30 episode trains on one
+        # graph, a second run builds its own, and a BA family draws a new
+        # graph each time; the draws and the outputs are those of
+        # resolving the mix on every draw
+        config = small_config(episodes=8, graph_mix=(("star30", 0.5),
+                                                     ("ba-m2", 0.5)))
+        seen = []
+        collect = train_module.collect_episode
+
+        def recorded(config, params, graph, trace):
+            seen.append((graph.node_count, graph))
+            return collect(config, params, graph, trace)
+        monkeypatch.setattr(train_module, "collect_episode", recorded)
+        runs = [train(config, tmp_path / name) for name in ("a", "b")]
+        stars = [[g for n, g in seen[k:k + 8] if n == 31] for k in (0, 8)]
+        bas = [g for n, g in seen if n == 70]
+        assert len(stars[0]) >= 2 and len(bas) >= 2
+        for run in stars:
+            assert all(g is run[0] for g in run)
+        assert stars[0][0] is not stars[1][0]
+        assert len({id(g) for g in bas}) == len(bas)
+        assert runs[0].log == runs[1].log
+        families = resolve_mix(config)
+        for seed in range(6):
+            once = sample_instance(config, np.random.default_rng(seed),
+                                   families)
+            fresh = sample_instance(config, np.random.default_rng(seed))
+            assert once[0] == fresh[0]
+            assert np.array_equal(once[1].edge_array(),
+                                  fresh[1].edge_array())
+            assert once[2].checksum() == fresh[2].checksum()
+
+    def test_star_family_builds_afresh_outside_a_run(self):
+        # no process-wide cache: parsing a star twice, or building it
+        # twice, gives new graphs; only a run's resolved family reuses one
+        star = parse_graph_config("star30")
+        assert star.fixed and not parse_graph_config("ba-m2").fixed
+        assert star.build(0) is not star.build(1)
+        assert parse_graph_config("star30").build(0) is not star.build(0)
+        once = star.for_run()
+        assert once.build(0) is once.build(1)
+        assert once.build(0) is not star.for_run().build(0)
+        ba = parse_graph_config("ba-m2")
+        assert ba.for_run() is ba
 
     def test_arrival_rate_is_generates(self, monkeypatch):
         # training draws traffic as generate does: at rate mu * RATE_MEAN

@@ -128,7 +128,19 @@ graph_mix = ba-mix:1.0
 init = glorot
 seed = 6
 CFG
+    # every episode on a star, so each run builds its star graphs once and
+    # shares them: one graph of one size, then graphs of two sizes
+    cat > "$side/star30.cfg" <<'CFG'
+graph_mix = star30:1.0
+CFG
+    cat > "$side/two-stars.cfg" <<'CFG'
+graph_mix = star5:0.5,star30:0.5
+CFG
     run train-default train --episodes 40 --seed 3 --out train-default
+    run train-star30 train --config star30.cfg --episodes 40 --seed 12 \
+        --out train-star30
+    run train-two-stars train --config two-stars.cfg --episodes 40 \
+        --seed 13 --out train-two-stars
     run train-lookahead-1 train --config lookahead-1.cfg --episodes 40 \
         --seed 4 --out train-lookahead-1
     run train-lookahead-9 train --config lookahead-9.cfg --episodes 40 \
