@@ -106,13 +106,18 @@ def init_params(layer_dims,
 
 def _convolve(laplacian, x) -> np.ndarray:
     """L @ X: one (V, V) Laplacian for every matrix of ``x``, or a list
-    with one for each matrix of a (B, V, g) stack, each product then the
-    same 2-D call as on that matrix alone."""
+    with one for each matrix of a (B, V, g) stack. The rows of a list that
+    hold one Laplacian object run as one broadcast product ``lap @
+    x[rows]``; each of its matrices goes through the same BLAS call as the
+    2-D product on that matrix alone."""
     if isinstance(laplacian, np.ndarray):
         return laplacian @ x
+    groups: dict[int, list[int]] = {}
+    for row, lap in enumerate(laplacian):
+        groups.setdefault(id(lap), []).append(row)
     out = np.empty(x.shape)
-    for lap, row, dest in zip(laplacian, x, out):
-        np.matmul(lap, row, out=dest)
+    for rows in groups.values():
+        out[rows] = laplacian[rows[0]] @ x[rows]
     return out
 
 
@@ -124,14 +129,15 @@ def forward(params: GcnParams, laplacian, features,
     of feature matrices, giving (B, V) utilities. ``laplacian`` is one
     (V, V) matrix, shared by every row of a stack, or a list of B of them,
     one per row, so that rows from different graphs of V nodes stack
-    without a (B, V, V) array. Each row's L @ X is the 2-D product of an
-    unbatched forward, and every other product goes through ``np.matmul``
-    broadcasting, which runs each matrix through the same BLAS call as an
-    unbatched forward, so every row is bitwise equal to the forward of that
-    row alone. Hidden layers apply a leaky ReLU with the given negative
-    slope; the output layer is linear, so a one-layer network is fully
-    linear. The features and Laplacians are checked here, and the layers
-    run in :func:`propagate`, which fills the returned cache.
+    without a (B, V, V) array; the rows that hold one Laplacian object, as
+    a run's star rows do, share one broadcast L @ X (:func:`_convolve`).
+    Every product goes through ``np.matmul`` broadcasting, which runs each
+    matrix through the same BLAS call as an unbatched forward, so every
+    row is bitwise equal to the forward of that row alone. Hidden layers
+    apply a leaky ReLU with the given negative slope; the output layer is
+    linear, so a one-layer network is fully linear. The features and
+    Laplacians are checked here, and the layers run in :func:`propagate`,
+    which fills the returned cache.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != params.layer_dims[0]:

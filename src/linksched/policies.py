@@ -4,9 +4,11 @@ Every policy has the same two parts. ``utilities(graph, x)`` is the
 per-link utility it schedules on: given (B, V) rows of the one input
 feature, backlog x rate, it returns (B, V) utilities. The rows are
 read-only. :func:`~linksched.sim.run_episode` weighs every row of a slot in
-one :func:`~linksched.solvers.baseline_kernel` call and passes each policy
-its (K, V) block, one row per trace, K = 1 included; it checks what the
-policies return, so a policy checks nothing. ``solver`` names the
+one :func:`~linksched.solvers.baseline_kernel` call into one buffer per
+run and passes each policy its (K, V) block of it, one row per trace,
+K = 1 included; the next slot overwrites that block, so a policy that
+keeps its rows past the call copies them. ``run_episode`` checks what
+the policies return, so a policy checks nothing. ``solver`` names the
 independent-set solver that turns those utilities into a schedule:
 ``"lgs"`` (the distributed baseline), ``"greedy"`` or ``"exact"`` (the
 centralized reference schedulers). A policy holds no solver function:

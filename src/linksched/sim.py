@@ -7,18 +7,22 @@ packets; arrivals land on every link. All packet quantities are integers.
 :func:`run_episode` is the one per-slot loop and the one place a policy's
 utilities are solved: it runs P policies on K traces of one graph in
 lockstep, each policy on a (K, V) block of rows, one per trace. Each slot
-pays once for what its rows share, and only for its arithmetic: one
-:func:`~linksched.solvers.baseline_kernel` call weighs every row, each
-policy's utilities are one call on its block of that, one pass checks
-them all finite, and each solver's kernel solves all of its rows in one
-call, unchecked. Every schedule of the run is checked for independence
-in one :func:`~linksched.graph.is_independent_mask` call after the last
-slot. Evaluation runs every policy on the traces of
-instances that share a graph; the trainer's main trajectory runs one
-policy on one trace (K = 1).
+pays once for what its rows share, and only for its arithmetic, and
+writes into arrays the run allocated before its first slot: one
+:func:`~linksched.solvers.baseline_kernel` call weighs every row into one
+weight buffer, each policy's utilities are one call on its block of that,
+one pass checks them all finite into one flag buffer, each solver's
+kernel solves all of its rows in one call, unchecked, and one
+:func:`advance` call writes the next state into the run's queue array.
+Every schedule of the run is checked for independence in one
+:func:`~linksched.graph.is_independent_mask` call after the last slot.
+Evaluation runs every policy on the traces of instances that share a
+graph; the trainer's main trajectory runs one policy on one trace
+(K = 1).
 :func:`advance` is the one implementation of the queue update,
-q - min(r, q) + a, on a membership mask of any batch shape; only
-:func:`run_episode` and :func:`lookahead_compare` call it.
+q - min(r, q) + a, on a membership mask of any batch shape, into a given
+array or a new one; only :func:`run_episode` and
+:func:`lookahead_compare` call it, the first with ``out``.
 :func:`lookahead_compare` scores each state of a trajectory by its next k
 states against the baseline rolled k slots from it, all states at once.
 It calls no policy: the baseline is LGS on backlog x rate, which it
@@ -134,16 +138,27 @@ def sample_traffic(graph: ConflictGraph, horizon: int, arrival_rate: float,
     return TrafficTrace(arrivals, rates, seed)
 
 
-def advance(q: np.ndarray, members, rates, arrivals) -> np.ndarray:
-    """Queues after one slot, as a new array: member links drain
-    min(rate, backlog), then arrivals land everywhere.
+def advance(q: np.ndarray, members, rates, arrivals,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Queues after one slot: member links drain min(rate, backlog), then
+    arrivals land everywhere.
 
-    ``members`` is a bool (or 0/1) membership mask of the schedule. All
-    arguments broadcast, so ``q`` and ``members`` may carry any leading
-    batch shape, e.g. (P, K, V) against one slot's (K, V) rates. Inputs
-    are not checked; :func:`run_episode` is the checked entry point.
+    ``members`` is a bool (or 0/1) membership mask of the schedule. The
+    result has the shape of ``q`` and ``rates`` broadcast, and ``members``
+    and ``arrivals`` broadcast to it, so ``q`` may carry any leading batch
+    shape, e.g. (P, K, V) against one slot's (K, V) rates. The update is
+    four numpy calls that write one array and make no temporaries:
+    min(rate, backlog), times the mask, subtracted from the backlog, plus
+    the arrivals. That array is ``out`` when one is given, which must have
+    the result's shape and dtype and must not share memory with ``q``;
+    else it is a new one. Inputs are not checked; :func:`run_episode` is
+    the checked entry point.
     """
-    return q - np.where(members, np.minimum(rates, q), 0) + arrivals
+    out = np.minimum(rates, q, out=out)
+    out *= members
+    np.subtract(q, out, out=out)
+    out += arrivals
+    return out
 
 
 @dataclass
@@ -176,18 +191,23 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     policy-major, ordered by solver: the ``"lgs"`` policies, then the
     ``"greedy"`` ones, then the ``"exact"`` ones, each in the caller's
     order, so each solver's rows are one slice. Each slot, one
-    :func:`baseline_kernel` call weighs every row, the queues against
-    that slot's (K, V) rates broadcast over the P blocks; the policies'
-    utilities are then called in the caller's order, each on its read-only
-    (K, V) block of that, and must return (K, V). Each solver's kernel
-    gets its slice in one call, in that order: :func:`lgs_kernel`,
-    :func:`greedy_kernel` (``"greedy"``) and :func:`exact_kernel`
-    (``"exact"``), looked up in this module at call time; the centralized
-    kernels must return a bool mask of their slice's shape. One
-    :func:`advance` then applies each trace's slot t to its rows. Rows
-    never mix, so each result equals a run of that policy alone on that
-    trace, and its schedules those of :func:`lgs_rows`,
-    :func:`greedy_centralized` or :func:`exact_mwis` on its utilities.
+    :func:`baseline_kernel` call weighs every row into the run's one
+    (P, K, V) float64 weight buffer, the queues against that slot's (K, V)
+    rates broadcast over the P blocks; the policies' utilities are then
+    called in the caller's order, each on its (K, V) block of that, and
+    must return (K, V). A block is the same array at every slot,
+    overwritten by each slot's weights, and read-only: it is a view of an
+    array on a read-only memoryview of the buffer, so a policy can neither
+    write it nor make it writable. Each solver's kernel gets its slice in
+    one call, in that order: :func:`lgs_kernel`, :func:`greedy_kernel`
+    (``"greedy"``) and :func:`exact_kernel` (``"exact"``), looked up in
+    this module at call time; the centralized kernels must return a bool
+    mask of their slice's shape. One :func:`advance` then writes each
+    trace's slot t applied to its rows into the next state's rows of the
+    queue array. Rows never mix, so each result equals a run of that
+    policy alone on that trace, and its schedules those of
+    :func:`lgs_rows`, :func:`greedy_centralized` or :func:`exact_mwis` on
+    its utilities.
 
     The weighing is the plain product, with no test of sign: the queues
     start at 0, an update drains at most the backlog, and a trace's
@@ -202,9 +222,10 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     - at slot t: utilities of the wrong shape as each policy returns them;
       then, once every policy has filled its rows and before any solver
       runs, ``utilities must be finite`` when any of them is NaN or
-      infinite; then a negative weight on an ``"exact"`` row, which
-      :func:`exact_kernel` refuses as its search needs, and a centralized
-      schedule of the wrong dtype or shape as its kernel returns it;
+      infinite, checked into one (P K, V) bool buffer per run; then a
+      negative weight on an ``"exact"`` row, which :func:`exact_kernel`
+      refuses as its search needs, and a centralized schedule of the
+      wrong dtype or shape as its kernel returns it;
     - after the last slot, before anything is returned: schedules that are
       no independent set of the graph, all checked in one
       :func:`is_independent_mask` call, on which no queue update depends.
@@ -248,27 +269,36 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     utilities = np.empty((horizon, rows, n))
     rounds = np.zeros((lgs_end, horizon), dtype=np.int64)
     # the (K, V) rates and arrivals of a slot broadcast over the P blocks
-    # of a (P, K, V) view of its rows
-    rates = np.concatenate([trace.rates[:horizon, None] for trace in traces],
-                           axis=1)
-    rate_blocks = np.broadcast_to(rates[:, None], (horizon, count, k, n))
-    arrivals = np.concatenate([trace.arrivals[:horizon, None]
-                               for trace in traces], axis=1)
+    # of a (P, K, V) view of its rows: operands of one shape, which numpy
+    # runs on its fast path when P = 1
+    blocks_shape = (horizon, count, k, n)
+    rates = np.broadcast_to(np.stack(
+        [trace.rates[:horizon] for trace in traces], axis=1)[:, None],
+        blocks_shape)
+    arrivals = np.broadcast_to(np.stack(
+        [trace.arrivals[:horizon] for trace in traces], axis=1)[:, None],
+        blocks_shape)
     queue_blocks = queues.reshape(horizon + 1, count, k, n)
     member_blocks = members.reshape(horizon, count, k, n)
     utility_blocks = utilities.reshape(horizon, count, k, n)
+    # each slot's weights overwrite one buffer. The policies read it through
+    # an array on a read-only memoryview, so no view of it can be made
+    # writable again; each policy's block of it is made once per run
+    weights = np.empty((count, k, n))
+    inputs = np.asarray(memoryview(weights).toreadonly())
+    blocks = [(policy, b, inputs[b]) for b, policy in zip(block, policies)]
+    finite, cells = np.empty((rows, n), dtype=bool), rows * n
     for t in range(horizon):
-        x = baseline_kernel(queue_blocks[t], rate_blocks[t])
-        x.setflags(write=False)
+        baseline_kernel(queue_blocks[t], rates[t], out=weights)
         u = utility_blocks[t]
-        for b, policy in zip(block, policies):
-            row = policy.utilities(graph, x[b])
+        for policy, b, x in blocks:
+            row = policy.utilities(graph, x)
             if np.shape(row) != shape:
                 raise ValueError(f"utilities of shape {np.shape(row)}, not "
                                  f"{shape}: one row per trace, one utility "
                                  "per node")
             u[b] = row
-        if not np.isfinite(utilities[t]).all():
+        if np.count_nonzero(np.isfinite(utilities[t], out=finite)) != cells:
             raise ValueError("utilities must be finite")
         for name, pick in groups:
             rows_u = utilities[t, pick]
@@ -285,8 +315,8 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
                                      f"{np.shape(mask)} does not match {n} "
                                      f"nodes in each of {len(rows_u)} rows")
             members[t, pick] = mask
-        queue_blocks[t + 1] = advance(queue_blocks[t], member_blocks[t],
-                                      rates[t], arrivals[t])
+        advance(queue_blocks[t], member_blocks[t], rates[t], arrivals[t],
+                out=queue_blocks[t + 1])
     if not is_independent_mask(graph, members):
         # the error path alone scans: the first faulty slot, then its row
         t = next(t for t in range(horizon)

@@ -80,10 +80,13 @@ def baseline_utility(queues, rates) -> np.ndarray:
     return baseline_kernel(q, r)
 
 
-def baseline_kernel(queues, rates) -> np.ndarray:
+def baseline_kernel(queues, rates, out: np.ndarray | None = None,
+                    ) -> np.ndarray:
     """:func:`baseline_utility` unchecked: the product, broadcast, as
-    float64."""
-    return np.multiply(queues, rates, dtype=np.float64)
+    float64, into ``out`` when one is given (a float64 array of the
+    broadcast shape), else into a new array. Both sides are cast to
+    float64 before they are multiplied, so int64 sides never wrap."""
+    return np.multiply(queues, rates, out=out, dtype=np.float64)
 
 
 def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:

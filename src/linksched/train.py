@@ -11,10 +11,12 @@ links are regressed toward 1 where the lookahead tied or beat the baseline
 and toward 0 where it lost, unscheduled links toward their own utility,
 with one Adam step per episode on a batch replayed from the last
 ``replay_capacity`` slots. The batch runs one stacked GCN forward and
-backward per node count in it, and the per-item losses and gradients
+backward per node count in it, whose convolutions run one product per
+Laplacian the group holds, and the per-item losses and gradients
 are summed in batch order: the step is bitwise that of an item-by-item loop.
 A run resolves its graph mix once (:func:`resolve_mix`): a star family is
-built once per run, and its cached tables serve every episode drawn on it.
+built once per run, and its cached tables, its Laplacian among them,
+serve every episode drawn on it.
 """
 
 from __future__ import annotations
@@ -259,9 +261,12 @@ def batch_gradients(params: GcnParams, batch: list[ExperienceTuple],
 
     The items are grouped by node count, and each group runs one stacked
     :func:`forward`, with one Laplacian per row, and one stacked
-    :func:`backward`. Each item's loss and gradients are bitwise those of
-    the item alone; they are summed in batch order, one item at a time onto
-    a zero, so the result is that of a loop over the items.
+    :func:`backward`. Items of one graph hold its one cached Laplacian, so
+    each layer's convolution runs one broadcast product per graph in the
+    group: one for all of a run's star items. Each item's loss and
+    gradients are bitwise those of the item alone; they are summed in
+    batch order, one item at a time onto a zero, so the result is that of
+    a loop over the items.
     """
     size = len(batch)
     groups: dict[int, list[int]] = {}

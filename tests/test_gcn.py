@@ -169,6 +169,36 @@ class TestStackedForward:
                 assert got.shape == (stack, *ref.shape)
                 assert got[b].tobytes() == ref.tobytes()
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(1, 30),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=10),
+           dims=st.sampled_from([(1, 1), (1, 4, 1), (1, 3, 2, 1)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shared_laplacians_bitwise_equal_unbatched(self, n, picks, dims,
+                                                       seed):
+        # rows that hold one Laplacian object share one broadcast product:
+        # over a list that repeats some of four objects, one of them an
+        # equal copy of another, each row's utilities and gradients are
+        # those of the row alone
+        rng = np.random.default_rng(seed)
+        laps = [generate_er(n, rng.random() * 0.6, rng).laplacian
+                for _ in range(3)]
+        laps.append(laps[0].copy())
+        rows = [laps[i] for i in picks]
+        params = init_params(dims, rng)
+        feats = rng.normal(scale=100.0, size=(len(rows), n, 1))
+        feats[:, ::3] = 0.0
+        out_grad = rng.normal(size=(len(rows), n))
+        u, cache = forward(params, rows, feats)
+        grads = backward(params, cache, out_grad)
+        for b, lap in enumerate(rows):
+            single, single_cache = forward(params, lap, feats[b])
+            assert u[b].tobytes() == single.tobytes()
+            want = backward(params, single_cache, out_grad[b])
+            for got, ref in zip(grads.theta0 + grads.theta1,
+                                want.theta0 + want.theta1):
+                assert got[b].tobytes() == ref.tobytes()
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), stack=st.integers(1, 6),
            dims=st.lists(st.integers(1, 6), min_size=0, max_size=2),

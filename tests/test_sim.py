@@ -245,6 +245,41 @@ class TestStep:
                      [-1, 0], np.ones(2, int))
 
 
+@st.composite
+def advance_cases(draw):
+    # a (P, K, V) batch of queues up to 10 or up to 2**63 - 1 against one
+    # slot's (K, V) rates and arrivals, the arrivals at most what keeps
+    # every queue within int64; a bool or a 0/1 int64 mask
+    p, k, v = (draw(st.integers(1, top)) for top in (4, 3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([10, 2**63 - 1]))
+    q = rng.integers(0, top, (p, k, v), endpoint=True)
+    rates = rng.integers(0, top, (k, v), endpoint=True)
+    room = 2**63 - 1 - q.max(axis=0)
+    arrivals = (rng.random((k, v)) * room).astype(np.int64)
+    members = rng.random((p, k, v)) < 0.5
+    if draw(st.booleans()):
+        members = members.astype(np.int64)
+    return q, members, rates, arrivals, rng
+
+
+class TestAdvance:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=advance_cases())
+    def test_out_equals_allocating_form(self, case):
+        # written into ``out``, whatever it held, the update is the
+        # allocating form's and the masked formula's bit for bit
+        q, members, rates, arrivals, rng = case
+        want = q - np.where(members, np.minimum(rates, q), 0) + arrivals
+        made = advance(q, members, rates, arrivals)
+        out = rng.integers(-2**63, 2**63 - 1, q.shape, endpoint=True)
+        got = advance(q, members, rates, arrivals, out=out)
+        assert got is out
+        for array in (made, got):
+            assert array.dtype == np.int64 and array.shape == q.shape
+            assert array.tobytes() == want.tobytes()
+
+
 class TestTrafficTrace:
     def test_arrays_read_only(self):
         trace = constant_trace(3, 2)
@@ -589,21 +624,24 @@ class TestLockstep:
                     if want.rounds is not None:
                         assert same_bits(got.rounds, want.rounds)
 
-    @pytest.mark.parametrize("which", ["queues", "rates"])
+    @pytest.mark.parametrize("which", ["queues", "rates", "reopened"])
     def test_policy_writing_its_inputs_fails(self, which):
         # a policy's backlog x rate rows are read-only: it can neither
-        # empty the backlog factor by assignment nor rescale the rate
-        # factor in place
+        # empty the backlog factor by assignment, nor rescale the rate
+        # factor in place, nor make its rows writable and then write
         g = generate_star(4)
 
         class Vandal(Quiet):
             def utilities(self, graph, x):
                 if which == "queues":
                     x[:] = 0
-                else:
+                elif which == "rates":
                     x *= 2
+                else:
+                    x.setflags(write=True)
+                    x[:] = 0
                 return super().utilities(graph, x)
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(ValueError, match="read-only|WRITEABLE"):
             run_episode(g, [SolverPolicy("lgs"), Vandal()],
                         constant_trace(3, 5))
 
@@ -727,21 +765,24 @@ class TestTraces:
             run_episode(g, [policy], constant_trace(2, 4),
                         constant_trace(2, 4))
 
-    @pytest.mark.parametrize("which", ["queues", "rates"])
+    @pytest.mark.parametrize("which", ["queues", "rates", "reopened"])
     def test_policy_writing_its_inputs_fails(self, which):
-        # a policy's (K, V) block of backlog x rate rows is read-only: it can neither
-        # empty the backlog factor by assignment nor rescale the rate
-        # factor in place
+        # a policy's (K, V) block of backlog x rate rows is read-only:
+        # it can neither empty the backlog factor by assignment, nor rescale
+        # the rate factor in place, nor make the block writable and write
         g = generate_star(4)
 
         class Vandal(Quiet):
             def utilities(self, graph, x):
                 if which == "queues":
                     x[:] = 0
-                else:
+                elif which == "rates":
                     x *= 2
+                else:
+                    x.setflags(write=True)
+                    x[:] = 0
                 return super().utilities(graph, x)
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(ValueError, match="read-only|WRITEABLE"):
             run_episode(g, [SolverPolicy("lgs"), Vandal()],
                         constant_trace(3, 5), constant_trace(3, 5))
 

@@ -9,7 +9,8 @@ from linksched.graph import (ConflictGraph, generate_ba, generate_er,
                              generate_power_law_tree, generate_star,
                              is_independent_mask)
 from linksched.presets import parse_graph_config
-from linksched.solvers import (EXACT_NODE_CAP, baseline_utility, exact_mwis,
+from linksched.solvers import (EXACT_NODE_CAP, baseline_kernel,
+                               baseline_utility, exact_mwis,
                                greedy_centralized, lgs_rows)
 
 
@@ -309,6 +310,16 @@ class TestBaselineUtility:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             baseline_utility([1, 2], [1])
+
+    def test_kernel_into_out_casts_before_multiplying(self):
+        # int64 sides whose product passes 2**63 land in ``out`` as the
+        # float64 product: each side is cast first, so nothing wraps
+        q = np.full((2, 1, 3), 2**62, dtype=np.int64)
+        r = np.full((1, 3), 100, dtype=np.int64)
+        out = np.empty((2, 1, 3))
+        assert baseline_kernel(q, r, out=out) is out
+        assert (out == float(2**62) * 100.0).all()
+        assert out.tobytes() == baseline_kernel(q, r).tobytes()
 
 
 def random_instances(count, seed, max_nodes=60):

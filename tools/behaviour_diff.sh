@@ -136,11 +136,20 @@ CFG
     cat > "$side/two-stars.cfg" <<'CFG'
 graph_mix = star5:0.5,star30:0.5
 CFG
+    # star49, er and tree graphs all have 50 nodes, so a replay group
+    # stacks the run's one star Laplacian beside a new one per er or tree
+    # episode, through a hidden layer's forward and backward
+    cat > "$side/shared-laplacian.cfg" <<'CFG'
+graph_mix = star49:0.4,er:0.3,tree:0.3
+layer_dims = 1,4,1
+CFG
     run train-default train --episodes 40 --seed 3 --out train-default
     run train-star30 train --config star30.cfg --episodes 40 --seed 12 \
         --out train-star30
     run train-two-stars train --config two-stars.cfg --episodes 40 \
         --seed 13 --out train-two-stars
+    run train-shared-laplacian train --config shared-laplacian.cfg \
+        --episodes 40 --seed 14 --out train-shared-laplacian
     run train-lookahead-1 train --config lookahead-1.cfg --episodes 40 \
         --seed 4 --out train-lookahead-1
     run train-lookahead-9 train --config lookahead-9.cfg --episodes 40 \
