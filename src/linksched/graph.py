@@ -10,9 +10,10 @@ their edges as one (E, 2) array each, never as Python pairs, and hand it to
 Instance files are read and written as whole columns, in one layout each,
 through one reader and one writer of integer tables.
 :func:`read_int_rows` parses a text in one call to numpy's C reader and
-names the first line that is no row; its twin :func:`format_int_rows`
-writes the decimal text of a non-negative int64 table from one byte
-buffer, one decimal place at a time over the whole table. The writers of
+names the first line that is no row, or not written plain; its twin
+:func:`format_int_rows` writes the decimal text of a non-negative int64
+table from one byte buffer, one decimal place at a time over the whole
+table. The writers of
 ``graph.txt`` and ``sim``'s ``trace.csv`` call it for their rows, and
 their readers check the rows, and through :func:`read_as_written` the line
 ends, against the writer's; each file states its size in a header.
@@ -354,6 +355,12 @@ def is_independent_mask(graph: ConflictGraph, members) -> bool:
 # --- integer text tables ------------------------------------------------------
 
 CUT_SHORT = "no '\\n' ends this last line: the file is cut short"
+# A number as the instance writers write it: 0, or digits without a
+# leading zero, after a '-' for a negative value (which the readers then
+# refuse by range); no '+', no whitespace
+PLAIN_DECIMAL = "0|-?[1-9][0-9]*"
+NOT_PLAIN = "not plain decimal: a sign, a leading zero or other whitespace " \
+    "than the writer's"
 
 
 def read_as_written(path, crlf: bool = False) -> tuple[str, int]:
@@ -414,30 +421,52 @@ def _loadtxt_int64(lines, width: int, delimiter: str | None):
 def read_int_rows(text: str, width: int, delimiter: str | None = None):
     """The lines of ``text``, each ended by ``\\n``, as int64 rows:
     ``(rows, stop)``, ``rows`` an (R, width) int64 array and ``stop`` None,
-    or the first line that is no row, as (0-based index, text), with the
-    rows before it; text after the last ``\\n``, cut short, is (index, None).
-    A row splits at ``delimiter`` (runs of whitespace when None) into
-    ``width`` fields that numpy's reader parses as int64; a blank line and a
-    field past int64 are no row. One ``np.loadtxt`` call parses the ended
-    lines, and its result stands when it holds one row per line, else the
-    lines are parsed one at a time.
+    or the first line that is no row, as (0-based index, text, read), with
+    the rows before it; text after the last ``\\n``, cut short, is
+    (index, None, False). A row splits at ``delimiter`` (runs of whitespace
+    when None) into ``width`` fields that numpy's reader parses as int64;
+    a blank line and a field past int64 are no row, and not ``read``. A
+    line numpy reads is a row only when it is written plain, as
+    :func:`format_int_rows` writes it: each field :data:`PLAIN_DECIMAL`,
+    one ``delimiter`` (a space when None) between fields and no other
+    whitespace; else it is no row, and ``read``. One ``np.loadtxt`` call
+    parses the ended lines, and its result stands when it holds one row
+    per line and the text is as long as those rows written plain, its
+    spaces included when ``delimiter`` is None: no form numpy reads is
+    shorter than the plain one. Else the lines are checked one at a time.
     """
+    data = text.encode()
     ended = text[:text.rfind("\n") + 1]  # text itself when it ends in \n
+    end = data.rfind(b"\n") + 1  # the bytes of ``ended``
     # str.count walks the text a character at a time; numpy compares its
     # UTF-8 bytes, in which only a \n is byte 10, in one pass
-    count = int(np.count_nonzero(np.frombuffer(text.encode(), np.uint8) == 10))
+    flat = np.frombuffer(data, np.uint8)[:end]
+    count = int(np.count_nonzero(flat == 10))
     rows = _loadtxt_int64(io.StringIO(ended), width, delimiter)
-    stop = (count, None) if len(ended) < len(text) else None
-    if rows is not None and len(rows) == count:
-        return rows, stop
-    rows = []
+    stop = (count, None, False) if len(ended) < len(text) else None
+    parsed = rows is not None and len(rows) == count
+    if parsed:
+        # each field's digits, a delimiter or line end after it, and for
+        # each power of ten a digit more on every field that reaches it:
+        # the plain length of non-negative rows
+        plain, power, top = 2 * rows.size, 10, int(rows.max(initial=0))
+        while power <= top:
+            plain += np.count_nonzero(rows >= power)
+            power *= 10
+        if plain == end and (delimiter is not None or np.count_nonzero(
+                flat == 32) == rows.size - count):
+            return rows, stop
+    field = f"(?:{PLAIN_DECIMAL})"
+    row = re.compile(f"{field}(?:{re.escape(delimiter or ' ')}{field})*")
+    found = []
     for k, line in enumerate(ended.split("\n")[:count]):
-        row = _loadtxt_int64([line], width, delimiter)
-        if row is None:
-            stop = (k, line)
+        values = rows[k:k + 1] if parsed else \
+            _loadtxt_int64([line], width, delimiter)
+        if values is None or not row.fullmatch(line):
+            stop = (k, line, values is not None)
             break
-        rows.append(row[0])
-    return np.array(rows, dtype=np.int64).reshape(-1, width), stop
+        found.append(values[0])
+    return np.array(found, dtype=np.int64).reshape(-1, width), stop
 
 
 def format_int_rows(rows, delimiter: str, end: str) -> bytes:
@@ -537,6 +566,9 @@ def _header_count(path, line: int, text: str, key: str) -> tuple[int, str]:
     if not re.fullmatch("-?[0-9]+", words[1]):
         raise ValueError(f"{path}: line {line}: {key[:-1]} count is not "
                          "an integer")
+    if not re.fullmatch(PLAIN_DECIMAL, words[1]):
+        raise ValueError(f"{path}: line {line}: {key[:-1]} count "
+                         f"{words[1]} is not plain decimal")
     return int(words[1]), rest
 
 
@@ -551,7 +583,9 @@ def load_graph(path, max_nodes: int) -> ConflictGraph:
     [0, V(V-1)/2], then the first edge row, in file order, that is a
     self-loop, out of range or not i < j after the row before it (a
     repeated or mirrored edge among them), the first line that is no row
-    (a blank one among them), and last a wrong number of edge rows. Line
+    (a blank one among them) or not written plain (:func:`read_int_rows`),
+    and last a wrong number of edge rows; a count not in
+    :data:`PLAIN_DECIMAL` is refused at its header line. Line
     ends are read as written: before all of that, the first line that
     holds a ``\\r`` is refused, and a last line cut short, without its
     ``\\n``, is refused whatever it holds.
@@ -571,8 +605,8 @@ def load_graph(path, max_nodes: int) -> ConflictGraph:
         k, reason = fault
         raise ValueError(f"{path}: line {k + 3}: {reason}")
     if stop is not None:
-        k, line = stop
-        reason = CUT_SHORT if line is None else \
+        k, line, read = stop
+        reason = CUT_SHORT if line is None else NOT_PLAIN if read else \
             "expected 'i j' pair" if len(line.split()) != 2 else \
             "non-integer endpoint, or one outside int64"
         raise ValueError(f"{path}: line {k + 3}: {reason}")

@@ -24,9 +24,12 @@ q - min(r, q) + a, on a membership mask of any batch shape, into a given
 array or a new one; only :func:`run_episode` and
 :func:`lookahead_compare` call it, the first with ``out``.
 :func:`lookahead_compare` scores each state of a trajectory by its next k
-states against the baseline rolled k slots from it, all states at once.
-It calls no policy: the baseline is LGS on backlog x rate, which it
-weighs with :func:`~linksched.solvers.baseline_utility` itself. Its ratios
+states against the baseline rolled k slots from it. It calls no policy:
+the baseline is LGS on backlog x rate, which it weighs itself, one step
+from every state at once; a rollout reads the trajectory until its step
+leaves it, and only the rollouts that left are rolled on, one per slot
+where they left, so its cost follows how often the policy's step differs
+from the baseline's, not k times the states. Its ratios
 and evaluation's follow :func:`backlog_ratio`. Every percentile goes
 through one quantile kernel, :func:`percentiles`, numpy's linear
 interpolation bit for bit from one partition: :func:`backlog_stats` calls
@@ -54,8 +57,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import CUT_SHORT, ConflictGraph, as_rng, format_int_rows, \
-    is_independent_mask, read_as_written, read_int_rows
+from .graph import CUT_SHORT, NOT_PLAIN, PLAIN_DECIMAL, ConflictGraph, \
+    as_rng, format_int_rows, is_independent_mask, read_as_written, \
+    read_int_rows
 from .solvers import baseline_kernel, baseline_utility, check_exact_cap, \
     exact_kernel, greedy_kernel, lgs_kernel, lgs_rows
 
@@ -415,12 +419,27 @@ def lookahead_compare(graph: ConflictGraph, queues, k: int,
     ``queues`` is the (B + k, V) trajectory q(0)..q(B + k - 1) a policy ran
     on ``trace`` over B + k - 1 slots. From every q(b), b < B, the baseline
     schedules with LGS on backlog x rate for k slots, step i on trace slot
-    b + i, as the policy's step from q(b + i) was; each step weighs the B
-    rows in one :func:`baseline_utility` call and solves them in one
-    :func:`lgs_rows` call, both looked up in this module at call time. Row
-    b of the result is the :func:`backlog_ratio` of the baseline's k
-    post-step backlog sums to the policy's, those of q(b + 1)..q(b + k);
-    values above 1 mean the policy accumulated less backlog.
+    b + i, as the policy's step from q(b + i) was. Row b of the result is
+    the :func:`backlog_ratio` of the baseline's k post-step backlog sums to
+    the policy's, those of q(b + 1)..q(b + k); values above 1 mean the
+    policy accumulated less backlog.
+
+    A rollout reads the trajectory until it leaves it. One step of the
+    baseline from each of q(0)..q(B + k - 2) is weighed in one
+    :func:`baseline_utility` call, solved in one :func:`lgs_rows` call, both
+    looked up in this module at call time, and applied in one
+    :func:`advance`. Where the step from q(t) lands on q(t + 1), a rollout
+    at q(t) stays on the trajectory; row b's first step that lands
+    elsewhere, at slot d(b), is its departure, and its states before it are
+    q(b + 1)..q(d(b)). Departures rise with b, and rows that depart at one
+    slot share the rest of their rollout, so only the distinct departures
+    are rolled on, together, each for as many steps as its last row needs:
+    each such step weighs them in one :func:`baseline_kernel` call, after
+    the check :func:`baseline_utility` makes, and solves them in one
+    :func:`lgs_kernel` call. LGS solves every row on its own and the totals
+    are int64 sums, so every ratio is that of k full steps per row. A
+    negative queue among q(0)..q(B + k - 2), or one a rollout reaches and
+    weighs, raises ValueError.
     """
     trajectory = np.asarray(queues, dtype=np.int64)
     if k < 1:
@@ -429,17 +448,53 @@ def lookahead_compare(graph: ConflictGraph, queues, k: int,
         raise ValueError(f"trajectory must be (rows + {k}, {graph.node_count})"
                          f" with rows >= 1, got {trajectory.shape}")
     rows = len(trajectory) - k
-    if trace.horizon < rows + k - 1:
-        raise ValueError(f"trace has {trace.horizon} slots, need "
-                         f"{rows + k - 1}")
-    policy_total = np.lib.stride_tricks.sliding_window_view(
-        trajectory[1:].sum(axis=1), k).sum(axis=1)
-    q, baseline_total = trajectory[:rows], np.zeros(rows, dtype=np.int64)
-    for i in range(k):
-        r = trace.rates[i:i + rows]
-        members, _ = lgs_rows(graph, baseline_utility(q, r))
-        q = advance(q, members, r, trace.arrivals[i:i + rows])
-        baseline_total += q.sum(axis=1)
+    steps = rows + k - 1
+    if trace.horizon < steps:
+        raise ValueError(f"trace has {trace.horizon} slots, need {steps}")
+    rates, arrivals = trace.rates[:steps], trace.arrivals[:steps]
+    members, _ = lgs_rows(graph, baseline_utility(trajectory[:steps], rates))
+    stepped = advance(trajectory[:steps], members, rates, arrivals)
+    # reached[t]: the backlog summed over q(1)..q(t)
+    reached = np.zeros(steps + 1, dtype=np.int64)
+    np.cumsum(trajectory[1:].sum(axis=1), out=reached[1:])
+    policy_total = reached[k:] - reached[:rows]
+    # departure[t]: the first slot from t on whose step leaves the
+    # trajectory, else steps. Row b departs at departure[b] when that comes
+    # before b + k: so every slot t < B that leaves is row t's departure,
+    # and one slot past B - 1 can be, row B - 1's
+    slot = np.arange(steps)
+    off = (stepped != trajectory[1:]).any(axis=1)
+    departure = np.minimum.accumulate(np.where(off, slot, steps)[::-1])[::-1]
+    starts = np.flatnonzero(off[:rows])
+    tail = int(departure[rows - 1])
+    if rows <= tail < steps:
+        starts = np.append(starts, tail)
+    if not starts.size:
+        return backlog_ratio(policy_total, policy_total)
+    # rolled[t, i]: the backlog summed over the first i + 1 states of the
+    # rollout that departs at slot t; column k stays 0
+    rolled = np.zeros((steps + 1, k + 1), dtype=np.int64)
+    rolled[:steps, 0] = stepped.sum(axis=1)
+    x, left = stepped.take(starts, axis=0), steps - 1 - int(starts[-1])
+    for i in range(1, k):
+        if i == left + 1:  # the last start, past B - 1, has no slot left
+            starts, x = starts[:-1], x[:-1]
+            if not starts.size:
+                break
+        if x.min() < 0:
+            raise ValueError("queues and rates must be non-negative")
+        # slots starts + i: one (D, V) copy of each, taken from a view
+        r = trace.rates[i:].take(starts, axis=0)
+        members, _ = lgs_kernel(graph, baseline_kernel(x, r))
+        x = advance(x, members, r, trace.arrivals[i:].take(starts, axis=0))
+        rolled[starts, i] = x.sum(axis=1)
+    np.cumsum(rolled[:, :k], axis=1, out=rolled[:, :k])
+    # row b reads the trajectory up to d, its departure or b + k, whichever
+    # comes first, then b + k - d states of the rollout departing at d:
+    # none when d = b + k, as column -1 is column k
+    b = slot[:rows]
+    d = np.minimum(departure[:rows], b + k)
+    baseline_total = reached[d] - reached[:rows] + rolled[d, b + (k - 1) - d]
     return backlog_ratio(baseline_total, policy_total)
 
 
@@ -547,7 +602,9 @@ def load_trace(path, nodes: int) -> TrafficTrace:
     the file has bytes for, a wrong header, a row k that does not read
     (t, node) = (k // V, k % V) with k < T V (a row moved, repeated, out of
     range or extra), a negative arrival or rate, a line that is no row (a
-    blank one among them), and a missing row each raise ValueError naming
+    blank one among them) or a row not written plain, each field
+    :data:`~linksched.graph.PLAIN_DECIMAL` with no whitespace (a metadata
+    value too), and a missing row each raise ValueError naming
     the path and the first offending line in file order; arrivals on one
     link summing past 2**63 - 1 raise one naming the path. Line ends are
     read as written, ``\\n`` after the metadata and ``\\r\\n`` after every
@@ -567,7 +624,7 @@ def load_trace(path, nodes: int) -> TrafficTrace:
         word = words[k] if k < len(words) else ""
         value = word.removeprefix(f"{key}=")
         if value == word or not re.fullmatch(
-                "-?[0-9]+" + "|None" * (key == "seed"), value):
+                PLAIN_DECIMAL + "|None" * (key == "seed"), value):
             form = "<int or None>" if key == "seed" else "<int>"
             raise ValueError(f"{path}: line 1: metadata field {k} reads "
                              f"'{word}', expected '{key}={form}'")
@@ -595,9 +652,10 @@ def load_trace(path, nodes: int) -> TrafficTrace:
         k, reason = fault
         raise ValueError(f"{path}: line {k + 3}: {reason}")
     if stop is not None:
-        reason = CUT_SHORT if stop[1] is None else \
+        k, line, read = stop
+        reason = CUT_SHORT if line is None else NOT_PLAIN if read else \
             "expected four integer fields, each within int64"
-        raise ValueError(f"{path}: line {stop[0] + 3}: {reason}")
+        raise ValueError(f"{path}: line {k + 3}: {reason}")
     if len(rows) < size:
         raise ValueError(f"{path}: line {len(rows) + 2}: "
                          f"{size - len(rows)} of {size} (t, node) rows "

@@ -20,7 +20,10 @@ included, one per solver per slot, after its own checks: the exact cap
 finiteness of every row once per slot; its queues are non-negative by
 construction.
 :func:`~linksched.sim.lookahead_compare` calls :func:`lgs_rows` on
-:func:`baseline_utility` for the baseline's rollouts.
+:func:`baseline_utility` for the baseline's one step from every state of a
+trajectory, and the two kernels for the steps of the rollouts that leave
+it, after the test of sign :func:`baseline_utility` makes; the rates come
+from a checked trace, and a product of two int64s is finite.
 
 Every solver reads what it derives from the graph alone from a table
 cached on the immutable :class:`~linksched.graph.ConflictGraph`, so a

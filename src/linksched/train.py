@@ -6,7 +6,9 @@ loop, K - 1 slots past the horizon. Its utilities are solved by the
 centralized greedy scan, which picks LGS's schedule at a fraction of the
 cost; training reads no message rounds. Each slot is scored by the
 trajectory's next K states against the baseline's K-slot rollout from the
-same state on the same trace, all slots in one batched rollout. Scheduled
+same state on the same trace, all slots in one call: the rollouts read the
+trajectory until the baseline's step leaves it, so only slots where the
+GCN's schedule differs from LGS's cost further LGS solves. Scheduled
 links are regressed toward 1 where the lookahead tied or beat the baseline
 and toward 0 where it lost, unscheduled links toward their own utility,
 with one Adam step per episode on a batch replayed from the last
@@ -236,7 +238,8 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     first horizon slots are scored at once, their features weighed in one
     :func:`baseline_utility` call: one :func:`lookahead_compare`
     call compares the trajectory's next lookahead states from slot t with
-    the LGS baseline rolled from q(t) on the same trace slots, and one
+    the LGS baseline rolled from q(t) on the same trace slots, which
+    follows the trajectory until its step leaves it, and one
     :func:`compute_reward` call gives the targets from the utilities each
     slot's schedule was solved on. The trace must cover horizon + lookahead
     slots.

@@ -614,8 +614,11 @@ class TestMainEntry:
         # lookahead - 1), with no re-forward for the reward's utilities,
         # and the replay batch one forward, through that loop, and one
         # backward per node count; each main-trajectory slot is one greedy
-        # kernel call, and LGS runs only in the baseline's rollouts, one
-        # batched call per lookahead step
+        # kernel call, and LGS runs only in the baseline's rollouts: one
+        # checked lgs_rows call per episode for the first step from every
+        # state, then one lgs_kernel call per step of the rollouts that
+        # leave the trajectory. At seed 15 those are 4 steps in all, of the
+        # 3 * (5 - 1) a rollout of every state would take
         conf = tmp_path / "train.cfg"
         conf.write_text("graph_mix = star30:0.8,ba-m2:0.2\n"
                         "loads = 0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08\n"
@@ -651,7 +654,8 @@ class TestMainEntry:
         assert calls["gcn.forward"] == sum(sizes)
         assert calls["gcn.backward"] == sum(sizes)
         assert calls["solvers.greedy_kernel"] == 3 * (64 + 5 - 1)
-        assert calls["solvers.lgs_rows"] == 3 * 5
+        assert calls["solvers.lgs_rows"] == 3
+        assert calls["solvers.lgs_kernel"] == 3 + 4
 
     def test_train_smoke_log_rows(self, tmp_path, capsys):
         conf = tmp_path / "train.conf"

@@ -544,6 +544,8 @@ class TestValidation:
 
 OUT_OF_ORDER = "out of order: edges run i < j, ascending"
 CUT_SHORT = "no '\\n' ends this last line: the file is cut short"
+NOT_PLAIN = ("not plain decimal: a sign, a leading zero or other whitespace "
+             "than the writer's")
 
 
 class TestSerialization:
@@ -594,7 +596,25 @@ class TestSerialization:
                 f"{path}: line 4: {reason}")):
             load_graph(path, 3)
 
+    @pytest.mark.parametrize("line", ["00 1", "+0 1", "0\t1", "0  1", " 0 1",
+                                      "0 1 ", "-0 1", "0 01"])
+    def test_edge_numerals_read_as_written(self, tmp_path, line):
+        # numpy reads each of these as the edge (0, 1), but save_graph
+        # writes plain decimal, one space apart: refused at its line
+        path = tmp_path / "graph.txt"
+        path.write_text(f"nodes 3\nedges 2\n{line}\n0 2\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 3: {NOT_PLAIN}")):
+            load_graph(path, 3)
+        path.write_text(f"nodes 3\nedges 2\n0 1\n{line.replace('1', '2')}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 4: {NOT_PLAIN}")):
+            load_graph(path, 3)
+
     @pytest.mark.parametrize("text, line, reason", [
+        ("nodes 07\nedges 1\n0 1\n", 1, "node count 07 is not plain decimal"),
+        ("nodes -0\nedges 1\n0 1\n", 1, "node count -0 is not plain decimal"),
+        ("nodes 3\nedges 01\n0 1\n", 2, "edge count 01 is not plain decimal"),
         ("nodes 1_0\nedges +1\n0 1\n", 1, "node count is not an integer"),
         ("nodes +3\nedges 1\n0 1\n", 1, "node count is not an integer"),
         ("nodes 3\nedges +1\n0 1\n", 2, "edge count is not an integer"),
@@ -734,9 +754,17 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 def is_int64(field: str) -> bool:
     """Whether numpy's reader takes ``field`` as an int64: an optional sign
-    and ASCII digits, with a value in [-2**63, 2**63)."""
-    return re.fullmatch(r"[+-]?[0-9]+", field) is not None \
+    and ASCII digits, with a value in [-2**63, 2**63), between optional
+    whitespace."""
+    return re.fullmatch(r"\s*[+-]?[0-9]+\s*", field) is not None \
         and -2**63 <= int(field) < 2**63
+
+
+def plain_line(fields, delimiter: str) -> str:
+    """The line ``fields`` would be written as: each as plain decimal, 0 or
+    digits without a leading zero after an optional '-', joined by the
+    delimiter."""
+    return delimiter.join(str(int(field)) for field in fields)
 
 
 def reference_load_edges(path, n):
@@ -764,6 +792,8 @@ def reference_load_edges(path, n):
         if not all(map(is_int64, parts)):
             raise ValueError(f"{path}: line {ln}: non-integer endpoint, or "
                              "one outside int64")
+        if line != plain_line(parts, " "):
+            raise ValueError(f"{path}: line {ln}: {NOT_PLAIN}")
         i, j = int(parts[0]), int(parts[1])
         if i == j:
             raise ValueError(f"{path}: line {ln}: self-loop at node {i}")
@@ -823,7 +853,7 @@ class TestFormatIntRows:
 
 class TestGraphFileProperties:
     KINDS = ("none", "junk", "triple", "self-loop", "outside", "negative",
-             "beyond-int64", "blank")
+             "beyond-int64", "blank", "unplain")
 
     @PROPERTY
     @given(edge_lists(), st.sampled_from(KINDS), st.data())
@@ -842,7 +872,11 @@ class TestGraphFileProperties:
         extra = {"none": None, "junk": "junk", "triple": "0 1 0",
                  "self-loop": f"{node} {node}", "outside": f"{node} {n}",
                  "negative": f"-1 {node}", "beyond-int64": f"{node} {2**63}",
-                 "blank": " \t"}[kind]
+                 "blank": " \t", "unplain": None}[kind]
+        if kind == "unplain":  # lines numpy reads, not as save_graph writes
+            extra = data.draw(st.sampled_from(
+                [f"+{node} {n}", f"0{node} {n}", f"{node}\t{n}",
+                 f"{node}  {n}", f" {node} {n}", f"-0 {n}"]))
         if extra is not None:
             lines.insert(data.draw(st.integers(0, len(lines))), extra)
         count = len(pairs) + data.draw(st.sampled_from([0, 0, -1, 1]))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import re
 import warnings
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from linksched import sim
 from linksched.gcn import GcnParams, init_params
 from linksched.graph import (ConflictGraph, generate_ba, generate_er,
-                             generate_star, is_independent_mask, load_graph,
-                             save_graph)
+                             generate_power_law_tree, generate_star,
+                             is_independent_mask, load_graph, save_graph)
 from linksched.policies import GcnLgsPolicy, SolverPolicy
 from linksched.presets import parse_graph_config
 from linksched.sim import (TrafficTrace, advance, backlog_ratio,
@@ -23,7 +24,8 @@ from linksched.sim import (TrafficTrace, advance, backlog_ratio,
                            sample_traffic, save_trace, steady_state_mean)
 from linksched.solvers import (EXACT_NODE_CAP, baseline_utility,
                                exact_mwis, greedy_centralized, lgs_rows)
-from test_graph import CUT_SHORT, is_int64, reference_load_edges
+from test_graph import CUT_SHORT, NOT_PLAIN, is_int64, plain_line, \
+    reference_load_edges
 
 
 def trace_text(lines) -> str:
@@ -70,6 +72,8 @@ def reference_load_trace(path, nodes):
         if len(fields) != 4 or not all(map(is_int64, fields)):
             raise ValueError(f"{path}: line {k + 3}: expected four integer "
                              "fields, each within int64")
+        if line != plain_line(fields, ","):
+            raise ValueError(f"{path}: line {k + 3}: {NOT_PLAIN}")
         t, v, a, r = map(int, fields)
         want = f"({k // nodes}, {k % nodes})" if k < size else \
             f"no row after the {horizon} x {nodes} of line 1"
@@ -930,6 +934,78 @@ def ran(graph, policy, trace):
     return result.queues
 
 
+def rollout_reference(graph, queues, k, trace) -> list[float]:
+    """Each row's lookahead ratio by plain loops: the baseline rolled k
+    slots from q(b), one row at a time, each slot an explicit
+    q - min(r, q) + a on LGS's schedule of that row alone."""
+    def slot(q, t):
+        u = baseline_utility(q, trace.rates[t])
+        q = q.copy()
+        for v in np.flatnonzero(lgs_rows(graph, u[None])[0][0]):
+            q[v] -= min(trace.rates[t][v], q[v])
+        return q + trace.arrivals[t]
+
+    want = []
+    for b in range(len(queues) - k):
+        q, baseline_total = queues[b], 0
+        for i in range(k):
+            q = slot(q, b + i)
+            baseline_total += int(q.sum())
+        policy_total = sum(int(x.sum()) for x in queues[b + 1:b + k + 1])
+        want.append(baseline_total / policy_total if policy_total else
+                    1.0 if baseline_total == 0 else math.inf)
+    return want
+
+
+def angle_params(degrees) -> GcnParams:
+    """The ``1,1`` GCN at angle atan2(theta1, theta0) = ``degrees``."""
+    a = math.radians(degrees)
+    return GcnParams((1, 1), [np.array([[math.cos(a)]])],
+                     [np.array([[math.sin(a)]])])
+
+
+@st.composite
+def lookahead_cases(draw):
+    # a star, BA, ER or tree graph of 2 to 12 nodes, B = 1 to 12 rows and
+    # k = 1 to 9 steps, so k > B too. The trajectory is the baseline's own,
+    # so every step agrees; a GCN's at an angle, where some or no steps
+    # agree (180 degrees schedules the smallest weights); the baseline's
+    # with a few states nudged, so the rollouts depart where a nudged state
+    # should have come, rows of one departure need different depths, and
+    # the rollout from there rejoins the next state; or random queues that
+    # are no trajectory
+    family = draw(st.sampled_from(["star", "ba", "er", "tree"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    size = draw(st.integers(2, 12))
+    if family == "star":
+        graph = generate_star(size - 1)
+    elif family == "ba":
+        graph = generate_ba(size, draw(st.integers(1, size - 1)), seed)
+    elif family == "er":
+        graph = generate_er(size, draw(st.sampled_from([0.2, 0.5])), seed)
+    else:
+        graph = generate_power_law_tree(size, 3.0, seed)
+    rows, k = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    trace = sample_traffic(graph, rows + k - 1,
+                           draw(st.sampled_from([0.5, 3.0, 20.0])), seed)
+    mode = draw(st.sampled_from(["baseline", "gcn", "nudged", "random"]))
+    if mode == "random":
+        queues = np.reshape(draw(st.lists(
+            st.integers(0, 60), min_size=(rows + k) * size,
+            max_size=(rows + k) * size)), (rows + k, size))
+    elif mode == "gcn":
+        degrees = draw(st.sampled_from([30, 100, 155, 180, 270]))
+        queues = ran(graph, GcnLgsPolicy(angle_params(degrees)), trace)
+    else:
+        queues = np.array(ran(graph, SolverPolicy("lgs"), trace))
+        if mode == "nudged":
+            for t in draw(st.lists(st.integers(1, rows + k - 1), min_size=1,
+                                   max_size=3, unique=True)):
+                queues[t, draw(st.integers(0, size - 1))] += \
+                    draw(st.integers(1, 3))
+    return graph, np.array(queues, dtype=np.int64), k, trace
+
+
 class TestLookahead:
     def test_identical_policies(self):
         # the baseline scored against its own trajectory ties everywhere
@@ -939,39 +1015,15 @@ class TestLookahead:
         ratios = lookahead_compare(g, queues, 4, trace)
         assert ratios.tolist() == [1.0] * 5
 
-    def test_ratio_matches_independent_rollout(self):
-        # replicate the trajectory and every baseline rollout with plain
-        # loops and an explicit q - min(r, q) + a, and compare the ratios
-        g = generate_star(4)
-        trace = sample_traffic(g, 7, 20.0, 2)
-        policy, baseline = GcnLgsPolicy(HEAD_GCN), SolverPolicy("lgs")
-
-        def slot(q, chooser, t):
-            q = q.copy()
-            u = chooser.utilities(g, baseline_utility(q, trace.rates[t]))
-            for v in np.flatnonzero(lgs_rows(g, u[None])[0][0]):
-                q[v] -= min(trace.rates[t][v], q[v])
-            return q + trace.arrivals[t]
-
-        queues = [np.array([3, 1, 0, 2, 1], dtype=np.int64)]
-        for t in range(trace.horizon):
-            queues.append(slot(queues[-1], policy, t))
-        ratios = set()
-        for k in (1, 3, 7):
-            want = []
-            for b in range(len(queues) - k):
-                q, baseline_total = queues[b], 0
-                for i in range(k):
-                    q = slot(q, baseline, b + i)
-                    baseline_total += int(q.sum())
-                policy_total = sum(int(x.sum())
-                                   for x in queues[b + 1:b + k + 1])
-                want.append(baseline_total / policy_total)
-            got = lookahead_compare(g, np.array(queues), k, trace)
-            assert got.tolist() == want
-            ratios.update(want)
-        # the rollouts must have told the policies apart somewhere
-        assert len(ratios) > 2
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(lookahead_cases())
+    def test_ratio_matches_independent_rollout(self, case):
+        # the rollouts that read the trajectory until they leave it, and
+        # share what follows a departure, score every row as a rollout of
+        # its own with plain loops does, bit for bit
+        graph, queues, k, trace = case
+        got = lookahead_compare(graph, queues, k, trace)
+        assert got.tolist() == rollout_reference(graph, queues, k, trace)
 
     def test_zero_over_zero_is_one(self):
         g = generate_star(3)
@@ -1020,9 +1072,13 @@ class TestLookahead:
             with pytest.raises(ValueError, match="trajectory must be"):
                 lookahead_compare(g, bad, 2, trace)
 
-    def test_one_lgs_rows_call_of_b_rows_per_step(self, monkeypatch):
-        # only the baseline is rolled: each of the k steps weighs and solves
-        # B rows, through sim's names at call time, as a tracer rebinds them
+    def test_one_lgs_rows_call_then_shared_continuations(self, monkeypatch):
+        # one checked baseline step from each of q(0)..q(B + k - 2), through
+        # sim's names at call time, as a tracer rebinds them; on the
+        # baseline's own trajectory that is all. Rollouts that leave the
+        # trajectory roll on through the kernels, one row per distinct
+        # departure: at most B rows, for at most k - 1 steps, fewer as the
+        # late departures run out of slots
         calls = []
 
         def counted(name, function):
@@ -1032,12 +1088,78 @@ class TestLookahead:
             return wrapper
         g = generate_er(12, 0.3, 1)
         trace = sample_traffic(g, 9, 2.0, 2)
-        queues = ran(g, GcnLgsPolicy(HEAD_GCN), trace)
-        monkeypatch.setattr(sim, "lgs_rows", counted("lgs", lgs_rows))
-        monkeypatch.setattr(sim, "baseline_utility",
-                            counted("weight", baseline_utility))
-        lookahead_compare(g, queues, 4, trace)
-        assert calls == [("weight", (6, 12)), ("lgs", (6, 12))] * 4
+        agreeing = ran(g, SolverPolicy("lgs"), trace)
+        leaving = ran(g, GcnLgsPolicy(HEAD_GCN), trace)
+        for name in ("lgs_rows", "baseline_utility", "lgs_kernel",
+                     "baseline_kernel"):
+            monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+        first = [("baseline_utility", (9, 12)), ("lgs_rows", (9, 12))]
+        assert lookahead_compare(g, agreeing, 4, trace).tolist() == [1.0] * 6
+        assert calls == first
+        calls.clear()
+        lookahead_compare(g, leaving, 4, trace)
+        assert calls[:2] == first
+        widths = [shape[0] for _, shape in calls[2::2]]
+        assert calls[2:] == [call for d in widths for call in (
+            ("baseline_kernel", (d, 12)), ("lgs_kernel", (d, 12)))]
+        assert 1 <= len(widths) <= 3
+        assert 6 >= widths[0] and widths == sorted(widths, reverse=True)
+
+    def test_shared_departure_depths(self, monkeypatch):
+        # K2 with no arrivals, rates (5, 5): the baseline drains the larger
+        # backlog, ties to node 1. The hand-written trajectory agrees with
+        # it until q(3), which no step reaches: rows 0 to 2 depart at slot
+        # 2, needing 2, 1 and 0 more steps of the one shared rollout, so
+        # the continuation solves one row, twice
+        g = ConflictGraph.from_edges(2, [(0, 1)])
+        queues = np.array([[9, 9], [9, 4], [4, 4], [3, 3], [3, 0], [0, 0],
+                           [0, 0]], dtype=np.int64)
+        k = 3
+        trace = TrafficTrace(np.zeros((6, 2)), np.full((6, 2), 5))
+        widths = []
+        kernel = sim.lgs_kernel
+
+        def counted(graph, u):
+            widths.append(len(u))
+            return kernel(graph, u)
+        monkeypatch.setattr(sim, "lgs_kernel", counted)
+        got = lookahead_compare(g, queues, k, trace)
+        assert got.tolist() == rollout_reference(g, queues, k, trace)
+        # the baseline's states from q(2) = (4, 4): (4, 0), (0, 0), (0, 0)
+        assert got.tolist() == [(13 + 8 + 4) / (13 + 8 + 6),
+                                (8 + 4 + 0) / (8 + 6 + 3),
+                                (4 + 0 + 0) / (6 + 3 + 0),
+                                (3 + 0 + 0) / (3 + 0 + 0)]
+        assert widths == [1, 1]
+
+    def test_wrapped_continuation_refused(self):
+        # one node, always scheduled, rate 0: the step from 2**63 - 1 with
+        # one arrival wraps. The trajectory does not go there, so the
+        # rollout departs, and its next weighing refuses the wrapped queue,
+        # as baseline_utility does; with k = 1 nothing weighs it
+        g = ConflictGraph.from_edges(1, [])
+        queues = np.array([[QUEUE_BOUND], [0], [0]], dtype=np.int64)
+        trace = TrafficTrace([[1], [0]], [[0], [0]])
+        with pytest.raises(ValueError, match="queues and rates must be "
+                           "non-negative"):
+            lookahead_compare(g, queues, 2, trace)
+        assert lookahead_compare(g, queues[:2], 1, trace).tolist() == \
+            [math.inf]
+
+    def test_negative_queue_refused_where_a_step_starts(self):
+        # a step starts from each of q(0)..q(B + k - 2), so a negative queue
+        # there is refused; q(B + k - 1) is only summed
+        g = generate_star(3)
+        trace = constant_trace(5, 4)
+        queues = ran(g, SolverPolicy("lgs"), trace)
+        for t in range(len(queues)):
+            bad = queues.copy()
+            bad[t, 2] = -1
+            if t < len(queues) - 1:
+                with pytest.raises(ValueError, match="non-negative"):
+                    lookahead_compare(g, bad, 3, trace)
+            else:
+                lookahead_compare(g, bad, 3, trace)
 
     def test_bad_k(self):
         g = generate_star(3)
@@ -1302,6 +1424,12 @@ class TestPersistence:
          "metadata field 2 reads 'horizon=2', expected 'nodes=<int>'"),
         ("# seed=5 nodes=2 horizon=2_0",
          "metadata field 3 reads 'horizon=2_0', expected 'horizon=<int>'"),
+        ("# seed=5 nodes=02 horizon=2",
+         "metadata field 2 reads 'nodes=02', expected 'nodes=<int>'"),
+        ("# seed=5 nodes=2 horizon=+2",
+         "metadata field 3 reads 'horizon=+2', expected 'horizon=<int>'"),
+        ("# seed=05 nodes=2 horizon=2",
+         "metadata field 1 reads 'seed=05', expected 'seed=<int or None>'"),
         ("#seed=5 nodes=2 horizon=2", "missing trace metadata comment")])
     def test_metadata_read_as_written(self, tmp_path, meta, reason):
         # line 1 is read exactly as save_trace writes it, and the field that
@@ -1359,6 +1487,18 @@ class TestPersistence:
                            match=re.escape(f"{path}: line {line}:")):
             load_trace(path, 2)
 
+    @pytest.mark.parametrize("row", ["1,0,+2,5", "1,0,02,5", "01,0,2,5",
+                                     "1,0, 2,5", "1,0,2,5 ", "1,-0,2,5"])
+    def test_numerals_read_as_written(self, tmp_path, row):
+        # numpy reads each of these as the row (1, 0, 2, 5), but save_trace
+        # writes plain decimal with no whitespace: refused at its line
+        lines = self.GOOD_TRACE[:4] + [row] + self.GOOD_TRACE[5:]
+        path = tmp_path / "trace.csv"
+        write_trace_lines(path, lines)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 5: {NOT_PLAIN}")):
+            load_trace(path, 2)
+
     @pytest.mark.parametrize("row", ["", "1,0,1_0,5", '"1",0,2,5',
                                      "1,0,2.0,5", "1,0,2,5,"])
     def test_rows_numpy_cannot_read_name_line(self, tmp_path, row):
@@ -1372,7 +1512,7 @@ class TestPersistence:
 
     CORRUPTIONS = ("none", "junk", "short", "outside", "negative",
                    "duplicate", "beyond-int64", "blank", "cut", "swap",
-                   "extra")
+                   "extra", "unplain")
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
@@ -1408,7 +1548,12 @@ class TestPersistence:
             "cut": None,  # this row and all after it missing
             "swap": lines[3 + k] if kind == "swap" else None,
             "extra": row,
+            "unplain": None,
         }[kind]
+        if kind == "unplain":  # a row numpy reads, not as save_trace writes
+            lines[2 + k] = f"{t},{v}," + data.draw(st.sampled_from(
+                [f"+{a},{r}", f"0{a},{r}", f" {a},{r}", f"{a},{r}\t",
+                 f"{a},-0"]))
         if kind == "cut":
             del lines[2 + k:]
         if kind == "swap":

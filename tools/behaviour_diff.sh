@@ -143,7 +143,17 @@ CFG
 graph_mix = star49:0.4,er:0.3,tree:0.3
 layer_dims = 1,4,1
 CFG
+    # the identity GCN at a learning rate that moves it away from the
+    # baseline and back within 40 episodes, so the lookahead's rollouts
+    # leave the trajectory at every slot of some episodes, at a few of
+    # others and at none of the rest
+    cat > "$side/drift.cfg" <<'CFG'
+init = identity
+base_lr = 0.05
+CFG
     run train-default train --episodes 40 --seed 3 --out train-default
+    run train-drift train --config drift.cfg --episodes 40 --seed 16 \
+        --out train-drift
     run train-star30 train --config star30.cfg --episodes 40 --seed 12 \
         --out train-star30
     run train-two-stars train --config two-stars.cfg --episodes 40 \
