@@ -224,9 +224,13 @@ def cmd_generate(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 def _make_policy(name: str, config: ExperimentConfig):
-    """The policy behind a validated CLI policy name."""
+    """The policy behind a validated CLI policy name; a checkpoint whose
+    GCN does not read one feature per link is refused."""
     if name == "gcn":
         ckpt = load_checkpoint(config.checkpoint)
+        if ckpt.params.layer_dims[0] != 1:
+            raise ValueError(f"{config.checkpoint}: GCN input width "
+                             f"{ckpt.params.layer_dims[0]}, expected 1")
         return GcnLgsPolicy(ckpt.params, ckpt.slope)
     return SolverPolicy(SOLVER_NAMES[name])
 

@@ -243,7 +243,11 @@ def adam_step(params: GcnParams, grads: Gradients,
     """Apply one bias-corrected Adam update in place.
 
     Non-finite gradients skip the update entirely (logged as a warning);
-    params and state are returned untouched in that case.
+    params and state are returned untouched in that case. A step that
+    would make a parameter non-finite is refused with ValueError, and
+    leaves params and state untouched too: the step is computed aside,
+    without numpy's warnings on the new parameters, and written back only
+    when every new parameter is finite.
     """
     weights = params.theta0 + params.theta1
     tensors = grads.theta0 + grads.theta1
@@ -253,17 +257,23 @@ def adam_step(params: GcnParams, grads: Gradients,
     if not all(np.isfinite(g).all() for g in tensors):
         logger.warning("skipping optimizer step: non-finite gradient")
         return params, state
-    lr = state.lr
-    state.step += 1
-    b1c = 1.0 - ADAM_BETA1 ** state.step
-    b2c = 1.0 - ADAM_BETA2 ** state.step
-    for p, g, m, v in zip(weights, tensors, state.m.theta0 + state.m.theta1,
-                          state.v.theta0 + state.v.theta1):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    lr, step = state.lr, state.step + 1
+    b1c, b2c = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
+    old_m = state.m.theta0 + state.m.theta1
+    old_v = state.v.theta0 + state.v.theta1
+    m = [a * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+         for a, g in zip(old_m, tensors)]
+    v = [a * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+         for a, g in zip(old_v, tensors)]
+    # an overflow here makes a parameter non-finite, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = [w - lr * (a / b1c) / (np.sqrt(b / b2c) + ADAM_EPS)
+             for w, a, b in zip(weights, m, v)]
+    if not all(np.isfinite(w).all() for w in p):
+        raise ValueError("optimizer step would make a parameter non-finite")
+    for old, new in zip(weights + old_m + old_v, p + m + v):
+        old[...] = new
+    state.step = step
     return params, state
 
 

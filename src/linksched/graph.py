@@ -147,7 +147,8 @@ class ConflictGraph:
     @cached_property
     def neighbor_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Closed neighborhoods laid out for ``np.ufunc.reduceat``:
-        ``(index, starts, higher)``, the LGS kernel's cached form.
+        ``(index, starts, higher)``, the form
+        :func:`~linksched.solvers.lgs_rows` reads.
 
         Segment v, entries ``starts[v]`` up to ``starts[v + 1]`` (the last
         one runs to the end), holds v itself and then the neighbors of v, so

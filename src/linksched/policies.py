@@ -4,7 +4,7 @@ Every policy has the same two parts. ``utilities(graph, x)`` is the
 per-link utility it schedules on: given (B, V) rows of the one input
 feature, backlog x rate, it returns (B, V) utilities. The rows are
 read-only. :func:`~linksched.sim.run_episode` weighs every row of a slot in
-one :func:`~linksched.solvers.baseline_kernel` call into one buffer per
+one :func:`~linksched.solvers.baseline_utility` call into one buffer per
 run and passes each policy its (K, V) block of it, one row per trace,
 K = 1 included; the next slot overwrites that block, so a policy that
 keeps its rows past the call copies them. ``run_episode`` checks what

@@ -9,10 +9,10 @@ utilities are solved: it runs P policies on K traces of one graph in
 lockstep, each policy on a (K, V) block of rows, one per trace. Each slot
 pays once for what its rows share, and only for its arithmetic, and
 writes into arrays the run allocated before its first slot: one
-:func:`~linksched.solvers.baseline_kernel` call weighs every row into one
+:func:`~linksched.solvers.baseline_utility` call weighs every row into one
 weight buffer, each policy's utilities are one call on its block of that,
-one pass checks them all finite into one flag buffer, each solver's
-kernel solves all of its rows in one call, unchecked, and one
+one pass checks them all finite into one flag buffer, each solver solves
+all of its rows in one call, unchecked, and one
 :func:`advance` call writes the next state into the run's queue array.
 Every schedule of the run is checked for independence in one
 :func:`~linksched.graph.is_independent_mask` call after the last slot.
@@ -20,9 +20,11 @@ Evaluation runs every policy on the traces of instances that share a
 graph; the trainer's main trajectory runs one policy on one trace
 (K = 1).
 :func:`advance` is the one implementation of the queue update,
-q - min(r, q) + a, on a membership mask of any batch shape, into a given
-array or a new one; only :func:`run_episode` and
-:func:`lookahead_compare` call it, the first with ``out``.
+q - min(r, q) + a, on a membership mask of any batch shape, into an
+array its caller gives; only :func:`run_episode` and
+:func:`lookahead_compare` call it. The solvers and :func:`advance` check
+nothing: :func:`run_episode` and :func:`lookahead_compare` refuse what
+they would be given wrong, before they call them.
 :func:`lookahead_compare` scores each state of a trajectory by its next k
 states against the baseline rolled k slots from it. It calls no policy:
 the baseline is LGS on backlog x rate, which it weighs itself, one step
@@ -60,8 +62,8 @@ import numpy as np
 from .graph import CUT_SHORT, NOT_PLAIN, PLAIN_DECIMAL, ConflictGraph, \
     as_rng, format_int_rows, is_independent_mask, read_as_written, \
     read_int_rows
-from .solvers import baseline_kernel, baseline_utility, check_exact_cap, \
-    exact_kernel, greedy_kernel, lgs_kernel, lgs_rows
+from .solvers import baseline_utility, check_exact_cap, exact_mwis, \
+    greedy_centralized, lgs_rows
 
 RATE_MEAN = 50.0
 RATE_STD = 25.0
@@ -143,7 +145,7 @@ def sample_traffic(graph: ConflictGraph, horizon: int, arrival_rate: float,
 
 
 def advance(q: np.ndarray, members, rates, arrivals,
-            out: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray) -> np.ndarray:
     """Queues after one slot: member links drain min(rate, backlog), then
     arrivals land everywhere.
 
@@ -153,10 +155,9 @@ def advance(q: np.ndarray, members, rates, arrivals,
     shape, e.g. (P, K, V) against one slot's (K, V) rates. The update is
     four numpy calls that write one array and make no temporaries:
     min(rate, backlog), times the mask, subtracted from the backlog, plus
-    the arrivals. That array is ``out`` when one is given, which must have
-    the result's shape and dtype and must not share memory with ``q``;
-    else it is a new one. Inputs are not checked; :func:`run_episode` is
-    the checked entry point.
+    the arrivals. That array is ``out``, which must have the result's
+    shape and dtype and must not share memory with ``q``. Inputs are not
+    checked; :func:`run_episode` is the checked entry point.
     """
     out = np.minimum(rates, q, out=out)
     out *= members
@@ -195,30 +196,29 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     policy-major, ordered by solver: the ``"lgs"`` policies, then the
     ``"greedy"`` ones, then the ``"exact"`` ones, each in the caller's
     order, so each solver's rows are one slice. Each slot, one
-    :func:`baseline_kernel` call weighs every row into the run's one
+    :func:`baseline_utility` call weighs every row into the run's one
     (P, K, V) float64 weight buffer, the queues against that slot's (K, V)
     rates broadcast over the P blocks; the policies' utilities are then
     called in the caller's order, each on its (K, V) block of that, and
     must return (K, V). A block is the same array at every slot,
     overwritten by each slot's weights, and read-only: it is a view of an
     array on a read-only memoryview of the buffer, so a policy can neither
-    write it nor make it writable. Each solver's kernel gets its slice in
-    one call, in that order: :func:`lgs_kernel`, :func:`greedy_kernel`
-    (``"greedy"``) and :func:`exact_kernel` (``"exact"``), looked up in
-    this module at call time; the centralized kernels must return a bool
-    mask of their slice's shape. One :func:`advance` then writes each
-    trace's slot t applied to its rows into the next state's rows of the
-    queue array. Rows never mix, so each result equals a run of that
-    policy alone on that trace, and its schedules those of
-    :func:`lgs_rows`, :func:`greedy_centralized` or :func:`exact_mwis` on
-    its utilities.
+    write it nor make it writable. Each solver gets its slice in one
+    call, in that order: :func:`lgs_rows`, :func:`greedy_centralized`
+    (``"greedy"``) and :func:`exact_mwis` (``"exact"``), looked up in this
+    module at call time; the centralized solvers must return a bool mask
+    of their slice's shape. One :func:`advance` then writes each trace's
+    slot t applied to its rows into the next state's rows of the queue
+    array. Rows never mix, so each result equals a run of that policy
+    alone on that trace, and its schedules those of its solver on its
+    utilities alone.
 
     The weighing is the plain product, with no test of sign: the queues
     start at 0, an update drains at most the backlog, and a trace's
     arrivals on one link sum to at most 2**63 - 1, so every queue lies in
-    [0, its link's arrivals so far]. The kernels check nothing else, so a
-    refusal of the public solvers fires here instead, with the same
-    message. A fault raises ValueError, at the first of these places:
+    [0, its link's arrivals so far]. The solvers check nothing but the
+    exact solver's sign, so this is where a policy's utilities are
+    refused. A fault raises ValueError, at the first of these places:
     - before the first slot, and before any policy is called: an unknown
       solver name, traces of the wrong width or too short, and a graph
       over :data:`~linksched.solvers.EXACT_NODE_CAP` nodes when a policy
@@ -227,9 +227,9 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
       then, once every policy has filled its rows and before any solver
       runs, ``utilities must be finite`` when any of them is NaN or
       infinite, checked into one (P K, V) bool buffer per run; then a
-      negative weight on an ``"exact"`` row, which :func:`exact_kernel`
+      negative weight on an ``"exact"`` row, which :func:`exact_mwis`
       refuses as its search needs, and a centralized schedule of the
-      wrong dtype or shape as its kernel returns it;
+      wrong dtype or shape as its solver returns it;
     - after the last slot, before anything is returned: schedules that are
       no independent set of the graph, all checked in one
       :func:`is_independent_mask` call, on which no queue update depends.
@@ -293,7 +293,7 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
     blocks = [(policy, b, inputs[b]) for b, policy in zip(block, policies)]
     finite, cells = np.empty((rows, n), dtype=bool), rows * n
     for t in range(horizon):
-        baseline_kernel(queue_blocks[t], rates[t], out=weights)
+        baseline_utility(queue_blocks[t], rates[t], out=weights)
         u = utility_blocks[t]
         for policy, b, x in blocks:
             row = policy.utilities(graph, x)
@@ -307,10 +307,10 @@ def run_episode(graph: ConflictGraph, policies: Sequence,
         for name, pick in groups:
             rows_u = utilities[t, pick]
             if name == "lgs":
-                mask, rounds[:, t] = lgs_kernel(graph, rows_u)
+                mask, rounds[:, t] = lgs_rows(graph, rows_u)
             else:
-                mask = (greedy_kernel if name == "greedy" else exact_kernel)(
-                    graph, rows_u)
+                mask = (greedy_centralized if name == "greedy"
+                        else exact_mwis)(graph, rows_u)
                 if getattr(mask, "dtype", None) != bool:
                     raise ValueError("a solver must return a 1-D bool mask "
                                      "per row")
@@ -412,6 +412,19 @@ def ratio_quartiles(ratios) -> list[float]:
     return percentiles(ratios, (25, 50, 75))
 
 
+def _baseline_step(graph: ConflictGraph, q, rates, arrivals) -> np.ndarray:
+    """The LGS baseline's step from each row of the queues ``q`` on its
+    slot's ``rates`` and ``arrivals`` rows: one :func:`baseline_utility`
+    and one :func:`lgs_rows` call, looked up in this module at call time,
+    and one :func:`advance` into a new array. A negative queue is refused
+    first, the one test the weighing needs of a state that need not come
+    from :func:`run_episode`."""
+    if q.min() < 0:
+        raise ValueError("queues and rates must be non-negative")
+    members, _ = lgs_rows(graph, baseline_utility(q, rates))
+    return advance(q, members, rates, arrivals, np.empty_like(q))
+
+
 def lookahead_compare(graph: ConflictGraph, queues, k: int,
                       trace: TrafficTrace) -> np.ndarray:
     """Score the first B states of a trajectory against baseline rollouts.
@@ -427,19 +440,20 @@ def lookahead_compare(graph: ConflictGraph, queues, k: int,
     A rollout reads the trajectory until it leaves it. One step of the
     baseline from each of q(0)..q(B + k - 2) is weighed in one
     :func:`baseline_utility` call, solved in one :func:`lgs_rows` call, both
-    looked up in this module at call time, and applied in one
-    :func:`advance`. Where the step from q(t) lands on q(t + 1), a rollout
-    at q(t) stays on the trajectory; row b's first step that lands
-    elsewhere, at slot d(b), is its departure, and its states before it are
-    q(b + 1)..q(d(b)). Departures rise with b, and rows that depart at one
+    looked up in this module at call time (the rollouts' steps too), and
+    applied in one :func:`advance`. Where the step from q(t) lands on
+    q(t + 1), a rollout at q(t) stays on the trajectory; row b's first step
+    that lands elsewhere, at slot d(b), is its departure, and its states
+    before it are q(b + 1)..q(d(b)). Departures rise with b, and rows that depart at one
     slot share the rest of their rollout, so only the distinct departures
     are rolled on, together, each for as many steps as its last row needs:
-    each such step weighs them in one :func:`baseline_kernel` call, after
-    the check :func:`baseline_utility` makes, and solves them in one
-    :func:`lgs_kernel` call. LGS solves every row on its own and the totals
-    are int64 sums, so every ratio is that of k full steps per row. A
-    negative queue among q(0)..q(B + k - 2), or one a rollout reaches and
-    weighs, raises ValueError.
+    each such step weighs them in one :func:`baseline_utility` call and
+    solves them in one :func:`lgs_rows` call. LGS solves every row on its
+    own and the totals are int64 sums, so every ratio is that of k full
+    steps per row. A trace of another width than the graph, and a negative
+    queue among q(0)..q(B + k - 2) or one a rollout reaches and weighs,
+    raise ValueError: ``queue and rate vectors differ in length`` and
+    ``queues and rates must be non-negative``.
     """
     trajectory = np.asarray(queues, dtype=np.int64)
     if k < 1:
@@ -447,13 +461,13 @@ def lookahead_compare(graph: ConflictGraph, queues, k: int,
     if trajectory.shape[1:] != (graph.node_count,) or len(trajectory) <= k:
         raise ValueError(f"trajectory must be (rows + {k}, {graph.node_count})"
                          f" with rows >= 1, got {trajectory.shape}")
-    rows = len(trajectory) - k
-    steps = rows + k - 1
+    rows, steps = len(trajectory) - k, len(trajectory) - 1
     if trace.horizon < steps:
         raise ValueError(f"trace has {trace.horizon} slots, need {steps}")
-    rates, arrivals = trace.rates[:steps], trace.arrivals[:steps]
-    members, _ = lgs_rows(graph, baseline_utility(trajectory[:steps], rates))
-    stepped = advance(trajectory[:steps], members, rates, arrivals)
+    if trace.node_count != graph.node_count:
+        raise ValueError("queue and rate vectors differ in length")
+    stepped = _baseline_step(graph, trajectory[:steps], trace.rates[:steps],
+                             trace.arrivals[:steps])
     # reached[t]: the backlog summed over q(1)..q(t)
     reached = np.zeros(steps + 1, dtype=np.int64)
     np.cumsum(trajectory[1:].sum(axis=1), out=reached[1:])
@@ -481,12 +495,9 @@ def lookahead_compare(graph: ConflictGraph, queues, k: int,
             starts, x = starts[:-1], x[:-1]
             if not starts.size:
                 break
-        if x.min() < 0:
-            raise ValueError("queues and rates must be non-negative")
         # slots starts + i: one (D, V) copy of each, taken from a view
-        r = trace.rates[i:].take(starts, axis=0)
-        members, _ = lgs_kernel(graph, baseline_kernel(x, r))
-        x = advance(x, members, r, trace.arrivals[i:].take(starts, axis=0))
+        x = _baseline_step(graph, x, trace.rates[i:].take(starts, axis=0),
+                           trace.arrivals[i:].take(starts, axis=0))
         rolled[starts, i] = x.sum(axis=1)
     np.cumsum(rolled[:, :k], axis=1, out=rolled[:, :k])
     # row b reads the trajectory up to d, its departure or b + k, whichever

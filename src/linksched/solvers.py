@@ -8,22 +8,20 @@ node joins when no remaining neighbor outranks it in (utility, node ID)
 order. :func:`greedy_centralized` and :func:`exact_mwis` schedule one (V,)
 row or a (B, V) stack of rows, each row as on its own.
 
-Each public entry point, :func:`lgs_rows`, :func:`greedy_centralized`,
-:func:`exact_mwis` and :func:`baseline_utility`, is its input check, once
-per call, plus one kernel that runs unchecked: :func:`lgs_kernel`,
-:func:`greedy_kernel`, :func:`exact_kernel` and :func:`baseline_kernel`.
-:func:`exact_kernel` alone keeps a test, the one on negative weights its
-search needs. :func:`~linksched.sim.run_episode` is the one caller that
-solves a policy's utilities, and it calls the kernels, the weighing's
-included, one per solver per slot, after its own checks: the exact cap
-(:func:`check_exact_cap`) once before the first slot, and the
-finiteness of every row once per slot; its queues are non-negative by
-construction.
-:func:`~linksched.sim.lookahead_compare` calls :func:`lgs_rows` on
-:func:`baseline_utility` for the baseline's one step from every state of a
-trajectory, and the two kernels for the steps of the rollouts that leave
-it, after the test of sign :func:`baseline_utility` makes; the rates come
-from a checked trace, and a product of two int64s is finite.
+There is one function per solver, and it runs unchecked, as
+:func:`~linksched.sim.advance` does: the refusals sit where their input
+enters the program. :func:`exact_mwis` alone keeps a test, the one on
+negative weights its bound needs, and :func:`check_exact_cap` is the
+refusal of a graph too large for it.
+:func:`~linksched.sim.run_episode` is the one caller that solves a
+policy's utilities, one solver call per solver per slot, after its own
+checks: the exact cap once before the first slot, each policy's row
+shape, and the finiteness of every row once per slot; its queues are
+non-negative by construction, so its weighing needs no check.
+:func:`~linksched.sim.lookahead_compare` weighs and solves the baseline's
+one step from every state of a trajectory, and the steps of the rollouts
+that leave it, after refusing a negative queue where a step starts; the
+rates come from a checked trace, and a product of two int64s is finite.
 
 Every solver reads what it derives from the graph alone from a table
 cached on the immutable :class:`~linksched.graph.ConflictGraph`, so a
@@ -43,7 +41,8 @@ import numpy as np
 
 from .graph import ConflictGraph
 
-# The largest graph exact_mwis accepts; its search is exponential in V.
+# The largest graph check_exact_cap admits to exact_mwis, whose search is
+# exponential in V.
 EXACT_NODE_CAP = 40
 # exact_mwis walks a node set of at most this many members bit by bit and
 # folds a wider one in C: a fold's fixed cost is about that of ten loop
@@ -56,39 +55,14 @@ _TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _check_utilities(graph: ConflictGraph, utilities) -> np.ndarray:
-    """``utilities`` as float64, one (V,) row or a (B, V) stack, refused
-    unless it is one of those shapes and every entry is finite."""
-    u = np.asarray(utilities, dtype=np.float64)
-    n = graph.node_count
-    if u.ndim not in (1, 2) or u.shape[-1] != n:
-        raise ValueError(f"utility shape {u.shape} does not match {n} "
-                         "nodes: one (V,) row or a (B, V) stack")
-    if not np.isfinite(u).all():
-        raise ValueError("utilities must be finite")
-    return u
-
-
-def baseline_utility(queues, rates) -> np.ndarray:
+def baseline_utility(queues, rates, out: np.ndarray | None = None,
+                     ) -> np.ndarray:
     """Per-link utility backlog x rate, elementwise as float64: the LGS
-    baseline's weight and the GCN's input. Refuses sides of unequal
-    shapes and a negative or NaN entry, then calls
-    :func:`baseline_kernel`."""
-    q, r = np.asarray(queues), np.asarray(rates)
-    if q.shape != r.shape:
-        raise ValueError("queue and rate vectors differ in length")
-    # fmin skips a NaN, so this refuses what a test of each side refuses
-    if (np.fmin(q, r) < 0).any():
-        raise ValueError("queues and rates must be non-negative")
-    return baseline_kernel(q, r)
-
-
-def baseline_kernel(queues, rates, out: np.ndarray | None = None,
-                    ) -> np.ndarray:
-    """:func:`baseline_utility` unchecked: the product, broadcast, as
-    float64, into ``out`` when one is given (a float64 array of the
-    broadcast shape), else into a new array. Both sides are cast to
-    float64 before they are multiplied, so int64 sides never wrap."""
+    baseline's weight and the GCN's input. The product, broadcast, lands
+    in ``out`` when one is given (a float64 array of the broadcast shape),
+    else in a new array. Both sides are cast to float64 before they are
+    multiplied, so int64 sides never wrap. Unchecked: the callers weigh
+    queues that are non-negative by construction or that they checked."""
     return np.multiply(queues, rates, out=out, dtype=np.float64)
 
 
@@ -103,7 +77,7 @@ def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
     leave the residual graph, and a row is done once nothing of it remains.
     Each row's schedule is a maximal independent set.
 
-    The kernel sorts nothing. Once per call it decides, for every entry
+    The solver sorts nothing. Once per call it decides, for every entry
     (v, w) of ``graph.neighbor_segments`` (the cached closed
     neighborhoods), whether w outranks v: u_w > u_v, or u_w == u_v and
     w > v. Both are exact float comparisons, so -0.0 and 0.0 tie and go by
@@ -116,24 +90,9 @@ def lgs_rows(graph: ConflictGraph, utilities) -> tuple[np.ndarray, np.ndarray]:
     rounds)``: a (B, V) bool membership matrix and the (B,) message rounds
     each row used.
 
-    Refuses a matrix of the wrong shape and a non-finite entry, then calls
-    :func:`lgs_kernel`.
+    Unchecked: ``utilities`` is a finite (B, V) array.
     """
-    u = np.asarray(utilities, dtype=np.float64)
-    n = graph.node_count
-    if u.ndim != 2 or u.shape[1] != n:
-        raise ValueError(
-            f"utility matrix shape {u.shape} does not match {n} nodes")
-    if not np.isfinite(u).all():
-        raise ValueError("utilities must be finite")
-    return lgs_kernel(graph, u)
-
-
-def lgs_kernel(graph: ConflictGraph,
-               utilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`lgs_rows` unchecked, on a finite float64 (B, V) matrix."""
-    u, n = utilities, graph.node_count
-    b = u.shape[0]
+    u, n, b = utilities, graph.node_count, len(utilities)
     index, starts, higher = graph.neighbor_segments
     width = 1 << max(b - 1, 0).bit_length() if b <= 8 else -(-b // 8) * 8
     word = np.dtype(f"u{min(width, 8)}")
@@ -180,18 +139,11 @@ def greedy_centralized(graph: ConflictGraph, utilities) -> np.ndarray:
     property; training's main trajectory relies on it, scheduling with
     this scan instead of LGS.
 
-    ``utilities`` is one (V,) row or a (B, V) stack; the stack is checked
-    and argsorted once, and each row is scanned as on its own. Returns bool
-    membership masks of the input's shape. Refuses a wrong shape and a
-    non-finite utility, then calls :func:`greedy_kernel`.
+    ``utilities`` is one (V,) row or a (B, V) stack; the stack is argsorted
+    once, and each row is scanned as on its own. Returns bool membership
+    masks of the input's shape. Unchecked: the utilities are finite.
     """
-    return greedy_kernel(graph, _check_utilities(graph, utilities))
-
-
-def greedy_kernel(graph: ConflictGraph, utilities: np.ndarray) -> np.ndarray:
-    """:func:`greedy_centralized` unchecked, on a finite float64 (V,) row
-    or (B, V) stack."""
-    u = utilities
+    u = np.asarray(utilities, dtype=np.float64)
     n, nbrs = graph.node_count, graph.neighbor_bitmasks
     members = np.zeros(u.shape, dtype=bool)
     flat, base = members.reshape(-1), 0  # row b's node v at base b * V + v
@@ -219,14 +171,15 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     rule: a free node of positive weight is in every maximizer, and leaving
     a free node of zero weight out gives the lexicographically smaller set
     of equal weight. On a star the search tree has two leaves, hub in or
-    hub out with every leaf taken at once. Weights must be non-negative and
-    the graph at most :data:`EXACT_NODE_CAP` nodes.
+    hub out with every leaf taken at once.
 
-    ``utilities`` is one (V,) row or a (B, V) stack, and each row is
-    searched as on its own. A call checks its input once, refusing in this
-    order a wrong shape, a non-finite weight, a graph over the cap and,
-    in :func:`exact_kernel`, a negative weight, and builds the search once;
-    it returns bool membership masks of the input's shape.
+    ``utilities`` is one (V,) row or a (B, V) stack of finite weights over
+    a graph of at most :data:`EXACT_NODE_CAP` nodes (:func:`check_exact_cap`
+    refuses a larger one), and each row is searched as on its own; the
+    search is built once per call, and it returns bool membership masks of
+    the input's shape. It checks one thing, the one its bound needs: a
+    negative weight, which it finds in the row lists it builds anyway, is
+    refused.
 
     Node sets are Python ints, bit v for node v. The neighbor sets are the
     graph's cached :attr:`~linksched.graph.ConflictGraph.neighbor_bitmasks`,
@@ -245,35 +198,13 @@ def exact_mwis(graph: ConflictGraph, utilities) -> np.ndarray:
     each row's set of positive weights and unpacks the best sets into the
     returned masks.
     """
-    u = _check_utilities(graph, utilities)
-    check_exact_cap(graph)
-    return exact_kernel(graph, u)
-
-
-def check_exact_cap(graph: ConflictGraph) -> None:
-    """Refuse a graph of more than :data:`EXACT_NODE_CAP` nodes."""
-    if graph.node_count > EXACT_NODE_CAP:
-        raise ValueError(f"exact solver capped at {EXACT_NODE_CAP} nodes, "
-                         f"got {graph.node_count}")
-
-
-def exact_kernel(graph: ConflictGraph, utilities: np.ndarray) -> np.ndarray:
-    """:func:`exact_mwis` on a finite float64 (V,) row or (B, V) stack over
-    a graph within the cap, unchecked but for the one test the search
-    needs: a negative weight, which it finds in the row lists it builds
-    anyway, and on which its bound would not hold, is refused."""
-    u, n = utilities, graph.node_count
+    u, n = np.asarray(utilities, dtype=np.float64), graph.node_count
     rows = u.reshape(-1, n).tolist()
     # the weights are finite, so this is (u < 0).any()
     if rows and min(map(min, rows)) < 0:
         raise ValueError("exact solver requires non-negative utilities")
     nbrs = graph.neighbor_bitmasks
     positives = (u > 0).tobytes()  # one 0/1 byte per (row, node)
-    # the row being searched: its weights, its set of positive weights, and
-    # the best set found so far with its weight
-    w: list[float] = []
-    positive = best_set = 0
-    best_weight = -1.0
 
     def flags(mask: int) -> bytes:
         # one 0/1 byte per node, node 0 first, up to mask's highest member
@@ -296,8 +227,7 @@ def exact_kernel(graph: ConflictGraph, utilities: np.ndarray) -> np.ndarray:
         if rem.bit_count() > _LOOP_MAX:
             free = rem & ~reduce(or_, compress(nbrs, flags(rem)), 0)
         else:
-            free = 0
-            scan = rem
+            free, scan = 0, rem
             while scan:
                 low = scan & -scan
                 if not nbrs[low.bit_length() - 1] & rem:
@@ -312,8 +242,7 @@ def exact_kernel(graph: ConflictGraph, utilities: np.ndarray) -> np.ndarray:
             rem_sum -= gain
         if rem == 0:
             # the bound above guarantees a strict improvement here
-            best_weight = weight
-            best_set = chosen
+            best_weight, best_set = weight, chosen
             return
         v = (rem & -rem).bit_length() - 1
         search(rem & ~(1 << v), weight, chosen, rem_sum - w[v])
@@ -321,6 +250,9 @@ def exact_kernel(graph: ConflictGraph, utilities: np.ndarray) -> np.ndarray:
         search(rem & ~dropped, weight + w[v], chosen | (1 << v),
                rem_sum - bit_sum(dropped))
 
+    # the row being searched, the state the search reads: its weights w,
+    # its set of positive weights, and the best set found so far with its
+    # weight
     digits = []
     for a, w in zip(range(0, u.size, n), rows):
         positive = int(positives[a:a + n][::-1].translate(_TO_DIGITS), 2)
@@ -329,3 +261,10 @@ def exact_kernel(graph: ConflictGraph, utilities: np.ndarray) -> np.ndarray:
         digits.append(bin(best_set)[:1:-1].ljust(n, "0"))
     flat = "".join(digits).encode().translate(_TO_FLAGS)
     return np.frombuffer(bytearray(flat), bool).reshape(u.shape)
+
+
+def check_exact_cap(graph: ConflictGraph) -> None:
+    """Refuse a graph of more than :data:`EXACT_NODE_CAP` nodes."""
+    if graph.node_count > EXACT_NODE_CAP:
+        raise ValueError(f"exact solver capped at {EXACT_NODE_CAP} nodes, "
+                         f"got {graph.node_count}")

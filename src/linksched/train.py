@@ -19,6 +19,14 @@ are summed in batch order: the step is bitwise that of an item-by-item loop.
 A run resolves its graph mix once (:func:`resolve_mix`): a star family is
 built once per run, and its cached tables, its Laplacian among them,
 serve every episode drawn on it.
+
+The solvers and the weighing run unchecked; an episode's inputs are
+checked where they enter it, by :func:`~linksched.sim.run_episode` and
+:func:`~linksched.sim.lookahead_compare`. A run is refused, after it
+writes its last finite parameters to ``diagnostic.ckpt``, at the first
+non-finite batch loss and at the first Adam step that would make a
+parameter non-finite, so no run ends with a checkpoint that
+:func:`~linksched.gcn.load_checkpoint` refuses.
 """
 
 from __future__ import annotations
@@ -236,7 +244,8 @@ def collect_episode(config: TrainConfig, params: GcnParams,
     node ID) order, so the schedule is LGS's on every row, and training
     reads no message rounds, which only LGS reports. Then the
     first horizon slots are scored at once, their features weighed in one
-    :func:`baseline_utility` call: one :func:`lookahead_compare`
+    :func:`baseline_utility` call on run_episode's own queues, which are
+    non-negative by construction: one :func:`lookahead_compare`
     call compares the trajectory's next lookahead states from slot t with
     the LGS baseline rolled from q(t) on the same trace slots, which
     follows the trajectory until its step leaves it, and one
@@ -314,8 +323,10 @@ def train(config: TrainConfig, checkpoint_dir) -> TrainResult:
     deque, sample one batch of up to ``batch_size`` without replacement, and
     apply a single Adam step at the decayed learning rate. The final
     parameters go to ``checkpoint.ckpt`` there, plus interval checkpoints
-    when configured; a non-finite batch loss aborts after writing
-    ``diagnostic.ckpt`` there.
+    when configured. A non-finite batch loss, and an Adam step that
+    :func:`~linksched.gcn.adam_step` refuses because it would make a
+    parameter non-finite, each abort the run with RuntimeError after
+    writing the last finite parameters to ``diagnostic.ckpt`` there.
     """
     config.validate()
     master = np.random.default_rng(config.seed)
@@ -337,12 +348,15 @@ def train(config: TrainConfig, checkpoint_dir) -> TrainResult:
             len(buffer), size=min(config.batch_size, len(buffer)),
             replace=False)]
         loss, grads = batch_gradients(params, batch)
-        if not math.isfinite(loss):
-            save_checkpoint(out_dir / "diagnostic.ckpt", params)
-            raise RuntimeError(f"non-finite loss at episode {episode}; "
-                               "diagnostic checkpoint written")
         lr = state.lr
-        adam_step(params, grads, state)
+        try:
+            if not math.isfinite(loss):
+                raise ValueError("non-finite loss")
+            adam_step(params, grads, state)
+        except ValueError as exc:
+            save_checkpoint(out_dir / "diagnostic.ckpt", params)
+            raise RuntimeError(f"{exc} at episode {episode}; diagnostic "
+                               "checkpoint written") from None
         win = float(np.mean([1.0 if tp.ratio >= 1.0 else 0.0 for tp in tuples]))
         log.append({"episode": episode, "loss": loss, "win_rate": win,
                     "lr": lr, "graph_model": model})

@@ -392,6 +392,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:" in err and "read-only" in err
 
+    def test_checkpoint_of_another_input_width_refused(
+            self, small_instances, capsys, tmp_path):
+        # load_checkpoint accepts a network of two input features; the
+        # scheduler feeds one, so eval refuses it when it builds the
+        # policy, naming the file and its width, before any instance
+        _, instances = small_instances
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(ckpt, GcnParams((2, 1), [np.ones((2, 1))],
+                                        [np.ones((2, 1))]))
+        assert load_checkpoint(ckpt).params.layer_dims == (2, 1)
+        rc = main(["eval", "--instances", str(instances), "--policies",
+                   "baseline,gcn", "--checkpoint", str(ckpt), "--out",
+                   str(tmp_path / "eval")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {ckpt}: GCN input width 2, expected 1\n"
+
     def test_same_outputs_under_bench_tracer(self, small_instances,
                                              tmp_path):
         # the benchmark's tracer rebinds every package function, the
@@ -408,13 +425,13 @@ class TestEval:
                                                  tmp_path / "traced")) == {}
         calls = Counter(tracer.labels[i] for i in tracer.name_ids)
         # the 4 star5 instances share a graph: one lockstep episode for the
-        # group, one batched solve per solver kernel and slot, and one
-        # weighing of every row per slot
+        # group, one batched solve per solver and slot, and one weighing
+        # of every row per slot
         assert calls["sim.run_episode"] == 1
-        assert calls["solvers.lgs_kernel"] == 16
-        assert calls["solvers.greedy_kernel"] == 16
-        assert calls["solvers.exact_kernel"] == 16
-        assert calls["solvers.baseline_kernel"] == 16
+        assert calls["solvers.lgs_rows"] == 16
+        assert calls["solvers.greedy_centralized"] == 16
+        assert calls["solvers.exact_mwis"] == 16
+        assert calls["solvers.baseline_utility"] == 16
         for name in ("per_instance.csv", "ars.csv", "summary.csv"):
             assert (tmp_path / "traced" / name).read_bytes() == \
                 (tmp_path / "plain" / name).read_bytes()
@@ -614,11 +631,11 @@ class TestMainEntry:
         # lookahead - 1), with no re-forward for the reward's utilities,
         # and the replay batch one forward, through that loop, and one
         # backward per node count; each main-trajectory slot is one greedy
-        # kernel call, and LGS runs only in the baseline's rollouts: one
-        # checked lgs_rows call per episode for the first step from every
-        # state, then one lgs_kernel call per step of the rollouts that
-        # leave the trajectory. At seed 15 those are 4 steps in all, of the
-        # 3 * (5 - 1) a rollout of every state would take
+        # call, and LGS runs only in the baseline's rollouts: one lgs_rows
+        # call per episode for the first step from every state, then one
+        # per step of the rollouts that leave the trajectory. At seed 15
+        # those are 4 steps in all, of the 3 * (5 - 1) a rollout of every
+        # state would take
         conf = tmp_path / "train.cfg"
         conf.write_text("graph_mix = star30:0.8,ba-m2:0.2\n"
                         "loads = 0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08\n"
@@ -653,9 +670,8 @@ class TestMainEntry:
         assert calls["gcn.propagate"] == 3 * (64 + 5 - 1) + sum(sizes)
         assert calls["gcn.forward"] == sum(sizes)
         assert calls["gcn.backward"] == sum(sizes)
-        assert calls["solvers.greedy_kernel"] == 3 * (64 + 5 - 1)
-        assert calls["solvers.lgs_rows"] == 3
-        assert calls["solvers.lgs_kernel"] == 3 + 4
+        assert calls["solvers.greedy_centralized"] == 3 * (64 + 5 - 1)
+        assert calls["solvers.lgs_rows"] == 3 + 4
 
     def test_train_smoke_log_rows(self, tmp_path, capsys):
         conf = tmp_path / "train.conf"

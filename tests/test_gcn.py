@@ -405,6 +405,55 @@ class TestAdam:
         assert params.theta0[0].item() == 1.0
         assert "non-finite" in caplog.text
 
+    def test_non_finite_step_refused(self):
+        # lr * g overflows: the step is refused, and the parameters, both
+        # moments and the step count stay as they were
+        params = scalar_params(1.0, -1.0)
+        state = AdamState.for_params(params, base_lr=1e308)
+        grads = Gradients([np.array([[3.0]])], [np.array([[0.5]])])
+        with pytest.raises(ValueError, match="^optimizer step would make a "
+                           "parameter non-finite$"):
+            adam_step(params, grads, state)
+        assert state.step == 0
+        assert params.theta0[0].item() == 1.0
+        assert params.theta1[0].item() == -1.0
+        for moment in state.m.theta0 + state.m.theta1 + state.v.theta0 + \
+                state.v.theta1:
+            assert moment.item() == 0.0
+
+    def test_finite_steps_match_in_place_update(self):
+        # the step computed aside is the in-place update it replaced, bit
+        # for bit, on parameters, moments and the step count
+        rng = np.random.default_rng(31)
+        params = init_params((1, 4, 3, 1), 7)
+        state = AdamState.for_params(params, base_lr=0.05, decay=0.9)
+        ref = init_params((1, 4, 3, 1), 7)
+        ref_m, ref_v = Gradients.zeros_like(ref), Gradients.zeros_like(ref)
+        for step in range(1, 21):
+            scale = 10.0 ** rng.integers(-8, 9)
+            grads = Gradients(
+                [rng.normal(size=t.shape) * scale for t in params.theta0],
+                [rng.normal(size=t.shape) * scale for t in params.theta1])
+            lr = 0.05 * 0.9 ** (step - 1)
+            b1c, b2c = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+            for p, g, m, v in zip(ref.theta0 + ref.theta1,
+                                  grads.theta0 + grads.theta1,
+                                  ref_m.theta0 + ref_m.theta1,
+                                  ref_v.theta0 + ref_v.theta1):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= lr * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
+            adam_step(params, grads, state)
+            assert state.step == step
+            for got, want in zip(
+                    params.theta0 + params.theta1 + state.m.theta0
+                    + state.m.theta1 + state.v.theta0 + state.v.theta1,
+                    ref.theta0 + ref.theta1 + ref_m.theta0 + ref_m.theta1
+                    + ref_v.theta0 + ref_v.theta1):
+                assert got.tobytes() == want.tobytes()
+
     def test_shape_mismatch(self):
         params = scalar_params(1.0, 1.0)
         state = AdamState.for_params(params)

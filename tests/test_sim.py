@@ -101,7 +101,7 @@ def constant_trace(horizon, nodes, arrival=1, rate=2):
 
 
 class Stub:
-    """A stand-in policy: zero utilities for sim's ``exact`` kernel, which
+    """A stand-in policy: zero utilities for sim's ``exact`` solver, which
     :func:`run_stub` replaces."""
 
     solver = "exact"
@@ -112,10 +112,10 @@ class Stub:
 
 def run_stub(graph, schedule, trace):
     """One :class:`Stub` policy's episode, with ``schedule(graph, u)`` as
-    sim's ``exact_kernel``: a fault injected where ``run_episode`` calls it,
+    sim's ``exact_mwis``: a fault injected where ``run_episode`` calls it,
     once a slot on the (1, V) stack of the one row."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "exact_kernel", schedule)
+        patch.setattr(sim, "exact_mwis", schedule)
         return run_episode(graph, [Stub()], trace)
 
 
@@ -192,7 +192,7 @@ class TestStep:
                 (np.zeros(6, bool), r"shape \(6,\) does not match 6 nodes"),
                 ((np.arange(6) < 2)[None], "not an independent set")):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sim, "greedy_kernel",
+                patch.setattr(sim, "greedy_centralized",
                               lambda graph, u: members)
                 with pytest.raises(ValueError, match=match):
                     run_episode(g, policies, constant_trace(1, 6))
@@ -213,7 +213,7 @@ class TestStep:
             return members
         returned = None
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "greedy_kernel", late_conflict)
+            patch.setattr(sim, "greedy_centralized", late_conflict)
             with pytest.raises(ValueError, match=re.escape(
                     "slot 2: the schedule of policy 2 ('greedy') on trace 2 "
                     "is not an independent set of the graph")):
@@ -270,18 +270,16 @@ def advance_cases(draw):
 class TestAdvance:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(case=advance_cases())
-    def test_out_equals_allocating_form(self, case):
-        # written into ``out``, whatever it held, the update is the
-        # allocating form's and the masked formula's bit for bit
+    def test_out_equals_masked_formula(self, case):
+        # written into ``out``, whatever it held, the update is the masked
+        # formula's bit for bit
         q, members, rates, arrivals, rng = case
         want = q - np.where(members, np.minimum(rates, q), 0) + arrivals
-        made = advance(q, members, rates, arrivals)
         out = rng.integers(-2**63, 2**63 - 1, q.shape, endpoint=True)
         got = advance(q, members, rates, arrivals, out=out)
         assert got is out
-        for array in (made, got):
-            assert array.dtype == np.int64 and array.shape == q.shape
-            assert array.tobytes() == want.tobytes()
+        assert got.dtype == np.int64 and got.shape == q.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTrafficTrace:
@@ -408,7 +406,8 @@ def reference_episode(graph, policy, trace):
             solver = {"greedy": greedy_centralized, "exact": exact_mwis}
             mask = solver[policy.solver](graph, u)
         assert is_independent_mask(graph, mask)
-        q = advance(q, mask, trace.rates[t], trace.arrivals[t])
+        q = advance(q, mask, trace.rates[t], trace.arrivals[t],
+                    np.empty_like(q))
         queues.append(q)
         members.append(mask)
         utilities.append(u)
@@ -504,14 +503,14 @@ class TestLockstep:
             assert compute_metrics(result) == compute_metrics(alone)
 
     def test_lgs_policies_share_one_solve_per_slot(self, monkeypatch):
-        # baseline and gcn rows go to lgs_kernel together; greedy is called
+        # baseline and gcn rows go to lgs_rows together; greedy is called
         # on its own row
         calls = []
 
         def counted(graph, u):
             calls.append(np.shape(u))
             return lgs_rows(graph, u)
-        monkeypatch.setattr("linksched.sim.lgs_kernel", counted)
+        monkeypatch.setattr("linksched.sim.lgs_rows", counted)
         g = generate_er(12, 0.3, 1)
         trace = sample_traffic(g, 5, 2.0, 2)
         run_episode(g, [SolverPolicy("lgs"), SolverPolicy("greedy"),
@@ -521,13 +520,13 @@ class TestLockstep:
     def test_lgs_rows_passed_as_a_view(self, monkeypatch):
         # in every policy order, with one trace or two, the rows of the LGS
         # policies, policy-major in the caller's order and one per trace,
-        # reach lgs_kernel as one slice of the episode's utilities
+        # reach lgs_rows as one slice of the episode's utilities
         passed = []
 
         def recorded(graph, u):
             passed.append(u)
             return lgs_rows(graph, u)
-        monkeypatch.setattr("linksched.sim.lgs_kernel", recorded)
+        monkeypatch.setattr("linksched.sim.lgs_rows", recorded)
         g = generate_er(12, 0.3, 1)
         for traces, order in itertools.product(
                 (1, 2), itertools.permutations(["greedy", "lgs", "gcn",
@@ -548,7 +547,7 @@ class TestLockstep:
                                      for p in lgs for j in range(traces)])
 
     def test_solvers_looked_up_at_call_time(self, monkeypatch):
-        # a solver kernel rebound in sim, as a tracer rebinds it, is the one
+        # a solver rebound in sim, as a tracer rebinds it, is the one
         # called: once per slot on the rows of the policies that name it,
         # their utilities, policy-major over one trace or two
         calls = []
@@ -558,9 +557,9 @@ class TestLockstep:
                 calls.append((name, u.tolist()))
                 return solver(graph, u)
             return wrapper
-        monkeypatch.setattr(sim, "greedy_kernel",
+        monkeypatch.setattr(sim, "greedy_centralized",
                             counted("greedy", greedy_centralized))
-        monkeypatch.setattr(sim, "exact_kernel", counted("exact", exact_mwis))
+        monkeypatch.setattr(sim, "exact_mwis", counted("exact", exact_mwis))
         g = generate_star(3)
         for traces in (1, 2):
             calls.clear()
@@ -723,7 +722,7 @@ class TestTraces:
 
     def test_one_lgs_solve_per_slot_over_every_trace(self, monkeypatch):
         # the LGS rows of both policies in all three traces go to one
-        # lgs_kernel call a slot; each policy's utilities are one call on its
+        # lgs_rows call a slot; each policy's utilities are one call on its
         # (K, V) rows
         calls, shapes = [], []
 
@@ -735,7 +734,7 @@ class TestTraces:
             def utilities(self, graph, x):
                 shapes.append(np.shape(x))
                 return super().utilities(graph, x)
-        monkeypatch.setattr("linksched.sim.lgs_kernel", counted)
+        monkeypatch.setattr("linksched.sim.lgs_rows", counted)
         g = generate_er(12, 0.3, 1)
         traces = [sample_traffic(g, 5, 2.0, seed) for seed in (2, 3, 4)]
         run_episode(g, [Recorded("lgs"), SolverPolicy("greedy"),
@@ -879,26 +878,26 @@ class FaultAt:
         return u
 
 
-KERNELS = {"lgs": "lgs_kernel", "greedy": "greedy_kernel",
-           "exact": "exact_kernel"}
+SOLVERS = {"lgs": "lgs_rows", "greedy": "greedy_centralized",
+           "exact": "exact_mwis"}
 
 
 class TestRefusalPlaces:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("solver", sorted(KERNELS))
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_non_finite_utility_refused_before_its_slot_is_solved(
             self, solver, value, monkeypatch):
         # slots 0 to 2 are solved; at slot 3 the policies fill their rows,
-        # one pass finds the non-finite one, and no kernel sees slot 3
+        # one pass finds the non-finite one, and no solver sees slot 3
         g = generate_star(5)
         solved = Counter()
 
-        def counted(name, kernel):
+        def counted(name, solver):
             def wrapper(graph, u):
                 solved[name] += 1
-                return kernel(graph, u)
+                return solver(graph, u)
             return wrapper
-        for name, attr in KERNELS.items():
+        for name, attr in SOLVERS.items():
             monkeypatch.setattr(sim, attr, counted(name, getattr(sim, attr)))
         faulty = FaultAt(solver, 3, value)
         policies = [SolverPolicy("lgs"), faulty, SolverPolicy("greedy")]
@@ -926,6 +925,59 @@ class TestRefusalPlaces:
         # without an exact policy the graph is fine
         run_episode(g, policies[:1], constant_trace(3, EXACT_NODE_CAP + 1))
         assert policies[0].calls == 3
+
+
+def negative_queue_trajectory():
+    """A hand-written star3 trajectory whose q(1) has a negative queue,
+    with a trace that covers its lookahead of k = 2."""
+    queues = np.zeros((5, 4), dtype=np.int64)
+    queues[1, 2] = -1
+    return generate_star(3), queues, 2, constant_trace(4, 4)
+
+
+def wrong_shape_policy(solver):
+    policy = SolverPolicy(solver)
+    policy.utilities = lambda graph, x: np.zeros((1, 5))
+    return policy
+
+
+# each input the solvers no longer refuse themselves, refused where it
+# enters the program, with the message the solver gave
+BOUNDARY_REFUSALS = {
+    "nan-utility": (
+        lambda: run_episode(generate_star(5), [FaultAt("lgs", 1, np.nan)],
+                            constant_trace(3, 6)),
+        "utilities must be finite"),
+    "inf-utility": (
+        lambda: run_episode(generate_star(5), [FaultAt("greedy", 0, np.inf)],
+                            constant_trace(3, 6)),
+        "utilities must be finite"),
+    "wrong-shape-row": (
+        lambda: run_episode(generate_star(5), [wrong_shape_policy("exact")],
+                            constant_trace(3, 6)),
+        "utilities of shape (1, 5), not (1, 6): one row per trace, one "
+        "utility per node"),
+    "exact-over-cap": (
+        lambda: run_episode(generate_star(EXACT_NODE_CAP),
+                            [SolverPolicy("exact")],
+                            constant_trace(3, EXACT_NODE_CAP + 1)),
+        f"exact solver capped at {EXACT_NODE_CAP} nodes, got "
+        f"{EXACT_NODE_CAP + 1}"),
+    "negative-exact-weight": (
+        lambda: run_episode(generate_star(5), [FaultAt("exact", 2, -1.0)],
+                            constant_trace(4, 6)),
+        "exact solver requires non-negative utilities"),
+    "negative-queue-in-trajectory": (
+        lambda: lookahead_compare(*negative_queue_trajectory()),
+        "queues and rates must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_REFUSALS))
+def test_boundary_refusal(case):
+    call, message = BOUNDARY_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def ran(graph, policy, trace):
@@ -1073,10 +1125,10 @@ class TestLookahead:
                 lookahead_compare(g, bad, 2, trace)
 
     def test_one_lgs_rows_call_then_shared_continuations(self, monkeypatch):
-        # one checked baseline step from each of q(0)..q(B + k - 2), through
-        # sim's names at call time, as a tracer rebinds them; on the
-        # baseline's own trajectory that is all. Rollouts that leave the
-        # trajectory roll on through the kernels, one row per distinct
+        # one baseline step from each of q(0)..q(B + k - 2), through sim's
+        # names at call time, as a tracer rebinds them; on the baseline's
+        # own trajectory that is all. Rollouts that leave the trajectory
+        # roll on through the same two names, one row per distinct
         # departure: at most B rows, for at most k - 1 steps, fewer as the
         # late departures run out of slots
         calls = []
@@ -1090,8 +1142,7 @@ class TestLookahead:
         trace = sample_traffic(g, 9, 2.0, 2)
         agreeing = ran(g, SolverPolicy("lgs"), trace)
         leaving = ran(g, GcnLgsPolicy(HEAD_GCN), trace)
-        for name in ("lgs_rows", "baseline_utility", "lgs_kernel",
-                     "baseline_kernel"):
+        for name in ("lgs_rows", "baseline_utility"):
             monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
         first = [("baseline_utility", (9, 12)), ("lgs_rows", (9, 12))]
         assert lookahead_compare(g, agreeing, 4, trace).tolist() == [1.0] * 6
@@ -1101,7 +1152,7 @@ class TestLookahead:
         assert calls[:2] == first
         widths = [shape[0] for _, shape in calls[2::2]]
         assert calls[2:] == [call for d in widths for call in (
-            ("baseline_kernel", (d, 12)), ("lgs_kernel", (d, 12)))]
+            ("baseline_utility", (d, 12)), ("lgs_rows", (d, 12)))]
         assert 1 <= len(widths) <= 3
         assert 6 >= widths[0] and widths == sorted(widths, reverse=True)
 
@@ -1110,19 +1161,20 @@ class TestLookahead:
         # backlog, ties to node 1. The hand-written trajectory agrees with
         # it until q(3), which no step reaches: rows 0 to 2 depart at slot
         # 2, needing 2, 1 and 0 more steps of the one shared rollout, so
-        # the continuation solves one row, twice
+        # after the first step from all six states the continuation
+        # solves one row, twice
         g = ConflictGraph.from_edges(2, [(0, 1)])
         queues = np.array([[9, 9], [9, 4], [4, 4], [3, 3], [3, 0], [0, 0],
                            [0, 0]], dtype=np.int64)
         k = 3
         trace = TrafficTrace(np.zeros((6, 2)), np.full((6, 2), 5))
         widths = []
-        kernel = sim.lgs_kernel
+        solver = sim.lgs_rows
 
         def counted(graph, u):
             widths.append(len(u))
-            return kernel(graph, u)
-        monkeypatch.setattr(sim, "lgs_kernel", counted)
+            return solver(graph, u)
+        monkeypatch.setattr(sim, "lgs_rows", counted)
         got = lookahead_compare(g, queues, k, trace)
         assert got.tolist() == rollout_reference(g, queues, k, trace)
         # the baseline's states from q(2) = (4, 4): (4, 0), (0, 0), (0, 0)
@@ -1130,7 +1182,7 @@ class TestLookahead:
                                 (8 + 4 + 0) / (8 + 6 + 3),
                                 (4 + 0 + 0) / (6 + 3 + 0),
                                 (3 + 0 + 0) / (3 + 0 + 0)]
-        assert widths == [1, 1]
+        assert widths == [6, 1, 1]
 
     def test_wrapped_continuation_refused(self):
         # one node, always scheduled, rate 0: the step from 2**63 - 1 with

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linksched.cli import main
 from linksched.gcn import (AdamState, Gradients, adam_step, backward, forward,
-                           identity_params, init_params)
+                           identity_params, init_params, load_checkpoint)
 from linksched.graph import generate_er, generate_star, normalized_laplacian
 from linksched import sim
 from linksched.policies import GcnLgsPolicy, SolverPolicy
@@ -254,7 +256,7 @@ class TestCollectEpisode:
         # greedy schedules
         config = small_config()
         params = init_params(config.layer_dims, 0)
-        monkeypatch.setattr(sim, "greedy_kernel",
+        monkeypatch.setattr(sim, "greedy_centralized",
                             lambda graph, u: np.ones(np.shape(u), bool))
         with pytest.raises(ValueError, match="independent"):
             sampled_episode(config, params, 1)
@@ -274,7 +276,7 @@ class TestCollectEpisode:
             if len(calls) > config.horizon:
                 members[:] = True
             return members
-        monkeypatch.setattr(sim, "greedy_kernel", late_conflict)
+        monkeypatch.setattr(sim, "greedy_centralized", late_conflict)
         with pytest.raises(ValueError, match=f"slot {config.horizon}: .* "
                            "independent"):
             sampled_episode(config, params, 1)
@@ -472,6 +474,38 @@ class TestTrain:
         assert (tmp_path / "nan" / "diagnostic.ckpt").read_bytes() == \
             (tmp_path / "two" / "checkpoint.ckpt").read_bytes()
         assert not (tmp_path / "nan" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("episodes", [1, 3])
+    def test_non_finite_step_aborts_with_diagnostic(self, tmp_path, episodes,
+                                                    capsys):
+        # at this learning rate the first Adam step would overflow the
+        # parameters: the run stops there, whatever its length, writes the
+        # parameters it started from, those a 0-episode run ends with, to
+        # diagnostic.ckpt, and exits 1 through the CLI; no checkpoint.ckpt
+        # is written, so none is left that load_checkpoint refuses
+        def config(episodes):
+            return TrainConfig(graph_mix=(("star5", 1.0),), loads=(0.5,),
+                               base_lr=1e308, episodes=episodes)
+        train(config(0), tmp_path / "zero")
+        with pytest.raises(RuntimeError, match=re.escape(
+                "optimizer step would make a parameter non-finite at "
+                "episode 0; diagnostic checkpoint written")):
+            train(config(episodes), tmp_path / "run")
+        diagnostic = tmp_path / "run" / "diagnostic.ckpt"
+        assert diagnostic.read_bytes() == \
+            (tmp_path / "zero" / "checkpoint.ckpt").read_bytes()
+        load_checkpoint(diagnostic)
+        assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+        conf = tmp_path / "big.cfg"
+        conf.write_text("graph_mix = star5:1\nloads = 0.5\n"
+                        "base_lr = 1e308\n")
+        assert main(["train", "--config", str(conf), "--episodes",
+                     str(episodes), "--out", str(tmp_path / "cli")]) == 1
+        assert capsys.readouterr().err == (
+            "error: optimizer step would make a parameter non-finite at "
+            "episode 0; diagnostic checkpoint written\n")
+        load_checkpoint(tmp_path / "cli" / "diagnostic.ckpt")
+        assert not (tmp_path / "cli" / "checkpoint.ckpt").exists()
 
     def test_log_columns(self, tmp_path):
         result = train(small_config(episodes=3), tmp_path)

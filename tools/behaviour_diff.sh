@@ -282,6 +282,25 @@ CFG
     refuse eval-star30-cut-checkpoint eval --instances gen-star30 \
         --policies baseline,gcn --checkpoint cut.ckpt \
         --out eval-star30-cut-checkpoint
+    # a network of two input features, which load_checkpoint reads but the
+    # scheduler, feeding it backlog x rate alone, cannot run
+    python3 -c "import struct, sys; sys.stdout.buffer.write(b'LNKSGCN2' \
++ struct.pack('<3i5d', 1, 2, 1, 0.2, 1.0, 1.0, 1.0, 1.0))" \
+        > "$side/wide.ckpt"
+    refuse eval-star30-wide-checkpoint eval --instances gen-star30 \
+        --policies baseline,gcn --checkpoint wide.ckpt \
+        --out eval-star30-wide-checkpoint
+    # a learning rate at which the first Adam step would overflow the
+    # parameters: a run of one episode and one of three both stop there
+    cat > "$side/overflow.cfg" <<'CFG'
+graph_mix = star5:1
+loads = 0.5
+base_lr = 1e308
+CFG
+    for episodes in 1 3; do
+        refuse "train-overflow-$episodes" train --config overflow.cfg \
+            --episodes "$episodes" --out "train-overflow-$episodes"
+    done
     run toy toy
     # the toy away from its default horizon and burn-in
     run toy-short toy --horizon 9 --burn-in 3
