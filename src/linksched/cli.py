@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -20,7 +21,8 @@ from typing import Callable, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .gcn import load_checkpoint
-from .graph import ConflictGraph, centralization, load_graph, save_graph
+from .graph import (ConflictGraph, centralization, decode_text, load_graph,
+                    save_graph)
 from .policies import GcnLgsPolicy, SolverPolicy
 from .presets import parse_graph_config
 from .sim import (RATE_MEAN, MetricsBundle, TrafficTrace, backlog_ratio,
@@ -79,7 +81,12 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def load_kv_file(path) -> dict[str, str]:
-    return parse_kv_text(Path(path).read_text(), source=str(path))
+    """The ``key = value`` pairs of the file at ``path`` (a ``train
+    --config`` file or ``manifest.txt``), decoded by
+    :func:`~linksched.graph.decode_text`: bytes that are not UTF-8 are
+    refused at their line, as :func:`parse_kv_text` refuses a bad line."""
+    data = Path(path).read_bytes()
+    return parse_kv_text(decode_text(data, path), source=str(path))
 
 
 def _parse_pair(value: str) -> tuple[str, float]:
@@ -434,27 +441,28 @@ def _read_report_csv(path: Path, columns: dict[str, Callable]) -> list[dict]:
     """The named columns of an eval report CSV's rows, each value parsed
     by its column's function. A missing column, a row short of fields or a
     value its parser refuses raises ConfigError naming the file (and the
-    line)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in columns:
-            if column not in (reader.fieldnames or ()):
-                raise ConfigError(f"{path}: missing column {column!r}")
-        rows = []
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if any(row[column] is None for column in columns):
-                raise ConfigError(f"{where}: expected "
-                                  f"{len(reader.fieldnames)} fields")
-            parsed = {}
-            for column, parse in columns.items():
-                try:
-                    parsed[column] = parse(row[column])
-                except ValueError:
-                    raise ConfigError(f"{where}: bad value for {column}: "
-                                      f"{row[column]!r}") from None
-            rows.append(parsed)
-        return rows
+    line), and bytes that are not UTF-8 raise ValueError naming both
+    (:func:`~linksched.graph.decode_text`)."""
+    text = decode_text(path.read_bytes(), path)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for column in columns:
+        if column not in (reader.fieldnames or ()):
+            raise ConfigError(f"{path}: missing column {column!r}")
+    rows = []
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        if any(row[column] is None for column in columns):
+            raise ConfigError(f"{where}: expected "
+                              f"{len(reader.fieldnames)} fields")
+        parsed = {}
+        for column, parse in columns.items():
+            try:
+                parsed[column] = parse(row[column])
+            except ValueError:
+                raise ConfigError(f"{where}: bad value for {column}: "
+                                  f"{row[column]!r}") from None
+        rows.append(parsed)
+    return rows
 
 
 def _ratio(text: str) -> float:

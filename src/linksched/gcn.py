@@ -7,11 +7,18 @@ emits one utility per link. Gradients are computed by hand-written reverse
 accumulation, and parameters are updated with Adam under an exponentially
 decaying learning rate and the ADAM_* defaults of Kingma & Ba (arXiv
 1412.6980). A checkpoint holds only the network: dims, slope and weights.
+
+The network and its gradients run unchecked, as the solvers do. Their
+inputs are refused where they enter the program: a checkpoint's network by
+:class:`GcnParams` in :func:`load_checkpoint`, a run's widths by
+``TrainConfig.validate``, and a checkpoint's input width by ``eval`` when
+it builds the policy; the trainer builds every array it passes. An Adam
+step is written back only when every new value is finite
+(:func:`adam_step`).
 """
 
 from __future__ import annotations
 
-import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .graph import as_rng
-
-logger = logging.getLogger(__name__)
 
 LEAKY_SLOPE = 0.2
 
@@ -123,51 +128,47 @@ def _convolve(laplacian, x) -> np.ndarray:
 
 def forward(params: GcnParams, laplacian, features,
             slope: float = LEAKY_SLOPE) -> tuple[np.ndarray, ForwardCache]:
-    """Run the convolution stack and return (utilities, cache).
+    """Run the convolution stack and return (utilities, cache): the trainer's
+    entry, :func:`propagate` with a cache.
 
-    ``features`` is (V, g_0), giving (V,) utilities, or a stack (B, V, g_0)
-    of feature matrices, giving (B, V) utilities. ``laplacian`` is one
-    (V, V) matrix, shared by every row of a stack, or a list of B of them,
-    one per row, so that rows from different graphs of V nodes stack
-    without a (B, V, V) array; the rows that hold one Laplacian object, as
-    a run's star rows do, share one broadcast L @ X (:func:`_convolve`).
-    Every product goes through ``np.matmul`` broadcasting, which runs each
-    matrix through the same BLAS call as an unbatched forward, so every
-    row is bitwise equal to the forward of that row alone. Hidden layers
-    apply a leaky ReLU with the given negative slope; the output layer is
-    linear, so a one-layer network is fully linear. The features and
-    Laplacians are checked here, and the layers run in :func:`propagate`,
-    which fills the returned cache.
+    ``features`` is a float64 (V, g_0) matrix, giving (V,) utilities, or a
+    stack (B, V, g_0) of them, giving (B, V) utilities. ``laplacian`` is one
+    float64 (V, V) matrix, shared by every row of a stack, or a list of B
+    of them, one per row, so that rows from different graphs of V nodes
+    stack without a (B, V, V) array; the rows that hold one Laplacian
+    object, as a run's star rows do, share one broadcast L @ X
+    (:func:`_convolve`). Every product goes through ``np.matmul``
+    broadcasting, which runs each matrix through the same BLAS call as an
+    unbatched forward, so every row is bitwise equal to the forward of that
+    row alone. Hidden layers apply a leaky ReLU with the given negative
+    slope; the output layer is linear, so a one-layer network is fully
+    linear.
+
+    Unchecked, as :func:`~linksched.sim.advance` is, but for one rule: a
+    list needs a stack of as many rows, since other rows of
+    :func:`_convolve`'s output would stay unwritten. The shapes are the
+    caller's to get right; the network's inputs are refused where they
+    enter the program (:class:`GcnParams`, ``TrainConfig.validate`` and
+    ``eval``'s policy). A shape that does not fit fails in numpy or gives
+    a meaningless result.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != params.layer_dims[0]:
-        raise ValueError(f"features must be (V, {params.layer_dims[0]}) or "
-                         f"(B, V, {params.layer_dims[0]}), got {x.shape}")
-    n = x.shape[-2]
-    if isinstance(laplacian, (list, tuple)):
-        if x.ndim != 3 or len(laplacian) != x.shape[0]:
-            raise ValueError("a list of Laplacians needs a (B, V, g_0) stack "
-                             "of features, one Laplacian per row")
-        lap = [np.asarray(row, dtype=np.float64) for row in laplacian]
-        shape = next((row.shape for row in lap if row.shape != (n, n)), None)
-    else:
-        lap = np.asarray(laplacian, dtype=np.float64)
-        shape = None if lap.shape == (n, n) else lap.shape
-    if shape is not None:
-        raise ValueError(f"laplacian shape {shape} does not match {n} nodes")
-    cache = ForwardCache(lap, slope, [x], [], [])
-    utilities = propagate(params, lap, x, slope, cache)[..., 0].copy()
-    return utilities, cache
+    if isinstance(laplacian, (list, tuple)) and (
+            features.ndim != 3 or len(laplacian) != len(features)):
+        raise ValueError("a list of Laplacians needs a (B, V, g_0) stack "
+                         "of features, one Laplacian per row")
+    cache = ForwardCache(laplacian, slope, [features], [], [])
+    out = propagate(params, laplacian, features, slope, cache)
+    return out[..., 0].copy(), cache
 
 
 def propagate(params: GcnParams, laplacian, features, slope: float,
               cache: ForwardCache | None = None) -> np.ndarray:
-    """:func:`forward`'s layer loop, unchecked: the (..., V, 1) output of
-    float64 ``features`` of matching shape under a ``laplacian`` of
-    matching size, appending each layer's L @ X, preactivation and
-    activation to ``cache`` when one is given. The one implementation of
-    the network: :func:`forward` checks its input and calls it with its
-    cache, and a policy, which needs no cache, calls it directly."""
+    """The network, unchecked: the (..., V, 1) output of float64
+    ``features`` of matching shape under a ``laplacian`` of matching size,
+    appending each layer's L @ X, preactivation and activation to
+    ``cache`` when one is given. The one implementation of the network:
+    :func:`forward` calls it with its cache, and a policy, which needs no
+    cache, calls it directly."""
     x = features
     last = params.num_layers - 1
     for l in range(params.num_layers):
@@ -182,29 +183,21 @@ def propagate(params: GcnParams, laplacian, features, slope: float,
 
 
 def backward(params: GcnParams, cache: ForwardCache,
-             output_grad) -> Gradients:
+             output_grad: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients of a scalar loss given dLoss/d(utility).
 
-    ``output_grad`` has the shape of the forward's utilities. For a stacked
-    forward it is (B, V), and each gradient matrix gets a leading batch
-    axis, (B, g_(l-1), g_l): row b is bitwise the backward of row b alone,
-    so summing the rows is left to the caller, in its own order. The
-    leaky-ReLU derivative is taken as 1 at exactly zero. The cache must
-    come from a ``forward`` call with the same parameters.
+    ``output_grad`` is a float64 array of the shape of the forward's
+    utilities. For a stacked forward it is (B, V), and each gradient matrix
+    gets a leading batch axis, (B, g_(l-1), g_l): row b is bitwise the
+    backward of row b alone, so summing the rows is left to the caller, in
+    its own order. The leaky-ReLU derivative is taken as 1 at exactly zero.
+    Unchecked: the cache must come from a :func:`forward` call with the
+    same parameters, and ``output_grad`` must fit it.
     """
-    stack = cache.activations[0].shape[:-1]
-    g = np.asarray(output_grad, dtype=np.float64)
-    if g.shape != stack:
-        raise ValueError(f"output gradient must have shape {stack}, "
-                         f"got {g.shape}")
     layers = params.num_layers
-    if len(cache.preactivations) != layers or any(
-            cache.activations[l].shape[-1] != params.layer_dims[l]
-            for l in range(layers + 1)):
-        raise ValueError("cache does not match these parameters")
     grad0: list[np.ndarray] = [None] * layers  # type: ignore[list-item]
     grad1: list[np.ndarray] = [None] * layers  # type: ignore[list-item]
-    dz = g[..., None]
+    dz = output_grad[..., None]
     for l in range(layers - 1, -1, -1):
         grad0[l] = np.swapaxes(cache.activations[l], -1, -2) @ dz
         grad1[l] = np.swapaxes(cache.lap_inputs[l], -1, -2) @ dz
@@ -242,35 +235,35 @@ def adam_step(params: GcnParams, grads: Gradients,
               state: AdamState) -> tuple[GcnParams, AdamState]:
     """Apply one bias-corrected Adam update in place.
 
-    Non-finite gradients skip the update entirely (logged as a warning);
-    params and state are returned untouched in that case. A step that
-    would make a parameter non-finite is refused with ValueError, and
-    leaves params and state untouched too: the step is computed aside,
-    without numpy's warnings on the new parameters, and written back only
-    when every new parameter is finite.
+    One rule: the new parameters and both new moments are computed aside,
+    without numpy's warnings, and written back only when every value is
+    finite. Otherwise the step raises ValueError, "optimizer step would
+    make a parameter non-finite" or, when only a moment would be, "... a
+    moment non-finite", and leaves the parameters, both moments and
+    ``step`` untouched. A non-finite gradient is refused so, and so is a
+    finite one whose square overflows the second moment, which would
+    freeze its weight for the rest of a run. Gradients of other shapes
+    than the parameters are refused before anything is computed.
     """
     weights = params.theta0 + params.theta1
     tensors = grads.theta0 + grads.theta1
     if len(grads.theta0) != len(params.theta0) or any(
             g.shape != p.shape for g, p in zip(tensors, weights)):
         raise ValueError("gradient shapes do not match parameters")
-    if not all(np.isfinite(g).all() for g in tensors):
-        logger.warning("skipping optimizer step: non-finite gradient")
-        return params, state
     lr, step = state.lr, state.step + 1
     b1c, b2c = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
     old_m = state.m.theta0 + state.m.theta1
     old_v = state.v.theta0 + state.v.theta1
-    m = [a * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
-         for a, g in zip(old_m, tensors)]
-    v = [a * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
-         for a, g in zip(old_v, tensors)]
-    # an overflow here makes a parameter non-finite, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
+        m = [a * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+             for a, g in zip(old_m, tensors)]
+        v = [a * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+             for a, g in zip(old_v, tensors)]
         p = [w - lr * (a / b1c) / (np.sqrt(b / b2c) + ADAM_EPS)
              for w, a, b in zip(weights, m, v)]
-    if not all(np.isfinite(w).all() for w in p):
-        raise ValueError("optimizer step would make a parameter non-finite")
+    for new, what in ((p, "parameter"), (m + v, "moment")):
+        if not all(np.isfinite(a).all() for a in new):
+            raise ValueError(f"optimizer step would make a {what} non-finite")
     for old, new in zip(weights + old_m + old_v, p + m + v):
         old[...] = new
     state.step = step

@@ -364,6 +364,18 @@ NOT_PLAIN = "not plain decimal: a sign, a leading zero or other whitespace " \
     "than the writer's"
 
 
+def decode_text(data: bytes, path) -> str:
+    """``data``, the bytes of the file at ``path``, decoded as UTF-8, the
+    one decoding of every text file the package reads. Bytes that are not
+    UTF-8 raise ValueError naming the path and the line they are on."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte "
+                         f"0x{data[exc.start]:02x} is not UTF-8") from None
+
+
 def read_as_written(path, crlf: bool = False) -> tuple[str, int]:
     """The text of the file at ``path`` and its size in bytes, for a file
     whose lines end as its writer ends them: each in ``\\n`` alone, or,
@@ -374,9 +386,11 @@ def read_as_written(path, crlf: bool = False) -> tuple[str, int]:
     ValueError naming the path and the line; with ``crlf``, text after the
     last ``\\n`` may end in the ``\\r`` of a line end cut short, which the
     caller refuses as cut short. The text comes back with every ``\\r``
-    deleted, so each line ends in ``\\n`` alone. The file is read as bytes
-    and checked by whole-array byte comparisons; only a faulty file is
-    walked line by line.
+    deleted, so each line ends in ``\\n`` alone. Once its line ends pass,
+    it is decoded by :func:`decode_text`, which refuses bytes that are not
+    UTF-8 at their line. The file is read as bytes and checked by
+    whole-array byte comparisons; only a faulty file is walked line by
+    line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -401,7 +415,8 @@ def read_as_written(path, crlf: bool = False) -> tuple[str, int]:
                 end = "'\\r\\n'" if want_cr else "'\\n'"
                 raise ValueError(f"{path}: line {k}: line end other than "
                                  f"{end}")
-    return (data.translate(None, b"\r") if crlf else data).decode(), len(data)
+    raw = data.translate(None, b"\r") if crlf else data
+    return decode_text(raw, path), len(data)
 
 
 def _loadtxt_int64(lines, width: int, delimiter: str | None):

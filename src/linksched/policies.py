@@ -22,9 +22,8 @@ message rounds, and ``greedy`` on training's main trajectory, which reads
 no rounds. Greedy's scan in (utility, node ID) order picks LGS's schedule
 on every row, signed utilities and zeros included, at a fraction of the
 cost of a one-row :func:`~linksched.solvers.lgs_rows` call. The GCN runs
-as :func:`~linksched.gcn.propagate`, :func:`~linksched.gcn.forward`'s
-layer loop without its input checks or the cache that only training's
-backward pass reads.
+as :func:`~linksched.gcn.propagate`, :func:`~linksched.gcn.forward`
+without the cache that only training's backward pass reads.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ class GcnLgsPolicy:
     one input feature per node is backlog x rate, the one input a
     checkpoint is trained on; the convolution uses the graph's own cached
     :attr:`ConflictGraph.laplacian`, so the policy holds no per-graph state.
-    Its utilities are bitwise :func:`~linksched.gcn.forward`'s, whose layer
-    loop it runs, unchecked, on float64 rows of the graph's width.
+    Its utilities are bitwise :func:`~linksched.gcn.forward`'s, whose
+    network it runs on float64 rows of the graph's width.
     """
 
     def __init__(self, params: GcnParams, slope: float = LEAKY_SLOPE,

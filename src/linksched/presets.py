@@ -1,6 +1,8 @@
 """Named conflict-graph families used throughout the experiments.
 
-Recognized names (case-insensitive):
+Recognized names (case-insensitive, surrounding whitespace ignored; each
+count <X> written plain, in ASCII digits with no leading zero, as the
+instance readers read their numerals):
 
     star<X>   star graph, X peripheral links (X+1 <= STAR_MAX_NODES nodes)
     ba-m<X>   Barabasi-Albert graph on 70 nodes, X edges per new node
@@ -29,6 +31,9 @@ ER_EDGE_PROB = 0.1
 TREE_NODES = 50
 TREE_EXPONENT = 3.0
 STAR_MAX_NODES = 10_000  # refused above this before anything is built
+# a family's count: ASCII digits and no leading zero; 0 itself parses, so
+# that the range check refuses it with its own message
+PLAIN_COUNT = "0|[1-9][0-9]*"
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,13 @@ def _ba_mix(gen: np.random.Generator) -> ConflictGraph:
 
 
 def parse_graph_config(name: str) -> GraphConfig:
-    """Resolve a configuration name into a :class:`GraphConfig`."""
+    """Resolve a configuration name into a :class:`GraphConfig`, named by
+    its key: the name stripped and in lower case. A count not written
+    plain, such as ``star030``, ``ba-m02`` or one in full-width digits, is
+    refused as an unknown name rather than read as another family's, whose
+    name it would then carry into every file the run writes."""
     key = name.strip().lower()
-    star = re.fullmatch(r"star(\d+)", key)
+    star = re.fullmatch(f"star({PLAIN_COUNT})", key)
     if star:
         x = int(star.group(1))
         if not 1 <= x < STAR_MAX_NODES:
@@ -74,7 +83,7 @@ def parse_graph_config(name: str) -> GraphConfig:
                              "peripherals")
         return GraphConfig(key, x + 1, lambda gen, x=x: generate_star(x),
                            fixed=True)
-    ba = re.fullmatch(r"ba-m(\d+)", key)
+    ba = re.fullmatch(f"ba-m({PLAIN_COUNT})", key)
     if ba:
         m = int(ba.group(1))
         if not 1 <= m < BA_NODES:

@@ -20,13 +20,16 @@ A run resolves its graph mix once (:func:`resolve_mix`): a star family is
 built once per run, and its cached tables, its Laplacian among them,
 serve every episode drawn on it.
 
-The solvers and the weighing run unchecked; an episode's inputs are
+The solvers, the weighing, the network, the reward and the loss run
+unchecked on the arrays this module builds; an episode's inputs are
 checked where they enter it, by :func:`~linksched.sim.run_episode` and
-:func:`~linksched.sim.lookahead_compare`. A run is refused, after it
-writes its last finite parameters to ``diagnostic.ckpt``, at the first
-non-finite batch loss and at the first Adam step that would make a
-parameter non-finite, so no run ends with a checkpoint that
-:func:`~linksched.gcn.load_checkpoint` refuses.
+:func:`~linksched.sim.lookahead_compare`, and a run's by
+:meth:`TrainConfig.validate`. A run is refused, after it writes its last
+finite parameters to ``diagnostic.ckpt``, at the first non-finite batch
+loss and at the first Adam step that would make a parameter or a moment
+non-finite, so no run ends with a checkpoint that
+:func:`~linksched.gcn.load_checkpoint` refuses, nor trains on with a
+weight frozen by an infinite moment.
 """
 
 from __future__ import annotations
@@ -80,19 +83,13 @@ def compute_reward(ratio, indicator, u_gcn) -> np.ndarray:
     (ratio >= 1), else 0.0. Unscheduled links receive their utility at
     collection time, which adds no loss only until the parameters move.
     Each row equals the one-slot call on that row. The result is a constant
-    target: no gradient flows through it.
+    target: no gradient flows through it. Unchecked, as
+    :func:`~linksched.sim.advance` is: ``indicator`` must be a 0/1 mask and
+    the three arguments must fit, as :func:`collect_episode`'s are.
     """
-    v = np.asarray(indicator)
-    if v.ndim not in (1, 2) or not ((v == 0) | (v == 1)).all():
-        raise ValueError("schedule indicator must be a binary vector or a "
-                         "stack of them")
+    vf = np.asarray(indicator, dtype=np.float64)
     u = np.asarray(u_gcn, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError("indicator and utility lengths differ")
     won = np.where(np.asarray(ratio, dtype=np.float64) >= 1.0, 1.0, 0.0)
-    if won.shape != v.shape[:-1]:
-        raise ValueError("need one ratio per indicator row")
-    vf = v.astype(np.float64)
     return won[..., None] * vf + u * (1.0 - vf)
 
 
@@ -104,11 +101,9 @@ def _row_norms(diff: np.ndarray) -> np.ndarray:
 def rms_loss(u_gcn, returns) -> float | np.ndarray:
     """Root-mean-square deviation between utilities and targets: a float
     for (V,) inputs, one per row for (B, V) stacks, each row's bitwise
-    what the row alone gives."""
+    what the row alone gives. Unchecked: the two must have one shape."""
     u = np.asarray(u_gcn, dtype=np.float64)
     rho = np.asarray(returns, dtype=np.float64)
-    if u.shape != rho.shape:
-        raise ValueError("utility and return lengths differ")
     loss = _row_norms(u - rho) / math.sqrt(u.shape[-1])
     return float(loss) if loss.ndim == 0 else loss
 
@@ -134,7 +129,15 @@ class TrainConfig:
     lookahead, batch-64 replay, 6000 episodes). Fixed are the GCN's one
     input, backlog x rate, the reward (:func:`compute_reward`), the
     leaky-ReLU slope (``gcn.LEAKY_SLOPE``), the traffic model (``sim``) and
-    Adam's betas and eps (``gcn``)."""
+    Adam's betas and eps (``gcn``).
+
+    :meth:`validate` is where a run's settings enter, and refuses each bad
+    one by its key: a ``base_lr`` that is not positive and finite (one
+    below 0 would train by gradient ascent) and an ``lr_decay`` outside
+    (0, 1] (0 stops learning after the first episode, a negative one flips
+    the step's sign every episode, one above 1 grows the rate). A finite
+    rate too large for Adam's step, such as 1e308, is refused by
+    :func:`~linksched.gcn.adam_step` when the step would overflow."""
 
     episodes: int = 6000
     horizon: int = 64
@@ -172,9 +175,12 @@ class TrainConfig:
             raise ValueError("checkpoint interval must be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name in ("base_lr", "lr_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be positive and finite, got "
+                             f"{self.base_lr}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError("lr_decay must lie in (0, 1], got "
+                             f"{self.lr_decay}")
         if self.init not in ("glorot", "identity"):
             raise ValueError(f"unknown initialization: {self.init!r}")
         if not self.graph_mix:
@@ -325,8 +331,8 @@ def train(config: TrainConfig, checkpoint_dir) -> TrainResult:
     parameters go to ``checkpoint.ckpt`` there, plus interval checkpoints
     when configured. A non-finite batch loss, and an Adam step that
     :func:`~linksched.gcn.adam_step` refuses because it would make a
-    parameter non-finite, each abort the run with RuntimeError after
-    writing the last finite parameters to ``diagnostic.ckpt`` there.
+    parameter or a moment non-finite, each abort the run with RuntimeError
+    after writing the last finite parameters to ``diagnostic.ckpt`` there.
     """
     config.validate()
     master = np.random.default_rng(config.seed)

@@ -18,6 +18,7 @@ from linksched.gcn import (GcnParams, identity_params, init_params,
 from linksched.graph import (ConflictGraph, generate_star, load_graph,
                              save_graph)
 from linksched.policies import GcnLgsPolicy, SolverPolicy
+from linksched.presets import parse_graph_config
 from linksched.sim import (compute_metrics, load_trace, run_episode,
                            sample_traffic, save_trace)
 from linksched import train as train_module
@@ -1076,6 +1077,81 @@ class TestMainEntry:
                      "baseline,greedy", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("base_lr = -1", "base_lr must be positive and finite, got -1.0"),
+        ("lr_decay = -0.5", "lr_decay must lie in (0, 1], got -0.5"),
+        ("lr_decay = 0", "lr_decay must lie in (0, 1], got 0.0"),
+        ("lr_decay = 10", "lr_decay must lie in (0, 1], got 10.0"),
+    ], ids=["base_lr-negative", "lr_decay-negative", "lr_decay-0",
+            "lr_decay-10"])
+    def test_learning_rate_refused_by_key(self, tmp_path, capsys, line,
+                                          message):
+        # gradient ascent, a step whose sign flips every episode, learning
+        # that stops after episode 0, a rate ten times larger each episode:
+        # each refused by its key when the configuration is read
+        key, value = (part.strip() for part in line.split("="))
+        with pytest.raises(ConfigError, match=re.escape(f"<t>: {message}")):
+            train_config_from_kv({key: value}, "<t>")
+        conf = tmp_path / "train.cfg"
+        conf.write_text(f"{line}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(conf), "--episodes", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {conf}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["graph.txt", "trace.csv",
+                                      "manifest.txt", "train.cfg", "ars.csv",
+                                      "summary.csv"])
+    def test_non_utf8_byte_named_with_file_and_line(self, small_instances,
+                                                    tmp_path, capsys, name):
+        # a 0xff byte at the start of line 3: each reader names the file
+        # and the line, where Python's codec error names neither
+        config, instances = small_instances
+        config.policies = ("baseline", "greedy")
+        out = tmp_path / "eval"
+        cmd_eval(config, instances, out)
+        (tmp_path / "train.cfg").write_text("episodes = 0\nseed = 1\n"
+                                            "horizon = 4\n")
+        path = {"graph.txt": instances / "instance_0000" / name,
+                "trace.csv": instances / "instance_0000" / name,
+                "manifest.txt": instances / name,
+                "train.cfg": tmp_path / name}.get(name, out / name)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        argv = {"train.cfg": ["train", "--config", str(path), "--out",
+                              str(tmp_path / "run")],
+                "ars.csv": ["report", "--eval-dir", str(out)],
+                "summary.csv": ["report", "--eval-dir", str(out)]}.get(
+            name, ["eval", "--instances", str(instances), "--policies",
+                   "baseline"])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: line 3: byte 0xff is not UTF-8\n"
+
+    @pytest.mark.parametrize("name", ["star030", "star\uff13\uff10",
+                                      "ba-m02", "ba-m\uff12"],
+                             ids=["star030", "star30-full-width", "ba-m02",
+                                  "ba-m2-full-width"])
+    def test_family_count_read_as_written(self, tmp_path, capsys, name):
+        # a count with a leading zero or in full-width digits names no
+        # family: it resolved to star30 or ba-m2 under the name as typed,
+        # which then reached manifest.txt, summary.csv and training_log.csv
+        message = f"unknown graph configuration: {name!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_graph_config(name)
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", name, "--instances", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ConfigError, match=re.escape(f"<t>: {message}")):
+            train_config_from_kv({"graph_mix": f"{name}:1"}, "<t>")
+        # case and surrounding spaces are still ignored
+        for typed in ("Star30", " star30 ", "BA-M2"):
+            assert parse_graph_config(typed).name == typed.strip().lower()
 
     def test_replay_capacity_overflow_fails_closed(self, tmp_path, capsys):
         conf = tmp_path / "train.cfg"

@@ -1,4 +1,3 @@
-import logging
 import re
 import struct
 from dataclasses import fields
@@ -240,11 +239,6 @@ class TestStackedForward:
             forward(identity_params(), [lap] * 3, np.ones((4, 2, 1)))
         with pytest.raises(ValueError, match="one Laplacian per row"):
             forward(identity_params(), [lap], np.ones((2, 1)))
-        with pytest.raises(ValueError, match="does not match 2 nodes"):
-            forward(identity_params(), [lap, np.eye(3)], np.ones((2, 2, 1)))
-        _, cache = forward(identity_params(), [lap, lap], np.ones((2, 2, 1)))
-        with pytest.raises(ValueError, match="output gradient"):
-            backward(identity_params(), cache, np.ones(2))
 
 
 class TestBackward:
@@ -262,12 +256,6 @@ class TestBackward:
         _, cache = forward(params, k2_laplacian(), s)
         grads = backward(params, cache, np.zeros(2))
         assert not any(g.any() for g in grads.theta0 + grads.theta1)
-
-    def test_stale_cache_rejected(self):
-        s = np.array([[1.0], [2.0]])
-        _, cache = forward(identity_params(), k2_laplacian(), s)
-        with pytest.raises(ValueError):
-            backward(init_params([1, 3, 1], 0), cache, np.zeros(2))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -395,15 +383,32 @@ class TestAdam:
         adam_step(params, g, state)
         assert params.theta0[0].item() == pytest.approx(-1.5)
 
-    def test_non_finite_gradient_skipped(self, caplog):
-        params = scalar_params(1.0, 1.0)
+    @pytest.mark.parametrize("grad0, base_lr, what", [
+        pytest.param(np.nan, 1e-3, "parameter", id="nan-gradient"),
+        pytest.param(np.inf, 1e-3, "parameter", id="inf-gradient"),
+        # a finite gradient whose square overflows v: the weight's update
+        # would be m / inf = 0 from then on, a weight frozen for the run
+        pytest.param(1e200, 1e-3, "moment", id="moment-overflow"),
+        pytest.param(30.0, 1e308, "parameter", id="lr-overflow"),
+    ])
+    def test_non_finite_step_writes_nothing(self, grad0, base_lr, what):
+        # one rule: a step that would make any parameter or moment
+        # non-finite is refused, and leaves the parameters, both moments
+        # and the step count as a finite first step left them, bit for bit
+        params = scalar_params(1.0, -1.0)
         state = AdamState.for_params(params)
-        grads = Gradients([np.array([[np.nan]])], [np.array([[0.0]])])
-        with caplog.at_level(logging.WARNING):
+        adam_step(params, Gradients([np.array([[0.25]])],
+                                    [np.array([[0.5]])]), state)
+        state.base_lr = base_lr
+        arrays = params.theta0 + params.theta1 + state.m.theta0 + \
+            state.m.theta1 + state.v.theta0 + state.v.theta1
+        before = [a.tobytes() for a in arrays]
+        grads = Gradients([np.array([[grad0]])], [np.array([[0.5]])])
+        with pytest.raises(ValueError, match="^optimizer step would make "
+                           f"a {what} non-finite$"):
             adam_step(params, grads, state)
-        assert state.step == 0
-        assert params.theta0[0].item() == 1.0
-        assert "non-finite" in caplog.text
+        assert state.step == 1
+        assert [a.tobytes() for a in arrays] == before
 
     def test_non_finite_step_refused(self):
         # lr * g overflows: the step is refused, and the parameters, both

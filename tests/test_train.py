@@ -67,10 +67,6 @@ class TestComputeReward:
         rho = compute_reward(1.0, [1], [5.0])
         assert rho.tolist() == [1.0]
 
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            compute_reward(1.0, [2, 0], [0.1, 0.2])
-
     def test_stack_equals_rows(self):
         ratios = np.array([0.0, 1.0, 3.0, np.inf])
         indicators = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0]],
@@ -82,8 +78,6 @@ class TestComputeReward:
         assert stacked.shape == indicators.shape
         for got, want in zip(stacked, rows):
             assert got.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="one ratio per"):
-            compute_reward(ratios[:3], indicators, u)
 
 
 class TestLoss:
@@ -98,10 +92,6 @@ class TestLoss:
         rho = compute_reward(2.0, [1, 0, 0], u)
         # only the scheduled entry differs from u
         assert rms_loss(u, rho) == pytest.approx(abs(u[0] - 1.0) / np.sqrt(3))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            rms_loss([1.0], [1.0, 2.0])
 
     def test_gradient_zero_at_minimum(self):
         assert not loss_gradient([1.0, 2.0], [1.0, 2.0]).any()

@@ -267,6 +267,8 @@ CFG
     chop gen-star30-cut-trace gen-star30 trace.csv 3
     chop gen-star30-cut-graph gen-star30 graph.txt 2
     edit gen-star30-header gen-star30 graph.txt 'NR == 1 { $0 = "nodes 3_1" } 1'
+    # a byte that is not UTF-8, 0xff, at the start of the first edge line
+    edit gen-star30-non-utf8 gen-star30 graph.txt 'NR == 3 { $0 = "\377" $0 } 1'
     # line ends other than the writer's: the graph rewritten with \r\n, and
     # the trace with \n alone and with a lone \r
     edit gen-star30-crlf-graph gen-star30 graph.txt '{ printf "%s\r\n", $0 }'
@@ -275,7 +277,7 @@ CFG
         '{ sub(/\r$/, ""); printf "%s\r", $0 }'
     head -c 20 "$side/train-default/checkpoint.ckpt" > "$side/cut.ckpt"
     for case in swapped blank huge seed cut-trace cut-graph header \
-            crlf-graph lf-trace cr-trace; do
+            non-utf8 crlf-graph lf-trace cr-trace; do
         refuse "eval-star30-$case" eval --instances "gen-star30-$case" \
             --policies baseline,greedy --out "eval-star30-$case"
     done
@@ -301,6 +303,17 @@ CFG
         refuse "train-overflow-$episodes" train --config overflow.cfg \
             --episodes "$episodes" --out "train-overflow-$episodes"
     done
+    # a learning rate below 0, which would train by gradient ascent, and a
+    # decay of 0, which would stop learning after the first episode
+    echo "base_lr = -1" > "$side/negative-lr.cfg"
+    echo "lr_decay = 0" > "$side/zero-decay.cfg"
+    for case in negative-lr zero-decay; do
+        refuse "train-$case" train --config "$case.cfg" --episodes 2 \
+            --out "train-$case"
+    done
+    # a family's count with a leading zero, which names no family
+    refuse generate-star030 generate --config star030 --instances 1 \
+        --out gen-star030
     run toy toy
     # the toy away from its default horizon and burn-in
     run toy-short toy --horizon 9 --burn-in 3
